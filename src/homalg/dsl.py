@@ -455,9 +455,10 @@ def _fmt_terms(coeffs, prefix):
 
 def _emit_tensor(lines, keyword, sym, tensor, lp, rp, op, swap=False):
     wrote = False
+    coeffs = tensor.coeffs
     for i in range(tensor.left_dim):
         for j in range(tensor.right_dim):
-            row = tensor.coeffs[i][j]
+            row = coeffs[i][j]
             if not any(row):
                 continue
             wrote = True
@@ -473,8 +474,9 @@ def _emit_tensor(lines, keyword, sym, tensor, lp, rp, op, swap=False):
 
 def _emit_map(lines, sym, linmap, prefix):
     wrote = False
+    matrix = linmap.matrix
     for j in range(linmap.src_dim):
-        col = [linmap.matrix[i][j] for i in range(linmap.dst_dim)]
+        col = [matrix[i][j] for i in range(linmap.dst_dim)]
         if not any(col):
             continue
         wrote = True
@@ -516,8 +518,9 @@ def serialize_operator(name: str, rep_name: str, candidate: OperatorCandidate) -
     rep = candidate.rep
     lines = [f"operator {name}: {rep_name} -> {rep.base.name}"]
     wrote = False
+    matrix = candidate.map.matrix
     for j in range(rep.v_dim):
-        col = [candidate.map.matrix[i][j] for i in range(candidate.map.dst_dim)]
+        col = [matrix[i][j] for i in range(candidate.map.dst_dim)]
         if not any(col):
             continue
         wrote = True

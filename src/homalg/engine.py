@@ -6,14 +6,29 @@ interpretation means evaluating both sides on every tuple of basis vectors.
 Schemas that repeat a variable are first reduced to multilinear ones by
 inclusion-exclusion polarization, which is an equivalence in characteristic
 zero for identities homogeneous in each variable.
+
+Evaluation is compiled.  Both sides become one hash-consed DAG, so equal
+subterms (such as those shared by the polarized terms of Hom-Jordan) are one
+node.  Each node runs an integer kernel over the structure constants'
+numerators, with a denominator fixed at compile time; the sides compare as
+l * Dr == r * Dl.  Tuples are enumerated lexicographically and a node is
+re-evaluated only when a slot it depends on changes, looking up a table keyed
+by the tuple's projection onto its free slots that is filled on demand, so a
+failing check still stops at its first witness.  Tables live for one call.
+Polarization records each variable's copies as a copy block; the identity is
+symmetric there, so only tuples sorted within each block are visited, and
+the first violating tuple is still the one naive enumeration finds.
+`tuples_checked` counts the tuples visited.  `evaluate` and
+`check_schema_random` run the same compiled kernels.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Optional
 
 from .exact import LinearMap, ShapeError, Vector
@@ -175,15 +190,21 @@ class IdentitySchema:
     marks the schema as non-multilinear in that variable.  For hand-written
     schemas the list is derived from the trees; polarize() supplies it
     explicitly for its multilinear output.
+
+    copy_blocks lists groups of variable names that are interchangeable: the
+    identity is symmetric under any permutation of the variables within one
+    block.  polarize() records each variable's fresh copies as a block; the
+    checker then enumerates only tuples whose block indices are sorted.
     """
 
-    __slots__ = ("name", "lhs", "rhs", "variables", "polarized")
+    __slots__ = ("name", "lhs", "rhs", "variables", "polarized", "copy_blocks")
 
-    def __init__(self, name, lhs, rhs, variables=None, polarized=False):
+    def __init__(self, name, lhs, rhs, variables=None, polarized=False, copy_blocks=()):
         self.name = name
         self.lhs = lhs
         self.rhs = rhs
         self.polarized = polarized
+        self.copy_blocks = tuple(tuple(block) for block in copy_blocks)
         if variables is not None:
             self.variables = tuple(variables)
             return
@@ -216,21 +237,25 @@ def polarize(schema: IdentitySchema) -> IdentitySchema:
     A variable x of multiplicity m becomes x__1..x__m and each side P turns
     into sum over nonempty S of {1..m} of (-1)^(m-|S|) P(sum_{i in S} x__i).
     In characteristic zero the original schema holds identically iff the
-    polarized (multilinear) one holds on all basis tuples.
+    polarized (multilinear) one holds on all basis tuples.  Both sides are
+    symmetric in x__1..x__m, which the result records as a copy block.
     """
     if schema.is_multilinear():
         return schema
     lhs, rhs = schema.lhs, schema.rhs
     new_vars = []
+    blocks = []
     for name, sort, mult in schema.variables:
         if mult <= 1:
             new_vars.append((name, sort, 1))
             continue
         fresh = [f"{name}__{i}" for i in range(1, mult + 1)]
         new_vars.extend((f, sort, 1) for f in fresh)
+        blocks.append(fresh)
         lhs = _polarize_one(lhs, name, fresh, sort, mult)
         rhs = _polarize_one(rhs, name, fresh, sort, mult)
-    return IdentitySchema(schema.name, lhs, rhs, variables=new_vars, polarized=True)
+    return IdentitySchema(schema.name, lhs, rhs, variables=new_vars, polarized=True,
+                          copy_blocks=blocks)
 
 
 def _polarize_one(expr, name, fresh, sort, mult):
@@ -344,105 +369,387 @@ def _check_sorts(expr, interp: Interpretation):
     raise TypeError(expr)
 
 
-class _Evaluator:
+# ---------------------------------------------------------------------------
+# compilation
+#
+# A compiled value is sparse: a list of (basis index, integer numerator)
+# pairs in index order with zeros omitted, over a denominator fixed per node
+# at compile time.  The zero vector is [].
+
+
+def _children(key):
+    kind = key[0]
+    if kind == "tw":
+        return (key[3],)
+    if kind == "op":
+        return key[2:]
+    if kind == "sum":
+        return tuple(c for _, c in key[1])
+    return ()
+
+
+class _Dag:
+    """Hash-consed expression DAG, simplified against one interpretation.
+
+    A node is ("var", name), ("tw", symbol, power, child), ("op", symbol,
+    left, right) or ("sum", ((weight, child), ...)); its id is its position
+    in `nodes`, so children precede parents.  Sums are flattened with like
+    terms merged, zero weights dropped and terms in child order; nested
+    twists by one map merge their powers, and a twist whose power is the
+    identity map disappears; a product with a zero factor or a zero tensor
+    is zero.  Equal subterms therefore become one node.
+    """
+
     def __init__(self, interp: Interpretation):
         self.interp = interp
-        self._twists = {}
+        self.nodes = []
+        self._ids = {}
+        self._seen = {}
+        self._powers = {}
+        self._zero_ops = {}
+        self.zero = self._intern(("sum", ()))
 
-    def twist(self, symbol, power) -> LinearMap:
-        key = (symbol, power)
-        got = self._twists.get(key)
+    def _intern(self, key) -> int:
+        nid = self._ids.get(key)
+        if nid is None:
+            nid = self._ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return nid
+
+    def power(self, symbol, power):
+        """(symbol^power, whether it is the identity of one sort)."""
+        got = self._powers.get((symbol, power))
         if got is None:
-            got = self.interp.maps[symbol][0].power(power)
-            self._twists[key] = got
+            lin, (src, dst) = self.interp.maps[symbol]
+            lin = lin.power(power)
+            got = (lin, src == dst and lin == LinearMap.identity(lin.src_dim))
+            self._powers[(symbol, power)] = got
         return got
 
-    def eval(self, expr, env, memo, zero_dim):
-        key = id(expr)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def add(self, expr) -> int:
+        """Node id of an expression; the caller keeps the expression alive."""
+        nid = self._seen.get(id(expr))
+        if nid is not None:
+            return nid
         if isinstance(expr, Var):
-            r = env[expr.name]
-        elif isinstance(expr, OpApp):
-            tensor = self.interp.ops[expr.op_symbol][0]
-            r = tensor.apply(
-                self.eval(expr.left, env, memo, zero_dim),
-                self.eval(expr.right, env, memo, zero_dim),
-            )
+            nid = self._intern(("var", expr.name))
         elif isinstance(expr, TwistApp):
-            r = self.twist(expr.map_symbol, expr.power).apply(
-                self.eval(expr.child, env, memo, zero_dim)
-            )
+            nid = self._twist(expr.map_symbol, expr.power, self.add(expr.child))
+        elif isinstance(expr, OpApp):
+            nid = self._op(expr.op_symbol, self.add(expr.left), self.add(expr.right))
         elif isinstance(expr, Sum):
-            if not expr.terms:
-                r = Vector.zero(zero_dim)
-            else:
-                acc = None
-                for w, e in expr.terms:
-                    val = self.eval(e, env, memo, zero_dim)
-                    if w != 1:
-                        val = val.scale(w)
-                    acc = val if acc is None else acc + val
-                r = acc
+            nid = self._sum([(w, self.add(e)) for w, e in expr.terms])
         else:
             raise TypeError(expr)
-        memo[key] = r
-        return r
+        self._seen[id(expr)] = nid
+        return nid
+
+    def _twist(self, symbol, power, child) -> int:
+        key = self.nodes[child]
+        if key[0] == "tw" and key[1] == symbol:
+            power, child = power + key[2], key[3]
+        if power == 0 or child == self.zero or self.power(symbol, power)[1]:
+            return child
+        return self._intern(("tw", symbol, power, child))
+
+    def _op(self, symbol, left, right) -> int:
+        zero = self._zero_ops.get(symbol)
+        if zero is None:
+            zero = self._zero_ops[symbol] = self.interp.ops[symbol][0].is_zero()
+        if zero or left == self.zero or right == self.zero:
+            return self.zero
+        return self._intern(("op", symbol, left, right))
+
+    def _sum(self, terms) -> int:
+        acc = {}
+        for w, child in terms:
+            key = self.nodes[child]
+            for w2, c in key[1] if key[0] == "sum" else ((1, child),):
+                acc[c] = acc.get(c, 0) + w * w2
+        flat = tuple((w, c) for c, w in sorted(acc.items()) if w)
+        if len(flat) == 1 and flat[0][0] == 1:
+            return flat[0][1]
+        return self._intern(("sum", flat))
+
+
+def _sparse(dense):
+    return [(k, x) for k, x in enumerate(dense) if x]
+
+
+def _twist_kernel(child, cols, dst):
+    def run(cur):
+        v = cur[child]
+        if len(v) == 1:
+            (j, a), = v
+            col = cols[j]
+            return col if a == 1 else [(i, a * x) for i, x in col]
+        out = [0] * dst
+        for j, a in v:
+            for i, x in cols[j]:
+                out[i] += a * x
+        return _sparse(out)
+    return run
+
+
+def _op_kernel(left, right, rows, out_dim):
+    def run(cur):
+        a, b = cur[left], cur[right]
+        if len(a) == 1 and len(b) == 1:
+            (i, x), = a
+            (j, y), = b
+            row = rows[i][j]
+            s = x * y
+            return row if s == 1 else [(k, s * c) for k, c in row]
+        out = [0] * out_dim
+        for i, x in a:
+            plane = rows[i]
+            for j, y in b:
+                row = plane[j]
+                if row:
+                    s = x * y
+                    for k, c in row:
+                        out[k] += s * c
+        return _sparse(out)
+    return run
+
+
+def _sum_kernel(terms, dim):
+    def run(cur):
+        out = [0] * dim
+        for f, child in terms:
+            for k, x in cur[child]:
+                out[k] += f * x
+        return _sparse(out)
+    return run
+
+
+def _zero_kernel(cur):
+    return []
+
+
+class _Program:
+    """Expressions compiled against one interpretation.
+
+    `leaves` maps each variable name to its (dimension, denominator).  Every
+    node reachable from the roots gets a denominator and, unless it is a
+    variable, an integer kernel that reads its children's current values
+    from a list indexed by node id.  Variables are set by the caller.
+    """
+
+    def __init__(self, exprs, interp: Interpretation, leaves):
+        interp.validate()
+        dag = _Dag(interp)
+        self.roots = [dag.add(e) for e in exprs]
+        self.nodes = nodes = dag.nodes
+        live = [False] * len(nodes)
+        for r in self.roots:
+            live[r] = True
+        for nid in range(len(nodes) - 1, -1, -1):
+            if live[nid]:
+                for c in _children(nodes[nid]):
+                    live[c] = True
+        self.order = [nid for nid in range(len(nodes)) if live[nid]]
+        self.dens = dens = [1] * len(nodes)
+        dims = [0] * len(nodes)
+        self.kernels = kernels = [None] * len(nodes)
+        self.var_nodes = {}
+        rows_of = {}
+        for nid in self.order:
+            key = nodes[nid]
+            kind = key[0]
+            if kind == "var":
+                if key[1] not in leaves:
+                    raise SemanticError(f"unbound variable {key[1]!r}")
+                dims[nid], dens[nid] = leaves[key[1]]
+                self.var_nodes[key[1]] = nid
+            elif kind == "tw":
+                _, symbol, power, child = key
+                lin = dag.power(symbol, power)[0]
+                cols = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
+                dims[nid], dens[nid] = lin.dst_dim, dens[child] * lin._d
+                kernels[nid] = _twist_kernel(child, cols, lin.dst_dim)
+            elif kind == "op":
+                _, symbol, left, right = key
+                tensor = interp.ops[symbol][0]
+                rows = rows_of.get(symbol)
+                if rows is None:
+                    rows = rows_of[symbol] = [[_sparse(r) for r in plane] for plane in tensor._n]
+                dims[nid], dens[nid] = tensor.out_dim, dens[left] * dens[right] * tensor._d
+                kernels[nid] = _op_kernel(left, right, rows, tensor.out_dim)
+            elif not key[1]:
+                kernels[nid] = _zero_kernel
+            else:
+                den = 1
+                for w, c in key[1]:
+                    den = lcm(den, w.denominator * dens[c])
+                terms = [(w.numerator * (den // (w.denominator * dens[c])), c) for w, c in key[1]]
+                dims[nid], dens[nid] = dims[key[1][0][1]], den
+                kernels[nid] = _sum_kernel(terms, dims[nid])
+
+    def run(self, cur) -> None:
+        """Evaluate every kernel in topological order (variables already set)."""
+        kernels = self.kernels
+        for nid in self.order:
+            kernel = kernels[nid]
+            if kernel is not None:
+                cur[nid] = kernel(cur)
+
+    def vector(self, cur, root, dim) -> Vector:
+        out = [0] * dim
+        for k, x in cur[root]:
+            out[k] = x
+        return Vector._make(out, self.dens[root])
+
+    def equal(self, cur, left, right) -> bool:
+        lv, rv = cur[left], cur[right]
+        dl, dr = self.dens[left], self.dens[right]
+        if dl == dr:
+            return lv == rv
+        return len(lv) == len(rv) and all(
+            i == j and x * dr == y * dl for (i, x), (j, y) in zip(lv, rv)
+        )
+
+    def levels(self, slot_of):
+        """Per slot p, the steps to run once slots 0..p are set.
+
+        A node is evaluated at the level of its last free slot; nodes with no
+        free slot come first, under level -1.  A node whose free slots are
+        not all of 0..level gets a table keyed by the projection of the
+        tuple onto them, filled on first use.
+        """
+        masks = [0] * len(self.nodes)
+        levels = [[] for _ in range(len(slot_of) + 1)]
+        for nid in self.order:
+            key = self.nodes[nid]
+            if key[0] == "var":
+                masks[nid] = 1 << slot_of[key[1]]
+                continue
+            for c in _children(key):
+                masks[nid] |= masks[c]
+            mask = masks[nid]
+            level = mask.bit_length() - 1
+            if mask == (1 << (level + 1)) - 1:
+                step = (nid, self.kernels[nid], None, None)
+            else:
+                slots = [p for p in range(level + 1) if mask >> p & 1]
+                step = (nid, self.kernels[nid], itemgetter(*slots), {})
+            levels[level + 1].append(step)
+        return levels
 
 
 def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
     """Evaluate an expression with variables bound to concrete Vectors."""
     sort = _check_sorts(expr, interp)
     dim = interp.sorts[sort] if sort is not None else 0
-    return _Evaluator(interp).eval(expr, env, {}, dim)
+    sorts: dict = {}
+    _collect_sorts(expr, sorts)
+    for name, s in sorts.items():
+        if env[name].dim != interp.sorts[s]:
+            raise ShapeError(f"variable {name!r} bound to a vector of dim {env[name].dim}")
+    prog = _Program([expr], interp, {n: (v.dim, v._d) for n, v in env.items()})
+    cur = [None] * len(prog.nodes)
+    for name, nid in prog.var_nodes.items():
+        cur[nid] = _sparse(env[name]._n)
+    prog.run(cur)
+    return prog.vector(cur, prog.roots[0], dim)
+
+
+def _compile_sides(schema, interp: Interpretation, leaf_den=1):
+    """Sort-check both sides; returns (program, output dimension)."""
+    lsort = _check_sorts(schema.lhs, interp)
+    rsort = _check_sorts(schema.rhs, interp)
+    if lsort is not None and rsort is not None and lsort != rsort:
+        raise SemanticError("sides have different sorts")
+    out_sort = lsort if lsort is not None else rsort
+    leaves = {}
+    for name, sort, _ in schema.variables:
+        if sort not in interp.sorts:
+            raise SemanticError(f"sort {sort!r} has no dimension binding")
+        leaves[name] = (interp.sorts[sort], leaf_den)
+    out_dim = interp.sorts[out_sort] if out_sort is not None else 0
+    return _Program([schema.lhs, schema.rhs], interp, leaves), out_dim
 
 
 def check_schema(schema: IdentitySchema, interp: Interpretation) -> CheckReport:
     """Exhaustively check a schema; non-multilinear schemas are polarized first.
 
-    Both sides are evaluated on every tuple of basis vectors, enumerated
-    lexicographically in variable declaration order; the first violating
-    tuple becomes the witness.
+    Basis tuples are enumerated lexicographically in variable declaration
+    order and the first violating tuple becomes the witness.  Within a copy
+    block only sorted tuples are visited: the identity is symmetric in the
+    block, so the first violating tuple is sorted there and the witness is
+    the one full enumeration finds.  tuples_checked counts visited tuples.
     """
     check_id = f"schema:{schema.name}"
     try:
         working = polarize(schema)
-        lsort = _check_sorts(working.lhs, interp)
-        rsort = _check_sorts(working.rhs, interp)
+        prog, out_dim = _compile_sides(working, interp)
     except (SemanticError, KeyError) as exc:
         raise SemanticError(f"{schema.name}: {exc}") from exc
-    out_sort = lsort if lsort is not None else rsort
-    if lsort is not None and rsort is not None and lsort != rsort:
-        raise SemanticError(f"{schema.name}: sides have different sorts")
-    out_dim = interp.sorts[out_sort] if out_sort is not None else 0
-
     names = [name for name, _, _ in working.variables]
-    sorts = [sort for _, sort, _ in working.variables]
-    for s in sorts:
-        if s not in interp.sorts:
-            raise SemanticError(f"{schema.name}: sort {s!r} has no dimension binding")
-    dims = [interp.sorts[s] for s in sorts]
-    basis = {d: [Vector.basis(d, i) for i in range(d)] for d in set(dims)}
-
-    ev = _Evaluator(interp)
+    slot_of = {name: p for p, name in enumerate(names)}
+    dims = [interp.sorts[sort] for _, sort, _ in working.variables]
+    lower = [-1] * len(names)
+    for block in working.copy_blocks:
+        slots = [slot_of.get(name, -1) for name in block]
+        if (min(slots) < 0 or any(lower[p] >= 0 for p in slots) or slots != sorted(set(slots))
+                or len({working.variables[p][1] for p in slots}) > 1):
+            raise SemanticError(f"{schema.name}: bad copy block {block!r}")
+        for prev, p in zip(slots, slots[1:]):
+            lower[p] = prev
+    steps = prog.levels(slot_of)
+    lhs, rhs = prog.roots
+    cur = [None] * len(prog.nodes)
+    idx = [0] * len(names)
+    var_at = [prog.var_nodes.get(name) for name in names]
+    basis = [[[(i, 1)] for i in range(d)] for d in dims]
+    last = len(names) - 1
     count = 0
-    for combo in itertools.product(*(range(d) for d in dims)):
-        env = {names[i]: basis[dims[i]][combo[i]] for i in range(len(names))}
-        memo: dict = {}
-        count += 1
-        lv = ev.eval(working.lhs, env, memo, out_dim)
-        rv = ev.eval(working.rhs, env, memo, out_dim)
-        if lv != rv:
-            witness = Witness(
-                identity=schema.name,
-                variables=tuple(zip(names, sorts)),
-                indices=combo,
-                lhs_value=lv,
-                rhs_value=rv,
-            )
-            return CheckReport("fail", check_id, witness=witness, tuples_checked=count)
-    return CheckReport("pass", check_id, tuples_checked=count)
+
+    def run(level):
+        for nid, kernel, key, table in steps[level + 1]:
+            if table is None:
+                cur[nid] = kernel(cur)
+            else:
+                k = key(idx)
+                v = table.get(k)
+                if v is None:
+                    v = table[k] = kernel(cur)
+                cur[nid] = v
+
+    def visit(p):
+        """Enumerate slot p onwards; True once a violating tuple is found."""
+        nonlocal count
+        vnode, vals = var_at[p], basis[p]
+        for i in range(idx[lower[p]] if lower[p] >= 0 else 0, dims[p]):
+            idx[p] = i
+            if vnode is not None:
+                cur[vnode] = vals[i]
+            run(p)
+            if p < last:
+                if visit(p + 1):
+                    return True
+            else:
+                count += 1
+                if not prog.equal(cur, lhs, rhs):
+                    return True
+        return False
+
+    run(-1)
+    if names:
+        failed = visit(0)
+    else:
+        count = 1
+        failed = not prog.equal(cur, lhs, rhs)
+    if not failed:
+        return CheckReport("pass", check_id, tuples_checked=count)
+    witness = Witness(
+        identity=schema.name,
+        variables=tuple((name, sort) for name, sort, _ in working.variables),
+        indices=tuple(idx),
+        lhs_value=prog.vector(cur, lhs, out_dim),
+        rhs_value=prog.vector(cur, rhs, out_dim),
+    )
+    return CheckReport("fail", check_id, witness=witness, tuples_checked=count)
 
 
 _RANDOM_NUMERATORS = tuple(range(-3, 4))
@@ -461,29 +768,25 @@ def check_schema_random(
 
     Used to cross-validate the polarization pass; draws are deterministic in
     the seed.  The coordinate pool defaults to numerators -3..3 over
-    denominators 1..3 and can be overridden.
+    denominators 1..3 and can be overridden.  Coordinates are brought to the
+    pool's common denominator, so the schema compiles once for all samples.
     """
     nums = tuple(numerators) if numerators else _RANDOM_NUMERATORS
     dens = tuple(denominators) if denominators else _RANDOM_DENOMINATORS
     check_id = f"schema-random:{schema.name}"
-    lsort = _check_sorts(schema.lhs, interp)
-    rsort = _check_sorts(schema.rhs, interp)
-    out_sort = lsort if lsort is not None else rsort
-    out_dim = interp.sorts[out_sort] if out_sort is not None else 0
+    common = lcm(*dens)
+    prog, _ = _compile_sides(schema, interp, leaf_den=common)
+    lhs, rhs = prog.roots
     rng = random.Random(seed)
-    ev = _Evaluator(interp)
-    names = [name for name, _, _ in schema.variables]
-    dims = [interp.sorts[sort] for _, sort, _ in schema.variables]
+    cur = [None] * len(prog.nodes)
+    slots = [(prog.var_nodes.get(name), interp.sorts[sort]) for name, sort, _ in schema.variables]
     for k in range(samples):
-        env = {}
-        for name, d in zip(names, dims):
-            env[name] = Vector(
-                [Fraction(rng.choice(nums), rng.choice(dens)) for _ in range(d)]
-            )
-        memo: dict = {}
-        lv = ev.eval(schema.lhs, env, memo, out_dim)
-        rv = ev.eval(schema.rhs, env, memo, out_dim)
-        if lv != rv:
+        for nid, d in slots:
+            coords = [(rng.choice(nums), rng.choice(dens)) for _ in range(d)]
+            if nid is not None:
+                cur[nid] = _sparse(n * (common // m) for n, m in coords)
+        prog.run(cur)
+        if not prog.equal(cur, lhs, rhs):
             return CheckReport(
                 "fail", check_id, detail=f"sample {k} (seed {seed})", tuples_checked=k + 1
             )

@@ -155,3 +155,123 @@ def test_twist_power_evaluation():
     x = var("x")
     val = evaluate(tw("alpha", x, 2), {"x": Vector.basis(2, 1)}, interp)
     assert val == Vector([0, 9])
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+
+def _jordan_schema():
+    from homalg.varieties import schemas_for, VarietyTag
+
+    return [s for s in schemas_for(VarietyTag.HOM_JORDAN) if s.name == "jordan"][0]
+
+
+def test_polarize_records_copy_blocks():
+    pol = polarize(_jordan_schema())
+    assert pol.copy_blocks == (("x__1", "x__2", "x__3"),)
+    assert associativity_schema().copy_blocks == ()
+
+
+def test_polarized_jordan_visits_sorted_copy_blocks_only():
+    # x__1 <= x__2 <= x__3 and a free y: n * C(n+2, 3) tuples instead of n^4
+    from math import comb
+
+    from homalg.forge import truncated_polynomial_algebra
+    from homalg.reps import plus_algebra
+
+    for n in (1, 2, 3, 6):
+        report = check_schema(_jordan_schema(),
+                              plus_algebra(truncated_polynomial_algebra(n)).interpretation())
+        assert report.ok
+        assert report.tuples_checked == n * comb(n + 2, 3)
+    assert report.tuples_checked == 336
+
+
+def test_copy_like_names_are_not_copy_blocks():
+    # variables merely named like polarized copies enumerate every tuple
+    x1, x2 = var("x__1"), var("x__2")
+    schema = IdentitySchema("named", op("mul", x1, x2), op("mul", x2, x1))
+    assert schema.copy_blocks == ()
+    commutative = StructureTensor.square_from_rule(3, {(0, 1): [0, 0, 1], (1, 0): [0, 0, 1]})
+    assert check_schema(schema, interp_for(commutative)).tuples_checked == 3 ** 2
+    # e1 e2 = e3 but e2 e1 = 0: naive enumeration fails first at (e1, e2)
+    skew = StructureTensor.square_from_rule(3, {(0, 1): [0, 0, 1]})
+    report = check_schema(schema, interp_for(skew))
+    assert report.witness.indices == (0, 1)
+    assert report.tuples_checked == 2
+    assert report.witness.lhs_value == Vector([0, 0, 1])
+    assert report.witness.rhs_value.is_zero()
+
+
+def test_bad_copy_block_rejected():
+    x, y, z = var("x"), var("y"), var("z")
+    commutativity = (op("mul", x, y), op("mul", y, x))
+    for block in [("x", "w"), ("y", "x"), ("x", "x")]:
+        schema = IdentitySchema("bad", *commutativity, copy_blocks=[block])
+        with pytest.raises(SemanticError):
+            check_schema(schema, interp_for(KX2))
+    two_blocks = IdentitySchema("overlap", op("mul", op("mul", x, y), z), ZERO,
+                                copy_blocks=[("x", "y"), ("y", "z")])
+    with pytest.raises(SemanticError):
+        check_schema(two_blocks, interp_for(KX2))
+
+
+def test_sides_with_different_denominators_compare_exactly():
+    # left = -1/2 and right = -1 on one dimension: both sides of bar-left
+    # have numerator 1, over denominators 2 and 1
+    from homalg.varieties import schemas_for, VarietyTag
+
+    interp = Interpretation(
+        sorts={"A": 1},
+        ops={"left": (StructureTensor([[[Fraction(-1, 2)]]]), ("A", "A", "A")),
+             "right": (StructureTensor([[[-1]]]), ("A", "A", "A"))},
+        maps={"alpha": (LinearMap.identity(1), ("A", "A"))},
+    )
+    schema = schemas_for(VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA)[0]
+    report = check_schema(schema, interp)
+    assert report.status == "fail"
+    assert report.witness.lhs_value == Vector([Fraction(1, 2)])
+    assert report.witness.rhs_value == Vector([1])
+
+
+def test_evaluate_matches_direct_exact_arithmetic():
+    import random
+
+    rng = random.Random(5)
+    rat = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    mul = StructureTensor([[[rat() for _ in range(3)] for _ in range(3)] for _ in range(3)])
+    alpha = LinearMap([[rat() for _ in range(3)] for _ in range(3)])
+    interp = interp_for(mul, alpha=alpha)
+    x, y, z = var("x"), var("y"), var("z")
+    expr = op("mul", tw("alpha", op("mul", x, x), 2), y - Fraction(2, 3) * z) + x
+    for _ in range(5):
+        vx, vy, vz = (Vector([rat() for _ in range(3)]) for _ in range(3))
+        a2 = alpha.power(2)
+        want = mul.apply(a2.apply(mul.apply(vx, vx)), vy - vz.scale(Fraction(2, 3))) + vx
+        assert evaluate(expr, {"x": vx, "y": vy, "z": vz}, interp) == want
+
+
+def test_sorted_enumeration_finds_the_naive_first_witness():
+    # a twisted non-Jordan algebra: the first violating tuple of all n^4
+    # (evaluated term by term) is the witness of the sorted enumeration
+    import itertools
+
+    from homalg.forge import truncated_polynomial_algebra
+    from homalg.reps import plus_algebra
+
+    circ = plus_algebra(truncated_polynomial_algebra(3)).product("circ")
+    alpha = LinearMap([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    interp = interp_for(circ, alpha=alpha, symbol="circ")
+    pol = polarize(_jordan_schema())
+    names = [n for n, _, _ in pol.variables]
+    for combo in itertools.product(range(3), repeat=len(names)):
+        env = {n: Vector.basis(3, i) for n, i in zip(names, combo)}
+        lhs, rhs = evaluate(pol.lhs, env, interp), evaluate(pol.rhs, env, interp)
+        if lhs != rhs:
+            break
+    report = check_schema(_jordan_schema(), interp)
+    assert report.status == "fail"
+    assert report.witness.indices == combo
+    assert (report.witness.lhs_value, report.witness.rhs_value) == (lhs, rhs)
+    assert report.tuples_checked < 3 ** 4
