@@ -3,13 +3,15 @@
 Machine output is one self-delimiting JSON record per line; a human summary
 is available behind --summary.  Exit codes: 0 all checks pass, 1 at least
 one identity failure (or inadmissible operator), 2 parse error, 3 semantic
-error.
+error.  A stdout closed by its reader ends the run with status 1 and
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -452,7 +454,15 @@ def main(argv=None) -> int:
     p_rep.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`homalg report F | head`); send what is
+        # still buffered to devnull so the interpreter's last flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

@@ -8,9 +8,21 @@ twists by endomorphisms, special dialgebras, and the crossed-module check.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from enum import Enum
 
-from .engine import CheckReport, SemanticError, Witness
+from .engine import (
+    ZERO,
+    CheckReport,
+    IdentitySchema,
+    Interpretation,
+    SemanticError,
+    Witness,
+    check_all,
+    op,
+    tw,
+    var,
+)
 from .exact import LinearMap, ShapeError, StructureTensor, Vector
 from .reps import (
     AssocAction,
@@ -23,6 +35,8 @@ from .reps import (
     _block_product,
     _gate,
     certify_rep,
+    minus_algebra,
+    plus_algebra,
 )
 from .varieties import AlgebraInstance, VarietyTag, certify, is_morphism
 
@@ -299,52 +313,53 @@ def functor(a: AlgebraInstance, what: ConstructionId, check: bool = True) -> Alg
     if check:
         _gate(certify(a, source), f"{what.value}({a.name}) input")
     name = f"{a.name}-{what.value}"
-    maps = {"alpha": a.alpha}
     if what is ConstructionId.MINUS:
-        mul = a.product("mul")
-        products = {"bracket": mul - mul.opposite()}
+        out = minus_algebra(a, name)
     elif what is ConstructionId.PLUS:
-        mul = a.product("mul")
-        products = {"circ": mul + mul.opposite()}
-    elif what is ConstructionId.DICOMMUTATOR:
-        products = {"brace": a.product("right") - a.product("left").opposite()}
-    elif what is ConstructionId.ANTI_DICOMMUTATOR:
-        products = {"bullet": a.product("right") + a.product("left").opposite()}
-    elif what is ConstructionId.TRI_TO_LEIBNIZ:
+        out = plus_algebra(a, name)
+    else:
+        out = AlgebraInstance(name, a.dim, _functor_products(a, what), {"alpha": a.alpha},
+                              _FUNCTOR_TARGET[what])
+    if check and what not in _FUNCTOR_UNENFORCED:
+        _gate(certify(out, out.variety), f"{what.value}({a.name}) output")
+    return out
+
+
+def _functor_products(a: AlgebraInstance, what: ConstructionId) -> dict:
+    if what is ConstructionId.DICOMMUTATOR:
+        return {"brace": a.product("right") - a.product("left").opposite()}
+    if what is ConstructionId.ANTI_DICOMMUTATOR:
+        return {"bullet": a.product("right") + a.product("left").opposite()}
+    if what is ConstructionId.TRI_TO_LEIBNIZ:
         mid = a.product("middle")
-        products = {
+        return {
             "brace": a.product("right") - a.product("left").opposite(),
             "bracket": mid - mid.opposite(),
         }
-    elif what is ConstructionId.TRI_TO_JORDAN:
+    if what is ConstructionId.TRI_TO_JORDAN:
         mid = a.product("middle")
-        products = {
+        return {
             "bullet": a.product("right") + a.product("left").opposite(),
             "circ": mid + mid.opposite(),
         }
-    elif what is ConstructionId.DI_TO_TRI:
-        products = {
+    if what is ConstructionId.DI_TO_TRI:
+        return {
             "left": a.product("left"),
             "right": a.product("right"),
             "middle": StructureTensor.zero(a.dim),
         }
-    elif what is ConstructionId.OPPOSITE_DIALGEBRA:
-        products = {
+    if what is ConstructionId.OPPOSITE_DIALGEBRA:
+        return {
             "left": a.product("right").opposite(),
             "right": a.product("left").opposite(),
         }
-    elif what is ConstructionId.TRIDENDRIFORM:
-        products = {
+    if what is ConstructionId.TRIDENDRIFORM:
+        return {
             "prec": a.product("left").scale(-1),
             "succ": a.product("right").scale(-1),
             "dot": a.product("middle"),
         }
-    else:
-        raise SemanticError(f"{what.value} is not a functor id")
-    out = AlgebraInstance(name, a.dim, products, maps, _FUNCTOR_TARGET[what])
-    if check and what not in _FUNCTOR_UNENFORCED:
-        _gate(certify(out, out.variety), f"{what.value}({a.name}) output")
-    return out
+    raise SemanticError(f"{what.value} is not a functor id")
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +401,42 @@ def twist_products(a: AlgebraInstance, phi: LinearMap, name: str) -> AlgebraInst
 
 
 # ---------------------------------------------------------------------------
+# map gates
+#
+# A gate binds the map under test as one more map symbol of the
+# interpretation (across sorts, V -> A, for a bimodule map) and checks its
+# clauses as schemas.
+
+_x, _y = var("x"), var("y")
+_u, _v = var("u", "V"), var("v", "V")
+
+
+def _bind_map(interp, sym: str, lin: LinearMap, sorts) -> Interpretation:
+    return replace(interp, maps={**interp.maps, sym: (lin, sorts)})
+
+
+def _bimodule_map_schemas(f: str):
+    """f : V -> A intertwines the twists and is A-equivariant on both sides."""
+    return [
+        IdentitySchema("intertwine", tw(f, tw("beta", _u)), tw("alpha", tw(f, _u))),
+        IdentitySchema("left-equivariance", tw(f, op("l", _x, _u)), op("mul", _x, tw(f, _u))),
+        IdentitySchema("right-equivariance", tw(f, op("r", _x, _u)), op("mul", tw(f, _u), _x)),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # special dialgebras
+
+
+def _differential_schemas():
+    d = lambda e, k=1: tw("d", e, k)
+    return [
+        IdentitySchema("square-zero", d(_x, 2), ZERO),
+        IdentitySchema("twist-commute", d(tw("alpha", _x)), tw("alpha", d(_x))),
+        IdentitySchema(
+            "derivation", d(op("mul", _x, _y)), op("mul", d(_x), _y) + op("mul", _x, d(_y))
+        ),
+    ]
 
 
 def differential_dialgebra(a: AlgebraInstance, d_name: str, check: bool = True) -> AlgebraInstance:
@@ -401,36 +451,13 @@ def differential_dialgebra(a: AlgebraInstance, d_name: str, check: bool = True) 
     mul = a.product("mul")
     if check:
         _gate(certify(a, VarietyTag.HOM_ASSOCIATIVE), f"differential_dialgebra({a.name}) input")
-        if not d.compose(d).is_zero():
-            raise CertificationError("differential-dialgebra: d is not square-zero")
-        if d.compose(a.alpha) != a.alpha.compose(d):
-            raise CertificationError("differential-dialgebra: d does not commute with alpha")
-        for i in range(a.dim):
-            for j in range(a.dim):
-                prod = mul.row(i, j)
-                lhs = d.apply(prod)
-                rhs = mul.apply(d.apply(Vector.basis(a.dim, i)), Vector.basis(a.dim, j)) + \
-                    mul.apply(Vector.basis(a.dim, i), d.apply(Vector.basis(a.dim, j)))
-                if lhs != rhs:
-                    raise CertificationError(
-                        f"differential-dialgebra: derivation rule fails at ({i + 1},{j + 1})"
-                    )
-    rule_left = {}
-    rule_right = {}
-    for i in range(a.dim):
-        ei = Vector.basis(a.dim, i)
-        di = d.apply(ei)
-        for j in range(a.dim):
-            ej = Vector.basis(a.dim, j)
-            rule_left[(i, j)] = mul.apply(ei, d.apply(ej))
-            rule_right[(i, j)] = mul.apply(di, ej)
+        interp = _bind_map(a.interpretation(), "d", d, ("A", "A"))
+        _gate(check_all(_differential_schemas(), interp, "differential-dialgebra"),
+              f"differential_dialgebra({a.name}) input map {d_name!r}")
     out = AlgebraInstance(
         f"{a.name}-differential-dialgebra",
         a.dim,
-        {
-            "left": StructureTensor.from_rule(a.dim, a.dim, a.dim, rule_left),
-            "right": StructureTensor.from_rule(a.dim, a.dim, a.dim, rule_right),
-        },
+        {"left": _pull_second(mul.opposite(), d), "right": _pull_first(mul, d)},
         {"alpha": a.alpha},
         VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
     )
@@ -442,23 +469,11 @@ def differential_dialgebra(a: AlgebraInstance, d_name: str, check: bool = True) 
 def bimodule_map_dialgebra(rep: AssocBimodule, f: LinearMap, check: bool = True) -> AlgebraInstance:
     """u left u' = r(f(u'))u and u right u' = l(f(u))u' for a bimodule map f."""
     base = rep.base
-    mul = base.product("mul")
     if check:
         _gate(certify_rep(rep), f"bimodule_map_dialgebra({base.name}) input")
-        if f.compose(rep.beta) != base.alpha.compose(f):
-            raise CertificationError("bimodule-map-dialgebra: f does not intertwine the twists")
-        for i in range(base.dim):
-            ei = Vector.basis(base.dim, i)
-            for j in range(rep.v_dim):
-                uj = Vector.basis(rep.v_dim, j)
-                if f.apply(rep.l.apply(ei, uj)) != mul.apply(ei, f.apply(uj)):
-                    raise CertificationError(
-                        f"bimodule-map-dialgebra: left equivariance fails at ({i + 1},{j + 1})"
-                    )
-                if f.apply(rep.r.apply(ei, uj)) != mul.apply(f.apply(uj), ei):
-                    raise CertificationError(
-                        f"bimodule-map-dialgebra: right equivariance fails at ({i + 1},{j + 1})"
-                    )
+        interp = _bind_map(rep.interpretation(), "f", f, ("V", "A"))
+        _gate(check_all(_bimodule_map_schemas("f"), interp, "bimodule-map-dialgebra"),
+              f"bimodule_map_dialgebra({base.name}) input map")
     out = AlgebraInstance(
         f"{base.name}-bimodule-map-dialgebra",
         rep.v_dim,
@@ -491,45 +506,22 @@ def crossed_module_check(a: AlgebraInstance, act: AssocAction, d: LinearMap) -> 
     if not rep_report.ok:
         return CheckReport("fail", "crossed-module", witness=rep_report.witness,
                            detail="action does not certify")
-    mul = a.product("mul")
-    n, m = a.dim, act.v_dim
-
-    def fail(identity, idx, lhs, rhs):
-        return CheckReport(
-            "fail", "crossed-module",
-            witness=Witness(identity, tuple(("u", "V") for _ in idx), idx, lhs, rhs),
-        )
-
-    if d.compose(act.beta) != a.alpha.compose(d):
-        return fail("intertwine", (), Vector.zero(n), Vector.zero(n))
-    for i in range(m):
-        ui = Vector.basis(m, i)
-        di = d.apply(ui)
-        for j in range(m):
-            uj = Vector.basis(m, j)
-            lhs = d.apply(act.vmul.apply(ui, uj))
-            rhs = mul.apply(di, d.apply(uj))
-            if lhs != rhs:
-                return fail("morphism", (i, j), lhs, rhs)
-            peiffer = act.vmul.apply(ui, uj)
-            lhs = act.l.apply(di, uj)
-            if lhs != peiffer:
-                return fail("peiffer-left", (i, j), lhs, peiffer)
-            lhs = act.r.apply(d.apply(uj), ui)
-            if lhs != peiffer:
-                return fail("peiffer-right", (i, j), lhs, peiffer)
-    for i in range(n):
-        ei = Vector.basis(n, i)
-        for j in range(m):
-            uj = Vector.basis(m, j)
-            lhs = d.apply(act.l.apply(ei, uj))
-            rhs = mul.apply(ei, d.apply(uj))
-            if lhs != rhs:
-                return fail("left-equivariance", (i, j), lhs, rhs)
-            lhs = d.apply(act.r.apply(ei, uj))
-            rhs = mul.apply(d.apply(uj), ei)
-            if lhs != rhs:
-                return fail("right-equivariance", (i, j), lhs, rhs)
+    D = lambda e: tw("d", e)
+    intertwine, *equivariance = _bimodule_map_schemas("d")
+    peiffer = op("vmul", _u, _v)
+    schemas = [
+        intertwine,
+        IdentitySchema("morphism", D(peiffer), op("mul", D(_u), D(_v))),
+        IdentitySchema("peiffer-left", op("l", D(_u), _v), peiffer),
+        # enumerate (u, v) as the other clauses do, not in order of appearance
+        IdentitySchema("peiffer-right", op("r", D(_v), _u), peiffer,
+                       variables=(("u", "V", 1), ("v", "V", 1))),
+        *equivariance,
+    ]
+    report = check_all(schemas, _bind_map(act.interpretation(), "d", d, ("V", "A")),
+                       "crossed-module")
+    if not report.ok:
+        return report
     conclusion = certify_operator(OperatorCandidate(act, d), "homomorphic-rel-avg")
     if not conclusion.ok:
         return CheckReport("fail", "crossed-module", witness=conclusion.witness,

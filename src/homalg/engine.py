@@ -127,20 +127,27 @@ def tw(map_symbol: str, child: Expr, power: int = 1) -> Expr:
     return TwistApp(map_symbol, child, power)
 
 
-def _substitute(expr: Expr, name: str, replacement: Expr) -> Expr:
-    if isinstance(expr, Var):
-        return replacement if expr.name == name else expr
-    if isinstance(expr, TwistApp):
-        return TwistApp(expr.map_symbol, _substitute(expr.child, name, replacement), expr.power)
-    if isinstance(expr, OpApp):
-        return OpApp(
-            expr.op_symbol,
-            _substitute(expr.left, name, replacement),
-            _substitute(expr.right, name, replacement),
-        )
-    if isinstance(expr, Sum):
-        return Sum(tuple((w, _substitute(e, name, replacement)) for w, e in expr.terms))
-    raise TypeError(expr)
+def rewrite(expr: Expr, vars=None, maps=None, ops=None) -> Expr:
+    """Copy an expression with variables replaced and symbols renamed.
+
+    vars maps a variable name to the expression put in its place; maps and
+    ops map a map or op symbol to its new name.  Names missing from a mapping
+    are kept, so rewrite(expr) is a plain copy.
+    """
+    vars, maps, ops = vars or {}, maps or {}, ops or {}
+
+    def copy(e):
+        if isinstance(e, Var):
+            return vars.get(e.name, e)
+        if isinstance(e, TwistApp):
+            return TwistApp(maps.get(e.map_symbol, e.map_symbol), copy(e.child), e.power)
+        if isinstance(e, OpApp):
+            return OpApp(ops.get(e.op_symbol, e.op_symbol), copy(e.left), copy(e.right))
+        if isinstance(e, Sum):
+            return Sum(tuple((w, copy(t)) for w, t in e.terms))
+        raise TypeError(e)
+
+    return copy(expr)
 
 
 def _occurrences(expr: Expr) -> dict:
@@ -265,7 +272,7 @@ def _polarize_one(expr, name, fresh, sort, mult):
         chosen = [members[i] for i in range(mult) if mask >> i & 1]
         summed = chosen[0] if len(chosen) == 1 else Sum(tuple((Fraction(1), c) for c in chosen))
         sign = Fraction(-1) ** (mult - len(chosen))
-        terms.append((sign, _substitute(expr, name, summed)))
+        terms.append((sign, rewrite(expr, vars={name: summed})))
     return Sum(tuple(terms))
 
 
@@ -421,7 +428,8 @@ class _Dag:
         got = self._powers.get((symbol, power))
         if got is None:
             lin, (src, dst) = self.interp.maps[symbol]
-            lin = lin.power(power)
+            if power != 1:  # a map across sorts only ever appears at power 1
+                lin = lin.power(power)
             got = (lin, src == dst and lin == LinearMap.identity(lin.src_dim))
             self._powers[(symbol, power)] = got
         return got

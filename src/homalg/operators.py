@@ -227,21 +227,22 @@ def hemisemi_id_for(rep) -> ConstructionId:
     raise SemanticError(f"no hemisemi product for {rep!r}")
 
 
+def _graph_map(cand: OperatorCandidate, c) -> LinearMap:
+    """x + u -> K(u) + c.u on A + V."""
+    n, m = cand.rep.base.dim, cand.rep.v_dim
+    rows = [[0] * n + list(row) for row in cand.map.matrix]
+    rows += [[0] * n + [c if k == j else 0 for k in range(m)] for j in range(m)]
+    return LinearMap(rows)
+
+
 def nijenhuis_of(c: OperatorCandidate, what: ConstructionId | None = None,
                  ambient: AlgebraInstance | None = None) -> OperatorCandidate:
     """Package x + u -> K(u) as an operator on the hemisemi-direct product."""
-    rep, K = c.rep, c.map
     if what is None:
-        what = hemisemi_id_for(rep)
+        what = hemisemi_id_for(c.rep)
     if ambient is None:
-        ambient = hemisemi(rep, what, check=False)
-    n, m = rep.base.dim, rep.v_dim
-    rows = [[0] * (n + m) for _ in range(n + m)]
-    mat = K.matrix
-    for i in range(n):
-        for j in range(m):
-            rows[i][n + j] = mat[i][j]
-    return OperatorCandidate(ambient, LinearMap(rows))
+        ambient = hemisemi(c.rep, what, check=False)
+    return OperatorCandidate(ambient, _graph_map(c, 0))
 
 
 LiftedAveraging = namedtuple("LiftedAveraging", ["on_left_product", "on_right_product"])
@@ -254,22 +255,14 @@ def lift_to_averaging(c: OperatorCandidate) -> LiftedAveraging:
     dialgebra.  The lift is a right-averaging operator for the `left`
     product and a left-averaging operator for the `right` product.
     """
-    rep, K = c.rep, c.map
+    rep = c.rep
     if not isinstance(rep, AssocBimodule):
         raise SemanticError("lift_to_averaging expects an associative representation")
     gate = certify_operator(c, "rel-avg")
     if not gate.ok:
         raise CertificationError("lift_to_averaging: candidate is not relative averaging", gate)
     ambient = hemisemi(rep, ConstructionId.HEMISEMI_DIASS, check=False)
-    n, m = rep.base.dim, rep.v_dim
-    rows = [[0] * (n + m) for _ in range(n + m)]
-    mat = K.matrix
-    for i in range(n):
-        for j in range(m):
-            rows[i][n + j] = mat[i][j]
-    for j in range(m):
-        rows[n + j][n + j] = 1
-    lifted = LinearMap(rows)
+    lifted = _graph_map(c, 1)
 
     def single(sym):
         return AlgebraInstance(

@@ -17,11 +17,13 @@ from .engine import (
     SemanticError,
     check_all,
     op,
+    rewrite,
     tw,
     var,
 )
 from .exact import LinearMap, ShapeError, StructureTensor
 from .varieties import (
+    REQUIRED_PRODUCTS,
     AlgebraInstance,
     VarietyTag,
     certify,
@@ -182,66 +184,15 @@ def _b(e, k=1):
     return tw("beta", e, k)
 
 
-def _resort(schemas, sort):
-    """Clone variety schemas with variables moved to another sort."""
-    out = []
-    for s in schemas:
-        mapping = {name: var(name, sort) for name, _, _ in s.variables}
-        out.append(
-            IdentitySchema(
-                f"{s.name}@{sort}",
-                _sub_all(s.lhs, mapping),
-                _sub_all(s.rhs, mapping),
-            )
-        )
-    return out
-
-
-def _sub_all(expr, mapping):
-    from .engine import Sum, TwistApp, OpApp, Var
-
-    if isinstance(expr, Var):
-        return mapping.get(expr.name, expr)
-    if isinstance(expr, TwistApp):
-        sym = "beta" if expr.map_symbol == "alpha" else expr.map_symbol
-        return TwistApp(sym, _sub_all(expr.child, mapping), expr.power)
-    if isinstance(expr, OpApp):
-        return OpApp(expr.op_symbol, _sub_all(expr.left, mapping), _sub_all(expr.right, mapping))
-    if isinstance(expr, Sum):
-        return Sum(tuple((w, _sub_all(e, mapping)) for w, e in expr.terms))
-    raise TypeError(expr)
-
-
 def _v_variety_schemas(tag: VarietyTag, rename: dict):
-    """Variety schemas transplanted to sort V with its product names."""
-    schemas = _resort(schemas_for(tag), "V")
-    return [
-        IdentitySchema(
-            s.name,
-            _rename_ops(s.lhs, rename),
-            _rename_ops(s.rhs, rename),
-            variables=s.variables,
-        )
-        for s in schemas
-    ]
-
-
-def _rename_ops(expr, rename):
-    from .engine import Sum, TwistApp, OpApp, Var
-
-    if isinstance(expr, Var):
-        return expr
-    if isinstance(expr, TwistApp):
-        return TwistApp(expr.map_symbol, _rename_ops(expr.child, rename), expr.power)
-    if isinstance(expr, OpApp):
-        return OpApp(
-            rename.get(expr.op_symbol, expr.op_symbol),
-            _rename_ops(expr.left, rename),
-            _rename_ops(expr.right, rename),
-        )
-    if isinstance(expr, Sum):
-        return Sum(tuple((w, _rename_ops(e, rename)) for w, e in expr.terms))
-    raise TypeError(expr)
+    """Variety schemas transplanted to sort V, twist beta and its product names."""
+    out = []
+    for s in schemas_for(tag):
+        moved = {name: var(name, "V") for name, _, _ in s.variables}
+        lhs, rhs = (rewrite(e, vars=moved, maps={"alpha": "beta"}, ops=rename)
+                    for e in (s.lhs, s.rhs))
+        out.append(IdentitySchema(f"{s.name}@V", lhs, rhs))
+    return out
 
 
 def bimodule_schemas():
@@ -617,32 +568,11 @@ def _block_product(n, m, a_tensor, left_act, right_act, v_tensor):
 def semidirect_product(act) -> AlgebraInstance:
     """The direct-sum carrier A + V with the action folded into one product."""
     _gate(certify_rep(act), f"semidirect_product({act.base.name})")
-    n, m = act.base.dim, act.v_dim
-    twist = act.base.alpha.direct_sum(act.beta)
-    if isinstance(act, AssocAction):
-        prod = _block_product(n, m, act.base.product("mul"), act.l, act.r, act.vmul)
-        out = AlgebraInstance(
-            f"{act.base.name}-semidirect", n + m, {"mul": prod}, {"alpha": twist},
-            VarietyTag.HOM_ASSOCIATIVE,
-        )
-    elif isinstance(act, LieAction):
-        br = _block_product(
-            n, m, act.base.product("bracket"), act.rho, act.rho.scale(-1), act.vbracket
-        )
-        out = AlgebraInstance(
-            f"{act.base.name}-semidirect", n + m, {"bracket": br}, {"alpha": twist},
-            VarietyTag.HOM_LIE,
-        )
-    elif isinstance(act, JordanAction):
-        circ = _block_product(
-            n, m, act.base.product("circ"), act.pi, act.pi, act.vstar
-        )
-        out = AlgebraInstance(
-            f"{act.base.name}-semidirect", n + m, {"circ": circ}, {"alpha": twist},
-            VarietyTag.HOM_JORDAN,
-        )
-    else:
-        raise SemanticError(f"semidirect product needs an action, got {act.kind}")
+    (sym,) = REQUIRED_PRODUCTS[act.variety]
+    out = AlgebraInstance(
+        f"{act.base.name}-semidirect", act.base.dim + act.v_dim, {sym: semidirect_tensor(act)},
+        {"alpha": act.base.alpha.direct_sum(act.beta)}, act.variety,
+    )
     _gate(certify(out, out.variety), f"semidirect_product({act.base.name}) output")
     return out
 

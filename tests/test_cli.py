@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import homalg
 from homalg.cli import main
 from homalg.forge import data_dir
 
@@ -156,6 +163,22 @@ def test_construct_yau_twist_rejects_non_endomorphism(tmp_path, capsys):
     err = json.loads(captured.err.splitlines()[-1])
     assert err["witness"]["tuple"] == [1, 1]
     assert not out.exists()
+
+
+def test_construct_differential_gate_prints_witness(tmp_path, capsys):
+    # d(x) = x on K[x]/(x^2) is not square-zero
+    src = tmp_path / "d.halg"
+    src.write_text((DATA / "kx2.halg").read_text().replace(
+        "  map alpha: e2 = e2\n", "  map alpha: e2 = e2\n  map d: e2 = e2\n", 1))
+    out = tmp_path / "dd.halg"
+    code, _, captured = run(
+        capsys, "construct", str(src), "--id", "differential-dialgebra",
+        "--target", "kx2", "--map", "d", "--out", str(out),
+    )
+    assert code == 3 and not out.exists()
+    err = json.loads(captured.err.splitlines()[-1])
+    assert err["witness"] == {"identity": "square-zero", "tuple": [2],
+                              "lhs": ["0", "1"], "rhs": ["0", "0"]}
 
 
 def test_construct_rep_builder_roundtrip(tmp_path, capsys):
@@ -318,3 +341,22 @@ def test_cross_check_grid_flag(capsys):
         "--cross-check", "--grid", "bogus",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_one_without_traceback(unbuffered):
+    # the reader of stdout is gone before the first record is written
+    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "homalg", "report", str(DATA / "kx3.halg")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

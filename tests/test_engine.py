@@ -12,6 +12,7 @@ from homalg.engine import (
     evaluate,
     op,
     polarize,
+    rewrite,
     tw,
     var,
 )
@@ -275,3 +276,24 @@ def test_sorted_enumeration_finds_the_naive_first_witness():
     assert report.witness.indices == combo
     assert (report.witness.lhs_value, report.witness.rhs_value) == (lhs, rhs)
     assert report.tuples_checked < 3 ** 4
+
+
+def test_map_across_sorts_evaluates_at_power_one():
+    # K : V -> A is a valid symbol at power 1; it has no powers of its own
+    K = LinearMap([[1, 0]])
+    interp = Interpretation({"A": 1, "V": 2}, {}, {"K": (K, ("V", "A"))})
+    u = var("u", "V")
+    assert check_schema(IdentitySchema("k", tw("K", u), tw("K", u)), interp).ok
+    report = check_schema(IdentitySchema("k-zero", tw("K", u), ZERO), interp)
+    assert report.witness.indices == (0,)
+    assert report.witness.lhs_value == Vector([1])
+    assert evaluate(tw("K", u), {"u": Vector([3, 5])}, interp) == Vector([3])
+
+
+def test_rewrite_substitutes_and_renames():
+    x, y = var("x"), var("y")
+    expr = tw("alpha", op("mul", x, y)) + op("mul", y, x)
+    out = rewrite(expr, vars={"x": var("x", "V")}, maps={"alpha": "beta"}, ops={"mul": "vmul"})
+    assert repr(out) == "1*beta^1(vmul(x,y)) + 1*vmul(y,x)"
+    assert out.terms[0][1].child.left.sort == "V"
+    assert repr(rewrite(expr)) == repr(expr)
