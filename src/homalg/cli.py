@@ -36,13 +36,10 @@ from .dsl import (
 )
 from .engine import CheckReport, SemanticError, check_schema, check_schema_random
 from .exact import ShapeError
-from .operators import OPERATOR_KINDS, certify_operator
+from .operators import OPERATOR_KINDS, certify_operator, operator_kinds_for
 from .reps import (
     AssocAction,
-    AssocBimodule,
     CertificationError,
-    JordanModule,
-    LieModule,
     certify_rep,
     direct_sum_bimodule,
     regular_action,
@@ -145,8 +142,16 @@ def _timed(fn):
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """The parsed file, or the exit code once its DSL error is on stderr."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except DslSyntaxError as exc:
+        error, code, detail = "parse", EXIT_PARSE, str(exc)
+    except DslSemanticError as exc:
+        error, code, detail = "semantic", EXIT_SEMANTIC, str(exc)
+    print(json.dumps({"error": error, "detail": detail}), file=sys.stderr)
+    return code
 
 
 def _applicable_varieties(a: AlgebraInstance):
@@ -155,31 +160,11 @@ def _applicable_varieties(a: AlgebraInstance):
             yield tag
 
 
-def _operator_kinds_for(rep):
-    if isinstance(rep, AssocAction):
-        return ("rel-avg-left", "rel-avg-right", "rel-avg", "homomorphic-rel-avg")
-    if isinstance(rep, AssocBimodule):
-        return ("rel-avg-left", "rel-avg-right", "rel-avg")
-    if isinstance(rep, (LieModule, JordanModule)):
-        if rep.kind.endswith("action"):
-            return ("rel-avg", "homomorphic-rel-avg")
-        return ("rel-avg",)
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # check
 
 
-def cmd_check(args) -> int:
-    try:
-        source = _load(args.file)
-    except DslSyntaxError as exc:
-        print(json.dumps({"error": "parse", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_PARSE
-    except DslSemanticError as exc:
-        print(json.dumps({"error": "semantic", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_SEMANTIC
+def cmd_check(args, source: SourceFile) -> int:
     emitter = _Emitter(args.summary)
     try:
         if args.variety:
@@ -286,16 +271,7 @@ def _cross_check(a: AlgebraInstance, tag: VarietyTag, samples: int, seed: int,
 # construct
 
 
-def cmd_construct(args) -> int:
-    try:
-        source = _load(args.file)
-    except DslSyntaxError as exc:
-        print(json.dumps({"error": "parse", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_PARSE
-    except DslSemanticError as exc:
-        print(json.dumps({"error": "semantic", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_SEMANTIC
-
+def cmd_construct(args, source: SourceFile) -> int:
     def need(attr, what):
         value = getattr(args, attr)
         if value is None:
@@ -380,15 +356,7 @@ def cmd_construct(args) -> int:
 # report
 
 
-def cmd_report(args) -> int:
-    try:
-        source = _load(args.file)
-    except DslSyntaxError as exc:
-        print(json.dumps({"error": "parse", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_PARSE
-    except DslSemanticError as exc:
-        print(json.dumps({"error": "semantic", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_SEMANTIC
+def cmd_report(args, source: SourceFile) -> int:
     emitter = _Emitter(args.summary)
     for d in source:
         if d.kind == "algebra":
@@ -401,7 +369,7 @@ def cmd_report(args) -> int:
             report, ms = _timed(lambda: certify_rep(d.value))
             emitter.emit(d.name, f"rep:{d.value.kind}", report, ms)
         else:
-            for kind in _operator_kinds_for(d.value.rep):
+            for kind in operator_kinds_for(d.value.rep):
                 report, ms = _timed(lambda: certify_operator(d.value, kind))
                 emitter.emit(d.name, f"operator:{kind}", report, ms)
     return emitter.finish()
@@ -454,8 +422,11 @@ def main(argv=None) -> int:
     p_rep.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
+    source = _load(args.file)
+    if not isinstance(source, SourceFile):
+        return source
     try:
-        code = args.fn(args)
+        code = args.fn(args, source)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (`homalg report F | head`); send what is

@@ -7,17 +7,20 @@ Schemas that repeat a variable are first reduced to multilinear ones by
 inclusion-exclusion polarization, which is an equivalence in characteristic
 zero for identities homogeneous in each variable.
 
-Evaluation is compiled.  Both sides become one hash-consed DAG, so equal
-subterms (such as those shared by the polarized terms of Hom-Jordan) are one
-node.  Each node runs an integer kernel over the structure constants'
-numerators, with a denominator fixed at compile time; the sides compare as
-l * Dr == r * Dl.  Tuples are enumerated lexicographically and a node is
-re-evaluated only when a slot it depends on changes, looking up a table keyed
-by the tuple's projection onto its free slots that is filled on demand, so a
-failing check still stops at its first witness.  Tables live for one call.
-Polarization records each variable's copies as a copy block; the identity is
-symmetric there, so only tuples sorted within each block are visited, and
-the first violating tuple is still the one naive enumeration finds.
+Evaluation is compiled.  `check_clauses` compiles the sides of several
+schemas over one variable list into one hash-consed DAG, so equal subterms
+(such as those shared by the polarized terms of Hom-Jordan, or the side
+prod(K u, K v) of the operator clauses) are one node.  Each node runs an
+integer kernel over the structure constants' numerators, with a denominator
+fixed at compile time; the sides compare as l * Dr == r * Dl.  Tuples are
+enumerated lexicographically and a node is re-evaluated only when a slot it
+depends on changes, looking up a table keyed by the tuple's projection onto
+its free slots that is filled on demand, so a failing check still stops at
+its first witness.  Tables live for one call; tensors and maps keep their
+sparse form once compiled.  Polarization records each variable's copies as a
+copy block; the identity is symmetric there, so only tuples sorted within
+each block are visited, and the first violating tuple is still the one naive
+enumeration finds.
 `tuples_checked` counts the tuples visited.  `evaluate` and
 `check_schema_random` run the same compiled kernels.
 """
@@ -561,7 +564,6 @@ class _Program:
         dims = [0] * len(nodes)
         self.kernels = kernels = [None] * len(nodes)
         self.var_nodes = {}
-        rows_of = {}
         for nid in self.order:
             key = nodes[nid]
             kind = key[0]
@@ -573,17 +575,17 @@ class _Program:
             elif kind == "tw":
                 _, symbol, power, child = key
                 lin = dag.power(symbol, power)[0]
-                cols = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
+                if lin._compiled is None:  # sparse columns, kept on the map
+                    lin._compiled = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
                 dims[nid], dens[nid] = lin.dst_dim, dens[child] * lin._d
-                kernels[nid] = _twist_kernel(child, cols, lin.dst_dim)
+                kernels[nid] = _twist_kernel(child, lin._compiled, lin.dst_dim)
             elif kind == "op":
                 _, symbol, left, right = key
                 tensor = interp.ops[symbol][0]
-                rows = rows_of.get(symbol)
-                if rows is None:
-                    rows = rows_of[symbol] = [[_sparse(r) for r in plane] for plane in tensor._n]
+                if tensor._compiled is None:  # sparse rows [i][j], kept on the tensor
+                    tensor._compiled = [[_sparse(r) for r in plane] for plane in tensor._n]
                 dims[nid], dens[nid] = tensor.out_dim, dens[left] * dens[right] * tensor._d
-                kernels[nid] = _op_kernel(left, right, rows, tensor.out_dim)
+                kernels[nid] = _op_kernel(left, right, tensor._compiled, tensor.out_dim)
             elif not key[1]:
                 kernels[nid] = _zero_kernel
             else:
@@ -662,56 +664,74 @@ def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
     return prog.vector(cur, prog.roots[0], dim)
 
 
-def _compile_sides(schema, interp: Interpretation, leaf_den=1):
-    """Sort-check both sides; returns (program, output dimension)."""
-    lsort = _check_sorts(schema.lhs, interp)
-    rsort = _check_sorts(schema.rhs, interp)
-    if lsort is not None and rsort is not None and lsort != rsort:
-        raise SemanticError("sides have different sorts")
-    out_sort = lsort if lsort is not None else rsort
+def _compile_sides(schemas, interp: Interpretation, leaf_den=1):
+    """Sort-check the schemas and compile their sides into one program (roots
+    lhs, rhs of each in turn); returns it and each schema's output dimension."""
+    exprs, out_dims = [], []
+    for schema in schemas:
+        lsort = _check_sorts(schema.lhs, interp)
+        rsort = _check_sorts(schema.rhs, interp)
+        if lsort is not None and rsort is not None and lsort != rsort:
+            raise SemanticError("sides have different sorts")
+        out_sort = lsort if lsort is not None else rsort
+        exprs += (schema.lhs, schema.rhs)
+        out_dims.append(interp.sorts[out_sort] if out_sort is not None else 0)
     leaves = {}
-    for name, sort, _ in schema.variables:
+    for name, sort, _ in schemas[0].variables:
         if sort not in interp.sorts:
             raise SemanticError(f"sort {sort!r} has no dimension binding")
         leaves[name] = (interp.sorts[sort], leaf_den)
-    out_dim = interp.sorts[out_sort] if out_sort is not None else 0
-    return _Program([schema.lhs, schema.rhs], interp, leaves), out_dim
+    return _Program(exprs, interp, leaves), out_dims
 
 
 def check_schema(schema: IdentitySchema, interp: Interpretation) -> CheckReport:
-    """Exhaustively check a schema; non-multilinear schemas are polarized first.
+    """Exhaustively check one schema: check_clauses with a single clause."""
+    return check_clauses((schema,), interp, f"schema:{schema.name}")
 
-    Basis tuples are enumerated lexicographically in variable declaration
-    order and the first violating tuple becomes the witness.  Within a copy
-    block only sorted tuples are visited: the identity is symmetric in the
-    block, so the first violating tuple is sorted there and the witness is
-    the one full enumeration finds.  tuples_checked counts visited tuples.
+
+def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport:
+    """Exhaustively check schemas that share one variable list.
+
+    Non-multilinear schemas are polarized first; afterwards all clauses must
+    have the same variables and copy blocks.  Basis tuples are enumerated
+    lexicographically in variable declaration order, and on each tuple the
+    clauses are compared in order: the witness is the first violating tuple
+    and, on it, the first violated clause.  Within a copy block only sorted
+    tuples are visited: the identity is symmetric in the block, so the first
+    violating tuple is sorted there and the witness is the one full
+    enumeration finds.  tuples_checked counts visited tuples.
     """
-    check_id = f"schema:{schema.name}"
+    label = clauses[0].name
     try:
-        working = polarize(schema)
-        prog, out_dim = _compile_sides(working, interp)
+        working = [polarize(schema) for schema in clauses]
+        first = working[0]
+        if any((w.variables, w.copy_blocks) != (first.variables, first.copy_blocks)
+               for w in working):
+            raise SemanticError("clauses do not share one variable list")
+        prog, out_dims = _compile_sides(working, interp)
     except (SemanticError, KeyError) as exc:
-        raise SemanticError(f"{schema.name}: {exc}") from exc
-    names = [name for name, _, _ in working.variables]
+        raise SemanticError(f"{label}: {exc}") from exc
+    names = [name for name, _, _ in first.variables]
     slot_of = {name: p for p, name in enumerate(names)}
-    dims = [interp.sorts[sort] for _, sort, _ in working.variables]
+    dims = [interp.sorts[sort] for _, sort, _ in first.variables]
     lower = [-1] * len(names)
-    for block in working.copy_blocks:
+    for block in first.copy_blocks:
         slots = [slot_of.get(name, -1) for name in block]
         if (min(slots) < 0 or any(lower[p] >= 0 for p in slots) or slots != sorted(set(slots))
-                or len({working.variables[p][1] for p in slots}) > 1):
-            raise SemanticError(f"{schema.name}: bad copy block {block!r}")
+                or len({first.variables[p][1] for p in slots}) > 1):
+            raise SemanticError(f"{label}: bad copy block {block!r}")
         for prev, p in zip(slots, slots[1:]):
             lower[p] = prev
     steps = prog.levels(slot_of)
-    lhs, rhs = prog.roots
+    sides = list(zip(prog.roots[::2], prog.roots[1::2]))
+    equal = prog.equal
     cur = [None] * len(prog.nodes)
     idx = [0] * len(names)
     var_at = [prog.var_nodes.get(name) for name in names]
     basis = [[[(i, 1)] for i in range(d)] for d in dims]
     last = len(names) - 1
     count = 0
+    hit = -1
 
     def run(level):
         for nid, kernel, key, table in steps[level + 1]:
@@ -724,38 +744,37 @@ def check_schema(schema: IdentitySchema, interp: Interpretation) -> CheckReport:
                     v = table[k] = kernel(cur)
                 cur[nid] = v
 
+    def violated():
+        nonlocal count, hit
+        count += 1
+        for k, (lhs, rhs) in enumerate(sides):
+            if not equal(cur, lhs, rhs):
+                hit = k
+                return True
+        return False
+
     def visit(p):
         """Enumerate slot p onwards; True once a violating tuple is found."""
-        nonlocal count
         vnode, vals = var_at[p], basis[p]
         for i in range(idx[lower[p]] if lower[p] >= 0 else 0, dims[p]):
             idx[p] = i
             if vnode is not None:
                 cur[vnode] = vals[i]
             run(p)
-            if p < last:
-                if visit(p + 1):
-                    return True
-            else:
-                count += 1
-                if not prog.equal(cur, lhs, rhs):
-                    return True
+            if visit(p + 1) if p < last else violated():
+                return True
         return False
 
     run(-1)
-    if names:
-        failed = visit(0)
-    else:
-        count = 1
-        failed = not prog.equal(cur, lhs, rhs)
-    if not failed:
+    if not (visit(0) if names else violated()):
         return CheckReport("pass", check_id, tuples_checked=count)
+    lhs, rhs = sides[hit]
     witness = Witness(
-        identity=schema.name,
-        variables=tuple((name, sort) for name, sort, _ in working.variables),
+        identity=clauses[hit].name,
+        variables=tuple((name, sort) for name, sort, _ in first.variables),
         indices=tuple(idx),
-        lhs_value=prog.vector(cur, lhs, out_dim),
-        rhs_value=prog.vector(cur, rhs, out_dim),
+        lhs_value=prog.vector(cur, lhs, out_dims[hit]),
+        rhs_value=prog.vector(cur, rhs, out_dims[hit]),
     )
     return CheckReport("fail", check_id, witness=witness, tuples_checked=count)
 
@@ -783,7 +802,7 @@ def check_schema_random(
     dens = tuple(denominators) if denominators else _RANDOM_DENOMINATORS
     check_id = f"schema-random:{schema.name}"
     common = lcm(*dens)
-    prog, _ = _compile_sides(schema, interp, leaf_den=common)
+    prog, _ = _compile_sides([schema], interp, leaf_den=common)
     lhs, rhs = prog.roots
     rng = random.Random(seed)
     cur = [None] * len(prog.nodes)

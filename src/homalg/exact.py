@@ -4,7 +4,8 @@ Everything is exact: coefficients are arbitrary-precision rationals and all
 operations are pure functions on immutable values.  Internally a vector (or
 matrix, or tensor) keeps integer numerators over one shared positive
 denominator, so the hot contraction loops run on plain ints; the public
-surface speaks `fractions.Fraction`.
+surface speaks `fractions.Fraction`.  Maps and tensors keep the identity
+engine's sparse form of themselves in `_compiled` once it is built.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class Vector:
 class LinearMap:
     """Immutable linear map, stored as a dst_dim x src_dim exact matrix."""
 
-    __slots__ = ("src_dim", "dst_dim", "_n", "_d")
+    __slots__ = ("src_dim", "dst_dim", "_n", "_d", "_compiled")
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
@@ -142,6 +143,7 @@ class LinearMap:
         self.dst_dim = dst
         self._n = tuple(tuple(nums[i * src:(i + 1) * src]) for i in range(dst))
         self._d = den
+        self._compiled = None
 
     @classmethod
     def _make(cls, rows, den, src, dst):
@@ -150,6 +152,7 @@ class LinearMap:
         m.dst_dim = dst
         m._n = tuple(tuple(r) for r in rows)
         m._d = den
+        m._compiled = None
         return m
 
     @classmethod
@@ -275,7 +278,7 @@ class StructureTensor:
     left = right = out being the usual structure-constant tensor of a product.
     """
 
-    __slots__ = ("left_dim", "right_dim", "out_dim", "_n", "_d")
+    __slots__ = ("left_dim", "right_dim", "out_dim", "_n", "_d", "_compiled")
 
     def __init__(self, coeffs):
         ld = len(coeffs)
@@ -297,6 +300,7 @@ class StructureTensor:
             tuple(tuple(next(it) for _ in range(od)) for _ in range(rd)) for _ in range(ld)
         )
         self._d = den
+        self._compiled = None
 
     @classmethod
     def _make(cls, coeffs, den, ld, rd, od):
@@ -304,6 +308,7 @@ class StructureTensor:
         t.left_dim, t.right_dim, t.out_dim = ld, rd, od
         t._n = tuple(tuple(tuple(row) for row in plane) for plane in coeffs)
         t._d = den
+        t._compiled = None
         return t
 
     @classmethod

@@ -4,18 +4,29 @@ An OperatorCandidate pairs a representation (or, for averaging and Nijenhuis
 checks, a plain algebra) with a linear map into the base.  The twist
 compatibility K.beta = alpha.K is checked first and reported separately as
 "not-admissible", so identity failures are never conflated with candidates
-that do not even intertwine the twists.
+that do not even intertwine the twists.  Each kind's equations are a table of
+identity schemas, checked in one engine pass (see "clause tables" below).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .constructions import ConstructionId, hemisemi
-from .engine import CheckReport, SemanticError, Witness
-from .exact import LinearMap, ShapeError, Vector
+from .engine import (
+    CheckReport,
+    IdentitySchema,
+    Interpretation,
+    SemanticError,
+    Sum,
+    check_clauses,
+    op,
+    tw,
+    var,
+)
+from .exact import LinearMap, ShapeError
 from .reps import (
     AssocAction,
     AssocBimodule,
@@ -73,20 +84,74 @@ def _admissible(c: OperatorCandidate) -> bool:
     return c.map.compose(beta) == alpha.compose(c.map)
 
 
-def _pair_fail(check_id, clause, i, j, lhs, rhs):
-    return CheckReport(
-        "fail",
-        check_id,
-        witness=Witness(clause, (("u", "V"), ("v", "V")), (i, j), lhs, rhs),
-    )
+# ---------------------------------------------------------------------------
+# clause tables
+#
+# Over a representation the operator is the cross-sort map symbol K: V -> A;
+# over an algebra it is T: A -> A and the product under test is bound to mu.
+# A table lists the clauses of one kind in the order they are compared on
+# each basis tuple.
+
+_u, _v = var("u", "V"), var("v", "V")
+_Ku, _Kv = tw("K", _u), tw("K", _v)
+
+
+def _rel_avg(name, prod, inner):
+    """prod(K u, K v) = K(inner)."""
+    return IdentitySchema(name, op(prod, _Ku, _Kv), tw("K", inner))
+
+
+def _rep_clauses():
+    """Clause tables keyed by (representation kind, operator kind)."""
+    left = _rel_avg("left", "mul", op("l", _Ku, _v))
+    right = _rel_avg("right", "mul", op("r", _Kv, _u))
+    table = {}
+    for rep_kind in ("bimodule", "action"):
+        table[rep_kind, "rel-avg-left"] = (left,)
+        table[rep_kind, "rel-avg-right"] = (right,)
+        table[rep_kind, "rel-avg"] = (left, right)
+    table["action", "homomorphic-rel-avg"] = (
+        left, right, _rel_avg("homomorphic", "mul", op("vmul", _u, _v)))
+    for family, prod, act, vprod in (("lie", "bracket", "rho", "vbracket"),
+                                     ("jordan", "circ", "pi", "vstar")):
+        one = _rel_avg(family, prod, op(act, _Ku, _v))
+        table[f"{family}-module", "rel-avg"] = table[f"{family}-action", "rel-avg"] = (one,)
+        table[f"{family}-action", "homomorphic-rel-avg"] = (
+            one, _rel_avg("homomorphic", prod, op(vprod, _u, _v)))
+    return table
+
+
+def _algebra_clauses():
+    """Clause tables keyed by operator kind."""
+    u, v = var("u"), var("v")
+    tu, tv = tw("T", u), tw("T", v)
+    both = op("mu", tu, tv)
+    left = IdentitySchema("averaging-left", tw("T", op("mu", tu, v)), both)
+    right = IdentitySchema("averaging-right", tw("T", op("mu", u, tv)), both)
+    inner = op("mu", tu, v) + op("mu", u, tv) - tw("T", op("mu", u, v))
+    return {
+        "averaging": (left, right),
+        "averaging-left": (left,),
+        "averaging-right": (right,),
+        "nijenhuis": (IdentitySchema("nijenhuis", both, tw("T", inner)),),
+    }
+
+
+_REP_CLAUSES = _rep_clauses()
+_ALGEBRA_CLAUSES = _algebra_clauses()
+
+
+def operator_kinds_for(rep) -> tuple:
+    """The operator kinds with clauses over this representation, in table order."""
+    return tuple(kind for rep_kind, kind in _REP_CLAUSES if rep_kind == rep.kind)
 
 
 def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckReport:
     """Check the defining equations of the requested operator kind.
 
-    Returns "not-admissible" when K.beta != alpha.K; otherwise evaluates the
-    kind's equations on all basis pairs and reports the first violation with
-    the violated clause's name.
+    Returns "not-admissible" when K.beta != alpha.K; otherwise checks the
+    kind's clauses on all basis pairs in one engine pass and reports the
+    first violation with the violated clause's name.
     """
     if kind not in OPERATOR_KINDS:
         raise SemanticError(f"unknown operator kind {kind!r}")
@@ -94,116 +159,48 @@ def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckRepor
     if not _admissible(c):
         return CheckReport("not-admissible", check_id, detail="K.beta != alpha.K")
 
-    if kind in ("averaging", "averaging-left", "averaging-right", "nijenhuis"):
-        if not isinstance(c.rep, AlgebraInstance):
+    rep = c.rep
+    if kind in _ALGEBRA_CLAUSES:
+        if not isinstance(rep, AlgebraInstance):
             raise SemanticError(f"{kind} expects a candidate over an algebra instance")
         return _certify_algebra_operator(c, kind, check_id)
-
-    rep, K = c.rep, c.map
     if isinstance(rep, AlgebraInstance):
         raise SemanticError(f"{kind} expects a candidate over a representation")
-    rep_is_assoc = isinstance(rep, AssocBimodule)
-    rep_is_lie = isinstance(rep, LieModule)
-    rep_is_jordan = isinstance(rep, JordanModule)
-    m = rep.v_dim
-
     if kind == "o-operator":
         if weight is None:
             raise SemanticError("o-operator needs a weight")
         if not isinstance(rep, AssocAction):
             raise SemanticError("o-operator needs an associative action")
-        lam = Fraction(weight)
-        mul = rep.base.product("mul")
-        for i in range(m):
-            ui, Ki = Vector.basis(m, i), K.column(i)
-            for j in range(m):
-                uj, Kj = Vector.basis(m, j), K.column(j)
-                lhs = mul.apply(Ki, Kj)
-                inner = rep.l.apply(Ki, uj) + rep.r.apply(Kj, ui) + rep.vmul.apply(ui, uj).scale(lam)
-                rhs = K.apply(inner)
-                if lhs != rhs:
-                    return _pair_fail(check_id, "o-operator", i, j, lhs, rhs)
-        return CheckReport("pass", check_id, tuples_checked=m * m)
-
-    if kind in ("rel-avg-left", "rel-avg-right") and not rep_is_assoc:
-        raise SemanticError(f"{kind} applies to associative representations only")
-
-    if rep_is_assoc:
-        prod = rep.base.product("mul")
-    elif rep_is_lie:
-        prod = rep.base.product("bracket")
-    elif rep_is_jordan:
-        prod = rep.base.product("circ")
+        inner = Sum(((1, op("l", _Ku, _v)), (1, op("r", _Kv, _u)),
+                     (Fraction(weight), op("vmul", _u, _v))))
+        clauses = (_rel_avg("o-operator", "mul", inner),)
     else:
-        raise SemanticError(f"unsupported representation kind {rep.kind!r}")
-
-    want_left = kind in ("rel-avg-left", "rel-avg", "homomorphic-rel-avg")
-    want_right = rep_is_assoc and kind in ("rel-avg-right", "rel-avg", "homomorphic-rel-avg")
-    count = 0
-    for i in range(m):
-        ui, Ki = Vector.basis(m, i), K.column(i)
-        for j in range(m):
-            uj, Kj = Vector.basis(m, j), K.column(j)
-            count += 1
-            lhs = prod.apply(Ki, Kj)
-            if want_left:
-                if rep_is_assoc:
-                    rhs = K.apply(rep.l.apply(Ki, uj))
-                    clause = "left"
-                elif rep_is_lie:
-                    rhs = K.apply(rep.rho.apply(Ki, uj))
-                    clause = "lie"
-                else:
-                    rhs = K.apply(rep.pi.apply(Ki, uj))
-                    clause = "jordan"
-                if lhs != rhs:
-                    return _pair_fail(check_id, clause, i, j, lhs, rhs)
-            if want_right:
-                rhs = K.apply(rep.r.apply(Kj, ui))
-                if lhs != rhs:
-                    return _pair_fail(check_id, "right", i, j, lhs, rhs)
+        clauses = _REP_CLAUSES.get((rep.kind, kind))
+        if clauses is None:
+            if kind in ("rel-avg-left", "rel-avg-right"):
+                raise SemanticError(f"{kind} applies to associative representations only")
             if kind == "homomorphic-rel-avg":
-                if isinstance(rep, AssocAction):
-                    vprod = rep.vmul
-                elif isinstance(rep, LieAction):
-                    vprod = rep.vbracket
-                elif isinstance(rep, JordanAction):
-                    vprod = rep.vstar
-                else:
-                    raise SemanticError("homomorphic-rel-avg needs an action")
-                rhs = K.apply(vprod.apply(ui, uj))
-                if lhs != rhs:
-                    return _pair_fail(check_id, "homomorphic", i, j, lhs, rhs)
-    return CheckReport("pass", check_id, tuples_checked=count)
+                raise SemanticError("homomorphic-rel-avg needs an action")
+            raise SemanticError(f"unsupported representation kind {rep.kind!r}")
+    interp = rep.interpretation()
+    maps = interp.maps | {"K": (c.map, ("V", "A"))}
+    return check_clauses(clauses, Interpretation(interp.sorts, interp.ops, maps), check_id)
 
 
 def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) -> CheckReport:
-    a, T = c.rep, c.map
-    n = a.dim
-    count = 0
+    """One pass per product symbol, in sorted order; clause names get ":<symbol>"."""
+    a, clauses = c.rep, _ALGEBRA_CLAUSES[kind]
+    maps = {"T": (c.map, ("A", "A"))}
+    total = 0
     for sym in sorted(a.products):
-        mu = a.products[sym]
-        for i in range(n):
-            xi, Ti = Vector.basis(n, i), T.column(i)
-            for j in range(n):
-                xj, Tj = Vector.basis(n, j), T.column(j)
-                count += 1
-                both = mu.apply(Ti, Tj)
-                if kind == "nijenhuis":
-                    inner = mu.apply(Ti, xj) + mu.apply(xi, Tj) - T.apply(mu.apply(xi, xj))
-                    rhs = T.apply(inner)
-                    if both != rhs:
-                        return _pair_fail(check_id, f"nijenhuis:{sym}", i, j, both, rhs)
-                    continue
-                if kind in ("averaging", "averaging-left"):
-                    lhs = T.apply(mu.apply(Ti, xj))
-                    if lhs != both:
-                        return _pair_fail(check_id, f"averaging-left:{sym}", i, j, lhs, both)
-                if kind in ("averaging", "averaging-right"):
-                    rhs = T.apply(mu.apply(xi, Tj))
-                    if rhs != both:
-                        return _pair_fail(check_id, f"averaging-right:{sym}", i, j, rhs, both)
-    return CheckReport("pass", check_id, tuples_checked=count)
+        interp = Interpretation({"A": a.dim}, {"mu": (a.products[sym], ("A", "A", "A"))}, maps)
+        report = check_clauses(clauses, interp, check_id)
+        total += report.tuples_checked
+        if not report.ok:
+            w = report.witness
+            return CheckReport("fail", check_id, tuples_checked=total,
+                               witness=replace(w, identity=f"{w.identity}:{sym}"))
+    return CheckReport("pass", check_id, tuples_checked=total)
 
 
 # ---------------------------------------------------------------------------

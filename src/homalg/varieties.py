@@ -40,7 +40,7 @@ from .engine import (
     var,
     ZERO,
 )
-from .exact import LinearMap, ShapeError, StructureTensor, Vector
+from .exact import LinearMap, ShapeError, StructureTensor
 
 
 class VarietyTag(str, Enum):
@@ -412,16 +412,21 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
             f"{src.name!r} and {dst.name!r} expose different product symbols"
         )
     check_id = "morphism"
-    if f.compose(src.alpha) != dst.alpha.compose(f):
+    f_alpha, alpha_f = f.compose(src.alpha), dst.alpha.compose(f)
+    if f_alpha != alpha_f:
+        for j in range(src.dim):  # column j of each side: f(alpha e_j), alpha'(f e_j)
+            lhs, rhs = f_alpha.column(j), alpha_f.column(j)
+            if lhs != rhs:
+                break
         return CheckReport(
             "fail",
             check_id,
             witness=Witness(
                 identity="twist-intertwine",
-                variables=(),
-                indices=(),
-                lhs_value=Vector.zero(dst.dim),
-                rhs_value=Vector.zero(dst.dim),
+                variables=(("x", "A"),),
+                indices=(j,),
+                lhs_value=lhs,
+                rhs_value=rhs,
             ),
             detail="f . alpha != alpha' . f",
         )

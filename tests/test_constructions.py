@@ -12,10 +12,13 @@ from homalg.constructions import (
     twist_products,
     yau_twist,
 )
-from homalg.exact import LinearMap
+from homalg.exact import LinearMap, Vector
 from homalg.forge import (
+    catalog_entry,
     diagonal_dialgebra,
+    kx2_phitwist,
     multiplication_operator,
+    perturb_operator,
     projection_operator,
     truncated_polynomial_algebra,
     two_dim_trialgebra,
@@ -78,6 +81,28 @@ def test_graph_theorem_positive_and_negative(kx2):
     zero = OperatorCandidate(regular_bimodule(kx2), LinearMap.zero(2))
     assert graph_closure(zero, C.HEMISEMI_DIASS).ok
 
+
+
+def test_graph_closure_witness_sets_a_part_against_k_of_v_part():
+    # K is the sum operator of kx2 + kx2 with K[0][0] raised by one; the left
+    # product of the generators of u1 and u2 is (0,2 | 0,1,0,0), whose A-part
+    # (0,2) differs from K(0,1,0,0) = (0,1)
+    bad = perturb_operator(catalog_entry("kx2_sum2_sum").value, (0, 0), 1)
+    for what in (C.HEMISEMI_DIASS, C.HEMISEMI_TRIASS):
+        w = graph_closure(bad, what).witness
+        assert (w.identity, w.indices) == ("graph:left", (0, 1))
+        assert w.lhs_value == Vector([0, 2])
+        assert w.rhs_value == bad.map.apply(Vector([0, 1, 0, 0])) == Vector([0, 1])
+
+
+def test_graph_closure_twist_witness_sets_a_part_against_k_of_v_part():
+    # alpha = diag(1, 0) on kx2t: the twist sends the generator K(u2) + u2 =
+    # (1,0 | 0,1) to (1,0 | 0,0), whose V-part maps to 0 under K
+    rep = regular_bimodule(kx2_phitwist())
+    report = graph_closure(OperatorCandidate(rep, LinearMap([[0, 1], [0, 0]])), C.HEMISEMI_DIASS)
+    w = report.witness
+    assert (w.identity, w.indices) == ("twist-closure", (1,))
+    assert (w.lhs_value, w.rhs_value) == (Vector([1, 0]), Vector([0, 0]))
 
 def test_induced_dialgebra(kx2):
     mult = multiplication_operator(tensor_square_bimodule(kx2))

@@ -7,6 +7,8 @@ from homalg.engine import (
     Interpretation,
     SemanticError,
     ZERO,
+    check_all,
+    check_clauses,
     check_schema,
     check_schema_random,
     evaluate,
@@ -297,3 +299,41 @@ def test_rewrite_substitutes_and_renames():
     assert repr(out) == "1*beta^1(vmul(x,y)) + 1*vmul(y,x)"
     assert out.terms[0][1].child.left.sort == "V"
     assert repr(rewrite(expr)) == repr(expr)
+
+
+def test_check_clauses_compares_every_clause_on_a_tuple_first():
+    # e1 e1 = e2, e1 e2 = e1, e2 e1 = 0: commutativity first fails at (e1, e2),
+    # but "vanishes" already fails at (e1, e1)
+    t = StructureTensor.square_from_rule(2, {(0, 0): [0, 1], (0, 1): [1, 0]})
+    x, y = var("x"), var("y")
+    commutes = IdentitySchema("commutes", op("mul", x, y), op("mul", y, x))
+    vanishes = IdentitySchema("vanishes", op("mul", x, y), ZERO)
+    report = check_clauses([commutes, vanishes], interp_for(t), "pair")
+    assert (report.check, report.witness.identity, report.witness.indices) == (
+        "pair", "vanishes", (0, 0))
+    assert report.witness.lhs_value == Vector([0, 1])
+    assert report.tuples_checked == 1
+    # clause by clause, the first clause's own first witness is reported
+    assert check_all([commutes, vanishes], interp_for(t), "pair").witness.identity == "commutes"
+    assert check_clauses([commutes], interp_for(KX2), "one").tuples_checked == 4
+
+
+def test_check_clauses_needs_one_variable_list():
+    x, y = var("x"), var("y")
+    two = IdentitySchema("two", op("mul", x, y), op("mul", y, x))
+    one = IdentitySchema("one", op("mul", x, x), ZERO)
+    with pytest.raises(SemanticError, match="one variable list"):
+        check_clauses([two, one], interp_for(KX2), "mixed")
+
+
+def test_sparse_data_is_computed_once_per_object():
+    t = StructureTensor.square_from_rule(2, {(0, 0): [1, 0], (0, 1): [0, 1]})
+    alpha = LinearMap([[1, 0], [0, 2]])
+    interp = interp_for(t, alpha)
+    schema = IdentitySchema("twisted", tw("alpha", op("mul", var("x"), var("y"))), ZERO)
+    assert t._compiled is None and alpha._compiled is None
+    check_schema(schema, interp)
+    rows, cols = t._compiled, alpha._compiled
+    assert rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
+    check_schema(schema, interp)
+    assert t._compiled is rows and alpha._compiled is cols

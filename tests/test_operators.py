@@ -162,3 +162,28 @@ def test_averaging_on_algebra_surface(kx2):
     assert report.status == "fail"
     assert report.witness.identity.startswith("averaging-right")
     assert certify_operator(bad, "averaging-left").ok
+
+
+def test_failing_reports_count_visited_pairs_and_sort_their_slots(kx2):
+    # K = [[1, 0], [1, 0]] on the regular bimodule: K(e1) K(e1) = (1,2) but
+    # K(K(e1) e1) = K(1,1) = (1,1), so the first pair already fails
+    bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
+    report = certify_operator(bad, "rel-avg")
+    assert (report.witness.identity, report.witness.indices) == ("left", (0, 0))
+    assert report.witness.variables == (("u", "V"), ("v", "V"))
+    assert (report.witness.lhs_value, report.witness.rhs_value) == (Vector([1, 2]), Vector([1, 1]))
+    assert report.tuples_checked == 1
+    # over an algebra both slots live in A
+    from homalg.forge import upper_triangular_2x2
+
+    t = OperatorCandidate(upper_triangular_2x2(), LinearMap([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    report = certify_operator(t, "averaging")
+    assert report.witness.variables == (("u", "A"), ("v", "A"))
+    assert report.tuples_checked >= 1
+
+
+def test_operator_kinds_outside_their_representation_are_semantic_errors(kx2):
+    # checked before any pair: a bimodule is not an action
+    bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
+    with pytest.raises(SemanticError, match="needs an action"):
+        certify_operator(bad, "homomorphic-rel-avg")

@@ -4,6 +4,7 @@ from homalg.engine import SemanticError, check_schema
 from homalg.exact import LinearMap, StructureTensor, Vector
 from homalg.forge import (
     diagonal_dialgebra,
+    kx2_phitwist,
     truncated_polynomial_algebra,
     two_dim_trialgebra,
     two_dim_trialgebra_literal,
@@ -90,6 +91,17 @@ def test_is_morphism_diag12_on_trialgebra_passes():
     tri = two_dim_trialgebra(1, 1)
     assert is_morphism(tri.maps["phi12"], tri, tri).ok
 
+
+
+def test_is_morphism_twist_witness_is_the_first_failing_basis_vector():
+    # alpha = diag(1, 0): f(alpha e1) = f(e1) = e1 = alpha(f e1), but
+    # f(alpha e2) = 0 while alpha(f e2) = alpha(e1 + e2) = e1
+    kx2t = kx2_phitwist()
+    report = is_morphism(LinearMap([[1, 1], [0, 1]]), kx2t, kx2t)
+    assert report.status == "fail"
+    w = report.witness
+    assert (w.identity, w.variables, w.indices) == ("twist-intertwine", (("x", "A"),), (1,))
+    assert (w.lhs_value, w.rhs_value) == (Vector([0, 0]), Vector([1, 0]))
 
 def test_is_morphism_symbol_mismatch():
     kx2 = truncated_polynomial_algebra(2)
