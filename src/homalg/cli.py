@@ -2,9 +2,12 @@
 
 Machine output is one self-delimiting JSON record per line; a human summary
 is available behind --summary.  Exit codes: 0 all checks pass, 1 at least
-one identity failure (or inadmissible operator), 2 parse error, 3 semantic
-error.  A stdout closed by its reader ends the run with status 1 and
-nothing on stderr.
+one identity failure (or inadmissible operator), 2 parse error or an input
+file that cannot be read (missing, a directory, unreadable, not UTF-8),
+3 semantic error.  Read, parse and semantic errors of the input file are one
+JSON line on stderr, {"error": "read" | "parse" | "semantic", "detail": ...}.
+A stdout closed by its reader ends the run with status 1 and nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -142,10 +145,15 @@ def _timed(fn):
 
 
 def _load(path: str):
-    """The parsed file, or the exit code once its DSL error is on stderr."""
+    """The parsed file, or the exit code once its read or DSL error is on stderr."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(json.dumps({"error": "read", "detail": f"{path}: {exc}"}), file=sys.stderr)
+        return EXIT_PARSE
+    try:
+        return parse(text)
     except DslSyntaxError as exc:
         error, code, detail = "parse", EXIT_PARSE, str(exc)
     except DslSemanticError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum
+from functools import cache
 
 from .engine import (
     ZERO,
@@ -169,7 +170,7 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
 
     def parts(w):
         """(A-part, K(V-part)); w lies in the graph iff they agree."""
-        return Vector(w.coords[:n]), K.apply(Vector(w.coords[n:]))
+        return Vector._make(w._n[:n], w._d), K.apply(Vector._make(w._n[n:], w._d))
 
     gens = [graph_gen(i) for i in range(m)]
     twist = ambient.alpha
@@ -404,7 +405,8 @@ def twist_products(a: AlgebraInstance, phi: LinearMap, name: str) -> AlgebraInst
 #
 # A gate binds the map under test as one more map symbol of the
 # interpretation (across sorts, V -> A, for a bimodule map) and checks its
-# clauses as schemas.
+# clauses as schemas.  The schema lists are built once, so gate checks reuse
+# their evaluation plans.
 
 _x, _y = var("x"), var("y")
 _u, _v = var("u", "V"), var("v", "V")
@@ -414,28 +416,30 @@ def _bind_map(interp, sym: str, lin: LinearMap, sorts) -> Interpretation:
     return replace(interp, maps={**interp.maps, sym: (lin, sorts)})
 
 
-def _bimodule_map_schemas(f: str):
+@cache
+def _bimodule_map_schemas(f: str) -> tuple:
     """f : V -> A intertwines the twists and is A-equivariant on both sides."""
-    return [
+    return (
         IdentitySchema("intertwine", tw(f, tw("beta", _u)), tw("alpha", tw(f, _u))),
         IdentitySchema("left-equivariance", tw(f, op("l", _x, _u)), op("mul", _x, tw(f, _u))),
         IdentitySchema("right-equivariance", tw(f, op("r", _x, _u)), op("mul", tw(f, _u), _x)),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
 # special dialgebras
 
 
-def _differential_schemas():
+@cache
+def _differential_schemas() -> tuple:
     d = lambda e, k=1: tw("d", e, k)
-    return [
+    return (
         IdentitySchema("square-zero", d(_x, 2), ZERO),
         IdentitySchema("twist-commute", d(tw("alpha", _x)), tw("alpha", d(_x))),
         IdentitySchema(
             "derivation", d(op("mul", _x, _y)), op("mul", d(_x), _y) + op("mul", _x, d(_y))
         ),
-    ]
+    )
 
 
 def differential_dialgebra(a: AlgebraInstance, d_name: str, check: bool = True) -> AlgebraInstance:
@@ -489,6 +493,22 @@ def bimodule_map_dialgebra(rep: AssocBimodule, f: LinearMap, check: bool = True)
 # crossed modules
 
 
+@cache
+def _crossed_module_schemas() -> tuple:
+    D = lambda e: tw("d", e)
+    intertwine, *equivariance = _bimodule_map_schemas("d")
+    peiffer = op("vmul", _u, _v)
+    return (
+        intertwine,
+        IdentitySchema("morphism", D(peiffer), op("mul", D(_u), D(_v))),
+        IdentitySchema("peiffer-left", op("l", D(_u), _v), peiffer),
+        # enumerate (u, v) as the other clauses do, not in order of appearance
+        IdentitySchema("peiffer-right", op("r", D(_v), _u), peiffer,
+                       variables=(("u", "V", 1), ("v", "V", 1))),
+        *equivariance,
+    )
+
+
 def crossed_module_check(a: AlgebraInstance, act: AssocAction, d: LinearMap) -> CheckReport:
     """Check the crossed-module clauses for d : V -> A over an action.
 
@@ -505,20 +525,8 @@ def crossed_module_check(a: AlgebraInstance, act: AssocAction, d: LinearMap) -> 
     if not rep_report.ok:
         return CheckReport("fail", "crossed-module", witness=rep_report.witness,
                            detail="action does not certify")
-    D = lambda e: tw("d", e)
-    intertwine, *equivariance = _bimodule_map_schemas("d")
-    peiffer = op("vmul", _u, _v)
-    schemas = [
-        intertwine,
-        IdentitySchema("morphism", D(peiffer), op("mul", D(_u), D(_v))),
-        IdentitySchema("peiffer-left", op("l", D(_u), _v), peiffer),
-        # enumerate (u, v) as the other clauses do, not in order of appearance
-        IdentitySchema("peiffer-right", op("r", D(_v), _u), peiffer,
-                       variables=(("u", "V", 1), ("v", "V", 1))),
-        *equivariance,
-    ]
-    report = check_all(schemas, _bind_map(act.interpretation(), "d", d, ("V", "A")),
-                       "crossed-module")
+    report = check_all(_crossed_module_schemas(),
+                       _bind_map(act.interpretation(), "d", d, ("V", "A")), "crossed-module")
     if not report.ok:
         return report
     conclusion = certify_operator(OperatorCandidate(act, d), "homomorphic-rel-avg")

@@ -7,22 +7,29 @@ Schemas that repeat a variable are first reduced to multilinear ones by
 inclusion-exclusion polarization, which is an equivalence in characteristic
 zero for identities homogeneous in each variable.
 
-Evaluation is compiled.  `check_clauses` compiles the sides of several
-schemas over one variable list into one hash-consed DAG, so equal subterms
-(such as those shared by the polarized terms of Hom-Jordan, or the side
-prod(K u, K v) of the operator clauses) are one node.  Each node runs an
-integer kernel over the structure constants' numerators, with a denominator
-fixed at compile time; the sides compare as l * Dr == r * Dl.  Tuples are
-enumerated lexicographically and a node is re-evaluated only when a slot it
-depends on changes, looking up a table keyed by the tuple's projection onto
-its free slots that is filled on demand, so a failing check still stops at
-its first witness.  Tables live for one call; tensors and maps keep their
-sparse form once compiled.  Polarization records each variable's copies as a
-copy block; the identity is symmetric there, so only tuples sorted within
-each block are visited, and the first violating tuple is still the one naive
-enumeration finds.
+Evaluation is compiled once and bound per call.  `check_clauses` compiles
+the sides of several schemas over one variable list into one hash-consed
+DAG, so equal subterms (such as those shared by the polarized terms of
+Hom-Jordan, or the side prod(K u, K v) of the operator clauses) are one
+node.  The compiled plan holds no data: the polarized clauses, the DAG's
+node keys, its live order and the level steps.  It is kept on the first
+schema of the clause tuple and reused for every interpretation that binds
+the same symbols with the same signatures, whatever the dimensions, as long
+as its guards hold again: the DAG is simplified against the data (identity
+twist powers vanish, zero products are zero), so a plan records the
+identity flag of every twist power and the zero flag of every op it read.
+Each call binds the plan: every node gets an integer kernel over the
+structure constants' numerators and a denominator; the sides compare as
+l * Dr == r * Dl.  Tuples are enumerated lexicographically and a node is
+re-evaluated only when a slot it depends on changes, looking up a table
+keyed by the tuple's projection onto its free slots that is filled on
+demand, so a failing check still stops at its first witness.  Tables live
+for one call; tensors and maps keep their sparse form once compiled.
+Polarization records each variable's copies as a copy block; the identity
+is symmetric there, so only tuples sorted within each block are visited,
+and the first violating tuple is still the one naive enumeration finds.
 `tuples_checked` counts the tuples visited.  `evaluate` and
-`check_schema_random` run the same compiled kernels.
+`check_schema_random` go through the same plans and kernels.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from math import lcm
 from operator import itemgetter
 from typing import Optional
 
-from .exact import LinearMap, ShapeError, Vector
+from .exact import ShapeError, Vector
 
 
 class SemanticError(ValueError):
@@ -205,9 +212,13 @@ class IdentitySchema:
     identity is symmetric under any permutation of the variables within one
     block.  polarize() records each variable's fresh copies as a block; the
     checker then enumerates only tuples whose block indices are sorted.
+
+    plans holds the evaluation plans of the checks whose first clause is
+    this schema; they hold no data and are freed with the schema.
     """
 
-    __slots__ = ("name", "lhs", "rhs", "variables", "polarized", "copy_blocks")
+    __slots__ = ("name", "lhs", "rhs", "variables", "polarized", "copy_blocks", "plans",
+                 "__weakref__")
 
     def __init__(self, name, lhs, rhs, variables=None, polarized=False, copy_blocks=()):
         self.name = name
@@ -215,6 +226,7 @@ class IdentitySchema:
         self.rhs = rhs
         self.polarized = polarized
         self.copy_blocks = tuple(tuple(block) for block in copy_blocks)
+        self.plans = {}
         if variables is not None:
             self.variables = tuple(variables)
             return
@@ -384,7 +396,17 @@ def _check_sorts(expr, interp: Interpretation):
 #
 # A compiled value is sparse: a list of (basis index, integer numerator)
 # pairs in index order with zeros omitted, over a denominator fixed per node
-# at compile time.  The zero vector is [].
+# when the plan is bound.  The zero vector is [].
+#
+# Compiling is split in two.  A plan (_Plan) holds no data: the clauses as
+# checked, the DAG's node keys, its live order and node sorts, and the level
+# steps of check_clauses.  It is built for one interpretation shape (the
+# sort names and the signatures of the symbols read; not the dimensions) and
+# records as guards the identity flag of every twist power and the zero flag
+# of every op the DAG's simplification asked about; it is reused for any
+# interpretation of that shape on which all guards hold again.  Binding a
+# plan gives each node its kernel over the interpretation's sparse numerators
+# and its denominator, per call.
 
 
 def _children(key):
@@ -398,6 +420,61 @@ def _children(key):
     return ()
 
 
+def _symbols(expr, ops: dict, maps: dict) -> None:
+    """Record the op and map symbols an expression reads, in order of appearance."""
+    if isinstance(expr, TwistApp):
+        maps[expr.map_symbol] = None
+        _symbols(expr.child, ops, maps)
+    elif isinstance(expr, OpApp):
+        ops[expr.op_symbol] = None
+        _symbols(expr.left, ops, maps)
+        _symbols(expr.right, ops, maps)
+    elif isinstance(expr, Sum):
+        for _, e in expr.terms:
+            _symbols(e, ops, maps)
+
+
+def _sparse(dense):
+    return [(k, x) for k, x in enumerate(dense) if x]
+
+
+def _rows(tensor):
+    """Sparse rows [i][j] of a tensor, kept on the tensor."""
+    if tensor._compiled is None:
+        tensor._compiled = [[_sparse(r) for r in plane] for plane in tensor._n]
+    return tensor._compiled
+
+
+def _power(interp, symbol, power, powers):
+    """(sparse columns, denominator) of symbol^power, memoized in `powers` for
+    one call; a map keeps its own sparse columns."""
+    got = powers.get((symbol, power))
+    if got is None:
+        lin = interp.maps[symbol][0]
+        if power == 1:  # a map across sorts only ever appears at power 1
+            if lin._compiled is None:
+                lin._compiled = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
+            got = (lin._compiled, lin._d)
+        else:
+            lin = lin.power(power)
+            got = ([_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)], lin._d)
+        powers[(symbol, power)] = got
+    return got
+
+
+def _is_identity(interp, symbol, power, powers) -> bool:
+    """Whether symbol^power is the identity map of one sort."""
+    src, dst = interp.maps[symbol][1]
+    if src != dst:
+        return False
+    cols, den = _power(interp, symbol, power, powers)
+    return all(col == [(j, den)] for j, col in enumerate(cols))
+
+
+def _is_zero(interp, symbol) -> bool:
+    return not any(map(any, _rows(interp.ops[symbol][0])))
+
+
 class _Dag:
     """Hash-consed expression DAG, simplified against one interpretation.
 
@@ -407,16 +484,18 @@ class _Dag:
     terms merged, zero weights dropped and terms in child order; nested
     twists by one map merge their powers, and a twist whose power is the
     identity map disappears; a product with a zero factor or a zero tensor
-    is zero.  Equal subterms therefore become one node.
+    is zero.  Equal subterms therefore become one node.  `twists` and `zeros`
+    record every identity and zero flag the simplification read.
     """
 
-    def __init__(self, interp: Interpretation):
+    def __init__(self, interp: Interpretation, powers: dict):
         self.interp = interp
+        self.powers = powers
         self.nodes = []
         self._ids = {}
         self._seen = {}
-        self._powers = {}
-        self._zero_ops = {}
+        self.twists = {}
+        self.zeros = {}
         self.zero = self._intern(("sum", ()))
 
     def _intern(self, key) -> int:
@@ -425,17 +504,6 @@ class _Dag:
             nid = self._ids[key] = len(self.nodes)
             self.nodes.append(key)
         return nid
-
-    def power(self, symbol, power):
-        """(symbol^power, whether it is the identity of one sort)."""
-        got = self._powers.get((symbol, power))
-        if got is None:
-            lin, (src, dst) = self.interp.maps[symbol]
-            if power != 1:  # a map across sorts only ever appears at power 1
-                lin = lin.power(power)
-            got = (lin, src == dst and lin == LinearMap.identity(lin.src_dim))
-            self._powers[(symbol, power)] = got
-        return got
 
     def add(self, expr) -> int:
         """Node id of an expression; the caller keeps the expression alive."""
@@ -459,14 +527,18 @@ class _Dag:
         key = self.nodes[child]
         if key[0] == "tw" and key[1] == symbol:
             power, child = power + key[2], key[3]
-        if power == 0 or child == self.zero or self.power(symbol, power)[1]:
+        if power == 0 or child == self.zero:
             return child
-        return self._intern(("tw", symbol, power, child))
+        identity = self.twists.get((symbol, power))
+        if identity is None:
+            identity = _is_identity(self.interp, symbol, power, self.powers)
+            self.twists[(symbol, power)] = identity
+        return child if identity else self._intern(("tw", symbol, power, child))
 
     def _op(self, symbol, left, right) -> int:
-        zero = self._zero_ops.get(symbol)
+        zero = self.zeros.get(symbol)
         if zero is None:
-            zero = self._zero_ops[symbol] = self.interp.ops[symbol][0].is_zero()
+            zero = self.zeros[symbol] = _is_zero(self.interp, symbol)
         if zero or left == self.zero or right == self.zero:
             return self.zero
         return self._intern(("op", symbol, left, right))
@@ -481,10 +553,6 @@ class _Dag:
         if len(flat) == 1 and flat[0][0] == 1:
             return flat[0][1]
         return self._intern(("sum", flat))
-
-
-def _sparse(dense):
-    return [(k, x) for k, x in enumerate(dense) if x]
 
 
 def _twist_kernel(child, cols, dst):
@@ -538,20 +606,84 @@ def _zero_kernel(cur):
     return []
 
 
-class _Program:
-    """Expressions compiled against one interpretation.
+class _ClauseSet:
+    """One clause tuple as checked, with its plans; kept on its first schema.
 
-    `leaves` maps each variable name to its (dimension, denominator).  Every
-    node reachable from the roots gets a denominator and, unless it is a
-    variable, an integer kernel that reads its children's current values
-    from a list indexed by node id.  Variables are set by the caller.
+    `clauses` are the clauses as checked (polarized, for exhaustive checks),
+    `variables` their shared variable list and `lower` the slot each slot's
+    index starts from (its predecessor in a copy block, else -1).  `ops` and
+    `maps` name the symbols the clauses read; plans are listed per shape.
     """
 
-    def __init__(self, exprs, interp: Interpretation, leaves):
+    __slots__ = ("clauses", "variables", "lower", "ops", "maps", "by_shape")
+
+    def __init__(self, clauses, polar: bool):
+        self.clauses = tuple(polarize(s) for s in clauses) if polar else tuple(clauses)
+        first = self.clauses[0]
+        if any((c.variables, c.copy_blocks) != (first.variables, first.copy_blocks)
+               for c in self.clauses):
+            raise SemanticError("clauses do not share one variable list")
+        self.variables = first.variables
+        slot_of = {name: p for p, (name, _, _) in enumerate(self.variables)}
+        self.lower = lower = [-1] * len(self.variables)
+        for block in first.copy_blocks if polar else ():
+            slots = [slot_of.get(name, -1) for name in block]
+            if (min(slots) < 0 or any(lower[p] >= 0 for p in slots) or slots != sorted(set(slots))
+                    or len({self.variables[p][1] for p in slots}) > 1):
+                raise SemanticError(f"bad copy block {block!r}")
+            for prev, p in zip(slots, slots[1:]):
+                lower[p] = prev
+        ops, maps = {}, {}
+        for c in self.clauses:
+            _symbols(c.lhs, ops, maps)
+            _symbols(c.rhs, ops, maps)
+        self.ops, self.maps = tuple(ops), tuple(maps)
+        self.by_shape = {}
+
+    def shape(self, interp: Interpretation):
+        """The sort names and the signature of every symbol read (None if unbound)."""
+        ops, maps = interp.ops, interp.maps
+        return (tuple(sorted(interp.sorts)),
+                tuple(ops[s][1] if s in ops else None for s in self.ops),
+                tuple(maps[s][1] if s in maps else None for s in self.maps))
+
+
+class _Plan:
+    """One clause tuple compiled for one interpretation shape, without its data.
+
+    `nodes` are the DAG's keys and `order` the live ones, children first;
+    `sorts` gives each node's sort, so the plan serves every dimension.
+    Roots are lhs, rhs of each clause in turn, and `out_sorts` their sorts
+    (None when both sides are zero).  `levels` holds, per slot p (and first
+    for no slot), the (node, table key) steps to run once slots 0..p are
+    set: a node is evaluated at the level of its last free slot, and one
+    whose free slots are not all of 0..level gets a table keyed by the
+    projection of the tuple onto them.  `twists` and `zeros` are the guards
+    it was built under.
+    """
+
+    __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
+                 "out_sorts", "levels")
+
+    def __init__(self, clause_set: _ClauseSet, interp: Interpretation, powers: dict):
+        self.clause_set = clause_set
+        self.out_sorts = []
+        for schema in clause_set.clauses:
+            lsort = _check_sorts(schema.lhs, interp)
+            rsort = _check_sorts(schema.rhs, interp)
+            if lsort is not None and rsort is not None and lsort != rsort:
+                raise SemanticError("sides have different sorts")
+            self.out_sorts.append(lsort if lsort is not None else rsort)
+        var_sorts = {}
+        for name, sort, _ in clause_set.variables:
+            if sort not in interp.sorts:
+                raise SemanticError(f"sort {sort!r} has no dimension binding")
+            var_sorts[name] = sort
         interp.validate()
-        dag = _Dag(interp)
-        self.roots = [dag.add(e) for e in exprs]
+        dag = _Dag(interp, powers)
+        self.roots = [dag.add(e) for s in clause_set.clauses for e in (s.lhs, s.rhs)]
         self.nodes = nodes = dag.nodes
+        self.twists, self.zeros = tuple(dag.twists.items()), tuple(dag.zeros.items())
         live = [False] * len(nodes)
         for r in self.roots:
             live[r] = True
@@ -560,32 +692,68 @@ class _Program:
                 for c in _children(nodes[nid]):
                     live[c] = True
         self.order = [nid for nid in range(len(nodes)) if live[nid]]
-        self.dens = dens = [1] * len(nodes)
-        dims = [0] * len(nodes)
-        self.kernels = kernels = [None] * len(nodes)
+        self.sorts = sorts = [None] * len(nodes)
         self.var_nodes = {}
+        slot_of = {name: p for p, name in enumerate(var_sorts)}
+        masks = [0] * len(nodes)
+        self.levels = levels = [[] for _ in range(len(var_sorts) + 1)]
         for nid in self.order:
             key = nodes[nid]
             kind = key[0]
             if kind == "var":
-                if key[1] not in leaves:
+                if key[1] not in var_sorts:
                     raise SemanticError(f"unbound variable {key[1]!r}")
-                dims[nid], dens[nid] = leaves[key[1]]
+                sorts[nid] = var_sorts[key[1]]
                 self.var_nodes[key[1]] = nid
+                masks[nid] = 1 << slot_of[key[1]]
+                continue
+            if kind == "tw":
+                sorts[nid] = interp.maps[key[1]][1][1]
+            elif kind == "op":
+                sorts[nid] = interp.ops[key[1]][1][2]
+            elif key[1]:
+                sorts[nid] = sorts[key[1][0][1]]
+            for c in _children(key):
+                masks[nid] |= masks[c]
+            mask = masks[nid]
+            level = mask.bit_length() - 1
+            if mask == (1 << (level + 1)) - 1:
+                levels[level + 1].append((nid, None))
+            else:
+                levels[level + 1].append((nid, itemgetter(*[p for p in range(level + 1)
+                                                              if mask >> p & 1])))
+
+    def holds(self, interp: Interpretation, powers: dict) -> bool:
+        """Whether every guard holds for this interpretation's data."""
+        return (all(_is_identity(interp, symbol, power, powers) == flag
+                    for (symbol, power), flag in self.twists)
+                and all(_is_zero(interp, symbol) == flag for symbol, flag in self.zeros))
+
+    def bind(self, interp: Interpretation, leaf_dens: dict, powers: dict):
+        """(kernels, denominators) per node over the interpretation's data.
+
+        A variable's denominator is leaf_dens.get(name, 1); every other live
+        node gets an integer kernel reading its children's current values
+        from a list indexed by node id.
+        """
+        nodes, sorts, dims = self.nodes, self.sorts, interp.sorts
+        dens = [1] * len(nodes)
+        kernels = [None] * len(nodes)
+        for nid in self.order:
+            key = nodes[nid]
+            kind = key[0]
+            if kind == "var":
+                dens[nid] = leaf_dens.get(key[1], 1)
             elif kind == "tw":
                 _, symbol, power, child = key
-                lin = dag.power(symbol, power)[0]
-                if lin._compiled is None:  # sparse columns, kept on the map
-                    lin._compiled = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
-                dims[nid], dens[nid] = lin.dst_dim, dens[child] * lin._d
-                kernels[nid] = _twist_kernel(child, lin._compiled, lin.dst_dim)
+                cols, den = _power(interp, symbol, power, powers)
+                dens[nid] = dens[child] * den
+                kernels[nid] = _twist_kernel(child, cols, dims[sorts[nid]])
             elif kind == "op":
                 _, symbol, left, right = key
                 tensor = interp.ops[symbol][0]
-                if tensor._compiled is None:  # sparse rows [i][j], kept on the tensor
-                    tensor._compiled = [[_sparse(r) for r in plane] for plane in tensor._n]
-                dims[nid], dens[nid] = tensor.out_dim, dens[left] * dens[right] * tensor._d
-                kernels[nid] = _op_kernel(left, right, tensor._compiled, tensor.out_dim)
+                dens[nid] = dens[left] * dens[right] * tensor._d
+                kernels[nid] = _op_kernel(left, right, _rows(tensor), dims[sorts[nid]])
             elif not key[1]:
                 kernels[nid] = _zero_kernel
             else:
@@ -593,95 +761,77 @@ class _Program:
                 for w, c in key[1]:
                     den = lcm(den, w.denominator * dens[c])
                 terms = [(w.numerator * (den // (w.denominator * dens[c])), c) for w, c in key[1]]
-                dims[nid], dens[nid] = dims[key[1][0][1]], den
-                kernels[nid] = _sum_kernel(terms, dims[nid])
+                dens[nid] = den
+                kernels[nid] = _sum_kernel(terms, dims[sorts[nid]])
+        return kernels, dens
 
-    def run(self, cur) -> None:
-        """Evaluate every kernel in topological order (variables already set)."""
-        kernels = self.kernels
-        for nid in self.order:
-            kernel = kernels[nid]
-            if kernel is not None:
-                cur[nid] = kernel(cur)
 
-    def vector(self, cur, root, dim) -> Vector:
-        out = [0] * dim
-        for k, x in cur[root]:
-            out[k] = x
-        return Vector._make(out, self.dens[root])
+def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict):
+    """(plan, kernels, denominators) for the clauses over interp.
 
-    def equal(self, cur, left, right) -> bool:
-        lv, rv = cur[left], cur[right]
-        dl, dr = self.dens[left], self.dens[right]
-        if dl == dr:
-            return lv == rv
-        return len(lv) == len(rv) and all(
-            i == j and x * dr == y * dl for (i, x), (j, y) in zip(lv, rv)
-        )
+    The plan comes from the first clause's cache, keyed by the remaining
+    clauses and `polar`, then by shape; it is built when no cached plan's
+    guards hold.  Sorts are checked and the data validated before any guard
+    reads the data, as a fresh build does.
+    """
+    head = clauses[0]
+    key = (tuple(clauses[1:]), polar)
+    clause_set = head.plans.get(key)
+    if clause_set is None:
+        clause_set = head.plans[key] = _ClauseSet(clauses, polar)
+    shape = clause_set.shape(interp)
+    listed = clause_set.by_shape.get(shape)
+    powers = {}
+    plan = None
+    if listed is not None:
+        interp.validate()
+        plan = next((p for p in listed if p.holds(interp, powers)), None)
+    if plan is None:
+        plan = _Plan(clause_set, interp, powers)
+        clause_set.by_shape.setdefault(shape, []).append(plan)
+    return (plan, *plan.bind(interp, leaf_dens, powers))
 
-    def levels(self, slot_of):
-        """Per slot p, the steps to run once slots 0..p are set.
 
-        A node is evaluated at the level of its last free slot; nodes with no
-        free slot come first, under level -1.  A node whose free slots are
-        not all of 0..level gets a table keyed by the projection of the
-        tuple onto them, filled on first use.
-        """
-        masks = [0] * len(self.nodes)
-        levels = [[] for _ in range(len(slot_of) + 1)]
-        for nid in self.order:
-            key = self.nodes[nid]
-            if key[0] == "var":
-                masks[nid] = 1 << slot_of[key[1]]
-                continue
-            for c in _children(key):
-                masks[nid] |= masks[c]
-            mask = masks[nid]
-            level = mask.bit_length() - 1
-            if mask == (1 << (level + 1)) - 1:
-                step = (nid, self.kernels[nid], None, None)
-            else:
-                slots = [p for p in range(level + 1) if mask >> p & 1]
-                step = (nid, self.kernels[nid], itemgetter(*slots), {})
-            levels[level + 1].append(step)
-        return levels
+def _run(order, kernels, cur) -> None:
+    """Evaluate every kernel in topological order (variables already set)."""
+    for nid in order:
+        kernel = kernels[nid]
+        if kernel is not None:
+            cur[nid] = kernel(cur)
+
+
+def _vector(cur, dens, root, dim) -> Vector:
+    out = [0] * dim
+    for k, x in cur[root]:
+        out[k] = x
+    return Vector._make(out, dens[root])
+
+
+def _equal(cur, dens, left, right) -> bool:
+    lv, rv = cur[left], cur[right]
+    dl, dr = dens[left], dens[right]
+    if dl == dr:
+        return lv == rv
+    return len(lv) == len(rv) and all(
+        i == j and x * dr == y * dl for (i, x), (j, y) in zip(lv, rv)
+    )
 
 
 def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
     """Evaluate an expression with variables bound to concrete Vectors."""
-    sort = _check_sorts(expr, interp)
-    dim = interp.sorts[sort] if sort is not None else 0
     sorts: dict = {}
     _collect_sorts(expr, sorts)
     for name, s in sorts.items():
         if env[name].dim != interp.sorts[s]:
             raise ShapeError(f"variable {name!r} bound to a vector of dim {env[name].dim}")
-    prog = _Program([expr], interp, {n: (v.dim, v._d) for n, v in env.items()})
-    cur = [None] * len(prog.nodes)
-    for name, nid in prog.var_nodes.items():
+    schema = IdentitySchema("evaluate", expr, ZERO,
+                            variables=[(name, s, 1) for name, s in sorts.items()])
+    plan, kernels, dens = _bind((schema,), interp, False, {n: v._d for n, v in env.items()})
+    cur = [None] * len(plan.nodes)
+    for name, nid in plan.var_nodes.items():
         cur[nid] = _sparse(env[name]._n)
-    prog.run(cur)
-    return prog.vector(cur, prog.roots[0], dim)
-
-
-def _compile_sides(schemas, interp: Interpretation, leaf_den=1):
-    """Sort-check the schemas and compile their sides into one program (roots
-    lhs, rhs of each in turn); returns it and each schema's output dimension."""
-    exprs, out_dims = [], []
-    for schema in schemas:
-        lsort = _check_sorts(schema.lhs, interp)
-        rsort = _check_sorts(schema.rhs, interp)
-        if lsort is not None and rsort is not None and lsort != rsort:
-            raise SemanticError("sides have different sorts")
-        out_sort = lsort if lsort is not None else rsort
-        exprs += (schema.lhs, schema.rhs)
-        out_dims.append(interp.sorts[out_sort] if out_sort is not None else 0)
-    leaves = {}
-    for name, sort, _ in schemas[0].variables:
-        if sort not in interp.sorts:
-            raise SemanticError(f"sort {sort!r} has no dimension binding")
-        leaves[name] = (interp.sorts[sort], leaf_den)
-    return _Program(exprs, interp, leaves), out_dims
+    _run(plan.order, kernels, cur)
+    return _vector(cur, dens, plan.roots[0], interp.sorts.get(plan.out_sorts[0], 0))
 
 
 def check_schema(schema: IdentitySchema, interp: Interpretation) -> CheckReport:
@@ -701,35 +851,20 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     violating tuple is sorted there and the witness is the one full
     enumeration finds.  tuples_checked counts visited tuples.
     """
-    label = clauses[0].name
     try:
-        working = [polarize(schema) for schema in clauses]
-        first = working[0]
-        if any((w.variables, w.copy_blocks) != (first.variables, first.copy_blocks)
-               for w in working):
-            raise SemanticError("clauses do not share one variable list")
-        prog, out_dims = _compile_sides(working, interp)
+        plan, kernels, dens = _bind(clauses, interp, True, {})
     except (SemanticError, KeyError) as exc:
-        raise SemanticError(f"{label}: {exc}") from exc
-    names = [name for name, _, _ in first.variables]
-    slot_of = {name: p for p, name in enumerate(names)}
-    dims = [interp.sorts[sort] for _, sort, _ in first.variables]
-    lower = [-1] * len(names)
-    for block in first.copy_blocks:
-        slots = [slot_of.get(name, -1) for name in block]
-        if (min(slots) < 0 or any(lower[p] >= 0 for p in slots) or slots != sorted(set(slots))
-                or len({first.variables[p][1] for p in slots}) > 1):
-            raise SemanticError(f"{label}: bad copy block {block!r}")
-        for prev, p in zip(slots, slots[1:]):
-            lower[p] = prev
-    steps = prog.levels(slot_of)
-    sides = list(zip(prog.roots[::2], prog.roots[1::2]))
-    equal = prog.equal
-    cur = [None] * len(prog.nodes)
-    idx = [0] * len(names)
-    var_at = [prog.var_nodes.get(name) for name in names]
+        raise SemanticError(f"{clauses[0].name}: {exc}") from exc
+    variables, lower = plan.clause_set.variables, plan.clause_set.lower
+    dims = [interp.sorts[sort] for _, sort, _ in variables]
     basis = [[[(i, 1)] for i in range(d)] for d in dims]
-    last = len(names) - 1
+    var_at = [plan.var_nodes.get(name) for name, _, _ in variables]
+    steps = [[(nid, kernels[nid], key, None if key is None else {}) for nid, key in level]
+             for level in plan.levels]
+    sides = list(zip(plan.roots[::2], plan.roots[1::2]))
+    cur = [None] * len(plan.nodes)
+    idx = [0] * len(variables)
+    last = len(variables) - 1
     count = 0
     hit = -1
 
@@ -748,7 +883,7 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         nonlocal count, hit
         count += 1
         for k, (lhs, rhs) in enumerate(sides):
-            if not equal(cur, lhs, rhs):
+            if not _equal(cur, dens, lhs, rhs):
                 hit = k
                 return True
         return False
@@ -766,15 +901,15 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         return False
 
     run(-1)
-    if not (visit(0) if names else violated()):
+    if not (visit(0) if variables else violated()):
         return CheckReport("pass", check_id, tuples_checked=count)
     lhs, rhs = sides[hit]
     witness = Witness(
         identity=clauses[hit].name,
-        variables=tuple((name, sort) for name, sort, _ in first.variables),
+        variables=tuple((name, sort) for name, sort, _ in variables),
         indices=tuple(idx),
-        lhs_value=prog.vector(cur, lhs, out_dims[hit]),
-        rhs_value=prog.vector(cur, rhs, out_dims[hit]),
+        lhs_value=_vector(cur, dens, lhs, interp.sorts.get(plan.out_sorts[hit], 0)),
+        rhs_value=_vector(cur, dens, rhs, interp.sorts.get(plan.out_sorts[hit], 0)),
     )
     return CheckReport("fail", check_id, witness=witness, tuples_checked=count)
 
@@ -802,18 +937,19 @@ def check_schema_random(
     dens = tuple(denominators) if denominators else _RANDOM_DENOMINATORS
     check_id = f"schema-random:{schema.name}"
     common = lcm(*dens)
-    prog, _ = _compile_sides([schema], interp, leaf_den=common)
-    lhs, rhs = prog.roots
+    plan, kernels, node_dens = _bind((schema,), interp, False,
+                                     {name: common for name, _, _ in schema.variables})
+    lhs, rhs = plan.roots
     rng = random.Random(seed)
-    cur = [None] * len(prog.nodes)
-    slots = [(prog.var_nodes.get(name), interp.sorts[sort]) for name, sort, _ in schema.variables]
+    cur = [None] * len(plan.nodes)
+    slots = [(plan.var_nodes.get(name), interp.sorts[sort]) for name, sort, _ in schema.variables]
     for k in range(samples):
         for nid, d in slots:
             coords = [(rng.choice(nums), rng.choice(dens)) for _ in range(d)]
             if nid is not None:
                 cur[nid] = _sparse(n * (common // m) for n, m in coords)
-        prog.run(cur)
-        if not prog.equal(cur, lhs, rhs):
+        _run(plan.order, kernels, cur)
+        if not _equal(cur, node_dens, lhs, rhs):
             return CheckReport(
                 "fail", check_id, detail=f"sample {k} (seed {seed})", tuples_checked=k + 1
             )

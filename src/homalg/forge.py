@@ -417,18 +417,6 @@ def catalog_entry(id_: str) -> CatalogEntry:
     raise KeyError(id_)
 
 
-def catalog_algebras():
-    return [e for e in catalog() if e.kind == "algebra"]
-
-
-def catalog_reps():
-    return [e for e in catalog() if e.kind == "rep"]
-
-
-def catalog_operators():
-    return [e for e in catalog() if e.kind == "operator"]
-
-
 # ---------------------------------------------------------------------------
 # catalog shipping: the same entries as DSL files under data/
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 from .constructions import ConstructionId, hemisemi
 from .engine import (
@@ -90,7 +92,8 @@ def _admissible(c: OperatorCandidate) -> bool:
 # Over a representation the operator is the cross-sort map symbol K: V -> A;
 # over an algebra it is T: A -> A and the product under test is bound to mu.
 # A table lists the clauses of one kind in the order they are compared on
-# each basis tuple.
+# each basis tuple.  The tables are built on first use and then return the
+# same schema objects, so checks reuse their evaluation plans.
 
 _u, _v = var("u", "V"), var("v", "V")
 _Ku, _Kv = tw("K", _u), tw("K", _v)
@@ -101,6 +104,7 @@ def _rel_avg(name, prod, inner):
     return IdentitySchema(name, op(prod, _Ku, _Kv), tw("K", inner))
 
 
+@cache
 def _rep_clauses():
     """Clause tables keyed by (representation kind, operator kind)."""
     left = _rel_avg("left", "mul", op("l", _Ku, _v))
@@ -121,6 +125,7 @@ def _rep_clauses():
     return table
 
 
+@cache
 def _algebra_clauses():
     """Clause tables keyed by operator kind."""
     u, v = var("u"), var("v")
@@ -137,13 +142,9 @@ def _algebra_clauses():
     }
 
 
-_REP_CLAUSES = _rep_clauses()
-_ALGEBRA_CLAUSES = _algebra_clauses()
-
-
 def operator_kinds_for(rep) -> tuple:
     """The operator kinds with clauses over this representation, in table order."""
-    return tuple(kind for rep_kind, kind in _REP_CLAUSES if rep_kind == rep.kind)
+    return tuple(kind for rep_kind, kind in _rep_clauses() if rep_kind == rep.kind)
 
 
 def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckReport:
@@ -160,7 +161,7 @@ def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckRepor
         return CheckReport("not-admissible", check_id, detail="K.beta != alpha.K")
 
     rep = c.rep
-    if kind in _ALGEBRA_CLAUSES:
+    if kind in _algebra_clauses():
         if not isinstance(rep, AlgebraInstance):
             raise SemanticError(f"{kind} expects a candidate over an algebra instance")
         return _certify_algebra_operator(c, kind, check_id)
@@ -175,7 +176,7 @@ def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckRepor
                      (Fraction(weight), op("vmul", _u, _v))))
         clauses = (_rel_avg("o-operator", "mul", inner),)
     else:
-        clauses = _REP_CLAUSES.get((rep.kind, kind))
+        clauses = _rep_clauses().get((rep.kind, kind))
         if clauses is None:
             if kind in ("rel-avg-left", "rel-avg-right"):
                 raise SemanticError(f"{kind} applies to associative representations only")
@@ -189,7 +190,7 @@ def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckRepor
 
 def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) -> CheckReport:
     """One pass per product symbol, in sorted order; clause names get ":<symbol>"."""
-    a, clauses = c.rep, _ALGEBRA_CLAUSES[kind]
+    a, clauses = c.rep, _algebra_clauses()[kind]
     maps = {"T": (c.map, ("A", "A"))}
     total = 0
     for sym in sorted(a.products):
@@ -225,11 +226,13 @@ def hemisemi_id_for(rep) -> ConstructionId:
 
 
 def _graph_map(cand: OperatorCandidate, c) -> LinearMap:
-    """x + u -> K(u) + c.u on A + V."""
-    n, m = cand.rep.base.dim, cand.rep.v_dim
-    rows = [[0] * n + list(row) for row in cand.map.matrix]
-    rows += [[0] * n + [c if k == j else 0 for k in range(m)] for j in range(m)]
-    return LinearMap(rows)
+    """x + u -> K(u) + c.u on A + V, in lowest terms as LinearMap(rows) keeps it."""
+    n, m, K = cand.rep.base.dim, cand.rep.v_dim, cand.map
+    g = gcd(K._d, *(x for row in K._n for x in row))
+    d = K._d // g
+    rows = [[0] * n + [x // g for x in row] for row in K._n]
+    rows += [[0] * n + [c * d if k == j else 0 for k in range(m)] for j in range(m)]
+    return LinearMap._make(rows, d, n + m, n + m)
 
 
 def nijenhuis_of(c: OperatorCandidate, what: ConstructionId | None = None,

@@ -9,6 +9,7 @@ even though it is rendered r(x)u = u . x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .engine import (
     CheckReport,
@@ -333,10 +334,16 @@ _SCHEMAS_BY_KIND = {
 }
 
 
+@cache
+def _rep_schemas(kind: str) -> tuple:
+    """The axioms of a representation kind, built on first use; every call
+    returns the same schema objects, so checks reuse their plans."""
+    return tuple(_SCHEMAS_BY_KIND[kind]())
+
+
 def certify_rep(rep) -> CheckReport:
     """Pass iff every axiom of the representation/action kind holds."""
-    schemas = _SCHEMAS_BY_KIND[rep.kind]()
-    return check_all(schemas, rep.interpretation(), f"rep:{rep.kind}")
+    return check_all(_rep_schemas(rep.kind), rep.interpretation(), f"rep:{rep.kind}")
 
 
 # ---------------------------------------------------------------------------

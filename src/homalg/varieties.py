@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional
 
 from .engine import (
@@ -308,30 +309,34 @@ def _tridendriform_schemas():
     return [associativity_schema("dot", "dot-associativity"), t1, t2, t3, t4, t5, t6]
 
 
-def schemas_for(tag: VarietyTag):
-    """The fixed, named schema list defining a variety tag."""
+@cache
+def schemas_for(tag: VarietyTag) -> tuple:
+    """The fixed, named schemas defining a variety tag, built on first use.
+
+    Every call returns the same schema objects, so checks reuse their plans.
+    """
     if tag is VarietyTag.HOM_ASSOCIATIVE:
-        return [associativity_schema()]
+        return (associativity_schema(),)
     if tag is VarietyTag.HOM_LIE:
-        return _lie_schemas()
+        return tuple(_lie_schemas())
     if tag is VarietyTag.HOM_LEIBNIZ:
-        return [_leibniz_schema()]
+        return (_leibniz_schema(),)
     if tag is VarietyTag.HOM_JORDAN:
-        return _jordan_schemas()
+        return tuple(_jordan_schemas())
     if tag is VarietyTag.HOM_ZERO_DIALGEBRA:
-        return _bar_schemas()
+        return tuple(_bar_schemas())
     if tag is VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA:
-        return _dialgebra_schemas()
+        return tuple(_dialgebra_schemas())
     if tag is VarietyTag.HOM_JORDAN_DIALGEBRA:
-        return _jordan_dialgebra_schemas()
+        return tuple(_jordan_dialgebra_schemas())
     if tag is VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA:
-        return _trialgebra_schemas()
+        return tuple(_trialgebra_schemas())
     if tag is VarietyTag.HOM_LEIBNIZ_TRIALGEBRA:
-        return _leibniz_trialgebra_schemas()
+        return tuple(_leibniz_trialgebra_schemas())
     if tag is VarietyTag.HOM_JORDAN_TRIALGEBRA:
-        return _jordan_trialgebra_schemas()
+        return tuple(_jordan_trialgebra_schemas())
     if tag is VarietyTag.HOM_TRIDENDRIFORM:
-        return _tridendriform_schemas()
+        return tuple(_tridendriform_schemas())
     raise SemanticError(f"unknown variety tag {tag!r}")
 
 

@@ -360,3 +360,24 @@ def test_closed_stdout_exits_one_without_traceback(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("command", [
+    ["report"],
+    ["check", "--variety", "hom-associative"],
+    ["construct", "--id", "minus", "--target", "kx2", "--out", "never.halg"],
+])
+def test_unreadable_input_exits_two_with_one_json_line(tmp_path, command):
+    missing = tmp_path / "no-such.halg"
+    not_utf8 = tmp_path / "latin1.halg"
+    not_utf8.write_bytes("algebra caf\xe9 dim 1\nend\n".encode("latin-1"))
+    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    for path in (missing, tmp_path, not_utf8):
+        argv = [command[0], str(path), *command[1:]]
+        proc = subprocess.run([sys.executable, "-m", "homalg", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        (line,) = proc.stderr.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "read" and str(path) in doc["detail"]
+    assert not (tmp_path / "never.halg").exists()

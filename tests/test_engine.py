@@ -337,3 +337,109 @@ def test_sparse_data_is_computed_once_per_object():
     assert rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
     check_schema(schema, interp)
     assert t._compiled is rows and alpha._compiled is cols
+
+
+# ---------------------------------------------------------------------------
+# evaluation plans: built once per clause tuple and shape, bound per call
+
+
+def _plans(schema):
+    return [p for clause_set in schema.plans.values() for ps in clause_set.by_shape.values() for p in ps]
+
+
+def _fresh(schema):
+    """A copy with no plans, so checking it compiles from scratch."""
+    return IdentitySchema(schema.name, schema.lhs, schema.rhs, schema.variables,
+                          schema.polarized, schema.copy_blocks)
+
+
+def _same(a, b):
+    assert (a.status, a.check, a.tuples_checked, a.detail) == (
+        b.status, b.check, b.tuples_checked, b.detail)
+    if a.witness is not None or b.witness is not None:
+        wa, wb = a.witness, b.witness
+        assert (wa.identity, wa.variables, wa.indices) == (wb.identity, wb.variables, wb.indices)
+        assert (wa.lhs_value.coords, wa.rhs_value.coords) == (
+            wb.lhs_value.coords, wb.rhs_value.coords)
+
+
+def _bumped(tensor, i, j, k, by=1):
+    coeffs = [[list(row) for row in plane] for plane in tensor.coeffs]
+    coeffs[i][j][k] += by
+    return StructureTensor(coeffs)
+
+
+def test_a_rebound_plan_reports_what_a_cold_compile_reports():
+    schema = associativity_schema()
+    twist = LinearMap([[1, 0], [0, 2]])
+    assert check_schema(schema, interp_for(KX2)).ok
+    for tensor in (_bumped(KX2, 0, 1, 0), _bumped(KX2, 1, 1, 1, Fraction(1, 3)), BAD):
+        for alpha in (None, twist):
+            interp = interp_for(tensor, alpha)
+            _same(check_schema(schema, interp), check_schema(_fresh(schema), interp))
+    # one plan for the identity twist, one for diag(1, 2)
+    assert len(_plans(schema)) == 2
+    # a plan holds no dimensions: the same plan serves dimension 3
+    kx3 = StructureTensor.square_from_rule(3, {(0, j): [int(k == j) for k in range(3)]
+                                               for j in range(3)})
+    assert check_schema(schema, interp_for(kx3)).ok
+    assert len(_plans(schema)) == 2
+
+
+def test_guards_separate_identity_powers_and_zero_products():
+    x, y = var("x"), var("y")
+    involutive = IdentitySchema("involutive", tw("alpha", x, 2), x)
+    swap, shear = LinearMap([[0, 1], [1, 0]]), LinearMap([[1, 1], [0, 1]])
+    assert check_schema(involutive, interp_for(KX2, swap)).ok
+    sheared = check_schema(involutive, interp_for(KX2, shear))
+    assert sheared.witness.indices == (1,)
+    assert sheared.witness.lhs_value == Vector([2, 1])
+    _same(sheared, check_schema(_fresh(involutive), interp_for(KX2, shear)))
+    assert check_schema(involutive, interp_for(KX2, swap)).ok
+    assert len(_plans(involutive)) == 2
+
+    vanishes = IdentitySchema("vanishes", op("mul", x, y), ZERO)
+    assert check_schema(vanishes, interp_for(StructureTensor.zero(2))).ok
+    report = check_schema(vanishes, interp_for(KX2))
+    assert report.witness.indices == (0, 0) and report.witness.lhs_value == Vector([1, 0])
+    _same(report, check_schema(_fresh(vanishes), interp_for(KX2)))
+    assert check_schema(vanishes, interp_for(StructureTensor.zero(2))).ok
+    assert len(_plans(vanishes)) == 2
+
+
+def test_a_schema_built_per_call_takes_its_plans_with_it():
+    import gc
+    import weakref
+
+    x, y = var("x"), var("y")
+    schema = IdentitySchema("per-call", op("mul", x, y), op("mul", y, x))
+    assert check_schema(schema, interp_for(KX2)).ok
+    assert _plans(schema)
+    ref = weakref.ref(schema)
+    del schema
+    gc.collect()
+    assert ref() is None
+
+
+def test_random_and_evaluate_agree_with_a_cold_compile():
+    schema = associativity_schema()
+    for tensor in (KX2, BAD, _bumped(KX2, 1, 0, 0, Fraction(-1, 2))):
+        interp = interp_for(tensor, LinearMap([[1, 0], [0, 3]]))
+        for seed in range(3):
+            _same(check_schema_random(schema, interp, 20, seed),
+                  check_schema_random(_fresh(schema), interp, 20, seed))
+        x, y = Vector([Fraction(1, 2), 3]), Vector([-1, Fraction(2, 3)])
+        expr = op("mul", tw("alpha", var("x")), var("y"))
+        alpha = interp.maps["alpha"][0]
+        assert evaluate(expr, {"x": x, "y": y}, interp) == tensor.apply(alpha.apply(x), y)
+
+
+def test_schema_builders_return_the_same_objects():
+    from homalg.constructions import _bimodule_map_schemas, _differential_schemas
+    from homalg.reps import _rep_schemas
+    from homalg.varieties import VarietyTag, schemas_for
+
+    for build, arg in ((schemas_for, VarietyTag.HOM_JORDAN), (_rep_schemas, "action"),
+                       (_bimodule_map_schemas, "f")):
+        assert build(arg) is build(arg) and isinstance(build(arg), tuple)
+    assert _differential_schemas() is _differential_schemas()

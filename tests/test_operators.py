@@ -187,3 +187,21 @@ def test_operator_kinds_outside_their_representation_are_semantic_errors(kx2):
     bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
     with pytest.raises(SemanticError, match="needs an action"):
         certify_operator(bad, "homomorphic-rel-avg")
+
+
+def test_graph_map_matches_the_fraction_construction(seed_catalog, kx2):
+    from homalg.operators import _graph_map
+
+    rep = regular_bimodule(kx2)
+    cands = [e.value for e in seed_catalog.values() if e.kind == "operator"]
+    # an operator stored over a denominator with a common factor (2/4, 6/4)
+    cands.append(OperatorCandidate(rep, LinearMap._make([[2, 0], [6, 0]], 4, 2, 2)))
+    cands.append(OperatorCandidate(rep, LinearMap.zero(2)))
+    for cand in cands:
+        n, m = cand.rep.base.dim, cand.rep.v_dim
+        for c in (0, 1):
+            rows = [[0] * n + list(row) for row in cand.map.matrix]
+            rows += [[0] * n + [c if k == j else 0 for k in range(m)] for j in range(m)]
+            want, got = LinearMap(rows), _graph_map(cand, c)
+            assert (got._n, got._d, got.src_dim, got.dst_dim) == (
+                want._n, want._d, want.src_dim, want.dst_dim)
