@@ -205,16 +205,22 @@ class LinearMap:
         return Vector._make(out, self._d * v._d)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other (matrix product self * other)."""
+        """self after other (matrix product self * other).
+
+        Row i of the product sums the rows of other weighted by the nonzero
+        entries of row i of self; zero entries of either factor cost nothing.
+        """
         if self.src_dim != other.dst_dim:
             raise ShapeError("inner dimensions disagree")
-        rows = [
-            [
-                sum(self._n[i][k] * other._n[k][j] for k in range(self.src_dim))
-                for j in range(other.src_dim)
-            ]
-            for i in range(self.dst_dim)
-        ]
+        rows = []
+        for srow in self._n:
+            out = [0] * other.src_dim
+            for a, orow in zip(srow, other._n):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            out[j] += a * b
+            rows.append(out)
         return LinearMap._make(rows, self._d * other._d, other.src_dim, self.dst_dim)
 
     def power(self, k: int) -> "LinearMap":

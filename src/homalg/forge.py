@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .constructions import differential_dialgebra
 from .engine import CheckReport, Interpretation, SemanticError
 from .exact import LinearMap, StructureTensor, Vector
-from .operators import OperatorCandidate, certify_operator
+from .operators import OperatorCandidate, admissible, certify_operator
 from .reps import (
     AssocBimodule,
     CertificationError,
@@ -558,15 +560,12 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
     alpha, beta = rep.base.alpha, rep.beta
     entries = n * m
 
-    def admissible(mat):
-        return mat.compose(beta) == alpha.compose(mat)
-
     out = []
     total = len(vals) ** entries if vals else 0
     if total <= grid.count:
         for combo in itertools.product(vals, repeat=entries):
             mat = LinearMap([list(combo[i * m:(i + 1) * m]) for i in range(n)])
-            if admissible(mat):
+            if admissible(mat, alpha, beta):
                 out.append(OperatorCandidate(rep, mat))
         return out[: grid.count]
     rng = random.Random(grid.seed)
@@ -579,30 +578,85 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
                 f"could not find {grid.count} admissible candidates in {cap} draws"
             )
         mat = LinearMap([[rng.choice(vals) for _ in range(m)] for _ in range(n)])
-        if admissible(mat):
+        if admissible(mat, alpha, beta):
             out.append(OperatorCandidate(rep, mat))
     return out
 
 
 def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
-    """All grid maps passing the endomorphism check, in deterministic order."""
-    from .varieties import is_morphism
+    """All grid maps f with `is_morphism(f, a, a)` passing, in row-major order.
+
+    The result is sorted by the row-major tuple of matrix entries, which is
+    the order of a flat `itertools.product` scan over the grid.  Mode "full"
+    ranges every entry over the grid (refused above 500 000 maps); mode
+    "diagonal" fixes the off-diagonal entries at 0.
+
+    The search assigns the entries depth first over integer numerators: the
+    fixed off-diagonal entries first, then at each step the entry that
+    completes the most coordinate clauses (`endomorphism_clauses`), lowest
+    row-major index on ties.  A partial map is rejected as soon as a clause
+    whose entries are all set is nonzero, so pruning only drops maps that
+    fail an exact clause.  Every surviving map is certified again by
+    `is_morphism`, the check of record, before it is returned.
+    """
+    from .varieties import endomorphism_clauses, is_morphism
 
     vals = grid.values()
     n = a.dim
-    found = []
-    if mode == "diagonal":
-        combos = itertools.product(vals, repeat=n)
-        build = lambda c: LinearMap.diagonal(list(c))
-    elif mode == "full":
-        if len(vals) ** (n * n) > 500_000:
+    size = n * n
+    if mode == "full":
+        if len(vals) ** size > 500_000:
             raise GenerationError("full grid too large; use mode='diagonal'")
-        combos = itertools.product(vals, repeat=n * n)
-        build = lambda c: LinearMap([list(c[i * n:(i + 1) * n]) for i in range(n)])
+        fixed = ()
+    elif mode == "diagonal":
+        fixed = [e for e in range(size) if e // n != e % n]
     else:
         raise SemanticError(f"unknown search mode {mode!r}")
-    for combo in combos:
-        phi = build(combo)
+    den = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]
+    domains = [[0] if e in fixed else nums for e in range(size)]
+    value_of = {0: Fraction(0)} | dict(zip(nums, vals))
+
+    clauses = endomorphism_clauses(a)
+    reads = [{u for _, u, _ in c} | {v for _, _, v in c if v < size} for c in clauses]
+    order = list(fixed)
+    placed = set(order)
+    while len(order) < size:
+        completes = Counter(min(r - placed) for r in reads if len(r - placed) == 1)
+        e = max((e for e in range(size) if e not in placed), key=lambda e: (completes[e], -e))
+        order.append(e)
+        placed.add(e)
+    depth = {e: d for d, e in enumerate(order)}
+    # per depth: each clause it completes, split around the entry e assigned
+    # there into (terms free of e, (coeff, other unknown) of e's linear part,
+    # coeff of e^2)
+    checks = [[] for _ in range(size)]
+    for c, r in zip(clauses, reads):
+        d = max(depth[u] for u in r)
+        e = order[d]
+        rest = tuple(t for t in c if e not in t[1:])
+        lin = tuple((k, v if u == e else u) for k, u, v in c if (u == e) != (v == e))
+        checks[d].append((rest, lin, sum(k for k, u, v in c if u == v == e)))
+
+    x = [0] * size + [den]  # numerators; the last slot is the constant 1
+    leaves = []
+
+    def visit(d):
+        if d == size:
+            leaves.append(tuple(x[:size]))
+            return
+        polys = [(sum(k * x[u] * x[v] for k, u, v in rest), sum(k * x[u] for k, u in lin), sq)
+                 for rest, lin, sq in checks[d]]
+        e = order[d]
+        for val in domains[e]:
+            if all(not (c0 + val * (c1 + val * c2)) for c0, c1, c2 in polys):
+                x[e] = val
+                visit(d + 1)
+
+    visit(0)
+    found = []
+    for entries in sorted(leaves):
+        phi = LinearMap([[value_of[entries[r * n + c]] for c in range(n)] for r in range(n)])
         if is_morphism(phi, a, a).ok:
             found.append(phi)
     return found

@@ -81,9 +81,9 @@ class OperatorCandidate:
         return self.rep.base.alpha, self.rep.beta
 
 
-def _admissible(c: OperatorCandidate) -> bool:
-    alpha, beta = c.twists()
-    return c.map.compose(beta) == alpha.compose(c.map)
+def admissible(k: LinearMap, alpha: LinearMap, beta: LinearMap) -> bool:
+    """K.beta == alpha.K: K: V -> A intertwines the twists beta of V and alpha of A."""
+    return k.compose(beta) == alpha.compose(k)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckRepor
     if kind not in OPERATOR_KINDS:
         raise SemanticError(f"unknown operator kind {kind!r}")
     check_id = f"operator:{kind}"
-    if not _admissible(c):
+    if not admissible(c.map, *c.twists()):
         return CheckReport("not-admissible", check_id, detail="K.beta != alpha.K")
 
     rep = c.rep

@@ -24,6 +24,7 @@ tridendriform       prec, succ, dot
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -458,3 +459,47 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
                         tuples_checked=count,
                     )
     return CheckReport("pass", check_id, tuples_checked=count)
+
+
+def endomorphism_clauses(a: AlgebraInstance):
+    """The coordinate clauses of `is_morphism(f, a, a)`, f an unknown matrix.
+
+    Entry f[r][c] is the unknown r * dim + c, and the unknown dim * dim
+    stands for the constant 1.  Each clause is a tuple of sparse integer
+    terms (coeff, u, v) with u <= v, read as the sum of coeff * f_u * f_v,
+    and f is an endomorphism of a iff every clause is zero.  The clauses
+    come in `is_morphism`'s order: one per (column j, coordinate k) of
+    f.alpha = alpha.f, then one per (symbol, i, j, coordinate k) of
+    f(e_i e_j) = f(e_i) f(e_j), each scaled by the integer denominator of
+    its twist or tensor.  Clauses whose terms cancel are left out.
+    """
+    n = a.dim
+    one = n * n
+    out = []
+
+    def add(terms):
+        clause = tuple((c, u, v) for (u, v), c in sorted(terms.items()) if c)
+        if clause:
+            out.append(clause)
+
+    al = a.alpha._n
+    for j in range(n):
+        for k in range(n):
+            terms = defaultdict(int)
+            for m in range(n):
+                terms[k * n + m, one] += al[m][j]
+                terms[m * n + j, one] -= al[k][m]
+            add(terms)
+    for sym in sorted(a.products):
+        t = a.products[sym]._n
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    terms = defaultdict(int)
+                    for m in range(n):
+                        terms[k * n + m, one] += t[i][j][m]
+                    for p in range(n):
+                        for q in range(n):
+                            terms[tuple(sorted((p * n + i, q * n + j)))] -= t[p][q][k]
+                    add(terms)
+    return out

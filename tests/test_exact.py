@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,31 @@ def test_linear_map_tensor_row_major():
     b = LinearMap.diagonal([3, 4])
     k = a.tensor(b)
     assert k == LinearMap.diagonal([3, 4, 6, 8])
+
+
+def _dense_product(f, g):
+    """Reference f.g: the full sum over the inner index of Fraction products."""
+    a, b = f.matrix, g.matrix
+    return [[sum((a[i][k] * b[k][j] for k in range(f.src_dim)), Fraction(0))
+             for j in range(g.src_dim)] for i in range(f.dst_dim)]
+
+
+def test_sparse_compose_matches_dense_product():
+    rng = random.Random(7)
+    values = [0] * 6 + [1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+
+    def rand_map(dst, src, zero=False):
+        return LinearMap([[0 if zero else rng.choice(values) for _ in range(src)]
+                          for _ in range(dst)])
+
+    shapes = [(n, n, n) for n in (1, 2, 3, 5, 12)] + [(2, 3, 1), (3, 1, 2), (1, 4, 3), (4, 2, 5)]
+    for dst, mid, src in shapes:
+        for _ in range(20):
+            zero = rng.randrange(4)
+            f, g = rand_map(dst, mid, zero == 1), rand_map(mid, src, zero == 2)
+            h = f.compose(g)
+            assert (h.dst_dim, h.src_dim) == (dst, src)
+            assert [list(r) for r in h.matrix] == _dense_product(f, g)
+            assert h == LinearMap(_dense_product(f, g))
+    with pytest.raises(ShapeError):
+        LinearMap.zero(2, 3).compose(LinearMap.zero(2, 3))

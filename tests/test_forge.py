@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from homalg.forge import (
     zero_algebra,
 )
 from homalg.reps import regular_bimodule, tensor_square_bimodule
+import homalg.varieties
 from homalg.varieties import (
     VarietyTag,
     associativity_schema,
@@ -85,6 +87,68 @@ def test_find_endomorphisms_zero_algebra():
     z = zero_algebra(2)
     grid = GridSpec(numerators=(0, 1), denominators=(1,))
     assert len(find_endomorphisms(z, grid)) == 2 ** 4
+
+
+def flat_endomorphisms(a, grid, mode="full"):
+    """Reference search: every grid map in row-major order, kept by is_morphism."""
+    vals, n = grid.values(), a.dim
+    if mode == "diagonal":
+        maps = (LinearMap.diagonal(c) for c in itertools.product(vals, repeat=n))
+    else:
+        maps = (LinearMap([list(c[i * n:(i + 1) * n]) for i in range(n)])
+                for c in itertools.product(vals, repeat=n * n))
+    return [f for f in maps if is_morphism(f, a, a).ok]
+
+
+def test_find_endomorphisms_matches_flat_scan(seed_catalog):
+    grid = GridSpec(numerators=(0, 1))
+    algebras = [e.value for e in seed_catalog.values() if e.kind == "algebra"]
+    assert algebras and all(a.dim <= 3 for a in algebras)
+    for a in algebras:
+        assert find_endomorphisms(a, grid) == flat_endomorphisms(a, grid), a.name
+
+
+def test_find_endomorphisms_matches_flat_scan_on_fractional_grid(seed_catalog):
+    # without 0 in the grid no map passes; with it, halves appear in the output
+    for numerators in ((-1, 1), (-1, 0, 1)):
+        grid = GridSpec(numerators=numerators, denominators=(1, 2))
+        for name in ("kx2", "sol2t2", "tri23"):
+            a = seed_catalog[name].value
+            assert find_endomorphisms(a, grid) == flat_endomorphisms(a, grid), name
+    found = find_endomorphisms(seed_catalog["sol2t2"].value, grid)
+    assert LinearMap([[Fraction(1, 2), 0], [0, 0]]) in found
+    assert LinearMap([[1, 0], [0, Fraction(-1, 2)]]) in found
+
+
+def test_find_endomorphisms_diagonal_matches_flat_scan(seed_catalog):
+    tri = seed_catalog["tri11"].value
+    for grid in (GridSpec(numerators=(-1, 0, 1, 2, 3)),
+                 GridSpec(numerators=(-2, -1, 1, 3), denominators=(1, 2))):
+        found = find_endomorphisms(tri, grid, mode="diagonal")
+        assert found == flat_endomorphisms(tri, grid, mode="diagonal")
+
+
+@pytest.mark.parametrize("name", ["kx3", "heis3"])
+def test_find_endomorphisms_certifies_only_what_it_returns(seed_catalog, monkeypatch, name):
+    # every clause is checked before a map reaches a leaf, so is_morphism
+    # never sees a map that the search could have pruned
+    calls = []
+    certify_map = homalg.varieties.is_morphism
+
+    def counted(f, src, dst):
+        calls.append(f)
+        return certify_map(f, src, dst)
+
+    monkeypatch.setattr(homalg.varieties, "is_morphism", counted)
+    found = find_endomorphisms(seed_catalog[name].value, GridSpec((-1, 0, 1)))
+    assert found and len(calls) == len(found)
+
+
+def test_find_endomorphisms_keeps_full_grid_cap():
+    with pytest.raises(GenerationError):
+        find_endomorphisms(truncated_polynomial_algebra(4), GridSpec((-1, 0, 1)))
+    with pytest.raises(SemanticError):
+        find_endomorphisms(zero_algebra(2), GridSpec(), mode="columns")
 
 
 def test_sample_candidates_exhaustive_contains_multiplication():
