@@ -365,21 +365,28 @@ def cmd_construct(args, source: SourceFile) -> int:
 
 
 def cmd_report(args, source: SourceFile) -> int:
+    """Every applicable certification; one that cannot run (a rep over an
+    algebra without the products its kind reads) is an error row."""
     emitter = _Emitter(args.summary)
+
+    def run(target, check, certifier):
+        try:
+            report, ms = _timed(certifier)
+        except (SemanticError, ShapeError) as exc:
+            emitter.error(target, check, str(exc))
+        else:
+            emitter.emit(target, check, report, ms)
+
     for d in source:
         if d.kind == "algebra":
             for tag in _applicable_varieties(d.value):
-                report, ms = _timed(lambda: certify(d.value, tag))
-                emitter.emit(d.name, f"variety:{tag.value}", report, ms)
-            report, ms = _timed(lambda: certify_multiplicative(d.value))
-            emitter.emit(d.name, "multiplicative", report, ms)
+                run(d.name, f"variety:{tag.value}", lambda: certify(d.value, tag))
+            run(d.name, "multiplicative", lambda: certify_multiplicative(d.value))
         elif d.kind == "rep":
-            report, ms = _timed(lambda: certify_rep(d.value))
-            emitter.emit(d.name, f"rep:{d.value.kind}", report, ms)
+            run(d.name, f"rep:{d.value.kind}", lambda: certify_rep(d.value))
         else:
             for kind in operator_kinds_for(d.value.rep):
-                report, ms = _timed(lambda: certify_operator(d.value, kind))
-                emitter.emit(d.name, f"operator:{kind}", report, ms)
+                run(d.name, f"operator:{kind}", lambda: certify_operator(d.value, kind))
     return emitter.finish()
 
 

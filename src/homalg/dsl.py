@@ -105,7 +105,10 @@ _REP_KINDS = {
 def _parse_rational(tok, line):
     if not _RATIONAL.match(tok):
         raise DslSyntaxError(line, f"expected a rational number, got {tok!r}")
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise DslSyntaxError(line, f"zero denominator in {tok!r}") from None
 
 
 def _parse_basis(tok, line):
@@ -220,7 +223,7 @@ def _check_name(tok, line):
 
 
 def _parse_int(tok, line, what):
-    if not tok.isdigit() or int(tok) <= 0:
+    if not (tok.isascii() and tok.isdigit()) or int(tok) <= 0:
         raise DslSyntaxError(line, f"bad {what} {tok!r}")
     return int(tok)
 

@@ -25,11 +25,20 @@ re-evaluated only when a slot it depends on changes, looking up a table
 keyed by the tuple's projection onto its free slots that is filled on
 demand, so a failing check still stops at its first witness.  Tables live
 for one call; tensors and maps keep their sparse form once compiled.
+The last slot is enumerated only where a side can be nonzero.  The plan
+holds a support recipe for the nodes that read the last variable; bound to
+the support masks kept with the data (a tensor's row and column masks, a
+map power's nonzero columns), it gives per prefix a bitmask of the last
+slot's indices at which some side may be nonzero.  Only those indices are
+evaluated; at every other one both sides of every clause are zero, so no
+witness is lost and the first one is the one naive enumeration finds.
 Polarization records each variable's copies as a copy block; the identity
 is symmetric there, so only tuples sorted within each block are visited,
 and the first violating tuple is still the one naive enumeration finds.
-`tuples_checked` counts the tuples visited.  `evaluate` and
-`check_schema_random` go through the same plans and kernels.
+`tuples_checked` counts the tuples decided (sorted within copy blocks),
+those skipped as zero on both sides included, so it equals the count of a
+naive enumeration.  `evaluate` and `check_schema_random` go through the
+same plans and kernels.
 """
 
 from __future__ import annotations
@@ -438,27 +447,46 @@ def _sparse(dense):
     return [(k, x) for k, x in enumerate(dense) if x]
 
 
-def _rows(tensor):
-    """Sparse rows [i][j] of a tensor, kept on the tensor."""
-    if tensor._compiled is None:
-        tensor._compiled = [[_sparse(r) for r in plane] for plane in tensor._n]
-    return tensor._compiled
+def _support(vectors) -> int:
+    """Bitmask of the positions of the nonzero sparse vectors."""
+    return sum(1 << k for k, v in enumerate(vectors) if v)
+
+
+def _tensor(tensor):
+    """(sparse rows [i][j], row masks, column masks) of a tensor, kept on it.
+
+    Bit j of row mask i, and bit i of column mask j, is set when e_i e_j is
+    nonzero.
+    """
+    got = tensor._compiled
+    if got is None:
+        rows = [[_sparse(r) for r in plane] for plane in tensor._n]
+        got = tensor._compiled = (rows, [_support(plane) for plane in rows],
+                                  [_support(plane[j] for plane in rows)
+                                   for j in range(tensor.right_dim)])
+    return got
+
+
+def _columns(lin):
+    """(sparse columns, nonzero-column mask) of a map."""
+    cols = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
+    return cols, _support(cols)
 
 
 def _power(interp, symbol, power, powers):
-    """(sparse columns, denominator) of symbol^power, memoized in `powers` for
-    one call; a map keeps its own sparse columns."""
+    """(sparse columns, denominator, nonzero-column mask) of symbol^power,
+    memoized in `powers` for one call; a map keeps its own columns and mask."""
     got = powers.get((symbol, power))
     if got is None:
         lin = interp.maps[symbol][0]
         if power == 1:  # a map across sorts only ever appears at power 1
             if lin._compiled is None:
-                lin._compiled = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
-            got = (lin._compiled, lin._d)
+                lin._compiled = _columns(lin)
+            cols, mask = lin._compiled
         else:
             lin = lin.power(power)
-            got = ([_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)], lin._d)
-        powers[(symbol, power)] = got
+            cols, mask = _columns(lin)
+        got = powers[(symbol, power)] = (cols, lin._d, mask)
     return got
 
 
@@ -467,12 +495,12 @@ def _is_identity(interp, symbol, power, powers) -> bool:
     src, dst = interp.maps[symbol][1]
     if src != dst:
         return False
-    cols, den = _power(interp, symbol, power, powers)
+    cols, den, _ = _power(interp, symbol, power, powers)
     return all(col == [(j, den)] for j, col in enumerate(cols))
 
 
 def _is_zero(interp, symbol) -> bool:
-    return not any(map(any, _rows(interp.ops[symbol][0])))
+    return not any(_tensor(interp.ops[symbol][0])[1])
 
 
 class _Dag:
@@ -658,12 +686,14 @@ class _Plan:
     for no slot), the (node, table key) steps to run once slots 0..p are
     set: a node is evaluated at the level of its last free slot, and one
     whose free slots are not all of 0..level gets a table keyed by the
-    projection of the tuple onto them.  `twists` and `zeros` are the guards
-    it was built under.
+    projection of the tuple onto them.  `support`, `last_roots` and
+    `prefix_roots` tell which indices of the last slot can make a side
+    nonzero (see _support_recipe).  `twists` and `zeros` are the guards it
+    was built under.
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
-                 "out_sorts", "levels")
+                 "out_sorts", "levels", "support", "last_roots", "prefix_roots")
 
     def __init__(self, clause_set: _ClauseSet, interp: Interpretation, powers: dict):
         self.clause_set = clause_set
@@ -695,7 +725,7 @@ class _Plan:
         self.sorts = sorts = [None] * len(nodes)
         self.var_nodes = {}
         slot_of = {name: p for p, name in enumerate(var_sorts)}
-        masks = [0] * len(nodes)
+        free = [0] * len(nodes)
         self.levels = levels = [[] for _ in range(len(var_sorts) + 1)]
         for nid in self.order:
             key = nodes[nid]
@@ -705,7 +735,7 @@ class _Plan:
                     raise SemanticError(f"unbound variable {key[1]!r}")
                 sorts[nid] = var_sorts[key[1]]
                 self.var_nodes[key[1]] = nid
-                masks[nid] = 1 << slot_of[key[1]]
+                free[nid] = 1 << slot_of[key[1]]
                 continue
             if kind == "tw":
                 sorts[nid] = interp.maps[key[1]][1][1]
@@ -714,14 +744,68 @@ class _Plan:
             elif key[1]:
                 sorts[nid] = sorts[key[1][0][1]]
             for c in _children(key):
-                masks[nid] |= masks[c]
-            mask = masks[nid]
+                free[nid] |= free[c]
+            mask = free[nid]
             level = mask.bit_length() - 1
             if mask == (1 << (level + 1)) - 1:
                 levels[level + 1].append((nid, None))
             else:
                 levels[level + 1].append((nid, itemgetter(*[p for p in range(level + 1)
                                                               if mask >> p & 1])))
+        self._support_recipe(free)
+
+    def _support_recipe(self, free) -> None:
+        """Record how the last slot's support follows from the prefix.
+
+        A node's support mask has bit i set when the node may be nonzero with
+        the last slot at index i; -1 stands for every index.  `support` lists,
+        children first, (node, kind, a, b) for each node that reads the last
+        slot, with z the last variable, c a node that does not read it (a
+        prefix constant) and n, n1, n2 nodes that do:
+          "rows", c, op:   op(c, z), the row masks of op over c's support;
+          "cols", c, op:   op(z, c), the column masks of op over c's support;
+          "map", symbol, power:  tw(z), the nonzero-column mask of the power;
+          "if", c, n:      op(c, n) or op(n, c), mask(n) if c is nonzero;
+          "and", n1, n2:   op(n1, n2), where z counts as every index;
+          "same", n, None: tw(n);
+          "sum", ns, cs:   the union of the ns, every index if a c is nonzero.
+        `last_roots` and `prefix_roots` split the roots by whether they read
+        the last slot.
+        """
+        self.support, self.last_roots, self.prefix_roots = [], [], []
+        if not self.levels[1:]:
+            self.prefix_roots = self.roots
+            return
+        last = 1 << (len(self.levels) - 2)
+        for nid, _ in self.levels[-1]:
+            key = self.nodes[nid]
+            kind = key[0]
+            if kind == "tw":
+                _, symbol, power, child = key
+                if self.nodes[child][0] == "var":
+                    self.support.append((nid, "map", symbol, power))
+                else:
+                    self.support.append((nid, "same", child, None))
+            elif kind == "op":
+                _, symbol, left, right = key
+                if not free[left] & last:
+                    if self.nodes[right][0] == "var":
+                        self.support.append((nid, "rows", left, symbol))
+                    else:
+                        self.support.append((nid, "if", left, right))
+                elif not free[right] & last:
+                    if self.nodes[left][0] == "var":
+                        self.support.append((nid, "cols", right, symbol))
+                    else:
+                        self.support.append((nid, "if", right, left))
+                else:
+                    self.support.append((nid, "and", left, right))
+            else:
+                children = [c for _, c in key[1]]
+                self.support.append((nid, "sum", [c for c in children if free[c] & last],
+                                     [c for c in children if not free[c] & last]))
+        for r in self.roots:
+            (self.last_roots if free[r] & last else self.prefix_roots).append(r)
 
     def holds(self, interp: Interpretation, powers: dict) -> bool:
         """Whether every guard holds for this interpretation's data."""
@@ -730,11 +814,14 @@ class _Plan:
                 and all(_is_zero(interp, symbol) == flag for symbol, flag in self.zeros))
 
     def bind(self, interp: Interpretation, leaf_dens: dict, powers: dict):
-        """(kernels, denominators) per node over the interpretation's data.
+        """(kernels, denominators, support steps) over the interpretation's data.
 
         A variable's denominator is leaf_dens.get(name, 1); every other live
         node gets an integer kernel reading its children's current values
-        from a list indexed by node id.
+        from a list indexed by node id.  The support steps are the support
+        recipe with its data filled in: "rows" and "cols" become ("union",
+        c, the op's row or column masks) and "map" becomes ("fixed", the
+        power's nonzero-column mask, None).
         """
         nodes, sorts, dims = self.nodes, self.sorts, interp.sorts
         dens = [1] * len(nodes)
@@ -746,14 +833,14 @@ class _Plan:
                 dens[nid] = leaf_dens.get(key[1], 1)
             elif kind == "tw":
                 _, symbol, power, child = key
-                cols, den = _power(interp, symbol, power, powers)
+                cols, den, _ = _power(interp, symbol, power, powers)
                 dens[nid] = dens[child] * den
                 kernels[nid] = _twist_kernel(child, cols, dims[sorts[nid]])
             elif kind == "op":
                 _, symbol, left, right = key
                 tensor = interp.ops[symbol][0]
                 dens[nid] = dens[left] * dens[right] * tensor._d
-                kernels[nid] = _op_kernel(left, right, _rows(tensor), dims[sorts[nid]])
+                kernels[nid] = _op_kernel(left, right, _tensor(tensor)[0], dims[sorts[nid]])
             elif not key[1]:
                 kernels[nid] = _zero_kernel
             else:
@@ -763,11 +850,21 @@ class _Plan:
                 terms = [(w.numerator * (den // (w.denominator * dens[c])), c) for w, c in key[1]]
                 dens[nid] = den
                 kernels[nid] = _sum_kernel(terms, dims[sorts[nid]])
-        return kernels, dens
+        support = []
+        for nid, kind, a, b in self.support:
+            if kind == "rows":
+                support.append((nid, "union", a, _tensor(interp.ops[b][0])[1]))
+            elif kind == "cols":
+                support.append((nid, "union", a, _tensor(interp.ops[b][0])[2]))
+            elif kind == "map":
+                support.append((nid, "fixed", _power(interp, a, b, powers)[2], None))
+            else:
+                support.append((nid, kind, a, b))
+        return kernels, dens, support
 
 
 def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict):
-    """(plan, kernels, denominators) for the clauses over interp.
+    """(plan, kernels, denominators, support steps) for the clauses over interp.
 
     The plan comes from the first clause's cache, keyed by the remaining
     clauses and `polar`, then by shape; it is built when no cached plan's
@@ -822,11 +919,15 @@ def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
     sorts: dict = {}
     _collect_sorts(expr, sorts)
     for name, s in sorts.items():
+        if name not in env:
+            raise SemanticError(f"unbound variable {name!r}")
+        if s not in interp.sorts:
+            raise SemanticError(f"sort {s!r} has no dimension binding")
         if env[name].dim != interp.sorts[s]:
             raise ShapeError(f"variable {name!r} bound to a vector of dim {env[name].dim}")
     schema = IdentitySchema("evaluate", expr, ZERO,
                             variables=[(name, s, 1) for name, s in sorts.items()])
-    plan, kernels, dens = _bind((schema,), interp, False, {n: v._d for n, v in env.items()})
+    plan, kernels, dens, _ = _bind((schema,), interp, False, {n: v._d for n, v in env.items()})
     cur = [None] * len(plan.nodes)
     for name, nid in plan.var_nodes.items():
         cur[nid] = _sparse(env[name]._n)
@@ -849,10 +950,12 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     and, on it, the first violated clause.  Within a copy block only sorted
     tuples are visited: the identity is symmetric in the block, so the first
     violating tuple is sorted there and the witness is the one full
-    enumeration finds.  tuples_checked counts visited tuples.
+    enumeration finds.  In the last slot only the indices in the support
+    mask of some side are evaluated; every other tuple has both sides zero.
+    tuples_checked counts the tuples decided, skipped ones included.
     """
     try:
-        plan, kernels, dens = _bind(clauses, interp, True, {})
+        plan, kernels, dens, support_steps = _bind(clauses, interp, True, {})
     except (SemanticError, KeyError) as exc:
         raise SemanticError(f"{clauses[0].name}: {exc}") from exc
     variables, lower = plan.clause_set.variables, plan.clause_set.lower
@@ -862,7 +965,9 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     steps = [[(nid, kernels[nid], key, None if key is None else {}) for nid, key in level]
              for level in plan.levels]
     sides = list(zip(plan.roots[::2], plan.roots[1::2]))
+    prefix_roots, last_roots = plan.prefix_roots, plan.last_roots
     cur = [None] * len(plan.nodes)
+    masks = [-1] * len(plan.nodes)  # the last variable's own mask stays -1
     idx = [0] * len(variables)
     last = len(variables) - 1
     count = 0
@@ -880,28 +985,86 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                 cur[nid] = v
 
     def violated():
-        nonlocal count, hit
-        count += 1
+        nonlocal hit
         for k, (lhs, rhs) in enumerate(sides):
             if not _equal(cur, dens, lhs, rhs):
                 hit = k
                 return True
         return False
 
+    def support():
+        """Mask of the last-slot indices at which some side may be nonzero;
+        runs the support steps (see _Plan._support_recipe) for this prefix."""
+        for r in prefix_roots:
+            if cur[r]:
+                return -1
+        for nid, kind, a, b in support_steps:
+            if kind == "union":
+                out = 0
+                for i, _ in cur[a]:
+                    out |= b[i]
+            elif kind == "if":
+                out = masks[b] if cur[a] else 0
+            elif kind == "same":
+                out = masks[a]
+            elif kind == "and":
+                out = masks[a] & masks[b]
+            elif kind == "fixed":
+                out = a
+            else:
+                out = 0
+                for c in a:
+                    out |= masks[c]
+                for c in b:
+                    if cur[c]:
+                        out = -1
+                        break
+            masks[nid] = out
+        out = 0
+        for r in last_roots:
+            out |= masks[r]
+        return out
+
+    def scan(lo):
+        """Visit the last slot's supported indices from lo; True at a witness."""
+        nonlocal count
+        vnode, vals = var_at[last], basis[last]
+        bits = (support() & ((1 << dims[last]) - 1)) >> lo << lo
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            i = low.bit_length() - 1
+            idx[last] = i
+            if vnode is not None:
+                cur[vnode] = vals[i]
+            run(last)
+            if violated():
+                count += i + 1 - lo
+                return True
+        count += dims[last] - lo
+        return False
+
     def visit(p):
         """Enumerate slot p onwards; True once a violating tuple is found."""
+        lo = idx[lower[p]] if lower[p] >= 0 else 0
+        if p == last:
+            return scan(lo)
         vnode, vals = var_at[p], basis[p]
-        for i in range(idx[lower[p]] if lower[p] >= 0 else 0, dims[p]):
+        for i in range(lo, dims[p]):
             idx[p] = i
             if vnode is not None:
                 cur[vnode] = vals[i]
             run(p)
-            if visit(p + 1) if p < last else violated():
+            if visit(p + 1):
                 return True
         return False
 
     run(-1)
-    if not (visit(0) if variables else violated()):
+    if variables:
+        failed = visit(0)
+    else:
+        count, failed = 1, violated()
+    if not failed:
         return CheckReport("pass", check_id, tuples_checked=count)
     lhs, rhs = sides[hit]
     witness = Witness(
@@ -937,7 +1100,7 @@ def check_schema_random(
     dens = tuple(denominators) if denominators else _RANDOM_DENOMINATORS
     check_id = f"schema-random:{schema.name}"
     common = lcm(*dens)
-    plan, kernels, node_dens = _bind((schema,), interp, False,
+    plan, kernels, node_dens, _ = _bind((schema,), interp, False,
                                      {name: common for name, _, _ in schema.variables})
     lhs, rhs = plan.roots
     rng = random.Random(seed)

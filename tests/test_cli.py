@@ -103,6 +103,18 @@ def test_exit_three_semantic_errors(tmp_path, capsys):
     assert records[0]["status"] == "error"
 
 
+def test_report_rep_over_an_algebra_without_its_products_is_an_error_row(tmp_path, capsys):
+    # the bimodule checks read the base's `mul`, which this algebra lacks
+    f = tmp_path / "bare.halg"
+    f.write_text("algebra a dim 1\n  map alpha: e1 = e1\nend\n"
+                 "rep v over a dim 1 kind bimodule\n  map beta: u1 = u1\nend\n")
+    code, records, captured = run(capsys, "report", str(f))
+    assert code == 3 and captured.err == ""
+    assert [(r["target"], r["check"], r["status"]) for r in records] == [
+        ("a", "multiplicative", "pass"), ("v", "rep:bimodule", "error")]
+    assert "unbound op symbol 'mul'" in records[1]["detail"]
+
+
 def test_construct_then_check_minus(tmp_path, capsys):
     out = tmp_path / "minus.halg"
     code, records, _ = run(

@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homalg.exact import LinearMap, StructureTensor
 from homalg.varieties import AlgebraInstance
@@ -250,3 +251,153 @@ def test_serializer_round_trips_arbitrary_instances(a):
     back = parse(text).get(a.name).value
     assert back.products == a.products
     assert back.maps == a.maps
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated shipped files, edge-case numbers, templated blocks, arbitrary text
+
+
+_SHIPPED = {p.name: p.read_text(encoding="utf-8") for p in sorted(data_dir().glob("*.halg"))}
+_MAX_DIM = 9  # the largest dimension a shipped file declares
+_VOCABULARY = (
+    "algebra", "rep", "operator", "end", "op", "map", "lmap", "rmap", "act", "dim",
+    "variety", "kind", "over", "->", ":", "=", "*", "+", "#", "0", "1", "-1", "1/2", "1/0",
+    "-0/3", "e0", "e1", "e2", "e10", "u1", "u3", "alpha", "beta", "mul", "l", "r", "rho",
+    "vmul", "hom-jordan", "action", "bimodule", "lie-action", "kx2", "²", "١",
+)
+
+
+def _dims_are_small(text):
+    """Whether every 'dim N' in the text asks for at most _MAX_DIM, so no case is huge."""
+    for line in text.splitlines():
+        toks = line.split()
+        for word, value in zip(toks, toks[1:]):
+            if word == "dim" and value.isascii() and value.isdigit() and int(value) > _MAX_DIM:
+                return False
+    return True
+
+
+@st.composite
+def mutated_sources(draw):
+    """A shipped file with a few lines dropped, repeated, swapped or re-tokenized."""
+    lines = _SHIPPED[draw(st.sampled_from(sorted(_SHIPPED)))].splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "repeat", "swap", "token", "cut", "insert")))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "token":
+            toks = lines[i].split() or [""]
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(
+                st.sampled_from(_VOCABULARY) | st.text(max_size=3))
+            lines[i] = " ".join(toks)
+        elif edit == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        else:
+            lines.insert(i, draw(st.text(max_size=12)))
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+_EDGE_NUMBERS = ("1/0", "²", "0", "-0/3", "١", "007", "-1", "9", "-2/3")
+_NUMERIC_SLOTS = (
+    (r"(?<=\bdim )\d+", "{}"),          # a dimension
+    (r"(?<== )(?=[eu]\d)", "{} * "),     # a coefficient before a basis vector
+    (r"(?<=[eu])\d+", "{}"),             # a basis index
+)
+
+
+@st.composite
+def numeric_edits(draw):
+    """A shipped file with one dimension, coefficient or basis index made an edge case."""
+    text = _SHIPPED[draw(st.sampled_from(sorted(_SHIPPED)))]
+    pattern, fmt = draw(st.sampled_from(_NUMERIC_SLOTS))
+    spots = list(re.finditer(pattern, text))
+    if not spots:
+        return text
+    spot = spots[draw(st.integers(0, len(spots) - 1))]
+    return text[:spot.start()] + fmt.format(draw(st.sampled_from(_EDGE_NUMBERS))) + text[spot.end():]
+
+
+_REP_ROWS = {
+    "bimodule": ("lmap l: e1 * u1 = u2", "rmap r: u1 * e1 = u1"),
+    "action": ("lmap l: e1 * u1 = u1", "rmap r: u2 * e1 = u1", "op vmul: u1 * u2 = u2"),
+    "lie-module": ("act rho: e2 * u1 = u2",),
+    "jordan-action": ("act pi: e1 * u2 = u1", "op vstar: u2 * u2 = u1"),
+}
+
+
+@st.composite
+def templated_sources(draw):
+    """A well-formed algebra with a random set of products, a rep of a random kind
+    over it and an operator, so the rep may lack the products its kind reads."""
+    products = draw(st.sets(st.sampled_from(("mul", "circ", "bracket")), max_size=2))
+    rows = [f"  op {p}: e{i} * e{j} = e{k}" for p in sorted(products)
+            for i, j, k in draw(st.sets(st.sampled_from(((1, 1, 1), (1, 2, 2), (2, 1, 2))),
+                                        min_size=1))]
+    blocks = ["algebra a dim 2", "  map alpha: e1 = e1", *rows, "end"]
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(sorted(_REP_ROWS)))
+        rows = draw(st.sets(st.sampled_from(_REP_ROWS[kind])))
+        blocks += [f"rep v over a dim 2 kind {kind}", "  map beta: u1 = u1",
+                   *(f"  {row}" for row in sorted(rows)), "end"]
+        if draw(st.booleans()):
+            blocks += ["operator k: v -> a", f"  u1 = {draw(st.sampled_from(('e1', 'e2')))}", "end"]
+    return "\n".join(blocks) + "\n"
+
+
+_FUZZ = dict(derandomize=True, deadline=None, database=None)
+
+
+def _parse_or_dsl_error(text):
+    assume(_dims_are_small(text))
+    try:
+        parse(text)
+    except (DslSyntaxError, DslSemanticError):
+        pass
+
+
+@settings(max_examples=150, **_FUZZ)
+@given(mutated_sources() | templated_sources() | st.text(max_size=200))
+def test_parse_raises_only_dsl_errors(text):
+    _parse_or_dsl_error(text)
+
+
+@settings(max_examples=150, **_FUZZ)
+@given(numeric_edits())
+def test_parse_raises_only_dsl_errors_on_edge_numbers(text):
+    _parse_or_dsl_error(text)
+
+
+@settings(max_examples=50, **_FUZZ)
+@given(templated_sources() | mutated_sources() | numeric_edits())
+def test_report_keeps_its_exit_codes_on_mutated_files(text):
+    import contextlib
+    import io
+    import tempfile
+
+    from homalg.cli import main
+
+    assume(_dims_are_small(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/fuzz.halg"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["report", path])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_parse_rejects_non_ascii_dimensions_and_zero_denominators():
+    with pytest.raises(DslSyntaxError, match="bad dimension"):
+        parse("algebra a dim ²\nend\n")
+    with pytest.raises(DslSyntaxError, match="zero denominator"):
+        parse("algebra a dim 1\n  op mul: e1 * e1 = 1/0 * e1\n  map alpha: e1 = e1\nend\n")

@@ -152,6 +152,14 @@ def test_random_zero_product():
         assert check_schema_random(associativity_schema(), interp, 50, seed).ok
 
 
+def test_evaluate_unbound_variable_is_semantic_error():
+    v = Vector.basis(2, 0)
+    with pytest.raises(SemanticError, match="unbound variable 'y'"):
+        evaluate(op("mul", var("x"), var("y")), {"x": v}, interp_for(KX2))
+    with pytest.raises(SemanticError, match="sort 'V' has no dimension binding"):
+        evaluate(var("u", "V"), {"u": v}, interp_for(KX2))
+
+
 def test_twist_power_evaluation():
     alpha = LinearMap.diagonal([2, 3])
     interp = interp_for(KX2, alpha=alpha)
@@ -333,10 +341,13 @@ def test_sparse_data_is_computed_once_per_object():
     schema = IdentitySchema("twisted", tw("alpha", op("mul", var("x"), var("y"))), ZERO)
     assert t._compiled is None and alpha._compiled is None
     check_schema(schema, interp)
-    rows, cols = t._compiled, alpha._compiled
+    tensor_data, map_data = t._compiled, alpha._compiled
+    (rows, row_masks, col_masks), (cols, col_support) = tensor_data, map_data
     assert rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
+    # e1 e1 and e1 e2 are nonzero, e2 e_j is zero; both columns of alpha are nonzero
+    assert (row_masks, col_masks, col_support) == ([0b11, 0], [0b01, 0b01], 0b11)
     check_schema(schema, interp)
-    assert t._compiled is rows and alpha._compiled is cols
+    assert t._compiled is tensor_data and alpha._compiled is map_data
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +454,212 @@ def test_schema_builders_return_the_same_objects():
                        (_bimodule_map_schemas, "f")):
         assert build(arg) is build(arg) and isinstance(build(arg), tuple)
     assert _differential_schemas() is _differential_schemas()
+
+
+# ---------------------------------------------------------------------------
+# support masks: the pruned last slot against a naive enumeration
+
+
+def _naive_value(expr, env, interp):
+    """An expression's value by plain exact arithmetic; None for a zero of no sort."""
+    from homalg.engine import OpApp, Sum, TwistApp, Var
+
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, TwistApp):
+        child = _naive_value(expr.child, env, interp)
+        if child is None:
+            return None
+        lin = interp.maps[expr.map_symbol][0]  # a map across sorts has power 1
+        return (lin if expr.power == 1 else lin.power(expr.power)).apply(child)
+    if isinstance(expr, OpApp):
+        left, right = _naive_value(expr.left, env, interp), _naive_value(expr.right, env, interp)
+        if left is None or right is None:
+            return None
+        return interp.ops[expr.op_symbol][0].apply(left, right)
+    assert isinstance(expr, Sum)
+    acc = None
+    for w, term in expr.terms:
+        value = _naive_value(term, env, interp)
+        if value is not None:
+            value = value.scale(w)
+            acc = value if acc is None else acc + value
+    return acc
+
+
+def _naive_check(clauses, interp):
+    """(status, clause, indices, lhs, rhs, tuples) over every tuple, sorted in copy blocks."""
+    import itertools
+
+    clauses = [polarize(c) for c in clauses]
+    variables = clauses[0].variables
+    slot = {name: p for p, (name, _, _) in enumerate(variables)}
+    blocks = [[slot[name] for name in block] for block in clauses[0].copy_blocks]
+    dims = [interp.sorts[sort] for _, sort, _ in variables]
+    count = 0
+    for combo in itertools.product(*map(range, dims)):
+        if any(combo[a] > combo[b] for block in blocks for a, b in zip(block, block[1:])):
+            continue
+        count += 1
+        env = {name: Vector.basis(d, i) for (name, _, _), d, i in zip(variables, dims, combo)}
+        for c in clauses:
+            lhs, rhs = _naive_value(c.lhs, env, interp), _naive_value(c.rhs, env, interp)
+            if lhs is None and rhs is None:
+                continue
+            lhs = Vector.zero(rhs.dim) if lhs is None else lhs
+            rhs = Vector.zero(lhs.dim) if rhs is None else rhs
+            if lhs.coords != rhs.coords:
+                return "fail", c.name, combo, lhs.coords, rhs.coords, count
+    return "pass", None, None, None, None, count
+
+
+def _observed(report):
+    w = report.witness
+    if w is None:
+        return report.status, None, None, None, None, report.tuples_checked
+    return (report.status, w.identity, w.indices, w.lhs_value.coords, w.rhs_value.coords,
+            report.tuples_checked)
+
+
+_ENTRIES = (1, -1, 2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _sparse_tensor(rng, ld, rd, od):
+    """A random tensor with some zero rows and columns, or the zero tensor."""
+    density = rng.choice((0.0, 0.15, 0.3, 0.6))
+    zero_rows = {i for i in range(ld) if rng.random() < 0.3}
+    zero_cols = {j for j in range(rd) if rng.random() < 0.3}
+    return StructureTensor([[[rng.choice(_ENTRIES)
+                              if i not in zero_rows and j not in zero_cols
+                              and rng.random() < density else 0
+                              for _ in range(od)] for j in range(rd)] for i in range(ld)])
+
+
+def _sparse_map(rng, src, dst):
+    """A random map with zero columns; square ones may be identity or nilpotent."""
+    kind = rng.choice(("sparse", "identity", "nilpotent") if src == dst else ("sparse",))
+    if kind == "identity":
+        return LinearMap.identity(src)
+    zero_cols = {j for j in range(src) if rng.random() < 0.3}
+    return LinearMap([[rng.choice(_ENTRIES)
+                       if j not in zero_cols and rng.random() < 0.5
+                       and (kind == "sparse" or j > i) else 0
+                       for j in range(src)] for i in range(dst)])
+
+
+def _assert_pruning_matches_naive(cases):
+    statuses = set()
+    for clauses, interp in cases:
+        want = _naive_check(clauses, interp)
+        assert _observed(check_clauses(clauses, interp, "diff")) == want, (clauses, want)
+        statuses.add(want[0])
+    assert statuses == {"pass", "fail"}
+
+
+def _algebra_interp(rng, ops, n):
+    return Interpretation({"A": n}, {s: (_sparse_tensor(rng, n, n, n), ("A", "A", "A"))
+                                     for s in ops},
+                          {"alpha": (_sparse_map(rng, n, n), ("A", "A"))})
+
+
+def test_pruned_enumeration_matches_naive_on_sparse_algebras():
+    import random
+
+    from homalg.varieties import VarietyTag, schemas_for
+
+    rng = random.Random(8)
+    tags = {VarietyTag.HOM_ASSOCIATIVE: ("mul",), VarietyTag.HOM_LIE: ("bracket",),
+            VarietyTag.HOM_LEIBNIZ: ("brace",), VarietyTag.HOM_JORDAN: ("circ",),
+            VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA: ("left", "right"),
+            VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA: ("left", "right", "middle")}
+    cases = []
+    for tag, ops in tags.items():
+        for schema in schemas_for(tag):
+            for _ in range(12):
+                n = rng.randint(1, 3 if schema.is_multilinear() else 2)
+                cases.append(((schema,), _algebra_interp(rng, ops, n)))
+    _assert_pruning_matches_naive(cases)
+
+
+def test_pruned_enumeration_matches_naive_on_copy_blocks_ending_in_the_last_slot():
+    # Hom-Jordan with y declared first: the block x__1 <= x__2 <= x__3 ends in
+    # the last slot, whose lower bound is then the index of x__2
+    import random
+
+    jordan = _jordan_schema()
+    y_first = IdentitySchema("jordan-y-first", jordan.lhs, jordan.rhs,
+                             variables=[("y", "A", 1), ("x", "A", 3)])
+    square = IdentitySchema("square", op("circ", var("x"), var("x")), ZERO)
+    assert polarize(y_first).copy_blocks == (("x__1", "x__2", "x__3"),)
+    rng = random.Random(9)
+    cases = []
+    for schema in (y_first, jordan, square):
+        for _ in range(15):
+            cases.append(((schema,), _algebra_interp(rng, ("circ",), rng.randint(1, 3))))
+    _assert_pruning_matches_naive(cases)
+
+
+def test_pruned_enumeration_matches_naive_on_operator_clauses():
+    # cross-sort K : V -> A, inside products and as a one-variable side
+    import random
+
+    from homalg.operators import _algebra_clauses, _rep_clauses
+
+    rng = random.Random(10)
+    u = var("u", "V")
+    tables = list(dict.fromkeys(_rep_clauses().values())) + [
+        (IdentitySchema("k-vanishes", tw("K", u), ZERO),)]
+    cases = []
+    for clauses in tables:
+        for _ in range(10):
+            n, m = rng.randint(1, 3), rng.randint(1, 3)
+            ops = {s: (_sparse_tensor(rng, n, m, m), ("A", "V", "V"))
+                   for s in ("l", "r", "rho", "pi")}
+            ops |= {s: (_sparse_tensor(rng, n, n, n), ("A", "A", "A"))
+                    for s in ("mul", "bracket", "circ")}
+            ops |= {s: (_sparse_tensor(rng, m, m, m), ("V", "V", "V"))
+                    for s in ("vmul", "vbracket", "vstar")}
+            maps = {"K": (_sparse_map(rng, m, n), ("V", "A"))}
+            cases.append((clauses, Interpretation({"A": n, "V": m}, ops, maps)))
+    for clauses in _algebra_clauses().values():
+        for _ in range(10):
+            n = rng.randint(1, 3)
+            interp = _algebra_interp(rng, ("mu",), n)
+            maps = {"T": (_sparse_map(rng, n, n), ("A", "A"))}
+            cases.append((clauses, Interpretation(interp.sorts, interp.ops, maps)))
+    _assert_pruning_matches_naive(cases)
+
+
+def test_pruned_enumeration_matches_naive_on_cancelling_and_prefix_sides():
+    # weighted sums whose terms cancel (mul2 is mul's data, or a bumped copy),
+    # sums with a term that does not read the last slot, sides that do not
+    # read it at all, and one-variable schemas
+    import random
+
+    x, y, z = var("x"), var("y"), var("z")
+    xyz = [("x", "A", 1), ("y", "A", 1), ("z", "A", 1)]
+    half = Fraction(1, 2)
+    schemas = [
+        IdentitySchema("cancel", op("mul", x, op("mul", y, z)),
+                       half * op("mul2", x, op("mul", y, z)) + half * op("mul", x, op("mul2", y, z))),
+        IdentitySchema("cancel-to-zero", op("mul", op("mul", x, y), z)
+                       - op("mul2", op("mul", x, y), z), ZERO),
+        IdentitySchema("prefix-side", op("mul", x, y), op("mul", op("mul", x, y), z),
+                       variables=xyz),
+        IdentitySchema("prefix-term", op("mul", tw("alpha", x), y) + op("mul", x, z),
+                       op("mul2", x, y) + op("mul2", x, z), variables=xyz),
+        IdentitySchema("unread-last", op("mul", x, y), op("mul2", y, x), variables=xyz),
+        IdentitySchema("involutive", tw("alpha", x, 2), x),
+        IdentitySchema("nilpotent", tw("alpha", x, 2), ZERO),
+    ]
+    rng = random.Random(11)
+    cases = []
+    for schema in schemas:
+        for _ in range(12):
+            n = rng.randint(1, 3)
+            interp = _algebra_interp(rng, ("mul",), n)
+            mul = interp.ops["mul"][0]
+            mul2 = mul if rng.random() < 0.5 else _sparse_tensor(rng, n, n, n)
+            ops = interp.ops | {"mul2": (mul2, ("A", "A", "A"))}
+            cases.append(((schema,), Interpretation(interp.sorts, ops, interp.maps)))
+    _assert_pruning_matches_naive(cases)
