@@ -8,22 +8,31 @@ map columns are zero:
       map MAPNAME: e<i> = TERM { + TERM }
     end
 
-    rep NAME over ALG dim M kind (bimodule|action|lie-module|lie-action|
-                                  jordan-module|jordan-action)
-      lmap l: e<i> * u<j> = ...        rmap r: u<j> * e<i> = ...
-      act rho: e<i> * u<j> = ...       act pi: e<i> * u<j> = ...
+    rep NAME over ALG dim M kind KIND
+      lmap l: e<i> * u<j> = ...      rmap r: u<j> * e<i> = ...   bimodule, action
+      act rho: e<i> * u<j> = ...                                 lie-module, lie-action
+      act pi: e<i> * u<j> = ...                                  jordan-module, jordan-action
       map beta: u<i> = ...
-      op vmul: u<i> * u<j> = ...       (vbracket, vstar)
+      op vmul: u<i> * u<j> = ...                                 action
+      op vbracket: ... / op vstar: ...                           lie-action / jordan-action
     end
 
     operator NAME: REP -> ALG
       u<i> = TERM { + TERM }
+    end
 
 TERM is [RATIONAL *] BASISVEC with RATIONAL = -?INT[/POSINT]; BASISVEC is
 e<k> on the algebra sort and u<k> on the representation sort; a bare 0
-denotes the zero combination.  Names must be unique per file and forward
-references are forbidden.  Every algebra block must define a map named
-alpha; every rep block a map named beta.
+denotes the zero combination.  Numbers and indices are ASCII digits 0-9.
+Names must be unique per file and forward references are forbidden.  Every
+algebra block must define a map named alpha; every rep block a map named beta.
+
+Every row of an algebra or rep block is read against one table of row forms
+(`_Form`): the keyword fixes the sorts of the left-hand side and of the
+terms, and which names the row takes.  A rep kind takes only its own rows
+(say `act rho` in a bimodule block is a semantic error naming the kind), and a
+row with nothing before its `:` is a syntax error.  The serializer writes
+every row through the same forms.
 """
 
 from __future__ import annotations
@@ -89,8 +98,8 @@ class SourceFile:
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*$")
-_RATIONAL = re.compile(r"-?\d+(?:/\d+)?$")
-_BASIS = re.compile(r"([eu])(\d+)$")
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?$")
+_BASIS = re.compile(r"([eu])([0-9]+)$")
 
 _REP_KINDS = {
     "bimodule": (AssocBimodule, ("l", "r"), None),
@@ -100,6 +109,54 @@ _REP_KINDS = {
     "jordan-module": (JordanModule, ("pi",), None),
     "jordan-action": (JordanAction, ("pi",), "vstar"),
 }
+
+
+@dataclass(frozen=True)
+class _Form:
+    """One row shape: `KEYWORD NAME: LHS = TERMS`, or `LHS = TERMS` for operators.
+
+    `sorts` are the LHS sorts in source order ("ee", "eu", "ue", "e" or "u");
+    a "ue" row is stored swapped, as (e, u), like the rmap tensor it fills.
+    `out` is the sort of the terms and `names` the names the row takes (None:
+    any valid name).  A wrong LHS sort raises `sort_error` in `category`.
+    """
+
+    keyword: str
+    sorts: str
+    out: str
+    names: tuple | None
+    sort_error: str
+    category: str = "semantic"
+
+    def flip(self, pair):
+        """Source order <-> stored order."""
+        return pair[::-1] if self.sorts == "ue" else pair
+
+
+_ALGEBRA_FORMS = {
+    "op": _Form("op", "ee", "e", None, "algebra products act on e-vectors"),
+    "map": _Form("map", "e", "e", None, "algebra map columns are e-vectors", "dimension"),
+}
+_OPERATOR_FORM = _Form("operator", "u", "e", None, "operator columns are u-vectors")
+
+
+def _rep_forms(actions, vprod):
+    """The row forms of one rep kind, in serialization order: its action rows,
+    beta's columns, then its product on V."""
+
+    def taken(*names):
+        return tuple(n for n in names if n in actions)
+
+    return {
+        "lmap": _Form("lmap", "eu", "u", taken("l"), "lmap rows read 'e<i> * u<j>'"),
+        "rmap": _Form("rmap", "ue", "u", taken("r"), "rmap rows read 'u<j> * e<i>'"),
+        "act": _Form("act", "eu", "u", taken("rho", "pi"), "act rows read 'e<i> * u<j>'"),
+        "map": _Form("map", "u", "u", ("beta",), "beta columns are u-vectors"),
+        "op": _Form("op", "uu", "u", (vprod,) if vprod else (), "rep products act on u-vectors"),
+    }
+
+
+_REP_FORMS = {kind: _rep_forms(actions, vprod) for kind, (_, actions, vprod) in _REP_KINDS.items()}
 
 
 def _parse_rational(tok, line):
@@ -116,6 +173,12 @@ def _parse_basis(tok, line):
     if not m:
         raise DslSyntaxError(line, f"expected a basis vector like e1 or u2, got {tok!r}")
     return m.group(1), int(m.group(2))
+
+
+def _range_check(idx, dim, line, prefix):
+    if not 1 <= idx <= dim:
+        raise DslSemanticError(line, f"basis index {prefix}{idx} out of range 1..{dim}",
+                               category="dimension")
 
 
 def _parse_terms(text, line, sort, dim):
@@ -141,33 +204,36 @@ def _parse_terms(text, line, sort, dim):
                 line, f"term {chunk!r} has sort {prefix!r}, expected {sort!r}",
                 category="dimension",
             )
-        if not 1 <= idx <= dim:
-            raise DslSemanticError(
-                line, f"basis index {prefix}{idx} out of range 1..{dim}",
-                category="dimension",
-            )
+        _range_check(idx, dim, line, prefix)
         out[idx - 1] += coeff
     return out
 
 
-class _Block:
-    """Accumulates op rows and map columns for one declaration block."""
+def _read_lhs(form, lhs, line, dims):
+    """The stored 0-based index tuple of a row's LHS, checked for arity, sorts and range."""
+    parts = lhs.split("*")
+    if len(parts) != len(form.sorts):
+        pattern = " * ".join(f"{s}<{v}>" for s, v in zip(form.sorts, form.flip("ij")))
+        raise DslSyntaxError(line, f"{form.keyword} row needs {pattern!r}")
+    basis = [_parse_basis(p.strip(), line) for p in parts]
+    if "".join([s for s, _ in basis]) != form.sorts:
+        raise DslSemanticError(line, form.sort_error, category=form.category)
+    key = []
+    for sort, idx in form.flip(basis):
+        _range_check(idx, dims[sort], line, sort)
+        key.append(idx - 1)
+    return tuple(key)
 
-    def __init__(self):
-        self.ops = {}
-        self.maps = {}
 
-    def set_op(self, name, key, value, line):
-        rows = self.ops.setdefault(name, {})
-        if key in rows:
-            raise DslSemanticError(line, f"duplicate row for op {name!r} at {key}")
-        rows[key] = value
-
-    def set_map(self, name, idx, value, line):
-        cols = self.maps.setdefault(name, {})
-        if idx in cols:
-            raise DslSemanticError(line, f"duplicate column for map {name!r} at index {idx}")
-        cols[idx] = value
+def _assemble(form, rows, dims):
+    """The map (one LHS sort) or tensor a form's rows fill; absent rows are zero."""
+    out = dims[form.out]
+    if len(form.sorts) == 1:
+        return LinearMap.from_columns(
+            [rows.get((i,), [0] * out) for i in range(dims[form.sorts])], out
+        )
+    left, right = form.flip(form.sorts)
+    return StructureTensor.from_rule(dims[left], dims[right], out, rows)
 
 
 def _lines(text):
@@ -238,6 +304,38 @@ def _split_decl_line(line, lineno):
     return head.split(), lhs.strip(), rhs.strip()
 
 
+def _parse_rows(stream, pos, what, forms, dims):
+    """Read the rows of the block whose header is stream[pos], through its `end`.
+
+    Each `KEYWORD NAME: LHS = TERMS` row is read against forms[KEYWORD]; `what`
+    names the block in errors and `dims` maps each sort to its dimension.
+    Returns the position after `end` and {(keyword, name): {stored key: terms}},
+    in order of first appearance.
+    """
+    lineno = stream[pos][0]
+    tables = {}
+    for pos in range(pos + 1, len(stream)):
+        ln, line = stream[pos]
+        if line == "end":
+            return pos + 1, tables
+        head, lhs, rhs = _split_decl_line(line, ln)
+        form = forms.get(head[0]) if len(head) == 2 else None
+        if form is None:
+            raise DslSyntaxError(ln, f"unexpected line in {what} block: {line!r}")
+        name = head[1]
+        if form.names is None:
+            _check_name(name, ln)
+        elif name not in form.names:
+            raise DslSemanticError(ln, f"{what} does not take {form.keyword} {name!r}")
+        key = _read_lhs(form, lhs, ln, dims)
+        terms = _parse_terms(rhs, ln, form.out, dims[form.out])
+        rows = tables.setdefault((form.keyword, name), {})
+        if key in rows:
+            raise DslSemanticError(ln, f"duplicate {form.keyword} row for {name!r} at {lhs}")
+        rows[key] = terms
+    raise DslSyntaxError(lineno, f"{what} has no 'end'")
+
+
 def _parse_algebra(stream, pos):
     lineno, header = stream[pos]
     toks = header.split()
@@ -251,52 +349,14 @@ def _parse_algebra(stream, pos):
     if len(toks) != 4 or toks[2] != "dim":
         raise DslSyntaxError(lineno, "expected 'algebra NAME dim N [variety TAG]'")
     name = _check_name(toks[1], lineno)
-    dim = _parse_int(toks[3], lineno, "dimension")
-    block = _Block()
-    pos += 1
-    while True:
-        if pos >= len(stream):
-            raise DslSyntaxError(lineno, f"algebra {name!r} has no 'end'")
-        ln, line = stream[pos]
-        if line == "end":
-            pos += 1
-            break
-        head, lhs, rhs = _split_decl_line(line, ln)
-        if head[0] == "op" and len(head) == 2:
-            opname = _check_name(head[1], ln)
-            parts = [p.strip() for p in lhs.split("*")]
-            if len(parts) != 2:
-                raise DslSyntaxError(ln, "op row needs 'e<i> * e<j>'")
-            (s1, i), (s2, j) = _parse_basis(parts[0], ln), _parse_basis(parts[1], ln)
-            if s1 != "e" or s2 != "e":
-                raise DslSemanticError(ln, "algebra products act on e-vectors")
-            for idx in (i, j):
-                if not 1 <= idx <= dim:
-                    raise DslSemanticError(ln, f"basis index e{idx} out of range 1..{dim}",
-                                           category="dimension")
-            block.set_op(opname, (i - 1, j - 1), _parse_terms(rhs, ln, "e", dim), ln)
-        elif head[0] == "map" and len(head) == 2:
-            mapname = _check_name(head[1], ln)
-            s, i = _parse_basis(lhs, ln)
-            if s != "e" or not 1 <= i <= dim:
-                raise DslSemanticError(ln, f"bad map column {lhs!r}", category="dimension")
-            block.set_map(mapname, i - 1, _parse_terms(rhs, ln, "e", dim), ln)
-        else:
-            raise DslSyntaxError(ln, f"unexpected line in algebra block: {line!r}")
-        pos += 1
-    if "alpha" not in block.maps:
+    dims = {"e": _parse_int(toks[3], lineno, "dimension")}
+    pos, tables = _parse_rows(stream, pos, f"algebra {name!r}", _ALGEBRA_FORMS, dims)
+    if ("map", "alpha") not in tables:
         raise DslSemanticError(lineno, f"algebra {name!r} lacks the twist map 'alpha'")
-    products = {
-        sym: StructureTensor.from_rule(dim, dim, dim, rows)
-        for sym, rows in block.ops.items()
-    }
-    maps = {
-        sym: LinearMap.from_columns(
-            [cols.get(i, [0] * dim) for i in range(dim)], dim
-        )
-        for sym, cols in block.maps.items()
-    }
-    value = AlgebraInstance(name, dim, products, maps, variety)
+    built = {"op": {}, "map": {}}
+    for (keyword, sym), rows in tables.items():
+        built[keyword][sym] = _assemble(_ALGEBRA_FORMS[keyword], rows, dims)
+    value = AlgebraInstance(name, dims["e"], built["op"], built["map"], variety)
     return pos, Declaration("algebra", name, value)
 
 
@@ -307,95 +367,18 @@ def _parse_rep(stream, pos, lookup):
         raise DslSyntaxError(lineno, "expected 'rep NAME over ALG dim M kind KIND'")
     name = _check_name(toks[1], lineno)
     base = lookup(toks[3], "algebra", lineno).value
-    vdim = _parse_int(toks[5], lineno, "dimension")
+    dims = {"e": base.dim, "u": _parse_int(toks[5], lineno, "dimension")}
     kind = toks[7]
     if kind not in _REP_KINDS:
         raise DslSemanticError(lineno, f"unknown rep kind {kind!r}")
-    cls, action_names, vprod_name = _REP_KINDS[kind]
-    block = _Block()
-    pos += 1
-    while True:
-        if pos >= len(stream):
-            raise DslSyntaxError(lineno, f"rep {name!r} has no 'end'")
-        ln, line = stream[pos]
-        if line == "end":
-            pos += 1
-            break
-        head, lhs, rhs = _split_decl_line(line, ln)
-        parts = [p.strip() for p in lhs.split("*")]
-        if head[0] in ("lmap", "act") and len(head) == 2:
-            keyword, actname = head
-            if keyword == "lmap" and actname != "l":
-                raise DslSemanticError(ln, "lmap must be named 'l'")
-            if keyword == "act" and actname not in ("rho", "pi"):
-                raise DslSemanticError(ln, "act must be named 'rho' or 'pi'")
-            if len(parts) != 2:
-                raise DslSyntaxError(ln, f"{keyword} row needs 'e<i> * u<j>'")
-            (s1, i), (s2, j) = _parse_basis(parts[0], ln), _parse_basis(parts[1], ln)
-            if (s1, s2) != ("e", "u"):
-                raise DslSemanticError(ln, f"{keyword} rows read 'e<i> * u<j>'")
-            _range_check(i, base.dim, ln, "e")
-            _range_check(j, vdim, ln, "u")
-            block.set_op(actname, (i - 1, j - 1), _parse_terms(rhs, ln, "u", vdim), ln)
-        elif head[0] == "rmap" and len(head) == 2:
-            if head[1] != "r":
-                raise DslSemanticError(ln, "rmap must be named 'r'")
-            if len(parts) != 2:
-                raise DslSyntaxError(ln, "rmap row needs 'u<j> * e<i>'")
-            (s1, j), (s2, i) = _parse_basis(parts[0], ln), _parse_basis(parts[1], ln)
-            if (s1, s2) != ("u", "e"):
-                raise DslSemanticError(ln, "rmap rows read 'u<j> * e<i>'")
-            _range_check(i, base.dim, ln, "e")
-            _range_check(j, vdim, ln, "u")
-            block.set_op("r", (i - 1, j - 1), _parse_terms(rhs, ln, "u", vdim), ln)
-        elif head[0] == "map" and len(head) == 2:
-            if head[1] != "beta":
-                raise DslSemanticError(ln, "rep blocks define only the map 'beta'")
-            s, i = _parse_basis(lhs, ln)
-            if s != "u":
-                raise DslSemanticError(ln, "beta columns are u-vectors")
-            _range_check(i, vdim, ln, "u")
-            block.set_map("beta", i - 1, _parse_terms(rhs, ln, "u", vdim), ln)
-        elif head[0] == "op" and len(head) == 2:
-            opname = head[1]
-            if vprod_name is None or opname != vprod_name:
-                raise DslSemanticError(ln, f"rep kind {kind!r} does not take op {opname!r}")
-            if len(parts) != 2:
-                raise DslSyntaxError(ln, f"op row needs 'u<i> * u<j>'")
-            (s1, i), (s2, j) = _parse_basis(parts[0], ln), _parse_basis(parts[1], ln)
-            if (s1, s2) != ("u", "u"):
-                raise DslSemanticError(ln, "rep products act on u-vectors")
-            _range_check(i, vdim, ln, "u")
-            _range_check(j, vdim, ln, "u")
-            block.set_op(opname, (i - 1, j - 1), _parse_terms(rhs, ln, "u", vdim), ln)
-        else:
-            raise DslSyntaxError(ln, f"unexpected line in rep block: {line!r}")
-        pos += 1
-    if "beta" not in block.maps:
+    forms = _REP_FORMS[kind]
+    pos, tables = _parse_rows(stream, pos, f"rep kind {kind!r}", forms, dims)
+    if ("map", "beta") not in tables:
         raise DslSemanticError(lineno, f"rep {name!r} lacks the twist map 'beta'")
-    beta = LinearMap.from_columns(
-        [block.maps["beta"].get(i, [0] * vdim) for i in range(vdim)], vdim
-    )
-
-    def action(sym):
-        rows = block.ops.get(sym, {})
-        return StructureTensor.from_rule(base.dim, vdim, vdim, rows)
-
-    def vprod(sym):
-        rows = block.ops.get(sym, {})
-        return StructureTensor.from_rule(vdim, vdim, vdim, rows)
-
-    extra = {}
-    if vprod_name is not None:
-        extra[vprod_name] = vprod(vprod_name)
-    value = cls(base, vdim, *(action(sym) for sym in action_names), beta, **extra)
+    fields = {sym: _assemble(form, tables.get((form.keyword, sym), {}), dims)
+              for form in forms.values() for sym in form.names}
+    value = _REP_KINDS[kind][0](base, dims["u"], **fields)
     return pos, Declaration("rep", name, value, meta={"kind": kind, "base": base.name})
-
-
-def _range_check(idx, dim, line, prefix):
-    if not 1 <= idx <= dim:
-        raise DslSemanticError(line, f"basis index {prefix}{idx} out of range 1..{dim}",
-                               category="dimension")
 
 
 def _parse_operator(stream, pos, lookup):
@@ -411,31 +394,23 @@ def _parse_operator(stream, pos, lookup):
         raise DslSemanticError(
             lineno, f"operator target {alg_decl.name!r} is not the base of {rep_decl.name!r}"
         )
+    dims = {"e": rep.base.dim, "u": rep.v_dim}
     cols = {}
-    pos += 1
-    while pos < len(stream):
+    for pos in range(pos + 1, len(stream)):
         ln, line = stream[pos]
         if line == "end":
-            pos += 1
             break
         if "=" not in line or line.split()[0] in ("algebra", "rep", "operator"):
             raise DslSyntaxError(ln, f"operator {name!r} has no 'end'")
         lhs, rhs = (p.strip() for p in line.split("=", 1))
-        s, i = _parse_basis(lhs, ln)
-        if s != "u":
-            raise DslSemanticError(ln, "operator columns are u-vectors")
-        _range_check(i, rep.v_dim, ln, "u")
-        if i - 1 in cols:
-            raise DslSemanticError(ln, f"duplicate column u{i}")
-        cols[i - 1] = _parse_terms(rhs, ln, "e", rep.base.dim)
-        pos += 1
+        key = _read_lhs(_OPERATOR_FORM, lhs, ln, dims)
+        if key in cols:
+            raise DslSemanticError(ln, f"duplicate column u{key[0] + 1}")
+        cols[key] = _parse_terms(rhs, ln, "e", dims["e"])
     else:
         raise DslSyntaxError(lineno, f"operator {name!r} has no 'end'")
-    mat = LinearMap.from_columns(
-        [cols.get(i, [0] * rep.base.dim) for i in range(rep.v_dim)], rep.base.dim
-    )
-    value = OperatorCandidate(rep, mat)
-    return pos, Declaration(
+    value = OperatorCandidate(rep, _assemble(_OPERATOR_FORM, cols, dims))
+    return pos + 1, Declaration(
         "operator", name, value, meta={"rep": rep_decl.name, "algebra": alg_decl.name}
     )
 
@@ -456,36 +431,19 @@ def _fmt_terms(coeffs, prefix):
     return " + ".join(parts) if parts else "0"
 
 
-def _emit_tensor(lines, keyword, sym, tensor, lp, rp, op, swap=False):
-    wrote = False
-    coeffs = tensor.coeffs
-    for i in range(tensor.left_dim):
-        for j in range(tensor.right_dim):
-            row = coeffs[i][j]
-            if not any(row):
-                continue
-            wrote = True
-            if swap:
-                lhs = f"{rp}{j + 1} * {lp}{i + 1}"
-            else:
-                lhs = f"{lp}{i + 1} * {rp}{j + 1}"
-            lines.append(f"  {keyword} {sym}: {lhs} = {_fmt_terms(row, op)}")
-    if not wrote:
-        lhs = f"{rp}1 * {lp}1" if swap else f"{lp}1 * {rp}1"
-        lines.append(f"  {keyword} {sym}: {lhs} = 0")
-
-
-def _emit_map(lines, sym, linmap, prefix):
-    wrote = False
-    matrix = linmap.matrix
-    for j in range(linmap.src_dim):
-        col = [matrix[i][j] for i in range(linmap.dst_dim)]
-        if not any(col):
-            continue
-        wrote = True
-        lines.append(f"  map {sym}: {prefix}{j + 1} = {_fmt_terms(col, prefix)}")
-    if not wrote:
-        lines.append(f"  map {sym}: {prefix}1 = 0")
+def _emit(lines, form, sym, value):
+    """Append the nonzero rows of a map or tensor as rows of form (one zero row
+    if there are none); operator rows (sym None) have no `KEYWORD NAME:` head."""
+    head = f"  {form.keyword} {sym}: " if sym else "  "
+    lhs = " * ".join(f"{s}{{{p}}}" for s, p in zip(form.sorts, form.flip(range(2))))
+    if len(form.sorts) == 1:
+        m = value.matrix
+        rows = (((j + 1,), [r[j] for r in m]) for j in range(value.src_dim))
+    else:
+        rows = (((i + 1, j + 1), row)
+                for i, plane in enumerate(value.coeffs) for j, row in enumerate(plane))
+    for key, terms in [row for row in rows if any(row[1])] or [((1, 1), ())]:
+        lines.append(f"{head}{lhs.format(*key)} = {_fmt_terms(terms, form.out)}")
 
 
 def serialize_algebra(a: AlgebraInstance) -> str:
@@ -494,42 +452,25 @@ def serialize_algebra(a: AlgebraInstance) -> str:
         head += f" variety {a.variety.value}"
     lines = [head]
     for sym in sorted(a.products):
-        _emit_tensor(lines, "op", sym, a.products[sym], "e", "e", "e")
+        _emit(lines, _ALGEBRA_FORMS["op"], sym, a.products[sym])
     for sym in sorted(a.maps, key=lambda s: (s != "alpha", s)):
-        _emit_map(lines, sym, a.maps[sym], "e")
+        _emit(lines, _ALGEBRA_FORMS["map"], sym, a.maps[sym])
     lines.append("end")
     return "\n".join(lines)
 
 
 def serialize_rep(name: str, rep) -> str:
     lines = [f"rep {name} over {rep.base.name} dim {rep.v_dim} kind {rep.kind}"]
-    if isinstance(rep, AssocBimodule):
-        _emit_tensor(lines, "lmap", "l", rep.l, "e", "u", "u")
-        _emit_tensor(lines, "rmap", "r", rep.r, "e", "u", "u", swap=True)
-    elif isinstance(rep, LieModule):
-        _emit_tensor(lines, "act", "rho", rep.rho, "e", "u", "u")
-    elif isinstance(rep, JordanModule):
-        _emit_tensor(lines, "act", "pi", rep.pi, "e", "u", "u")
-    _emit_map(lines, "beta", rep.beta, "u")
-    for sym, tensor in sorted(rep.v_ops().items()):
-        _emit_tensor(lines, "op", sym, tensor, "u", "u", "u")
+    for form in _REP_FORMS[rep.kind].values():
+        for sym in form.names:
+            _emit(lines, form, sym, getattr(rep, sym))
     lines.append("end")
     return "\n".join(lines)
 
 
 def serialize_operator(name: str, rep_name: str, candidate: OperatorCandidate) -> str:
-    rep = candidate.rep
-    lines = [f"operator {name}: {rep_name} -> {rep.base.name}"]
-    wrote = False
-    matrix = candidate.map.matrix
-    for j in range(rep.v_dim):
-        col = [matrix[i][j] for i in range(candidate.map.dst_dim)]
-        if not any(col):
-            continue
-        wrote = True
-        lines.append(f"  u{j + 1} = {_fmt_terms(col, 'e')}")
-    if not wrote:
-        lines.append("  u1 = 0")
+    lines = [f"operator {name}: {rep_name} -> {candidate.rep.base.name}"]
+    _emit(lines, _OPERATOR_FORM, None, candidate.map)
     lines.append("end")
     return "\n".join(lines)
 

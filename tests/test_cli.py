@@ -393,3 +393,27 @@ def test_unreadable_input_exits_two_with_one_json_line(tmp_path, command):
         doc = json.loads(line)
         assert doc["error"] == "read" and str(path) in doc["detail"]
     assert not (tmp_path / "never.halg").exists()
+
+
+_EMPTY_KEYWORD_ROWS = {  # block -> (file text, line of the row with an empty keyword)
+    "algebra": ("algebra a dim 1\n  : e1 * e1 = e1\n  map alpha: e1 = e1\nend\n", 2),
+    "rep": ("algebra a dim 1\n  op mul: e1 * e1 = e1\n  map alpha: e1 = e1\nend\n"
+            "rep v over a dim 1 kind bimodule\n  : e1 * u1 = u1\n  map beta: u1 = u1\nend\n", 6),
+}
+
+
+@pytest.mark.parametrize("block", sorted(_EMPTY_KEYWORD_ROWS))
+def test_empty_row_keyword_exits_two_without_traceback(tmp_path, block):
+    text, line_no = _EMPTY_KEYWORD_ROWS[block]
+    path = tmp_path / "empty-keyword.halg"
+    path.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    for argv in (["report", str(path)],
+                 ["check", str(path), "--variety", "hom-associative"],
+                 ["construct", str(path), "--id", "minus", "--target", "a", "--out", "out.halg"]):
+        proc = subprocess.run([sys.executable, "-m", "homalg", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        (line,) = proc.stderr.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "parse" and doc["detail"].startswith(f"line {line_no}:")

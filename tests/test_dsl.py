@@ -352,9 +352,6 @@ def templated_sources(draw):
     return "\n".join(blocks) + "\n"
 
 
-_FUZZ = dict(derandomize=True, deadline=None, database=None)
-
-
 def _parse_or_dsl_error(text):
     assume(_dims_are_small(text))
     try:
@@ -363,19 +360,19 @@ def _parse_or_dsl_error(text):
         pass
 
 
-@settings(max_examples=150, **_FUZZ)
+@settings(max_examples=150)
 @given(mutated_sources() | templated_sources() | st.text(max_size=200))
 def test_parse_raises_only_dsl_errors(text):
     _parse_or_dsl_error(text)
 
 
-@settings(max_examples=150, **_FUZZ)
+@settings(max_examples=150)
 @given(numeric_edits())
 def test_parse_raises_only_dsl_errors_on_edge_numbers(text):
     _parse_or_dsl_error(text)
 
 
-@settings(max_examples=50, **_FUZZ)
+@settings(max_examples=50)
 @given(templated_sources() | mutated_sources() | numeric_edits())
 def test_report_keeps_its_exit_codes_on_mutated_files(text):
     import contextlib
@@ -401,3 +398,45 @@ def test_parse_rejects_non_ascii_dimensions_and_zero_denominators():
         parse("algebra a dim ²\nend\n")
     with pytest.raises(DslSyntaxError, match="zero denominator"):
         parse("algebra a dim 1\n  op mul: e1 * e1 = 1/0 * e1\n  map alpha: e1 = e1\nend\n")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("algebra a dim 1\n  : e1 * e1 = e1\n  map alpha: e1 = e1\nend\n", 2),
+    ("algebra a dim 1\n  map alpha: e1 = e1\nend\n"
+     "rep v over a dim 1 kind lie-module\n  : e1 * u1 = u1\n  map beta: u1 = u1\nend\n", 5),
+])
+def test_empty_row_keyword_is_a_syntax_error(text, line):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert err.value.line == line
+
+
+_LIE_BASE = "algebra a dim 1\n  op bracket: e1 * e1 = 0\n  map alpha: e1 = e1\nend\n"
+
+
+@pytest.mark.parametrize("kind, row", [
+    ("lie-module", "lmap l: e1 * u1 = 5 * u1"),
+    ("lie-module", "rmap r: u1 * e1 = u1"),
+    ("lie-module", "act pi: e1 * u1 = u1"),
+    ("bimodule", "act rho: e1 * u1 = u1"),
+    ("jordan-module", "act rho: e1 * u1 = u1"),
+])
+def test_rep_rows_foreign_to_the_kind_are_rejected(kind, row):
+    keyword, name = row.split(":")[0].split()
+    text = _LIE_BASE + f"rep v over a dim 1 kind {kind}\n  {row}\n  map beta: u1 = u1\nend\n"
+    with pytest.raises(DslSemanticError) as err:
+        parse(text)
+    assert err.value.line == 6 and err.value.category == "semantic"
+    assert f"rep kind {kind!r} does not take {keyword} {name!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("text", [
+    "algebra a dim 1\n  op m: e١ * e1 = e1\n  map alpha: e1 = e1\nend\n",
+    "algebra a dim 1\n  op m: e1 * e1 = e١\n  map alpha: e1 = e1\nend\n",
+    "algebra a dim 1\n  op m: e1 * e1 = ١/٣ * e1\n  map alpha: e1 = e1\nend\n",
+    "algebra a dim 1\n  op m: e1 * e1 = 1/٣ * e1\n  map alpha: e1 = e1\nend\n",
+])
+def test_non_ascii_digits_are_syntax_errors(text):
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    assert err.value.line == 2

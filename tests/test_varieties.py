@@ -71,6 +71,29 @@ def test_certify_multiplicative():
     assert report.witness.rhs_value == Vector([4, 0])
 
 
+def test_certify_multiplicative_reuses_its_schemas(monkeypatch):
+    import homalg.varieties as varieties
+
+    # product symbols no other test uses, so the schemas' plans are this test's alone
+    tri = two_dim_trialgebra(1, 1)
+    fresh = {f"{sym}_reuse": t for sym, t in tri.products.items()}
+    a = AlgebraInstance("reuse", 2, fresh, dict(tri.maps))
+    seen = []
+    real_check_all = varieties.check_all
+
+    def recording_check_all(schemas, interp, check_id):
+        seen.append(tuple(schemas))
+        return real_check_all(schemas, interp, check_id)
+
+    monkeypatch.setattr(varieties, "check_all", recording_check_all)
+    assert certify_multiplicative(a).ok and certify_multiplicative(a).ok
+    first, second = seen
+    assert len(first) == len(fresh) and all(s is t for s, t in zip(first, second))
+    for schema in first:
+        (clause_set,) = schema.plans.values()
+        assert [len(plans) for plans in clause_set.by_shape.values()] == [1]
+
+
 def test_is_morphism_identity_and_zero():
     kx2 = truncated_polynomial_algebra(2)
     assert is_morphism(LinearMap.identity(2), kx2, kx2).ok
