@@ -194,9 +194,9 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
                         "fail", check_id,
                         witness=Witness(f"graph:{sym}", (("u", "V"), ("v", "V")),
                                         (i, j), a_part, k_part),
-                        tuples_checked=count,
+                        tuples_checked=count, tuples_evaluated=count,
                     )
-    return CheckReport("pass", check_id, tuples_checked=count)
+    return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,13 @@ demand, so a failing check still stops at its first witness.  Tables live
 for one call; tensors and maps keep their sparse form once compiled.
 The last slot is enumerated only where a side can be nonzero.  The plan
 holds a support recipe for the nodes that read the last variable; bound to
-the support masks kept with the data (a tensor's row and column masks, a
-map power's nonzero columns), it gives per prefix a bitmask of the last
-slot's indices at which some side may be nonzero.  Only those indices are
+the support masks kept with the data (a tensor's row and column masks and
+its per-output masks, a map power's nonzero columns and rows), it gives per
+prefix a bitmask of the last slot's indices at which some side may be
+nonzero.  A product op(c, n) of a prefix value c and a node n that reads
+the last slot is nonzero only where one of n's output coordinates that c
+multiplies into something nonzero is, so the nodes under such a product
+carry one mask per output coordinate.  Only the supported indices are
 evaluated; at every other one both sides of every clause are zero, so no
 witness is lost and the first one is the one naive enumeration finds.
 Polarization records each variable's copies as a copy block; the identity
@@ -37,8 +41,9 @@ is symmetric there, so only tuples sorted within each block are visited,
 and the first violating tuple is still the one naive enumeration finds.
 `tuples_checked` counts the tuples decided (sorted within copy blocks),
 those skipped as zero on both sides included, so it equals the count of a
-naive enumeration.  `evaluate` and `check_schema_random` go through the
-same plans and kernels.
+naive enumeration; `tuples_evaluated` counts those whose sides were
+evaluated.  `evaluate` and `check_schema_random` go through the same plans
+and kernels.
 """
 
 from __future__ import annotations
@@ -349,7 +354,8 @@ class CheckReport:
     check: str
     witness: Optional[Witness] = None
     detail: str = ""
-    tuples_checked: int = 0
+    tuples_checked: int = 0   # tuples decided
+    tuples_evaluated: int = 0  # tuples whose sides were evaluated
 
     @property
     def ok(self) -> bool:
@@ -453,24 +459,72 @@ def _support(vectors) -> int:
 
 
 def _tensor(tensor):
-    """(sparse rows [i][j], row masks, column masks) of a tensor, kept on it.
+    """[sparse rows [i][j], row masks, column masks, P, Q] of a tensor, kept on it.
 
     Bit j of row mask i, and bit i of column mask j, is set when e_i e_j is
-    nonzero.
+    nonzero.  P and Q are the per-output masks of `_outputs`, None until a
+    check first needs them.
     """
     got = tensor._compiled
     if got is None:
         rows = [[_sparse(r) for r in plane] for plane in tensor._n]
-        got = tensor._compiled = (rows, [_support(plane) for plane in rows],
+        got = tensor._compiled = [rows, [_support(plane) for plane in rows],
                                   [_support(plane[j] for plane in rows)
-                                   for j in range(tensor.right_dim)])
+                                   for j in range(tensor.right_dim)], None, None]
     return got
+
+
+def _outputs(tensor, right: bool):
+    """P (right False) or Q (right True) of a tensor, built once and kept on it.
+
+    Bit j of P[i][k], and bit i of Q[j][k], is set when coordinate k of
+    e_i e_j is nonzero.  The rows for a zero row or column mask are one
+    shared zero row.
+    """
+    got = _tensor(tensor)
+    table = got[3 + right]
+    if table is None:
+        rows, zero = got[0], [0] * tensor.out_dim
+        table = [zero] * (tensor.right_dim if right else tensor.left_dim)
+        for i, plane in enumerate(rows):
+            for j, row in enumerate(plane):
+                a, b = (j, i) if right else (i, j)
+                for k, _ in row:
+                    if table[a] is zero:
+                        table[a] = [0] * tensor.out_dim
+                    table[a][k] |= 1 << b
+        got[3 + right] = table
+    return table
 
 
 def _columns(lin):
     """(sparse columns, nonzero-column mask) of a map."""
     cols = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
     return cols, _support(cols)
+
+
+def _row_sets(cols, dim):
+    """Bit b of entry k is set when coordinate k of column b is nonzero."""
+    out = [0] * dim
+    for b, col in enumerate(cols):
+        for k, _ in col:
+            out[k] |= 1 << b
+    return out
+
+
+def _gather(vec, bits) -> int:
+    """The union of vec[j] over the set bits j of bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        out |= vec[low.bit_length() - 1]
+    return out
+
+
+def _spread(vec, table):
+    """Entry k is the union of vec[j] over the bits j of table[k]."""
+    return [_gather(vec, bits) for bits in table]
 
 
 def _power(interp, symbol, power, powers):
@@ -757,55 +811,99 @@ class _Plan:
     def _support_recipe(self, free) -> None:
         """Record how the last slot's support follows from the prefix.
 
-        A node's support mask has bit i set when the node may be nonzero with
-        the last slot at index i; -1 stands for every index.  `support` lists,
-        children first, (node, kind, a, b) for each node that reads the last
-        slot, with z the last variable, c a node that does not read it (a
-        prefix constant) and n, n1, n2 nodes that do:
-          "rows", c, op:   op(c, z), the row masks of op over c's support;
-          "cols", c, op:   op(z, c), the column masks of op over c's support;
-          "map", symbol, power:  tw(z), the nonzero-column mask of the power;
-          "if", c, n:      op(c, n) or op(n, c), mask(n) if c is nonzero;
-          "and", n1, n2:   op(n1, n2), where z counts as every index;
-          "same", n, None: tw(n);
-          "sum", ns, cs:   the union of the ns, every index if a c is nonzero.
-        `last_roots` and `prefix_roots` split the roots by whether they read
-        the last slot.
+        A node's mask has bit t set when the node may be nonzero with the
+        last slot at index t; -1 stands for every index.  A node read by an
+        op(c, n) also gets a vector of masks, one per output coordinate j:
+        bit t of entry j is set when coordinate j may be nonzero at t.  Here
+        z is the last variable, c a node that does not read it (a prefix
+        value) and n, n1, n2 nodes that do; for z itself the mask is -1 and
+        entry j of the vector is 1 << j.  `support` lists, children first,
+        (node, kind, a, b, x) for each mask or vector some root needs.
+
+        Masks:
+          "rows", c, n, op:  op(c, n): J is the union of op's row masks over
+                             c's support, the mask the union of vec(n)[j]
+                             over j in J (J itself when n is z);
+          "cols", c, n, op:  op(n, c), the same with op's column masks;
+          "map", -, -, (symbol, power):  tw(z), the power's nonzero columns;
+          "same", n:         tw(n), mask(n);
+          "and", n1, n2:     op(n1, n2), mask(n1) & mask(n2);
+          "sum", ns, cs:     the union of the ns, every index if a c is nonzero.
+        Vectors:
+          "vrows", c, n, op: op(c, n): entry k is the union over i in c's
+                             support of P[i][k] (op's per-output masks),
+                             spread through vec(n) when n is not z;
+          "vcols", c, n, op: op(n, c), the same with Q;
+          "vmap", -, n, (symbol, power):  tw(n): entry k is the union of
+                             vec(n)[j] over the nonzero entries j of row k of
+                             the power (row k itself when n is z);
+          "vvar":            z, entry j is 1 << j;
+          "vand", n1, n2:    op(n1, n2), mask(n1) & mask(n2) in every entry;
+          "vsum", ns, cs:    entrywise union of the ns; every index at the
+                             coordinates where a c is nonzero.
+        So vectors are built only under an op(c, n), and a c that is one
+        basis vector e_i over op(c, z) takes P[i] as it is.  `last_roots`
+        and `prefix_roots` split the roots by whether they read the last slot.
         """
         self.support, self.last_roots, self.prefix_roots = [], [], []
         if not self.levels[1:]:
             self.prefix_roots = self.roots
             return
         last = 1 << (len(self.levels) - 2)
-        for nid, _ in self.levels[-1]:
-            key = self.nodes[nid]
+        nodes = self.nodes
+        for r in self.roots:
+            (self.last_roots if free[r] & last else self.prefix_roots).append(r)
+
+        def inner(n):
+            """n, or None when n is z."""
+            return None if nodes[n][0] == "var" else n
+
+        masks, vectors = set(self.last_roots), set()
+        steps = []
+        for nid, _ in reversed(self.levels[-1]):
+            if nid not in masks and nid not in vectors:
+                continue
+            key = nodes[nid]
             kind = key[0]
             if kind == "tw":
                 _, symbol, power, child = key
-                if self.nodes[child][0] == "var":
-                    self.support.append((nid, "map", symbol, power))
-                else:
-                    self.support.append((nid, "same", child, None))
+                if nid in masks:
+                    if inner(child) is None:
+                        steps.append((nid, "map", None, None, (symbol, power)))
+                    else:
+                        steps.append((nid, "same", child, None, None))
+                        masks.add(child)
+                if nid in vectors:
+                    steps.append((nid, "vmap", None, inner(child), (symbol, power)))
+                    vectors.add(inner(child))
             elif kind == "op":
                 _, symbol, left, right = key
-                if not free[left] & last:
-                    if self.nodes[right][0] == "var":
-                        self.support.append((nid, "rows", left, symbol))
-                    else:
-                        self.support.append((nid, "if", left, right))
-                elif not free[right] & last:
-                    if self.nodes[left][0] == "var":
-                        self.support.append((nid, "cols", right, symbol))
-                    else:
-                        self.support.append((nid, "if", right, left))
-                else:
-                    self.support.append((nid, "and", left, right))
+                if free[left] & last and free[right] & last:
+                    if nid in masks:
+                        steps.append((nid, "and", left, right, None))
+                    if nid in vectors:
+                        steps.append((nid, "vand", left, right, None))
+                    masks.update((left, right))
+                    continue
+                side, c, n = ("rows", left, right) if free[right] & last else ("cols", right, left)
+                if nid in masks:
+                    steps.append((nid, side, c, inner(n), symbol))
+                if nid in vectors:
+                    steps.append((nid, "v" + side, c, inner(n), symbol))
+                vectors.add(inner(n))
             else:
-                children = [c for _, c in key[1]]
-                self.support.append((nid, "sum", [c for c in children if free[c] & last],
-                                     [c for c in children if not free[c] & last]))
-        for r in self.roots:
-            (self.last_roots if free[r] & last else self.prefix_roots).append(r)
+                ns = [c for _, c in key[1] if free[c] & last]
+                cs = [c for _, c in key[1] if not free[c] & last]
+                if nid in masks:
+                    steps.append((nid, "sum", ns, cs, None))
+                    masks.update(ns)
+                if nid in vectors:
+                    steps.append((nid, "vsum", ns, cs, None))
+                    vectors.update(ns)
+        # only a sum reads the vector of z itself
+        steps.extend((n, "vvar", None, None, None) for n in vectors
+                     if n is not None and nodes[n][0] == "var")
+        self.support = steps[::-1]
 
     def holds(self, interp: Interpretation, powers: dict) -> bool:
         """Whether every guard holds for this interpretation's data."""
@@ -814,14 +912,11 @@ class _Plan:
                 and all(_is_zero(interp, symbol) == flag for symbol, flag in self.zeros))
 
     def bind(self, interp: Interpretation, leaf_dens: dict, powers: dict):
-        """(kernels, denominators, support steps) over the interpretation's data.
+        """(kernels, denominators) over the interpretation's data.
 
         A variable's denominator is leaf_dens.get(name, 1); every other live
         node gets an integer kernel reading its children's current values
-        from a list indexed by node id.  The support steps are the support
-        recipe with its data filled in: "rows" and "cols" become ("union",
-        c, the op's row or column masks) and "map" becomes ("fixed", the
-        power's nonzero-column mask, None).
+        from a list indexed by node id.
         """
         nodes, sorts, dims = self.nodes, self.sorts, interp.sorts
         dens = [1] * len(nodes)
@@ -850,21 +945,51 @@ class _Plan:
                 terms = [(w.numerator * (den // (w.denominator * dens[c])), c) for w, c in key[1]]
                 dens[nid] = den
                 kernels[nid] = _sum_kernel(terms, dims[sorts[nid]])
-        support = []
-        for nid, kind, a, b in self.support:
-            if kind == "rows":
-                support.append((nid, "union", a, _tensor(interp.ops[b][0])[1]))
-            elif kind == "cols":
-                support.append((nid, "union", a, _tensor(interp.ops[b][0])[2]))
+        return kernels, dens
+
+    def bind_support(self, interp: Interpretation, powers: dict, masks: list, vecs: list):
+        """The support recipe over the interpretation's data.
+
+        The masks of "map" and the vectors of "vvar" and of a "vmap" that
+        reads z do not depend on the prefix: they go into `masks` and `vecs`
+        once.  The rest is returned as per-prefix steps (node, kind, a, b,
+        data): "rows"/"cols" become "union" (b None) or "pick" with the op's
+        row or column masks, "vrows"/"vcols" become "vunion" with (P or Q,
+        output dimension), "vmap" becomes "vspread" with the power's row
+        sets, and "vand"/"vsum" get their output dimension.  A check binds
+        it once it first needs the support steps.
+        """
+        dims = interp.sorts
+        out = []
+        for nid, kind, a, b, x in self.support:
+            if kind in ("rows", "cols"):
+                data = _tensor(interp.ops[x][0])[1 if kind == "rows" else 2]
+                kind = "union" if b is None else "pick"
+            elif kind in ("vrows", "vcols"):
+                data = (_outputs(interp.ops[x][0], kind == "vcols"), dims[self.sorts[nid]])
+                kind = "vunion"
             elif kind == "map":
-                support.append((nid, "fixed", _power(interp, a, b, powers)[2], None))
+                masks[nid] = _power(interp, *x, powers)[2]
+                continue
+            elif kind == "vmap":
+                data = _row_sets(_power(interp, *x, powers)[0], dims[self.sorts[nid]])
+                if b is None:
+                    vecs[nid] = data
+                    continue
+                kind = "vspread"
+            elif kind == "vvar":
+                vecs[nid] = [1 << j for j in range(dims[self.sorts[nid]])]
+                continue
+            elif kind in ("vand", "vsum"):
+                data = dims[self.sorts[nid]]
             else:
-                support.append((nid, kind, a, b))
-        return kernels, dens, support
+                data = None
+            out.append((nid, kind, a, b, data))
+        return out
 
 
 def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict):
-    """(plan, kernels, denominators, support steps) for the clauses over interp.
+    """(plan, kernels, denominators, powers) for the clauses over interp.
 
     The plan comes from the first clause's cache, keyed by the remaining
     clauses and `polar`, then by shape; it is built when no cached plan's
@@ -886,7 +1011,7 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict):
     if plan is None:
         plan = _Plan(clause_set, interp, powers)
         clause_set.by_shape.setdefault(shape, []).append(plan)
-    return (plan, *plan.bind(interp, leaf_dens, powers))
+    return (plan, *plan.bind(interp, leaf_dens, powers), powers)
 
 
 def _run(order, kernels, cur) -> None:
@@ -952,10 +1077,11 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     violating tuple is sorted there and the witness is the one full
     enumeration finds.  In the last slot only the indices in the support
     mask of some side are evaluated; every other tuple has both sides zero.
-    tuples_checked counts the tuples decided, skipped ones included.
+    tuples_checked counts the tuples decided, skipped ones included, and
+    tuples_evaluated those whose sides were evaluated.
     """
     try:
-        plan, kernels, dens, support_steps = _bind(clauses, interp, True, {})
+        plan, kernels, dens, powers = _bind(clauses, interp, True, {})
     except (SemanticError, KeyError) as exc:
         raise SemanticError(f"{clauses[0].name}: {exc}") from exc
     variables, lower = plan.clause_set.variables, plan.clause_set.lower
@@ -968,9 +1094,11 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     prefix_roots, last_roots = plan.prefix_roots, plan.last_roots
     cur = [None] * len(plan.nodes)
     masks = [-1] * len(plan.nodes)  # the last variable's own mask stays -1
+    vecs = [None] * len(plan.nodes)
+    support_steps = None
     idx = [0] * len(variables)
     last = len(variables) - 1
-    count = 0
+    count = evaluated = 0
     hit = -1
 
     def run(level):
@@ -995,23 +1123,34 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     def support():
         """Mask of the last-slot indices at which some side may be nonzero;
         runs the support steps (see _Plan._support_recipe) for this prefix."""
+        nonlocal support_steps
         for r in prefix_roots:
             if cur[r]:
                 return -1
-        for nid, kind, a, b in support_steps:
-            if kind == "union":
+        if support_steps is None:
+            support_steps = plan.bind_support(interp, powers, masks, vecs)
+        for nid, kind, a, b, data in support_steps:
+            if kind == "vunion":
+                c = cur[a]
+                if len(c) == 1:
+                    vec = data[0][c[0][0]]
+                else:
+                    table, vec = data[0], [0] * data[1]
+                    for i, _ in c:
+                        for k, m in enumerate(table[i]):
+                            vec[k] |= m
+                vecs[nid] = vec if b is None else _spread(vecs[b], vec)
+            elif kind == "pick":
+                bits = 0
+                for i, _ in cur[a]:
+                    bits |= data[i]
+                masks[nid] = _gather(vecs[b], bits)
+            elif kind == "union":
                 out = 0
                 for i, _ in cur[a]:
-                    out |= b[i]
-            elif kind == "if":
-                out = masks[b] if cur[a] else 0
-            elif kind == "same":
-                out = masks[a]
-            elif kind == "and":
-                out = masks[a] & masks[b]
-            elif kind == "fixed":
-                out = a
-            else:
+                    out |= data[i]
+                masks[nid] = out
+            elif kind == "sum":
                 out = 0
                 for c in a:
                     out |= masks[c]
@@ -1019,7 +1158,24 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                     if cur[c]:
                         out = -1
                         break
-            masks[nid] = out
+                masks[nid] = out
+            elif kind == "same":
+                masks[nid] = masks[a]
+            elif kind == "vspread":
+                vecs[nid] = _spread(vecs[b], data)
+            elif kind == "and":
+                masks[nid] = masks[a] & masks[b]
+            elif kind == "vsum":
+                vec = [0] * data
+                for c in a:
+                    for k, m in enumerate(vecs[c]):
+                        vec[k] |= m
+                for c in b:
+                    for k, _ in cur[c]:
+                        vec[k] = -1
+                vecs[nid] = vec
+            else:  # "vand"
+                vecs[nid] = [masks[a] & masks[b]] * data
         out = 0
         for r in last_roots:
             out |= masks[r]
@@ -1027,9 +1183,10 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
 
     def scan(lo):
         """Visit the last slot's supported indices from lo; True at a witness."""
-        nonlocal count
+        nonlocal count, evaluated
         vnode, vals = var_at[last], basis[last]
         bits = (support() & ((1 << dims[last]) - 1)) >> lo << lo
+        evaluated += bits.bit_count()
         while bits:
             low = bits & -bits
             bits ^= low
@@ -1040,6 +1197,7 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
             run(last)
             if violated():
                 count += i + 1 - lo
+                evaluated -= bits.bit_count()
                 return True
         count += dims[last] - lo
         return False
@@ -1063,9 +1221,10 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     if variables:
         failed = visit(0)
     else:
-        count, failed = 1, violated()
+        count = evaluated = 1
+        failed = violated()
     if not failed:
-        return CheckReport("pass", check_id, tuples_checked=count)
+        return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=evaluated)
     lhs, rhs = sides[hit]
     witness = Witness(
         identity=clauses[hit].name,
@@ -1074,7 +1233,8 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         lhs_value=_vector(cur, dens, lhs, interp.sorts.get(plan.out_sorts[hit], 0)),
         rhs_value=_vector(cur, dens, rhs, interp.sorts.get(plan.out_sorts[hit], 0)),
     )
-    return CheckReport("fail", check_id, witness=witness, tuples_checked=count)
+    return CheckReport("fail", check_id, witness=witness, tuples_checked=count,
+                       tuples_evaluated=evaluated)
 
 
 _RANDOM_NUMERATORS = tuple(range(-3, 4))
@@ -1121,13 +1281,14 @@ def check_schema_random(
 
 def check_all(schemas, interp: Interpretation, check_id: str) -> CheckReport:
     """Run several schemas; pass iff all pass, else first failure's witness."""
-    total = 0
+    total = evaluated = 0
     for schema in schemas:
         rep = check_schema(schema, interp)
         total += rep.tuples_checked
+        evaluated += rep.tuples_evaluated
         if not rep.ok:
             return CheckReport(
                 "fail", check_id, witness=rep.witness, tuples_checked=total,
-                detail=f"violated schema {schema.name!r}",
+                tuples_evaluated=evaluated, detail=f"violated schema {schema.name!r}",
             )
-    return CheckReport("pass", check_id, tuples_checked=total)
+    return CheckReport("pass", check_id, tuples_checked=total, tuples_evaluated=evaluated)

@@ -18,12 +18,16 @@ class ShapeError(ValueError):
     """Dimension mismatch between operands."""
 
 
+_ZERO = Fraction(0)
+
+
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _merge(fracs):
-    """Return (numerators, common positive denominator) for a list of Fractions."""
+    """Return (numerators, common positive denominator) for a list of Fractions
+    (ints count as Fractions over 1)."""
     den = 1
     for f in fracs:
         den = den * f.denominator // gcd(den, f.denominator)
@@ -297,7 +301,9 @@ class StructureTensor:
             for row in plane:
                 if len(row) != od:
                     raise ShapeError("ragged tensor")
-                fracs.extend(_frac(x) for x in row)
+                # an int is its own numerator over 1: the zeros of a sparse
+                # tensor, most of its entries, are never wrapped
+                fracs.extend(x if x.__class__ is int else _frac(x) for x in row)
         nums, den = _merge(fracs)
         nums, den = _reduce(nums, den)
         it = iter(nums)
@@ -345,8 +351,9 @@ class StructureTensor:
 
     @property
     def coeffs(self):
+        d = self._d
         return tuple(
-            tuple(tuple(Fraction(x, self._d) for x in row) for row in plane)
+            tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in plane)
             for plane in self._n
         )
 

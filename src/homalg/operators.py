@@ -192,16 +192,17 @@ def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) ->
     """One pass per product symbol, in sorted order; clause names get ":<symbol>"."""
     a, clauses = c.rep, _algebra_clauses()[kind]
     maps = {"T": (c.map, ("A", "A"))}
-    total = 0
+    total = evaluated = 0
     for sym in sorted(a.products):
         interp = Interpretation({"A": a.dim}, {"mu": (a.products[sym], ("A", "A", "A"))}, maps)
         report = check_clauses(clauses, interp, check_id)
         total += report.tuples_checked
+        evaluated += report.tuples_evaluated
         if not report.ok:
             w = report.witness
-            return CheckReport("fail", check_id, tuples_checked=total,
+            return CheckReport("fail", check_id, tuples_checked=total, tuples_evaluated=evaluated,
                                witness=replace(w, identity=f"{w.identity}:{sym}"))
-    return CheckReport("pass", check_id, tuples_checked=total)
+    return CheckReport("pass", check_id, tuples_checked=total, tuples_evaluated=evaluated)
 
 
 # ---------------------------------------------------------------------------

@@ -456,8 +456,9 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
                             rhs_value=rhs,
                         ),
                         tuples_checked=count,
+                        tuples_evaluated=count,
                     )
-    return CheckReport("pass", check_id, tuples_checked=count)
+    return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count)
 
 
 def endomorphism_clauses(a: AlgebraInstance):

@@ -342,12 +342,33 @@ def test_sparse_data_is_computed_once_per_object():
     assert t._compiled is None and alpha._compiled is None
     check_schema(schema, interp)
     tensor_data, map_data = t._compiled, alpha._compiled
-    (rows, row_masks, col_masks), (cols, col_support) = tensor_data, map_data
+    (rows, row_masks, col_masks, p, q), (cols, col_support) = tensor_data, map_data
     assert rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
     # e1 e1 and e1 e2 are nonzero, e2 e_j is zero; both columns of alpha are nonzero
     assert (row_masks, col_masks, col_support) == ([0b11, 0], [0b01, 0b01], 0b11)
+    # this schema reads no op(c, n) with n past the last slot: no per-output masks
+    assert p is None and q is None
     check_schema(schema, interp)
     assert t._compiled is tensor_data and alpha._compiled is map_data
+    kept = list(tensor_data)
+
+    # x (y z) and (x y) z need P (x (y z)) and Q ((y z) x)-style masks once
+    x, y, z = var("x"), var("y"), var("z")
+    nested = IdentitySchema("nested", op("mul", x, op("mul", y, z)),
+                            op("mul", op("mul", z, y), x), variables=[("x", "A", 1),
+                                                                      ("y", "A", 1),
+                                                                      ("z", "A", 1)])
+    check_schema(nested, interp)
+    p, q = tensor_data[3], tensor_data[4]
+    # coordinate k of e_i e_j: e1 e1 = e1, e1 e2 = e2
+    assert p == [[0b01, 0b10], [0, 0]] and q == [[0b01, 0], [0, 0b01]]
+    assert t._compiled is tensor_data and tensor_data[:3] == kept[:3]
+    assert all(a is b for a, b in zip(tensor_data[:3], kept[:3]))
+    for _ in range(2):
+        check_schema(nested, interp)
+        check_schema(_fresh(nested), interp)
+        assert t._compiled is tensor_data
+        assert tensor_data[3] is p and tensor_data[4] is q
 
 
 # ---------------------------------------------------------------------------
@@ -663,3 +684,157 @@ def test_pruned_enumeration_matches_naive_on_cancelling_and_prefix_sides():
             ops = interp.ops | {"mul2": (mul2, ("A", "A", "A"))}
             cases.append(((schema,), Interpretation(interp.sorts, ops, interp.maps)))
     _assert_pruning_matches_naive(cases)
+
+
+def _nested_schemas(sign):
+    """Products, twists and sums (one with a term that does not read the last
+    slot) under a product with a prefix value; sign weighs the second sum terms."""
+    w, x, y, z = var("w"), var("x"), var("y"), var("z")
+    yz = op("mul", y, z) + sign * op("mul2", z, y)
+    return [
+        IdentitySchema("deep", op("mul", w, op("mul2", x, op("mul", y, z))),
+                       op("mul", op("mul2", tw("alpha", w), x), op("mul", y, z))),
+        IdentitySchema("twisted-inner", op("mul", x, tw("alpha", op("mul", y, z))),
+                       op("mul2", op("mul", z, tw("alpha", y)), x)),
+        IdentitySchema("sum-inner", op("mul", x, yz), op("mul2", yz, tw("alpha", x))),
+        IdentitySchema("prefix-term-inner",
+                       op("mul", x, op("mul", x, y) + sign * op("mul2", y, z)),
+                       op("mul", op("mul2", z, y) + 2 * tw("alpha", op("mul", x, y)), x),
+                       variables=[("x", "A", 1), ("y", "A", 1), ("z", "A", 1)]),
+        IdentitySchema("twisted-sum-inner", op("mul2", tw("alpha", x), tw("alpha", yz)),
+                       tw("alpha", op("mul", x, yz))),
+    ]
+
+
+def test_pruned_enumeration_matches_naive_under_nested_products():
+    # the per-coordinate rules on signed data, and a square whose polarization
+    # multiplies two nodes that both read the last slot
+    import random
+
+    x, y = var("x"), var("y")
+    schemas = _nested_schemas(-1)
+    # a side = 0 fails first at that side's first nonzero tuple
+    schemas += [IdentitySchema(f"{s.name}:{k}", e, ZERO, s.variables)
+                for s in schemas for k, e in enumerate((s.lhs, s.rhs))]
+    schemas.append(IdentitySchema("square-inner", op("mul", x, op("mul2", y, y)), ZERO))
+    rng = random.Random(13)
+    cases = []
+    for schema in schemas:
+        for _ in range(24):
+            n = rng.randint(1, 3)
+            interp = _algebra_interp(rng, ("mul",), n)
+            mul = interp.ops["mul"][0]
+            mul2 = mul if rng.random() < 0.3 else _sparse_tensor(rng, n, n, n)
+            ops = interp.ops | {"mul2": (mul2, ("A", "A", "A"))}
+            cases.append(((schema,), Interpretation(interp.sorts, ops, interp.maps)))
+    _assert_pruning_matches_naive(cases)
+
+
+# ---------------------------------------------------------------------------
+# tuples_evaluated: with no cancellation the support masks are exact
+
+
+def _positive(expr) -> bool:
+    """Whether every weight of every sum in the expression is positive."""
+    from homalg.engine import OpApp, Sum, TwistApp
+
+    if isinstance(expr, Sum):
+        return all(w > 0 and _positive(e) for w, e in expr.terms)
+    if isinstance(expr, TwistApp):
+        return _positive(expr.child)
+    if isinstance(expr, OpApp):
+        return _positive(expr.left) and _positive(expr.right)
+    return True
+
+
+def _nonzero_tuples(clauses, interp, decided):
+    """How many of the first `decided` tuples (lexicographic) have a nonzero side."""
+    import itertools
+
+    variables = clauses[0].variables
+    dims = [interp.sorts[sort] for _, sort, _ in variables]
+    count = 0
+    for combo in itertools.islice(itertools.product(*map(range, dims)), decided):
+        env = {name: Vector.basis(d, i) for (name, _, _), d, i in zip(variables, dims, combo)}
+        values = [_naive_value(e, env, interp) for c in clauses for e in (c.lhs, c.rhs)]
+        count += any(v is not None and not v.is_zero() for v in values)
+    return count
+
+
+def _nonnegative_interp(rng, n):
+    """Sparse tensors with entries 1, 2, 1/2, and a twist with no zero column,
+    so that no sum of products can cancel and no twist can kill a value."""
+    def tensor():
+        density = rng.choice((0.15, 0.3, 0.6))
+        return StructureTensor([[[rng.choice((1, 2, Fraction(1, 2))) if rng.random() < density
+                                  else 0 for _ in range(n)] for _ in range(n)] for _ in range(n)])
+
+    rows = [[rng.choice((1, 2)) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        rows[rng.randrange(n)][j] = 1
+    alpha = rng.choice((LinearMap.identity(n), LinearMap(rows)))
+    return Interpretation({"A": n}, {"mul": (tensor(), ("A", "A", "A")),
+                                     "mul2": (tensor(), ("A", "A", "A"))},
+                          {"alpha": (alpha, ("A", "A"))})
+
+
+def test_tuples_evaluated_are_the_tuples_with_a_nonzero_side():
+    import random
+
+    from homalg.varieties import VarietyTag, schemas_for
+
+    rename = {"left": "mul", "right": "mul2", "middle": "mul", "brace": "mul"}
+    schemas = []
+    for tag in (VarietyTag.HOM_ASSOCIATIVE, VarietyTag.HOM_LEIBNIZ,
+                VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA, VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA):
+        for s in schemas_for(tag):
+            if s.is_multilinear() and _positive(s.lhs) and _positive(s.rhs):
+                schemas.append(IdentitySchema(s.name, rewrite(s.lhs, ops=rename),
+                                              rewrite(s.rhs, ops=rename), s.variables))
+    assert len(schemas) >= 10
+    schemas += _nested_schemas(1)
+    rng = random.Random(12)
+    seen = set()
+    for schema in schemas:
+        # each side against itself passes, so every tuple is decided
+        sides = tuple(IdentitySchema(f"{schema.name}:{k}", e, e, schema.variables)
+                      for k, e in enumerate((schema.lhs, schema.rhs)))
+        for _ in range(6):
+            interp = _nonnegative_interp(rng, rng.randint(1, 3))
+            for clauses in ((schema,), sides):
+                report = check_clauses(clauses, interp, "tight")
+                assert report.tuples_evaluated == _nonzero_tuples(
+                    clauses, interp, report.tuples_checked), schema.name
+                seen.add((report.status, report.tuples_evaluated < report.tuples_checked))
+    assert seen >= {("pass", True), ("fail", True)}
+
+
+def test_a_product_is_evaluated_only_where_its_outer_factor_reads_the_inner_one():
+    # e1 e_j = e2 for every j and e3 e1 = e1; everything else is zero.  After
+    # the prefix (e3, e1), e1 z = e2 is nonzero for every z, but e3 e2 = 0:
+    # x (y z) is zero on all of them.  Reading only "e1 z is nonzero" would
+    # evaluate 12 tuples of this pass, every z after (e3, e1) included.
+    t = StructureTensor.square_from_rule(3, {(0, 0): [0, 1, 0], (0, 1): [0, 1, 0],
+                                             (0, 2): [0, 1, 0], (2, 0): [1, 0, 0]})
+    x, y, z = var("x"), var("y"), var("z")
+    schema = IdentitySchema("x(yz)", op("mul", x, op("mul", y, z)),
+                            op("mul2", x, op("mul2", y, z)))
+    interp = interp_for(t)
+    interp = Interpretation(interp.sorts, interp.ops | {"mul2": (t, ("A", "A", "A"))},
+                            interp.maps)
+    report = check_schema(schema, interp)
+    assert report.ok and report.tuples_checked == 27
+    # e1(e1 z) for all three z, e1(e3 e1) and e3(e3 e1)
+    assert report.tuples_evaluated == _nonzero_tuples((schema,), interp, 27) == 5
+
+
+def test_catalog_certification_evaluates_a_pinned_number_of_tuples(seed_catalog):
+    from homalg.varieties import certify
+
+    # the summed work of certify(a, a.variety) over the catalog's algebras;
+    # a looser support rule evaluates more (331 with mask(n) for op(c, n))
+    reports = [certify(e.value, e.value.variety) for e in seed_catalog.values()
+               if e.kind == "algebra"]
+    assert all(r.ok for r in reports) and len(reports) == 20
+    assert sum(r.tuples_checked for r in reports) == 695
+    assert sum(r.tuples_evaluated for r in reports) == 153

@@ -155,3 +155,30 @@ def test_sparse_compose_matches_dense_product():
             assert h == LinearMap(_dense_product(f, g))
     with pytest.raises(ShapeError):
         LinearMap.zero(2, 3).compose(LinearMap.zero(2, 3))
+
+
+def test_sparse_tensor_construction_matches_dense_fractions():
+    # ints (the zeros of a sparse tensor above all) are not wrapped in
+    # Fraction; the stored numerators, denominator, equality, hash and
+    # coefficients are those of an all-Fraction dense array
+    rng = random.Random(11)
+    values = [0] * 8 + [1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(0), "5/6"]
+    shapes = [(1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 3, 1), (3, 1, 4)]
+    for ld, rd, od in shapes:
+        for _ in range(15):
+            dense = [[[rng.choice(values) for _ in range(od)] for _ in range(rd)]
+                     for _ in range(ld)]
+            rule = {(i, j): row for i, plane in enumerate(dense)
+                    for j, row in enumerate(plane) if rng.random() < 0.7 or any(row)}
+            wrapped = [[[Fraction(x) for x in row] for row in plane] for plane in dense]
+            sparse_dense = [[rule.get((i, j), [0] * od) for j in range(rd)] for i in range(ld)]
+            want = StructureTensor(wrapped)
+            for got in (StructureTensor(sparse_dense), StructureTensor.from_rule(ld, rd, od, rule)):
+                assert (got._n, got._d) == (want._n, want._d)
+                assert got == want and hash(got) == hash(want)
+                assert got.coeffs == want.coeffs
+                assert all(type(c) is Fraction for plane in got.coeffs for row in plane
+                           for c in row)
+    assert StructureTensor([[[0, Fraction(1, 3)]]])._d == 3
+    with pytest.raises(ValueError):
+        StructureTensor([[["x"]]])
