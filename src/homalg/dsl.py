@@ -40,6 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .exact import LinearMap, StructureTensor
 from .operators import OperatorCandidate
@@ -160,12 +161,14 @@ _REP_FORMS = {kind: _rep_forms(actions, vprod) for kind, (_, actions, vprod) in 
 
 
 def _parse_rational(tok, line):
+    """(numerator, positive denominator) of a rational token, not reduced."""
     if not _RATIONAL.match(tok):
         raise DslSyntaxError(line, f"expected a rational number, got {tok!r}")
-    try:
-        return Fraction(tok)
-    except ZeroDivisionError:
-        raise DslSyntaxError(line, f"zero denominator in {tok!r}") from None
+    num, _, den = tok.partition("/")
+    den = int(den) if den else 1
+    if not den:
+        raise DslSyntaxError(line, f"zero denominator in {tok!r}")
+    return int(num), den
 
 
 def _parse_basis(tok, line):
@@ -182,11 +185,16 @@ def _range_check(idx, dim, line, prefix):
 
 
 def _parse_terms(text, line, sort, dim):
-    """Parse 'TERM + TERM + ...' (or '0') into a dense coefficient list."""
-    out = [Fraction(0)] * dim
+    """Parse 'TERM + TERM + ...' (or '0') into a dense coefficient list.
+
+    Integer numerators are accumulated over one denominator, so a row with
+    integer coefficients is a list of ints; otherwise its nonzero entries
+    are Fractions.
+    """
+    nums, den = [0] * dim, 1
     text = text.strip()
     if text == "0":
-        return out
+        return nums
     if not text:
         raise DslSyntaxError(line, "empty right-hand side")
     for chunk in text.split("+"):
@@ -195,9 +203,9 @@ def _parse_terms(text, line, sort, dim):
             raise DslSyntaxError(line, "empty term in sum")
         if "*" in chunk:
             coeff_txt, basis_txt = (p.strip() for p in chunk.split("*", 1))
-            coeff = _parse_rational(coeff_txt, line)
+            num, d = _parse_rational(coeff_txt, line)
         else:
-            coeff, basis_txt = Fraction(1), chunk
+            (num, d), basis_txt = (1, 1), chunk
         prefix, idx = _parse_basis(basis_txt, line)
         if prefix != sort:
             raise DslSemanticError(
@@ -205,8 +213,11 @@ def _parse_terms(text, line, sort, dim):
                 category="dimension",
             )
         _range_check(idx, dim, line, prefix)
-        out[idx - 1] += coeff
-    return out
+        if den % d:
+            scale = d // gcd(den, d)
+            nums, den = [x * scale for x in nums], den * scale
+        nums[idx - 1] += num * (den // d)
+    return nums if den == 1 else [Fraction(x, den) if x else 0 for x in nums]
 
 
 def _read_lhs(form, lhs, line, dims):
@@ -419,15 +430,16 @@ def _parse_operator(stream, pos, lookup):
 # serialization
 
 
-def _fmt_terms(coeffs, prefix):
+def _fmt_terms(nums, den, prefix):
+    """The terms of a row of integer numerators over den, or "0"."""
     parts = []
-    for idx, c in enumerate(coeffs, start=1):
-        if c == 0:
+    for idx, n in enumerate(nums, start=1):
+        if not n:
             continue
-        if c == 1:
+        if n == den:
             parts.append(f"{prefix}{idx}")
         else:
-            parts.append(f"{c} * {prefix}{idx}")
+            parts.append(f"{n if den == 1 else Fraction(n, den)} * {prefix}{idx}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -437,13 +449,12 @@ def _emit(lines, form, sym, value):
     head = f"  {form.keyword} {sym}: " if sym else "  "
     lhs = " * ".join(f"{s}{{{p}}}" for s, p in zip(form.sorts, form.flip(range(2))))
     if len(form.sorts) == 1:
-        m = value.matrix
-        rows = (((j + 1,), [r[j] for r in m]) for j in range(value.src_dim))
+        rows = (((j + 1,), [r[j] for r in value._n]) for j in range(value.src_dim))
     else:
         rows = (((i + 1, j + 1), row)
-                for i, plane in enumerate(value.coeffs) for j, row in enumerate(plane))
-    for key, terms in [row for row in rows if any(row[1])] or [((1, 1), ())]:
-        lines.append(f"{head}{lhs.format(*key)} = {_fmt_terms(terms, form.out)}")
+                for i, plane in enumerate(value._n) for j, row in enumerate(plane))
+    for key, nums in [row for row in rows if any(row[1])] or [((1, 1), ())]:
+        lines.append(f"{head}{lhs.format(*key)} = {_fmt_terms(nums, value._d, form.out)}")
 
 
 def serialize_algebra(a: AlgebraInstance) -> str:

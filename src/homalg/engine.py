@@ -44,6 +44,20 @@ those skipped as zero on both sides included, so it equals the count of a
 naive enumeration; `tuples_evaluated` counts those whose sides were
 evaluated.  `evaluate` and `check_schema_random` go through the same plans
 and kernels.
+
+Exhaustive verdicts are memoized where the plans are kept: each shape of a
+clause tuple keeps the verdict of every check run over it, keyed by the
+identity of the tensor or map bound to each symbol read and by the
+dimensions of the sorts those objects leave free.  A check that binds the
+same objects again gets a fresh report whose status, witness,
+`tuples_checked` and `tuples_evaluated` are those of the first check.
+Tensors and maps are immutable (`_compiled` is only a cache), so an
+object's identity stands for its content.  A fresh object always misses,
+even with equal content: the memo serves constructions whose gates
+re-certify the same inputs, not repeated data.  It holds weak references
+only: entries whose objects are gone are swept once the memo has doubled,
+and the memo goes with its schema.  `evaluate` and `check_schema_random`
+never read it.
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 from typing import Optional
+from weakref import ref
 
 from .exact import ShapeError, Vector
 
@@ -332,7 +347,7 @@ class Interpretation:
                 raise ShapeError(f"map {sym!r}: matrix dims disagree with sorts")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A basis tuple on which an identity fails, with both evaluated sides."""
 
@@ -341,9 +356,6 @@ class Witness:
     indices: tuple            # 0-based basis index per slot
     lhs_value: Vector
     rhs_value: Vector
-
-    def indices_1based(self):
-        return tuple(i + 1 for i in self.indices)
 
 
 @dataclass
@@ -692,12 +704,14 @@ class _ClauseSet:
     """One clause tuple as checked, with its plans; kept on its first schema.
 
     `clauses` are the clauses as checked (polarized, for exhaustive checks),
-    `variables` their shared variable list and `lower` the slot each slot's
-    index starts from (its predecessor in a copy block, else -1).  `ops` and
-    `maps` name the symbols the clauses read; plans are listed per shape.
+    `variables` their shared variable list, `names` its (name, sort) pairs
+    as a witness gives them, and `lower` the slot each slot's index starts
+    from (its predecessor in a copy block, else -1).  `ops` and
+    `maps` name the symbols the clauses read; `by_shape` holds a _Shape per
+    interpretation shape.
     """
 
-    __slots__ = ("clauses", "variables", "lower", "ops", "maps", "by_shape")
+    __slots__ = ("clauses", "variables", "names", "lower", "ops", "maps", "by_shape")
 
     def __init__(self, clauses, polar: bool):
         self.clauses = tuple(polarize(s) for s in clauses) if polar else tuple(clauses)
@@ -706,6 +720,7 @@ class _ClauseSet:
                for c in self.clauses):
             raise SemanticError("clauses do not share one variable list")
         self.variables = first.variables
+        self.names = tuple((name, sort) for name, sort, _ in self.variables)
         slot_of = {name: p for p, (name, _, _) in enumerate(self.variables)}
         self.lower = lower = [-1] * len(self.variables)
         for block in first.copy_blocks if polar else ():
@@ -726,8 +741,63 @@ class _ClauseSet:
         """The sort names and the signature of every symbol read (None if unbound)."""
         ops, maps = interp.ops, interp.maps
         return (tuple(sorted(interp.sorts)),
-                tuple(ops[s][1] if s in ops else None for s in self.ops),
-                tuple(maps[s][1] if s in maps else None for s in self.maps))
+                tuple([ops[s][1] if s in ops else None for s in self.ops]),
+                tuple([maps[s][1] if s in maps else None for s in self.maps]))
+
+
+class _Shape:
+    """The plans of one clause set for one interpretation shape, and the
+    verdicts of the exhaustive checks already run over it.
+
+    `free` lists the sorts that no symbol read names.  `verdicts` maps a
+    memo key (see `bound`) to (witness or None, tuples_checked,
+    tuples_evaluated, the free sorts' dimensions, then a weak reference per
+    object).  A verdict is recalled only for the same dimensions and while
+    each reference still gives the object bound now, so neither a hash
+    collision nor an id reused after its object is gone can return another
+    check's verdict.  Entries hold no data; the ones whose objects are gone
+    are dropped once the memo has doubled since the last sweep.
+    """
+
+    __slots__ = ("plans", "free", "verdicts", "sweep_at")
+
+    def __init__(self, shape):
+        named = {sort for signature in shape[1] + shape[2] for sort in signature}
+        self.plans, self.verdicts, self.sweep_at = [], {}, 1
+        self.free = tuple(sort for sort in shape[0] if sort not in named)
+
+    def bound(self, clause_set: _ClauseSet, interp: Interpretation):
+        """(memo key, dimensions, objects) of an interpretation of this shape.
+
+        The objects are the tensors and maps bound to the symbols read; they
+        fix the dimensions of the sorts their signatures name, so only the
+        free sorts' dimensions are given.  The key hashes both.
+        """
+        sorts, ops, maps = interp.sorts, interp.ops, interp.maps
+        dims = tuple([sorts[s] for s in self.free])
+        objects = [ops[s][0] for s in clause_set.ops] + [maps[s][0] for s in clause_set.maps]
+        return hash((dims, *map(id, objects))), dims, objects
+
+    def recall(self, bound):
+        """The verdict kept for these dimensions and objects, or None."""
+        key, dims, objects = bound
+        got = self.verdicts.get(key)
+        if got is not None and got[3] == dims and all(r() is o for r, o in zip(got[4:], objects)):
+            return got
+        return None
+
+    def remember(self, bound, report) -> None:
+        key, dims, objects = bound
+        if len(self.verdicts) >= self.sweep_at:
+            self.sweep()
+        self.verdicts[key] = (report.witness, report.tuples_checked, report.tuples_evaluated,
+                              dims, *map(ref, objects))
+
+    def sweep(self) -> None:
+        """Drop the entries whose objects are gone."""
+        self.verdicts = {k: v for k, v in self.verdicts.items()
+                         if all(r() is not None for r in v[4:])}
+        self.sweep_at = 2 * len(self.verdicts) + 1
 
 
 class _Plan:
@@ -988,13 +1058,17 @@ class _Plan:
         return out
 
 
-def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict):
-    """(plan, kernels, denominators, powers) for the clauses over interp.
+def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=False):
+    """(plan, kernels, denominators, powers, memo) for the clauses over interp.
 
     The plan comes from the first clause's cache, keyed by the remaining
     clauses and `polar`, then by shape; it is built when no cached plan's
     guards hold.  Sorts are checked and the data validated before any guard
-    reads the data, as a fresh build does.
+    reads the data, as a fresh build does.  With `memo` (exhaustive checks
+    only), the shape's verdicts are looked up once the data is validated.
+    The last item is then the verdict kept for the same objects and
+    dimensions, with everything else None, or else (_Shape, bound) for
+    `_Shape.remember`.
     """
     head = clauses[0]
     key = (tuple(clauses[1:]), polar)
@@ -1002,16 +1076,25 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict):
     if clause_set is None:
         clause_set = head.plans[key] = _ClauseSet(clauses, polar)
     shape = clause_set.shape(interp)
-    listed = clause_set.by_shape.get(shape)
+    entry = clause_set.by_shape.get(shape)
     powers = {}
-    plan = None
-    if listed is not None:
+    plan = slot = None
+    if entry is not None:
         interp.validate()
-        plan = next((p for p in listed if p.holds(interp, powers)), None)
+        if memo:
+            slot = (entry, entry.bound(clause_set, interp))
+            verdict = entry.recall(slot[1])
+            if verdict is not None:
+                return None, None, None, None, verdict
+        plan = next((p for p in entry.plans if p.holds(interp, powers)), None)
     if plan is None:
         plan = _Plan(clause_set, interp, powers)
-        clause_set.by_shape.setdefault(shape, []).append(plan)
-    return (plan, *plan.bind(interp, leaf_dens, powers), powers)
+        if entry is None:
+            entry = clause_set.by_shape[shape] = _Shape(shape)
+        entry.plans.append(plan)
+    if memo and slot is None:
+        slot = (entry, entry.bound(clause_set, interp))
+    return (plan, *plan.bind(interp, leaf_dens, powers), powers, slot)
 
 
 def _run(order, kernels, cur) -> None:
@@ -1052,7 +1135,8 @@ def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
             raise ShapeError(f"variable {name!r} bound to a vector of dim {env[name].dim}")
     schema = IdentitySchema("evaluate", expr, ZERO,
                             variables=[(name, s, 1) for name, s in sorts.items()])
-    plan, kernels, dens, _ = _bind((schema,), interp, False, {n: v._d for n, v in env.items()})
+    plan, kernels, dens, _, _ = _bind((schema,), interp, False,
+                                      {n: v._d for n, v in env.items()})
     cur = [None] * len(plan.nodes)
     for name, nid in plan.var_nodes.items():
         cur[nid] = _sparse(env[name]._n)
@@ -1078,12 +1162,18 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     enumeration finds.  In the last slot only the indices in the support
     mask of some side are evaluated; every other tuple has both sides zero.
     tuples_checked counts the tuples decided, skipped ones included, and
-    tuples_evaluated those whose sides were evaluated.
+    tuples_evaluated those whose sides were evaluated.  A check of the same
+    tensor and map objects at the same dimensions is answered from the memo
+    (see the module docstring).
     """
     try:
-        plan, kernels, dens, powers = _bind(clauses, interp, True, {})
+        plan, kernels, dens, powers, memo = _bind(clauses, interp, True, {}, memo=True)
     except (SemanticError, KeyError) as exc:
         raise SemanticError(f"{clauses[0].name}: {exc}") from exc
+    if plan is None:  # a verdict kept for these very objects
+        witness, checked, evaluated = memo[:3]
+        return CheckReport("pass" if witness is None else "fail", check_id, witness=witness,
+                           tuples_checked=checked, tuples_evaluated=evaluated)
     variables, lower = plan.clause_set.variables, plan.clause_set.lower
     dims = [interp.sorts[sort] for _, sort, _ in variables]
     basis = [[[(i, 1)] for i in range(d)] for d in dims]
@@ -1220,21 +1310,26 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     run(-1)
     if variables:
         failed = visit(0)
+        visit = None  # it calls itself: free this call's tables now, not at a gc pass
     else:
         count = evaluated = 1
         failed = violated()
     if not failed:
-        return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=evaluated)
-    lhs, rhs = sides[hit]
-    witness = Witness(
-        identity=clauses[hit].name,
-        variables=tuple((name, sort) for name, sort, _ in variables),
-        indices=tuple(idx),
-        lhs_value=_vector(cur, dens, lhs, interp.sorts.get(plan.out_sorts[hit], 0)),
-        rhs_value=_vector(cur, dens, rhs, interp.sorts.get(plan.out_sorts[hit], 0)),
-    )
-    return CheckReport("fail", check_id, witness=witness, tuples_checked=count,
-                       tuples_evaluated=evaluated)
+        report = CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=evaluated)
+    else:
+        lhs, rhs = sides[hit]
+        witness = Witness(
+            identity=clauses[hit].name,
+            variables=plan.clause_set.names,
+            indices=tuple(idx),
+            lhs_value=_vector(cur, dens, lhs, interp.sorts.get(plan.out_sorts[hit], 0)),
+            rhs_value=_vector(cur, dens, rhs, interp.sorts.get(plan.out_sorts[hit], 0)),
+        )
+        report = CheckReport("fail", check_id, witness=witness, tuples_checked=count,
+                             tuples_evaluated=evaluated)
+    entry, bound = memo
+    entry.remember(bound, report)
+    return report
 
 
 _RANDOM_NUMERATORS = tuple(range(-3, 4))
@@ -1260,8 +1355,8 @@ def check_schema_random(
     dens = tuple(denominators) if denominators else _RANDOM_DENOMINATORS
     check_id = f"schema-random:{schema.name}"
     common = lcm(*dens)
-    plan, kernels, node_dens, _ = _bind((schema,), interp, False,
-                                     {name: common for name, _, _ in schema.variables})
+    plan, kernels, node_dens, _, _ = _bind((schema,), interp, False,
+                                        {name: common for name, _, _ in schema.variables})
     lhs, rhs = plan.roots
     rng = random.Random(seed)
     cur = [None] * len(plan.nodes)

@@ -5,7 +5,8 @@ operations are pure functions on immutable values.  Internally a vector (or
 matrix, or tensor) keeps integer numerators over one shared positive
 denominator, so the hot contraction loops run on plain ints; the public
 surface speaks `fractions.Fraction`.  Maps and tensors keep the identity
-engine's sparse form of themselves in `_compiled` once it is built.
+engine's sparse form of themselves in `_compiled` once it is built, and
+take weak references, which the engine's verdict memo keys on.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ class Vector:
 class LinearMap:
     """Immutable linear map, stored as a dst_dim x src_dim exact matrix."""
 
-    __slots__ = ("src_dim", "dst_dim", "_n", "_d", "_compiled")
+    __slots__ = ("src_dim", "dst_dim", "_n", "_d", "_compiled", "__weakref__")
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
@@ -140,7 +141,8 @@ class LinearMap:
         src = len(rows[0]) if rows else 0
         if any(len(r) != src for r in rows):
             raise ShapeError("ragged matrix")
-        fracs = [_frac(x) for r in rows for x in r]
+        # ints are their own numerators over 1, as in StructureTensor
+        fracs = [x if x.__class__ is int else _frac(x) for r in rows for x in r]
         nums, den = _merge(fracs)
         nums, den = _reduce(nums, den)
         self.src_dim = src
@@ -288,7 +290,7 @@ class StructureTensor:
     left = right = out being the usual structure-constant tensor of a product.
     """
 
-    __slots__ = ("left_dim", "right_dim", "out_dim", "_n", "_d", "_compiled")
+    __slots__ = ("left_dim", "right_dim", "out_dim", "_n", "_d", "_compiled", "__weakref__")
 
     def __init__(self, coeffs):
         ld = len(coeffs)

@@ -12,3 +12,20 @@ settings.load_profile("tier1")
 @pytest.fixture(scope="session")
 def seed_catalog():
     return {e.id: e for e in catalog()}
+
+
+@pytest.fixture
+def cold_binds(monkeypatch):
+    """The plans bound from now on, one per engine check the verdict memo
+    did not answer."""
+    import homalg.engine as engine
+
+    calls = []
+    real = engine._Plan.bind
+
+    def bind(self, *args):
+        calls.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(engine._Plan, "bind", bind)
+    return calls

@@ -376,7 +376,8 @@ def test_sparse_data_is_computed_once_per_object():
 
 
 def _plans(schema):
-    return [p for clause_set in schema.plans.values() for ps in clause_set.by_shape.values() for p in ps]
+    return [p for clause_set in schema.plans.values() for entry in clause_set.by_shape.values()
+            for p in entry.plans]
 
 
 def _fresh(schema):
@@ -838,3 +839,176 @@ def test_catalog_certification_evaluates_a_pinned_number_of_tuples(seed_catalog)
     assert all(r.ok for r in reports) and len(reports) == 20
     assert sum(r.tuples_checked for r in reports) == 695
     assert sum(r.tuples_evaluated for r in reports) == 153
+
+
+# ---------------------------------------------------------------------------
+# the verdict memo: a check of the same objects is decided once
+
+
+def _verdicts(schema):
+    """The memo entries of the checks whose first clause is schema."""
+    return [v for clause_set in schema.plans.values() for entry in clause_set.by_shape.values()
+            for v in entry.verdicts.values()]
+
+
+def _fields(report):
+    return (report.status, report.witness, report.tuples_checked, report.tuples_evaluated,
+            report.detail)
+
+
+def _memo_cases():
+    """(clauses, interpretation): passing and failing, multilinear and
+    polarized, one clause and two."""
+    x, y = var("x"), var("y")
+    commutes = IdentitySchema("commutes", op("mul", x, y), op("mul", y, x))
+    vanishes = IdentitySchema("vanishes", op("mul", x, y), ZERO)
+    twisted = interp_for(KX2, LinearMap([[1, 1], [0, 1]]))
+    from homalg.forge import truncated_polynomial_algebra
+    from homalg.reps import plus_algebra
+
+    circ = plus_algebra(truncated_polynomial_algebra(3)).product("circ")
+    return [
+        ((associativity_schema(),), interp_for(KX2)),
+        ((associativity_schema(),), interp_for(BAD)),
+        ((associativity_schema(),), twisted),
+        ((commutes, vanishes), interp_for(KX2)),
+        ((commutes,), interp_for(KX2)),
+        ((_jordan_schema(),), interp_for(circ, symbol="circ")),
+        ((_jordan_schema(),), interp_for(circ, LinearMap([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
+                                         symbol="circ")),
+    ]
+
+
+def test_a_memo_hit_reports_what_the_cold_check_reported(cold_binds):
+    statuses = set()
+    for clauses, interp in _memo_cases():
+        clauses = tuple(_fresh(s) for s in clauses)
+        first = check_clauses(clauses, interp, "first")
+        assert len(cold_binds) == 1 and len(_verdicts(clauses[0])) == 1
+        again = check_clauses(clauses, interp, "again")
+        assert len(cold_binds) == 1, "the second check was not answered from the memo"
+        assert again is not first and (first.check, again.check) == ("first", "again")
+        assert _fields(again) == _fields(first)
+        # and both are what a cold_binds compile of fresh schemas reports
+        _same(again, check_clauses(tuple(_fresh(s) for s in clauses), interp, "again"))
+        statuses.add(first.status)
+        cold_binds.clear()
+    assert statuses == {"pass", "fail"}
+
+
+def test_a_bumped_constant_always_misses_and_finds_its_own_witness(cold_binds, seed_catalog):
+    from homalg.forge import perturb_product
+    from homalg.varieties import schemas_for
+
+    a = seed_catalog["kx3"].value
+    schemas = [_fresh(s) for s in schemas_for(a.variety)]
+    for schema in schemas:
+        assert check_schema(schema, a.interpretation()).ok
+    seen = set()
+    for where in ((0, 0, 0), (0, 1, 2), (1, 1, 0), (2, 0, 1)):
+        for delta in (1, -1, Fraction(1, 2)):
+            bent = perturb_product(a, "mul", where, delta)
+            for schema in schemas:
+                cold_binds.clear()
+                report = check_schema(schema, bent.interpretation())
+                assert len(cold_binds) == 1, (where, delta)
+                _same(report, check_schema(_fresh(schema), bent.interpretation()))
+                seen.add(report.witness.indices if report.witness else None)
+    assert len(seen) > 2
+    # the unbumped algebra is still answered from the memo
+    cold_binds.clear()
+    assert all(check_schema(s, a.interpretation()).ok for s in schemas) and not cold_binds
+
+
+def test_equal_content_in_a_fresh_object_misses_with_an_identical_report(cold_binds):
+    schema = _fresh(associativity_schema())
+    for coeffs in (BAD.coeffs, KX2.coeffs):
+        first = check_schema(schema, interp_for(StructureTensor(coeffs)))
+        cold_binds.clear()
+        copy = StructureTensor(coeffs)
+        again = check_schema(schema, interp_for(copy))
+        assert len(cold_binds) == 1
+        assert _fields(again) == _fields(first)
+
+
+def test_memo_entries_die_with_their_data_and_their_schema():
+    import gc
+    import weakref
+
+    schema = _fresh(associativity_schema())
+    kept = interp_for(StructureTensor(KX2.coeffs))
+    check_schema(schema, kept)
+    bent = _bumped(KX2, 0, 1, 0)
+    interp = interp_for(bent, kept.maps["alpha"][0])
+    check_schema(schema, interp)
+    assert len(_verdicts(schema)) == 2
+    # the memo holds no strong reference: the data goes when its last user does
+    gone = weakref.ref(bent)
+    del bent, interp
+    gc.collect()
+    assert gone() is None
+    (entry,) = [e for cs in schema.plans.values() for e in cs.by_shape.values()]
+    entry.sweep()
+    # only the entry of the data still alive is left
+    (left,) = _verdicts(schema)
+    assert all(r() is o for r, o in zip(left[4:], (kept.ops["mul"][0], kept.maps["alpha"][0])))
+
+    # a schema built per call takes its memo with it
+    per_call = IdentitySchema("per-call", op("mul", var("x"), var("y")),
+                              op("mul", var("y"), var("x")))
+    assert check_schema(per_call, kept).ok and _verdicts(per_call)
+    ref = weakref.ref(per_call)
+    del per_call
+    gc.collect()
+    assert ref() is None
+
+
+def test_the_same_objects_under_other_free_dimensions_miss(cold_binds):
+    # w has a sort of its own that no symbol reads: its dimension scales the
+    # count, and the same tensor and map objects must not recall it
+    x, y, w = var("x"), var("y"), var("w", "B")
+    schema = IdentitySchema("with-w", op("mul", x, y), op("mul", y, x),
+                            variables=[("x", "A", 1), ("y", "A", 1), ("w", "B", 1)])
+    base = interp_for(KX2)
+    reports = []
+    for b in (3, 5, 3):
+        cold_binds.clear()
+        interp = Interpretation({"A": 2, "B": b}, base.ops, base.maps)
+        reports.append(check_schema(schema, interp))
+        assert reports[-1].ok and reports[-1].tuples_checked == 4 * b
+        assert len(cold_binds) == (0 if len(reports) == 3 else 1)
+    skew = interp_for(StructureTensor.square_from_rule(2, {(0, 1): [0, 1]}))
+    for b in (2, 4):
+        interp = Interpretation({"A": 2, "B": b}, skew.ops, skew.maps)
+        report = check_schema(schema, interp)
+        _same(report, check_schema(_fresh(schema), interp))
+        assert report.witness.indices == (0, 1, 0) and report.tuples_checked == b + 1
+
+
+def test_the_memo_stays_bounded_over_fresh_objects():
+    from collections import deque
+
+    schema = _fresh(associativity_schema())
+    alive = deque(maxlen=8)  # the last 8 interpretations stay alive
+    largest = 0
+    for n in range(1000):
+        t = _bumped(KX2, n % 2, (n // 2) % 2, (n // 4) % 2, Fraction(n % 7 + 1, n % 3 + 1))
+        alive.append(interp_for(t))
+        check_schema(schema, alive[-1])
+        largest = max(largest, len(_verdicts(schema)))
+    # at most twice the live entries, plus the one that triggers a sweep
+    assert largest <= 2 * 8 + 1, largest
+
+
+def test_evaluate_and_random_checks_never_read_the_memo(cold_binds):
+    schema = _fresh(associativity_schema())
+    interp = interp_for(BAD)
+    check_schema(schema, interp)
+    check_schema(schema, interp)
+    cold_binds.clear()
+    for seed in range(3):
+        _same(check_schema_random(schema, interp, 10, seed),
+              check_schema_random(_fresh(schema), interp, 10, seed))
+    assert len(cold_binds) == 6
+    evaluate(op("mul", var("x"), var("y")), {"x": Vector([1, 0]), "y": Vector([0, 1])}, interp)
+    assert len(cold_binds) == 7

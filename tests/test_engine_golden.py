@@ -113,17 +113,24 @@ def record_doc(schema, report):
     return doc
 
 
-def replay():
+def replay(cases):
     return {key: record_doc(schema, check_schema(schema, interp))
-            for key, schema, interp in pairs()}
+            for key, schema, interp in cases}
 
 
-def test_engine_witnesses_match_golden():
+def test_engine_witnesses_match_golden(cold_binds):
+    """Replayed twice over the same objects: the engine's verdict memo
+    answers every check of the second replay, and both match the golden."""
     want = json.loads(GOLDEN.read_text())
-    got = replay()
-    assert sorted(got) == sorted(want)
-    diff = [k for k in want if got[k] != want[k]]
-    assert not diff, f"{len(diff)} pairs differ, first {diff[0]}: {got[diff[0]]} != {want[diff[0]]}"
+    cases = list(pairs())
+    for n in range(2):
+        del cold_binds[:]
+        got = replay(cases)
+        assert sorted(got) == sorted(want)
+        diff = [k for k in want if got[k] != want[k]]
+        assert not diff, (f"replay {n + 1}: {len(diff)} pairs differ, first {diff[0]}:"
+                          f" {got[diff[0]]} != {want[diff[0]]}")
+    assert not cold_binds, f"{len(cold_binds)} checks of the second replay were not recalled"
 
 
 def test_golden_covers_failures_of_both_kinds():
@@ -137,7 +144,7 @@ def test_golden_covers_failures_of_both_kinds():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(__doc__)
-    docs = replay()
+    docs = replay(pairs())
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = [json.dumps(k) + ": " + json.dumps(d, sort_keys=True) for k, d in docs.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")

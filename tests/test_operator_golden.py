@@ -98,20 +98,28 @@ def cases():
                     yield from _algebra_cases(f"lift:{half}:{key}", lc)
 
 
-def replay():
+def replay(thunks):
     out = {}
-    for key, thunk in cases():
+    for key, thunk in thunks:
         got = thunk()
         out[key] = {"raised": type(got).__name__} if isinstance(got, Exception) else report_doc(got)
     return out
 
 
-def test_operator_witnesses_match_golden():
+def test_operator_witnesses_match_golden(cold_binds):
+    """Replayed twice over the same candidates: the engine's verdict memo
+    answers the second replay, but for the o-operator, whose clause is
+    built per call, and both match the golden."""
     want = json.loads(GOLDEN.read_text())
-    got = replay()
-    assert sorted(got) == sorted(want)
-    diff = [k for k in want if got[k] != want[k]]
-    assert not diff, f"{len(diff)} cases differ, first {diff[0]}: {got[diff[0]]} != {want[diff[0]]}"
+    thunks = list(cases())
+    for n in range(2):
+        del cold_binds[:]
+        got = replay(thunks)
+        assert sorted(got) == sorted(want)
+        diff = [k for k in want if got[k] != want[k]]
+        assert not diff, (f"replay {n + 1}: {len(diff)} cases differ, first {diff[0]}:"
+                          f" {got[diff[0]]} != {want[diff[0]]}")
+    assert {plan.clause_set.clauses[0].name for plan in cold_binds} == {"o-operator"}
 
 
 def test_golden_covers_every_clause():
@@ -127,7 +135,7 @@ def test_golden_covers_every_clause():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         raise SystemExit(__doc__)
-    docs = replay()
+    docs = replay(cases())
     GOLDEN.parent.mkdir(exist_ok=True)
     lines = [json.dumps(k) + ": " + json.dumps(d, sort_keys=True) for k, d in docs.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -91,7 +91,7 @@ def test_certify_multiplicative_reuses_its_schemas(monkeypatch):
     assert len(first) == len(fresh) and all(s is t for s, t in zip(first, second))
     for schema in first:
         (clause_set,) = schema.plans.values()
-        assert [len(plans) for plans in clause_set.by_shape.values()] == [1]
+        assert [len(entry.plans) for entry in clause_set.by_shape.values()] == [1]
 
 
 def test_is_morphism_identity_and_zero():
