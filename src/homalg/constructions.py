@@ -182,10 +182,11 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
                 witness=Witness("twist-closure", (("u", "V"),), (i,), a_part, k_part),
                 detail="twist image leaves the graph",
             )
-    count = 0
+    count = prefixes = 0
     for sym in sorted(ambient.products):
         t = ambient.products[sym]
         for i, gi in enumerate(gens):
+            prefixes += 1
             for j, gj in enumerate(gens):
                 count += 1
                 a_part, k_part = parts(t.apply(gi, gj))
@@ -194,9 +195,10 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
                         "fail", check_id,
                         witness=Witness(f"graph:{sym}", (("u", "V"), ("v", "V")),
                                         (i, j), a_part, k_part),
-                        tuples_checked=count, tuples_evaluated=count,
+                        tuples_checked=count, tuples_evaluated=count, prefixes_visited=prefixes,
                     )
-    return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count)
+    return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count,
+                       prefixes_visited=prefixes)
 
 
 # ---------------------------------------------------------------------------

@@ -160,22 +160,31 @@ def _rep_forms(actions, vprod):
 _REP_FORMS = {kind: _rep_forms(actions, vprod) for kind, (_, actions, vprod) in _REP_KINDS.items()}
 
 
+def _int(digits, line):
+    """int() of a matched numeral; one longer than Python converts
+    (sys.get_int_max_str_digits()) is a syntax error, not a ValueError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DslSyntaxError(line, f"numeral of {len(digits)} digits is too long") from None
+
+
 def _parse_rational(tok, line):
     """(numerator, positive denominator) of a rational token, not reduced."""
     if not _RATIONAL.match(tok):
         raise DslSyntaxError(line, f"expected a rational number, got {tok!r}")
     num, _, den = tok.partition("/")
-    den = int(den) if den else 1
+    den = _int(den, line) if den else 1
     if not den:
         raise DslSyntaxError(line, f"zero denominator in {tok!r}")
-    return int(num), den
+    return _int(num, line), den
 
 
 def _parse_basis(tok, line):
     m = _BASIS.match(tok)
     if not m:
         raise DslSyntaxError(line, f"expected a basis vector like e1 or u2, got {tok!r}")
-    return m.group(1), int(m.group(2))
+    return m.group(1), _int(m.group(2), line)
 
 
 def _range_check(idx, dim, line, prefix):
@@ -300,9 +309,9 @@ def _check_name(tok, line):
 
 
 def _parse_int(tok, line, what):
-    if not (tok.isascii() and tok.isdigit()) or int(tok) <= 0:
+    if not (tok.isascii() and tok.isdigit()) or _int(tok, line) <= 0:
         raise DslSyntaxError(line, f"bad {what} {tok!r}")
-    return int(tok)
+    return _int(tok, line)
 
 
 def _split_decl_line(line, lineno):

@@ -36,23 +36,37 @@ multiplies into something nonzero is, so the nodes under such a product
 carry one mask per output coordinate.  Only the supported indices are
 evaluated; at every other one both sides of every clause are zero, so no
 witness is lost and the first one is the one naive enumeration finds.
+The slot before the last (from slot 1 on) has a recipe of the same kind,
+with the last slot as a wildcard: a node that reads only the last slot
+stands in for its value by the output coordinates it can reach for some
+basis vector there, so the mask has bit t set when some completion of the
+prefix with index t can make a side nonzero.  An index outside it is not
+visited at all; the tuples below it are counted in closed form, the
+number of completions sorted within copy blocks, so `tuples_checked`
+stays the naive count, on a failure up to the witness.  The steps of the
+nodes that read no earlier slot run once per check.  A check uses this
+mask from the first prefix after some last-slot mask came out empty, so a
+check that decides before that never binds the recipe; the prefix counts
+showed that a recipe at slot 0 (it runs once per check) or further up
+does not pay for its binding.
 Polarization records each variable's copies as a copy block; the identity
 is symmetric there, so only tuples sorted within each block are visited,
 and the first violating tuple is still the one naive enumeration finds.
 `tuples_checked` counts the tuples decided (sorted within copy blocks),
 those skipped as zero on both sides included, so it equals the count of a
 naive enumeration; `tuples_evaluated` counts those whose sides were
-evaluated.  `evaluate` and `check_schema_random` go through the same plans
-and kernels.
+evaluated and `prefixes_visited` the proper prefixes on which level
+kernels ran.  `evaluate` and `check_schema_random` go through the same
+plans and kernels.
 
 Exhaustive verdicts are memoized where the plans are kept: each shape of a
 clause tuple keeps the verdict of every check run over it, keyed by the
 identity of the tensor or map bound to each symbol read and by the
 dimensions of the sorts those objects leave free.  A check that binds the
 same objects again gets a fresh report whose status, witness,
-`tuples_checked` and `tuples_evaluated` are those of the first check.
-Tensors and maps are immutable (`_compiled` is only a cache), so an
-object's identity stands for its content.  A fresh object always misses,
+`tuples_checked`, `tuples_evaluated` and `prefixes_visited` are those of
+the first check.  Tensors and maps are immutable (`_compiled` is only a
+cache), so an object's identity stands for its content.  A fresh object always misses,
 even with equal content: the memo serves constructions whose gates
 re-certify the same inputs, not repeated data.  It holds weak references
 only: entries whose objects are gone are swept once the memo has doubled,
@@ -63,9 +77,10 @@ never read it.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import itemgetter
 from typing import Optional
 from weakref import ref
@@ -368,6 +383,7 @@ class CheckReport:
     detail: str = ""
     tuples_checked: int = 0   # tuples decided
     tuples_evaluated: int = 0  # tuples whose sides were evaluated
+    prefixes_visited: int = 0  # proper prefixes on which level kernels ran
 
     @property
     def ok(self) -> bool:
@@ -534,9 +550,27 @@ def _gather(vec, bits) -> int:
     return out
 
 
+def _standin(bits):
+    """(k, 1) for each set bit k: a sparse value whose support is bits."""
+    out = []
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        out.append((low.bit_length() - 1, 1))
+    return out
+
+
 def _spread(vec, table):
     """Entry k is the union of vec[j] over the bits j of table[k]."""
-    return [_gather(vec, bits) for bits in table]
+    out = []
+    for bits in table:
+        got = 0
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            got |= vec[low.bit_length() - 1]
+        out.append(got)
+    return out
 
 
 def _power(interp, symbol, power, powers):
@@ -706,12 +740,14 @@ class _ClauseSet:
     `clauses` are the clauses as checked (polarized, for exhaustive checks),
     `variables` their shared variable list, `names` its (name, sort) pairs
     as a witness gives them, and `lower` the slot each slot's index starts
-    from (its predecessor in a copy block, else -1).  `ops` and
-    `maps` name the symbols the clauses read; `by_shape` holds a _Shape per
-    interpretation shape.
+    from (its predecessor in a copy block, else -1).  `tails[p]` lists the
+    copy-block runs among the slots after p as (first slot, length, the slot
+    its lower bound comes from), so a subtree below slot p counts in closed
+    form.  `ops` and `maps` name the symbols the clauses read; `by_shape`
+    holds a _Shape per interpretation shape.
     """
 
-    __slots__ = ("clauses", "variables", "names", "lower", "ops", "maps", "by_shape")
+    __slots__ = ("clauses", "variables", "names", "lower", "tails", "ops", "maps", "by_shape")
 
     def __init__(self, clauses, polar: bool):
         self.clauses = tuple(polarize(s) for s in clauses) if polar else tuple(clauses)
@@ -730,6 +766,12 @@ class _ClauseSet:
                 raise SemanticError(f"bad copy block {block!r}")
             for prev, p in zip(slots, slots[1:]):
                 lower[p] = prev
+        runs = [1] * len(lower)
+        for p in range(len(lower) - 1, -1, -1):
+            if lower[p] >= 0:
+                runs[lower[p]] += runs[p]
+        self.tails = [tuple((q, runs[q], lower[q]) for q in range(p + 1, len(lower))
+                            if lower[q] <= p) for p in range(len(lower))]
         ops, maps = {}, {}
         for c in self.clauses:
             _symbols(c.lhs, ops, maps)
@@ -751,8 +793,8 @@ class _Shape:
 
     `free` lists the sorts that no symbol read names.  `verdicts` maps a
     memo key (see `bound`) to (witness or None, tuples_checked,
-    tuples_evaluated, the free sorts' dimensions, then a weak reference per
-    object).  A verdict is recalled only for the same dimensions and while
+    tuples_evaluated, prefixes_visited, the free sorts' dimensions, then a
+    weak reference per object).  A verdict is recalled only for the same dimensions and while
     each reference still gives the object bound now, so neither a hash
     collision nor an id reused after its object is gone can return another
     check's verdict.  Entries hold no data; the ones whose objects are gone
@@ -782,7 +824,7 @@ class _Shape:
         """The verdict kept for these dimensions and objects, or None."""
         key, dims, objects = bound
         got = self.verdicts.get(key)
-        if got is not None and got[3] == dims and all(r() is o for r, o in zip(got[4:], objects)):
+        if got is not None and got[4] == dims and all(r() is o for r, o in zip(got[5:], objects)):
             return got
         return None
 
@@ -791,13 +833,18 @@ class _Shape:
         if len(self.verdicts) >= self.sweep_at:
             self.sweep()
         self.verdicts[key] = (report.witness, report.tuples_checked, report.tuples_evaluated,
-                              dims, *map(ref, objects))
+                              report.prefixes_visited, dims, *map(ref, objects))
 
     def sweep(self) -> None:
         """Drop the entries whose objects are gone."""
         self.verdicts = {k: v for k, v in self.verdicts.items()
-                         if all(r() is not None for r in v[4:])}
+                         if all(r() is not None for r in v[5:])}
         self.sweep_at = 2 * len(self.verdicts) + 1
+
+
+# one slot's support recipe (see _Plan._support_recipe)
+_Recipe = namedtuple("_Recipe", "consts fixed steps folds keep sums settled_roots mask_roots "
+                                "prefix_roots fixed_later_roots data")
 
 
 class _Plan:
@@ -810,14 +857,14 @@ class _Plan:
     for no slot), the (node, table key) steps to run once slots 0..p are
     set: a node is evaluated at the level of its last free slot, and one
     whose free slots are not all of 0..level gets a table keyed by the
-    projection of the tuple onto them.  `support`, `last_roots` and
-    `prefix_roots` tell which indices of the last slot can make a side
-    nonzero (see _support_recipe).  `twists` and `zeros` are the guards it
-    was built under.
+    projection of the tuple onto them.  `recipes[p]` tells which indices
+    of slot p can make a side nonzero, for the last slot and, past slot 0,
+    the one before it (see _support_recipe); it is None at the other
+    slots.  `twists` and `zeros` are the guards it was built under.
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
-                 "out_sorts", "levels", "support", "last_roots", "prefix_roots")
+                 "out_sorts", "levels", "recipes")
 
     def __init__(self, clause_set: _ClauseSet, interp: Interpretation, powers: dict):
         self.clause_set = clause_set
@@ -876,65 +923,123 @@ class _Plan:
             else:
                 levels[level + 1].append((nid, itemgetter(*[p for p in range(level + 1)
                                                               if mask >> p & 1])))
-        self._support_recipe(free)
+        # masks at the last slot and, past slot 0, the one before it (see check_clauses)
+        last = len(var_sorts) - 1
+        keys = {}  # one key object per table, shared by the steps that read it
+        self.recipes = [self._support_recipe(free, p, keys) if p == last or p == last - 1 > 0
+                        else None for p in range(last + 1)]
 
-    def _support_recipe(self, free) -> None:
-        """Record how the last slot's support follows from the prefix.
+    def _support_recipe(self, free, p, keys):
+        """How slot p's support follows from the prefix, as a _Recipe.
 
-        A node's mask has bit t set when the node may be nonzero with the
-        last slot at index t; -1 stands for every index.  A node read by an
+        Slots after p are wildcards.  A node that reads slot p gets a mask:
+        bit t is set when the node may be nonzero, for some completion, with
+        slot p at index t; -1 stands for every index.  A node read by an
         op(c, n) also gets a vector of masks, one per output coordinate j:
         bit t of entry j is set when coordinate j may be nonzero at t.  Here
-        z is the last variable, c a node that does not read it (a prefix
-        value) and n, n1, n2 nodes that do; for z itself the mask is -1 and
-        entry j of the vector is 1 << j.  `support` lists, children first,
-        (node, kind, a, b, x) for each mask or vector some root needs.
+        y is slot p's variable, c a node that does not read it and n, n1, n2
+        nodes that do; for y itself the mask is -1 and entry j of the vector
+        is 1 << j.  A c that reads only earlier slots has its value at hand.
+        A c that reads a later slot ("later") is abstracted to the output
+        coordinates it can reach for some completion; it stands in for its
+        value as (k, 1) over those coordinates k, written to the value list
+        (whose entries for such nodes are stale until their level runs),
+        and its reach goes to its mask.  The rules below give, children
+        first, (node, kind, a, b, x) for each mask, vector or reach some root
+        needs.
 
         Masks:
           "rows", c, n, op:  op(c, n): J is the union of op's row masks over
                              c's support, the mask the union of vec(n)[j]
-                             over j in J (J itself when n is z);
+                             over j in J (J itself when n is y);
           "cols", c, n, op:  op(n, c), the same with op's column masks;
-          "map", -, -, (symbol, power):  tw(z), the power's nonzero columns;
+          "map", -, -, (symbol, power):  tw(y), the power's nonzero columns;
           "same", n:         tw(n), mask(n);
           "and", n1, n2:     op(n1, n2), mask(n1) & mask(n2);
           "sum", ns, cs:     the union of the ns, every index if a c is nonzero.
         Vectors:
           "vrows", c, n, op: op(c, n): entry k is the union over i in c's
                              support of P[i][k] (op's per-output masks),
-                             spread through vec(n) when n is not z;
+                             spread through vec(n) when n is not y;
           "vcols", c, n, op: op(n, c), the same with Q;
           "vmap", -, n, (symbol, power):  tw(n): entry k is the union of
                              vec(n)[j] over the nonzero entries j of row k of
-                             the power (row k itself when n is z);
-          "vvar":            z, entry j is 1 << j;
+                             the power (row k itself when n is y);
+          "vvar":            y, entry j is 1 << j;
           "vand", n1, n2:    op(n1, n2), mask(n1) & mask(n2) in every entry;
           "vsum", ns, cs:    entrywise union of the ns; every index at the
                              coordinates where a c is nonzero.
+        Reaches of the later nodes:
+          "wvar":            a later slot's variable, every coordinate;
+          "wmap", c, -, (symbol, power):  tw(c), the union of the power's
+                             column supports over c's support;
+          "wop", c, w, (op, right):  op(c, w) (right False) or op(w, c):
+                             the coordinates k with P[i][k] (Q) meeting w's
+                             reach for some i in c's support; w is later;
+          "wsum", cs:        the union of the cs' supports.
         So vectors are built only under an op(c, n), and a c that is one
-        basis vector e_i over op(c, z) takes P[i] as it is.  `last_roots`
-        and `prefix_roots` split the roots by whether they read the last slot.
+        basis vector e_i over op(c, y) takes P[i] as it is.  Clauses are
+        multilinear, so every rule only over-approximates: an index outside
+        the mask has both sides of every clause zero on every completion.
+
+        The recipe splits the roots into those that read y (`mask_roots`),
+        those that read no slot from p on (`prefix_roots`: nonzero, they put
+        every index in the mask) and the later ones, nonzero for some
+        completion when their reach is.  The steps of the nodes that read no
+        earlier slot do not depend on the prefix: `consts` (a table as it
+        is) and `fixed` run once per check, the other `steps` per prefix.
+        `keep` are the later nodes among the first whose stand-ins a later
+        step or root reads, `sums` the sums with terms among them, and
+        `settled_roots` and `fixed_later_roots` the roots that may put every
+        index in the mask for the whole check (see bind_support).  `data`
+        lists the keys of the tables the steps read (see _tables).
         """
-        self.support, self.last_roots, self.prefix_roots = [], [], []
-        if not self.levels[1:]:
-            self.prefix_roots = self.roots
-            return
-        last = 1 << (len(self.levels) - 2)
+        bit, later = 1 << p, -2 << p
+        early = bit - 1
         nodes = self.nodes
-        for r in self.roots:
-            (self.last_roots if free[r] & last else self.prefix_roots).append(r)
+        roots = list(dict.fromkeys(self.roots))
+        mask_roots = [r for r in roots if free[r] & bit]
+        prefix_roots = [r for r in roots if not free[r] & (bit | later)]
+        later_roots = [r for r in roots if not free[r] & bit and free[r] & later]
+        masks, vectors, reach = set(mask_roots), set(), set(later_roots)
 
         def inner(n):
-            """n, or None when n is z."""
+            """n, or None when n is y."""
             return None if nodes[n][0] == "var" else n
 
-        masks, vectors = set(self.last_roots), set()
+        def partner(c):
+            """Note a node that does not read y; one that reads a later slot needs its reach."""
+            if free[c] & later:
+                reach.add(c)
+
         steps = []
-        for nid, _ in reversed(self.levels[-1]):
-            if nid not in masks and nid not in vectors:
-                continue
+        for nid in reversed(self.order):
             key = nodes[nid]
             kind = key[0]
+            if nid in reach:
+                if kind == "var":
+                    steps.append((nid, "wvar", None, None, None))
+                elif kind == "tw":
+                    steps.append((nid, "wmap", key[3], None, key[1:3]))
+                    reach.add(key[3])
+                elif kind == "op":
+                    _, symbol, left, right = key
+                    # w is a later factor, one that does not read an earlier slot if any
+                    if free[right] & later and not (free[left] & later and free[right] & early
+                                                    and not free[left] & early):
+                        steps.append((nid, "wop", left, right, (symbol, False)))
+                    else:
+                        steps.append((nid, "wop", right, left, (symbol, True)))
+                    partner(left)
+                    partner(right)
+                else:
+                    terms = [c for _, c in key[1]]
+                    steps.append((nid, "wsum", terms, None, None))
+                    for c in terms:
+                        partner(c)
+                continue
+            if kind == "var" or (nid not in masks and nid not in vectors):
+                continue
             if kind == "tw":
                 _, symbol, power, child = key
                 if nid in masks:
@@ -948,32 +1053,105 @@ class _Plan:
                     vectors.add(inner(child))
             elif kind == "op":
                 _, symbol, left, right = key
-                if free[left] & last and free[right] & last:
+                if free[left] & bit and free[right] & bit:
                     if nid in masks:
                         steps.append((nid, "and", left, right, None))
                     if nid in vectors:
                         steps.append((nid, "vand", left, right, None))
                     masks.update((left, right))
                     continue
-                side, c, n = ("rows", left, right) if free[right] & last else ("cols", right, left)
+                side, c, n = ("rows", left, right) if free[right] & bit else ("cols", right, left)
+                partner(c)
                 if nid in masks:
                     steps.append((nid, side, c, inner(n), symbol))
                 if nid in vectors:
                     steps.append((nid, "v" + side, c, inner(n), symbol))
                 vectors.add(inner(n))
             else:
-                ns = [c for _, c in key[1] if free[c] & last]
-                cs = [c for _, c in key[1] if not free[c] & last]
+                ns = [c for _, c in key[1] if free[c] & bit]
+                cs = [c for _, c in key[1] if not free[c] & bit]
+                for c in cs:
+                    partner(c)
                 if nid in masks:
                     steps.append((nid, "sum", ns, cs, None))
                     masks.update(ns)
                 if nid in vectors:
                     steps.append((nid, "vsum", ns, cs, None))
                     vectors.update(ns)
-        # only a sum reads the vector of z itself
+        # only a sum reads the vector of y itself
         steps.extend((n, "vvar", None, None, None) for n in vectors
                      if n is not None and nodes[n][0] == "var")
-        self.support = steps[::-1]
+        steps.reverse()
+        # a node that reads no earlier slot does not depend on the prefix
+        fixed = {nid for nid in self.order if free[nid] & (bit | later) and not free[nid] & early}
+        varying = [s for s in steps if s[0] not in fixed]
+        # what a per-prefix step reads of such an operand is folded into its
+        # table once per check: op(c, n)'s J or vector, op(c, w)'s rows against
+        # w's reach (see bind_support)
+        for k, (nid, kind, a, b, x) in enumerate(varying):
+            if (kind in ("rows", "cols") and b is not None or kind in ("vrows", "vcols")) \
+                    and a in fixed or kind == "wop" and b in fixed:
+                varying[k] = (nid, kind + "*", a, b, x)
+        # the later ones among them whose stand-ins a per-prefix step or root reads
+        read = [s[2] for s in varying if s[1] in ("rows", "cols", "vrows", "vcols", "wop", "wmap")]
+        read += [c for s in varying if s[1] in ("sum", "vsum") for c in s[3]]
+        read += [c for s in varying if s[1] == "wsum" for c in s[2]]
+        keep = tuple(dict.fromkeys(c for c in read + later_roots if c in reach and c in fixed))
+        # sums with a term that does not depend on the prefix may be every index for good
+        sums = [(nid, tuple((c, c in fixed) for c in ns), tuple(c for c in cs if c in fixed))
+                for nid, kind, ns, cs, _ in varying
+                if kind == "sum" and any(c in fixed for c in ns + cs)]
+        settle = {nid for nid, _, _ in sums}
+        # a later root that depends on the prefix puts every index or none
+        # in the mask slot past the nodes
+        flag, roots = len(nodes), tuple(mask_roots)
+        later_varying = [r for r in later_roots if r not in fixed]
+        if later_varying:
+            varying.append((flag, "later", later_varying, None, None))
+            roots += (flag,)
+        fixed_steps = [self._table_step(*s, keys) for s in steps if s[0] in fixed]
+        varying = tuple(self._table_step(*s, keys) for s in varying)
+        # a mask or vector that is a table as it is
+        consts = tuple((nid, kind == "vconst", key) for nid, kind, _, _, key in fixed_steps
+                       if kind in ("map", "vconst"))
+        folds = tuple(k for k, s in enumerate(varying) if s[1] in ("gather", "vfold", "wfold"))
+        return _Recipe(consts, tuple(s for s in fixed_steps if s[1] not in ("map", "vconst")),
+                       varying, folds, keep, tuple(sums),
+                       tuple((r, r in fixed) for r in mask_roots if r in fixed or r in settle),
+                       roots, tuple(prefix_roots), tuple(r for r in later_roots if r in fixed),
+                       tuple({s[4]: None for s in fixed_steps + list(varying) if s[4]}))
+
+    def _table_step(self, nid, kind, a, b, x, keys):
+        """A recipe step as it runs: (node, kind, a, b, the key of the table
+        it reads, see _tables, or None).  "rows"/"cols" become "union" (b is
+        y) or "pick", "vrows"/"vcols" become "vunion", a "vmap" that reads
+        y and "vvar" become "vconst", a "vmap" of another node "vspread",
+        "wmap" becomes "wunion"."""
+        sort = self.sorts[nid] if nid < len(self.sorts) else None
+        if isinstance(a, list):  # the nodes of a sum or of the later roots
+            a, b = tuple(a), b if b is None else tuple(b)
+        if kind in ("rows", "cols", "rows*", "cols*"):
+            kind, key = ("gather" if kind[-1] == "*" else "union" if b is None else "pick",
+                         (kind.rstrip("*"), x))
+        elif kind in ("vrows", "vcols", "vrows*", "vcols*"):
+            kind, key = "vfold" if kind[-1] == "*" else "vunion", ("P" if kind[1] == "r" else "Q", x)
+        elif kind == "map":
+            key = ("mask", *x)
+        elif kind == "vmap":
+            kind, key = "vconst" if b is None else "vspread", ("rowsets", *x, sort)
+        elif kind == "vvar":
+            kind, key = "vconst", ("unit", sort)
+        elif kind == "vand" or kind == "vsum":
+            key = ("dim", sort)
+        elif kind == "wvar":
+            key = ("all", sort)
+        elif kind == "wmap":
+            kind, key = "wunion", ("colsupp", *x)
+        elif kind == "wop" or kind == "wop*":
+            kind, key = "wfold" if kind == "wop*" else kind, ("Q" if x[1] else "P", x[0])
+        else:
+            return nid, kind, a, b, None
+        return nid, kind, a, b, keys.setdefault(key, key)
 
     def holds(self, interp: Interpretation, powers: dict) -> bool:
         """Whether every guard holds for this interpretation's data."""
@@ -1017,45 +1195,198 @@ class _Plan:
                 kernels[nid] = _sum_kernel(terms, dims[sorts[nid]])
         return kernels, dens
 
-    def bind_support(self, interp: Interpretation, powers: dict, masks: list, vecs: list):
-        """The support recipe over the interpretation's data.
+    def bind_support(self, p, interp: Interpretation, powers: dict, cur: list, tables: dict,
+                     standins: dict):
+        """Slot p's support recipe over the interpretation's data, as a
+        function of the current prefix (see _mask_fn).
 
-        The masks of "map" and the vectors of "vvar" and of a "vmap" that
-        reads z do not depend on the prefix: they go into `masks` and `vecs`
-        once.  The rest is returned as per-prefix steps (node, kind, a, b,
-        data): "rows"/"cols" become "union" (b None) or "pick" with the op's
-        row or column masks, "vrows"/"vcols" become "vunion" with (P or Q,
-        output dimension), "vmap" becomes "vspread" with the power's row
-        sets, and "vand"/"vsum" get their output dimension.  A check binds
-        it once it first needs the support steps.
+        The tables the recipe reads are fetched into `tables`, once per
+        check.  The steps of the nodes that do not depend on the prefix run
+        here, once, into fresh mask and vector lists, and what a per-prefix
+        step reads of those nodes is folded into its data: "gather" gets J,
+        "vfold" becomes "vspread" with its vector and "wfold" becomes
+        "wunion" with, per index of its prefix factor, the coordinates that
+        meet the later factor's reach.  A "keep" step puts back, per prefix,
+        the stand-in this left in `cur` for a later node that a per-prefix
+        step or root reads.  A sum whose terms of that kind
+        already cover every index is every index for good, and so is slot
+        p's mask when a root's is, or when a later root that reads no
+        earlier slot is nonzero.  "later" sets the slot past the nodes to
+        every index when a later root that does is nonzero, for that prefix.
+        `standins` keeps one stand-in list per reach, for the check.
         """
-        dims = interp.sorts
-        out = []
-        for nid, kind, a, b, x in self.support:
-            if kind in ("rows", "cols"):
-                data = _tensor(interp.ops[x][0])[1 if kind == "rows" else 2]
-                kind = "union" if b is None else "pick"
-            elif kind in ("vrows", "vcols"):
-                data = (_outputs(interp.ops[x][0], kind == "vcols"), dims[self.sorts[nid]])
-                kind = "vunion"
-            elif kind == "map":
-                masks[nid] = _power(interp, *x, powers)[2]
-                continue
-            elif kind == "vmap":
-                data = _row_sets(_power(interp, *x, powers)[0], dims[self.sorts[nid]])
-                if b is None:
-                    vecs[nid] = data
-                    continue
-                kind = "vspread"
-            elif kind == "vvar":
-                vecs[nid] = [1 << j for j in range(dims[self.sorts[nid]])]
-                continue
-            elif kind in ("vand", "vsum"):
-                data = dims[self.sorts[nid]]
-            else:
-                data = None
-            out.append((nid, kind, a, b, data))
+        (consts, fixed_steps, varying, folds, keep, sums, settled_roots, mask_roots, prefix_roots,
+         fixed_later_roots, data) = self.recipes[p]
+        _tables(data, tables, interp, powers)
+        flag = len(self.nodes)
+        masks = [-1] * (flag + 1)  # a variable's own mask stays -1
+        vecs = [None] * flag
+        for nid, vector, key in consts:
+            (vecs if vector else masks)[nid] = tables[key]
+        if fixed_steps:
+            _mask_fn((), [(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in fixed_steps],
+                     masks, vecs, (), cur, standins)()
+        settled = ()
+        if settled_roots or fixed_later_roots:
+            every, settled = (1 << interp.sorts[self.clause_set.variables[p][1]]) - 1, set()
+            for nid, ns, cs in sums:
+                bits = 0
+                for c, fixed in ns:
+                    if fixed or c in settled:
+                        bits |= masks[c]
+                if bits & every == every or any(cur[c] for c in cs):
+                    masks[nid] = -1
+                    settled.add(nid)
+            if (any(cur[r] for r in fixed_later_roots)
+                    or any(masks[r] & every == every for r, fixed in settled_roots
+                           if fixed or r in settled)):
+                return _mask_fn(prefix_roots, (), masks, vecs, (flag,), cur, standins)
+        steps = [(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in varying]
+        for k in folds:
+            nid, kind, a, b, data = steps[k]
+            if kind == "gather":  # J, from the prefix-free c
+                bits = 0
+                for i, _ in cur[a]:
+                    bits |= data[i]
+                steps[k] = nid, kind, None, b, bits
+            elif kind == "vfold":  # the vector before it is spread through n's
+                vec = [0] * len(data[0])
+                for i, _ in cur[a]:
+                    for j, m in enumerate(data[i]):
+                        vec[j] |= m
+                steps[k] = nid, "vspread", None, b, vec
+            else:  # "wfold": per index of c, the coordinates that meet w's reach
+                bits = masks[b]
+                steps[k] = nid, "wunion", a, None, [
+                    sum(1 << j for j, m in enumerate(row) if m & bits) for row in data]
+        if settled:
+            steps = [s for s in steps if s[0] not in settled or s[1] != "sum"]
+        if keep:
+            steps[:0] = [(c, "keep", None, None, cur[c]) for c in keep]
+        return _mask_fn(prefix_roots, steps, masks, vecs, mask_roots, cur, standins)
+
+
+def _tables(keys, tables: dict, interp: Interpretation, powers: dict) -> None:
+    """Fetch into `tables` the data recipe steps read, by key, unless fetched
+    already: a tensor's row or column masks or its P or Q, a map power's
+    nonzero-column mask, row sets or column supports, a sort's dimension,
+    the stand-in of its every coordinate or its unit vector of masks."""
+    ops, dims = interp.ops, interp.sorts
+    for key in keys:
+        if key in tables:
+            continue
+        kind = key[0]
+        if kind == "rows" or kind == "cols":
+            got = _tensor(ops[key[1]][0])[1 if kind == "rows" else 2]
+        elif kind == "P" or kind == "Q":
+            got = _outputs(ops[key[1]][0], kind == "Q")
+        elif kind == "mask":
+            got = _power(interp, key[1], key[2], powers)[2]
+        elif kind == "rowsets":
+            got = _row_sets(_power(interp, key[1], key[2], powers)[0], dims[key[3]])
+        elif kind == "colsupp":
+            got = [sum(1 << i for i, _ in col) for col in _power(interp, key[1], key[2], powers)[0]]
+        elif kind == "dim":
+            got = dims[key[1]]
+        elif kind == "all":
+            got = _standin((1 << dims[key[1]]) - 1)
+        else:  # "unit"
+            got = [1 << j for j in range(dims[key[1]])]
+        tables[key] = got
+
+
+def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
+    """The mask of one slot for the current prefix, as a function: -1 if a
+    prefix root is nonzero, else the union of the roots' masks once the
+    bound recipe steps (see _Plan.bind_support) have run."""
+
+    def mask():
+        for r in prefix_roots:
+            if cur[r]:
+                return -1
+        for nid, kind, a, b, data in steps:
+            if kind == "vunion":
+                c = cur[a]
+                if len(c) == 1:
+                    vec = data[c[0][0]]
+                else:
+                    vec = [0] * len(data[0])
+                    for i, _ in c:
+                        for k, m in enumerate(data[i]):
+                            vec[k] |= m
+                vecs[nid] = vec if b is None else _spread(vecs[b], vec)
+            elif kind == "pick":
+                bits = 0
+                for i, _ in cur[a]:
+                    bits |= data[i]
+                masks[nid] = _gather(vecs[b], bits)
+            elif kind == "gather":
+                masks[nid] = _gather(vecs[b], data)
+            elif kind == "union":
+                out = 0
+                for i, _ in cur[a]:
+                    out |= data[i]
+                masks[nid] = out
+            elif kind == "sum":
+                out = 0
+                for c in a:
+                    out |= masks[c]
+                for c in b:
+                    if cur[c]:
+                        out = -1
+                        break
+                masks[nid] = out
+            elif kind == "same":
+                masks[nid] = masks[a]
+            elif kind == "vspread":
+                vecs[nid] = _spread(vecs[b], data)
+            elif kind == "and":
+                masks[nid] = masks[a] & masks[b]
+            elif kind == "vsum":
+                vec = [0] * data
+                for c in a:
+                    for k, m in enumerate(vecs[c]):
+                        vec[k] |= m
+                for c in b:
+                    for k, _ in cur[c]:
+                        vec[k] = -1
+                vecs[nid] = vec
+            elif kind == "vand":
+                vecs[nid] = [masks[a] & masks[b]] * data
+            elif kind == "wvar" or kind == "keep":
+                cur[nid] = data
+            elif kind == "later":
+                masks[nid] = 0
+                for r in a:
+                    if cur[r]:
+                        masks[nid] = -1
+                        break
+            else:  # a later node's reach: "wunion", "wop" or "wsum"
+                out = 0
+                if kind == "wunion":
+                    for i, _ in cur[a]:
+                        out |= data[i]
+                elif kind == "wop":
+                    bits = masks[b]
+                    for i, _ in cur[a]:
+                        for k, m in enumerate(data[i]):
+                            if m & bits:
+                                out |= 1 << k
+                else:  # "wsum"
+                    for c in a:
+                        for k, _ in cur[c]:
+                            out |= 1 << k
+                masks[nid] = out
+                got = standins.get(out)
+                if got is None:
+                    got = standins[out] = _standin(out)
+                cur[nid] = got
+        out = 0
+        for r in roots:
+            out |= masks[r]
         return out
+
+    return mask
 
 
 def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=False):
@@ -1159,37 +1490,39 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     and, on it, the first violated clause.  Within a copy block only sorted
     tuples are visited: the identity is symmetric in the block, so the first
     violating tuple is sorted there and the witness is the one full
-    enumeration finds.  In the last slot only the indices in the support
-    mask of some side are evaluated; every other tuple has both sides zero.
-    tuples_checked counts the tuples decided, skipped ones included, and
-    tuples_evaluated those whose sides were evaluated.  A check of the same
-    tensor and map objects at the same dimensions is answered from the memo
-    (see the module docstring).
+    enumeration finds.  At the last two slots only the indices in the
+    support mask of some side are visited; every tuple below any other index
+    has both sides zero.  tuples_checked counts the tuples decided, skipped
+    ones included, tuples_evaluated those whose sides were evaluated, and
+    prefixes_visited the proper prefixes on which level kernels ran.  A check
+    of the same tensor and map objects at the same dimensions is answered
+    from the memo (see the module docstring).
     """
     try:
         plan, kernels, dens, powers, memo = _bind(clauses, interp, True, {}, memo=True)
     except (SemanticError, KeyError) as exc:
         raise SemanticError(f"{clauses[0].name}: {exc}") from exc
     if plan is None:  # a verdict kept for these very objects
-        witness, checked, evaluated = memo[:3]
+        witness, checked, evaluated, prefixes = memo[:4]
         return CheckReport("pass" if witness is None else "fail", check_id, witness=witness,
-                           tuples_checked=checked, tuples_evaluated=evaluated)
+                           tuples_checked=checked, tuples_evaluated=evaluated,
+                           prefixes_visited=prefixes)
     variables, lower = plan.clause_set.variables, plan.clause_set.lower
+    tails, recipes = plan.clause_set.tails, plan.recipes
     dims = [interp.sorts[sort] for _, sort, _ in variables]
     basis = [[[(i, 1)] for i in range(d)] for d in dims]
     var_at = [plan.var_nodes.get(name) for name, _, _ in variables]
     steps = [[(nid, kernels[nid], key, None if key is None else {}) for nid, key in level]
              for level in plan.levels]
     sides = list(zip(plan.roots[::2], plan.roots[1::2]))
-    prefix_roots, last_roots = plan.prefix_roots, plan.last_roots
     cur = [None] * len(plan.nodes)
-    masks = [-1] * len(plan.nodes)  # the last variable's own mask stays -1
-    vecs = [None] * len(plan.nodes)
-    support_steps = None
+    bound = [None] * len(variables)  # each slot's mask function, bound when first needed
+    standins, tables = {}, {}
     idx = [0] * len(variables)
     last = len(variables) - 1
-    count = evaluated = 0
+    count = evaluated = prefixes = 0
     hit = -1
+    met_empty = False  # whether a last-slot mask came out empty yet
 
     def run(level):
         for nid, kernel, key, table in steps[level + 1]:
@@ -1210,72 +1543,40 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                 return True
         return False
 
-    def support():
-        """Mask of the last-slot indices at which some side may be nonzero;
-        runs the support steps (see _Plan._support_recipe) for this prefix."""
-        nonlocal support_steps
-        for r in prefix_roots:
+    def support(p):
+        """Mask of slot p's indices at which some side may be nonzero for some
+        completion, before slot p's recipe is bound: -1 if a root that reads
+        no slot from p on is nonzero, else the recipe (see
+        _Plan._support_recipe) bound into `bound[p]` and run for this prefix."""
+        for r in recipes[p].prefix_roots:
             if cur[r]:
                 return -1
-        if support_steps is None:
-            support_steps = plan.bind_support(interp, powers, masks, vecs)
-        for nid, kind, a, b, data in support_steps:
-            if kind == "vunion":
-                c = cur[a]
-                if len(c) == 1:
-                    vec = data[0][c[0][0]]
-                else:
-                    table, vec = data[0], [0] * data[1]
-                    for i, _ in c:
-                        for k, m in enumerate(table[i]):
-                            vec[k] |= m
-                vecs[nid] = vec if b is None else _spread(vecs[b], vec)
-            elif kind == "pick":
-                bits = 0
-                for i, _ in cur[a]:
-                    bits |= data[i]
-                masks[nid] = _gather(vecs[b], bits)
-            elif kind == "union":
-                out = 0
-                for i, _ in cur[a]:
-                    out |= data[i]
-                masks[nid] = out
-            elif kind == "sum":
-                out = 0
-                for c in a:
-                    out |= masks[c]
-                for c in b:
-                    if cur[c]:
-                        out = -1
-                        break
-                masks[nid] = out
-            elif kind == "same":
-                masks[nid] = masks[a]
-            elif kind == "vspread":
-                vecs[nid] = _spread(vecs[b], data)
-            elif kind == "and":
-                masks[nid] = masks[a] & masks[b]
-            elif kind == "vsum":
-                vec = [0] * data
-                for c in a:
-                    for k, m in enumerate(vecs[c]):
-                        vec[k] |= m
-                for c in b:
-                    for k, _ in cur[c]:
-                        vec[k] = -1
-                vecs[nid] = vec
-            else:  # "vand"
-                vecs[nid] = [masks[a] & masks[b]] * data
-        out = 0
-        for r in last_roots:
-            out |= masks[r]
-        return out
+        bound[p] = plan.bind_support(p, interp, powers, cur, tables, standins)
+        return bound[p]()
+
+    def below(p, a, b):
+        """The tuples below slot p with its index in [a, b), sorted within
+        copy blocks: a product of binomials, the run that continues p's
+        block summed over [a, b) at once."""
+        n, tail = 1, None
+        for q, length, src in tails[p]:
+            if src == p:
+                tail = dims[q] + length, length + 1
+            else:
+                n *= comb(dims[q] - (idx[src] if src >= 0 else 0) + length - 1, length)
+        if tail is None:
+            return n * (b - a)
+        top, k = tail
+        return n * (comb(top - a, k) - comb(top - b, k))
 
     def scan(lo):
         """Visit the last slot's supported indices from lo; True at a witness."""
-        nonlocal count, evaluated
+        nonlocal count, evaluated, met_empty
         vnode, vals = var_at[last], basis[last]
-        bits = (support() & ((1 << dims[last]) - 1)) >> lo << lo
+        mask = bound[last]
+        bits = ((mask() if mask else support(last)) & ((1 << dims[last]) - 1)) >> lo << lo
+        if not bits:
+            met_empty = True
         evaluated += bits.bit_count()
         while bits:
             low = bits & -bits
@@ -1293,18 +1594,42 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         return False
 
     def visit(p):
-        """Enumerate slot p onwards; True once a violating tuple is found."""
+        """Enumerate slot p onwards; True once a violating tuple is found.
+
+        A slot with a recipe is masked once some last-slot mask has come
+        out empty: an index outside the mask has both sides zero on every
+        completion and is not visited, and its subtree is counted in closed
+        form (see below).  Until then nothing suggests that an index can be
+        skipped, so a check that decides early never binds the recipe."""
+        nonlocal count, prefixes
         lo = idx[lower[p]] if lower[p] >= 0 else 0
         if p == last:
             return scan(lo)
         vnode, vals = var_at[p], basis[p]
-        for i in range(lo, dims[p]):
+        end = dims[p]
+        masked = met_empty and recipes[p] is not None
+        if masked:
+            mask = bound[p]
+            bits = (mask() if mask else support(p)) >> lo
+            indices = [i for i in range(lo, end) if bits >> (i - lo) & 1]
+        else:
+            indices = range(lo, end)
+        start = count
+        for i in indices:
             idx[p] = i
             if vnode is not None:
                 cur[vnode] = vals[i]
             run(p)
             if visit(p + 1):
+                if masked:  # the prefixes up to i, and the subtrees skipped before i
+                    prefixes += indices.index(i) + 1
+                    count += below(p, lo, i) - sum(below(p, j, j + 1) for j in indices if j < i)
+                else:
+                    prefixes += i - lo + 1
                 return True
+        prefixes += len(indices)
+        if masked:  # every subtree, visited or skipped
+            count = start + below(p, lo, end)
         return False
 
     run(-1)
@@ -1315,7 +1640,8 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         count = evaluated = 1
         failed = violated()
     if not failed:
-        report = CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=evaluated)
+        report = CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=evaluated,
+                             prefixes_visited=prefixes)
     else:
         lhs, rhs = sides[hit]
         witness = Witness(
@@ -1326,9 +1652,9 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
             rhs_value=_vector(cur, dens, rhs, interp.sorts.get(plan.out_sorts[hit], 0)),
         )
         report = CheckReport("fail", check_id, witness=witness, tuples_checked=count,
-                             tuples_evaluated=evaluated)
-    entry, bound = memo
-    entry.remember(bound, report)
+                             tuples_evaluated=evaluated, prefixes_visited=prefixes)
+    entry, key = memo
+    entry.remember(key, report)
     return report
 
 
@@ -1376,14 +1702,17 @@ def check_schema_random(
 
 def check_all(schemas, interp: Interpretation, check_id: str) -> CheckReport:
     """Run several schemas; pass iff all pass, else first failure's witness."""
-    total = evaluated = 0
+    total = evaluated = prefixes = 0
     for schema in schemas:
         rep = check_schema(schema, interp)
         total += rep.tuples_checked
         evaluated += rep.tuples_evaluated
+        prefixes += rep.prefixes_visited
         if not rep.ok:
             return CheckReport(
                 "fail", check_id, witness=rep.witness, tuples_checked=total,
-                tuples_evaluated=evaluated, detail=f"violated schema {schema.name!r}",
+                tuples_evaluated=evaluated, prefixes_visited=prefixes,
+                detail=f"violated schema {schema.name!r}",
             )
-    return CheckReport("pass", check_id, tuples_checked=total, tuples_evaluated=evaluated)
+    return CheckReport("pass", check_id, tuples_checked=total, tuples_evaluated=evaluated,
+                       prefixes_visited=prefixes)

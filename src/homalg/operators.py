@@ -126,6 +126,13 @@ def _rep_clauses():
 
 
 @cache
+def _o_operator_clauses(weight: Fraction):
+    """mul(K u, K v) = K(l(K u, v) + r(K v, u) + weight vmul(u, v)), one table per weight."""
+    inner = Sum(((1, op("l", _Ku, _v)), (1, op("r", _Kv, _u)), (weight, op("vmul", _u, _v))))
+    return (_rel_avg("o-operator", "mul", inner),)
+
+
+@cache
 def _algebra_clauses():
     """Clause tables keyed by operator kind."""
     u, v = var("u"), var("v")
@@ -172,9 +179,7 @@ def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckRepor
             raise SemanticError("o-operator needs a weight")
         if not isinstance(rep, AssocAction):
             raise SemanticError("o-operator needs an associative action")
-        inner = Sum(((1, op("l", _Ku, _v)), (1, op("r", _Kv, _u)),
-                     (Fraction(weight), op("vmul", _u, _v))))
-        clauses = (_rel_avg("o-operator", "mul", inner),)
+        clauses = _o_operator_clauses(Fraction(weight))
     else:
         clauses = _rep_clauses().get((rep.kind, kind))
         if clauses is None:
@@ -192,17 +197,20 @@ def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) ->
     """One pass per product symbol, in sorted order; clause names get ":<symbol>"."""
     a, clauses = c.rep, _algebra_clauses()[kind]
     maps = {"T": (c.map, ("A", "A"))}
-    total = evaluated = 0
+    total = evaluated = prefixes = 0
     for sym in sorted(a.products):
         interp = Interpretation({"A": a.dim}, {"mu": (a.products[sym], ("A", "A", "A"))}, maps)
         report = check_clauses(clauses, interp, check_id)
         total += report.tuples_checked
         evaluated += report.tuples_evaluated
+        prefixes += report.prefixes_visited
         if not report.ok:
             w = report.witness
             return CheckReport("fail", check_id, tuples_checked=total, tuples_evaluated=evaluated,
+                               prefixes_visited=prefixes,
                                witness=replace(w, identity=f"{w.identity}:{sym}"))
-    return CheckReport("pass", check_id, tuples_checked=total, tuples_evaluated=evaluated)
+    return CheckReport("pass", check_id, tuples_checked=total, tuples_evaluated=evaluated,
+                       prefixes_visited=prefixes)
 
 
 # ---------------------------------------------------------------------------

@@ -435,10 +435,11 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
             ),
             detail="f . alpha != alpha' . f",
         )
-    count = 0
+    count = prefixes = 0
     for sym in sorted(src.products):
         ts, td = src.products[sym], dst.products[sym]
         for i in range(src.dim):
+            prefixes += 1
             fi = f.column(i)
             for j in range(src.dim):
                 count += 1
@@ -457,8 +458,10 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
                         ),
                         tuples_checked=count,
                         tuples_evaluated=count,
+                        prefixes_visited=prefixes,
                     )
-    return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count)
+    return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count,
+                       prefixes_visited=prefixes)
 
 
 def endomorphism_clauses(a: AlgebraInstance):

@@ -417,3 +417,21 @@ def test_empty_row_keyword_exits_two_without_traceback(tmp_path, block):
         (line,) = proc.stderr.splitlines()
         doc = json.loads(line)
         assert doc["error"] == "parse" and doc["detail"].startswith(f"line {line_no}:")
+
+
+def test_a_numeral_too_long_for_int_exits_two_with_one_json_line(tmp_path):
+    # a 5,000-digit coefficient, basis index and dimension: past Python's int() limit
+    long = "7" * 5000
+    texts = (f"algebra a dim 1\n  op mul: e1 * e1 = {long} * e1\n  map alpha: e1 = e1\nend\n",
+             f"algebra a dim 1\n  op mul: e1 * e{long} = e1\n  map alpha: e1 = e1\nend\n",
+             f"algebra a dim {long}\n  map alpha: e1 = e1\nend\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    for text in texts:
+        path = tmp_path / "long.halg"
+        path.write_text(text, encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "homalg", "report", str(path)],
+                              cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        (line,) = proc.stderr.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "parse" and "numeral of 5000 digits is too long" in doc["detail"]

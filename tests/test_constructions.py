@@ -79,7 +79,10 @@ def test_graph_theorem_positive_and_negative(kx2):
     assert report.status == "fail"
     # zero map: the graph is V itself and all products land back in it
     zero = OperatorCandidate(regular_bimodule(kx2), LinearMap.zero(2))
-    assert graph_closure(zero, C.HEMISEMI_DIASS).ok
+    report = graph_closure(zero, C.HEMISEMI_DIASS)
+    assert report.ok
+    # one prefix per product and generator, two tuples under each
+    assert (report.prefixes_visited, report.tuples_checked) == (2 * 2, 2 * 2 * 2)
 
 
 

@@ -400,6 +400,21 @@ def test_parse_rejects_non_ascii_dimensions_and_zero_denominators():
         parse("algebra a dim 1\n  op mul: e1 * e1 = 1/0 * e1\n  map alpha: e1 = e1\nend\n")
 
 
+_LONG = "7" * 5000  # past Python's 4,300-digit int() limit
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"algebra a dim 1\n  op mul: e1 * e1 = {_LONG} * e1\n  map alpha: e1 = e1\nend\n", 2),
+    (f"algebra a dim 1\n  op mul: e1 * e1 = 1/{_LONG} * e1\n  map alpha: e1 = e1\nend\n", 2),
+    (f"algebra a dim 1\n  op mul: e1 * e{_LONG} = e1\n  map alpha: e1 = e1\nend\n", 2),
+    (f"algebra a dim {_LONG}\n  map alpha: e1 = e1\nend\n", 1),
+], ids=["coefficient", "denominator", "basis-index", "dimension"])
+def test_a_numeral_too_long_for_int_is_a_syntax_error(text, line):
+    with pytest.raises(DslSyntaxError, match="numeral of 5000 digits is too long") as err:
+        parse(text)
+    assert err.value.line == line
+
+
 @pytest.mark.parametrize("text, line", [
     ("algebra a dim 1\n  : e1 * e1 = e1\n  map alpha: e1 = e1\nend\n", 2),
     ("algebra a dim 1\n  map alpha: e1 = e1\nend\n"

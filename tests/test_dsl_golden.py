@@ -1,7 +1,8 @@
 """Replay of the recorded outcome of `dsl.parse` on a seeded mutation corpus.
 
 The corpus is the 11 shipped `data/*.halg` files and 3000 distinct line
-mutations of them, generated below from a fixed `random.Random` seed.  Each
+mutations of them, generated below from a fixed `random.Random` seed, then
+the LONG_NUMERALS inputs.  Each
 mutant applies one to three edits: drop a line, repeat it, swap two lines,
 cut a line short, replace one token, or insert a faulty row.  The faulty rows have a wrong
 name, wrong sorts, a wrong arity, an index out of range, a row keyword foreign
@@ -61,6 +62,15 @@ FAULTY_ROWS = (
     ": e1 * e1 = e1", ": e1 * u1 = u1", ": u1 = u1", " : e1 = e1",
 )
 
+# a numeral past Python's 4,300-digit int() limit as a coefficient, a basis
+# index and a dimension
+_LONG = "7" * 5000
+LONG_NUMERALS = (
+    f"algebra a dim 1\n  op mul: e1 * e1 = {_LONG} * e1\n  map alpha: e1 = e1\nend\n",
+    f"algebra a dim 1\n  op mul: e1 * e{_LONG} = e1\n  map alpha: e1 = e1\nend\n",
+    f"algebra a dim {_LONG}\n  map alpha: e1 = e1\nend\n",
+)
+
 
 def _mutate(rng, lines):
     for _ in range(rng.randint(1, 3)):
@@ -87,7 +97,7 @@ def _mutate(rng, lines):
 
 
 def corpus():
-    """The shipped files, then MUTANTS distinct seeded mutations of them."""
+    """The shipped files, MUTANTS distinct seeded mutations of them, then LONG_NUMERALS."""
     shipped = [p.read_text(encoding="utf-8") for p in sorted(data_dir().glob("*.halg"))]
     yield from shipped
     rng = random.Random(SEED)
@@ -97,6 +107,7 @@ def corpus():
         if text not in seen:
             seen.add(text)
             yield text
+    yield from LONG_NUMERALS
 
 
 def _sha(text):

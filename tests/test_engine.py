@@ -732,6 +732,235 @@ def test_pruned_enumeration_matches_naive_under_nested_products():
 
 
 # ---------------------------------------------------------------------------
+# masks at the slot before the last: whole subtrees skipped, counted in closed form
+
+
+def _full_prefixes(clauses, interp):
+    """The proper prefixes a check with no masks would visit, sorted in copy blocks."""
+    import itertools
+
+    clauses = [polarize(c) for c in clauses]
+    variables = clauses[0].variables
+    slot = {name: p for p, (name, _, _) in enumerate(variables)}
+    blocks = [[slot[name] for name in block] for block in clauses[0].copy_blocks]
+    dims = [interp.sorts[sort] for _, sort, _ in variables]
+    total = 0
+    for length in range(1, len(dims)):
+        for combo in itertools.product(*map(range, dims[:length])):
+            total += all(combo[a] <= combo[b] for block in blocks
+                         for a, b in zip(block, block[1:]) if b < length)
+    return total
+
+
+def _assert_slot_masks_match_naive(cases):
+    """Status, witness and tuples_checked as naive enumeration finds them;
+    some cases must skip prefixes, and both verdicts must occur."""
+    statuses, skipped = set(), 0
+    for clauses, interp in cases:
+        want = _naive_check(clauses, interp)
+        report = check_clauses(clauses, interp, "diff")
+        assert _observed(report) == want, (clauses, want)
+        full = _full_prefixes(clauses, interp)
+        assert report.prefixes_visited <= full
+        skipped += report.prefixes_visited < full
+        statuses.add(want[0])
+    assert statuses == {"pass", "fail"} and skipped
+
+
+_XYZ = [("x", "A", 1), ("y", "A", 1), ("z", "A", 1)]
+
+
+def test_a_witness_right_after_a_skipped_subtree_is_the_naive_one():
+    # e2 e1 = e1 only.  Under x = e1 both sides of x(yz) = (xy)z vanish, so
+    # the last-slot masks come out empty and the next x gets a mask on y.
+    # Under x = e2, y = e1 gives zero for every z and is skipped; y = e2
+    # fails at once, at z = e1: e2 (e2 e1) = e1 but (e2 e2) e1 = 0.
+    t = StructureTensor.square_from_rule(2, {(1, 0): [1, 0]})
+    x, y, z = var("x"), var("y"), var("z")
+    schema = IdentitySchema("x(yz)", op("mul", x, op("mul", y, z)),
+                            op("mul", op("mul", x, y), z))
+    report = check_schema(schema, interp_for(t))
+    assert report.witness.indices == (1, 1, 0)
+    # x = e1 and its two y, then x = e2 and y = e2 only
+    assert (report.tuples_checked, report.tuples_evaluated, report.prefixes_visited) == (7, 1, 5)
+    assert _observed(report) == _naive_check((schema,), interp_for(t))
+
+
+def test_every_index_of_the_slot_before_the_last_can_be_skipped():
+    # e1 e1 = e2 only: x(yz) and (xy)z vanish everywhere although the
+    # product does not.  Once x = e1 has met an empty last-slot mask, no y
+    # is visited under x = e2.
+    t = StructureTensor.square_from_rule(2, {(0, 0): [0, 1]})
+    x, y, z = var("x"), var("y"), var("z")
+    schema = IdentitySchema("x(yz)", op("mul", x, op("mul", y, z)),
+                            op("mul", op("mul", x, y), z))
+    report = check_schema(schema, interp_for(t))
+    assert report.ok
+    assert (report.tuples_checked, report.tuples_evaluated, report.prefixes_visited) == (8, 0, 4)
+    # the same with y and z in one copy block: (x, y, z) with y <= z
+    sorted_yz = IdentitySchema("x(yz)-sorted", schema.lhs, schema.rhs, copy_blocks=[("y", "z")])
+    report = check_schema(sorted_yz, interp_for(t))
+    assert report.ok and (report.tuples_checked, report.prefixes_visited) == (6, 4)
+
+
+def test_slot_masks_match_naive_across_copy_blocks():
+    # the slot before the last outside any block, sharing one with the last,
+    # ending one that skips a slot, and inside a block that spans both
+    import random
+
+    w, x, y, z = var("w"), var("x"), var("y"), var("z")
+    wxyz = [("w", "A", 1)] + _XYZ
+    deep = (op("mul", w, op("mul2", x, op("mul", y, z))),
+            op("mul", op("mul2", tw("alpha", w), x), op("mul", y, z)))
+    three = (op("mul", x, op("mul", y, z)), op("mul2", op("mul", x, y), z))
+    blocks = [
+        (three, _XYZ, ()),
+        (three, _XYZ, [("y", "z")]),
+        (three, _XYZ, [("x", "y")]),
+        (three, _XYZ, [("x", "z")]),
+        (three, _XYZ, [("x", "y", "z")]),
+        (deep, wxyz, [("w", "y", "z")]),
+        (deep, wxyz, [("w", "y")]),
+        (deep, wxyz, [("w", "x"), ("y", "z")]),
+        (deep, wxyz, [("x", "z")]),
+    ]
+    rng = random.Random(14)
+    cases = []
+    for sides, variables, block in blocks:
+        schema = IdentitySchema(f"blocks{block}", *sides, variables=variables, copy_blocks=block)
+        for _ in range(14):
+            n = rng.randint(1, 3)
+            interp = _algebra_interp(rng, ("mul",), n)
+            mul = interp.ops["mul"][0]
+            mul2 = mul if rng.random() < 0.5 else _sparse_tensor(rng, n, n, n)
+            ops = interp.ops | {"mul2": (mul2, ("A", "A", "A"))}
+            cases.append(((schema,), Interpretation(interp.sorts, ops, interp.maps)))
+    _assert_slot_masks_match_naive(cases)
+
+
+def test_a_side_that_reads_only_the_last_slot_fills_the_mask():
+    # y <= z, e1 e1 = e1 only, alpha(e1) = e1 and alpha(e2) = 0.  Under
+    # x = e1 the sides alpha(z) and x(yz) agree, and at y = e2 both vanish
+    # for the one z left, so the next x gets a mask on y.  Under x = e2 the
+    # right side is zero for every y, but alpha(z) is not: y = e1 must be
+    # visited, and fails at z = e1.
+    t = StructureTensor.square_from_rule(2, {(0, 0): [1, 0]})
+    x, y, z = var("x"), var("y"), var("z")
+    schema = IdentitySchema("alpha(z)", tw("alpha", z), op("mul", x, op("mul", y, z)),
+                            variables=_XYZ, copy_blocks=[("y", "z")])
+    interp = interp_for(t, alpha=LinearMap([[1, 0], [0, 0]]))
+    report = check_schema(schema, interp)
+    assert report.witness.indices == (1, 0, 0) and report.tuples_checked == 4
+    assert _observed(report) == _naive_check((schema,), interp)
+
+
+def test_the_last_variable_stands_in_for_every_coordinate_at_each_prefix():
+    # e2 e2 = e2 and e3 e1 = e3: (xy)z = x(yz) first fails at x = e3,
+    # where (e3 e1) e1 = e3 but e3 (e1 e1) = 0.  The mask on y there reads z
+    # as every coordinate, although the last prefix scanned left z at e3.
+    t = StructureTensor.square_from_rule(3, {(1, 1): [0, 1, 0], (2, 0): [0, 0, 1]})
+    x, y, z = var("x"), var("y"), var("z")
+    schema = IdentitySchema("(xy)z", op("mul", op("mul", x, y), z), op("mul", x, op("mul", y, z)))
+    report = check_schema(schema, interp_for(t))
+    assert report.witness.indices == (2, 0, 0) and report.tuples_checked == 19
+    assert _observed(report) == _naive_check((schema,), interp_for(t))
+
+
+def test_slot_masks_match_naive_where_sides_skip_the_slot():
+    # sides and terms that do not read the slot before the last: one that
+    # reads an earlier slot and the last, one that reads the last slot
+    # only, and products of a prefix value with the last variable; enough
+    # prefixes above that the masks are reused across prefixes
+    import random
+
+    w, x, y, z = var("w"), var("x"), var("y"), var("z")
+    wxyz = [("w", "A", 1), ("x", "A", 1), ("y", "A", 1), ("z", "A", 1)]
+    schemas = [
+        IdentitySchema("later-side", op("mul", x, z), op("mul2", op("mul", x, y), z),
+                       variables=_XYZ),
+        IdentitySchema("last-only-side", tw("alpha", z), op("mul", x, op("mul2", y, z)),
+                       variables=_XYZ),
+        IdentitySchema("later-term", op("mul", op("mul", x, y), z) + op("mul2", x, z),
+                       op("mul2", x, op("mul", y, z)), variables=_XYZ),
+        IdentitySchema("prefix-times-last", op("mul", op("mul2", x, z), y),
+                       op("mul", x, op("mul2", z, y))),
+        IdentitySchema("deep-later", op("mul", op("mul2", w, z), op("mul", x, y)),
+                       op("mul2", op("mul", w, x), tw("alpha", op("mul", y, z))), variables=wxyz),
+    ]
+    rng = random.Random(17)
+    cases = []
+    for schema in schemas:
+        for _ in range(40):
+            n = rng.randint(3, 4 if len(schema.variables) == 3 else 3)
+            interp = _algebra_interp(rng, ("mul",), n)
+            mul = interp.ops["mul"][0]
+            mul2 = mul if rng.random() < 0.3 else _sparse_tensor(rng, n, n, n)
+            ops = interp.ops | {"mul2": (mul2, ("A", "A", "A"))}
+            cases.append(((schema,), Interpretation(interp.sorts, ops, interp.maps)))
+    _assert_slot_masks_match_naive(cases)
+
+
+def test_slot_masks_match_naive_on_polarized_jordan():
+    # x__1 <= x__2 <= x__3 then y, and y first so that the block ends in the
+    # last slot; sparse, twisted and non-negative data
+    import random
+
+    jordan = _jordan_schema()
+    y_first = IdentitySchema("jordan-y-first", jordan.lhs, jordan.rhs,
+                             variables=[("y", "A", 1), ("x", "A", 3)])
+    rng = random.Random(15)
+    cases = []
+    for schema in (jordan, y_first):
+        for _ in range(16):
+            n = rng.randint(1, 3)
+            interp = _algebra_interp(rng, ("circ",), n)
+            cases.append(((schema,), interp))
+            tight = _nonnegative_interp(rng, n)
+            cases.append(((schema,), Interpretation(
+                tight.sorts, {"circ": tight.ops["mul"]}, tight.maps)))
+    _assert_slot_masks_match_naive(cases)
+
+
+def test_slot_masks_match_naive_on_the_jordan_families():
+    # the four-slot multilinear Jordan dialgebra and trialgebra identities
+    import random
+
+    from homalg.varieties import VarietyTag, schemas_for
+
+    rng = random.Random(16)
+    cases = []
+    for tag, ops in ((VarietyTag.HOM_JORDAN_DIALGEBRA, ("bullet",)),
+                     (VarietyTag.HOM_JORDAN_TRIALGEBRA, ("circ", "bullet"))):
+        for schema in schemas_for(tag):
+            for _ in range(4):
+                cases.append(((schema,), _algebra_interp(rng, ops, rng.randint(1, 3))))
+    _assert_slot_masks_match_naive(cases)
+
+
+def test_prefix_counts_are_summed_where_tuple_counts_are(seed_catalog):
+    from homalg.operators import OperatorCandidate, certify_operator
+    from homalg.varieties import schemas_for
+
+    # a two-slot check visits its first slot once per index
+    report = check_schema(IdentitySchema("comm", op("mul", var("x"), var("y")),
+                                         op("mul", var("y"), var("x"))), interp_for(KX2))
+    assert report.ok and report.prefixes_visited == 2
+    # check_all over the variety schemas of a dialgebra, one by one and at once
+    a = seed_catalog["kx2_diass"].value
+    interp = a.interpretation()
+    schemas = schemas_for(a.variety)
+    reports = [check_schema(s, interp) for s in schemas]
+    total = check_all(schemas, interp, "all")
+    assert total.ok and all(r.prefixes_visited for r in reports)
+    assert total.prefixes_visited == sum(r.prefixes_visited for r in reports)
+    assert total.tuples_checked == sum(r.tuples_checked for r in reports)
+    # an algebra operator is checked once per product symbol
+    t = LinearMap.identity(a.dim)
+    per_product = certify_operator(OperatorCandidate(a, t), "averaging")
+    assert per_product.ok and per_product.prefixes_visited == a.dim * len(a.products)
+
+
+# ---------------------------------------------------------------------------
 # tuples_evaluated: with no cancellation the support masks are exact
 
 
@@ -853,7 +1082,7 @@ def _verdicts(schema):
 
 def _fields(report):
     return (report.status, report.witness, report.tuples_checked, report.tuples_evaluated,
-            report.detail)
+            report.prefixes_visited, report.detail)
 
 
 def _memo_cases():
@@ -951,7 +1180,7 @@ def test_memo_entries_die_with_their_data_and_their_schema():
     entry.sweep()
     # only the entry of the data still alive is left
     (left,) = _verdicts(schema)
-    assert all(r() is o for r, o in zip(left[4:], (kept.ops["mul"][0], kept.maps["alpha"][0])))
+    assert all(r() is o for r, o in zip(left[5:], (kept.ops["mul"][0], kept.maps["alpha"][0])))
 
     # a schema built per call takes its memo with it
     per_call = IdentitySchema("per-call", op("mul", var("x"), var("y")),

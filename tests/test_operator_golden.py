@@ -108,8 +108,7 @@ def replay(thunks):
 
 def test_operator_witnesses_match_golden(cold_binds):
     """Replayed twice over the same candidates: the engine's verdict memo
-    answers the second replay, but for the o-operator, whose clause is
-    built per call, and both match the golden."""
+    answers the whole second replay, and both match the golden."""
     want = json.loads(GOLDEN.read_text())
     thunks = list(cases())
     for n in range(2):
@@ -119,7 +118,7 @@ def test_operator_witnesses_match_golden(cold_binds):
         diff = [k for k in want if got[k] != want[k]]
         assert not diff, (f"replay {n + 1}: {len(diff)} cases differ, first {diff[0]}:"
                           f" {got[diff[0]]} != {want[diff[0]]}")
-    assert {plan.clause_set.clauses[0].name for plan in cold_binds} == {"o-operator"}
+    assert not cold_binds
 
 
 def test_golden_covers_every_clause():

@@ -117,6 +117,32 @@ def test_o_operator_weight_family(kx2):
         certify_operator(h, "o-operator")
 
 
+def test_o_operator_clause_is_built_once_per_weight(kx2, cold_binds):
+    from homalg.operators import _o_operator_clauses
+
+    rep = direct_sum_bimodule(kx2, 2)
+    h = projection_operator(rep, 0)
+    del cold_binds[:]
+    first = certify_operator(h, "o-operator", weight=Fraction(-1))
+    # one weight, written three ways: one schema, so one plan
+    (schema,) = _o_operator_clauses(Fraction(-1))
+    assert _o_operator_clauses(Fraction(-2, 2)) == (schema,)
+    plans = [p for cs in schema.plans.values() for e in cs.by_shape.values() for p in e.plans]
+    assert len(plans) == 1 and cold_binds == plans
+    # the same candidate again is answered from the memo, field for field
+    del cold_binds[:]
+    again = certify_operator(h, "o-operator", weight=-1)
+    assert not cold_binds
+    assert (again.status, again.witness, again.tuples_checked, again.tuples_evaluated,
+            again.prefixes_visited) == (first.status, first.witness, first.tuples_checked,
+                                        first.tuples_evaluated, first.prefixes_visited)
+    # a fresh candidate binds the same plan; another weight has its own schema
+    neg = OperatorCandidate(rep, LinearMap([[-x for x in row] for row in h.map.matrix]))
+    assert not certify_operator(neg, "o-operator", weight=Fraction(-1)).ok
+    assert cold_binds == plans
+    assert _o_operator_clauses(Fraction(1)) != (schema,)
+
+
 def test_lift_to_averaging_pairing(tensor_rep, kx2):
     # the lifted map averages on one side of each single-product half:
     # left-averaging over the right product, right-averaging over the left

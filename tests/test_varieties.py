@@ -97,7 +97,9 @@ def test_certify_multiplicative_reuses_its_schemas(monkeypatch):
 def test_is_morphism_identity_and_zero():
     kx2 = truncated_polynomial_algebra(2)
     assert is_morphism(LinearMap.identity(2), kx2, kx2).ok
-    assert is_morphism(LinearMap.zero(2), kx2, kx2).ok
+    report = is_morphism(LinearMap.zero(2), kx2, kx2)
+    # one prefix per basis vector of the one product, two pairs under each
+    assert report.ok and (report.prefixes_visited, report.tuples_checked) == (2, 4)
 
 
 def test_is_morphism_diag23_on_trialgebra_fails():
@@ -106,6 +108,7 @@ def test_is_morphism_diag23_on_trialgebra_fails():
     tri = two_dim_trialgebra(1, 1)
     report = is_morphism(tri.maps["phi23"], tri, tri)
     assert report.status == "fail"
+    assert (report.prefixes_visited, report.tuples_checked) == (1, 1)
     assert report.witness.lhs_value == Vector([2, 0])
     assert report.witness.rhs_value == Vector([4, 0])
 
