@@ -20,6 +20,9 @@ import time
 from fractions import Fraction
 
 from .constructions import (
+    FUNCTORS,
+    HEMISEMI,
+    INDUCED,
     ConstructionId,
     bimodule_map_dialgebra,
     crossed_module_check,
@@ -64,18 +67,6 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 
-_FUNCTOR_IDS = {
-    "minus", "plus", "dicommutator", "anti-dicommutator", "tri-to-leibniz",
-    "tri-to-jordan", "di-to-tri", "opposite-dialgebra", "tridendriform",
-}
-_HEMISEMI_IDS = {
-    "hemisemi-diass", "hemisemi-leib", "hemisemi-dijor",
-    "hemisemi-triass", "hemisemi-trileib", "hemisemi-trijor",
-}
-_INDUCED_IDS = {
-    "induced-dialgebra", "induced-leibniz", "induced-jordan-dialgebra",
-    "induced-trialgebra", "induced-trileibniz", "induced-jordan-trialgebra",
-}
 _REP_BUILDER_IDS = {"regular-bimodule", "regular-action", "tensor-square", "direct-sum"}
 
 
@@ -280,46 +271,19 @@ def _cross_check(a: AlgebraInstance, tag: VarietyTag, samples: int, seed: int,
 
 
 def cmd_construct(args, source: SourceFile) -> int:
-    def need(attr, what):
-        value = getattr(args, attr)
+    def need(flag):
+        value = getattr(args, flag)
         if value is None:
-            raise SemanticError(f"construction {args.id!r} needs --{what}")
+            raise SemanticError(f"construction {args.id!r} needs --{flag}")
         return value
+
+    def given(flag):
+        return source.get(need(flag)).value
 
     try:
         cid = args.id
-        decls = []
-        if cid in _FUNCTOR_IDS:
-            d = source.get(need("target", "target"))
-            out = functor(d.value, ConstructionId(cid))
-            decls = [Declaration("algebra", out.name, out)]
-        elif cid == "yau-twist":
-            d = source.get(need("target", "target"))
-            out = yau_twist(d.value, need("map", "map"))
-            decls = [Declaration("algebra", out.name, out)]
-        elif cid == "differential-dialgebra":
-            d = source.get(need("target", "target"))
-            out = differential_dialgebra(d.value, need("map", "map"))
-            decls = [Declaration("algebra", out.name, out)]
-        elif cid == "bimodule-map-dialgebra":
-            d = source.get(need("operator", "operator"))
-            out = bimodule_map_dialgebra(d.value.rep, d.value.map)
-            decls = [Declaration("algebra", out.name, out)]
-        elif cid in _HEMISEMI_IDS:
-            d = source.get(need("rep", "rep"))
-            out = hemisemi(d.value, ConstructionId(cid))
-            decls = [Declaration("algebra", out.name, out)]
-        elif cid in _INDUCED_IDS:
-            d = source.get(need("operator", "operator"))
-            out = induce(d.value, ConstructionId(cid))
-            decls = [Declaration("algebra", out.name, out)]
-        elif cid == "semidirect":
-            d = source.get(need("rep", "rep"))
-            out = semidirect_product(d.value)
-            decls = [Declaration("algebra", out.name, out)]
-        elif cid in _REP_BUILDER_IDS:
-            d = source.get(need("target", "target"))
-            base = d.value
+        if cid in _REP_BUILDER_IDS:
+            base = given("target")
             if cid == "regular-bimodule":
                 rep = regular_bimodule(base)
             elif cid == "regular-action":
@@ -335,7 +299,24 @@ def cmd_construct(args, source: SourceFile) -> int:
                             meta={"kind": rep.kind, "base": base.name}),
             ]
         else:
-            raise SemanticError(f"unknown construction id {args.id!r}")
+            if cid in FUNCTORS:
+                out = functor(given("target"), ConstructionId(cid))
+            elif cid in HEMISEMI:
+                out = hemisemi(given("rep"), ConstructionId(cid))
+            elif cid in INDUCED:
+                out = induce(given("operator"), ConstructionId(cid))
+            elif cid == "yau-twist":
+                out = yau_twist(given("target"), need("map"))
+            elif cid == "differential-dialgebra":
+                out = differential_dialgebra(given("target"), need("map"))
+            elif cid == "bimodule-map-dialgebra":
+                cand = given("operator")
+                out = bimodule_map_dialgebra(cand.rep, cand.map)
+            elif cid == "semidirect":
+                out = semidirect_product(given("rep"))
+            else:
+                raise SemanticError(f"unknown construction id {args.id!r}")
+            decls = [Declaration("algebra", out.name, out)]
     except KeyError as exc:
         print(json.dumps({"error": "semantic",
                           "detail": f"no declaration named {exc.args[0]!r}"}),

@@ -4,6 +4,16 @@ Six hemisemi-direct products, graph-closure tests for operator candidates,
 induced structures on the representation space, the plus/minus and
 (anti-)dicommutator functors, di-to-tri embeddings, opposite structures,
 twists by endomorphisms, special dialgebras, and the crossed-module check.
+
+The hemisemi products, the induced structures and the functors are each one
+row of a table (`HEMISEMI`, `INDUCED`, `FUNCTORS`), keyed by ConstructionId:
+what the construction takes, the variety it yields, whether its output is
+gated, and its products.  `hemisemi`, `induce` and `functor` read the rows,
+as do `operators.hemisemi_id_for` and `homalg construct`.  The products are
+assembled on integer numerators: a hemisemi product places the base product
+and one representation tensor as blocks of a tensor on A + V
+(`StructureTensor.place`), and an induced structure pulls an action back
+along the operator (`StructureTensor.pull`).
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .engine import (
     ZERO,
@@ -39,7 +50,7 @@ from .reps import (
     minus_algebra,
     plus_algebra,
 )
-from .varieties import AlgebraInstance, VarietyTag, certify, is_morphism
+from .varieties import REQUIRED_PRODUCTS, AlgebraInstance, VarietyTag, certify, is_morphism
 
 
 class ConstructionId(str, Enum):
@@ -71,31 +82,97 @@ class ConstructionId(str, Enum):
     CROSSED_MODULE = "crossed-module"
 
 
-HEMISEMI_REP_KIND = {
-    ConstructionId.HEMISEMI_DIASS: AssocBimodule,
-    ConstructionId.HEMISEMI_LEIB: LieModule,
-    ConstructionId.HEMISEMI_DIJOR: JordanModule,
-    ConstructionId.HEMISEMI_TRIASS: AssocAction,
-    ConstructionId.HEMISEMI_TRILEIB: LieAction,
-    ConstructionId.HEMISEMI_TRIJOR: JordanAction,
+class Construction(NamedTuple):
+    """One row of a construction table.
+
+    `takes` is what the input must be (a representation class, an operator
+    kind or a source variety), `yields` the variety of the output and
+    `gated` whether a checked build certifies the output in it.  `products`
+    gives the output's products: for the hemisemi and induced rows, by symbol,
+    the representation tensor read and how it acts ("left_act" as l(x)v,
+    "right_act" as r(y)u, stored algebra-argument first, or "v_tensor" as a
+    product on V); for the functor rows, a function of the input algebra.
+    """
+
+    takes: object
+    yields: VarietyTag
+    gated: bool
+    products: object
+
+
+_ASSOC = {"left": ("r", "right_act"), "right": ("l", "left_act")}
+_ASSOC_TRI = {**_ASSOC, "middle": ("vmul", "v_tensor")}
+_LIE = {"brace": ("rho", "left_act")}
+_LIE_TRI = {**_LIE, "bracket": ("vbracket", "v_tensor")}
+_JORDAN = {"bullet": ("pi", "left_act")}
+_JORDAN_TRI = {**_JORDAN, "circ": ("vstar", "v_tensor")}
+
+_C, _V = ConstructionId, VarietyTag
+
+# an action class follows its module class: hemisemi_id_for reads the table
+# backwards, so the most specific class matches first
+HEMISEMI = {
+    _C.HEMISEMI_DIASS: Construction(AssocBimodule, _V.HOM_ASSOCIATIVE_DIALGEBRA, True, _ASSOC),
+    _C.HEMISEMI_LEIB: Construction(LieModule, _V.HOM_LEIBNIZ, True, _LIE),
+    _C.HEMISEMI_DIJOR: Construction(JordanModule, _V.HOM_JORDAN_DIALGEBRA, True, _JORDAN),
+    _C.HEMISEMI_TRIASS: Construction(AssocAction, _V.HOM_ASSOCIATIVE_TRIALGEBRA, True, _ASSOC_TRI),
+    _C.HEMISEMI_TRILEIB: Construction(LieAction, _V.HOM_LEIBNIZ_TRIALGEBRA, True, _LIE_TRI),
+    _C.HEMISEMI_TRIJOR: Construction(JordanAction, _V.HOM_JORDAN_TRIALGEBRA, True, _JORDAN_TRI),
 }
 
-HEMISEMI_VARIETY = {
-    ConstructionId.HEMISEMI_DIASS: VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
-    ConstructionId.HEMISEMI_LEIB: VarietyTag.HOM_LEIBNIZ,
-    ConstructionId.HEMISEMI_DIJOR: VarietyTag.HOM_JORDAN_DIALGEBRA,
-    ConstructionId.HEMISEMI_TRIASS: VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA,
-    ConstructionId.HEMISEMI_TRILEIB: VarietyTag.HOM_LEIBNIZ_TRIALGEBRA,
-    ConstructionId.HEMISEMI_TRIJOR: VarietyTag.HOM_JORDAN_TRIALGEBRA,
+INDUCED = {
+    _C.INDUCED_DIALGEBRA: Construction("rel-avg", _V.HOM_ASSOCIATIVE_DIALGEBRA, True, _ASSOC),
+    _C.INDUCED_LEIBNIZ: Construction("rel-avg", _V.HOM_LEIBNIZ, True, _LIE),
+    _C.INDUCED_JORDAN_DIALGEBRA: Construction("rel-avg", _V.HOM_JORDAN_DIALGEBRA, True, _JORDAN),
+    _C.INDUCED_TRIALGEBRA: Construction(
+        "homomorphic-rel-avg", _V.HOM_ASSOCIATIVE_TRIALGEBRA, True, _ASSOC_TRI),
+    _C.INDUCED_TRILEIBNIZ: Construction(
+        "homomorphic-rel-avg", _V.HOM_LEIBNIZ_TRIALGEBRA, True, _LIE_TRI),
+    _C.INDUCED_JORDAN_TRIALGEBRA: Construction(
+        "homomorphic-rel-avg", _V.HOM_JORDAN_TRIALGEBRA, True, _JORDAN_TRI),
 }
 
-INDUCED_VARIETY = {
-    ConstructionId.INDUCED_DIALGEBRA: VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
-    ConstructionId.INDUCED_LEIBNIZ: VarietyTag.HOM_LEIBNIZ,
-    ConstructionId.INDUCED_JORDAN_DIALGEBRA: VarietyTag.HOM_JORDAN_DIALGEBRA,
-    ConstructionId.INDUCED_TRIALGEBRA: VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA,
-    ConstructionId.INDUCED_TRILEIBNIZ: VarietyTag.HOM_LEIBNIZ_TRIALGEBRA,
-    ConstructionId.INDUCED_JORDAN_TRIALGEBRA: VarietyTag.HOM_JORDAN_TRIALGEBRA,
+
+def _sided(a: AlgebraInstance, sign: int) -> StructureTensor:
+    """x right y + sign (y left x): the dicommutator for sign -1."""
+    return a.product("right") + a.product("left").opposite().scale(sign)
+
+
+def _symmetric(t: StructureTensor, sign: int) -> StructureTensor:
+    """x.y + sign (y.x)."""
+    return t + t.opposite().scale(sign)
+
+
+# the anti-dicommutator and tri-to-jordan outputs are reported in their
+# target variety but not gated: they are only guaranteed when the input
+# comes from an induced structure
+FUNCTORS = {
+    _C.MINUS: Construction(_V.HOM_ASSOCIATIVE, _V.HOM_LIE, True,
+                           lambda a: minus_algebra(a).products),
+    _C.PLUS: Construction(_V.HOM_ASSOCIATIVE, _V.HOM_JORDAN, True,
+                          lambda a: plus_algebra(a).products),
+    _C.DICOMMUTATOR: Construction(_V.HOM_ASSOCIATIVE_DIALGEBRA, _V.HOM_LEIBNIZ, True,
+                                  lambda a: {"brace": _sided(a, -1)}),
+    _C.ANTI_DICOMMUTATOR: Construction(_V.HOM_ASSOCIATIVE_DIALGEBRA, _V.HOM_JORDAN_DIALGEBRA,
+                                       False, lambda a: {"bullet": _sided(a, 1)}),
+    _C.TRI_TO_LEIBNIZ: Construction(
+        _V.HOM_ASSOCIATIVE_TRIALGEBRA, _V.HOM_LEIBNIZ_TRIALGEBRA, True,
+        lambda a: {"brace": _sided(a, -1), "bracket": _symmetric(a.product("middle"), -1)}),
+    _C.TRI_TO_JORDAN: Construction(
+        _V.HOM_ASSOCIATIVE_TRIALGEBRA, _V.HOM_JORDAN_TRIALGEBRA, False,
+        lambda a: {"bullet": _sided(a, 1), "circ": _symmetric(a.product("middle"), 1)}),
+    _C.DI_TO_TRI: Construction(
+        _V.HOM_ASSOCIATIVE_DIALGEBRA, _V.HOM_ASSOCIATIVE_TRIALGEBRA, True,
+        lambda a: {"left": a.product("left"), "right": a.product("right"),
+                   "middle": StructureTensor.zero(a.dim)}),
+    _C.OPPOSITE_DIALGEBRA: Construction(
+        _V.HOM_ASSOCIATIVE_DIALGEBRA, _V.HOM_ASSOCIATIVE_DIALGEBRA, True,
+        lambda a: {"left": a.product("right").opposite(),
+                   "right": a.product("left").opposite()}),
+    _C.TRIDENDRIFORM: Construction(
+        _V.HOM_ASSOCIATIVE_TRIALGEBRA, _V.HOM_TRIDENDRIFORM, True,
+        lambda a: {"prec": a.product("left").scale(-1), "succ": a.product("right").scale(-1),
+                   "dot": a.product("middle")}),
 }
 
 
@@ -111,34 +188,20 @@ def hemisemi(rep, what: ConstructionId, check: bool = True) -> AlgebraInstance:
     and, for the tri variants, the component-wise product of V in the extra
     slot.  The twist is alpha + beta.
     """
-    wanted = HEMISEMI_REP_KIND[what]
-    if not isinstance(rep, wanted):
-        raise SemanticError(f"{what.value} needs a {wanted.__name__}, got {rep.kind}")
+    row = HEMISEMI[what]
+    if not isinstance(rep, row.takes):
+        raise SemanticError(f"{what.value} needs a {row.takes.__name__}, got {rep.kind}")
     if check:
         _gate(certify_rep(rep), f"{what.value}({rep.base.name}) input")
-    n, m = rep.base.dim, rep.v_dim
     base = rep.base
-    twist = base.alpha.direct_sum(rep.beta)
-    name = f"{base.name}-{what.value}"
-    products = {}
-    if isinstance(rep, AssocBimodule):
-        mul = base.product("mul")
-        products["left"] = _block_product(n, m, mul, None, rep.r, None)
-        products["right"] = _block_product(n, m, mul, rep.l, None, None)
-        if what is ConstructionId.HEMISEMI_TRIASS:
-            products["middle"] = _block_product(n, m, mul, None, None, rep.vmul)
-    elif isinstance(rep, LieModule):
-        br = base.product("bracket")
-        products["brace"] = _block_product(n, m, br, rep.rho, None, None)
-        if what is ConstructionId.HEMISEMI_TRILEIB:
-            products["bracket"] = _block_product(n, m, br, None, None, rep.vbracket)
-    elif isinstance(rep, JordanModule):
-        circ = base.product("circ")
-        products["bullet"] = _block_product(n, m, circ, rep.pi, None, None)
-        if what is ConstructionId.HEMISEMI_TRIJOR:
-            products["circ"] = _block_product(n, m, circ, None, None, rep.vstar)
-    out = AlgebraInstance(name, n + m, products, {"alpha": twist}, HEMISEMI_VARIETY[what])
-    if check:
+    n, m = base.dim, rep.v_dim
+    (base_sym,) = REQUIRED_PRODUCTS[rep.variety]
+    mul = base.product(base_sym)
+    products = {sym: _block_product(n, m, mul, **{block: getattr(rep, attr)})
+                for sym, (attr, block) in row.products.items()}
+    out = AlgebraInstance(f"{base.name}-{what.value}", n + m, products,
+                          {"alpha": base.alpha.direct_sum(rep.beta)}, row.yields)
+    if check and row.gated:
         _gate(certify(out, out.variety), f"{what.value}({rep.base.name}) output")
     return out
 
@@ -205,68 +268,31 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
 # induced structures on V
 
 
-def _pull_first(action: StructureTensor, K: LinearMap) -> StructureTensor:
-    """(u, v) -> action(K u, v) as a square tensor on V."""
-    m = action.right_dim
-    rule = {}
-    for i in range(m):
-        col = K.column(i)
-        for j in range(m):
-            rule[(i, j)] = action.apply(col, Vector.basis(m, j))
-    return StructureTensor.from_rule(m, m, m, rule)
-
-
-def _pull_second(action: StructureTensor, K: LinearMap) -> StructureTensor:
-    """(u, v) -> action(K v, u) as a square tensor on V."""
-    m = action.right_dim
-    rule = {}
-    for i in range(m):
-        for j in range(m):
-            rule[(i, j)] = action.apply(K.column(j), Vector.basis(m, i))
-    return StructureTensor.from_rule(m, m, m, rule)
-
-
-INDUCED_REQUIRED_KIND = {
-    ConstructionId.INDUCED_DIALGEBRA: "rel-avg",
-    ConstructionId.INDUCED_LEIBNIZ: "rel-avg",
-    ConstructionId.INDUCED_JORDAN_DIALGEBRA: "rel-avg",
-    ConstructionId.INDUCED_TRIALGEBRA: "homomorphic-rel-avg",
-    ConstructionId.INDUCED_TRILEIBNIZ: "homomorphic-rel-avg",
-    ConstructionId.INDUCED_JORDAN_TRIALGEBRA: "homomorphic-rel-avg",
-}
-
-
 def induce(candidate, what: ConstructionId, check: bool = True) -> AlgebraInstance:
-    """Transport the base structure onto V through a certified operator."""
+    """Transport the base structure onto V through a certified operator.
+
+    A left action l gives (u, v) -> l(K u)v, a right action r gives
+    (u, v) -> r(K v)u, and a product on V is kept.
+    """
     from .operators import certify_operator
 
+    row = INDUCED.get(what)
+    if row is None:
+        raise SemanticError(f"{what.value} is not an induced-structure id")
     rep = candidate.rep
     K = candidate.map
     if check:
-        rep_report = certify_rep(rep)
-        _gate(rep_report, f"{what.value} input rep")
-        op_report = certify_operator(candidate, INDUCED_REQUIRED_KIND[what])
-        _gate(op_report, f"{what.value} input operator")
-    m = rep.v_dim
-    name = f"{rep.base.name}-{what.value}"
+        _gate(certify_rep(rep), f"{what.value} input rep")
+        _gate(certify_operator(candidate, row.takes), f"{what.value} input operator")
     products = {}
-    if what is ConstructionId.INDUCED_DIALGEBRA or what is ConstructionId.INDUCED_TRIALGEBRA:
-        products["right"] = _pull_first(rep.l, K)
-        products["left"] = _pull_second(rep.r, K)
-        if what is ConstructionId.INDUCED_TRIALGEBRA:
-            products["middle"] = rep.vmul
-    elif what is ConstructionId.INDUCED_LEIBNIZ or what is ConstructionId.INDUCED_TRILEIBNIZ:
-        products["brace"] = _pull_first(rep.rho, K)
-        if what is ConstructionId.INDUCED_TRILEIBNIZ:
-            products["bracket"] = rep.vbracket
-    elif what is ConstructionId.INDUCED_JORDAN_DIALGEBRA or what is ConstructionId.INDUCED_JORDAN_TRIALGEBRA:
-        products["bullet"] = _pull_first(rep.pi, K)
-        if what is ConstructionId.INDUCED_JORDAN_TRIALGEBRA:
-            products["circ"] = rep.vstar
-    else:
-        raise SemanticError(f"{what.value} is not an induced-structure id")
-    out = AlgebraInstance(name, m, products, {"alpha": rep.beta}, INDUCED_VARIETY[what])
-    if check:
+    for sym, (attr, block) in row.products.items():
+        t = getattr(rep, attr)
+        if block != "v_tensor":
+            t = t.pull(K) if block == "left_act" else t.pull(K).opposite()
+        products[sym] = t
+    out = AlgebraInstance(f"{rep.base.name}-{what.value}", rep.v_dim, products,
+                          {"alpha": rep.beta}, row.yields)
+    if check and row.gated:
         _gate(certify(out, out.variety), f"{what.value} output")
     return out
 
@@ -275,93 +301,18 @@ def induce(candidate, what: ConstructionId, check: bool = True) -> AlgebraInstan
 # functors between varieties
 
 
-_FUNCTOR_SOURCE = {
-    ConstructionId.MINUS: VarietyTag.HOM_ASSOCIATIVE,
-    ConstructionId.PLUS: VarietyTag.HOM_ASSOCIATIVE,
-    ConstructionId.DICOMMUTATOR: VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
-    ConstructionId.ANTI_DICOMMUTATOR: VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
-    ConstructionId.TRI_TO_LEIBNIZ: VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA,
-    ConstructionId.TRI_TO_JORDAN: VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA,
-    ConstructionId.DI_TO_TRI: VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
-    ConstructionId.OPPOSITE_DIALGEBRA: VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
-    ConstructionId.TRIDENDRIFORM: VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA,
-}
-
-_FUNCTOR_TARGET = {
-    ConstructionId.MINUS: VarietyTag.HOM_LIE,
-    ConstructionId.PLUS: VarietyTag.HOM_JORDAN,
-    ConstructionId.DICOMMUTATOR: VarietyTag.HOM_LEIBNIZ,
-    ConstructionId.ANTI_DICOMMUTATOR: VarietyTag.HOM_JORDAN_DIALGEBRA,
-    ConstructionId.TRI_TO_LEIBNIZ: VarietyTag.HOM_LEIBNIZ_TRIALGEBRA,
-    ConstructionId.TRI_TO_JORDAN: VarietyTag.HOM_JORDAN_TRIALGEBRA,
-    ConstructionId.DI_TO_TRI: VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA,
-    ConstructionId.OPPOSITE_DIALGEBRA: VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
-    ConstructionId.TRIDENDRIFORM: VarietyTag.HOM_TRIDENDRIFORM,
-}
-
-# the target variety is reported but not enforced for these ids: the output
-# is only guaranteed when the input comes from an induced structure
-_FUNCTOR_UNENFORCED = {
-    ConstructionId.ANTI_DICOMMUTATOR,
-    ConstructionId.TRI_TO_JORDAN,
-}
-
-
 def functor(a: AlgebraInstance, what: ConstructionId, check: bool = True) -> AlgebraInstance:
     """Apply one of the fixed product-rewriting functors."""
-    source = _FUNCTOR_SOURCE.get(what)
-    if source is None:
+    row = FUNCTORS.get(what)
+    if row is None:
         raise SemanticError(f"{what.value} is not a functor id")
     if check:
-        _gate(certify(a, source), f"{what.value}({a.name}) input")
-    name = f"{a.name}-{what.value}"
-    if what is ConstructionId.MINUS:
-        out = minus_algebra(a, name)
-    elif what is ConstructionId.PLUS:
-        out = plus_algebra(a, name)
-    else:
-        out = AlgebraInstance(name, a.dim, _functor_products(a, what), {"alpha": a.alpha},
-                              _FUNCTOR_TARGET[what])
-    if check and what not in _FUNCTOR_UNENFORCED:
+        _gate(certify(a, row.takes), f"{what.value}({a.name}) input")
+    out = AlgebraInstance(f"{a.name}-{what.value}", a.dim, row.products(a), {"alpha": a.alpha},
+                          row.yields)
+    if check and row.gated:
         _gate(certify(out, out.variety), f"{what.value}({a.name}) output")
     return out
-
-
-def _functor_products(a: AlgebraInstance, what: ConstructionId) -> dict:
-    if what is ConstructionId.DICOMMUTATOR:
-        return {"brace": a.product("right") - a.product("left").opposite()}
-    if what is ConstructionId.ANTI_DICOMMUTATOR:
-        return {"bullet": a.product("right") + a.product("left").opposite()}
-    if what is ConstructionId.TRI_TO_LEIBNIZ:
-        mid = a.product("middle")
-        return {
-            "brace": a.product("right") - a.product("left").opposite(),
-            "bracket": mid - mid.opposite(),
-        }
-    if what is ConstructionId.TRI_TO_JORDAN:
-        mid = a.product("middle")
-        return {
-            "bullet": a.product("right") + a.product("left").opposite(),
-            "circ": mid + mid.opposite(),
-        }
-    if what is ConstructionId.DI_TO_TRI:
-        return {
-            "left": a.product("left"),
-            "right": a.product("right"),
-            "middle": StructureTensor.zero(a.dim),
-        }
-    if what is ConstructionId.OPPOSITE_DIALGEBRA:
-        return {
-            "left": a.product("right").opposite(),
-            "right": a.product("left").opposite(),
-        }
-    if what is ConstructionId.TRIDENDRIFORM:
-        return {
-            "prec": a.product("left").scale(-1),
-            "succ": a.product("right").scale(-1),
-            "dot": a.product("middle"),
-        }
-    raise SemanticError(f"{what.value} is not a functor id")
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +413,7 @@ def differential_dialgebra(a: AlgebraInstance, d_name: str, check: bool = True) 
     out = AlgebraInstance(
         f"{a.name}-differential-dialgebra",
         a.dim,
-        {"left": _pull_second(mul.opposite(), d), "right": _pull_first(mul, d)},
+        {"left": mul.opposite().pull(d).opposite(), "right": mul.pull(d)},
         {"alpha": a.alpha},
         VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
     )
@@ -482,7 +433,7 @@ def bimodule_map_dialgebra(rep: AssocBimodule, f: LinearMap, check: bool = True)
     out = AlgebraInstance(
         f"{base.name}-bimodule-map-dialgebra",
         rep.v_dim,
-        {"right": _pull_first(rep.l, f), "left": _pull_second(rep.r, f)},
+        {"right": rep.l.pull(f), "left": rep.r.pull(f).opposite()},
         {"alpha": rep.beta},
         VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
     )

@@ -24,7 +24,9 @@ l * Dr == r * Dl.  Tuples are enumerated lexicographically and a node is
 re-evaluated only when a slot it depends on changes, looking up a table
 keyed by the tuple's projection onto its free slots that is filled on
 demand, so a failing check still stops at its first witness.  Tables live
-for one call; tensors and maps keep their sparse form once compiled.
+for one call; tensors and maps keep their sparse form once compiled, and
+a map keeps each power's columns and identity flag, so guards are read,
+not rebuilt.
 The last slot is enumerated only where a side can be nonzero.  The plan
 holds a support recipe for the nodes that read the last variable; bound to
 the support masks kept with the data (a tensor's row and column masks and
@@ -573,30 +575,33 @@ def _spread(vec, table):
     return out
 
 
-def _power(interp, symbol, power, powers):
-    """(sparse columns, denominator, nonzero-column mask) of symbol^power,
-    memoized in `powers` for one call; a map keeps its own columns and mask."""
-    got = powers.get((symbol, power))
+def _power(interp, symbol, power):
+    """(sparse columns, denominator, nonzero-column mask, identity flag) of
+    symbol^power, built once and kept on the map; power 1 reads the map's
+    own columns and mask."""
+    lin = interp.maps[symbol][0]
+    powers = lin._powers
+    if powers is None:
+        powers = lin._powers = {}
+    got = powers.get(power)
     if got is None:
-        lin = interp.maps[symbol][0]
         if power == 1:  # a map across sorts only ever appears at power 1
             if lin._compiled is None:
                 lin._compiled = _columns(lin)
-            cols, mask = lin._compiled
+            (cols, mask), den = lin._compiled, lin._d
         else:
             lin = lin.power(power)
-            cols, mask = _columns(lin)
-        got = powers[(symbol, power)] = (cols, lin._d, mask)
+            (cols, mask), den = _columns(lin), lin._d
+        identity = (lin.src_dim == lin.dst_dim
+                    and all(col == [(j, den)] for j, col in enumerate(cols)))
+        got = powers[power] = (cols, den, mask, identity)
     return got
 
 
-def _is_identity(interp, symbol, power, powers) -> bool:
+def _is_identity(interp, symbol, power) -> bool:
     """Whether symbol^power is the identity map of one sort."""
     src, dst = interp.maps[symbol][1]
-    if src != dst:
-        return False
-    cols, den, _ = _power(interp, symbol, power, powers)
-    return all(col == [(j, den)] for j, col in enumerate(cols))
+    return src == dst and _power(interp, symbol, power)[3]
 
 
 def _is_zero(interp, symbol) -> bool:
@@ -616,9 +621,8 @@ class _Dag:
     record every identity and zero flag the simplification read.
     """
 
-    def __init__(self, interp: Interpretation, powers: dict):
+    def __init__(self, interp: Interpretation):
         self.interp = interp
-        self.powers = powers
         self.nodes = []
         self._ids = {}
         self._seen = {}
@@ -659,7 +663,7 @@ class _Dag:
             return child
         identity = self.twists.get((symbol, power))
         if identity is None:
-            identity = _is_identity(self.interp, symbol, power, self.powers)
+            identity = _is_identity(self.interp, symbol, power)
             self.twists[(symbol, power)] = identity
         return child if identity else self._intern(("tw", symbol, power, child))
 
@@ -866,7 +870,7 @@ class _Plan:
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
                  "out_sorts", "levels", "recipes")
 
-    def __init__(self, clause_set: _ClauseSet, interp: Interpretation, powers: dict):
+    def __init__(self, clause_set: _ClauseSet, interp: Interpretation):
         self.clause_set = clause_set
         self.out_sorts = []
         for schema in clause_set.clauses:
@@ -881,7 +885,7 @@ class _Plan:
                 raise SemanticError(f"sort {sort!r} has no dimension binding")
             var_sorts[name] = sort
         interp.validate()
-        dag = _Dag(interp, powers)
+        dag = _Dag(interp)
         self.roots = [dag.add(e) for s in clause_set.clauses for e in (s.lhs, s.rhs)]
         self.nodes = nodes = dag.nodes
         self.twists, self.zeros = tuple(dag.twists.items()), tuple(dag.zeros.items())
@@ -1153,13 +1157,13 @@ class _Plan:
             return nid, kind, a, b, None
         return nid, kind, a, b, keys.setdefault(key, key)
 
-    def holds(self, interp: Interpretation, powers: dict) -> bool:
+    def holds(self, interp: Interpretation) -> bool:
         """Whether every guard holds for this interpretation's data."""
-        return (all(_is_identity(interp, symbol, power, powers) == flag
+        return (all(_is_identity(interp, symbol, power) == flag
                     for (symbol, power), flag in self.twists)
                 and all(_is_zero(interp, symbol) == flag for symbol, flag in self.zeros))
 
-    def bind(self, interp: Interpretation, leaf_dens: dict, powers: dict):
+    def bind(self, interp: Interpretation, leaf_dens: dict):
         """(kernels, denominators) over the interpretation's data.
 
         A variable's denominator is leaf_dens.get(name, 1); every other live
@@ -1176,7 +1180,7 @@ class _Plan:
                 dens[nid] = leaf_dens.get(key[1], 1)
             elif kind == "tw":
                 _, symbol, power, child = key
-                cols, den, _ = _power(interp, symbol, power, powers)
+                cols, den = _power(interp, symbol, power)[:2]
                 dens[nid] = dens[child] * den
                 kernels[nid] = _twist_kernel(child, cols, dims[sorts[nid]])
             elif kind == "op":
@@ -1195,7 +1199,7 @@ class _Plan:
                 kernels[nid] = _sum_kernel(terms, dims[sorts[nid]])
         return kernels, dens
 
-    def bind_support(self, p, interp: Interpretation, powers: dict, cur: list, tables: dict,
+    def bind_support(self, p, interp: Interpretation, cur: list, tables: dict,
                      standins: dict):
         """Slot p's support recipe over the interpretation's data, as a
         function of the current prefix (see _mask_fn).
@@ -1217,7 +1221,7 @@ class _Plan:
         """
         (consts, fixed_steps, varying, folds, keep, sums, settled_roots, mask_roots, prefix_roots,
          fixed_later_roots, data) = self.recipes[p]
-        _tables(data, tables, interp, powers)
+        _tables(data, tables, interp)
         flag = len(self.nodes)
         masks = [-1] * (flag + 1)  # a variable's own mask stays -1
         vecs = [None] * flag
@@ -1266,7 +1270,7 @@ class _Plan:
         return _mask_fn(prefix_roots, steps, masks, vecs, mask_roots, cur, standins)
 
 
-def _tables(keys, tables: dict, interp: Interpretation, powers: dict) -> None:
+def _tables(keys, tables: dict, interp: Interpretation) -> None:
     """Fetch into `tables` the data recipe steps read, by key, unless fetched
     already: a tensor's row or column masks or its P or Q, a map power's
     nonzero-column mask, row sets or column supports, a sort's dimension,
@@ -1281,11 +1285,11 @@ def _tables(keys, tables: dict, interp: Interpretation, powers: dict) -> None:
         elif kind == "P" or kind == "Q":
             got = _outputs(ops[key[1]][0], kind == "Q")
         elif kind == "mask":
-            got = _power(interp, key[1], key[2], powers)[2]
+            got = _power(interp, key[1], key[2])[2]
         elif kind == "rowsets":
-            got = _row_sets(_power(interp, key[1], key[2], powers)[0], dims[key[3]])
+            got = _row_sets(_power(interp, key[1], key[2])[0], dims[key[3]])
         elif kind == "colsupp":
-            got = [sum(1 << i for i, _ in col) for col in _power(interp, key[1], key[2], powers)[0]]
+            got = [sum(1 << i for i, _ in col) for col in _power(interp, key[1], key[2])[0]]
         elif kind == "dim":
             got = dims[key[1]]
         elif kind == "all":
@@ -1390,7 +1394,7 @@ def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
 
 
 def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=False):
-    """(plan, kernels, denominators, powers, memo) for the clauses over interp.
+    """(plan, kernels, denominators, memo) for the clauses over interp.
 
     The plan comes from the first clause's cache, keyed by the remaining
     clauses and `polar`, then by shape; it is built when no cached plan's
@@ -1408,7 +1412,6 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
         clause_set = head.plans[key] = _ClauseSet(clauses, polar)
     shape = clause_set.shape(interp)
     entry = clause_set.by_shape.get(shape)
-    powers = {}
     plan = slot = None
     if entry is not None:
         interp.validate()
@@ -1416,16 +1419,16 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
             slot = (entry, entry.bound(clause_set, interp))
             verdict = entry.recall(slot[1])
             if verdict is not None:
-                return None, None, None, None, verdict
-        plan = next((p for p in entry.plans if p.holds(interp, powers)), None)
+                return None, None, None, verdict
+        plan = next((p for p in entry.plans if p.holds(interp)), None)
     if plan is None:
-        plan = _Plan(clause_set, interp, powers)
+        plan = _Plan(clause_set, interp)
         if entry is None:
             entry = clause_set.by_shape[shape] = _Shape(shape)
         entry.plans.append(plan)
     if memo and slot is None:
         slot = (entry, entry.bound(clause_set, interp))
-    return (plan, *plan.bind(interp, leaf_dens, powers), powers, slot)
+    return (plan, *plan.bind(interp, leaf_dens), slot)
 
 
 def _run(order, kernels, cur) -> None:
@@ -1466,8 +1469,8 @@ def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
             raise ShapeError(f"variable {name!r} bound to a vector of dim {env[name].dim}")
     schema = IdentitySchema("evaluate", expr, ZERO,
                             variables=[(name, s, 1) for name, s in sorts.items()])
-    plan, kernels, dens, _, _ = _bind((schema,), interp, False,
-                                      {n: v._d for n, v in env.items()})
+    plan, kernels, dens, _ = _bind((schema,), interp, False,
+                                   {n: v._d for n, v in env.items()})
     cur = [None] * len(plan.nodes)
     for name, nid in plan.var_nodes.items():
         cur[nid] = _sparse(env[name]._n)
@@ -1499,7 +1502,7 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     from the memo (see the module docstring).
     """
     try:
-        plan, kernels, dens, powers, memo = _bind(clauses, interp, True, {}, memo=True)
+        plan, kernels, dens, memo = _bind(clauses, interp, True, {}, memo=True)
     except (SemanticError, KeyError) as exc:
         raise SemanticError(f"{clauses[0].name}: {exc}") from exc
     if plan is None:  # a verdict kept for these very objects
@@ -1551,7 +1554,7 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         for r in recipes[p].prefix_roots:
             if cur[r]:
                 return -1
-        bound[p] = plan.bind_support(p, interp, powers, cur, tables, standins)
+        bound[p] = plan.bind_support(p, interp, cur, tables, standins)
         return bound[p]()
 
     def below(p, a, b):
@@ -1681,8 +1684,8 @@ def check_schema_random(
     dens = tuple(denominators) if denominators else _RANDOM_DENOMINATORS
     check_id = f"schema-random:{schema.name}"
     common = lcm(*dens)
-    plan, kernels, node_dens, _, _ = _bind((schema,), interp, False,
-                                        {name: common for name, _, _ in schema.variables})
+    plan, kernels, node_dens, _ = _bind((schema,), interp, False,
+                                     {name: common for name, _, _ in schema.variables})
     lhs, rhs = plan.roots
     rng = random.Random(seed)
     cur = [None] * len(plan.nodes)

@@ -5,14 +5,18 @@ operations are pure functions on immutable values.  Internally a vector (or
 matrix, or tensor) keeps integer numerators over one shared positive
 denominator, so the hot contraction loops run on plain ints; the public
 surface speaks `fractions.Fraction`.  Maps and tensors keep the identity
-engine's sparse form of themselves in `_compiled` once it is built, and
-take weak references, which the engine's verdict memo keys on.
+engine's sparse form of themselves in `_compiled` once it is built (a map
+keeps that of its powers in `_powers`), and take weak references, which the
+engine's verdict memo keys on.  Constructions assemble tensors on the
+numerators too: `StructureTensor.place` puts blocks side by side and
+`StructureTensor.pull` precomposes the left argument with a map, both in
+lowest terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class ShapeError(ValueError):
@@ -133,7 +137,7 @@ class Vector:
 class LinearMap:
     """Immutable linear map, stored as a dst_dim x src_dim exact matrix."""
 
-    __slots__ = ("src_dim", "dst_dim", "_n", "_d", "_compiled", "__weakref__")
+    __slots__ = ("src_dim", "dst_dim", "_n", "_d", "_compiled", "_powers", "__weakref__")
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
@@ -149,7 +153,7 @@ class LinearMap:
         self.dst_dim = dst
         self._n = tuple(tuple(nums[i * src:(i + 1) * src]) for i in range(dst))
         self._d = den
-        self._compiled = None
+        self._compiled = self._powers = None
 
     @classmethod
     def _make(cls, rows, den, src, dst):
@@ -158,7 +162,7 @@ class LinearMap:
         m.dst_dim = dst
         m._n = tuple(tuple(r) for r in rows)
         m._d = den
-        m._compiled = None
+        m._compiled = m._powers = None
         return m
 
     @classmethod
@@ -326,6 +330,16 @@ class StructureTensor:
         return t
 
     @classmethod
+    def _lowest(cls, coeffs, den, ld, rd, od):
+        """_make over numerators brought to lowest terms, the _n and _d that
+        StructureTensor(coeffs) keeps for the same values."""
+        g = gcd(den, *(x for plane in coeffs for row in plane for x in row if x))
+        if g > 1:
+            coeffs = [[[x // g for x in row] for row in plane] for plane in coeffs]
+            den //= g
+        return cls._make(coeffs, den, ld, rd, od)
+
+    @classmethod
     def zero(cls, left_dim: int, right_dim: int | None = None, out_dim: int | None = None):
         rd = left_dim if right_dim is None else right_dim
         od = left_dim if out_dim is None else out_dim
@@ -344,6 +358,34 @@ class StructureTensor:
     @classmethod
     def square_from_rule(cls, dim, rule):
         return cls.from_rule(dim, dim, dim, rule)
+
+    @classmethod
+    def place(cls, dims, pieces) -> "StructureTensor":
+        """The sum of tensors placed as blocks of one tensor of dims (left,
+        right, out), in lowest terms.
+
+        A piece (t, (i0, j0, k0), swapped) puts t[i][j][k] at
+        [i0 + i][j0 + j][k0 + k], or at [i0 + j][j0 + i][k0 + k] when
+        swapped: t's left argument is then read from the right slot, as for
+        a right action r(y)u stored algebra-argument first.  Pieces of any
+        shape that fits are allowed, and a piece whose t is None is absent.
+        """
+        ld, rd, od = dims
+        pieces = [p for p in pieces if p[0] is not None]
+        den = lcm(1, *(t._d for t, _, _ in pieces))
+        coeffs = [[[0] * od for _ in range(rd)] for _ in range(ld)]
+        for t, (i0, j0, k0), swapped in pieces:
+            li, ri = (t.right_dim, t.left_dim) if swapped else (t.left_dim, t.right_dim)
+            if min(i0, j0, k0) < 0 or i0 + li > ld or j0 + ri > rd or k0 + t.out_dim > od:
+                raise ShapeError("piece does not fit the placed tensor")
+            s = den // t._d
+            for i, plane in enumerate(t._n):
+                for j, row in enumerate(plane):
+                    out = coeffs[i0 + j][j0 + i] if swapped else coeffs[i0 + i][j0 + j]
+                    for k, x in enumerate(row):
+                        if x:
+                            out[k0 + k] += s * x
+        return cls._lowest(coeffs, den, ld, rd, od)
 
     @property
     def dim(self) -> int:
@@ -419,7 +461,8 @@ class StructureTensor:
         return self + other.scale(-1)
 
     def scale(self, s) -> "StructureTensor":
-        s = _frac(s)
+        if s.__class__ is not int:  # an int is its own numerator over 1, as in __init__
+            s = _frac(s)
         coeffs = [
             [[s.numerator * x for x in row] for row in plane] for plane in self._n
         ]
@@ -444,6 +487,25 @@ class StructureTensor:
         return StructureTensor._make(
             coeffs, self._d * phi._d, self.left_dim, self.right_dim, phi.dst_dim
         )
+
+    def pull(self, K: LinearMap) -> "StructureTensor":
+        """Precompose the left argument with K: (x, y) -> K(x) * y, in lowest
+        terms; the mirror of push.  a.pull(K).opposite() is (x, y) -> K(y) * x."""
+        if K.dst_dim != self.left_dim:
+            raise ShapeError("map codomain differs from the tensor's left dim")
+        rd, od = self.right_dim, self.out_dim
+        coeffs = []
+        for i in range(K.src_dim):
+            plane = [[0] * od for _ in range(rd)]
+            for krow, aplane in zip(K._n, self._n):
+                c = krow[i]
+                if c:
+                    for out, row in zip(plane, aplane):
+                        for k, x in enumerate(row):
+                            if x:
+                                out[k] += c * x
+            coeffs.append(plane)
+        return StructureTensor._lowest(coeffs, K._d * self._d, K.src_dim, rd, od)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureTensor):

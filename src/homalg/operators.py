@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd
 
-from .constructions import ConstructionId, hemisemi
+from .constructions import HEMISEMI, ConstructionId, hemisemi
 from .engine import (
     CheckReport,
     IdentitySchema,
@@ -29,15 +29,7 @@ from .engine import (
     var,
 )
 from .exact import LinearMap, ShapeError
-from .reps import (
-    AssocAction,
-    AssocBimodule,
-    CertificationError,
-    JordanAction,
-    JordanModule,
-    LieAction,
-    LieModule,
-)
+from .reps import AssocAction, AssocBimodule, CertificationError
 from .varieties import AlgebraInstance
 
 OPERATOR_KINDS = (
@@ -217,19 +209,9 @@ def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) ->
 # derived operators
 
 
-_HEMISEMI_FOR_REP = (
-    (JordanAction, ConstructionId.HEMISEMI_TRIJOR),
-    (LieAction, ConstructionId.HEMISEMI_TRILEIB),
-    (AssocAction, ConstructionId.HEMISEMI_TRIASS),
-    (JordanModule, ConstructionId.HEMISEMI_DIJOR),
-    (LieModule, ConstructionId.HEMISEMI_LEIB),
-    (AssocBimodule, ConstructionId.HEMISEMI_DIASS),
-)
-
-
 def hemisemi_id_for(rep) -> ConstructionId:
-    for cls, cid in _HEMISEMI_FOR_REP:
-        if isinstance(rep, cls):
+    for cid, row in reversed(HEMISEMI.items()):  # actions before their modules
+        if isinstance(rep, row.takes):
             return cid
     raise SemanticError(f"no hemisemi product for {rep!r}")
 

@@ -402,48 +402,28 @@ def tensor_square_bimodule(a: AlgebraInstance) -> AssocBimodule:
     n = a.dim
     m = n * n
     mul = a.product("mul")
-    l_rule = {}
-    r_rule = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lrow = [0] * m
-                rrow = [0] * m
-                for t in range(n):
-                    lrow[t * n + k] = mul.coeff(i, j, t)
-                    rrow[j * n + t] = mul.coeff(k, i, t)
-                l_rule[(i, j * n + k)] = lrow
-                r_rule[(i, j * n + k)] = rrow
-    l = StructureTensor.from_rule(n, m, m, l_rule)
-    r = StructureTensor.from_rule(n, m, m, r_rule)
-    beta = a.alpha.tensor(a.alpha)
-    rep = AssocBimodule(a, m, l, r, beta)
+    l = [[[0] * m for _ in range(m)] for _ in range(n)]
+    r = [[[0] * m for _ in range(m)] for _ in range(n)]
+    for i, plane in enumerate(mul._n):
+        for j, row in enumerate(plane):
+            for t, c in enumerate(row):
+                if c:  # e_i e_j = ... + c e_t
+                    for k in range(n):
+                        l[i][j * n + k][t * n + k] = c  # l(e_i)(e_j (x) e_k)
+                        r[j][k * n + i][k * n + t] = c  # r(e_j)(e_k (x) e_i)
+    rep = AssocBimodule(a, m, StructureTensor._lowest(l, mul._d, n, m, m),
+                        StructureTensor._lowest(r, mul._d, n, m, m), a.alpha.tensor(a.alpha))
     _gate(certify_rep(rep), f"tensor_square_bimodule({a.name}) output")
     return rep
 
 
 def _componentwise(t: StructureTensor, copies: int, a_dim: int, slot: str) -> StructureTensor:
     """Spread a square or action tensor over V = A^copies, component by component."""
-    n = a_dim
-    m = n * copies
-    rule = {}
-    if slot == "action":
-        for i in range(n):
-            for c in range(copies):
-                for j in range(n):
-                    row = [0] * m
-                    for k in range(n):
-                        row[c * n + k] = t.coeff(i, j, k)
-                    rule[(i, c * n + j)] = row
-        return StructureTensor.from_rule(n, m, m, rule)
-    for c in range(copies):
-        for i in range(n):
-            for j in range(n):
-                row = [0] * m
-                for k in range(n):
-                    row[c * n + k] = t.coeff(i, j, k)
-                rule[(c * n + i, c * n + j)] = row
-    return StructureTensor.from_rule(m, m, m, rule)
+    n, m = a_dim, a_dim * copies
+    ld = n if slot == "action" else m
+    return StructureTensor.place(
+        (ld, m, m), [(t, (0 if slot == "action" else c * n, c * n, c * n), False)
+                     for c in range(copies)])
 
 
 def _beta_copies(alpha: LinearMap, copies: int) -> LinearMap:
@@ -549,27 +529,12 @@ def jordan_action_from_action(rep: AssocAction) -> JordanAction:
 # semi-direct products
 
 
-def _block_product(n, m, a_tensor, left_act, right_act, v_tensor):
-    """Assemble (x+u)*(y+v) = x*y + left_act(x)v + right_act(y)u + u*v."""
-    d = n + m
-    rule = {}
-    for i in range(d):
-        for j in range(d):
-            row = [0] * d
-            if i < n and j < n:
-                for k in range(n):
-                    row[k] = a_tensor.coeff(i, j, k)
-            elif i < n and j >= n and left_act is not None:
-                for k in range(m):
-                    row[n + k] = left_act.coeff(i, j - n, k)
-            elif i >= n and j < n and right_act is not None:
-                for k in range(m):
-                    row[n + k] = right_act.coeff(j, i - n, k)
-            elif i >= n and j >= n and v_tensor is not None:
-                for k in range(m):
-                    row[n + k] = v_tensor.coeff(i - n, j - n, k)
-            rule[(i, j)] = row
-    return StructureTensor.from_rule(d, d, d, rule)
+def _block_product(n, m, a_tensor, left_act=None, right_act=None, v_tensor=None):
+    """Assemble (x+u)*(y+v) = x*y + left_act(x)v + right_act(y)u + u*v on A + V;
+    an absent block is zero."""
+    return StructureTensor.place((n + m,) * 3, [
+        (a_tensor, (0, 0, 0), False), (left_act, (0, n, n), False),
+        (right_act, (n, 0, n), True), (v_tensor, (n, n, n), False)])
 
 
 def semidirect_product(act) -> AlgebraInstance:

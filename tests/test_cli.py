@@ -204,6 +204,25 @@ def test_construct_rep_builder_roundtrip(tmp_path, capsys):
     assert code == 0 and records[0]["status"] == "pass"
 
 
+def test_construct_dispatches_every_table_id(tmp_path, capsys):
+    # every id of the three construction tables reaches its family's builder:
+    # named with no input, it asks for that family's input
+    from homalg.constructions import FUNCTORS, HEMISEMI, INDUCED
+
+    out = str(tmp_path / "never.halg")
+    for table, flag in ((FUNCTORS, "target"), (HEMISEMI, "rep"), (INDUCED, "operator")):
+        for cid in table:
+            code, _, captured = run(capsys, "construct", str(DATA / "kx2.halg"),
+                                    "--id", cid.value, "--out", out)
+            assert code == 3, cid
+            assert json.loads(captured.err) == {
+                "error": "semantic", "detail": f"construction {cid.value!r} needs --{flag}"}
+    code, _, captured = run(capsys, "construct", str(DATA / "kx2.halg"),
+                            "--id", "graph-closure", "--out", out)
+    assert code == 3 and "unknown construction id" in captured.err
+    assert not os.path.exists(out)
+
+
 def test_construct_output_is_canonical(tmp_path, capsys):
     from homalg.dsl import parse, serialize
 

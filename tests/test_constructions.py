@@ -1,6 +1,9 @@
 import pytest
 
 from homalg.constructions import (
+    FUNCTORS,
+    HEMISEMI,
+    INDUCED,
     ConstructionId,
     bimodule_map_dialgebra,
     crossed_module_check,
@@ -28,6 +31,8 @@ from homalg.forge import (
 from homalg.operators import OperatorCandidate, certify_operator, nijenhuis_of
 from homalg.reps import (
     CertificationError,
+    JordanModule,
+    LieModule,
     direct_sum_bimodule,
     jordan_module_from_bimodule,
     regular_action,
@@ -318,3 +323,62 @@ def test_bimodule_map_route_agrees_with_induced_route(kx2):
     via_induce = induce(s, C.INDUCED_DIALGEBRA)
     assert via_map.product("left") == via_induce.product("left")
     assert via_map.product("right") == via_induce.product("right")
+
+
+def test_catalog_builds_construct_no_fraction(seed_catalog, monkeypatch):
+    # the constructions assemble integer numerators: building every hemisemi
+    # product of a catalog rep, every induced structure of a catalog operator
+    # and every functor of a catalog algebra or induced dialgebra (the
+    # catalog sweep's builds among them) makes no Fraction
+    from fractions import Fraction
+
+    from homalg.operators import hemisemi_id_for
+
+    entries = list(seed_catalog.values())
+    reps = [e.value for e in entries if e.kind == "rep"]
+    operators = [e.value for e in entries if e.kind == "operator"]
+    algebras = [e.value for e in entries if e.kind == "algebra"]
+    assert (len(reps), len(operators)) == (39, 44)
+    calls = []
+    real = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    built = [hemisemi(rep, hemisemi_id_for(rep), check=False) for rep in reps]
+    for c in operators:
+        for cid, row in INDUCED.items():
+            if all(getattr(c.rep, attr, None) is not None for attr, _ in row.products.values()):
+                built.append(induce(c, cid, check=False))
+    sources = algebras + [a for a in built if a.variety is V.HOM_ASSOCIATIVE_DIALGEBRA]
+    for cid, row in FUNCTORS.items():
+        built += [functor(a, cid, check=False) for a in sources if a.variety is row.takes]
+    assert calls == []
+    assert len(built) > 116
+    assert {a.name.rsplit("-", 1)[-1] for a in built} >= {"minus", "plus", "dicommutator"}
+
+
+def test_hemisemi_id_for_each_representation_class(kx2):
+    from homalg.engine import SemanticError
+    from homalg.operators import hemisemi_id_for
+    from homalg.reps import regular_jordan_action, regular_lie_action
+
+    lie = regular_lie_action(functor(kx2, C.MINUS))
+    jordan = regular_jordan_action(functor(kx2, C.PLUS))
+    cases = [
+        (regular_bimodule(kx2), C.HEMISEMI_DIASS),
+        (regular_action(kx2), C.HEMISEMI_TRIASS),
+        (LieModule(lie.base, lie.v_dim, lie.rho, lie.beta), C.HEMISEMI_LEIB),
+        (lie, C.HEMISEMI_TRILEIB),
+        (JordanModule(jordan.base, jordan.v_dim, jordan.pi, jordan.beta), C.HEMISEMI_DIJOR),
+        (jordan, C.HEMISEMI_TRIJOR),
+    ]
+    for rep, cid in cases:
+        assert hemisemi_id_for(rep) is cid
+        assert isinstance(rep, HEMISEMI[cid].takes)
+    assert {cid for _, cid in cases} == set(HEMISEMI)
+    for other in (kx2, OperatorCandidate(regular_bimodule(kx2), LinearMap.identity(2)), None):
+        with pytest.raises(SemanticError, match="no hemisemi product"):
+            hemisemi_id_for(other)

@@ -371,6 +371,30 @@ def test_sparse_data_is_computed_once_per_object():
         assert tensor_data[3] is p and tensor_data[4] is q
 
 
+def test_twist_powers_are_built_once_per_map(monkeypatch, cold_binds):
+    # alpha^2 is the identity, so the plan is guarded on that flag; a second
+    # check over a fresh tensor misses the verdict memo and re-reads the
+    # guard, from the power data kept on alpha
+    alpha = LinearMap([[0, 1], [1, 0]])
+    xy = op("mul", var("x"), var("y"))
+    schema = IdentitySchema("square-twist", tw("alpha", xy, 2), xy)
+    first = check_schema(schema, interp_for(KX2, alpha))
+    real, calls = LinearMap.power, []
+
+    def power(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(LinearMap, "power", power)
+    bound = len(cold_binds)
+    second = check_schema(schema, interp_for(StructureTensor(KX2.coeffs), alpha))
+    assert len(cold_binds) == bound + 1  # a bound check, not a memo hit
+    assert calls == []
+    assert first.ok and second.ok
+    assert check_schema(schema, interp_for(KX2, LinearMap([[0, 1], [2, 0]]))).status == "fail"
+    assert calls == [2]
+
+
 # ---------------------------------------------------------------------------
 # evaluation plans: built once per clause tuple and shape, bound per call
 

@@ -182,3 +182,109 @@ def test_sparse_tensor_construction_matches_dense_fractions():
     assert StructureTensor([[[0, Fraction(1, 3)]]])._d == 3
     with pytest.raises(ValueError):
         StructureTensor([[["x"]]])
+
+
+# ---------------------------------------------------------------------------
+# pull and place, the constructions' builders, against naive references
+
+
+def _sparse_tensor(rng, ld, rd, od):
+    values = [0] * 6 + [1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6), Fraction(2, 9)]
+    return StructureTensor([[[rng.choice(values) for _ in range(od)] for _ in range(rd)]
+                            for _ in range(ld)])
+
+
+def _in_lowest_terms(t):
+    want = StructureTensor(t.coeffs)
+    return (t._n, t._d) == (want._n, want._d)
+
+
+def _naive_pull(t, K):
+    m = t.right_dim
+    return StructureTensor.from_rule(
+        K.src_dim, m, t.out_dim,
+        {(i, j): t.apply(K.column(i), Vector.basis(m, j)) for i in range(K.src_dim)
+         for j in range(m)})
+
+
+def _naive_place(dims, pieces):
+    ld, rd, od = dims
+    coeffs = [[[Fraction(0)] * od for _ in range(rd)] for _ in range(ld)]
+    for t, (i0, j0, k0), swapped in pieces:
+        if t is None:
+            continue
+        for i in range(t.left_dim):
+            for j in range(t.right_dim):
+                a, b = (i0 + j, j0 + i) if swapped else (i0 + i, j0 + j)
+                for k in range(t.out_dim):
+                    coeffs[a][b][k0 + k] += t.coeff(i, j, k)
+    return StructureTensor(coeffs)
+
+
+def test_pull_matches_apply_on_the_map_columns():
+    rng = random.Random(5)
+    entries = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    for n, m, od in [(1, 1, 1), (2, 2, 2), (3, 3, 3), (2, 3, 3), (3, 2, 2), (4, 2, 5), (1, 3, 2)]:
+        for _ in range(15):
+            t = _sparse_tensor(rng, n, m, od)
+            K = LinearMap([[rng.choice(entries) for _ in range(m)] for _ in range(n)])
+            got = t.pull(K)
+            want = _naive_pull(t, K)
+            assert got == want and _in_lowest_terms(got)
+            assert (got.left_dim, got.right_dim, got.out_dim) == (m, m, od)
+            if od == m:  # the opposite reads K on the second argument: (u, v) -> t(K v, u)
+                swapped = StructureTensor.from_rule(
+                    m, m, od, {(i, j): t.apply(K.column(j), Vector.basis(m, i))
+                               for i in range(m) for j in range(m)})
+                assert got.opposite() == swapped
+    t = _sparse_tensor(rng, 2, 3, 3)
+    with pytest.raises(ShapeError):
+        t.pull(LinearMap.zero(3, 3))  # K's codomain is 3, the left dim 2
+    assert StructureTensor.zero(2).pull(LinearMap.zero(2))._d == 1
+
+
+def test_place_matches_per_index_copying():
+    rng = random.Random(7)
+    for n, m in [(1, 1), (2, 2), (2, 3), (3, 2), (1, 4), (4, 1)]:
+        for _ in range(15):
+            # the hemisemi layout on A + V: an algebra block, a left action,
+            # a swapped right action and a product on V, some of them absent
+            blocks = [(_sparse_tensor(rng, n, n, n), (0, 0, 0), False),
+                      (_sparse_tensor(rng, n, m, m), (0, n, n), False),
+                      (_sparse_tensor(rng, n, m, m), (n, 0, n), True),
+                      (_sparse_tensor(rng, m, m, m), (n, n, n), False)]
+            pieces = [(None if rng.random() < 0.3 else t, at, sw) for t, at, sw in blocks]
+            dims = (n + m,) * 3
+            got = StructureTensor.place(dims, pieces)
+            assert got == _naive_place(dims, pieces) and _in_lowest_terms(got)
+        # copies of an action and of a square tensor over A^3, and two
+        # pieces at one offset, which add
+        t, s = _sparse_tensor(rng, n, n, n), _sparse_tensor(rng, n, n, n)
+        for dims, pieces in [
+            ((n, 3 * n, 3 * n), [(t, (0, c * n, c * n), False) for c in range(3)]),
+            ((3 * n,) * 3, [(t, (c * n,) * 3, False) for c in range(3)]),
+            ((n, n, n), [(t, (0, 0, 0), False), (s, (0, 0, 0), True)]),
+        ]:
+            got = StructureTensor.place(dims, pieces)
+            assert got == _naive_place(dims, pieces) and _in_lowest_terms(got)
+        assert StructureTensor.place((n, n, n), [(t, (0, 0, 0), False),
+                                                 (s, (0, 0, 0), True)]) == t + s.opposite()
+    assert StructureTensor.place((2, 2, 2), [(None, (0, 0, 0), False)]) == StructureTensor.zero(2)
+    with pytest.raises(ShapeError):
+        StructureTensor.place((3, 3, 3), [(_sparse_tensor(rng, 2, 1, 1), (0, 2, 2), True)])
+
+
+def test_scale_by_an_int_makes_no_fraction(monkeypatch):
+    t = StructureTensor([[[Fraction(1, 2), 3]]])
+    calls = []
+    real = Fraction.__new__
+
+    def new(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", new)
+    scaled = t.scale(-2)
+    assert calls == []
+    assert (scaled._n, scaled._d) == ((((-2, -12),),), 2)
+    assert t.scale(Fraction(2, 3)) == StructureTensor([[[Fraction(1, 3), 2]]])
