@@ -2,10 +2,11 @@
 
 Machine output is one self-delimiting JSON record per line; a human summary
 is available behind --summary.  Exit codes: 0 all checks pass, 1 at least
-one identity failure (or inadmissible operator), 2 parse error or an input
-file that cannot be read (missing, a directory, unreadable, not UTF-8),
-3 semantic error.  Read, parse and semantic errors of the input file are one
-JSON line on stderr, {"error": "read" | "parse" | "semantic", "detail": ...}.
+one identity failure (or inadmissible operator), 2 parse error, an input
+file that cannot be read (missing, a directory, unreadable, not UTF-8) or a
+construct output that cannot be written, 3 semantic error.  Read, write,
+parse and semantic errors of the files are one JSON line on stderr,
+{"error": "read" | "write" | "parse" | "semantic", "detail": ...}.
 A stdout closed by its reader ends the run with status 1 and nothing on
 stderr.
 """
@@ -191,7 +192,10 @@ def cmd_check(args, source: SourceFile) -> int:
             d = source.get(args.operator)
             if d.kind != "operator":
                 raise SemanticError(f"{args.operator!r} is not an operator")
-            weight = Fraction(args.weight) if args.weight is not None else None
+            try:
+                weight = None if args.weight is None else Fraction(args.weight)
+            except (ValueError, ZeroDivisionError):
+                raise SemanticError(f"--weight expects a rational P/Q, got {args.weight!r}")
             report, ms = _timed(lambda: certify_operator(d.value, args.kind, weight=weight))
             check = f"operator:{args.kind}"
             if weight is not None:
@@ -335,8 +339,12 @@ def cmd_construct(args, source: SourceFile) -> int:
     header = f"constructed: {args.id} from {args.file}"
     text = serialize(SourceFile(decls), header=header)
     parse(text)  # round-trip guard before anything touches disk
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(json.dumps({"error": "write", "detail": f"{args.out}: {exc}"}), file=sys.stderr)
+        return EXIT_PARSE
     print(json.dumps({"written": args.out, "declarations": [d.name for d in decls]}))
     return EXIT_PASS
 

@@ -330,14 +330,7 @@ def yau_twist(a: AlgebraInstance, phi_name: str, check: bool = True) -> AlgebraI
             raise CertificationError(
                 f"yau_twist({a.name}, {phi_name}): map is not an endomorphism", report
             )
-    products = {sym: t.push(phi) for sym, t in a.products.items()}
-    out = AlgebraInstance(
-        f"{a.name}-twist-{phi_name}",
-        a.dim,
-        products,
-        {"alpha": phi.compose(a.alpha)},
-        a.variety,
-    )
+    out = twist_products(a, phi, f"{a.name}-twist-{phi_name}")
     if check and a.variety is not None:
         _gate(certify(out, a.variety), f"yau_twist({a.name}, {phi_name}) output")
     return out

@@ -45,12 +45,18 @@ basis vector there, so the mask has bit t set when some completion of the
 prefix with index t can make a side nonzero.  An index outside it is not
 visited at all; the tuples below it are counted in closed form, the
 number of completions sorted within copy blocks, so `tuples_checked`
-stays the naive count, on a failure up to the witness.  The steps of the
-nodes that read no earlier slot run once per check.  A check uses this
-mask from the first prefix after some last-slot mask came out empty, so a
-check that decides before that never binds the recipe; the prefix counts
-showed that a recipe at slot 0 (it runs once per check) or further up
-does not pay for its binding.
+stays the naive count, on a failure up to the witness.  A side that reads
+a later slot but not this one (no clause set the package ships has one)
+leaves the slot without a recipe: it is enumerated in full there, and its
+last slot is still masked.  A check uses this mask from the first prefix
+after some last-slot mask came out empty, so a check that decides before
+that never binds the recipe; the prefix counts showed that a recipe at
+slot 0 (it runs once per check) or further up does not pay for its
+binding.
+A recipe is a list of steps in one vocabulary, the kinds `_mask_fn` runs,
+each with the key of the table it reads (see `_tables`).  The steps of the
+nodes that read no earlier slot run once per check, when the recipe is
+bound; a per-prefix step that reads such a node folds it in then.
 Polarization records each variable's copies as a copy block; the identity
 is symmetric there, so only tuples sorted within each block are visited,
 and the first violating tuple is still the one naive enumeration finds.
@@ -847,8 +853,7 @@ class _Shape:
 
 
 # one slot's support recipe (see _Plan._support_recipe)
-_Recipe = namedtuple("_Recipe", "consts fixed steps folds keep sums settled_roots mask_roots "
-                                "prefix_roots fixed_later_roots data")
+_Recipe = namedtuple("_Recipe", "fixed steps keep sums settled_roots mask_roots prefix_roots data")
 
 
 class _Plan:
@@ -864,7 +869,8 @@ class _Plan:
     projection of the tuple onto them.  `recipes[p]` tells which indices
     of slot p can make a side nonzero, for the last slot and, past slot 0,
     the one before it (see _support_recipe); it is None at the other
-    slots.  `twists` and `zeros` are the guards it was built under.
+    slots, and where some side reads a later slot but not slot p.  `twists`
+    and `zeros` are the guards it was built under.
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
@@ -934,7 +940,8 @@ class _Plan:
                         else None for p in range(last + 1)]
 
     def _support_recipe(self, free, p, keys):
-        """How slot p's support follows from the prefix, as a _Recipe.
+        """How slot p's support follows from the prefix, as a _Recipe; None
+        when some root reads a later slot but not slot p.
 
         Slots after p are wildcards.  A node that reads slot p gets a mask:
         bit t is set when the node may be nonzero, for some completion, with
@@ -944,68 +951,78 @@ class _Plan:
         y is slot p's variable, c a node that does not read it and n, n1, n2
         nodes that do; for y itself the mask is -1 and entry j of the vector
         is 1 << j.  A c that reads only earlier slots has its value at hand.
-        A c that reads a later slot ("later") is abstracted to the output
-        coordinates it can reach for some completion; it stands in for its
-        value as (k, 1) over those coordinates k, written to the value list
-        (whose entries for such nodes are stale until their level runs),
-        and its reach goes to its mask.  The rules below give, children
-        first, (node, kind, a, b, x) for each mask, vector or reach some root
-        needs.
+        A c that reads a later slot (a later node) is abstracted to the
+        output coordinates it can reach for some completion; it stands in
+        for its value as (k, 1) over those coordinates k, written to the
+        value list (whose entries for such nodes are stale until their level
+        runs), and its reach goes to its mask.  A node that reads no earlier
+        slot is fixed: it does not depend on the prefix.
 
+        Children first, each mask, vector or reach some root needs gets one
+        step (node, kind, a, b, the key of the table T it reads, see
+        _tables), in the kinds _mask_fn runs.  A per-prefix step whose c (or
+        w) is fixed folds it: bind_support reads it once per check.
         Masks:
-          "rows", c, n, op:  op(c, n): J is the union of op's row masks over
-                             c's support, the mask the union of vec(n)[j]
-                             over j in J (J itself when n is y);
-          "cols", c, n, op:  op(n, c), the same with op's column masks;
-          "map", -, -, (symbol, power):  tw(y), the power's nonzero columns;
-          "same", n:         tw(n), mask(n);
-          "and", n1, n2:     op(n1, n2), mask(n1) & mask(n2);
-          "sum", ns, cs:     the union of the ns, every index if a c is nonzero.
+          "union" c:        op(c, y) or op(y, c): the union of T[i] over c's
+                            support, T op's row (or column) masks;
+          "pick" c, n:      op(c, n) or op(n, c): J is that union, the mask
+                            the union of vec(n)[j] over j in J;
+          "gather" c, n:    "pick" with J folded;
+          "map":            tw(y), T the power's nonzero columns;
+          "same" n:         tw(n), mask(n);
+          "and" n1, n2:     op(n1, n2), mask(n1) & mask(n2);
+          "sum" ns, cs:     the union of the ns, every index if a c is nonzero.
         Vectors:
-          "vrows", c, n, op: op(c, n): entry k is the union over i in c's
-                             support of P[i][k] (op's per-output masks),
-                             spread through vec(n) when n is not y;
-          "vcols", c, n, op: op(n, c), the same with Q;
-          "vmap", -, n, (symbol, power):  tw(n): entry k is the union of
-                             vec(n)[j] over the nonzero entries j of row k of
-                             the power (row k itself when n is y);
-          "vvar":            y, entry j is 1 << j;
-          "vand", n1, n2:    op(n1, n2), mask(n1) & mask(n2) in every entry;
-          "vsum", ns, cs:    entrywise union of the ns; every index at the
-                             coordinates where a c is nonzero.
-        Reaches of the later nodes:
-          "wvar":            a later slot's variable, every coordinate;
-          "wmap", c, -, (symbol, power):  tw(c), the union of the power's
-                             column supports over c's support;
-          "wop", c, w, (op, right):  op(c, w) (right False) or op(w, c):
-                             the coordinates k with P[i][k] (Q) meeting w's
-                             reach for some i in c's support; w is later;
-          "wsum", cs:        the union of the cs' supports.
+          "vunion" c, n:    op(c, n) or op(n, c): entry k is the union over i
+                            in c's support of T[i][k] (T op's P or Q), spread
+                            through vec(n) unless n is y (b None);
+          "vfold" c, n:     "vunion" folded into a "vspread" of that union;
+          "vspread" -, n:   tw(n): entry k is the union of vec(n)[j] over the
+                            bits j of T[k], the power's row sets;
+          "vconst":         tw(y), T the row sets; y itself, T its unit vector;
+          "vand" n1, n2:    op(n1, n2), mask(n1) & mask(n2) in every entry;
+          "vsum" ns, cs:    entrywise union of the ns; every index at the
+                            coordinates where a c is nonzero.
+        Reaches, each also written as its node's stand-in:
+          "wvar":           a later slot's variable, T its stand-in: every
+                            coordinate;
+          "wunion" c:       tw(c), the union of T[i], the power's column
+                            supports, over c's support;
+          "wop" c, w:       op(c, w) or op(w, c), w later: the coordinates k
+                            with T[i][k] (P or Q) meeting w's reach for some i
+                            in c's support;
+          "wfold" c, w:     "wop" folded into a "wunion" over, per i, those k;
+          "wsum" -, cs:     the union of the cs' supports.
         So vectors are built only under an op(c, n), and a c that is one
         basis vector e_i over op(c, y) takes P[i] as it is.  Clauses are
         multilinear, so every rule only over-approximates: an index outside
         the mask has both sides of every clause zero on every completion.
+        A root that reads a later slot but not slot p would put every index
+        or none in the mask, by its reach; no clause set the package ships
+        has one, so such a slot gets no recipe and is enumerated in full.
 
-        The recipe splits the roots into those that read y (`mask_roots`),
-        those that read no slot from p on (`prefix_roots`: nonzero, they put
-        every index in the mask) and the later ones, nonzero for some
-        completion when their reach is.  The steps of the nodes that read no
-        earlier slot do not depend on the prefix: `consts` (a table as it
-        is) and `fixed` run once per check, the other `steps` per prefix.
-        `keep` are the later nodes among the first whose stand-ins a later
-        step or root reads, `sums` the sums with terms among them, and
-        `settled_roots` and `fixed_later_roots` the roots that may put every
-        index in the mask for the whole check (see bind_support).  `data`
-        lists the keys of the tables the steps read (see _tables).
+        The roots split into those that read y (`mask_roots`) and those that
+        read no slot from p on (`prefix_roots`: nonzero, they put every index
+        in the mask).  `fixed` are the steps of the fixed nodes, which run
+        once per check, and `steps` the others, which run per prefix.  `keep`
+        are the fixed later nodes whose stand-ins a per-prefix step reads
+        (a sum: any other step folds them), `sums` the sums with fixed terms,
+        and `settled_roots` the roots that may put every index in the mask
+        for the whole check (see bind_support).  `data` lists the table keys.
         """
         bit, later = 1 << p, -2 << p
         early = bit - 1
-        nodes = self.nodes
+        nodes, sorts = self.nodes, self.sorts
         roots = list(dict.fromkeys(self.roots))
+        if any(free[r] & later and not free[r] & bit for r in roots):
+            return None
         mask_roots = [r for r in roots if free[r] & bit]
-        prefix_roots = [r for r in roots if not free[r] & (bit | later)]
-        later_roots = [r for r in roots if not free[r] & bit and free[r] & later]
-        masks, vectors, reach = set(mask_roots), set(), set(later_roots)
+        fixed = {nid for nid in self.order if free[nid] & (bit | later) and not free[nid] & early}
+        masks, vectors, reach = set(mask_roots), set(), set()
+        steps = []
+
+        def emit(nid, kind, a, b, key=None):
+            steps.append((nid, kind, a, b, None if key is None else keys.setdefault(key, key)))
 
         def inner(n):
             """n, or None when n is y."""
@@ -1016,29 +1033,30 @@ class _Plan:
             if free[c] & later:
                 reach.add(c)
 
-        steps = []
         for nid in reversed(self.order):
             key = nodes[nid]
             kind = key[0]
             if nid in reach:
                 if kind == "var":
-                    steps.append((nid, "wvar", None, None, None))
+                    emit(nid, "wvar", None, None, ("all", sorts[nid]))
                 elif kind == "tw":
-                    steps.append((nid, "wmap", key[3], None, key[1:3]))
+                    emit(nid, "wunion", key[3], None, ("colsupp", *key[1:3]))
                     reach.add(key[3])
                 elif kind == "op":
                     _, symbol, left, right = key
                     # w is a later factor, one that does not read an earlier slot if any
                     if free[right] & later and not (free[left] & later and free[right] & early
                                                     and not free[left] & early):
-                        steps.append((nid, "wop", left, right, (symbol, False)))
+                        c, w, table = left, right, "P"
                     else:
-                        steps.append((nid, "wop", right, left, (symbol, True)))
+                        c, w, table = right, left, "Q"
+                    emit(nid, "wfold" if w in fixed and nid not in fixed else "wop", c, w,
+                         (table, symbol))
                     partner(left)
                     partner(right)
                 else:
-                    terms = [c for _, c in key[1]]
-                    steps.append((nid, "wsum", terms, None, None))
+                    terms = tuple(c for _, c in key[1])
+                    emit(nid, "wsum", None, terms)
                     for c in terms:
                         partner(c)
                 continue
@@ -1046,116 +1064,64 @@ class _Plan:
                 continue
             if kind == "tw":
                 _, symbol, power, child = key
+                n = inner(child)
                 if nid in masks:
-                    if inner(child) is None:
-                        steps.append((nid, "map", None, None, (symbol, power)))
+                    if n is None:
+                        emit(nid, "map", None, None, ("mask", symbol, power))
                     else:
-                        steps.append((nid, "same", child, None, None))
+                        emit(nid, "same", child, None)
                         masks.add(child)
                 if nid in vectors:
-                    steps.append((nid, "vmap", None, inner(child), (symbol, power)))
-                    vectors.add(inner(child))
+                    emit(nid, "vconst" if n is None else "vspread", None, n,
+                         ("rowsets", symbol, power, sorts[nid]))
+                    vectors.add(n)
             elif kind == "op":
                 _, symbol, left, right = key
                 if free[left] & bit and free[right] & bit:
                     if nid in masks:
-                        steps.append((nid, "and", left, right, None))
+                        emit(nid, "and", left, right)
                     if nid in vectors:
-                        steps.append((nid, "vand", left, right, None))
+                        emit(nid, "vand", left, right, ("dim", sorts[nid]))
                     masks.update((left, right))
                     continue
-                side, c, n = ("rows", left, right) if free[right] & bit else ("cols", right, left)
+                rows, c, n = (True, left, right) if free[right] & bit else (False, right, left)
+                n = inner(n)
+                fold = c in fixed and nid not in fixed
                 partner(c)
                 if nid in masks:
-                    steps.append((nid, side, c, inner(n), symbol))
+                    emit(nid, "union" if n is None else "gather" if fold else "pick", c, n,
+                         ("rows" if rows else "cols", symbol))
                 if nid in vectors:
-                    steps.append((nid, "v" + side, c, inner(n), symbol))
-                vectors.add(inner(n))
+                    emit(nid, "vfold" if fold else "vunion", c, n, ("P" if rows else "Q", symbol))
+                vectors.add(n)
             else:
-                ns = [c for _, c in key[1] if free[c] & bit]
-                cs = [c for _, c in key[1] if not free[c] & bit]
+                ns = tuple(c for _, c in key[1] if free[c] & bit)
+                cs = tuple(c for _, c in key[1] if not free[c] & bit)
                 for c in cs:
                     partner(c)
                 if nid in masks:
-                    steps.append((nid, "sum", ns, cs, None))
+                    emit(nid, "sum", ns, cs)
                     masks.update(ns)
                 if nid in vectors:
-                    steps.append((nid, "vsum", ns, cs, None))
+                    emit(nid, "vsum", ns, cs, ("dim", sorts[nid]))
                     vectors.update(ns)
         # only a sum reads the vector of y itself
-        steps.extend((n, "vvar", None, None, None) for n in vectors
-                     if n is not None and nodes[n][0] == "var")
+        for n in vectors:
+            if n is not None and nodes[n][0] == "var":
+                emit(n, "vconst", None, None, ("unit", sorts[n]))
         steps.reverse()
-        # a node that reads no earlier slot does not depend on the prefix
-        fixed = {nid for nid in self.order if free[nid] & (bit | later) and not free[nid] & early}
-        varying = [s for s in steps if s[0] not in fixed]
-        # what a per-prefix step reads of such an operand is folded into its
-        # table once per check: op(c, n)'s J or vector, op(c, w)'s rows against
-        # w's reach (see bind_support)
-        for k, (nid, kind, a, b, x) in enumerate(varying):
-            if (kind in ("rows", "cols") and b is not None or kind in ("vrows", "vcols")) \
-                    and a in fixed or kind == "wop" and b in fixed:
-                varying[k] = (nid, kind + "*", a, b, x)
-        # the later ones among them whose stand-ins a per-prefix step or root reads
-        read = [s[2] for s in varying if s[1] in ("rows", "cols", "vrows", "vcols", "wop", "wmap")]
-        read += [c for s in varying if s[1] in ("sum", "vsum") for c in s[3]]
-        read += [c for s in varying if s[1] == "wsum" for c in s[2]]
-        keep = tuple(dict.fromkeys(c for c in read + later_roots if c in reach and c in fixed))
+        varying = tuple(s for s in steps if s[0] not in fixed)
+        keep = tuple(dict.fromkeys(c for _, kind, _, cs, _ in varying
+                                   if kind in ("sum", "vsum", "wsum") for c in cs if c in fixed))
         # sums with a term that does not depend on the prefix may be every index for good
-        sums = [(nid, tuple((c, c in fixed) for c in ns), tuple(c for c in cs if c in fixed))
-                for nid, kind, ns, cs, _ in varying
-                if kind == "sum" and any(c in fixed for c in ns + cs)]
+        sums = tuple((nid, tuple((c, c in fixed) for c in ns), tuple(c for c in cs if c in fixed))
+                     for nid, kind, ns, cs, _ in varying
+                     if kind == "sum" and any(c in fixed for c in ns + cs))
         settle = {nid for nid, _, _ in sums}
-        # a later root that depends on the prefix puts every index or none
-        # in the mask slot past the nodes
-        flag, roots = len(nodes), tuple(mask_roots)
-        later_varying = [r for r in later_roots if r not in fixed]
-        if later_varying:
-            varying.append((flag, "later", later_varying, None, None))
-            roots += (flag,)
-        fixed_steps = [self._table_step(*s, keys) for s in steps if s[0] in fixed]
-        varying = tuple(self._table_step(*s, keys) for s in varying)
-        # a mask or vector that is a table as it is
-        consts = tuple((nid, kind == "vconst", key) for nid, kind, _, _, key in fixed_steps
-                       if kind in ("map", "vconst"))
-        folds = tuple(k for k, s in enumerate(varying) if s[1] in ("gather", "vfold", "wfold"))
-        return _Recipe(consts, tuple(s for s in fixed_steps if s[1] not in ("map", "vconst")),
-                       varying, folds, keep, tuple(sums),
+        return _Recipe(tuple(s for s in steps if s[0] in fixed), varying, keep, sums,
                        tuple((r, r in fixed) for r in mask_roots if r in fixed or r in settle),
-                       roots, tuple(prefix_roots), tuple(r for r in later_roots if r in fixed),
-                       tuple({s[4]: None for s in fixed_steps + list(varying) if s[4]}))
-
-    def _table_step(self, nid, kind, a, b, x, keys):
-        """A recipe step as it runs: (node, kind, a, b, the key of the table
-        it reads, see _tables, or None).  "rows"/"cols" become "union" (b is
-        y) or "pick", "vrows"/"vcols" become "vunion", a "vmap" that reads
-        y and "vvar" become "vconst", a "vmap" of another node "vspread",
-        "wmap" becomes "wunion"."""
-        sort = self.sorts[nid] if nid < len(self.sorts) else None
-        if isinstance(a, list):  # the nodes of a sum or of the later roots
-            a, b = tuple(a), b if b is None else tuple(b)
-        if kind in ("rows", "cols", "rows*", "cols*"):
-            kind, key = ("gather" if kind[-1] == "*" else "union" if b is None else "pick",
-                         (kind.rstrip("*"), x))
-        elif kind in ("vrows", "vcols", "vrows*", "vcols*"):
-            kind, key = "vfold" if kind[-1] == "*" else "vunion", ("P" if kind[1] == "r" else "Q", x)
-        elif kind == "map":
-            key = ("mask", *x)
-        elif kind == "vmap":
-            kind, key = "vconst" if b is None else "vspread", ("rowsets", *x, sort)
-        elif kind == "vvar":
-            kind, key = "vconst", ("unit", sort)
-        elif kind == "vand" or kind == "vsum":
-            key = ("dim", sort)
-        elif kind == "wvar":
-            key = ("all", sort)
-        elif kind == "wmap":
-            kind, key = "wunion", ("colsupp", *x)
-        elif kind == "wop" or kind == "wop*":
-            kind, key = "wfold" if kind == "wop*" else kind, ("Q" if x[1] else "P", x[0])
-        else:
-            return nid, kind, a, b, None
-        return nid, kind, a, b, keys.setdefault(key, key)
+                       tuple(mask_roots), tuple(r for r in roots if not free[r] & bit),
+                       tuple({s[4]: None for s in steps if s[4]}))
 
     def holds(self, interp: Interpretation) -> bool:
         """Whether every guard holds for this interpretation's data."""
@@ -1205,33 +1171,25 @@ class _Plan:
         function of the current prefix (see _mask_fn).
 
         The tables the recipe reads are fetched into `tables`, once per
-        check.  The steps of the nodes that do not depend on the prefix run
-        here, once, into fresh mask and vector lists, and what a per-prefix
-        step reads of those nodes is folded into its data: "gather" gets J,
-        "vfold" becomes "vspread" with its vector and "wfold" becomes
-        "wunion" with, per index of its prefix factor, the coordinates that
-        meet the later factor's reach.  A "keep" step puts back, per prefix,
-        the stand-in this left in `cur` for a later node that a per-prefix
-        step or root reads.  A sum whose terms of that kind
-        already cover every index is every index for good, and so is slot
-        p's mask when a root's is, or when a later root that reads no
-        earlier slot is nonzero.  "later" sets the slot past the nodes to
-        every index when a later root that does is nonzero, for that prefix.
+        check.  The fixed steps run here, once, into fresh mask and vector
+        lists and stand-ins in `cur`.  Then the per-prefix steps that fold a
+        fixed operand read it: "gather" gets J as its table, "vfold" becomes
+        "vspread" over the union of its P (or Q) rows, and "wfold" becomes
+        "wunion" with, per index of c, the coordinates that meet w's reach.
+        A "wvar" step per `keep` node puts back, per prefix, the stand-in
+        the fixed steps left in `cur`.  A sum whose fixed terms already cover
+        every index is every index for good, and so is slot p's mask when a
+        settled root's is: the mask is then -1 for the whole check.
         `standins` keeps one stand-in list per reach, for the check.
         """
-        (consts, fixed_steps, varying, folds, keep, sums, settled_roots, mask_roots, prefix_roots,
-         fixed_later_roots, data) = self.recipes[p]
+        once, varying, keep, sums, settled_roots, mask_roots, prefix_roots, data = self.recipes[p]
         _tables(data, tables, interp)
-        flag = len(self.nodes)
-        masks = [-1] * (flag + 1)  # a variable's own mask stays -1
-        vecs = [None] * flag
-        for nid, vector, key in consts:
-            (vecs if vector else masks)[nid] = tables[key]
-        if fixed_steps:
-            _mask_fn((), [(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in fixed_steps],
-                     masks, vecs, (), cur, standins)()
+        masks = [-1] * len(self.nodes)  # a variable's own mask stays -1
+        vecs = [None] * len(self.nodes)
+        _mask_fn((), [(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in once],
+                 masks, vecs, (), cur, standins)()
         settled = ()
-        if settled_roots or fixed_later_roots:
+        if settled_roots:
             every, settled = (1 << interp.sorts[self.clause_set.variables[p][1]]) - 1, set()
             for nid, ns, cs in sums:
                 bits = 0
@@ -1241,32 +1199,29 @@ class _Plan:
                 if bits & every == every or any(cur[c] for c in cs):
                     masks[nid] = -1
                     settled.add(nid)
-            if (any(cur[r] for r in fixed_later_roots)
-                    or any(masks[r] & every == every for r, fixed in settled_roots
-                           if fixed or r in settled)):
-                return _mask_fn(prefix_roots, (), masks, vecs, (flag,), cur, standins)
-        steps = [(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in varying]
-        for k in folds:
-            nid, kind, a, b, data = steps[k]
-            if kind == "gather":  # J, from the prefix-free c
+            if any(masks[r] & every == every for r, fixed in settled_roots if fixed or r in settled):
+                return lambda: -1
+        steps = [(c, "wvar", None, None, cur[c]) for c in keep]
+        for nid, kind, a, b, key in varying:
+            data = tables.get(key)
+            if kind == "gather":  # J, from the fixed c
                 bits = 0
                 for i, _ in cur[a]:
                     bits |= data[i]
-                steps[k] = nid, kind, None, b, bits
+                a, data = None, bits
             elif kind == "vfold":  # the vector before it is spread through n's
                 vec = [0] * len(data[0])
                 for i, _ in cur[a]:
                     for j, m in enumerate(data[i]):
                         vec[j] |= m
-                steps[k] = nid, "vspread", None, b, vec
-            else:  # "wfold": per index of c, the coordinates that meet w's reach
+                kind, a, data = "vspread", None, vec
+            elif kind == "wfold":  # per index of c, the coordinates that meet w's reach
                 bits = masks[b]
-                steps[k] = nid, "wunion", a, None, [
+                kind, b, data = "wunion", None, [
                     sum(1 << j for j, m in enumerate(row) if m & bits) for row in data]
-        if settled:
-            steps = [s for s in steps if s[0] not in settled or s[1] != "sum"]
-        if keep:
-            steps[:0] = [(c, "keep", None, None, cur[c]) for c in keep]
+            elif kind == "sum" and nid in settled:
+                continue
+            steps.append((nid, kind, a, b, data))
         return _mask_fn(prefix_roots, steps, masks, vecs, mask_roots, cur, standins)
 
 
@@ -1302,7 +1257,9 @@ def _tables(keys, tables: dict, interp: Interpretation) -> None:
 def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
     """The mask of one slot for the current prefix, as a function: -1 if a
     prefix root is nonzero, else the union of the roots' masks once the
-    bound recipe steps (see _Plan.bind_support) have run."""
+    bound recipe steps (see _Plan.bind_support) have run.  The steps are
+    those of _Plan._support_recipe, the fold kinds already rewritten; "map"
+    and "vconst" come only in the pass that runs once per check."""
 
     def mask():
         for r in prefix_roots:
@@ -1357,15 +1314,9 @@ def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
                 vecs[nid] = vec
             elif kind == "vand":
                 vecs[nid] = [masks[a] & masks[b]] * data
-            elif kind == "wvar" or kind == "keep":
+            elif kind == "wvar":
                 cur[nid] = data
-            elif kind == "later":
-                masks[nid] = 0
-                for r in a:
-                    if cur[r]:
-                        masks[nid] = -1
-                        break
-            else:  # a later node's reach: "wunion", "wop" or "wsum"
+            elif kind == "wunion" or kind == "wop" or kind == "wsum":  # a later node's reach
                 out = 0
                 if kind == "wunion":
                     for i, _ in cur[a]:
@@ -1376,8 +1327,8 @@ def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
                         for k, m in enumerate(data[i]):
                             if m & bits:
                                 out |= 1 << k
-                else:  # "wsum"
-                    for c in a:
+                else:
+                    for c in b:
                         for k, _ in cur[c]:
                             out |= 1 << k
                 masks[nid] = out
@@ -1385,6 +1336,10 @@ def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
                 if got is None:
                     got = standins[out] = _standin(out)
                 cur[nid] = got
+            elif kind == "map":  # this and "vconst" run once per check
+                masks[nid] = data
+            else:  # "vconst"
+                vecs[nid] = data
         out = 0
         for r in roots:
             out |= masks[r]
@@ -1493,9 +1448,9 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     and, on it, the first violated clause.  Within a copy block only sorted
     tuples are visited: the identity is symmetric in the block, so the first
     violating tuple is sorted there and the witness is the one full
-    enumeration finds.  At the last two slots only the indices in the
-    support mask of some side are visited; every tuple below any other index
-    has both sides zero.  tuples_checked counts the tuples decided, skipped
+    enumeration finds.  At the last slot, and at the one before it where it
+    has a recipe, only the indices in the support mask of some side are
+    visited; every tuple below any other index has both sides zero.  tuples_checked counts the tuples decided, skipped
     ones included, tuples_evaluated those whose sides were evaluated, and
     prefixes_visited the proper prefixes on which level kernels ran.  A check
     of the same tensor and map objects at the same dimensions is answered

@@ -300,6 +300,17 @@ def test_check_o_operator_weight_flag(capsys):
     assert code == 1 and records[0]["status"] == "fail"
 
 
+@pytest.mark.parametrize("weight", ["abc", "1/0"])
+def test_a_weight_that_is_not_a_rational_is_one_error_record(capsys, weight):
+    code, records, _ = run(
+        capsys, "check", str(DATA / "kx2.halg"),
+        "--operator", "kx2_act_id", "--kind", "o-operator", "--weight", weight,
+    )
+    assert code == 3
+    assert strip_ms(records) == [{"target": "*", "check": "check", "status": "error",
+                                  "detail": f"--weight expects a rational P/Q, got {weight!r}"}]
+
+
 def test_report_is_deterministic(capsys):
     _, first, _ = run(capsys, "report", str(DATA / "jordan.halg"))
     _, second, _ = run(capsys, "report", str(DATA / "jordan.halg"))
@@ -412,6 +423,20 @@ def test_unreadable_input_exits_two_with_one_json_line(tmp_path, command):
         doc = json.loads(line)
         assert doc["error"] == "read" and str(path) in doc["detail"]
     assert not (tmp_path / "never.halg").exists()
+
+
+def test_unwritable_output_exits_two_with_one_json_line(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    for out in (tmp_path, tmp_path / "no-such-dir" / "out.halg"):
+        argv = ["construct", str(DATA / "ut2.halg"), "--id", "minus", "--target", "ut2",
+                "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "homalg", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        (line,) = proc.stderr.splitlines()
+        doc = json.loads(line)
+        assert doc["error"] == "write" and doc["detail"].startswith(f"{out}: ")
+    assert not (tmp_path / "no-such-dir").exists()
 
 
 _EMPTY_KEYWORD_ROWS = {  # block -> (file text, line of the row with an empty keyword)

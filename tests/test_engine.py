@@ -924,6 +924,60 @@ def test_slot_masks_match_naive_where_sides_skip_the_slot():
     _assert_slot_masks_match_naive(cases)
 
 
+def _shipped_clause_sets():
+    """Every clause tuple the package checks: the variety, representation,
+    operator and gate tables and the multiplicative schema of every product
+    symbol."""
+    from homalg.constructions import (_bimodule_map_schemas, _crossed_module_schemas,
+                                      _differential_schemas)
+    from homalg.operators import _algebra_clauses, _o_operator_clauses, _rep_clauses
+    from homalg.reps import REP_KINDS, _rep_schemas
+    from homalg.varieties import REQUIRED_PRODUCTS, VarietyTag, multiplicative_schema, schemas_for
+
+    one_by_one = [*(s for tag in VarietyTag for s in schemas_for(tag)),
+                  *(s for kind in REP_KINDS for s in _rep_schemas(kind)),
+                  *_differential_schemas(), *_bimodule_map_schemas("f"),
+                  *_crossed_module_schemas(),
+                  *map(multiplicative_schema, sorted(set().union(*REQUIRED_PRODUCTS.values())))]
+    return ([(s,) for s in one_by_one] + list(_rep_clauses().values())
+            + list(_algebra_clauses().values()) + [_o_operator_clauses(Fraction(1))])
+
+
+def test_no_shipped_clause_has_a_side_that_skips_a_variable():
+    # a side that reads a later slot but not the slot before the last costs
+    # that slot its support recipe (see the later-side schema below); every
+    # shipped side reads every variable or none
+    from homalg.engine import _collect_sorts
+
+    sets = _shipped_clause_sets()
+    assert len(sets) == 122
+    for clauses in sets:
+        for clause in map(polarize, clauses):
+            names = {name for name, _, _ in clause.variables}
+            for side in (clause.lhs, clause.rhs):
+                read = {}
+                _collect_sorts(side, read)
+                assert not read or read.keys() == names, (clause.name, side)
+
+
+def test_a_side_that_skips_the_slot_before_the_last_leaves_it_unmasked():
+    # e1 e_j = e1 and every other product zero: x z = (x y) z holds.  Under
+    # x = e2 a last-slot mask comes out empty, and under x = e3 both sides
+    # vanish for every y.  x z skips y, so y has no recipe and every y is
+    # visited: 3 + 9 prefixes, where a mask on y would have skipped x = e3's.
+    x, y, z = var("x"), var("y"), var("z")
+    schema = IdentitySchema("later-side", op("mul", x, z), op("mul", op("mul", x, y), z),
+                            variables=_XYZ)
+    t = StructureTensor.square_from_rule(3, {(0, j): [1, 0, 0] for j in range(3)})
+    report = check_schema(schema, interp_for(t))
+    assert _observed(report) == _naive_check((schema,), interp_for(t))
+    assert report.ok and report.prefixes_visited == _full_prefixes((schema,), interp_for(t)) == 12
+    (clause_set,) = schema.plans.values()
+    plans = [plan for entry in clause_set.by_shape.values() for plan in entry.plans]
+    assert plans and all(plan.recipes[1] is None and plan.recipes[2] is not None
+                         for plan in plans)
+
+
 def test_slot_masks_match_naive_on_polarized_jordan():
     # x__1 <= x__2 <= x__3 then y, and y first so that the block ends in the
     # last slot; sparse, twisted and non-negative data
@@ -1083,15 +1137,28 @@ def test_a_product_is_evaluated_only_where_its_outer_factor_reads_the_inner_one(
 
 
 def test_catalog_certification_evaluates_a_pinned_number_of_tuples(seed_catalog):
+    from homalg.constructions import hemisemi
+    from homalg.operators import hemisemi_id_for
     from homalg.varieties import certify
+
+    def work(reports):
+        return (sum(r.tuples_checked for r in reports), sum(r.tuples_evaluated for r in reports),
+                sum(r.prefixes_visited for r in reports))
 
     # the summed work of certify(a, a.variety) over the catalog's algebras;
     # a looser support rule evaluates more (331 with mask(n) for op(c, n))
     reports = [certify(e.value, e.value.variety) for e in seed_catalog.values()
                if e.kind == "algebra"]
     assert all(r.ok for r in reports) and len(reports) == 20
-    assert sum(r.tuples_checked for r in reports) == 695
-    assert sum(r.tuples_evaluated for r in reports) == 153
+    assert work(reports) == (695, 153, 326)
+    # and over the hemisemi-direct products of the catalog's reps, mostly
+    # zero: without the mask at the slot before the last they visit 23,209
+    # prefixes, and 9,824 with every later node reaching every coordinate
+    outputs = [hemisemi(e.value, hemisemi_id_for(e.value), check=False)
+               for e in seed_catalog.values() if e.kind == "rep"]
+    reports = [certify(a, a.variety) for a in outputs]
+    assert all(r.ok for r in reports) and len(reports) == 39
+    assert work(reports) == (166_730, 5_552, 7_239)
 
 
 # ---------------------------------------------------------------------------
