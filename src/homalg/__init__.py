@@ -41,18 +41,12 @@ from .reps import (
     LieAction,
     LieModule,
     certify_rep,
-    direct_sum_bimodule,
-    direct_sum_jordan_action,
-    direct_sum_lie_action,
-    jordan_action_from_action,
-    jordan_module_from_bimodule,
+    direct_sum,
     minus_algebra,
     plus_algebra,
-    regular_action,
-    regular_bimodule,
-    regular_jordan_action,
-    regular_lie_action,
+    regular,
     semidirect_product,
+    symmetrized,
     tensor_square_bimodule,
 )
 from .constructions import (

@@ -46,11 +46,11 @@ from .exact import ShapeError
 from .operators import OPERATOR_KINDS, certify_operator, operator_kinds_for
 from .reps import (
     AssocAction,
+    AssocBimodule,
     CertificationError,
     certify_rep,
-    direct_sum_bimodule,
-    regular_action,
-    regular_bimodule,
+    direct_sum,
+    regular,
     semidirect_product,
     tensor_square_bimodule,
 )
@@ -68,7 +68,13 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
 
-_REP_BUILDER_IDS = {"regular-bimodule", "regular-action", "tensor-square", "direct-sum"}
+# construct ids that build a rep over --target, from the algebra and --n
+_REP_BUILDERS = {
+    "regular-bimodule": lambda a, n: regular(a, AssocBimodule),
+    "regular-action": lambda a, n: regular(a, AssocAction),
+    "tensor-square": lambda a, n: tensor_square_bimodule(a),
+    "direct-sum": lambda a, n: direct_sum(a, n, AssocAction),
+}
 
 
 def _witness_json(w):
@@ -164,6 +170,16 @@ def _applicable_varieties(a: AlgebraInstance):
 # check
 
 
+def _algebra_targets(args, source: SourceFile):
+    """The algebra named by --target, or every algebra of the file."""
+    if not args.target:
+        return [d for d in source if d.kind == "algebra"]
+    d = source.get(args.target)
+    if d.kind != "algebra":
+        raise SemanticError(f"{d.name!r} is not an algebra")
+    return [d]
+
+
 def cmd_check(args, source: SourceFile) -> int:
     emitter = _Emitter(args.summary)
     try:
@@ -173,14 +189,7 @@ def cmd_check(args, source: SourceFile) -> int:
             except ValueError:
                 emitter.error(args.target or "*", f"variety:{args.variety}", "unknown variety tag")
                 return emitter.finish()
-            targets = (
-                [source.get(args.target)]
-                if args.target
-                else [d for d in source if d.kind == "algebra"]
-            )
-            for d in targets:
-                if d.kind != "algebra":
-                    raise SemanticError(f"{d.name!r} is not an algebra")
+            for d in _algebra_targets(args, source):
                 report, ms = _timed(lambda: certify(d.value, tag))
                 emitter.emit(d.name, f"variety:{tag.value}", report, ms)
                 if args.cross_check and report.ok:
@@ -192,6 +201,8 @@ def cmd_check(args, source: SourceFile) -> int:
             d = source.get(args.operator)
             if d.kind != "operator":
                 raise SemanticError(f"{args.operator!r} is not an operator")
+            if args.weight is not None and args.kind != "o-operator":
+                raise SemanticError("--weight applies to --kind o-operator only")
             try:
                 weight = None if args.weight is None else Fraction(args.weight)
             except (ValueError, ZeroDivisionError):
@@ -221,14 +232,7 @@ def cmd_check(args, source: SourceFile) -> int:
             )
             emitter.emit(d.name, "crossed-module", report, ms)
         elif args.multiplicative:
-            targets = (
-                [source.get(args.target)]
-                if args.target
-                else [d for d in source if d.kind == "algebra"]
-            )
-            for d in targets:
-                if d.kind != "algebra":
-                    raise SemanticError(f"{d.name!r} is not an algebra")
+            for d in _algebra_targets(args, source):
                 report, ms = _timed(lambda: certify_multiplicative(d.value))
                 emitter.emit(d.name, "multiplicative", report, ms)
         else:
@@ -286,16 +290,9 @@ def cmd_construct(args, source: SourceFile) -> int:
 
     try:
         cid = args.id
-        if cid in _REP_BUILDER_IDS:
+        if cid in _REP_BUILDERS:
             base = given("target")
-            if cid == "regular-bimodule":
-                rep = regular_bimodule(base)
-            elif cid == "regular-action":
-                rep = regular_action(base)
-            elif cid == "tensor-square":
-                rep = tensor_square_bimodule(base)
-            else:
-                rep = direct_sum_bimodule(base, args.n)
+            rep = _REP_BUILDERS[cid](base, args.n)
             rep_name = f"{base.name}-{cid}" if cid != "direct-sum" else f"{base.name}-sum{args.n}"
             decls = [
                 Declaration("algebra", base.name, base),
@@ -425,7 +422,15 @@ def main(argv=None) -> int:
     p_rep.add_argument("--summary", action="store_true", help="human-readable table")
     p_rep.set_defaults(fn=cmd_report)
 
-    args = parser.parse_args(argv)
+    # argparse reads a separated negative fraction ("--weight -1/2") as an
+    # option, so such a value is joined to its flag ("--weight=-1/2")
+    joined = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] == "--weight" and tok[:1] == "-" and tok[1:2].isdigit():
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    args = parser.parse_args(joined)
     source = _load(args.file)
     if not isinstance(source, SourceFile):
         return source

@@ -44,14 +44,7 @@ from math import gcd
 
 from .exact import LinearMap, StructureTensor
 from .operators import OperatorCandidate
-from .reps import (
-    AssocAction,
-    AssocBimodule,
-    JordanAction,
-    JordanModule,
-    LieAction,
-    LieModule,
-)
+from .reps import REP_CLASSES
 from .varieties import AlgebraInstance, VarietyTag
 
 
@@ -102,14 +95,7 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*$")
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?$")
 _BASIS = re.compile(r"([eu])([0-9]+)$")
 
-_REP_KINDS = {
-    "bimodule": (AssocBimodule, ("l", "r"), None),
-    "action": (AssocAction, ("l", "r"), "vmul"),
-    "lie-module": (LieModule, ("rho",), None),
-    "lie-action": (LieAction, ("rho",), "vbracket"),
-    "jordan-module": (JordanModule, ("pi",), None),
-    "jordan-action": (JordanAction, ("pi",), "vstar"),
-}
+_REP_KINDS = {cls.kind: cls for cls in REP_CLASSES}
 
 
 @dataclass(frozen=True)
@@ -141,23 +127,24 @@ _ALGEBRA_FORMS = {
 _OPERATOR_FORM = _Form("operator", "u", "e", None, "operator columns are u-vectors")
 
 
-def _rep_forms(actions, vprod):
-    """The row forms of one rep kind, in serialization order: its action rows,
-    beta's columns, then its product on V."""
+def _rep_forms(cls):
+    """The row forms of one rep class, in serialization order: its action rows
+    (`cls.acts`), beta's columns, then its product on V (`cls.vprod`)."""
 
     def taken(*names):
-        return tuple(n for n in names if n in actions)
+        return tuple(n for n in names if n in cls.acts)
 
     return {
         "lmap": _Form("lmap", "eu", "u", taken("l"), "lmap rows read 'e<i> * u<j>'"),
         "rmap": _Form("rmap", "ue", "u", taken("r"), "rmap rows read 'u<j> * e<i>'"),
         "act": _Form("act", "eu", "u", taken("rho", "pi"), "act rows read 'e<i> * u<j>'"),
         "map": _Form("map", "u", "u", ("beta",), "beta columns are u-vectors"),
-        "op": _Form("op", "uu", "u", (vprod,) if vprod else (), "rep products act on u-vectors"),
+        "op": _Form("op", "uu", "u", (cls.vprod,) if cls.vprod else (),
+                    "rep products act on u-vectors"),
     }
 
 
-_REP_FORMS = {kind: _rep_forms(actions, vprod) for kind, (_, actions, vprod) in _REP_KINDS.items()}
+_REP_FORMS = {kind: _rep_forms(cls) for kind, cls in _REP_KINDS.items()}
 
 
 def _int(digits, line):
@@ -397,7 +384,7 @@ def _parse_rep(stream, pos, lookup):
         raise DslSemanticError(lineno, f"rep {name!r} lacks the twist map 'beta'")
     fields = {sym: _assemble(form, tables.get((form.keyword, sym), {}), dims)
               for form in forms.values() for sym in form.names}
-    value = _REP_KINDS[kind][0](base, dims["u"], **fields)
+    value = _REP_KINDS[kind](base, dims["u"], **fields)
     return pos, Declaration("rep", name, value, meta={"kind": kind, "base": base.name})
 
 

@@ -23,18 +23,15 @@ from .engine import CheckReport, Interpretation, SemanticError
 from .exact import LinearMap, StructureTensor, Vector
 from .operators import OperatorCandidate, admissible, certify_operator
 from .reps import (
+    AssocAction,
     AssocBimodule,
     CertificationError,
+    JordanAction,
+    LieAction,
     certify_rep,
-    direct_sum_bimodule,
-    direct_sum_jordan_action,
-    direct_sum_lie_action,
-    jordan_action_from_action,
-    jordan_module_from_bimodule,
-    regular_action,
-    regular_bimodule,
-    regular_jordan_action,
-    regular_lie_action,
+    direct_sum,
+    regular,
+    symmetrized,
     tensor_square_bimodule,
 )
 from .varieties import AlgebraInstance, VarietyTag, certify
@@ -334,13 +331,13 @@ def catalog(refresh: bool = False):
     assoc_small = [kx2, kx2t, kx3, kx3t2, ut2]
     reps = {}
     for a in assoc_small:
-        reps[f"{a.name}_reg"] = add(f"{a.name}_reg", "rep", regular_bimodule(a),
+        reps[f"{a.name}_reg"] = add(f"{a.name}_reg", "rep", regular(a, AssocBimodule),
                                     "constructed", "adjoint bimodule")
-        reps[f"{a.name}_act"] = add(f"{a.name}_act", "rep", regular_action(a),
+        reps[f"{a.name}_act"] = add(f"{a.name}_act", "rep", regular(a, AssocAction),
                                     "constructed", "adjoint action")
         for n in (2, 3):
             reps[f"{a.name}_sum{n}"] = add(
-                f"{a.name}_sum{n}", "rep", direct_sum_bimodule(a, n),
+                f"{a.name}_sum{n}", "rep", direct_sum(a, n, AssocAction),
                 "paper-example", f"componentwise action on A^{n}",
             )
     # the stated tensor-square action formulas only certify over an identity
@@ -351,29 +348,29 @@ def catalog(refresh: bool = False):
 
     # Lie representations ---------------------------------------------------
     for a in (ab2, sol2, sol2t2, heis3):
-        reps[f"{a.name}_adj"] = add(f"{a.name}_adj", "rep", regular_lie_action(a),
+        reps[f"{a.name}_adj"] = add(f"{a.name}_adj", "rep", regular(a, LieAction),
                                     "constructed", "adjoint action")
-        reps[f"{a.name}_sum2"] = add(f"{a.name}_sum2", "rep", direct_sum_lie_action(a, 2),
+        reps[f"{a.name}_sum2"] = add(f"{a.name}_sum2", "rep", direct_sum(a, 2, LieAction),
                                      "constructed", "componentwise action on A^2")
 
     # Jordan representations --------------------------------------------------
     # non-idempotent twists (j2t2, kx3t2 actions) fail the fourth action
     # condition as stated and are therefore not catalog members
-    reps["j2_adj"] = add("j2_adj", "rep", regular_jordan_action(j2),
+    reps["j2_adj"] = add("j2_adj", "rep", regular(j2, JordanAction),
                          "constructed", "multiplication action")
-    reps["j2_sum2"] = add("j2_sum2", "rep", direct_sum_jordan_action(j2, 2),
+    reps["j2_sum2"] = add("j2_sum2", "rep", direct_sum(j2, 2, JordanAction),
                           "constructed", "componentwise action on A^2")
-    reps["kx2_jmod"] = add("kx2_jmod", "rep", jordan_module_from_bimodule(reps["kx2_reg"]),
+    reps["kx2_jmod"] = add("kx2_jmod", "rep", symmetrized(reps["kx2_reg"]),
                            "constructed", "pi = l + r over the symmetrized base")
-    reps["ut2_jmod"] = add("ut2_jmod", "rep", jordan_module_from_bimodule(reps["ut2_reg"]),
+    reps["ut2_jmod"] = add("ut2_jmod", "rep", symmetrized(reps["ut2_reg"]),
                            "constructed", "pi = l + r over the symmetrized base")
-    reps["kx3t2_jmod"] = add("kx3t2_jmod", "rep", jordan_module_from_bimodule(reps["kx3t2_reg"]),
+    reps["kx3t2_jmod"] = add("kx3t2_jmod", "rep", symmetrized(reps["kx3t2_reg"]),
                              "constructed", "twisted module, pi = l + r")
-    reps["kx2_jact"] = add("kx2_jact", "rep", jordan_action_from_action(reps["kx2_sum2"]),
+    reps["kx2_jact"] = add("kx2_jact", "rep", symmetrized(reps["kx2_sum2"]),
                            "constructed", "symmetrized direct-sum action")
-    reps["ut2_jact"] = add("ut2_jact", "rep", jordan_action_from_action(reps["ut2_act"]),
+    reps["ut2_jact"] = add("ut2_jact", "rep", symmetrized(reps["ut2_act"]),
                            "constructed", "symmetrized adjoint action")
-    reps["kx2t_jact"] = add("kx2t_jact", "rep", jordan_action_from_action(reps["kx2t_act"]),
+    reps["kx2t_jact"] = add("kx2t_jact", "rep", symmetrized(reps["kx2t_act"]),
                             "constructed", "twisted symmetrized adjoint action")
 
     # operators ---------------------------------------------------------------

@@ -4,12 +4,25 @@ Action tensors are stored with the algebra argument first: a mixed tensor
 t with signature (A, V, V) holds t[i][j][k] = coefficient of u_k in the
 image of (e_i, u_j).  In particular the right action r is stored as r(x)u
 even though it is rendered r(x)u = u . x.
+
+Each of the six classes states its kind once, in class attributes, and
+everything else (the axioms, the builders, the semidirect tensor, the DSL
+rows) reads them:
+
+- `kind` and `variety`: its name and the variety of its base algebra;
+- `acts`: its action symbols, ("l", "r") for a bimodule or an associative
+  action, ("rho",) or ("pi",) for a Lie or Jordan one;
+- `vprod`: its product on V ("vmul", "vbracket" or "vstar"), None for a
+  module; an action class subclasses its module class;
+- `sign`, for the one-action families (Lie -1, Jordan +1): in a semidirect
+  product the action from the right is `sign` times the action from the
+  left, u . y = sign * (y . u).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 
 from .engine import (
     CheckReport,
@@ -49,18 +62,12 @@ def _gate(report: CheckReport, what: str) -> None:
 # types
 
 
-@dataclass
-class AssocBimodule:
-    """Two action maps l, r on V with a twist beta, over an associative base."""
+class _Rep:
+    """What every representation kind shares; a subclass is a dataclass whose
+    fields are base, v_dim, its actions (`acts`), beta and its product on V
+    (`vprod`)."""
 
-    base: AlgebraInstance
-    v_dim: int
-    l: StructureTensor
-    r: StructureTensor
-    beta: LinearMap
-
-    kind = "bimodule"
-    variety = VarietyTag.HOM_ASSOCIATIVE
+    vprod = None
 
     def __post_init__(self):
         n, m = self.base.dim, self.v_dim
@@ -76,10 +83,10 @@ class AssocBimodule:
                 raise ShapeError(f"product {sym!r} on V has wrong dims")
 
     def action_ops(self):
-        return {"l": self.l, "r": self.r}
+        return {sym: getattr(self, sym) for sym in self.acts}
 
     def v_ops(self):
-        return {}
+        return {self.vprod: getattr(self, self.vprod)} if self.vprod else {}
 
     def interpretation(self) -> Interpretation:
         base = self.base.interpretation()
@@ -96,19 +103,32 @@ class AssocBimodule:
 
 
 @dataclass
+class AssocBimodule(_Rep):
+    """Two action maps l, r on V with a twist beta, over an associative base."""
+
+    base: AlgebraInstance
+    v_dim: int
+    l: StructureTensor
+    r: StructureTensor
+    beta: LinearMap
+
+    kind = "bimodule"
+    variety = VarietyTag.HOM_ASSOCIATIVE
+    acts = ("l", "r")
+
+
+@dataclass
 class AssocAction(AssocBimodule):
     """A bimodule where V also carries a compatible associative product."""
 
     vmul: StructureTensor = None
 
     kind = "action"
-
-    def v_ops(self):
-        return {"vmul": self.vmul}
+    vprod = "vmul"
 
 
 @dataclass
-class LieModule:
+class LieModule(_Rep):
     base: AlgebraInstance
     v_dim: int
     rho: StructureTensor
@@ -116,15 +136,8 @@ class LieModule:
 
     kind = "lie-module"
     variety = VarietyTag.HOM_LIE
-
-    __post_init__ = AssocBimodule.__post_init__
-    interpretation = AssocBimodule.interpretation
-
-    def action_ops(self):
-        return {"rho": self.rho}
-
-    def v_ops(self):
-        return {}
+    acts = ("rho",)
+    sign = -1
 
 
 @dataclass
@@ -132,13 +145,11 @@ class LieAction(LieModule):
     vbracket: StructureTensor = None
 
     kind = "lie-action"
-
-    def v_ops(self):
-        return {"vbracket": self.vbracket}
+    vprod = "vbracket"
 
 
 @dataclass
-class JordanModule:
+class JordanModule(_Rep):
     base: AlgebraInstance
     v_dim: int
     pi: StructureTensor
@@ -146,15 +157,8 @@ class JordanModule:
 
     kind = "jordan-module"
     variety = VarietyTag.HOM_JORDAN
-
-    __post_init__ = AssocBimodule.__post_init__
-    interpretation = AssocBimodule.interpretation
-
-    def action_ops(self):
-        return {"pi": self.pi}
-
-    def v_ops(self):
-        return {}
+    acts = ("pi",)
+    sign = 1
 
 
 @dataclass
@@ -162,12 +166,11 @@ class JordanAction(JordanModule):
     vstar: StructureTensor = None
 
     kind = "jordan-action"
-
-    def v_ops(self):
-        return {"vstar": self.vstar}
+    vprod = "vstar"
 
 
-REP_KINDS = ("bimodule", "action", "lie-module", "lie-action", "jordan-module", "jordan-action")
+REP_CLASSES = (AssocBimodule, AssocAction, LieModule, LieAction, JordanModule, JordanAction)
+REP_KINDS = tuple(cls.kind for cls in REP_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +188,19 @@ def _b(e, k=1):
     return tw("beta", e, k)
 
 
-def _v_variety_schemas(tag: VarietyTag, rename: dict):
-    """Variety schemas transplanted to sort V, twist beta and its product names."""
+def _variety_on_v(cls):
+    """The axioms of cls's variety moved to sort V, twist beta and product cls.vprod."""
+    (sym,) = REQUIRED_PRODUCTS[cls.variety]
     out = []
-    for s in schemas_for(tag):
+    for s in schemas_for(cls.variety):
         moved = {name: var(name, "V") for name, _, _ in s.variables}
-        lhs, rhs = (rewrite(e, vars=moved, maps={"alpha": "beta"}, ops=rename)
+        lhs, rhs = (rewrite(e, vars=moved, maps={"alpha": "beta"}, ops={sym: cls.vprod})
                     for e in (s.lhs, s.rhs))
         out.append(IdentitySchema(f"{s.name}@V", lhs, rhs))
     return out
 
 
-def bimodule_schemas():
+def _bimodule_axioms():
     L = lambda a, m: op("l", a, m)
     R = lambda a, m: op("r", a, m)
     mul = lambda a, c: op("mul", a, c)
@@ -209,23 +213,18 @@ def bimodule_schemas():
     ]
 
 
-def assoc_action_schemas():
+def _action_axioms():
     L = lambda a, m: op("l", a, m)
     R = lambda a, m: op("r", a, m)
     VM = lambda m, m2: op("vmul", m, m2)
-    extra = [
+    return [
         IdentitySchema("action-left-product", L(_a(_x), VM(_u, _v)), VM(L(_x, _u), _b(_v))),
         IdentitySchema("action-right-product", R(_a(_x), VM(_u, _v)), VM(_b(_u), R(_x, _v))),
         IdentitySchema("action-inner-product", VM(_b(_u), L(_x, _v)), VM(R(_x, _u), _b(_v))),
     ]
-    return (
-        bimodule_schemas()
-        + extra
-        + _v_variety_schemas(VarietyTag.HOM_ASSOCIATIVE, {"mul": "vmul"})
-    )
 
 
-def lie_module_schemas():
+def _lie_module_axioms():
     P = lambda a, m: op("rho", a, m)
     br = lambda a, c: op("bracket", a, c)
     return [
@@ -238,24 +237,19 @@ def lie_module_schemas():
     ]
 
 
-def lie_action_schemas():
+def _lie_action_axioms():
     P = lambda a, m: op("rho", a, m)
     VB = lambda m, m2: op("vbracket", m, m2)
-    extra = [
+    return [
         IdentitySchema(
             "action-bracket",
             P(_a(_x), VB(_u, _v)),
             VB(P(_x, _u), _b(_v)) + VB(_b(_u), P(_x, _v)),
         )
     ]
-    return (
-        lie_module_schemas()
-        + extra
-        + _v_variety_schemas(VarietyTag.HOM_LIE, {"bracket": "vbracket"})
-    )
 
 
-def jordan_module_schemas():
+def _jordan_module_axioms():
     P = lambda a, m: op("pi", a, m)
     C = lambda a, c: op("circ", a, c)
     s0 = IdentitySchema("module-intertwine", _b(P(_x, _u)), P(_a(_x), _b(_u)))
@@ -280,7 +274,7 @@ def jordan_module_schemas():
     return [s0, s1, s2]
 
 
-def jordan_action_schemas():
+def _jordan_action_axioms():
     P = lambda a, m: op("pi", a, m)
     C = lambda a, c: op("circ", a, c)
     S = lambda m, m2: op("vstar", m, m2)
@@ -317,28 +311,33 @@ def jordan_action_schemas():
         + P(C(_a(_x), _a(_y)), S(_b(_u), _b(_v))),
         rhs23,
     )
-    return (
-        jordan_module_schemas()
-        + [cubic, lin1, lin2, lin3]
-        + _v_variety_schemas(VarietyTag.HOM_JORDAN, {"circ": "vstar"})
-    )
+    return [cubic, lin1, lin2, lin3]
 
 
-_SCHEMAS_BY_KIND = {
-    "bimodule": bimodule_schemas,
-    "action": assoc_action_schemas,
-    "lie-module": lie_module_schemas,
-    "lie-action": lie_action_schemas,
-    "jordan-module": jordan_module_schemas,
-    "jordan-action": jordan_action_schemas,
+# the axioms each kind adds to those it inherits (see _rep_schemas)
+_OWN_AXIOMS = {
+    "bimodule": _bimodule_axioms,
+    "action": _action_axioms,
+    "lie-module": _lie_module_axioms,
+    "lie-action": _lie_action_axioms,
+    "jordan-module": _jordan_module_axioms,
+    "jordan-action": _jordan_action_axioms,
 }
 
 
 @cache
 def _rep_schemas(kind: str) -> tuple:
     """The axioms of a representation kind, built on first use; every call
-    returns the same schema objects, so checks reuse their plans."""
-    return tuple(_SCHEMAS_BY_KIND[kind]())
+    returns the same schema objects, so checks reuse their plans.
+
+    A module's axioms are its own.  An action's are its module's (the same
+    objects), then its own, then its variety's axioms moved to V.
+    """
+    cls = next(c for c in REP_CLASSES if c.kind == kind)
+    own = tuple(_OWN_AXIOMS[kind]())
+    if cls.vprod is None:
+        return own
+    return _rep_schemas(cls.__base__.kind) + own + tuple(_variety_on_v(cls))
 
 
 def certify_rep(rep) -> CheckReport:
@@ -350,46 +349,31 @@ def certify_rep(rep) -> CheckReport:
 # builders
 
 
-def _left_regular(a: AlgebraInstance, sym: str) -> StructureTensor:
-    return a.product(sym)
+def regular(a: AlgebraInstance, cls):
+    """A acting on itself as a cls: V = A, beta = alpha, each action the
+    product of A (a right action r(x)u = u.x) and, for an action, the
+    product of A on V."""
+    return _copies(a, 1, cls, f"regular({a.name}, {cls.__name__})")
 
 
-def _right_regular(a: AlgebraInstance, sym: str) -> StructureTensor:
-    # r(x)u = u . x, stored algebra-argument first
-    return a.product(sym).opposite()
+def direct_sum(a: AlgebraInstance, n: int, cls):
+    """V = A^n with componentwise actions and, for an action, componentwise product."""
+    if n < 1:
+        raise SemanticError(f"direct_sum needs n >= 1, got {n}")
+    return _copies(a, n, cls, f"direct_sum({a.name}, {n}, {cls.__name__})")
 
 
-def regular_bimodule(a: AlgebraInstance) -> AssocBimodule:
-    """The adjoint bimodule: V = A, l(x)u = x.u, r(x)u = u.x, beta = alpha."""
-    _gate(certify(a, VarietyTag.HOM_ASSOCIATIVE), f"regular_bimodule({a.name})")
-    rep = AssocBimodule(a, a.dim, _left_regular(a, "mul"), _right_regular(a, "mul"), a.alpha)
-    _gate(certify_rep(rep), f"regular_bimodule({a.name}) output")
-    return rep
-
-
-def regular_action(a: AlgebraInstance) -> AssocAction:
-    _gate(certify(a, VarietyTag.HOM_ASSOCIATIVE), f"regular_action({a.name})")
-    rep = AssocAction(
-        a, a.dim, _left_regular(a, "mul"), _right_regular(a, "mul"), a.alpha,
-        vmul=a.product("mul"),
-    )
-    _gate(certify_rep(rep), f"regular_action({a.name}) output")
-    return rep
-
-
-def regular_lie_action(a: AlgebraInstance) -> LieAction:
-    """The adjoint action of a Hom-Lie algebra on itself."""
-    _gate(certify(a, VarietyTag.HOM_LIE), f"regular_lie_action({a.name})")
-    rep = LieAction(a, a.dim, a.product("bracket"), a.alpha, vbracket=a.product("bracket"))
-    _gate(certify_rep(rep), f"regular_lie_action({a.name}) output")
-    return rep
-
-
-def regular_jordan_action(a: AlgebraInstance) -> JordanAction:
-    """Multiplication action of a Hom-Jordan algebra on itself."""
-    _gate(certify(a, VarietyTag.HOM_JORDAN), f"regular_jordan_action({a.name})")
-    rep = JordanAction(a, a.dim, a.product("circ"), a.alpha, vstar=a.product("circ"))
-    _gate(certify_rep(rep), f"regular_jordan_action({a.name}) output")
+def _copies(a: AlgebraInstance, n: int, cls, what: str):
+    """The cls built by regular and direct_sum, gated on both sides."""
+    _gate(certify(a, cls.variety), what)
+    (sym,) = REQUIRED_PRODUCTS[cls.variety]
+    prod = a.product(sym)
+    sides = (prod, prod.opposite())
+    fields = {act: _componentwise(t, n, a.dim, "action") for act, t in zip(cls.acts, sides)}
+    if cls.vprod:
+        fields[cls.vprod] = _componentwise(prod, n, a.dim, "product")
+    rep = cls(a, a.dim * n, beta=reduce(LinearMap.direct_sum, [a.alpha] * n), **fields)
+    _gate(certify_rep(rep), f"{what} output")
     return rep
 
 
@@ -418,63 +402,15 @@ def tensor_square_bimodule(a: AlgebraInstance) -> AssocBimodule:
 
 
 def _componentwise(t: StructureTensor, copies: int, a_dim: int, slot: str) -> StructureTensor:
-    """Spread a square or action tensor over V = A^copies, component by component."""
+    """Spread a square or action tensor over V = A^copies, component by component;
+    one copy is t itself."""
+    if copies == 1:
+        return t
     n, m = a_dim, a_dim * copies
     ld = n if slot == "action" else m
     return StructureTensor.place(
         (ld, m, m), [(t, (0 if slot == "action" else c * n, c * n, c * n), False)
                      for c in range(copies)])
-
-
-def _beta_copies(alpha: LinearMap, copies: int) -> LinearMap:
-    beta = alpha
-    for _ in range(copies - 1):
-        beta = beta.direct_sum(alpha)
-    return beta
-
-
-def direct_sum_bimodule(a: AlgebraInstance, n: int) -> AssocAction:
-    """V = A^n with componentwise actions and componentwise product."""
-    _gate(certify(a, VarietyTag.HOM_ASSOCIATIVE), f"direct_sum_bimodule({a.name},{n})")
-    mul = a.product("mul")
-    rep = AssocAction(
-        a,
-        a.dim * n,
-        _componentwise(mul, n, a.dim, "action"),
-        _componentwise(mul.opposite(), n, a.dim, "action"),
-        _beta_copies(a.alpha, n),
-        vmul=_componentwise(mul, n, a.dim, "product"),
-    )
-    _gate(certify_rep(rep), f"direct_sum_bimodule({a.name},{n}) output")
-    return rep
-
-
-def direct_sum_lie_action(a: AlgebraInstance, n: int) -> LieAction:
-    _gate(certify(a, VarietyTag.HOM_LIE), f"direct_sum_lie_action({a.name},{n})")
-    br = a.product("bracket")
-    rep = LieAction(
-        a,
-        a.dim * n,
-        _componentwise(br, n, a.dim, "action"),
-        _beta_copies(a.alpha, n),
-        vbracket=_componentwise(br, n, a.dim, "product"),
-    )
-    _gate(certify_rep(rep), f"direct_sum_lie_action({a.name},{n}) output")
-    return rep
-
-
-def direct_sum_jordan_action(a: AlgebraInstance, n: int) -> JordanAction:
-    _gate(certify(a, VarietyTag.HOM_JORDAN), f"direct_sum_jordan_action({a.name},{n})")
-    circ = a.product("circ")
-    rep = JordanAction(
-        a,
-        a.dim * n,
-        _componentwise(circ, n, a.dim, "action"),
-        _beta_copies(a.alpha, n),
-        vstar=_componentwise(circ, n, a.dim, "product"),
-    )
-    _gate(certify_rep(rep), f"direct_sum_jordan_action({a.name},{n}) output")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -505,23 +441,15 @@ def minus_algebra(a: AlgebraInstance, name=None) -> AlgebraInstance:
     )
 
 
-def jordan_module_from_bimodule(rep: AssocBimodule) -> JordanModule:
-    """pi = l + r over the symmetrized base algebra."""
-    out = JordanModule(plus_algebra(rep.base), rep.v_dim, rep.l + rep.r, rep.beta)
-    _gate(certify_rep(out), f"jordan_module_from_bimodule({rep.base.name})")
-    return out
-
-
-def jordan_action_from_action(rep: AssocAction) -> JordanAction:
-    """pi = l + r and u * v = u.v + v.u over the symmetrized base."""
-    out = JordanAction(
-        plus_algebra(rep.base),
-        rep.v_dim,
-        rep.l + rep.r,
-        rep.beta,
-        vstar=rep.vmul + rep.vmul.opposite(),
-    )
-    _gate(certify_rep(out), f"jordan_action_from_action({rep.base.name})")
+def symmetrized(rep):
+    """The Jordan module or action of a bimodule or action over the symmetrized
+    base: pi = l + r and, for an action, u * v = u.v + v.u."""
+    base, pi = plus_algebra(rep.base), rep.l + rep.r
+    if rep.vprod:
+        out = JordanAction(base, rep.v_dim, pi, rep.beta, vstar=rep.vmul + rep.vmul.opposite())
+    else:
+        out = JordanModule(base, rep.v_dim, pi, rep.beta)
+    _gate(certify_rep(out), f"symmetrized({rep.base.name}, {rep.kind})")
     return out
 
 
@@ -555,13 +483,10 @@ def semidirect_tensor(act):
     Used by the action <-> semidirect round-trip tests, which feed
     deliberately broken actions.
     """
-    n, m = act.base.dim, act.v_dim
-    if isinstance(act, AssocAction):
-        return _block_product(n, m, act.base.product("mul"), act.l, act.r, act.vmul)
-    if isinstance(act, LieAction):
-        return _block_product(
-            n, m, act.base.product("bracket"), act.rho, act.rho.scale(-1), act.vbracket
-        )
-    if isinstance(act, JordanAction):
-        return _block_product(n, m, act.base.product("circ"), act.pi, act.pi, act.vstar)
-    raise SemanticError(f"semidirect product needs an action, got {act.kind}")
+    if act.vprod is None:
+        raise SemanticError(f"semidirect product needs an action, got {act.kind}")
+    (sym,) = REQUIRED_PRODUCTS[act.variety]
+    left, *right = act.action_ops().values()
+    right = right[0] if right else left.scale(act.sign)
+    return _block_product(act.base.dim, act.v_dim, act.base.product(sym), left, right,
+                          getattr(act, act.vprod))

@@ -42,7 +42,7 @@ from homalg.reps import (
     CertificationError,
     JordanAction,
     JordanModule,
-    direct_sum_bimodule,
+    direct_sum,
     minus_algebra,
     plus_algebra,
 )
@@ -109,7 +109,7 @@ def test_criterion_2a_sum_and_projection_operators(seed_catalog):
     ok = True
     for a in _assoc_entries_dim_le_3(seed_catalog):
         for n in (2, 3):
-            rep = direct_sum_bimodule(a, n)
+            rep = direct_sum(a, n, AssocAction)
             ok = certify_operator(sum_operator(rep), "rel-avg").ok and ok
             for which in range(n):
                 ok = certify_operator(

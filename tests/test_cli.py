@@ -9,6 +9,7 @@ import pytest
 import homalg
 from homalg.cli import main
 from homalg.forge import data_dir
+from homalg.operators import OPERATOR_KINDS
 
 
 def run(capsys, *argv):
@@ -193,15 +194,34 @@ def test_construct_differential_gate_prints_witness(tmp_path, capsys):
                               "lhs": ["0", "1"], "rhs": ["0", "0"]}
 
 
-def test_construct_rep_builder_roundtrip(tmp_path, capsys):
-    out = tmp_path / "ts.halg"
-    code, _, _ = run(
+@pytest.mark.parametrize("cid, extra, name", [
+    pytest.param(cid, extra, name, id=cid) for cid, extra, name in (
+        ("regular-bimodule", [], "kx2-regular-bimodule"),
+        ("regular-action", [], "kx2-regular-action"),
+        ("tensor-square", [], "kx2-tensor-square"),
+        ("direct-sum", ["--n", "3"], "kx2-sum3"),
+    )])
+def test_construct_rep_builder_roundtrip(tmp_path, capsys, cid, extra, name):
+    out = tmp_path / "rep.halg"
+    code, records, _ = run(
         capsys, "construct", str(DATA / "kx2.halg"),
-        "--id", "tensor-square", "--target", "kx2", "--out", str(out),
+        "--id", cid, "--target", "kx2", *extra, "--out", str(out),
     )
-    assert code == 0
-    code, records, _ = run(capsys, "check", str(out), "--rep", "kx2-tensor-square")
+    assert code == 0 and records == [{"written": str(out), "declarations": ["kx2", name]}]
+    code, records, _ = run(capsys, "check", str(out), "--rep", name)
     assert code == 0 and records[0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_construct_direct_sum_needs_one_copy(tmp_path, capsys, n):
+    out = tmp_path / "never.halg"
+    code, records, captured = run(
+        capsys, "construct", str(DATA / "kx2.halg"),
+        "--id", "direct-sum", "--target", "kx2", "--n", n, "--out", str(out),
+    )
+    assert code == 3 and records == [] and not out.exists()
+    assert json.loads(captured.err) == {
+        "error": "semantic", "detail": f"direct_sum needs n >= 1, got {n}"}
 
 
 def test_construct_dispatches_every_table_id(tmp_path, capsys):
@@ -298,6 +318,12 @@ def test_check_o_operator_weight_flag(capsys):
         "--operator", "kx2_sum2_p1", "--kind", "o-operator", "--weight", "1/2",
     )
     assert code == 1 and records[0]["status"] == "fail"
+    # a negative fraction after a separate --weight is its value, not an option
+    argv = ["check", str(DATA / "kx2.halg"), "--operator", "kx2_act_id", "--kind", "o-operator"]
+    code, joined, _ = run(capsys, *argv, "--weight=-1/2")
+    assert code == 1 and joined[0]["check"] == "operator:o-operator:-1/2"
+    code, separated, _ = run(capsys, *argv, "--weight", "-1/2")
+    assert code == 1 and strip_ms(separated) == strip_ms(joined)
 
 
 @pytest.mark.parametrize("weight", ["abc", "1/0"])
@@ -309,6 +335,17 @@ def test_a_weight_that_is_not_a_rational_is_one_error_record(capsys, weight):
     assert code == 3
     assert strip_ms(records) == [{"target": "*", "check": "check", "status": "error",
                                   "detail": f"--weight expects a rational P/Q, got {weight!r}"}]
+
+
+@pytest.mark.parametrize("kind", [k for k in OPERATOR_KINDS if k != "o-operator"])
+def test_a_weight_with_a_kind_that_ignores_it_is_one_error_record(capsys, kind):
+    code, records, _ = run(
+        capsys, "check", str(DATA / "kx2.halg"),
+        "--operator", "kx2_act_id", "--kind", kind, "--weight", "3",
+    )
+    assert code == 3
+    assert strip_ms(records) == [{"target": "*", "check": "check", "status": "error",
+                                  "detail": "--weight applies to --kind o-operator only"}]
 
 
 def test_report_is_deterministic(capsys):

@@ -30,13 +30,16 @@ from homalg.forge import (
 )
 from homalg.operators import OperatorCandidate, certify_operator, nijenhuis_of
 from homalg.reps import (
+    AssocAction,
+    AssocBimodule,
     CertificationError,
+    JordanAction,
     JordanModule,
+    LieAction,
     LieModule,
-    direct_sum_bimodule,
-    jordan_module_from_bimodule,
-    regular_action,
-    regular_bimodule,
+    direct_sum,
+    regular,
+    symmetrized,
     tensor_square_bimodule,
 )
 from homalg.varieties import VarietyTag, certify
@@ -51,20 +54,20 @@ def kx2():
 
 
 def test_hemisemi_diass_regular(kx2):
-    out = hemisemi(regular_bimodule(kx2), C.HEMISEMI_DIASS)
+    out = hemisemi(regular(kx2, AssocBimodule), C.HEMISEMI_DIASS)
     assert out.dim == 4
     assert certify(out, V.HOM_ASSOCIATIVE_DIALGEBRA).ok
 
 
 def test_hemisemi_triass_direct_sum(kx2):
-    out = hemisemi(direct_sum_bimodule(kx2, 1), C.HEMISEMI_TRIASS)
+    out = hemisemi(direct_sum(kx2, 1, AssocAction), C.HEMISEMI_TRIASS)
     assert out.dim == 4
     assert certify(out, V.HOM_ASSOCIATIVE_TRIALGEBRA).ok
 
 
 def test_hemisemi_zero_rep():
     z = zero_algebra(2)
-    out = hemisemi(direct_sum_bimodule(z, 1), C.HEMISEMI_TRIASS)
+    out = hemisemi(direct_sum(z, 1, AssocAction), C.HEMISEMI_TRIASS)
     assert all(t.is_zero() for t in out.products.values())
 
 
@@ -72,18 +75,18 @@ def test_hemisemi_wrong_rep_kind(kx2):
     from homalg.engine import SemanticError
 
     with pytest.raises(SemanticError):
-        hemisemi(regular_bimodule(kx2), C.HEMISEMI_LEIB)
+        hemisemi(regular(kx2, AssocBimodule), C.HEMISEMI_LEIB)
 
 
 def test_graph_theorem_positive_and_negative(kx2):
     ts = tensor_square_bimodule(kx2)
     mult = multiplication_operator(ts)
     assert graph_closure(mult, C.HEMISEMI_DIASS).ok
-    bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
+    bad = OperatorCandidate(regular(kx2, AssocBimodule), LinearMap([[1, 0], [1, 0]]))
     report = graph_closure(bad, C.HEMISEMI_DIASS)
     assert report.status == "fail"
     # zero map: the graph is V itself and all products land back in it
-    zero = OperatorCandidate(regular_bimodule(kx2), LinearMap.zero(2))
+    zero = OperatorCandidate(regular(kx2, AssocBimodule), LinearMap.zero(2))
     report = graph_closure(zero, C.HEMISEMI_DIASS)
     assert report.ok
     # one prefix per product and generator, two tuples under each
@@ -106,7 +109,7 @@ def test_graph_closure_witness_sets_a_part_against_k_of_v_part():
 def test_graph_closure_twist_witness_sets_a_part_against_k_of_v_part():
     # alpha = diag(1, 0) on kx2t: the twist sends the generator K(u2) + u2 =
     # (1,0 | 0,1) to (1,0 | 0,0), whose V-part maps to 0 under K
-    rep = regular_bimodule(kx2_phitwist())
+    rep = regular(kx2_phitwist(), AssocBimodule)
     report = graph_closure(OperatorCandidate(rep, LinearMap([[0, 1], [0, 0]])), C.HEMISEMI_DIASS)
     w = report.witness
     assert (w.identity, w.indices) == ("twist-closure", (1,))
@@ -120,19 +123,19 @@ def test_induced_dialgebra(kx2):
 
 
 def test_induced_trialgebra_projection(kx2):
-    p1 = projection_operator(direct_sum_bimodule(kx2, 2), 0)
+    p1 = projection_operator(direct_sum(kx2, 2, AssocAction), 0)
     out = induce(p1, C.INDUCED_TRIALGEBRA)
     assert certify(out, V.HOM_ASSOCIATIVE_TRIALGEBRA).ok
 
 
 def test_induced_zero_operator(kx2):
-    zero = OperatorCandidate(regular_bimodule(kx2), LinearMap.zero(2))
+    zero = OperatorCandidate(regular(kx2, AssocBimodule), LinearMap.zero(2))
     out = induce(zero, C.INDUCED_DIALGEBRA)
     assert all(t.is_zero() for t in out.products.values())
 
 
 def test_induce_rejects_uncertified_operator(kx2):
-    bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
+    bad = OperatorCandidate(regular(kx2, AssocBimodule), LinearMap([[1, 0], [1, 0]]))
     with pytest.raises(CertificationError):
         induce(bad, C.INDUCED_DIALGEBRA)
 
@@ -143,7 +146,7 @@ def test_commuting_square_dialgebra_to_jordan(kx2):
     ts = tensor_square_bimodule(kx2)
     mult = multiplication_operator(ts)
     path1 = functor(induce(mult, C.INDUCED_DIALGEBRA), C.ANTI_DICOMMUTATOR)
-    jmod = jordan_module_from_bimodule(ts)
+    jmod = symmetrized(ts)
     path2 = induce(OperatorCandidate(jmod, mult.map), C.INDUCED_JORDAN_DIALGEBRA)
     assert path1.product("bullet") == path2.product("bullet")
     assert certify(path1, V.HOM_JORDAN_DIALGEBRA).ok
@@ -243,7 +246,7 @@ def test_differential_dialgebra_preconditions(kx2):
 def test_bimodule_map_dialgebra(kx2):
     # the identity on the regular bimodule of a unital algebra is a bimodule
     # map; its dialgebra has both products equal to the multiplication
-    rep = regular_bimodule(kx2)
+    rep = regular(kx2, AssocBimodule)
     out = bimodule_map_dialgebra(rep, LinearMap.identity(2))
     assert out.product("left") == kx2.product("mul")
     assert out.product("right") == kx2.product("mul")
@@ -253,16 +256,16 @@ def test_bimodule_map_dialgebra(kx2):
 
 
 def test_bimodule_map_is_relative_averaging(kx2):
-    rep = regular_bimodule(kx2)
+    rep = regular(kx2, AssocBimodule)
     assert certify_operator(OperatorCandidate(rep, LinearMap.identity(2)), "rel-avg").ok
 
 
 def test_crossed_module_examples(kx2):
-    act = regular_action(kx2)
+    act = regular(kx2, AssocAction)
     assert crossed_module_check(kx2, act, LinearMap.identity(2)).ok
     # zero differential with zero action and product
     z = zero_algebra(2)
-    zact = regular_action(z)
+    zact = regular(z, AssocAction)
     assert crossed_module_check(z, zact, LinearMap.zero(2)).ok
     # d = 0 against a nonzero product fails the compatibility
     report = crossed_module_check(kx2, act, LinearMap.zero(2))
@@ -275,7 +278,7 @@ def test_equivalence_battery_small(kx2):
     # dialgebra-type ambient
     from homalg.forge import GridSpec, sample_operator_candidates
 
-    rep = regular_bimodule(kx2)
+    rep = regular(kx2, AssocBimodule)
     ambient = hemisemi(rep, C.HEMISEMI_DIASS, check=False)
     grid = GridSpec(numerators=(-1, 0, 1), denominators=(1,), seed=3, count=60)
     for cand in sample_operator_candidates(rep, grid):
@@ -317,7 +320,7 @@ def test_bimodule_map_route_agrees_with_induced_route(kx2):
     # same structure the induced-dialgebra theorem builds from it
     from homalg.forge import sum_operator
 
-    rep = direct_sum_bimodule(kx2, 2)
+    rep = direct_sum(kx2, 2, AssocAction)
     s = sum_operator(rep)
     via_map = bimodule_map_dialgebra(rep, s.map)
     via_induce = induce(s, C.INDUCED_DIALGEBRA)
@@ -363,13 +366,12 @@ def test_catalog_builds_construct_no_fraction(seed_catalog, monkeypatch):
 def test_hemisemi_id_for_each_representation_class(kx2):
     from homalg.engine import SemanticError
     from homalg.operators import hemisemi_id_for
-    from homalg.reps import regular_jordan_action, regular_lie_action
 
-    lie = regular_lie_action(functor(kx2, C.MINUS))
-    jordan = regular_jordan_action(functor(kx2, C.PLUS))
+    lie = regular(functor(kx2, C.MINUS), LieAction)
+    jordan = regular(functor(kx2, C.PLUS), JordanAction)
     cases = [
-        (regular_bimodule(kx2), C.HEMISEMI_DIASS),
-        (regular_action(kx2), C.HEMISEMI_TRIASS),
+        (regular(kx2, AssocBimodule), C.HEMISEMI_DIASS),
+        (regular(kx2, AssocAction), C.HEMISEMI_TRIASS),
         (LieModule(lie.base, lie.v_dim, lie.rho, lie.beta), C.HEMISEMI_LEIB),
         (lie, C.HEMISEMI_TRILEIB),
         (JordanModule(jordan.base, jordan.v_dim, jordan.pi, jordan.beta), C.HEMISEMI_DIJOR),
@@ -379,6 +381,6 @@ def test_hemisemi_id_for_each_representation_class(kx2):
         assert hemisemi_id_for(rep) is cid
         assert isinstance(rep, HEMISEMI[cid].takes)
     assert {cid for _, cid in cases} == set(HEMISEMI)
-    for other in (kx2, OperatorCandidate(regular_bimodule(kx2), LinearMap.identity(2)), None):
+    for other in (kx2, OperatorCandidate(regular(kx2, AssocBimodule), LinearMap.identity(2)), None):
         with pytest.raises(SemanticError, match="no hemisemi product"):
             hemisemi_id_for(other)

@@ -21,7 +21,7 @@ from homalg.forge import (
     two_dim_trialgebra,
     zero_algebra,
 )
-from homalg.reps import regular_bimodule, tensor_square_bimodule
+from homalg.reps import AssocBimodule, regular, tensor_square_bimodule
 import homalg.varieties
 from homalg.varieties import (
     VarietyTag,
@@ -163,7 +163,7 @@ def test_sample_candidates_exhaustive_contains_multiplication():
 
 def test_sample_candidates_deterministic():
     kx2 = truncated_polynomial_algebra(2)
-    rep = regular_bimodule(kx2)
+    rep = regular(kx2, AssocBimodule)
     grid = GridSpec(numerators=(-1, 0, 1, 2), denominators=(1, 2), seed=11, count=40)
     a = [c.map for c in sample_operator_candidates(rep, grid)]
     b = [c.map for c in sample_operator_candidates(rep, grid)]
@@ -172,11 +172,11 @@ def test_sample_candidates_deterministic():
 
 def test_sample_candidates_empty_and_cap():
     kx2 = truncated_polynomial_algebra(2)
-    rep = regular_bimodule(kx2)
+    rep = regular(kx2, AssocBimodule)
     assert sample_operator_candidates(rep, GridSpec(count=0)) == []
     from homalg.forge import kx2_phitwist
 
-    twisted = regular_bimodule(kx2_phitwist())
+    twisted = regular(kx2_phitwist(), AssocBimodule)
     # admissibility against the idempotent twist forces zero off-diagonal
     # entries, so a zero-free grid has no admissible draws and hits the cap
     with pytest.raises(GenerationError):

@@ -21,11 +21,13 @@ from homalg.operators import (
     nijenhuis_of,
 )
 from homalg.reps import (
+    AssocAction,
+    AssocBimodule,
     CertificationError,
-    direct_sum_bimodule,
-    regular_bimodule,
-    regular_jordan_action,
-    regular_lie_action,
+    JordanAction,
+    LieAction,
+    direct_sum,
+    regular,
     tensor_square_bimodule,
 )
 
@@ -51,12 +53,12 @@ def test_multiplication_operator_is_relative_averaging(tensor_rep):
 
 def test_sum_operator_is_relative_averaging(kx2):
     for n in (2, 3):
-        cand = sum_operator(direct_sum_bimodule(kx2, n))
+        cand = sum_operator(direct_sum(kx2, n, AssocAction))
         assert certify_operator(cand, "rel-avg").ok
 
 
 def test_projection_is_homomorphic(kx2):
-    rep = direct_sum_bimodule(kx2, 2)
+    rep = direct_sum(kx2, 2, AssocAction)
     for which in (0, 1):
         cand = projection_operator(rep, which)
         assert certify_operator(cand, "homomorphic-rel-avg").ok
@@ -70,7 +72,7 @@ def test_projection_is_homomorphic(kx2):
 def test_failing_candidate_frozen_witness(kx2):
     # K(e1) = e1 + e2, K(e2) = 0 on the regular bimodule:
     # lhs (e1+e2).(e1+e2) = e1 + 2 e2, rhs K(l(e1+e2) e1) = e1 + e2
-    rep = regular_bimodule(kx2)
+    rep = regular(kx2, AssocBimodule)
     cand = OperatorCandidate(rep, LinearMap([[1, 0], [1, 0]]))
     report = certify_operator(cand, "rel-avg-left")
     assert report.status == "fail"
@@ -80,7 +82,7 @@ def test_failing_candidate_frozen_witness(kx2):
 
 
 def test_zero_operator_passes_everything(kx2):
-    rep = regular_bimodule(kx2)
+    rep = regular(kx2, AssocBimodule)
     zero = OperatorCandidate(rep, LinearMap.zero(2))
     assert certify_operator(zero, "rel-avg").ok
     nij = nijenhuis_of(zero)
@@ -91,7 +93,7 @@ def test_not_admissible_reported_separately():
     from homalg.forge import kx2_phitwist
 
     a = kx2_phitwist()
-    rep = regular_bimodule(a)
+    rep = regular(a, AssocBimodule)
     cand = OperatorCandidate(rep, LinearMap([[0, 1], [0, 0]]))
     report = certify_operator(cand, "rel-avg")
     assert report.status == "not-admissible"
@@ -102,12 +104,12 @@ def test_nijenhuis_of_tracks_relative_averaging(tensor_rep, kx2):
     nij = nijenhuis_of(mult, C.HEMISEMI_DIASS)
     assert nij.rep.dim == 6
     assert certify_operator(nij, "nijenhuis").ok
-    bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
+    bad = OperatorCandidate(regular(kx2, AssocBimodule), LinearMap([[1, 0], [1, 0]]))
     assert not certify_operator(nijenhuis_of(bad, C.HEMISEMI_DIASS), "nijenhuis").ok
 
 
 def test_o_operator_weight_family(kx2):
-    rep = direct_sum_bimodule(kx2, 2)
+    rep = direct_sum(kx2, 2, AssocAction)
     h = projection_operator(rep, 0)
     neg = OperatorCandidate(rep, LinearMap([[-x for x in row] for row in h.map.matrix]))
     assert certify_operator(h, "o-operator", weight=Fraction(-1)).ok
@@ -120,7 +122,7 @@ def test_o_operator_weight_family(kx2):
 def test_o_operator_clause_is_built_once_per_weight(kx2, cold_binds):
     from homalg.operators import _o_operator_clauses
 
-    rep = direct_sum_bimodule(kx2, 2)
+    rep = direct_sum(kx2, 2, AssocAction)
     h = projection_operator(rep, 0)
     del cold_binds[:]
     first = certify_operator(h, "o-operator", weight=Fraction(-1))
@@ -147,26 +149,26 @@ def test_lift_to_averaging_pairing(tensor_rep, kx2):
     # the lifted map averages on one side of each single-product half:
     # left-averaging over the right product, right-averaging over the left
     for cand in (multiplication_operator(tensor_rep),
-                 sum_operator(direct_sum_bimodule(kx2, 2)),
-                 OperatorCandidate(regular_bimodule(kx2), LinearMap.zero(2))):
+                 sum_operator(direct_sum(kx2, 2, AssocAction)),
+                 OperatorCandidate(regular(kx2, AssocBimodule), LinearMap.zero(2))):
         lift = lift_to_averaging(cand)
         assert certify_operator(lift.on_right_product, "averaging-left").ok
         assert certify_operator(lift.on_left_product, "averaging-right").ok
 
 
 def test_lift_rejects_non_averaging(kx2):
-    bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
+    bad = OperatorCandidate(regular(kx2, AssocBimodule), LinearMap([[1, 0], [1, 0]]))
     with pytest.raises(CertificationError):
         lift_to_averaging(bad)
 
 
 def test_lie_and_jordan_relative_averaging():
     sol2 = solvable_lie_2dim()
-    adj = regular_lie_action(sol2)
+    adj = regular(sol2, LieAction)
     assert certify_operator(identity_operator(adj), "rel-avg").ok
     assert certify_operator(identity_operator(adj), "homomorphic-rel-avg").ok
     j2 = rank1_jordan()
-    jadj = regular_jordan_action(j2)
+    jadj = regular(j2, JordanAction)
     assert certify_operator(identity_operator(jadj), "rel-avg").ok
     assert certify_operator(identity_operator(jadj), "homomorphic-rel-avg").ok
     with pytest.raises(SemanticError):
@@ -193,7 +195,7 @@ def test_averaging_on_algebra_surface(kx2):
 def test_failing_reports_count_visited_pairs_and_sort_their_slots(kx2):
     # K = [[1, 0], [1, 0]] on the regular bimodule: K(e1) K(e1) = (1,2) but
     # K(K(e1) e1) = K(1,1) = (1,1), so the first pair already fails
-    bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
+    bad = OperatorCandidate(regular(kx2, AssocBimodule), LinearMap([[1, 0], [1, 0]]))
     report = certify_operator(bad, "rel-avg")
     assert (report.witness.identity, report.witness.indices) == ("left", (0, 0))
     assert report.witness.variables == (("u", "V"), ("v", "V"))
@@ -210,7 +212,7 @@ def test_failing_reports_count_visited_pairs_and_sort_their_slots(kx2):
 
 def test_operator_kinds_outside_their_representation_are_semantic_errors(kx2):
     # checked before any pair: a bimodule is not an action
-    bad = OperatorCandidate(regular_bimodule(kx2), LinearMap([[1, 0], [1, 0]]))
+    bad = OperatorCandidate(regular(kx2, AssocBimodule), LinearMap([[1, 0], [1, 0]]))
     with pytest.raises(SemanticError, match="needs an action"):
         certify_operator(bad, "homomorphic-rel-avg")
 
@@ -218,7 +220,7 @@ def test_operator_kinds_outside_their_representation_are_semantic_errors(kx2):
 def test_graph_map_matches_the_fraction_construction(seed_catalog, kx2):
     from homalg.operators import _graph_map
 
-    rep = regular_bimodule(kx2)
+    rep = regular(kx2, AssocBimodule)
     cands = [e.value for e in seed_catalog.values() if e.kind == "operator"]
     # an operator stored over a denominator with a common factor (2/4, 6/4)
     cands.append(OperatorCandidate(rep, LinearMap._make([[2, 0], [6, 0]], 4, 2, 2)))

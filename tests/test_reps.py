@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from homalg.engine import IdentitySchema, check_schema, op, tw, var
+from homalg.engine import IdentitySchema, SemanticError, check_schema, op, tw, var
 from homalg.exact import LinearMap, StructureTensor
 from homalg.forge import (
     rank1_jordan,
@@ -15,18 +17,17 @@ from homalg.reps import (
     AssocBimodule,
     CertificationError,
     JordanAction,
+    JordanModule,
     LieAction,
+    LieModule,
     certify_rep,
-    direct_sum_bimodule,
-    jordan_action_from_action,
+    direct_sum,
     minus_algebra,
     plus_algebra,
-    regular_action,
-    regular_bimodule,
-    regular_jordan_action,
-    regular_lie_action,
+    regular,
     semidirect_product,
     semidirect_tensor,
+    symmetrized,
     tensor_square_bimodule,
 )
 from homalg.varieties import AlgebraInstance, VarietyTag, certify
@@ -34,7 +35,7 @@ from homalg.varieties import AlgebraInstance, VarietyTag, certify
 
 def test_regular_bimodule_of_certified_base():
     for a in (truncated_polynomial_algebra(2), upper_triangular_2x2(), zero_algebra(3)):
-        assert certify_rep(regular_bimodule(a)).ok
+        assert certify_rep(regular(a, AssocBimodule)).ok
 
 
 def test_regular_bimodule_rejects_uncertified_base():
@@ -44,7 +45,7 @@ def test_regular_bimodule_rejects_uncertified_base():
         {"alpha": LinearMap.identity(2)},
     )
     with pytest.raises(CertificationError):
-        regular_bimodule(bad)
+        regular(bad, AssocBimodule)
 
 
 def test_tensor_square_bimodule_dims_and_certification():
@@ -70,7 +71,7 @@ def test_bimodule_with_right_action_zeroed():
     # the bare bimodule still certifies; the unital structure only bites at
     # the action level, where beta(u) . (l(x)v) = (r(x)u) . beta(v) fails
     kx2 = truncated_polynomial_algebra(2)
-    rep = regular_action(kx2)
+    rep = regular(kx2, AssocAction)
     zero_r = StructureTensor.zero(2, 2, 2)
     assert certify_rep(AssocBimodule(kx2, 2, rep.l, zero_r, rep.beta)).ok
     broken = AssocAction(kx2, 2, rep.l, zero_r, rep.beta, vmul=rep.vmul)
@@ -81,18 +82,36 @@ def test_bimodule_with_right_action_zeroed():
 
 def test_direct_sum_bimodule_shapes():
     kx2 = truncated_polynomial_algebra(2)
-    rep = direct_sum_bimodule(kx2, 2)
+    rep = direct_sum(kx2, 2, AssocAction)
     assert rep.v_dim == 4 and certify_rep(rep).ok
-    rep1 = direct_sum_bimodule(kx2, 1)
-    reg = regular_action(kx2)
+    rep1 = direct_sum(kx2, 1, AssocAction)
+    reg = regular(kx2, AssocAction)
     assert rep1.l == reg.l and rep1.r == reg.r and rep1.vmul == reg.vmul
-    z3 = direct_sum_bimodule(zero_algebra(1), 3)
+    z3 = direct_sum(zero_algebra(1), 3, AssocAction)
     assert z3.v_dim == 3 and z3.vmul.is_zero()
+    for a, cls in ((solvable_lie_2dim(), LieAction), (rank1_jordan(), JordanAction)):
+        one, reg = direct_sum(a, 1, cls), regular(a, cls)
+        assert [getattr(one, f.name) for f in fields(cls)] == \
+            [getattr(reg, f.name) for f in fields(cls)]
+        two = direct_sum(a, 2, cls)
+        assert two.v_dim == 4 and certify_rep(two).ok
+        assert two.action_ops().keys() == reg.action_ops().keys() == set(cls.acts)
+
+
+def test_semidirect_refuses_each_module_kind():
+    modules = (regular(truncated_polynomial_algebra(2), AssocBimodule),
+               regular(solvable_lie_2dim(), LieModule),
+               regular(rank1_jordan(), JordanModule))
+    assert [m.kind for m in modules] == ["bimodule", "lie-module", "jordan-module"]
+    for module in modules:
+        for build in (semidirect_tensor, semidirect_product):
+            with pytest.raises(SemanticError, match=f"needs an action, got {module.kind}$"):
+                build(module)
 
 
 def test_semidirect_product_certifies():
     kx2 = truncated_polynomial_algebra(2)
-    out = semidirect_product(direct_sum_bimodule(kx2, 1))
+    out = semidirect_product(direct_sum(kx2, 1, AssocAction))
     assert out.dim == 4 and certify(out, VarietyTag.HOM_ASSOCIATIVE).ok
 
 
@@ -100,7 +119,7 @@ def test_semidirect_round_trip_associative():
     # an (l, r, vmul, beta) tuple certifies as an action iff the semidirect
     # tensor is Hom-associative; checked on the seed plus a perturbed negative
     kx2 = truncated_polynomial_algebra(2)
-    act = direct_sum_bimodule(kx2, 2)
+    act = direct_sum(kx2, 2, AssocAction)
     assert certify_rep(act).ok
     sd = AlgebraInstance(
         "sd", 6, {"mul": semidirect_tensor(act)},
@@ -120,7 +139,7 @@ def test_semidirect_round_trip_associative():
 
 def test_semidirect_round_trip_lie():
     sol2 = solvable_lie_2dim()
-    act = regular_lie_action(sol2)
+    act = regular(sol2, LieAction)
     sd = AlgebraInstance(
         "sdl", 4, {"bracket": semidirect_tensor(act)},
         {"alpha": act.base.alpha.direct_sum(act.beta)},
@@ -138,7 +157,7 @@ def test_semidirect_round_trip_lie():
 
 def test_semidirect_round_trip_jordan():
     j2 = rank1_jordan()
-    act = regular_jordan_action(j2)
+    act = regular(j2, JordanAction)
     sd = AlgebraInstance(
         "sdj", 4, {"circ": semidirect_tensor(act)},
         {"alpha": act.base.alpha.direct_sum(act.beta)},
@@ -168,7 +187,7 @@ def test_functoriality_regular_bimodule_over_catalog(seed_catalog):
     for entry in seed_catalog.values():
         if entry.kind != "algebra" or entry.value.variety is not VarietyTag.HOM_ASSOCIATIVE:
             continue
-        assert certify_rep(regular_bimodule(entry.value)).ok, entry.id
+        assert certify_rep(regular(entry.value, AssocBimodule)).ok, entry.id
 
 
 def test_plus_minus_carriers():
@@ -216,7 +235,7 @@ def test_jordan_action_fourth_condition_beta_variant_passes_on_twisted_data():
 
 def test_derived_jordan_action_certifies_for_untwisted_base():
     ut2 = upper_triangular_2x2()
-    rep = jordan_action_from_action(regular_action(ut2))
+    rep = symmetrized(regular(ut2, AssocAction))
     assert certify_rep(rep).ok
     assert rep.base.name == "ut2-plus"
 
