@@ -181,6 +181,16 @@ def _algebra_targets(args, source: SourceFile):
 
 
 def cmd_check(args, source: SourceFile) -> int:
+    if args.variety or not args.operator:
+        # only the --operator branch reads them (--variety is taken before it);
+        # anywhere else they would be ignored without a trace
+        stray = [flag for flag, v in (("--kind", args.kind), ("--weight", args.weight))
+                 if v is not None]
+        if stray:
+            verb = "applies" if len(stray) == 1 else "apply"
+            detail = f"{' and '.join(stray)} {verb} to an --operator check only"
+            print(json.dumps({"error": "semantic", "detail": detail}), file=sys.stderr)
+            return EXIT_SEMANTIC
     emitter = _Emitter(args.summary)
     try:
         if args.variety:
@@ -201,14 +211,15 @@ def cmd_check(args, source: SourceFile) -> int:
             d = source.get(args.operator)
             if d.kind != "operator":
                 raise SemanticError(f"{args.operator!r} is not an operator")
-            if args.weight is not None and args.kind != "o-operator":
+            kind = args.kind or "rel-avg"
+            if args.weight is not None and kind != "o-operator":
                 raise SemanticError("--weight applies to --kind o-operator only")
             try:
                 weight = None if args.weight is None else Fraction(args.weight)
             except (ValueError, ZeroDivisionError):
                 raise SemanticError(f"--weight expects a rational P/Q, got {args.weight!r}")
-            report, ms = _timed(lambda: certify_operator(d.value, args.kind, weight=weight))
-            check = f"operator:{args.kind}"
+            report, ms = _timed(lambda: certify_operator(d.value, kind, weight=weight))
+            check = f"operator:{kind}"
             if weight is not None:
                 check += f":{weight}"
             emitter.emit(d.name, check, report, ms)
@@ -391,7 +402,8 @@ def main(argv=None) -> int:
     p_check.add_argument("--target", help="declaration to check (default: all applicable)")
     p_check.add_argument("--variety", help="variety tag to certify")
     p_check.add_argument("--operator", help="operator declaration to certify")
-    p_check.add_argument("--kind", choices=OPERATOR_KINDS, default="rel-avg")
+    p_check.add_argument("--kind", choices=OPERATOR_KINDS,
+                         help="operator kind for --operator (default: rel-avg)")
     p_check.add_argument("--weight", help="weight P/Q for the o-operator kind")
     p_check.add_argument("--rep", help="representation declaration to certify")
     p_check.add_argument("--crossed-module", help="d=OPERATORNAME")

@@ -474,19 +474,21 @@ class StructureTensor:
         """Compose the output with phi: (x, y) -> phi(x * y)."""
         if phi.src_dim != self.out_dim:
             raise ShapeError("map domain differs from tensor output")
-        coeffs = [
-            [
-                [
-                    sum(phi._n[k][m] * self._n[i][j][m] for m in range(self.out_dim))
-                    for k in range(phi.dst_dim)
-                ]
-                for j in range(self.right_dim)
-            ]
-            for i in range(self.left_dim)
-        ]
-        return StructureTensor._make(
-            coeffs, self._d * phi._d, self.left_dim, self.right_dim, phi.dst_dim
-        )
+        od = phi.dst_dim
+        # the nonzero entries (k, phi[k][m]) of column m of phi
+        cols = [[(k, row[m]) for k, row in enumerate(phi._n) if row[m]]
+                for m in range(self.out_dim)]
+
+        def image(row):
+            out = [0] * od
+            for m, x in enumerate(row):
+                if x:
+                    for k, y in cols[m]:
+                        out[k] += y * x
+            return out
+
+        coeffs = [[image(row) for row in plane] for plane in self._n]
+        return StructureTensor._make(coeffs, self._d * phi._d, self.left_dim, self.right_dim, od)
 
     def pull(self, K: LinearMap) -> "StructureTensor":
         """Precompose the left argument with K: (x, y) -> K(x) * y, in lowest

@@ -20,7 +20,7 @@ from math import lcm
 
 from .constructions import differential_dialgebra
 from .engine import CheckReport, Interpretation, SemanticError
-from .exact import LinearMap, StructureTensor, Vector
+from .exact import LinearMap, StructureTensor, Vector, _reduce
 from .operators import OperatorCandidate, admissible, certify_operator
 from .reps import (
     AssocAction,
@@ -612,7 +612,6 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     den = lcm(*(v.denominator for v in vals))
     nums = [v.numerator * (den // v.denominator) for v in vals]
     domains = [[0] if e in fixed else nums for e in range(size)]
-    value_of = {0: Fraction(0)} | dict(zip(nums, vals))
 
     clauses = endomorphism_clauses(a)
     reads = [{u for _, u, _ in c} | {v for _, _, v in c if v < size} for c in clauses]
@@ -653,7 +652,8 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     visit(0)
     found = []
     for entries in sorted(leaves):
-        phi = LinearMap([[value_of[entries[r * n + c]] for c in range(n)] for r in range(n)])
+        flat, d = _reduce(entries, den)  # the _n and _d that LinearMap(rows) keeps
+        phi = LinearMap._make([flat[r * n:(r + 1) * n] for r in range(n)], d, n, n)
         if is_morphism(phi, a, a).ok:
             found.append(phi)
     return found

@@ -42,7 +42,7 @@ from .engine import (
     var,
     ZERO,
 )
-from .exact import LinearMap, ShapeError, StructureTensor
+from .exact import LinearMap, ShapeError, StructureTensor, Vector
 
 
 class VarietyTag(str, Enum):
@@ -409,7 +409,19 @@ def certify_multiplicative(a: AlgebraInstance) -> CheckReport:
 
 
 def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> CheckReport:
-    """Pass iff f intertwines the twists and every product pairwise."""
+    """Pass iff f intertwines the twists and every product pairwise.
+
+    The twist check compares f.alpha with alpha'.f.  Then, per product
+    symbol in sorted order and per left index i, both sides of
+    f(e_i e_j) = f(e_i) f(e_j) are built for every j at once on integer
+    numerators, one flat list each: f(e_i e_j) over f._d * ts._d from the
+    nonzero columns of f, and f(e_i) f(e_j) over f._d**2 * td._d from the
+    nonzero entries of td and of f.  The two lists are compared once,
+    cross-scaled; only a mismatch locates its first j and builds the witness
+    sides as `Vector`s over those same denominators.  A map that fails stops
+    after the block of its first failing i, and the counters are those of a
+    pair-by-pair loop that stops at the first witness.
+    """
     if f.src_dim != src.dim or f.dst_dim != dst.dim:
         raise ShapeError("morphism candidate has wrong dimensions")
     if set(src.products) != set(dst.products):
@@ -435,33 +447,54 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
             ),
             detail="f . alpha != alpha' . f",
         )
-    count = prefixes = 0
-    for sym in sorted(src.products):
+    n, m, fd = src.dim, dst.dim, f._d
+    # the nonzero entries (k, f[k][c]) of column c of f, and those of row q
+    # of f keyed by the flat offset j * m of their column
+    cols = [[(k, row[c]) for k, row in enumerate(f._n) if row[c]] for c in range(n)]
+    rows = [[(j * m, x) for j, x in enumerate(row) if x] for row in f._n]
+    syms = sorted(src.products)
+    for s, sym in enumerate(syms):
         ts, td = src.products[sym], dst.products[sym]
-        for i in range(src.dim):
-            prefixes += 1
-            fi = f.column(i)
-            for j in range(src.dim):
-                count += 1
-                lhs = f.apply(ts.row(i, j))
-                rhs = td.apply(fi, f.column(j))
-                if lhs != rhs:
-                    return CheckReport(
-                        "fail",
-                        check_id,
-                        witness=Witness(
-                            identity=f"morphism:{sym}",
-                            variables=(("x", "A"), ("y", "A")),
-                            indices=(i, j),
-                            lhs_value=lhs,
-                            rhs_value=rhs,
-                        ),
-                        tuples_checked=count,
-                        tuples_evaluated=count,
-                        prefixes_visited=prefixes,
-                    )
+        # the nonzero entries t = td[p][q][k] with row q of f nonzero, by p
+        terms = [[(rows[q], k, t) for q, row in enumerate(plane) if rows[q]
+                  for k, t in enumerate(row) if t] for plane in td._n]
+        sl, sr = fd * td._d, ts._d  # lhs / (fd ts._d) == rhs / (fd^2 td._d)
+        for i, plane in enumerate(ts._n):
+            lhs = [0] * (n * m)  # f(e_i e_j)[k] at j * m + k
+            at = 0
+            for row in plane:
+                for c, x in enumerate(row):
+                    if x:
+                        for k, y in cols[c]:
+                            lhs[at + k] += x * y
+                at += m
+            rhs = [0] * (n * m)  # (f(e_i) f(e_j))[k], same layout
+            for p, x in cols[i]:
+                for rq, k, t in terms[p]:
+                    xt = x * t
+                    for aj, y in rq:
+                        rhs[aj + k] += xt * y
+            a, b = (lhs, rhs) if sl == sr else ([x * sl for x in lhs], [y * sr for y in rhs])
+            if a != b:
+                j = next(e for e, (x, y) in enumerate(zip(a, b)) if x != y) // m
+                count = s * n * n + i * n + j + 1
+                return CheckReport(
+                    "fail",
+                    check_id,
+                    witness=Witness(
+                        identity=f"morphism:{sym}",
+                        variables=(("x", "A"), ("y", "A")),
+                        indices=(i, j),
+                        lhs_value=Vector._make(lhs[j * m:(j + 1) * m], fd * ts._d),
+                        rhs_value=Vector._make(rhs[j * m:(j + 1) * m], fd * fd * td._d),
+                    ),
+                    tuples_checked=count,
+                    tuples_evaluated=count,
+                    prefixes_visited=s * n + i + 1,
+                )
+    count = len(syms) * n * n
     return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count,
-                       prefixes_visited=prefixes)
+                       prefixes_visited=len(syms) * n)
 
 
 def endomorphism_clauses(a: AlgebraInstance):

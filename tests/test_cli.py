@@ -348,6 +348,28 @@ def test_a_weight_with_a_kind_that_ignores_it_is_one_error_record(capsys, kind):
                                   "detail": "--weight applies to --kind o-operator only"}]
 
 
+@pytest.mark.parametrize("flags, detail", [
+    (["--rep", "kx2_reg", "--weight", "3"], "--weight applies"),
+    (["--rep", "kx2_reg", "--kind", "nijenhuis"], "--kind applies"),
+    (["--rep", "kx2_reg", "--kind", "rel-avg"], "--kind applies"),
+    (["--variety", "hom-associative", "--kind", "o-operator", "--weight", "-1/2"],
+     "--kind and --weight apply"),
+    (["--multiplicative", "--weight", "1"], "--weight applies"),
+    (["--variety", "hom-associative", "--operator", "kx2_act_id", "--kind", "nijenhuis"],
+     "--kind applies"),
+])
+def test_operator_flags_outside_an_operator_check_exit_three(tmp_path, flags, detail):
+    # an explicit --kind, even the default one, or a --weight that no check reads
+    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "homalg", "check", str(DATA / "kx2.halg"),
+                           *flags], cwd=tmp_path, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": "semantic",
+                                "detail": f"{detail} to an --operator check only"}
+
+
 def test_report_is_deterministic(capsys):
     _, first, _ = run(capsys, "report", str(DATA / "jordan.halg"))
     _, second, _ = run(capsys, "report", str(DATA / "jordan.halg"))

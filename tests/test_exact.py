@@ -243,6 +243,30 @@ def test_pull_matches_apply_on_the_map_columns():
     assert StructureTensor.zero(2).pull(LinearMap.zero(2))._d == 1
 
 
+def test_push_matches_the_fraction_sum():
+    rng = random.Random(13)
+    entries = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+    # (left, right, out) of t and the codomain of phi: square and non-square maps
+    for ld, rd, od, k in [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (2, 3, 3, 1), (3, 2, 2, 4),
+                          (2, 2, 4, 3), (1, 3, 2, 5)]:
+        for _ in range(15):
+            t = _sparse_tensor(rng, ld, rd, od)
+            phi = LinearMap([[rng.choice(entries) for _ in range(od)] for _ in range(k)])
+            got = t.push(phi)
+            c, p = t.coeffs, phi.matrix
+            assert got.coeffs == tuple(
+                tuple(tuple(sum((p[r][m] * c[i][j][m] for m in range(od)), Fraction(0))
+                            for r in range(k)) for j in range(rd)) for i in range(ld))
+            # numerators over t._d * phi._d, not brought to lowest terms
+            assert got._d == t._d * phi._d
+            assert got._n == tuple(
+                tuple(tuple(sum(phi._n[r][m] * t._n[i][j][m] for m in range(od))
+                            for r in range(k)) for j in range(rd)) for i in range(ld))
+            assert (got.left_dim, got.right_dim, got.out_dim) == (ld, rd, k)
+    with pytest.raises(ShapeError):
+        _sparse_tensor(rng, 2, 2, 3).push(LinearMap.zero(2, 2))
+
+
 def test_place_matches_per_index_copying():
     rng = random.Random(7)
     for n, m in [(1, 1), (2, 2), (2, 3), (3, 2), (1, 4), (4, 1)]:

@@ -100,6 +100,13 @@ def flat_endomorphisms(a, grid, mode="full"):
     return [f for f in maps if is_morphism(f, a, a).ok]
 
 
+def assert_lowest_terms(found):
+    """Each map keeps the numerators and denominator that LinearMap(rows) keeps."""
+    for f in found:
+        want = LinearMap(f.matrix)
+        assert (f._n, f._d) == (want._n, want._d), f.matrix
+
+
 def test_find_endomorphisms_matches_flat_scan(seed_catalog):
     grid = GridSpec(numerators=(0, 1))
     algebras = [e.value for e in seed_catalog.values() if e.kind == "algebra"]
@@ -114,7 +121,9 @@ def test_find_endomorphisms_matches_flat_scan_on_fractional_grid(seed_catalog):
         grid = GridSpec(numerators=numerators, denominators=(1, 2))
         for name in ("kx2", "sol2t2", "tri23"):
             a = seed_catalog[name].value
-            assert find_endomorphisms(a, grid) == flat_endomorphisms(a, grid), name
+            found = find_endomorphisms(a, grid)
+            assert found == flat_endomorphisms(a, grid), name
+            assert_lowest_terms(found)
     found = find_endomorphisms(seed_catalog["sol2t2"].value, grid)
     assert LinearMap([[Fraction(1, 2), 0], [0, 0]]) in found
     assert LinearMap([[1, 0], [0, Fraction(-1, 2)]]) in found
@@ -126,6 +135,7 @@ def test_find_endomorphisms_diagonal_matches_flat_scan(seed_catalog):
                  GridSpec(numerators=(-2, -1, 1, 3), denominators=(1, 2))):
         found = find_endomorphisms(tri, grid, mode="diagonal")
         assert found == flat_endomorphisms(tri, grid, mode="diagonal")
+        assert_lowest_terms(found)
 
 
 @pytest.mark.parametrize("name", ["kx3", "heis3"])

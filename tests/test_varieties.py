@@ -1,6 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from homalg.engine import SemanticError, check_schema
+from homalg.engine import CheckReport, SemanticError, Witness, check_schema
 from homalg.exact import LinearMap, StructureTensor, Vector
 from homalg.forge import (
     diagonal_dialgebra,
@@ -188,3 +191,84 @@ def test_all_tags_have_disjoint_witnessable_schemas():
     assert "antisymmetry" in lie_names and "jacobi" in lie_names
     jordan_names = [s.name for s in schemas_for(V.HOM_JORDAN)]
     assert "commutativity" in jordan_names and "jordan" in jordan_names
+
+
+def reference_is_morphism(f, src, dst):
+    """`is_morphism` as a pair-by-pair loop over `Vector`s, kept as the
+    reference for its integer-numerator kernel."""
+    f_alpha, alpha_f = f.compose(src.alpha), dst.alpha.compose(f)
+    if f_alpha != alpha_f:
+        for j in range(src.dim):
+            lhs, rhs = f_alpha.column(j), alpha_f.column(j)
+            if lhs != rhs:
+                break
+        return CheckReport("fail", "morphism", witness=Witness(
+            "twist-intertwine", (("x", "A"),), (j,), lhs, rhs),
+            detail="f . alpha != alpha' . f")
+    count = prefixes = 0
+    for sym in sorted(src.products):
+        ts, td = src.products[sym], dst.products[sym]
+        for i in range(src.dim):
+            prefixes += 1
+            fi = f.column(i)
+            for j in range(src.dim):
+                count += 1
+                lhs = f.apply(ts.row(i, j))
+                rhs = td.apply(fi, f.column(j))
+                if lhs != rhs:
+                    return CheckReport("fail", "morphism", witness=Witness(
+                        f"morphism:{sym}", (("x", "A"), ("y", "A")), (i, j), lhs, rhs),
+                        tuples_checked=count, tuples_evaluated=count,
+                        prefixes_visited=prefixes)
+    return CheckReport("pass", "morphism", tuples_checked=count, tuples_evaluated=count,
+                       prefixes_visited=prefixes)
+
+
+def morphism_record(report):
+    """Everything a morphism report states, sides as their exact _n and _d."""
+    w = report.witness
+    witness = w and (w.identity, w.variables, w.indices,
+                     w.lhs_value._n, w.lhs_value._d, w.rhs_value._n, w.rhs_value._d)
+    return (report.status, report.check, report.detail, witness, report.tuples_checked,
+            report.tuples_evaluated, report.prefixes_visited)
+
+
+def random_map(rng, src_dim, dst_dim, den):
+    return LinearMap([[Fraction(rng.choice((-2, -1, 0, 0, 1, 2)), den) for _ in range(src_dim)]
+                      for _ in range(dst_dim)])
+
+
+def untwisted(a):
+    """a with its twist replaced by the identity, so every map reaches the product check."""
+    return AlgebraInstance(f"{a.name}-untwisted", a.dim, a.products,
+                           {"alpha": LinearMap.identity(a.dim)})
+
+
+def test_is_morphism_matches_the_vector_loop(seed_catalog):
+    rng = random.Random(17)
+    algebras = [e.value for e in seed_catalog.values() if e.kind == "algebra"]
+    cases = []
+    for a in algebras:
+        n = a.dim
+        fixed = [LinearMap.identity(n), LinearMap.zero(n), *a.maps.values()]
+        cases += [(f, a, a) for f in fixed]
+        for b in (a, untwisted(a)):
+            cases += [(random_map(rng, n, n, den), b, b) for den in (1, 2) for _ in range(10)]
+    # same product symbols, different dimensions (m != n), both ways round
+    for small, big in (("kx2", "kx3"), ("zero2", "zero3"), ("ab2", "heis3"), ("kx2", "ut2")):
+        for src, dst in ((small, big), (big, small)):
+            a, b = seed_catalog[src].value, seed_catalog[dst].value
+            cases += [(random_map(rng, a.dim, b.dim, den), a, b)
+                      for den in (1, 2) for _ in range(10)]
+            cases.append((LinearMap.zero(a.dim, b.dim), a, b))
+    # kx2 -> kx3, 1 -> 1, x -> x^2; kx3 -> kx2, 1 -> 1, x -> x, x^2 -> 0
+    kx2, kx3 = seed_catalog["kx2"].value, seed_catalog["kx3"].value
+    into, onto = LinearMap([[1, 0], [0, 0], [0, 1]]), LinearMap([[1, 0, 0], [0, 1, 0]])
+    assert is_morphism(into, kx2, kx3).ok and is_morphism(onto, kx3, kx2).ok
+    cases += [(into, kx2, kx3), (onto, kx3, kx2)]
+    statuses = set()
+    for f, src, dst in cases:
+        got, want = is_morphism(f, src, dst), reference_is_morphism(f, src, dst)
+        assert morphism_record(got) == morphism_record(want), (src.name, dst.name, f.matrix)
+        statuses.add((got.status, got.witness and got.witness.identity.split(":")[0]))
+    assert statuses == {("pass", None), ("fail", "twist-intertwine"), ("fail", "morphism")}
