@@ -180,17 +180,35 @@ def _algebra_targets(args, source: SourceFile):
     return [d]
 
 
-def cmd_check(args, source: SourceFile) -> int:
-    if args.variety or not args.operator:
-        # only the --operator branch reads them (--variety is taken before it);
-        # anywhere else they would be ignored without a trace
+def _flag_error(args):
+    """Why the flags of a check cannot run as given, or None.
+
+    Each check reads only its own flags, and the branch chain of cmd_check
+    runs the first check flag given: anything else would be ignored without
+    a trace.
+    """
+    if args.variety or not args.operator:  # only the --operator branch reads them
         stray = [flag for flag, v in (("--kind", args.kind), ("--weight", args.weight))
                  if v is not None]
         if stray:
             verb = "applies" if len(stray) == 1 else "apply"
-            detail = f"{' and '.join(stray)} {verb} to an --operator check only"
-            print(json.dumps({"error": "semantic", "detail": detail}), file=sys.stderr)
-            return EXIT_SEMANTIC
+            return f"{' and '.join(stray)} {verb} to an --operator check only"
+    given = [flag for flag, v in (("--variety", args.variety), ("--operator", args.operator),
+                                  ("--rep", args.rep), ("--crossed-module", args.crossed_module),
+                                  ("--multiplicative", args.multiplicative))
+             if v not in (None, False)]
+    if len(given) > 1:
+        return f"{' and '.join(given)} are separate checks; give one per run"
+    if args.cross_check and args.variety is None:
+        return "--cross-check applies to a --variety check only"
+    return None
+
+
+def cmd_check(args, source: SourceFile) -> int:
+    detail = _flag_error(args)
+    if detail:
+        print(json.dumps({"error": "semantic", "detail": detail}), file=sys.stderr)
+        return EXIT_SEMANTIC
     emitter = _Emitter(args.summary)
     try:
         if args.variety:

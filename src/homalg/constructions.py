@@ -215,53 +215,96 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
 
     Membership of x + u in the graph is the exact criterion x = K(u); closure
     is checked on pairs of graph generators, which suffices by bilinearity.
+
+    The check runs on integer numerators.  The generators g_j = K(u_j) + u_j
+    are the columns of G = [K; K._d I] over K._d, and x + u lies in the graph
+    iff K._d x = K u.  Each block takes one linear map L on A + V, the twist
+    or a product t with its left argument fixed at g_i, and builds the
+    images L g_j for every j at once, one flat list, from the nonzero
+    entries of G and of L's planes: the twist's columns, or the planes t[p]
+    weighted by the entries g_i[p], each plane's entries taken once per
+    check.  The images are then tested j by j, and the first one that leaves
+    the graph gives the witness: its A-part and K of its V-part, as
+    `Vector`s over the denominators of `twist.apply(g_j)` or
+    `t.apply(g_i, g_j)` and of `K.apply`.  A map that fails stops after the
+    block of its first failing i, and the counters are those of a
+    pair-by-pair loop that stops at the first witness.
     """
     rep = candidate.rep
     K = candidate.map
     if ambient is None:
         ambient = hemisemi(rep, what, check=False)
     n, m = rep.base.dim, rep.v_dim
+    size = n + m
     check_id = f"graph:{what.value}"
+    kn, kd = K._n, K._d
+    # the nonzero entries of G: (p, G[p][i]) of column i, and those of row q
+    # keyed by the flat offset j * size of their column; (r, K[r][s]) of
+    # column s of K
+    cols = [[(p, row[i]) for p, row in enumerate(kn) if row[i]] + [(n + i, kd)] for i in range(m)]
+    grows = [[(j * size, x) for j, x in enumerate(row) if x] for row in kn]
+    grows += [[(s * size, kd)] for s in range(m)]
+    kcols = [[(r, row[s]) for r, row in enumerate(kn) if row[s]] for s in range(m)]
 
-    def graph_gen(i):
-        nums = [0] * (n + m)
-        col = K.column(i)
-        for t in range(n):
-            nums[t] = col._n[t]
-        nums[n + i] = col._d
-        return Vector._make(nums, col._d)
+    def terms(plane):
+        """(row q of G, r, c) for the nonzero entries c = plane[q][r]."""
+        return [(gq, r, c) for gq, row in zip(grows, plane) if gq and any(row)
+                for r, c in enumerate(row) if c]
 
-    def parts(w):
-        """(A-part, K(V-part)); w lies in the graph iff they agree."""
-        return Vector._make(w._n[:n], w._d), K.apply(Vector._make(w._n[n:], w._d))
+    def leaves(block):
+        """The images L g_j, one flat list with entry r of L g_j at
+        j * size + r, and the first j whose image leaves the graph, or None;
+        L is the sum of x * plane over (x, terms of plane) in block."""
+        w = [0] * (m * size)
+        for x, ts in block:
+            for gq, r, c in ts:
+                xc = x * c
+                for at, y in gq:
+                    w[at + r] += xc * y
+        for j, at in enumerate(range(0, m * size, size)):
+            d = [kd * x for x in w[at:at + n]]  # K._d x - K u for x + u = L g_j
+            for s, u in enumerate(w[at + n:at + size]):
+                if u:
+                    for r, k in kcols[s]:
+                        d[r] -= k * u
+            if any(d):
+                return w, j
+        return w, None
 
-    gens = [graph_gen(i) for i in range(m)]
+    def sides(w, j, den):
+        """The A-part of image j in w and K of its V-part, w over den."""
+        w = w[j * size:(j + 1) * size]
+        return Vector._make(w[:n], den), K.apply(Vector._make(w[n:], den))
+
     twist = ambient.alpha
-    for i, g in enumerate(gens):
-        a_part, k_part = parts(twist.apply(g))
-        if a_part != k_part:
-            return CheckReport(
-                "fail", check_id,
-                witness=Witness("twist-closure", (("u", "V"),), (i,), a_part, k_part),
-                detail="twist image leaves the graph",
-            )
-    count = prefixes = 0
-    for sym in sorted(ambient.products):
+    w, j = leaves([(1, terms(zip(*twist._n)))])
+    if j is not None:
+        return CheckReport(
+            "fail", check_id,
+            witness=Witness("twist-closure", (("u", "V"),), (j,), *sides(w, j, twist._d * kd)),
+            detail="twist image leaves the graph",
+        )
+    syms = sorted(ambient.products)
+    for s, sym in enumerate(syms):
         t = ambient.products[sym]
-        for i, gi in enumerate(gens):
-            prefixes += 1
-            for j, gj in enumerate(gens):
-                count += 1
-                a_part, k_part = parts(t.apply(gi, gj))
-                if a_part != k_part:
-                    return CheckReport(
-                        "fail", check_id,
-                        witness=Witness(f"graph:{sym}", (("u", "V"), ("v", "V")),
-                                        (i, j), a_part, k_part),
-                        tuples_checked=count, tuples_evaluated=count, prefixes_visited=prefixes,
-                    )
+        planes = {}
+        for i, col in enumerate(cols):
+            for p, _ in col:
+                if p not in planes:
+                    planes[p] = terms(t._n[p])
+            w, j = leaves([(x, planes[p]) for p, x in col])
+            if j is not None:
+                count = s * m * m + i * m + j + 1
+                return CheckReport(
+                    "fail", check_id,
+                    witness=Witness(f"graph:{sym}", (("u", "V"), ("v", "V")), (i, j),
+                                    *sides(w, j, kd * kd * t._d)),
+                    tuples_checked=count, tuples_evaluated=count,
+                    prefixes_visited=s * m + i + 1,
+                )
+    count = len(syms) * m * m
     return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count,
-                       prefixes_visited=prefixes)
+                       prefixes_visited=len(syms) * m)
 
 
 # ---------------------------------------------------------------------------

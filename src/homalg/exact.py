@@ -10,7 +10,11 @@ keeps that of its powers in `_powers`), and take weak references, which the
 engine's verdict memo keys on.  Constructions assemble tensors on the
 numerators too: `StructureTensor.place` puts blocks side by side and
 `StructureTensor.pull` precomposes the left argument with a map, both in
-lowest terms.
+lowest terms.  The commuting-square kernel `square_gap` decides f.g == h.k
+on numerator rows, cross-scaled by the denominators, and names the first
+column at which the two sides differ, without building a LinearMap or a
+Fraction: operator admissibility, the operator sampler's draws and the
+morphism twist check are decided with it.
 """
 
 from __future__ import annotations
@@ -222,15 +226,7 @@ class LinearMap:
         """
         if self.src_dim != other.dst_dim:
             raise ShapeError("inner dimensions disagree")
-        rows = []
-        for srow in self._n:
-            out = [0] * other.src_dim
-            for a, orow in zip(srow, other._n):
-                if a:
-                    for j, b in enumerate(orow):
-                        if b:
-                            out[j] += a * b
-            rows.append(out)
+        rows = _product(self._n, other._n, other.src_dim)
         return LinearMap._make(rows, self._d * other._d, other.src_dim, self.dst_dim)
 
     def power(self, k: int) -> "LinearMap":
@@ -530,6 +526,47 @@ class StructureTensor:
 
     def __repr__(self):
         return f"StructureTensor({self.left_dim},{self.right_dim},{self.out_dim})"
+
+
+def _product(fn, gn, width, s=1):
+    """The numerator rows of s * fn gn, a matrix product of numerator rows with
+    `width` columns: row i sums the rows of gn weighted by the nonzero
+    entries of row i of fn, so zero entries of either factor cost nothing."""
+    rows = []
+    for frow in fn:
+        out = [0] * width
+        for a, grow in zip(frow, gn):
+            if a:
+                a *= s
+                for j, b in enumerate(grow):
+                    if b:
+                        out[j] += a * b
+        rows.append(out)
+    return rows
+
+
+def square_gap(fn, gn, hn, kn, sl, sr):
+    """The first column j at which sl * fn gn and sr * hn kn differ, or None.
+
+    The arguments are numerator rows (tuples or lists of ints) of conforming
+    shapes, and the two products must have the same shape.  With the
+    denominators as cross-scales this decides the commuting square
+    f.g == h.k of LinearMaps exactly:
+
+        square_gap(f._n, g._n, h._n, k._n, h._d * k._d, f._d * g._d)
+
+    is None iff f.compose(g) == h.compose(k), and otherwise the first column
+    at which f.compose(g).column(j) != h.compose(k).column(j).  Common factors
+    of the two scales may be cancelled first.  No LinearMap and no Fraction is
+    built.
+    """
+    width = len(gn[0]) if gn else len(kn[0]) if kn else 0
+    a, b = _product(fn, gn, width, sl), _product(hn, kn, width, sr)
+    if a != b:
+        for j, (ca, cb) in enumerate(zip(zip(*a), zip(*b))):
+            if ca != cb:
+                return j
+    return None
 
 
 def apply_bilinear(t: StructureTensor, x: Vector, y: Vector) -> Vector:

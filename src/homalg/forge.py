@@ -20,8 +20,8 @@ from math import lcm
 
 from .constructions import differential_dialgebra
 from .engine import CheckReport, Interpretation, SemanticError
-from .exact import LinearMap, StructureTensor, Vector, _reduce
-from .operators import OperatorCandidate, admissible, certify_operator
+from .exact import LinearMap, StructureTensor, Vector, _reduce, square_gap
+from .operators import OperatorCandidate, certify_operator
 from .reps import (
     AssocAction,
     AssocBimodule,
@@ -536,6 +536,8 @@ class GridSpec:
     count: int = 100
 
     def values(self):
+        if 0 in self.denominators:
+            raise GenerationError(f"grid denominators {self.denominators} include 0")
         vals = sorted({Fraction(n, d) for n in self.numerators for d in self.denominators})
         return vals
 
@@ -546,6 +548,13 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
     When the whole grid is no larger than `count` it is enumerated in
     lexicographic order, so small grids are covered exhaustively; otherwise
     seeded draws are filtered for admissibility with a hard resample cap.
+
+    Entries are drawn as integer numerators over the grid's common
+    denominator, one per grid value in the same order, so the seeded draws
+    are those of `rng.choice` over the values.  Admissibility K.beta =
+    alpha.K is decided on those integers by `square_gap` (K's denominator
+    cancels), and only an accepted map is built, in lowest terms as
+    `LinearMap(rows)` keeps it.
     """
     if check:
         report = certify_rep(rep)
@@ -553,18 +562,25 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
             raise CertificationError("sample_operator_candidates: rep fails certification",
                                      report)
     vals = grid.values()
+    den = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]
     n, m = rep.base.dim, rep.v_dim
     alpha, beta = rep.base.alpha, rep.beta
+    an, ad, bn, bd = alpha._n, alpha._d, beta._n, beta._d
     entries = n * m
 
+    def accept(rows):
+        if square_gap(rows, bn, an, rows, ad, bd) is None:
+            flat, d = _reduce([x for row in rows for x in row], den)
+            out.append(OperatorCandidate(
+                rep, LinearMap._make([flat[i * m:(i + 1) * m] for i in range(n)], d, m, n)))
+
     out = []
-    total = len(vals) ** entries if vals else 0
+    total = len(nums) ** entries if nums else 0
     if total <= grid.count:
-        for combo in itertools.product(vals, repeat=entries):
-            mat = LinearMap([list(combo[i * m:(i + 1) * m]) for i in range(n)])
-            if admissible(mat, alpha, beta):
-                out.append(OperatorCandidate(rep, mat))
-        return out[: grid.count]
+        for combo in itertools.product(nums, repeat=entries):
+            accept([combo[i * m:(i + 1) * m] for i in range(n)])
+        return out
     rng = random.Random(grid.seed)
     attempts = 0
     cap = max(grid.count * 200, 1000)
@@ -574,9 +590,7 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
             raise GenerationError(
                 f"could not find {grid.count} admissible candidates in {cap} draws"
             )
-        mat = LinearMap([[rng.choice(vals) for _ in range(m)] for _ in range(n)])
-        if admissible(mat, alpha, beta):
-            out.append(OperatorCandidate(rep, mat))
+        accept([[rng.choice(nums) for _ in range(m)] for _ in range(n)])
     return out
 
 

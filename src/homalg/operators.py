@@ -28,7 +28,7 @@ from .engine import (
     tw,
     var,
 )
-from .exact import LinearMap, ShapeError
+from .exact import LinearMap, ShapeError, square_gap
 from .reps import AssocAction, AssocBimodule, CertificationError
 from .varieties import AlgebraInstance
 
@@ -74,8 +74,15 @@ class OperatorCandidate:
 
 
 def admissible(k: LinearMap, alpha: LinearMap, beta: LinearMap) -> bool:
-    """K.beta == alpha.K: K: V -> A intertwines the twists beta of V and alpha of A."""
-    return k.compose(beta) == alpha.compose(k)
+    """K.beta == alpha.K: K: V -> A intertwines the twists beta of V and alpha of A.
+
+    Decided by `square_gap` on the integer numerators: K.beta over
+    K._d * beta._d against alpha.K over alpha._d * K._d, so K's denominator
+    cancels and the cross-scales are alpha._d and beta._d.
+    """
+    if k.src_dim != beta.dst_dim or alpha.src_dim != k.dst_dim:
+        raise ShapeError("inner dimensions disagree")
+    return square_gap(k._n, beta._n, alpha._n, k._n, alpha._d, beta._d) is None
 
 
 # ---------------------------------------------------------------------------

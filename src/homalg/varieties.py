@@ -42,7 +42,7 @@ from .engine import (
     var,
     ZERO,
 )
-from .exact import LinearMap, ShapeError, StructureTensor, Vector
+from .exact import LinearMap, ShapeError, StructureTensor, Vector, square_gap
 
 
 class VarietyTag(str, Enum):
@@ -411,16 +411,20 @@ def certify_multiplicative(a: AlgebraInstance) -> CheckReport:
 def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> CheckReport:
     """Pass iff f intertwines the twists and every product pairwise.
 
-    The twist check compares f.alpha with alpha'.f.  Then, per product
-    symbol in sorted order and per left index i, both sides of
-    f(e_i e_j) = f(e_i) f(e_j) are built for every j at once on integer
-    numerators, one flat list each: f(e_i e_j) over f._d * ts._d from the
-    nonzero columns of f, and f(e_i) f(e_j) over f._d**2 * td._d from the
-    nonzero entries of td and of f.  The two lists are compared once,
-    cross-scaled; only a mismatch locates its first j and builds the witness
-    sides as `Vector`s over those same denominators.  A map that fails stops
-    after the block of its first failing i, and the counters are those of a
-    pair-by-pair loop that stops at the first witness.
+    The twist check compares f.alpha with alpha'.f on the integer numerators
+    with `square_gap`, cross-scaled by the twists' denominators (f's
+    cancels); only a mismatch composes the maps, to build the witness sides
+    at the first differing column j over f._d * alpha._d and
+    alpha'._d * f._d.  Then, per product symbol in sorted order and per left
+    index i, both sides of f(e_i e_j) = f(e_i) f(e_j) are built for every j
+    at once on integer numerators, one flat list each: f(e_i e_j) over
+    f._d * ts._d from the nonzero columns of f, and f(e_i) f(e_j) over
+    f._d**2 * td._d from the nonzero entries of td and of f.  The two lists
+    are compared once, cross-scaled; only a mismatch locates its first j and
+    builds the witness sides as `Vector`s over those same denominators.  A
+    map that fails stops after the block of its first failing i, and the
+    counters are those of a pair-by-pair loop that stops at the first
+    witness.
     """
     if f.src_dim != src.dim or f.dst_dim != dst.dim:
         raise ShapeError("morphism candidate has wrong dimensions")
@@ -429,12 +433,9 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
             f"{src.name!r} and {dst.name!r} expose different product symbols"
         )
     check_id = "morphism"
-    f_alpha, alpha_f = f.compose(src.alpha), dst.alpha.compose(f)
-    if f_alpha != alpha_f:
-        for j in range(src.dim):  # column j of each side: f(alpha e_j), alpha'(f e_j)
-            lhs, rhs = f_alpha.column(j), alpha_f.column(j)
-            if lhs != rhs:
-                break
+    sa, da = src.alpha, dst.alpha
+    j = square_gap(f._n, sa._n, da._n, f._n, da._d, sa._d)
+    if j is not None:  # column j of each side: f(alpha e_j), alpha'(f e_j)
         return CheckReport(
             "fail",
             check_id,
@@ -442,8 +443,8 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
                 identity="twist-intertwine",
                 variables=(("x", "A"),),
                 indices=(j,),
-                lhs_value=lhs,
-                rhs_value=rhs,
+                lhs_value=f.compose(sa).column(j),
+                rhs_value=da.compose(f).column(j),
             ),
             detail="f . alpha != alpha' . f",
         )

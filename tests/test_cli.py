@@ -370,6 +370,29 @@ def test_operator_flags_outside_an_operator_check_exit_three(tmp_path, flags, de
                                 "detail": f"{detail} to an --operator check only"}
 
 
+@pytest.mark.parametrize("flags, detail", [
+    (["--rep", "kx2_reg", "--multiplicative"],
+     "--rep and --multiplicative are separate checks; give one per run"),
+    (["--variety", "hom-associative", "--rep", "kx2_reg"],
+     "--variety and --rep are separate checks; give one per run"),
+    (["--operator", "kx2_act_id", "--crossed-module", "d=kx2_act_id"],
+     "--operator and --crossed-module are separate checks; give one per run"),
+    (["--variety", "hom-associative", "--operator", "kx2_act_id", "--multiplicative"],
+     "--variety and --operator and --multiplicative are separate checks; give one per run"),
+    (["--multiplicative", "--cross-check"], "--cross-check applies to a --variety check only"),
+    (["--rep", "kx2_reg", "--cross-check"], "--cross-check applies to a --variety check only"),
+])
+def test_more_than_one_check_flag_exits_three(tmp_path, flags, detail):
+    # the branch chain used to run the first check flag and ignore the rest
+    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "homalg", "check", str(DATA / "kx2.halg"),
+                           *flags], cwd=tmp_path, capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": "semantic", "detail": detail}
+
+
 def test_report_is_deterministic(capsys):
     _, first, _ = run(capsys, "report", str(DATA / "jordan.halg"))
     _, second, _ = run(capsys, "report", str(DATA / "jordan.halg"))

@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from homalg.constructions import (
@@ -15,20 +18,23 @@ from homalg.constructions import (
     twist_products,
     yau_twist,
 )
+from homalg.engine import CheckReport, Witness
 from homalg.exact import LinearMap, Vector
 from homalg.forge import (
+    GridSpec,
     catalog_entry,
     diagonal_dialgebra,
     kx2_phitwist,
     multiplication_operator,
     perturb_operator,
     projection_operator,
+    sample_operator_candidates,
     truncated_polynomial_algebra,
     two_dim_trialgebra,
     unital_nilpotent_3dim,
     zero_algebra,
 )
-from homalg.operators import OperatorCandidate, certify_operator, nijenhuis_of
+from homalg.operators import OperatorCandidate, certify_operator, hemisemi_id_for, nijenhuis_of
 from homalg.reps import (
     AssocAction,
     AssocBimodule,
@@ -42,7 +48,7 @@ from homalg.reps import (
     symmetrized,
     tensor_square_bimodule,
 )
-from homalg.varieties import VarietyTag, certify
+from homalg.varieties import AlgebraInstance, VarietyTag, certify
 
 C = ConstructionId
 V = VarietyTag
@@ -384,3 +390,89 @@ def test_hemisemi_id_for_each_representation_class(kx2):
     for other in (kx2, OperatorCandidate(regular(kx2, AssocBimodule), LinearMap.identity(2)), None):
         with pytest.raises(SemanticError, match="no hemisemi product"):
             hemisemi_id_for(other)
+
+
+def reference_graph_closure(candidate, what, ambient):
+    """`graph_closure` as a pair-by-pair loop over `Vector`s, kept as the
+    reference for its integer-numerator blocks."""
+    K = candidate.map
+    n, m = candidate.rep.base.dim, candidate.rep.v_dim
+    check_id = f"graph:{what.value}"
+
+    def graph_gen(i):
+        col = K.column(i)
+        return Vector._make(list(col._n) + [col._d if s == i else 0 for s in range(m)], col._d)
+
+    def parts(w):
+        return Vector._make(w._n[:n], w._d), K.apply(Vector._make(w._n[n:], w._d))
+
+    gens = [graph_gen(i) for i in range(m)]
+    for i, g in enumerate(gens):
+        a_part, k_part = parts(ambient.alpha.apply(g))
+        if a_part != k_part:
+            return CheckReport("fail", check_id, witness=Witness(
+                "twist-closure", (("u", "V"),), (i,), a_part, k_part),
+                detail="twist image leaves the graph")
+    count = prefixes = 0
+    for sym in sorted(ambient.products):
+        t = ambient.products[sym]
+        for i, gi in enumerate(gens):
+            prefixes += 1
+            for j, gj in enumerate(gens):
+                count += 1
+                a_part, k_part = parts(t.apply(gi, gj))
+                if a_part != k_part:
+                    return CheckReport("fail", check_id, witness=Witness(
+                        f"graph:{sym}", (("u", "V"), ("v", "V")), (i, j), a_part, k_part),
+                        tuples_checked=count, tuples_evaluated=count, prefixes_visited=prefixes)
+    return CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=count,
+                       prefixes_visited=prefixes)
+
+
+def report_record(report):
+    """Everything a report states, witness sides as their exact _n and _d."""
+    w = report.witness
+    witness = w and (w.identity, w.variables, w.indices,
+                     w.lhs_value._n, w.lhs_value._d, w.rhs_value._n, w.rhs_value._d)
+    return (report.status, report.check, report.detail, witness, report.tuples_checked,
+            report.tuples_evaluated, report.prefixes_visited)
+
+
+# the representations of the operator battery, one per setting and kind
+BATTERY_REPS = ("kx2_reg", "kx2t_reg", "ut2_reg", "sol2t2_adj", "ab2_sum2", "j2_adj",
+                "kx2_jmod", "kx2t_jact", "kx2_sum2", "kx2_act", "ut2_act", "sol2_sum2")
+
+
+def test_graph_closure_matches_the_vector_loop(seed_catalog):
+    cases = []  # (candidate, construction id, its ambient)
+    for entry in seed_catalog.values():
+        if entry.kind == "operator" and not isinstance(entry.value.rep, AlgebraInstance):
+            rep = entry.value.rep
+            for cid, row in HEMISEMI.items():
+                if isinstance(rep, row.takes):
+                    cases.append((entry.value, cid, hemisemi(rep, cid, check=False)))
+    sampled = []
+    for k, rid in enumerate(BATTERY_REPS):
+        rep = seed_catalog[rid].value
+        cid = hemisemi_id_for(rep)
+        ambient = hemisemi(rep, cid, check=False)
+        grid = GridSpec(numerators=(-1, 0, 1, 2), seed=k, count=8)
+        for cand in sample_operator_candidates(rep, grid, check=False):
+            sampled.append((cand, cid, ambient))
+    cases += sampled
+    # single-entry perturbations of a few candidates of each rep, by +-1 and +-1/2
+    for cand, cid, ambient in sampled[::2]:
+        for where in itertools.product(range(cand.map.dst_dim), range(cand.map.src_dim)):
+            for delta in (1, -1, Fraction(1, 2), Fraction(-1, 2)):
+                cases.append((perturb_operator(cand, where, delta), cid, ambient))
+    seen = set()
+    for cand, cid, ambient in cases:
+        got = graph_closure(cand, cid, ambient=ambient)
+        want = reference_graph_closure(cand, cid, ambient)
+        assert report_record(got) == report_record(want), (cid.value, cand.map.matrix)
+        w = got.witness
+        seen.add((got.status, w and w.identity.split(":")[0], w and w.lhs_value._d > 1))
+    # every outcome, and witnesses over denominators above 1
+    assert {s[:2] for s in seen} == {("pass", None), ("fail", "twist-closure"),
+                                     ("fail", "graph")}
+    assert ("fail", "graph", True) in seen and ("fail", "twist-closure", True) in seen

@@ -13,6 +13,7 @@ from homalg.exact import (
     compose,
     map_power,
     scalar_arith,
+    square_gap,
 )
 
 rationals = st.fractions(
@@ -312,3 +313,100 @@ def test_scale_by_an_int_makes_no_fraction(monkeypatch):
     assert calls == []
     assert (scaled._n, scaled._d) == ((((-2, -12),),), 2)
     assert t.scale(Fraction(2, 3)) == StructureTensor([[[Fraction(1, 3), 2]]])
+
+
+def composed_gap(f, g, h, k):
+    """The first column at which f.g and h.k differ, from the composed maps."""
+    fg, hk = compose(f, g), compose(h, k)
+    return next((j for j in range(fg.src_dim) if fg.column(j) != hk.column(j)), None)
+
+
+def kernel_gap(f, g, h, k):
+    gap = square_gap(f._n, g._n, h._n, k._n, h._d * k._d, f._d * g._d)
+    assert (gap is None) == (compose(f, g) == compose(h, k))
+    return gap
+
+
+def _unreduced(f, s):
+    """f with its numerators and denominator multiplied by s: equal, not reduced."""
+    return LinearMap._make([[x * s for x in row] for row in f._n], f._d * s,
+                           f.src_dim, f.dst_dim)
+
+
+def test_square_gap_matches_composed_columns():
+    rng = random.Random(19)
+    values = [0] * 5 + [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+
+    def rand_map(dst, src):
+        return LinearMap([[rng.choice(values) for _ in range(src)] for _ in range(dst)])
+
+    outcomes = set()
+    # f: b <- c, g: c <- a, h: b <- d, k: d <- a; square and non-square
+    for a, b, c, d in [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4),
+                       (2, 3, 1, 4), (3, 1, 2, 2), (1, 4, 3, 1), (4, 2, 5, 3)]:
+        for _ in range(25):
+            f, g, h, k = rand_map(b, c), rand_map(c, a), rand_map(b, d), rand_map(d, a)
+            s = rng.choice((2, 3, 6))
+            eye_a, eye_b = LinearMap.identity(a), LinearMap.identity(b)
+            cases = [
+                (f, g, h, k),
+                # equal squares, over unequal and reducible denominators
+                (f, g, _unreduced(f, s), _unreduced(g, 5)),
+                (f, g, compose(f, g), eye_a),
+                (eye_b, compose(f, g), _unreduced(f, s), g),
+                # zero and identity maps
+                (LinearMap.zero(c, b), g, LinearMap.zero(d, b), k),
+                (f, LinearMap.zero(a, c), h, LinearMap.zero(a, d)),
+                (f, g, LinearMap.zero(d, b), k),
+                (eye_b, compose(f, g), compose(h, k), eye_a),
+            ]
+            # one entry of g in column j bumped: only column j can differ
+            j = rng.randrange(a)
+            bumped = [list(r) for r in g.matrix]
+            bumped[rng.randrange(c)][j] += Fraction(1, s)
+            assert kernel_gap(f, g, f, LinearMap(bumped)) in (j, None)
+            cases.append((f, g, f, LinearMap(bumped)))
+            for case in cases:
+                gap = kernel_gap(*case)
+                assert gap == composed_gap(*case), [m.matrix for m in case]
+                outcomes.add(gap is None)
+    assert outcomes == {True, False}
+    # an inner dimension of 0: f.g is the zero map whatever h.k is
+    f0, g0 = LinearMap.zero(0, 2), LinearMap.zero(3, 0)
+    for h, k in ((LinearMap.zero(2, 2), LinearMap.zero(3, 2)),
+                 (rand_map(2, 2), LinearMap([[0, 0, 1], [0, 0, 2]])),
+                 (rand_map(2, 1), LinearMap.zero(3, 1))):
+        assert kernel_gap(f0, g0, h, k) == composed_gap(f0, g0, h, k)
+        assert kernel_gap(h, k, f0, g0) == composed_gap(h, k, f0, g0)
+    assert kernel_gap(f0, g0, LinearMap.identity(2), LinearMap([[0, 0, 1], [0, 0, 0]])) == 2
+    # the kernel reads numerator rows as lists or tuples alike
+    f, g = rand_map(2, 3), rand_map(3, 2)
+    assert square_gap([list(r) for r in f._n], g._n, f._n, [list(r) for r in g._n], 1, 1) is None
+
+
+small_ints = st.integers(-2, 2)
+
+
+@st.composite
+def numerator_squares(draw):
+    """Four integer matrices f: b x c, g: c x a, h: b x d, k: d x a and four
+    denominators; h and k often copy f and g, so that equal squares occur."""
+    a, b, c, d = (draw(st.integers(1, 3)) for _ in range(4))
+
+    def mat(rows, cols):
+        return draw(st.lists(st.lists(small_ints, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    dens = [draw(st.integers(1, 4)) for _ in range(4)]
+    f, g = mat(b, c), mat(c, a)
+    if draw(st.booleans()):
+        h, k, d = f, g, c
+        dens[2:] = dens[:2]
+    else:
+        h, k = mat(b, d), mat(d, a)
+    return [LinearMap._make(x, den, len(x[0]), len(x)) for x, den in zip((f, g, h, k), dens)]
+
+
+@given(numerator_squares())
+def test_square_gap_property(maps):
+    assert kernel_gap(*maps) == composed_gap(*maps)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,6 +195,84 @@ def test_sample_candidates_empty_and_cap():
             twisted,
             GridSpec(numerators=(7, 9), denominators=(1,), seed=1, count=10),
         )
+
+
+def reference_sample_operator_candidates(rep, grid):
+    """`sample_operator_candidates` on `Fraction` entries, each draw built as a
+    `LinearMap` and kept by `compose` ==, kept as the reference for the
+    integer-numerator sampler."""
+    vals = grid.values()
+    n, m = rep.base.dim, rep.v_dim
+    alpha, beta = rep.base.alpha, rep.beta
+
+    def admitted(mat):
+        return mat.compose(beta) == alpha.compose(mat)
+
+    out = []
+    total = len(vals) ** (n * m) if vals else 0
+    if total <= grid.count:
+        for combo in itertools.product(vals, repeat=n * m):
+            mat = LinearMap([list(combo[i * m:(i + 1) * m]) for i in range(n)])
+            if admitted(mat):
+                out.append(mat)
+        return out[: grid.count]
+    rng = random.Random(grid.seed)
+    attempts = 0
+    cap = max(grid.count * 200, 1000)
+    while len(out) < grid.count:
+        attempts += 1
+        if attempts > cap:
+            raise GenerationError("cap")
+        mat = LinearMap([[rng.choice(vals) for _ in range(m)] for _ in range(n)])
+        if admitted(mat):
+            out.append(mat)
+    return out
+
+
+def sampled_maps(rep, grid):
+    """The (_n, _d, src, dst) of every map each sampler returns, in order, or
+    "cap" if its draws ran out; the two must agree."""
+    out = []
+    for sample in (lambda: [c.map for c in sample_operator_candidates(rep, grid, check=False)],
+                   lambda: reference_sample_operator_candidates(rep, grid)):
+        try:
+            out.append([(f._n, f._d, f.src_dim, f.dst_dim) for f in sample()])
+        except GenerationError:
+            out.append("cap")
+    got, want = out
+    assert got == want, (rep.base.name, rep.kind, grid)
+    return got
+
+
+def test_sampler_matches_the_fraction_path_on_every_catalog_rep(seed_catalog):
+    reps = [e.value for e in seed_catalog.values() if e.kind == "rep"]
+    branches = set()
+    for rep in reps:
+        entries = rep.base.dim * rep.v_dim
+        # exhaustive: the whole grid is no larger than count
+        for nums, dens in (((-1, 0, 1), (1, 2)), ((0, 1), (1,)), ((0, 2), (1, 3)), ((0,), (1,))):
+            grid = GridSpec(numerators=nums, denominators=dens, count=1024)
+            if len(grid.values()) ** entries <= grid.count:
+                sampled_maps(rep, grid)
+                branches.add("exhaustive")
+        # seeded draws; count 5 allows 1,000 draws before the cap
+        for seed, nums, dens in ((0, (-1, 0, 1, 2), (1,)), (11, (-1, 0, 1, 2), (1,)),
+                                 (3, (-2, 0, 1), (1, 2, 4))):
+            grid = GridSpec(numerators=nums, denominators=dens, seed=seed, count=5)
+            assert len(grid.values()) ** entries > grid.count
+            branches.add("cap" if sampled_maps(rep, grid) == "cap" else "drawn")
+    assert branches == {"exhaustive", "drawn", "cap"}
+
+
+def test_a_zero_grid_denominator_is_a_generation_error(seed_catalog):
+    grid = GridSpec(numerators=(1, 2), denominators=(1, 0))
+    with pytest.raises(GenerationError, match=r"denominators \(1, 0\) include 0"):
+        grid.values()
+    a = seed_catalog["kx2"].value
+    with pytest.raises(GenerationError):
+        sample_operator_candidates(regular(a, AssocBimodule), grid)
+    with pytest.raises(GenerationError):
+        find_endomorphisms(a, GridSpec(denominators=(0,)))
 
 
 def test_perturbation_helpers(seed_catalog):

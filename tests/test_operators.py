@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from homalg.constructions import ConstructionId
 from homalg.engine import SemanticError
-from homalg.exact import LinearMap, Vector
+from homalg.exact import LinearMap, ShapeError, Vector
 from homalg.forge import (
     multiplication_operator,
     projection_operator,
@@ -16,6 +17,7 @@ from homalg.forge import (
 )
 from homalg.operators import (
     OperatorCandidate,
+    admissible,
     certify_operator,
     lift_to_averaging,
     nijenhuis_of,
@@ -233,3 +235,33 @@ def test_graph_map_matches_the_fraction_construction(seed_catalog, kx2):
             want, got = LinearMap(rows), _graph_map(cand, c)
             assert (got._n, got._d, got.src_dim, got.dst_dim) == (
                 want._n, want._d, want.src_dim, want.dst_dim)
+
+
+def test_admissible_matches_composed_maps():
+    # a scalar twist s * id commutes with every K, and is given here over
+    # unequal denominators (beta's numerators and denominator times 3), so
+    # the check passes only when each composite is scaled by the other
+    # twist's denominator
+    rng = random.Random(23)
+    values = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+
+    def rand_map(dst, src):
+        return LinearMap([[rng.choice(values) for _ in range(src)] for _ in range(dst)])
+
+    outcomes = set()
+    for n, m in ((1, 1), (2, 2), (2, 3), (3, 2), (2, 4)):
+        for _ in range(20):
+            K = rand_map(n, m)
+            s = rng.choice((Fraction(1, 2), Fraction(-2, 3), 3))
+            alpha, eye = LinearMap.diagonal([s] * n), LinearMap.diagonal([s] * m)
+            beta = LinearMap._make([[3 * x for x in row] for row in eye._n], 3 * eye._d, m, m)
+            twists = [(alpha, beta), (rand_map(n, n), beta), (alpha, rand_map(m, m))]
+            for a, b in twists:
+                got = admissible(K, a, b)
+                assert got == (K.compose(b) == a.compose(K)), (K.matrix, a.matrix, b.matrix)
+                outcomes.add(got)
+    assert outcomes == {True, False}
+    with pytest.raises(ShapeError):
+        admissible(LinearMap.zero(2, 3), LinearMap.identity(3), LinearMap.identity(3))
+    with pytest.raises(ShapeError):
+        admissible(LinearMap.zero(2, 3), LinearMap.identity(2), LinearMap.identity(2))

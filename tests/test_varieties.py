@@ -272,3 +272,33 @@ def test_is_morphism_matches_the_vector_loop(seed_catalog):
         assert morphism_record(got) == morphism_record(want), (src.name, dst.name, f.matrix)
         statuses.add((got.status, got.witness and got.witness.identity.split(":")[0]))
     assert statuses == {("pass", None), ("fail", "twist-intertwine"), ("fail", "morphism")}
+
+
+def scalar_twist(a, s, scale=1):
+    """a with the twist s * id, its numerators and denominator multiplied by
+    scale: the same map over a larger denominator."""
+    eye = LinearMap.diagonal([s] * a.dim)
+    alpha = LinearMap._make([[x * scale for x in row] for row in eye._n], eye._d * scale,
+                            a.dim, a.dim)
+    return AlgebraInstance(f"{a.name}-scaled", a.dim, a.products, {"alpha": alpha})
+
+
+def test_is_morphism_twist_check_scales_each_side_by_its_own_twist(seed_catalog):
+    # s * id commutes with every map, so the twist check passes only when
+    # each composite is scaled by the other twist's denominator; random
+    # twists with unequal denominators give twist witnesses over both
+    rng = random.Random(29)
+    statuses = set()
+    for name in ("kx2", "kx3", "ut2", "heis3", "sol2"):
+        a = seed_catalog[name].value
+        n = a.dim
+        for s in (Fraction(1, 2), Fraction(-2, 3), 3):
+            src, dst = scalar_twist(a, s, 1), scalar_twist(a, s, 5)
+            twisted = AlgebraInstance(a.name, n, a.products,
+                                      {"alpha": random_map(rng, n, n, rng.choice((2, 3)))})
+            for f in [LinearMap.identity(n), *(random_map(rng, n, n, den) for den in (1, 2, 2))]:
+                for x, y in ((src, dst), (dst, src), (twisted, dst), (src, twisted)):
+                    got, want = is_morphism(f, x, y), reference_is_morphism(f, x, y)
+                    assert morphism_record(got) == morphism_record(want), (name, s, f.matrix)
+                    statuses.add((got.status, got.witness and got.witness.identity.split(":")[0]))
+    assert statuses == {("pass", None), ("fail", "twist-intertwine"), ("fail", "morphism")}
