@@ -180,6 +180,15 @@ def _algebra_targets(args, source: SourceFile):
     return [d]
 
 
+def _stray(flags, reader):
+    """The error for flags given (not None) to a run that does not read them."""
+    stray = [flag for flag, v in flags if v is not None]
+    if stray:
+        verb = "applies" if len(stray) == 1 else "apply"
+        return f"{' and '.join(stray)} {verb} to {reader} only"
+    return None
+
+
 def _flag_error(args):
     """Why the flags of a check cannot run as given, or None.
 
@@ -188,11 +197,9 @@ def _flag_error(args):
     a trace.
     """
     if args.variety or not args.operator:  # only the --operator branch reads them
-        stray = [flag for flag, v in (("--kind", args.kind), ("--weight", args.weight))
-                 if v is not None]
-        if stray:
-            verb = "applies" if len(stray) == 1 else "apply"
-            return f"{' and '.join(stray)} {verb} to an --operator check only"
+        detail = _stray((("--kind", args.kind), ("--weight", args.weight)), "an --operator check")
+        if detail:
+            return detail
     given = [flag for flag, v in (("--variety", args.variety), ("--operator", args.operator),
                                   ("--rep", args.rep), ("--crossed-module", args.crossed_module),
                                   ("--multiplicative", args.multiplicative))
@@ -201,6 +208,13 @@ def _flag_error(args):
         return f"{' and '.join(given)} are separate checks; give one per run"
     if args.cross_check and args.variety is None:
         return "--cross-check applies to a --variety check only"
+    if not (args.variety or args.multiplicative):
+        detail = _stray((("--target", args.target),), "a --variety or --multiplicative check")
+        if detail:
+            return detail
+    if not args.cross_check:
+        return _stray((("--samples", args.samples), ("--seed", args.seed), ("--grid", args.grid)),
+                      "a --cross-check run")
     return None
 
 
@@ -221,8 +235,9 @@ def cmd_check(args, source: SourceFile) -> int:
                 report, ms = _timed(lambda: certify(d.value, tag))
                 emitter.emit(d.name, f"variety:{tag.value}", report, ms)
                 if args.cross_check and report.ok:
-                    ok = _cross_check(d.value, tag, args.samples, args.seed,
-                                      _parse_grid(args.grid))
+                    ok = _cross_check(d.value, tag,
+                                      50 if args.samples is None else args.samples,
+                                      args.seed or 0, _parse_grid(args.grid))
                     emitter.emit(d.name, f"cross-check:{tag.value}",
                                  CheckReport("pass" if ok else "fail", "cross-check"), 0.0)
         elif args.operator:
@@ -274,7 +289,7 @@ def cmd_check(args, source: SourceFile) -> int:
     return emitter.finish()
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str | None):
     """--grid N/D draws coordinates with numerators -N..N over denominators 1..D."""
     if not spec:
         return None, None
@@ -429,10 +444,10 @@ def main(argv=None) -> int:
                          help="check that the twist is an endomorphism")
     p_check.add_argument("--cross-check", action="store_true",
                          help="also sample the un-polarized identities on random vectors")
-    p_check.add_argument("--samples", type=int, default=50)
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--grid", default="",
-                         help="coordinate pool N/D for --cross-check draws")
+    p_check.add_argument("--samples", type=int,
+                         help="random draws per seed for --cross-check (default: 50)")
+    p_check.add_argument("--seed", type=int, help="first seed for --cross-check (default: 0)")
+    p_check.add_argument("--grid", help="coordinate pool N/D for --cross-check draws")
     p_check.add_argument("--summary", action="store_true", help="human-readable table")
     p_check.set_defaults(fn=cmd_check)
 

@@ -18,7 +18,6 @@ along the operator (`StructureTensor.pull`).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from enum import Enum
 from functools import cache
 from typing import NamedTuple
@@ -402,7 +401,7 @@ _u, _v = var("u", "V"), var("v", "V")
 
 
 def _bind_map(interp, sym: str, lin: LinearMap, sorts) -> Interpretation:
-    return replace(interp, maps={**interp.maps, sym: (lin, sorts)})
+    return Interpretation(interp.sorts, interp.ops, {**interp.maps, sym: (lin, sorts)})
 
 
 @cache

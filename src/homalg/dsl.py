@@ -38,12 +38,12 @@ every row through the same forms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .exact import LinearMap, StructureTensor
 from .operators import OperatorCandidate
+from .records import FrozenRecord, Record
 from .reps import REP_CLASSES
 from .varieties import AlgebraInstance, VarietyTag
 
@@ -66,17 +66,21 @@ class DslSemanticError(ValueError):
         self.category = category
 
 
-@dataclass
-class Declaration:
-    kind: str                  # algebra | rep | operator
-    name: str
-    value: object
-    meta: dict = field(default_factory=dict)
+class Declaration(Record):
+    __slots__ = _fields = ("kind", "name", "value", "meta")
+
+    def __init__(self, kind: str, name: str, value: object, meta: dict | None = None):
+        self.kind = kind               # algebra | rep | operator
+        self.name = name
+        self.value = value
+        self.meta = {} if meta is None else meta
 
 
-@dataclass
-class SourceFile:
-    declarations: list
+class SourceFile(Record):
+    __slots__ = _fields = ("declarations",)
+
+    def __init__(self, declarations: list):
+        self.declarations = declarations
 
     def __iter__(self):
         return iter(self.declarations)
@@ -98,8 +102,7 @@ _BASIS = re.compile(r"([eu])([0-9]+)$")
 _REP_KINDS = {cls.kind: cls for cls in REP_CLASSES}
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(FrozenRecord):
     """One row shape: `KEYWORD NAME: LHS = TERMS`, or `LHS = TERMS` for operators.
 
     `sorts` are the LHS sorts in source order ("ee", "eu", "ue", "e" or "u");
@@ -108,12 +111,16 @@ class _Form:
     any valid name).  A wrong LHS sort raises `sort_error` in `category`.
     """
 
-    keyword: str
-    sorts: str
-    out: str
-    names: tuple | None
-    sort_error: str
-    category: str = "semantic"
+    __slots__ = _fields = ("keyword", "sorts", "out", "names", "sort_error", "category")
+
+    def __init__(self, keyword: str, sorts: str, out: str, names: tuple | None,
+                 sort_error: str, category: str = "semantic"):
+        object.__setattr__(self, "keyword", keyword)
+        object.__setattr__(self, "sorts", sorts)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "sort_error", sort_error)
+        object.__setattr__(self, "category", category)
 
     def flip(self, pair):
         """Source order <-> stored order."""

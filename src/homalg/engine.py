@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import itemgetter
@@ -94,6 +93,7 @@ from typing import Optional
 from weakref import ref
 
 from .exact import ShapeError, Vector
+from .records import FrozenRecord, Record
 
 
 class SemanticError(ValueError):
@@ -347,17 +347,19 @@ def _polarize_one(expr, name, fresh, sort, mult):
 # interpretations and reports
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(FrozenRecord):
     """Bindings of sorts to dimensions and of op/map symbols to exact data.
 
     ops maps a symbol to (StructureTensor, (left_sort, right_sort, out_sort));
     maps to (LinearMap, (src_sort, dst_sort)).
     """
 
-    sorts: dict
-    ops: dict
-    maps: dict
+    __slots__ = _fields = ("sorts", "ops", "maps")
+
+    def __init__(self, sorts: dict, ops: dict, maps: dict):
+        object.__setattr__(self, "sorts", sorts)
+        object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "maps", maps)
 
     def validate(self) -> None:
         for sym, (tensor, (ls, rs, os)) in self.ops.items():
@@ -370,28 +372,40 @@ class Interpretation:
                 raise ShapeError(f"map {sym!r}: matrix dims disagree with sorts")
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
-    """A basis tuple on which an identity fails, with both evaluated sides."""
+class Witness(FrozenRecord):
+    """A basis tuple on which an identity fails, with both evaluated sides.
 
-    identity: str
-    variables: tuple          # (name, sort) per slot, in enumeration order
-    indices: tuple            # 0-based basis index per slot
-    lhs_value: Vector
-    rhs_value: Vector
+    `variables` holds (name, sort) per slot, in enumeration order, and
+    `indices` the 0-based basis index per slot.
+    """
+
+    __slots__ = _fields = ("identity", "variables", "indices", "lhs_value", "rhs_value")
+
+    def __init__(self, identity: str, variables: tuple, indices: tuple, lhs_value: Vector,
+                 rhs_value: Vector):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "lhs_value", lhs_value)
+        object.__setattr__(self, "rhs_value", rhs_value)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of one certification run."""
 
-    status: str               # pass | fail | not-admissible | error
-    check: str
-    witness: Optional[Witness] = None
-    detail: str = ""
-    tuples_checked: int = 0   # tuples decided
-    tuples_evaluated: int = 0  # tuples whose sides were evaluated
-    prefixes_visited: int = 0  # proper prefixes on which level kernels ran
+    __slots__ = _fields = ("status", "check", "witness", "detail", "tuples_checked",
+                           "tuples_evaluated", "prefixes_visited")
+
+    def __init__(self, status: str, check: str, witness: Optional[Witness] = None,
+                 detail: str = "", tuples_checked: int = 0, tuples_evaluated: int = 0,
+                 prefixes_visited: int = 0):
+        self.status = status                      # pass | fail | not-admissible | error
+        self.check = check
+        self.witness = witness
+        self.detail = detail
+        self.tuples_checked = tuples_checked      # tuples decided
+        self.tuples_evaluated = tuples_evaluated  # tuples whose sides were evaluated
+        self.prefixes_visited = prefixes_visited  # proper prefixes on which level kernels ran
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -22,6 +21,7 @@ from .constructions import differential_dialgebra
 from .engine import CheckReport, Interpretation, SemanticError
 from .exact import LinearMap, StructureTensor, Vector, _reduce, square_gap
 from .operators import OperatorCandidate, certify_operator
+from .records import FrozenRecord, Record
 from .reps import (
     AssocAction,
     AssocBimodule,
@@ -251,14 +251,17 @@ def identity_operator(rep) -> OperatorCandidate:
 # catalog
 
 
-@dataclass
-class CatalogEntry:
-    id: str
-    kind: str                 # algebra | rep | operator
-    value: object
-    provenance: str           # paper-example | classical-seed | constructed
-    notes: str = ""
-    check_kind: str = ""      # operator entries: kind to certify
+class CatalogEntry(Record):
+    __slots__ = _fields = ("id", "kind", "value", "provenance", "notes", "check_kind")
+
+    def __init__(self, id: str, kind: str, value: object, provenance: str, notes: str = "",
+                 check_kind: str = ""):
+        self.id = id
+        self.kind = kind               # algebra | rep | operator
+        self.value = value
+        self.provenance = provenance   # paper-example | classical-seed | constructed
+        self.notes = notes
+        self.check_kind = check_kind   # operator entries: kind to certify
 
     def certifier_report(self) -> CheckReport:
         if self.kind == "algebra":
@@ -528,12 +531,15 @@ def data_dir():
 # deterministic generation
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    numerators: tuple = (-1, 0, 1)
-    denominators: tuple = (1,)
-    seed: int = 0
-    count: int = 100
+class GridSpec(FrozenRecord):
+    __slots__ = _fields = ("numerators", "denominators", "seed", "count")
+
+    def __init__(self, numerators: tuple = (-1, 0, 1), denominators: tuple = (1,),
+                 seed: int = 0, count: int = 100):
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominators", denominators)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "count", count)
 
     def values(self):
         if 0 in self.denominators:

@@ -11,7 +11,6 @@ identity schemas, checked in one engine pass (see "clause tables" below).
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -23,12 +22,14 @@ from .engine import (
     Interpretation,
     SemanticError,
     Sum,
+    Witness,
     check_clauses,
     op,
     tw,
     var,
 )
 from .exact import LinearMap, ShapeError, square_gap
+from .records import Record
 from .reps import AssocAction, AssocBimodule, CertificationError
 from .varieties import AlgebraInstance
 
@@ -45,14 +46,14 @@ OPERATOR_KINDS = (
 )
 
 
-@dataclass
-class OperatorCandidate:
+class OperatorCandidate(Record):
     """A linear map V -> A over a representation (or A -> A over an algebra)."""
 
-    rep: object
-    map: LinearMap
+    __slots__ = _fields = ("rep", "map")
 
-    def __post_init__(self):
+    def __init__(self, rep, map: LinearMap):
+        self.rep = rep
+        self.map = map
         if isinstance(self.rep, AlgebraInstance):
             src, dst = self.rep.dim, self.rep.dim
         else:
@@ -207,7 +208,8 @@ def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) ->
             w = report.witness
             return CheckReport("fail", check_id, tuples_checked=total, tuples_evaluated=evaluated,
                                prefixes_visited=prefixes,
-                               witness=replace(w, identity=f"{w.identity}:{sym}"))
+                               witness=Witness(f"{w.identity}:{sym}", w.variables, w.indices,
+                                               w.lhs_value, w.rhs_value))
     return CheckReport("pass", check_id, tuples_checked=total, tuples_evaluated=evaluated,
                        prefixes_visited=prefixes)
 

@@ -21,7 +21,6 @@ rows) reads them:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 
 from .engine import (
@@ -36,6 +35,7 @@ from .engine import (
     var,
 )
 from .exact import LinearMap, ShapeError, StructureTensor
+from .records import Record
 from .varieties import (
     REQUIRED_PRODUCTS,
     AlgebraInstance,
@@ -62,25 +62,55 @@ def _gate(report: CheckReport, what: str) -> None:
 # types
 
 
-class _Rep:
-    """What every representation kind shares; a subclass is a dataclass whose
+class _Rep(Record):
+    """What every representation kind shares.  A subclass is a record whose
     fields are base, v_dim, its actions (`acts`), beta and its product on V
-    (`vprod`)."""
+    (`vprod`, None by default); it states `__slots__` for the fields it adds."""
 
+    __slots__ = ("base", "v_dim", "beta")
     vprod = None
 
-    def __post_init__(self):
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = ("base", "v_dim", *cls.acts, "beta") + ((cls.vprod,) if cls.vprod else ())
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for field, value in zip(fields, args):
+            setattr(self, field, value)
         n, m = self.base.dim, self.v_dim
-        for sym, t in self.action_ops().items():
+        for sym in self.acts:
+            t = getattr(self, sym)
             if (t.left_dim, t.right_dim, t.out_dim) != (n, m, m):
                 raise ShapeError(f"action tensor {sym!r} has wrong dims")
         if (self.beta.src_dim, self.beta.dst_dim) != (m, m):
             raise ShapeError("beta has wrong dims")
-        for sym, t in self.v_ops().items():
+        if self.vprod:
+            t = getattr(self, self.vprod)
             if t is None:
-                raise SemanticError(f"{self.kind} requires a product {sym!r} on V")
+                raise SemanticError(f"{self.kind} requires a product {self.vprod!r} on V")
             if (t.left_dim, t.right_dim, t.out_dim) != (m, m, m):
-                raise ShapeError(f"product {sym!r} on V has wrong dims")
+                raise ShapeError(f"product {self.vprod!r} on V has wrong dims")
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call given by keyword or with `vprod` left out."""
+        fields, name = cls._fields, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for field, value in kwargs.items():
+            if field not in fields or field in values:
+                raise TypeError(f"{name}() got an unexpected or repeated field {field!r}")
+            values[field] = value
+        if cls.vprod:
+            values.setdefault(cls.vprod, None)
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing fields {missing}")
+        return [values[field] for field in fields]
 
     def action_ops(self):
         return {sym: getattr(self, sym) for sym in self.acts}
@@ -102,69 +132,44 @@ class _Rep:
         return Interpretation(sorts=sorts, ops=ops, maps=maps)
 
 
-@dataclass
 class AssocBimodule(_Rep):
     """Two action maps l, r on V with a twist beta, over an associative base."""
 
-    base: AlgebraInstance
-    v_dim: int
-    l: StructureTensor
-    r: StructureTensor
-    beta: LinearMap
-
+    __slots__ = acts = ("l", "r")
     kind = "bimodule"
     variety = VarietyTag.HOM_ASSOCIATIVE
-    acts = ("l", "r")
 
 
-@dataclass
 class AssocAction(AssocBimodule):
     """A bimodule where V also carries a compatible associative product."""
 
-    vmul: StructureTensor = None
-
+    __slots__ = ("vmul",)
     kind = "action"
     vprod = "vmul"
 
 
-@dataclass
 class LieModule(_Rep):
-    base: AlgebraInstance
-    v_dim: int
-    rho: StructureTensor
-    beta: LinearMap
-
+    __slots__ = acts = ("rho",)
     kind = "lie-module"
     variety = VarietyTag.HOM_LIE
-    acts = ("rho",)
     sign = -1
 
 
-@dataclass
 class LieAction(LieModule):
-    vbracket: StructureTensor = None
-
+    __slots__ = ("vbracket",)
     kind = "lie-action"
     vprod = "vbracket"
 
 
-@dataclass
 class JordanModule(_Rep):
-    base: AlgebraInstance
-    v_dim: int
-    pi: StructureTensor
-    beta: LinearMap
-
+    __slots__ = acts = ("pi",)
     kind = "jordan-module"
     variety = VarietyTag.HOM_JORDAN
-    acts = ("pi",)
     sign = 1
 
 
-@dataclass
 class JordanAction(JordanModule):
-    vstar: StructureTensor = None
-
+    __slots__ = ("vstar",)
     kind = "jordan-action"
     vprod = "vstar"
 

@@ -25,7 +25,6 @@ tridendriform       prec, succ, dot
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from typing import Optional
@@ -43,6 +42,7 @@ from .engine import (
     ZERO,
 )
 from .exact import LinearMap, ShapeError, StructureTensor, Vector, square_gap
+from .records import Record
 
 
 class VarietyTag(str, Enum):
@@ -74,21 +74,22 @@ REQUIRED_PRODUCTS = {
 }
 
 
-@dataclass
-class AlgebraInstance:
+class AlgebraInstance(Record):
     """A named carrier with products, linear maps, and a declared variety.
 
     products and maps are treated as immutable after construction; every
     tensor and the mandatory twist map "alpha" share the carrier dimension.
     """
 
-    name: str
-    dim: int
-    products: dict
-    maps: dict
-    variety: Optional[VarietyTag] = None
+    __slots__ = _fields = ("name", "dim", "products", "maps", "variety")
 
-    def __post_init__(self):
+    def __init__(self, name: str, dim: int, products: dict, maps: dict,
+                 variety: Optional[VarietyTag] = None):
+        self.name = name
+        self.dim = dim
+        self.products = products
+        self.maps = maps
+        self.variety = variety
         if "alpha" not in self.maps:
             raise SemanticError(f"algebra {self.name!r} has no twist map 'alpha'")
         for sym, t in self.products.items():

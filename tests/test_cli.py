@@ -30,6 +30,17 @@ def strip_ms(records):
 DATA = data_dir()
 
 
+def child(*argv, env=None, **kwargs):
+    """`python *argv` as a fresh process, with this checkout's src as PYTHONPATH
+    over `env` (default: this environment); captures text output unless
+    stdout is given."""
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    if "stdout" not in kwargs:
+        kwargs.update(capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, timeout=120, **kwargs)
+
+
 def test_check_variety_all_trialgebras(capsys):
     code, records, _ = run(
         capsys, "check", str(DATA / "trialgebra.halg"),
@@ -360,10 +371,7 @@ def test_a_weight_with_a_kind_that_ignores_it_is_one_error_record(capsys, kind):
 ])
 def test_operator_flags_outside_an_operator_check_exit_three(tmp_path, flags, detail):
     # an explicit --kind, even the default one, or a --weight that no check reads
-    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-m", "homalg", "check", str(DATA / "kx2.halg"),
-                           *flags], cwd=tmp_path, capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = child("-m", "homalg", "check", str(DATA / "kx2.halg"), *flags, cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (3, "")
     (line,) = proc.stderr.splitlines()
     assert json.loads(line) == {"error": "semantic",
@@ -381,16 +389,36 @@ def test_operator_flags_outside_an_operator_check_exit_three(tmp_path, flags, de
      "--variety and --operator and --multiplicative are separate checks; give one per run"),
     (["--multiplicative", "--cross-check"], "--cross-check applies to a --variety check only"),
     (["--rep", "kx2_reg", "--cross-check"], "--cross-check applies to a --variety check only"),
+    (["--rep", "kx2_reg", "--grid", "4/2", "--samples", "5"],
+     "--samples and --grid apply to a --cross-check run only"),
+    (["--rep", "kx2_reg", "--target", "kx2"],
+     "--target applies to a --variety or --multiplicative check only"),
+    (["--operator", "kx2_act_id", "--target", "kx2"],
+     "--target applies to a --variety or --multiplicative check only"),
+    (["--variety", "hom-associative", "--seed", "4"],
+     "--seed applies to a --cross-check run only"),
+    (["--variety", "hom-associative", "--seed", "0", "--samples", "50", "--grid", "1/1"],
+     "--samples and --seed and --grid apply to a --cross-check run only"),
+    (["--multiplicative", "--target", "kx2", "--grid", "1/1"],
+     "--grid applies to a --cross-check run only"),
 ])
 def test_more_than_one_check_flag_exits_three(tmp_path, flags, detail):
-    # the branch chain used to run the first check flag and ignore the rest
-    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-m", "homalg", "check", str(DATA / "kx2.halg"),
-                           *flags], cwd=tmp_path, capture_output=True, text=True, env=env,
-                          timeout=120)
+    # the branch chain used to run the first check flag and ignore the rest;
+    # --target is read by --variety and --multiplicative only, and --samples,
+    # --seed and --grid by --cross-check only, even at their default values
+    proc = child("-m", "homalg", "check", str(DATA / "kx2.halg"), *flags, cwd=tmp_path)
     assert (proc.returncode, proc.stdout) == (3, "")
     (line,) = proc.stderr.splitlines()
     assert json.loads(line) == {"error": "semantic", "detail": detail}
+
+
+def test_cross_check_defaults_are_unchanged(capsys):
+    base = ["check", str(DATA / "trialgebra.halg"), "--target", "tri23",
+            "--variety", "hom-associative-trialgebra", "--cross-check"]
+    _, implicit, _ = run(capsys, *base)
+    _, explicit, _ = run(capsys, *base, "--samples", "50", "--seed", "0")
+    assert strip_ms(implicit) == strip_ms(explicit)
+    assert [r["status"] for r in implicit] == ["pass", "pass"]
 
 
 def test_report_is_deterministic(capsys):
@@ -470,17 +498,14 @@ def test_cross_check_grid_flag(capsys):
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_one_without_traceback(unbuffered):
     # the reader of stdout is gone before the first record is written
-    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
-    env.pop("PYTHONUNBUFFERED", None)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "homalg", "report", str(DATA / "kx3.halg")],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
-        )
+        proc = child("-m", "homalg", "report", str(DATA / "kx3.halg"),
+                     env=env, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
@@ -495,11 +520,8 @@ def test_unreadable_input_exits_two_with_one_json_line(tmp_path, command):
     missing = tmp_path / "no-such.halg"
     not_utf8 = tmp_path / "latin1.halg"
     not_utf8.write_bytes("algebra caf\xe9 dim 1\nend\n".encode("latin-1"))
-    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
     for path in (missing, tmp_path, not_utf8):
-        argv = [command[0], str(path), *command[1:]]
-        proc = subprocess.run([sys.executable, "-m", "homalg", *argv], cwd=tmp_path,
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = child("-m", "homalg", command[0], str(path), *command[1:], cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (2, "")
         (line,) = proc.stderr.splitlines()
         doc = json.loads(line)
@@ -508,12 +530,9 @@ def test_unreadable_input_exits_two_with_one_json_line(tmp_path, command):
 
 
 def test_unwritable_output_exits_two_with_one_json_line(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
     for out in (tmp_path, tmp_path / "no-such-dir" / "out.halg"):
-        argv = ["construct", str(DATA / "ut2.halg"), "--id", "minus", "--target", "ut2",
-                "--out", str(out)]
-        proc = subprocess.run([sys.executable, "-m", "homalg", *argv], cwd=tmp_path,
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = child("-m", "homalg", "construct", str(DATA / "ut2.halg"), "--id", "minus",
+                     "--target", "ut2", "--out", str(out), cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (2, "")
         (line,) = proc.stderr.splitlines()
         doc = json.loads(line)
@@ -533,12 +552,10 @@ def test_empty_row_keyword_exits_two_without_traceback(tmp_path, block):
     text, line_no = _EMPTY_KEYWORD_ROWS[block]
     path = tmp_path / "empty-keyword.halg"
     path.write_text(text, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
     for argv in (["report", str(path)],
                  ["check", str(path), "--variety", "hom-associative"],
                  ["construct", str(path), "--id", "minus", "--target", "a", "--out", "out.halg"]):
-        proc = subprocess.run([sys.executable, "-m", "homalg", *argv], cwd=tmp_path,
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = child("-m", "homalg", *argv, cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (2, ""), argv
         (line,) = proc.stderr.splitlines()
         doc = json.loads(line)
@@ -551,13 +568,38 @@ def test_a_numeral_too_long_for_int_exits_two_with_one_json_line(tmp_path):
     texts = (f"algebra a dim 1\n  op mul: e1 * e1 = {long} * e1\n  map alpha: e1 = e1\nend\n",
              f"algebra a dim 1\n  op mul: e1 * e{long} = e1\n  map alpha: e1 = e1\nend\n",
              f"algebra a dim {long}\n  map alpha: e1 = e1\nend\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
     for text in texts:
         path = tmp_path / "long.halg"
         path.write_text(text, encoding="utf-8")
-        proc = subprocess.run([sys.executable, "-m", "homalg", "report", str(path)],
-                              cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120)
+        proc = child("-m", "homalg", "report", str(path), cwd=tmp_path)
         assert (proc.returncode, proc.stdout) == (2, "")
         (line,) = proc.stderr.splitlines()
         doc = json.loads(line)
         assert doc["error"] == "parse" and "numeral of 5000 digits is too long" in doc["detail"]
+
+
+# prefixed to a child's code: at exit, write the loaded homalg, dataclasses
+# and inspect modules to stderr as a sorted JSON list
+_LOADED_AT_EXIT = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: sys.stderr.write(json.dumps(sorted(\n"
+    "    m for m in sys.modules if m.split('.')[0] in ('homalg', 'dataclasses', 'inspect')))))\n"
+)
+
+
+@pytest.mark.parametrize("code", [
+    "import homalg.cli",
+    # a whole report, run as `python -m homalg` runs it
+    f"import runpy\nsys.argv = ['homalg', 'report', {str(DATA / 'kx2.halg')!r}]\n"
+    "runpy.run_module('homalg', run_name='__main__')",
+], ids=["import", "report"])
+def test_startup_loads_no_dataclasses_inspect_or_forge(code):
+    proc = child("-c", _LOADED_AT_EXIT + code)
+    loaded = set(json.loads(proc.stderr))
+    assert {"homalg.cli", "homalg.engine"} <= loaded
+    assert not {"dataclasses", "inspect", "homalg.forge"} & loaded
+
+
+def test_bare_import_loads_no_submodule():
+    proc = child("-c", _LOADED_AT_EXIT + "import homalg")
+    assert proc.returncode == 0 and json.loads(proc.stderr) == ["homalg"]
