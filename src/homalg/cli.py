@@ -8,7 +8,8 @@ construct output that cannot be written, 3 semantic error.  Read, write,
 parse and semantic errors of the files are one JSON line on stderr,
 {"error": "read" | "write" | "parse" | "semantic", "detail": ...}.
 A stdout closed by its reader ends the run with status 1 and nothing on
-stderr.
+stderr, and so does a run started without a stdout (`homalg report F >&-`),
+which runs no command.
 """
 
 from __future__ import annotations
@@ -479,6 +480,8 @@ def main(argv=None) -> int:
     source = _load(args.file)
     if not isinstance(source, SourceFile):
         return source
+    if sys.stdout is None:
+        return EXIT_FAIL
     try:
         code = args.fn(args, source)
         sys.stdout.flush()

@@ -495,6 +495,25 @@ def test_cross_check_grid_flag(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_cross_check_without_samples_is_a_semantic_error(samples):
+    # a cross-check that draws nothing used to print a passing record
+    proc = child("-m", "homalg", "check", str(DATA / "kx2.halg"), "--variety",
+                 "hom-associative", "--target", "kx2", "--cross-check", "--samples", samples)
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert [(r["check"], r["status"]) for r in records] == [
+        ("variety:hom-associative", "pass"), ("check", "error")]
+    assert records[-1]["detail"] == f"a random check needs at least one sample, got {samples}"
+
+
+def test_no_stdout_exits_one_without_traceback():
+    # fd 1 is closed before the interpreter starts, so sys.stdout is None
+    proc = child("-m", "homalg", "report", str(DATA / "kx3.halg"),
+                 stdout=None, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_one_without_traceback(unbuffered):
     # the reader of stdout is gone before the first record is written
