@@ -232,13 +232,17 @@ def cmd_check(args, source: SourceFile) -> int:
             except ValueError:
                 emitter.error(args.target or "*", f"variety:{args.variety}", "unknown variety tag")
                 return emitter.finish()
+            if args.cross_check:  # refused before any target is certified
+                samples = 50 if args.samples is None else args.samples
+                if samples < 1:
+                    raise SemanticError(
+                        f"a random check needs at least one sample, got {samples}")
+                grid = _parse_grid(args.grid)
             for d in _algebra_targets(args, source):
                 report, ms = _timed(lambda: certify(d.value, tag))
                 emitter.emit(d.name, f"variety:{tag.value}", report, ms)
                 if args.cross_check and report.ok:
-                    ok = _cross_check(d.value, tag,
-                                      50 if args.samples is None else args.samples,
-                                      args.seed or 0, _parse_grid(args.grid))
+                    ok = _cross_check(d.value, tag, samples, args.seed or 0, grid)
                     emitter.emit(d.name, f"cross-check:{tag.value}",
                                  CheckReport("pass" if ok else "fail", "cross-check"), 0.0)
         elif args.operator:

@@ -29,6 +29,8 @@ from .engine import (
     Interpretation,
     SemanticError,
     Witness,
+    _power,
+    _tensor,
     check_all,
     op,
     tw,
@@ -222,12 +224,16 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
     images L g_j for every j at once, one flat list, from the nonzero
     entries of G and of L's planes: the twist's columns, or the planes t[p]
     weighted by the entries g_i[p], each plane's entries taken once per
-    check.  The images are then tested j by j, and the first one that leaves
-    the graph gives the witness: its A-part and K of its V-part, as
-    `Vector`s over the denominators of `twist.apply(g_j)` or
-    `t.apply(g_i, g_j)` and of `K.apply`.  A map that fails stops after the
-    block of its first failing i, and the counters are those of a
-    pair-by-pair loop that stops at the first witness.
+    check.  Both are read in the sparse form the engine compiles once and
+    keeps on the map or tensor (`engine._power`, `engine._tensor`), so no
+    zero entry is visited, and a twist that carries the identity flag skips
+    its block: it maps every generator to itself.  The images are then
+    tested j by j, and the first one that leaves the graph gives the
+    witness: its A-part and K of its V-part, as `Vector`s over the
+    denominators of `twist.apply(g_j)` or `t.apply(g_i, g_j)` and of
+    `K.apply`.  A map that fails stops after the block of its first failing
+    i, and the counters are those of a pair-by-pair loop that stops at the
+    first witness.
     """
     rep = candidate.rep
     K = candidate.map
@@ -246,9 +252,9 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
     kcols = [[(r, row[s]) for r, row in enumerate(kn) if row[s]] for s in range(m)]
 
     def terms(plane):
-        """(row q of G, r, c) for the nonzero entries c = plane[q][r]."""
-        return [(gq, r, c) for gq, row in zip(grows, plane) if gq and any(row)
-                for r, c in enumerate(row) if c]
+        """(row q of G, r, c) for the nonzero entries c = plane[q][r], the
+        plane given as sparse rows [(r, c), ...]."""
+        return [(gq, r, c) for gq, row in zip(grows, plane) if gq and row for r, c in row]
 
     def leaves(block):
         """The images L g_j, one flat list with entry r of L g_j at
@@ -276,21 +282,24 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
         return Vector._make(w[:n], den), K.apply(Vector._make(w[n:], den))
 
     twist = ambient.alpha
-    w, j = leaves([(1, terms(zip(*twist._n)))])
-    if j is not None:
-        return CheckReport(
-            "fail", check_id,
-            witness=Witness("twist-closure", (("u", "V"),), (j,), *sides(w, j, twist._d * kd)),
-            detail="twist image leaves the graph",
-        )
+    tcols, _, _, identity = _power(twist, 1)
+    if not identity:  # an identity maps each generator to itself
+        w, j = leaves([(1, terms(tcols))])
+        if j is not None:
+            return CheckReport(
+                "fail", check_id,
+                witness=Witness("twist-closure", (("u", "V"),), (j,), *sides(w, j, twist._d * kd)),
+                detail="twist image leaves the graph",
+            )
     syms = sorted(ambient.products)
     for s, sym in enumerate(syms):
         t = ambient.products[sym]
+        sparse = _tensor(t)[0]
         planes = {}
         for i, col in enumerate(cols):
             for p, _ in col:
                 if p not in planes:
-                    planes[p] = terms(t._n[p])
+                    planes[p] = terms(sparse[p])
             w, j = leaves([(x, planes[p]) for p, x in col])
             if j is not None:
                 count = s * m * m + i * m + j + 1

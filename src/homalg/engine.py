@@ -100,7 +100,7 @@ from operator import itemgetter
 from typing import Optional
 from weakref import ref
 
-from .exact import ShapeError, Vector
+from .exact import LinearMap, ShapeError, Vector, square_gap
 from .records import FrozenRecord, Record
 
 
@@ -634,11 +634,11 @@ def _spread(vec, table):
     return out
 
 
-def _power(interp, symbol, power):
+def _power(lin, power):
     """(sparse columns, denominator, nonzero-column mask, identity flag) of
-    symbol^power, built once and kept on the map; power 1 reads the map's
-    own columns and mask."""
-    lin = interp.maps[symbol][0]
+    lin^power, built once and kept on the map; power 1 reads the map's own
+    columns and mask.  The flag reads the content: any map whose numerators
+    are its denominator on the diagonal and zero elsewhere has it."""
     powers = lin._powers
     if powers is None:
         powers = lin._powers = {}
@@ -659,8 +659,23 @@ def _power(interp, symbol, power):
 
 def _is_identity(interp, symbol, power) -> bool:
     """Whether symbol^power is the identity map of one sort."""
-    src, dst = interp.maps[symbol][1]
-    return src == dst and _power(interp, symbol, power)[3]
+    lin, (src, dst) = interp.maps[symbol]
+    return src == dst and _power(lin, power)[3]
+
+
+def twist_gap(kn, alpha: LinearMap, beta: LinearMap):
+    """The first column j at which K.beta and alpha.K differ, or None.
+
+    K: V -> A is given by its numerator rows kn (its denominator cancels),
+    beta twists V and alpha twists A.  When both twists carry the identity
+    flag of `_power` the square holds for every K and nothing is
+    multiplied; otherwise `square_gap` decides it, cross-scaled by alpha._d
+    and beta._d.  Operator admissibility, the operator sampler's accept
+    test and the morphism twist check all ask it.
+    """
+    if _power(alpha, 1)[3] and _power(beta, 1)[3]:
+        return None
+    return square_gap(kn, beta._n, alpha._n, kn, alpha._d, beta._d)
 
 
 def _is_zero(interp, symbol) -> bool:
@@ -906,7 +921,7 @@ class _Shape:
 
 
 # one slot's support recipe (see _Plan._support_recipe)
-_Recipe = namedtuple("_Recipe", "fixed steps keep sums settled_roots mask_roots prefix_roots data")
+_Recipe = namedtuple("_Recipe", "fixed steps keep fixed_roots mask_roots prefix_roots data")
 
 
 class _Plan:
@@ -1059,9 +1074,9 @@ class _Plan:
         in the mask).  `fixed` are the steps of the fixed nodes, which run
         once per check, and `steps` the others, which run per prefix.  `keep`
         are the fixed later nodes whose stand-ins a per-prefix step reads
-        (a sum: any other step folds them), `sums` the sums with fixed terms,
-        and `settled_roots` the roots that may put every index in the mask
-        for the whole check (see bind_support).  `data` lists the table keys.
+        (a sum: any other step folds them), and `fixed_roots` the mask roots
+        among the fixed nodes, which may put every index in the mask for the
+        whole check (see bind_support).  `data` lists the table keys.
         """
         bit, later = 1 << p, -2 << p
         early = bit - 1
@@ -1166,14 +1181,9 @@ class _Plan:
         varying = tuple(s for s in steps if s[0] not in fixed)
         keep = tuple(dict.fromkeys(c for _, kind, _, cs, _ in varying
                                    if kind in ("sum", "vsum", "wsum") for c in cs if c in fixed))
-        # sums with a term that does not depend on the prefix may be every index for good
-        sums = tuple((nid, tuple((c, c in fixed) for c in ns), tuple(c for c in cs if c in fixed))
-                     for nid, kind, ns, cs, _ in varying
-                     if kind == "sum" and any(c in fixed for c in ns + cs))
-        settle = {nid for nid, _, _ in sums}
-        return _Recipe(tuple(s for s in steps if s[0] in fixed), varying, keep, sums,
-                       tuple((r, r in fixed) for r in mask_roots if r in fixed or r in settle),
-                       tuple(mask_roots), tuple(r for r in roots if not free[r] & bit),
+        return _Recipe(tuple(s for s in steps if s[0] in fixed), varying, keep,
+                       tuple(r for r in mask_roots if r in fixed), tuple(mask_roots),
+                       tuple(r for r in roots if not free[r] & bit),
                        tuple({s[4]: None for s in steps if s[4]}))
 
     def holds(self, interp: Interpretation) -> bool:
@@ -1199,7 +1209,7 @@ class _Plan:
                 dens[nid] = leaf_dens.get(key[1], 1)
             elif kind == "tw":
                 _, symbol, power, child = key
-                cols, den = _power(interp, symbol, power)[:2]
+                cols, den = _power(interp.maps[symbol][0], power)[:2]
                 dens[nid] = dens[child] * den
                 kernels[nid] = _twist_kernel(child, cols, dims[sorts[nid]])
             elif kind == "op":
@@ -1230,29 +1240,19 @@ class _Plan:
         "vspread" over the union of its P (or Q) rows, and "wfold" becomes
         "wunion" with, per index of c, the coordinates that meet w's reach.
         A "wvar" step per `keep` node puts back, per prefix, the stand-in
-        the fixed steps left in `cur`.  A sum whose fixed terms already cover
-        every index is every index for good, and so is slot p's mask when a
-        settled root's is: the mask is then -1 for the whole check.
+        the fixed steps left in `cur`.  When a fixed root's mask already
+        covers every index, slot p's mask is -1 for the whole check.
         `standins` keeps one stand-in list per reach, for the check.
         """
-        once, varying, keep, sums, settled_roots, mask_roots, prefix_roots, data = self.recipes[p]
+        once, varying, keep, fixed_roots, mask_roots, prefix_roots, data = self.recipes[p]
         _tables(data, tables, interp)
         masks = [-1] * len(self.nodes)  # a variable's own mask stays -1
         vecs = [None] * len(self.nodes)
         _mask_fn((), [(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in once],
                  masks, vecs, (), cur, standins)()
-        settled = ()
-        if settled_roots:
-            every, settled = (1 << interp.sorts[self.clause_set.variables[p][1]]) - 1, set()
-            for nid, ns, cs in sums:
-                bits = 0
-                for c, fixed in ns:
-                    if fixed or c in settled:
-                        bits |= masks[c]
-                if bits & every == every or any(cur[c] for c in cs):
-                    masks[nid] = -1
-                    settled.add(nid)
-            if any(masks[r] & every == every for r, fixed in settled_roots if fixed or r in settled):
+        if fixed_roots:
+            every = (1 << interp.sorts[self.clause_set.variables[p][1]]) - 1
+            if any(masks[r] & every == every for r in fixed_roots):
                 return lambda: -1
         steps = [(c, "wvar", None, None, cur[c]) for c in keep]
         for nid, kind, a, b, key in varying:
@@ -1272,8 +1272,6 @@ class _Plan:
                 bits = masks[b]
                 kind, b, data = "wunion", None, [
                     sum(1 << j for j, m in enumerate(row) if m & bits) for row in data]
-            elif kind == "sum" and nid in settled:
-                continue
             steps.append((nid, kind, a, b, data))
         return _mask_fn(prefix_roots, steps, masks, vecs, mask_roots, cur, standins)
 
@@ -1283,7 +1281,7 @@ def _tables(keys, tables: dict, interp: Interpretation) -> None:
     already: a tensor's row or column masks or its P or Q, a map power's
     nonzero-column mask, row sets or column supports, a sort's dimension,
     the stand-in of its every coordinate or its unit vector of masks."""
-    ops, dims = interp.ops, interp.sorts
+    ops, maps, dims = interp.ops, interp.maps, interp.sorts
     for key in keys:
         if key in tables:
             continue
@@ -1293,11 +1291,11 @@ def _tables(keys, tables: dict, interp: Interpretation) -> None:
         elif kind == "P" or kind == "Q":
             got = _outputs(ops[key[1]][0], kind == "Q")
         elif kind == "mask":
-            got = _power(interp, key[1], key[2])[2]
+            got = _power(maps[key[1]][0], key[2])[2]
         elif kind == "rowsets":
-            got = _row_sets(_power(interp, key[1], key[2])[0], dims[key[3]])
+            got = _row_sets(_power(maps[key[1]][0], key[2])[0], dims[key[3]])
         elif kind == "colsupp":
-            got = [sum(1 << i for i, _ in col) for col in _power(interp, key[1], key[2])[0]]
+            got = [sum(1 << i for i, _ in col) for col in _power(maps[key[1]][0], key[2])[0]]
         elif kind == "dim":
             got = dims[key[1]]
         elif kind == "all":

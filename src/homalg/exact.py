@@ -13,8 +13,11 @@ numerators too: `StructureTensor.place` puts blocks side by side and
 lowest terms.  The commuting-square kernel `square_gap` decides f.g == h.k
 on numerator rows, cross-scaled by the denominators, and names the first
 column at which the two sides differ, without building a LinearMap or a
-Fraction: operator admissibility, the operator sampler's draws and the
-morphism twist check are decided with it.
+Fraction.  Operator admissibility, the operator sampler's draws and the
+morphism twist check reach it through `engine.twist_gap`, which first reads
+the identity flag the engine keeps with each map's compiled columns: when
+both twists are identities the square holds for every map and is never
+multiplied out.
 """
 
 from __future__ import annotations

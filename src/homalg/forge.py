@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import lcm
 
 from .constructions import differential_dialgebra
-from .engine import CheckReport, Interpretation, SemanticError
-from .exact import LinearMap, StructureTensor, Vector, _reduce, square_gap
+from .engine import CheckReport, Interpretation, SemanticError, twist_gap
+from .exact import LinearMap, StructureTensor, Vector, _reduce
 from .operators import OperatorCandidate, certify_operator
 from .records import FrozenRecord, Record
 from .reps import (
@@ -558,9 +558,10 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
     Entries are drawn as integer numerators over the grid's common
     denominator, one per grid value in the same order, so the seeded draws
     are those of `rng.choice` over the values.  Admissibility K.beta =
-    alpha.K is decided on those integers by `square_gap` (K's denominator
-    cancels), and only an accepted map is built, in lowest terms as
-    `LinearMap(rows)` keeps it.
+    alpha.K is decided on those integers by `engine.twist_gap` (K's
+    denominator cancels): every draw is accepted without a product when both
+    twists are identities, and `square_gap` decides otherwise.  Only an
+    accepted map is built, in lowest terms as `LinearMap(rows)` keeps it.
     """
     if check:
         report = certify_rep(rep)
@@ -572,11 +573,10 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
     nums = [v.numerator * (den // v.denominator) for v in vals]
     n, m = rep.base.dim, rep.v_dim
     alpha, beta = rep.base.alpha, rep.beta
-    an, ad, bn, bd = alpha._n, alpha._d, beta._n, beta._d
     entries = n * m
 
     def accept(rows):
-        if square_gap(rows, bn, an, rows, ad, bd) is None:
+        if twist_gap(rows, alpha, beta) is None:
             flat, d = _reduce([x for row in rows for x in row], den)
             out.append(OperatorCandidate(
                 rep, LinearMap._make([flat[i * m:(i + 1) * m] for i in range(n)], d, m, n)))

@@ -26,9 +26,10 @@ from .engine import (
     check_clauses,
     op,
     tw,
+    twist_gap,
     var,
 )
-from .exact import LinearMap, ShapeError, square_gap
+from .exact import LinearMap, ShapeError
 from .records import Record
 from .reps import AssocAction, AssocBimodule, CertificationError
 from .varieties import AlgebraInstance
@@ -77,13 +78,15 @@ class OperatorCandidate(Record):
 def admissible(k: LinearMap, alpha: LinearMap, beta: LinearMap) -> bool:
     """K.beta == alpha.K: K: V -> A intertwines the twists beta of V and alpha of A.
 
-    Decided by `square_gap` on the integer numerators: K.beta over
-    K._d * beta._d against alpha.K over alpha._d * K._d, so K's denominator
-    cancels and the cross-scales are alpha._d and beta._d.
+    Decided by `engine.twist_gap` once the shapes agree: true at once when
+    both twists are identities (the flag is kept on each map), and otherwise
+    `square_gap` on the integer numerators, K.beta over K._d * beta._d
+    against alpha.K over alpha._d * K._d, so K's denominator cancels and the
+    cross-scales are alpha._d and beta._d.
     """
     if k.src_dim != beta.dst_dim or alpha.src_dim != k.dst_dim:
         raise ShapeError("inner dimensions disagree")
-    return square_gap(k._n, beta._n, alpha._n, k._n, alpha._d, beta._d) is None
+    return twist_gap(k._n, alpha, beta) is None
 
 
 # ---------------------------------------------------------------------------

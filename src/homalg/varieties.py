@@ -35,13 +35,15 @@ from .engine import (
     Interpretation,
     SemanticError,
     Witness,
+    _tensor,
     check_all,
     op,
     tw,
+    twist_gap,
     var,
     ZERO,
 )
-from .exact import LinearMap, ShapeError, StructureTensor, Vector, square_gap
+from .exact import LinearMap, ShapeError, StructureTensor, Vector
 from .records import Record
 
 
@@ -412,30 +414,33 @@ def certify_multiplicative(a: AlgebraInstance) -> CheckReport:
 def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> CheckReport:
     """Pass iff f intertwines the twists and every product pairwise.
 
-    The twist check compares f.alpha with alpha'.f on the integer numerators
-    with `square_gap`, cross-scaled by the twists' denominators (f's
-    cancels); only a mismatch composes the maps, to build the witness sides
-    at the first differing column j over f._d * alpha._d and
-    alpha'._d * f._d.  Then, per product symbol in sorted order and per left
-    index i, both sides of f(e_i e_j) = f(e_i) f(e_j) are built for every j
-    at once on integer numerators, one flat list each: f(e_i e_j) over
-    f._d * ts._d from the nonzero columns of f, and f(e_i) f(e_j) over
-    f._d**2 * td._d from the nonzero entries of td and of f.  The two lists
-    are compared once, cross-scaled; only a mismatch locates its first j and
-    builds the witness sides as `Vector`s over those same denominators.  A
-    map that fails stops after the block of its first failing i, and the
-    counters are those of a pair-by-pair loop that stops at the first
-    witness.
+    The twist check f.alpha == alpha'.f is `engine.twist_gap`: it holds at
+    once when both twists are identities (the flag is kept on each map), and
+    is otherwise decided on the integer numerators with `square_gap`,
+    cross-scaled by the twists' denominators (f's cancels); only a mismatch
+    composes the maps, to build the witness sides at the first differing
+    column j over f._d * alpha._d and alpha'._d * f._d.  Then, per product
+    symbol in sorted order and per left index i, both sides of
+    f(e_i e_j) = f(e_i) f(e_j) are built for every j at once on integer
+    numerators, one flat list each: f(e_i e_j) over f._d * ts._d from the
+    nonzero columns of f, and f(e_i) f(e_j) over f._d**2 * td._d from the
+    nonzero entries of td and of f.  Both tensors are read as the sparse
+    rows the engine compiles once and keeps on them (`engine._tensor`), so
+    no zero structure constant is visited.  The two lists are compared once,
+    cross-scaled; only a mismatch locates its first j and builds the witness
+    sides as `Vector`s over those same denominators.  A map that fails
+    stops after the block of its first failing i, and the counters are
+    those of a pair-by-pair loop that stops at the first witness.
     """
     if f.src_dim != src.dim or f.dst_dim != dst.dim:
         raise ShapeError("morphism candidate has wrong dimensions")
-    if set(src.products) != set(dst.products):
+    if src.products.keys() != dst.products.keys():
         raise SemanticError(
             f"{src.name!r} and {dst.name!r} expose different product symbols"
         )
     check_id = "morphism"
     sa, da = src.alpha, dst.alpha
-    j = square_gap(f._n, sa._n, da._n, f._n, da._d, sa._d)
+    j = twist_gap(f._n, da, sa)
     if j is not None:  # column j of each side: f(alpha e_j), alpha'(f e_j)
         return CheckReport(
             "fail",
@@ -458,17 +463,16 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
     for s, sym in enumerate(syms):
         ts, td = src.products[sym], dst.products[sym]
         # the nonzero entries t = td[p][q][k] with row q of f nonzero, by p
-        terms = [[(rows[q], k, t) for q, row in enumerate(plane) if rows[q]
-                  for k, t in enumerate(row) if t] for plane in td._n]
+        terms = [[(rows[q], k, t) for q, row in enumerate(plane) if row and rows[q]
+                  for k, t in row] for plane in _tensor(td)[0]]
         sl, sr = fd * td._d, ts._d  # lhs / (fd ts._d) == rhs / (fd^2 td._d)
-        for i, plane in enumerate(ts._n):
+        for i, plane in enumerate(_tensor(ts)[0]):
             lhs = [0] * (n * m)  # f(e_i e_j)[k] at j * m + k
             at = 0
             for row in plane:
-                for c, x in enumerate(row):
-                    if x:
-                        for k, y in cols[c]:
-                            lhs[at + k] += x * y
+                for c, x in row:
+                    for k, y in cols[c]:
+                        lhs[at + k] += x * y
                 at += m
             rhs = [0] * (n * m)  # (f(e_i) f(e_j))[k], same layout
             for p, x in cols[i]:

@@ -502,9 +502,30 @@ def test_cross_check_without_samples_is_a_semantic_error(samples):
                  "hom-associative", "--target", "kx2", "--cross-check", "--samples", samples)
     records = [json.loads(line) for line in proc.stdout.splitlines()]
     assert (proc.returncode, proc.stderr) == (3, "")
-    assert [(r["check"], r["status"]) for r in records] == [
-        ("variety:hom-associative", "pass"), ("check", "error")]
+    # refused before the target is certified
+    assert [(r["check"], r["status"]) for r in records] == [("check", "error")]
     assert records[-1]["detail"] == f"a random check needs at least one sample, got {samples}"
+
+
+BROKEN = ("algebra broken dim 2\n  op mul: e1 * e1 = e2\n  op mul: e2 * e2 = e1\n"
+          "  map alpha: e1 = e1\n  map alpha: e2 = e2\nend\n")
+
+
+@pytest.mark.parametrize("flags, detail", [
+    (["--samples", "0"], "a random check needs at least one sample, got 0"),
+    (["--grid", "bogus"], "--grid expects N/D with positive integers, got 'bogus'"),
+], ids=["samples", "grid"])
+def test_bad_cross_check_flags_are_refused_whatever_the_data(tmp_path, flags, detail):
+    # a target that fails its variety check never reaches the cross-check,
+    # so a bad flag was once left unreported behind the failing record
+    bad = tmp_path / "bad.halg"
+    bad.write_text(BROKEN)
+    proc = child("-m", "homalg", "check", str(bad), "--variety", "hom-associative",
+                 "--cross-check", *flags)
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert [(r["target"], r["check"], r["status"], r["detail"]) for r in records] == [
+        ("*", "check", "error", detail)]
 
 
 def test_no_stdout_exits_one_without_traceback():

@@ -465,14 +465,29 @@ def test_graph_closure_matches_the_vector_loop(seed_catalog):
         for where in itertools.product(range(cand.map.dst_dim), range(cand.map.src_dim)):
             for delta in (1, -1, Fraction(1, 2), Fraction(-1, 2)):
                 cases.append((perturb_operator(cand, where, delta), cid, ambient))
+    # the ambients again with their twist replaced by an identity built from
+    # rows, by 2 id (under which every graph is closed) and by a twist that
+    # moves the A-part
+    for cand, cid, ambient in sampled[::3]:
+        size = ambient.dim
+        for rows in ([[int(r == c) for c in range(size)] for r in range(size)],
+                     [[2 * (r == c) for c in range(size)] for r in range(size)],
+                     [[int(r == c or c == size - 1 and r == 0) for c in range(size)]
+                      for r in range(size)]):
+            retwisted = AlgebraInstance(ambient.name, size, ambient.products,
+                                        {"alpha": LinearMap(rows)}, ambient.variety)
+            cases.append((cand, cid, retwisted))
     seen = set()
     for cand, cid, ambient in cases:
         got = graph_closure(cand, cid, ambient=ambient)
         want = reference_graph_closure(cand, cid, ambient)
         assert report_record(got) == report_record(want), (cid.value, cand.map.matrix)
         w = got.witness
-        seen.add((got.status, w and w.identity.split(":")[0], w and w.lhs_value._d > 1))
-    # every outcome, and witnesses over denominators above 1
-    assert {s[:2] for s in seen} == {("pass", None), ("fail", "twist-closure"),
-                                     ("fail", "graph")}
-    assert ("fail", "graph", True) in seen and ("fail", "twist-closure", True) in seen
+        identity = ambient.alpha == LinearMap.identity(ambient.dim)
+        seen.add((identity, got.status, w and w.identity.split(":")[0], w and w.lhs_value._d > 1))
+    # every outcome, under identity and non-identity twists, and witnesses
+    # over denominators above 1
+    outcomes = {s[:3] for s in seen}
+    assert outcomes == {(True, "pass", None), (True, "fail", "graph"), (False, "pass", None),
+                        (False, "fail", "twist-closure"), (False, "fail", "graph")}
+    assert {s[1:] for s in seen} >= {("fail", "graph", True), ("fail", "twist-closure", True)}

@@ -166,6 +166,37 @@ def test_evaluate_unbound_variable_is_semantic_error():
         evaluate(var("u", "V"), {"u": v}, interp_for(KX2))
 
 
+def test_the_identity_flag_reads_the_maps_content():
+    # the flag kept with a map's power-1 entry says "identity" for every map
+    # equal to the identity, however it was built, and for no other map
+    from homalg.engine import _power, twist_gap
+
+    identities = [LinearMap.identity(3), LinearMap([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                  LinearMap([[Fraction(2, 2), 0, 0], [0, 1, 0], [0, 0, Fraction(3, 3)]]),
+                  LinearMap.diagonal([1, 1, 1]),
+                  LinearMap._make([[4, 0, 0], [0, 4, 0], [0, 0, 4]], 4, 3, 3),
+                  LinearMap.identity(2).power(3), LinearMap.identity(1)]
+    others = [LinearMap.diagonal([1, 1, 2]), LinearMap.zero(3), LinearMap.zero(2, 3),
+              LinearMap([[0, 1], [1, 0]]), LinearMap([[1, 1], [0, 1]]),
+              LinearMap([[1, 0], [0, 1], [0, 0]]), LinearMap([[1, 0, 0], [0, 1, 0]]),
+              LinearMap._make([[4, 0], [0, 2]], 4, 2, 2), LinearMap.diagonal([-1, -1])]
+    for lin in identities + others:
+        twin = LinearMap(lin.matrix)  # equal content, another object
+        assert _power(lin, 1)[3] is _power(twin, 1)[3] is (lin == LinearMap.identity(lin.src_dim))
+    assert all(_power(lin, 1)[3] for lin in identities)
+    # twist_gap decides K.beta == alpha.K for every mix of identity twists
+    K = LinearMap([[1, 2], [0, 3]])
+    twists = [LinearMap.identity(2), LinearMap._make([[5, 0], [0, 5]], 5, 2, 2),
+              LinearMap([[0, 1], [1, 0]]), LinearMap.diagonal([1, 2]), LinearMap([[1, 1], [0, 1]])]
+    verdicts = set()
+    for alpha in twists:
+        for beta in twists:
+            gap = twist_gap(K._n, alpha, beta)
+            assert (gap is None) == (K.compose(beta) == alpha.compose(K)), (alpha, beta)
+            verdicts.add(gap is None)
+    assert verdicts == {True, False}
+
+
 def test_twist_power_evaluation():
     alpha = LinearMap.diagonal([2, 3])
     interp = interp_for(KX2, alpha=alpha)

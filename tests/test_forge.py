@@ -1,9 +1,12 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from homalg import exact
+from homalg.constructions import graph_closure
 from homalg.engine import SemanticError, check_schema, check_schema_random
 from homalg.exact import LinearMap
 from homalg.forge import (
@@ -22,6 +25,7 @@ from homalg.forge import (
     two_dim_trialgebra,
     zero_algebra,
 )
+from homalg.operators import certify_operator, hemisemi_id_for, nijenhuis_of, operator_kinds_for
 from homalg.reps import AssocBimodule, regular, tensor_square_bimodule
 import homalg.varieties
 from homalg.varieties import (
@@ -153,6 +157,53 @@ def test_find_endomorphisms_certifies_only_what_it_returns(seed_catalog, monkeyp
     monkeypatch.setattr(homalg.varieties, "is_morphism", counted)
     found = find_endomorphisms(seed_catalog[name].value, GridSpec((-1, 0, 1)))
     assert found and len(calls) == len(found)
+
+
+def count_square_gaps(monkeypatch):
+    """The calls of `exact.square_gap` made from now on, through every module
+    of the certifiers that binds it."""
+    calls, real = [], exact.square_gap
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    patched = 0
+    for name in ("engine", "operators", "forge", "varieties", "constructions"):
+        module = importlib.import_module(f"homalg.{name}")
+        if getattr(module, "square_gap", None) is real:
+            monkeypatch.setattr(module, "square_gap", counted)
+            patched += 1
+    assert patched
+    return calls
+
+
+def operator_battery(rep, seed):
+    """Sample candidates over rep and run each through every operator kind of
+    its representation, graph closure and the Nijenhuis check."""
+    cid = hemisemi_id_for(rep)
+    cands = sample_operator_candidates(rep, GridSpec((-1, 0, 1, 2), seed=seed, count=30),
+                                       check=False)
+    for cand in cands:
+        for kind in operator_kinds_for(rep):
+            certify_operator(cand, kind)
+        graph_closure(cand, cid)
+        certify_operator(nijenhuis_of(cand, cid), "nijenhuis")
+    return cands
+
+
+def test_identity_twists_multiply_nothing(seed_catalog, monkeypatch):
+    # every square K.beta = alpha.K holds when both twists are identities, so
+    # the operator battery over an untwisted rep and the endomorphism search
+    # over the untwisted heis3 never compute one
+    calls = count_square_gaps(monkeypatch)
+    for k, rid in enumerate(("kx2_reg", "kx2_act", "sol2_adj", "j2_adj", "kx2_jmod")):
+        assert operator_battery(seed_catalog[rid].value, k)
+    assert len(find_endomorphisms(seed_catalog["heis3"].value, GridSpec((-1, 0, 1)))) == 657
+    assert calls == []
+    # a twisted rep still multiplies
+    operator_battery(seed_catalog["kx2t_reg"].value, 0)
+    assert calls
 
 
 def test_find_endomorphisms_keeps_full_grid_cap():

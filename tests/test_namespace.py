@@ -1,7 +1,12 @@
 """The lazy package namespace: every public name resolves, on each access, to
 its defining module's attribute."""
 
+import ast
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +72,35 @@ def test_an_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         homalg.no_such_name
     assert not hasattr(homalg, "dataclass")
+
+
+# `python -m homalg ARGS`, run in this process by runpy, then which homalg
+# modules it loaded; the report goes to stdout, the module list to stderr
+CLI_PROBE = """
+import runpy, sys
+sys.argv[0] = "homalg"
+try:
+    runpy.run_module("homalg", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write(repr((code, sorted(m for m in sys.modules if m.startswith("homalg")))))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["-c", "import sys, homalg.cli; "
+           "sys.stderr.write(repr((0, sorted(m for m in sys.modules if m.startswith('homalg')))))"],
+    ["-c", CLI_PROBE, "report", "kx3.halg"],
+    ["-c", CLI_PROBE, "report", "lie.halg"],
+], ids=["import", "report-kx3", "report-lie"])
+def test_the_cli_never_loads_the_forge(argv):
+    # the catalog, the sampler and the endomorphism search stay out of a CLI
+    # process: importing them costs every command
+    data = Path(homalg.__file__).parent / "data"
+    argv = [str(data / a) if a.endswith(".halg") else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(homalg.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+    code, modules = ast.literal_eval(proc.stderr)
+    assert code in (0, 1) and "homalg.cli" in modules, proc.stderr  # 1: some check failed
+    assert "homalg.forge" not in modules

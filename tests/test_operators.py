@@ -248,6 +248,11 @@ def test_admissible_matches_composed_maps():
     def rand_map(dst, src):
         return LinearMap([[rng.choice(values) for _ in range(src)] for _ in range(dst)])
 
+    def identities(n):
+        """The identity of dim n, fresh and over a denominator of 3."""
+        return [LinearMap.identity(n), LinearMap._make(
+            [[3 if i == j else 0 for j in range(n)] for i in range(n)], 3, n, n)]
+
     outcomes = set()
     for n, m in ((1, 1), (2, 2), (2, 3), (3, 2), (2, 4)):
         for _ in range(20):
@@ -256,11 +261,19 @@ def test_admissible_matches_composed_maps():
             alpha, eye = LinearMap.diagonal([s] * n), LinearMap.diagonal([s] * m)
             beta = LinearMap._make([[3 * x for x in row] for row in eye._n], 3 * eye._d, m, m)
             twists = [(alpha, beta), (rand_map(n, n), beta), (alpha, rand_map(m, m))]
+            # every identity / non-identity combination of the two twists
+            twists += [(a, b) for a in identities(n) for b in identities(m)]
+            twists += [(a, b) for a in identities(n) for b in (beta, rand_map(m, m))]
+            twists += [(a, b) for a in (alpha, rand_map(n, n)) for b in identities(m)]
             for a, b in twists:
                 got = admissible(K, a, b)
                 assert got == (K.compose(b) == a.compose(K)), (K.matrix, a.matrix, b.matrix)
-                outcomes.add(got)
-    assert outcomes == {True, False}
+                kinds = (a == LinearMap.identity(n), b == LinearMap.identity(m))
+                outcomes.add((kinds, got))
+    # both verdicts wherever one twist is not the identity
+    assert outcomes == {((True, True), True)} | {
+        (kinds, got) for kinds in ((True, False), (False, True), (False, False))
+        for got in (True, False)}
     with pytest.raises(ShapeError):
         admissible(LinearMap.zero(2, 3), LinearMap.identity(3), LinearMap.identity(3))
     with pytest.raises(ShapeError):

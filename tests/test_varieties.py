@@ -266,12 +266,41 @@ def test_is_morphism_matches_the_vector_loop(seed_catalog):
     into, onto = LinearMap([[1, 0], [0, 0], [0, 1]]), LinearMap([[1, 0, 0], [0, 1, 0]])
     assert is_morphism(into, kx2, kx3).ok and is_morphism(onto, kx3, kx2).ok
     cases += [(into, kx2, kx3), (onto, kx3, kx2)]
-    statuses = set()
+    # exactly one twist the identity, in equal and in different dimensions,
+    # both ways round; the intertwining part of each random map reaches the
+    # products
+    mixed = []
+    for twisted, plain in (("kx2t", "kx2"), ("kx3t2", "kx3"), ("sol2t2", "sol2"),
+                           ("j2t2", "j2"), ("tri23", "tri11"), ("kx3t2", "kx2"),
+                           ("kx2t", "kx3")):
+        t, u = seed_catalog[twisted].value, seed_catalog[plain].value
+        for src, dst in ((t, u), (u, t)):
+            mixed.append((LinearMap.zero(src.dim, dst.dim), src, dst))
+            for den in (1, 2):
+                for _ in range(6):
+                    f = random_map(rng, src.dim, dst.dim, den)
+                    mixed += [(f, src, dst), (intertwining_part(f, src, dst), src, dst)]
+    cases += mixed
+    statuses, one_identity = set(), set()
     for f, src, dst in cases:
         got, want = is_morphism(f, src, dst), reference_is_morphism(f, src, dst)
         assert morphism_record(got) == morphism_record(want), (src.name, dst.name, f.matrix)
-        statuses.add((got.status, got.witness and got.witness.identity.split(":")[0]))
-    assert statuses == {("pass", None), ("fail", "twist-intertwine"), ("fail", "morphism")}
+        status = (got.status, got.witness and got.witness.identity.split(":")[0])
+        statuses.add(status)
+        if (src.alpha == LinearMap.identity(src.dim)) != (dst.alpha == LinearMap.identity(dst.dim)):
+            one_identity.add(status)
+    expected = {("pass", None), ("fail", "twist-intertwine"), ("fail", "morphism")}
+    assert statuses == one_identity == expected
+
+
+def intertwining_part(f, src, dst):
+    """f with each entry f[r][c] zeroed unless the diagonal twists agree there,
+    alpha[c][c] == alpha'[r][r], so that f.alpha == alpha'.f."""
+    a, b = src.alpha.matrix, dst.alpha.matrix
+    assert all(x == 0 for m in (a, b) for r, row in enumerate(m) for c, x in enumerate(row)
+               if r != c)
+    return LinearMap([[x if a[c][c] == b[r][r] else 0 for c, x in enumerate(row)]
+                      for r, row in enumerate(f.matrix)])
 
 
 def scalar_twist(a, s, scale=1):
