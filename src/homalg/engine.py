@@ -20,21 +20,31 @@ the sides of several schemas over one variable list into one hash-consed
 DAG, so equal subterms (such as those shared by the polarized terms of
 Hom-Jordan, or the side prod(K u, K v) of the operator clauses) are one
 node.  The compiled plan holds no data: the polarized clauses, the DAG's
-node keys, its live order and the level steps.  It is kept on the first
-schema of the clause tuple and reused for every interpretation that binds
-the same symbols with the same signatures, whatever the dimensions, as long
-as its guards hold again: the DAG is simplified against the data (identity
-twist powers vanish, zero products are zero), so a plan records the
-identity flag of every twist power and the zero flag of every op it read.
-Each call binds the plan: every node gets an integer kernel over the
-structure constants' numerators and a denominator; the sides compare as
-l * Dr == r * Dl.  Tuples are enumerated lexicographically and a node is
-re-evaluated only when a slot it depends on changes, looking up a table
-keyed by the tuple's projection onto its free slots that is filled on
-demand, so a failing check still stops at its first witness.  Tables live
-for one call; tensors and maps keep their sparse form once compiled, and
-a map keeps each power's columns and identity flag, so guards are read,
-not rebuilt.
+node keys, its live order, its kernels and the level steps.  It is kept on
+the first schema of the clause tuple and reused for every interpretation
+that binds the same symbols with the same signatures, whatever the
+dimensions, as long as its guards hold again: the DAG is simplified against
+the data (identity twist powers vanish, zero products are zero), so a plan
+records the identity flag of every twist power and the zero flag of every
+op it read.  A plan builds one integer kernel per node, once; a kernel
+reads its structure constants' numerators and its output dimension from
+slots of the value list after the nodes.  Each call binds the plan per
+symbol, not per node: it fills those slots with the compiled rows of each
+op, the columns of each twist power and the dimension of each sort, and
+takes the node denominators (and the sums' terms scaled to them) that the
+plan keeps for the last denominators it was bound with, rebuilding them
+only when the data's or the variables' denominators differ.  The sides
+compare as l * Dr == r * Dl.  A kernel skips zero work: with no nonzero
+contribution it returns [], with one the scaled row, column or term, and
+only with two or more does it sum into a dense list.  Tuples are enumerated
+lexicographically and a node is re-evaluated only when a slot it depends on
+changes, looking up a table keyed by the tuple's projection onto its free
+slots that is filled on demand, so a failing check still stops at its first
+witness.  Tables live for one call, and the basis vectors are built once
+per dimension per call; tensors and maps keep their sparse form once
+compiled (an all-zero row or column is told by one C-level test, not
+converted), and a map keeps each power's columns and identity flag, so
+guards are read, not rebuilt.
 The last slot is enumerated only where a side can be nonzero.  The plan
 holds a support recipe for the nodes that read the last variable; bound to
 the support masks kept with the data (a tensor's row and column masks and
@@ -503,14 +513,22 @@ def _check_sorts(expr, interp: Interpretation):
 # when the plan is bound.  The zero vector is [].
 #
 # Compiling is split in two.  A plan (_Plan) holds no data: the clauses as
-# checked, the DAG's node keys, its live order and node sorts, and the level
-# steps of check_clauses.  It is built for one interpretation shape (the
-# sort names and the signatures of the symbols read; not the dimensions) and
-# records as guards the identity flag of every twist power and the zero flag
-# of every op the DAG's simplification asked about; it is reused for any
-# interpretation of that shape on which all guards hold again.  Binding a
-# plan gives each node its kernel over the interpretation's sparse numerators
-# and its denominator, per call.
+# checked, the DAG's node keys, its live order and node sorts, its kernels
+# and the level steps of check_clauses.  It is built for one interpretation
+# shape (the sort names and the signatures of the symbols read; not the
+# dimensions) and records as guards the identity flag of every twist power
+# and the zero flag of every op the DAG's simplification asked about; it is
+# reused for any interpretation of that shape on which all guards hold
+# again.  Binding a plan, per call, is per symbol, not per node: it puts
+# each op's sparse numerator rows, each twist power's columns, each sort's
+# dimension and each sum's scaled terms into slots of a fresh value list,
+# where the kernels read them, and gives each node its denominator.
+#
+# The kernels skip zero work.  A product, twist or sum collects the
+# nonzero contributions (a nonzero row, column or term of a nonzero entry)
+# and returns [] when there are none and the scaled contribution when there
+# is one; only two or more are summed in a dense list of the output
+# dimension, which is then made sparse.
 
 
 def _children(key):
@@ -556,7 +574,7 @@ def _tensor(tensor):
     """
     got = tensor._compiled
     if got is None:
-        rows = [[_sparse(r) for r in plane] for plane in tensor._n]
+        rows = [[_sparse(r) if any(r) else [] for r in plane] for plane in tensor._n]
         got = tensor._compiled = [rows, [_support(plane) for plane in rows],
                                   [_support(plane[j] for plane in rows)
                                    for j in range(tensor.right_dim)], None, None]
@@ -588,7 +606,8 @@ def _outputs(tensor, right: bool):
 
 def _columns(lin):
     """(sparse columns, nonzero-column mask) of a map."""
-    cols = [_sparse(row[j] for row in lin._n) for j in range(lin.src_dim)]
+    cols = [_sparse(col) if any(col) else []
+            for col in (zip(*lin._n) if lin.dst_dim else [()] * lin.src_dim)]
     return cols, _support(cols)
 
 
@@ -761,50 +780,60 @@ class _Dag:
         return self._intern(("sum", flat))
 
 
-def _twist_kernel(child, cols, dst):
+def _combine(parts, dim):
+    """The sparse sum of s * v over the (s, v) in parts, at least one, each
+    v nonzero: the scaled v for one, and only from two on a dense sum."""
+    if len(parts) == 1:
+        (s, v), = parts
+        return v if s == 1 else [(k, s * x) for k, x in v]
+    out = [0] * dim
+    for s, v in parts:
+        for k, x in v:
+            out[k] += s * x
+    return _sparse(out)
+
+
+def _twist_kernel(child, data, dim):
     def run(cur):
-        v = cur[child]
+        v, cols = cur[child], cur[data]
         if len(v) == 1:
             (j, a), = v
             col = cols[j]
             return col if a == 1 else [(i, a * x) for i, x in col]
-        out = [0] * dst
+        parts = []
         for j, a in v:
-            for i, x in cols[j]:
-                out[i] += a * x
-        return _sparse(out)
+            if cols[j]:
+                parts.append((a, cols[j]))
+        return _combine(parts, cur[dim]) if parts else []
     return run
 
 
-def _op_kernel(left, right, rows, out_dim):
+def _op_kernel(left, right, data, dim):
     def run(cur):
-        a, b = cur[left], cur[right]
+        a, b, rows = cur[left], cur[right], cur[data]
         if len(a) == 1 and len(b) == 1:
             (i, x), = a
             (j, y), = b
             row = rows[i][j]
             s = x * y
             return row if s == 1 else [(k, s * c) for k, c in row]
-        out = [0] * out_dim
+        parts = []
         for i, x in a:
             plane = rows[i]
             for j, y in b:
-                row = plane[j]
-                if row:
-                    s = x * y
-                    for k, c in row:
-                        out[k] += s * c
-        return _sparse(out)
+                if plane[j]:
+                    parts.append((x * y, plane[j]))
+        return _combine(parts, cur[dim]) if parts else []
     return run
 
 
-def _sum_kernel(terms, dim):
+def _sum_kernel(data, dim):
     def run(cur):
-        out = [0] * dim
-        for f, child in terms:
-            for k, x in cur[child]:
-                out[k] += f * x
-        return _sparse(out)
+        parts = []
+        for f, c in cur[data]:
+            if cur[c]:
+                parts.append((f, cur[c]))
+        return _combine(parts, cur[dim]) if parts else []
     return run
 
 
@@ -930,19 +959,30 @@ class _Plan:
     `nodes` are the DAG's keys and `order` the live ones, children first;
     `sorts` gives each node's sort, so the plan serves every dimension.
     Roots are lhs, rhs of each clause in turn, and `out_sorts` their sorts
-    (None when both sides are zero).  `levels` holds, per slot p (and first
-    for no slot), the (node, table key) steps to run once slots 0..p are
-    set: a node is evaluated at the level of its last free slot, and one
-    whose free slots are not all of 0..level gets a table keyed by the
-    projection of the tuple onto them.  `recipes[p]` tells which indices
-    of slot p can make a side nonzero, for the last slot and, past slot 0,
-    the one before it (see _support_recipe); it is None at the other
-    slots, and where some side reads a later slot but not slot p.  `twists`
-    and `zeros` are the guards it was built under.
+    (None when both sides are zero).  Every live node but a variable has one
+    kernel, built with the plan.  A kernel reads its children's values from
+    the value list by node id and its data from slots after the nodes
+    (`width` entries in all): one per op symbol (`op_slots`, its compiled
+    rows), twist power (`map_slots`, its columns), sort (`dim_slots`, its
+    dimension) and sum (`sum_slots`, its scaled terms), which bind fills per
+    check.  `levels` holds, per slot p (and first for no slot), the (node,
+    kernel, table key, table) steps to run once slots 0..p are set, children
+    first: a node is evaluated at the level of its last free slot, and one
+    whose free slots are not all of 0..level gets a table, one of `tables`
+    made per check, keyed by the projection of the tuple onto them.
+    `recipes[p]` tells which indices of slot p can make a side nonzero, for
+    the last slot and, past slot 0, the one before it (see _support_recipe);
+    it is None at the other slots, and where some side reads a later slot
+    but not slot p.  `twists` and `zeros` are the guards it was built under.
+    `den_key`, `dens` and `sum_terms` keep the denominators of the last bind
+    (see bind).  `sides` pairs the roots per clause, and `var_at` gives each
+    slot's variable node (None for a variable no side reads).
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
-                 "out_sorts", "levels", "recipes")
+                 "out_sorts", "levels", "recipes", "tables", "width", "op_slots",
+                 "map_slots", "dim_slots", "sum_slots", "den_key", "dens", "sum_terms", "sides",
+                 "var_at")
 
     def __init__(self, clause_set: _ClauseSet, interp: Interpretation):
         self.clause_set = clause_set
@@ -976,6 +1016,12 @@ class _Plan:
         slot_of = {name: p for p, name in enumerate(var_sorts)}
         free = [0] * len(nodes)
         self.levels = levels = [[] for _ in range(len(var_sorts) + 1)]
+        data = {}  # the data slot of each op symbol, twist power, sort and sum, after the nodes
+
+        def slot(key):
+            return data.setdefault(key, len(nodes) + len(data))
+
+        tables = 0
         for nid in self.order:
             key = nodes[nid]
             kind = key[0]
@@ -988,19 +1034,34 @@ class _Plan:
                 continue
             if kind == "tw":
                 sorts[nid] = interp.maps[key[1]][1][1]
+                kernel = _twist_kernel(key[3], slot(key[:3]), slot(("dim", sorts[nid])))
             elif kind == "op":
                 sorts[nid] = interp.ops[key[1]][1][2]
+                kernel = _op_kernel(key[2], key[3], slot(key[:2]), slot(("dim", sorts[nid])))
             elif key[1]:
                 sorts[nid] = sorts[key[1][0][1]]
+                kernel = _sum_kernel(slot(("sum", nid)), slot(("dim", sorts[nid])))
+            else:
+                kernel = _zero_kernel
             for c in _children(key):
                 free[nid] |= free[c]
             mask = free[nid]
             level = mask.bit_length() - 1
             if mask == (1 << (level + 1)) - 1:
-                levels[level + 1].append((nid, None))
+                levels[level + 1].append((nid, kernel, None, None))
             else:
-                levels[level + 1].append((nid, itemgetter(*[p for p in range(level + 1)
-                                                              if mask >> p & 1])))
+                levels[level + 1].append((nid, kernel, itemgetter(
+                    *[p for p in range(level + 1) if mask >> p & 1]), tables))
+                tables += 1
+        self.tables = tables
+        self.width = len(nodes) + len(data)
+        self.op_slots = [(key, at) for key, at in data.items() if key[0] == "op"]
+        self.map_slots = [(key, at) for key, at in data.items() if key[0] == "tw"]
+        self.dim_slots = [(key[1], at) for key, at in data.items() if key[0] == "dim"]
+        self.sum_slots = {key[1]: at for key, at in data.items() if key[0] == "sum"}
+        self.den_key = None  # the denominators of the last bind (see bind)
+        self.sides = list(zip(self.roots[::2], self.roots[1::2]))
+        self.var_at = [self.var_nodes.get(name) for name in var_sorts]
         # masks at the last slot and, past slot 0, the one before it (see check_clauses)
         last = len(var_sorts) - 1
         keys = {}  # one key object per table, shared by the steps that read it
@@ -1193,40 +1254,62 @@ class _Plan:
                 and all(_is_zero(interp, symbol) == flag for symbol, flag in self.zeros))
 
     def bind(self, interp: Interpretation, leaf_dens: dict):
-        """(kernels, denominators) over the interpretation's data.
+        """(value list, denominators) over the interpretation's data.
 
-        A variable's denominator is leaf_dens.get(name, 1); every other live
-        node gets an integer kernel reading its children's current values
-        from a list indexed by node id.
+        The kernels are the plan's; each reads its data from a slot after
+        the nodes in the value list, which this fills per symbol: an op's
+        compiled rows, a twist power's columns, a sort's dimension and a
+        sum's terms.  A variable's denominator is leaf_dens.get(name, 1) and
+        a node's follows from its children's and its data's; the vector of
+        them, and the sums' terms scaled by them, are kept for the last
+        denominators bound and rebuilt only when those change.
         """
-        nodes, sorts, dims = self.nodes, self.sorts, interp.sorts
+        cur = [None] * self.width
+        ops, maps, dims = interp.ops, interp.maps, interp.sorts
+        read = []
+        for (_, symbol), at in self.op_slots:
+            tensor = ops[symbol][0]
+            cur[at] = _tensor(tensor)[0]
+            read.append(tensor._d)
+        for (_, symbol, power), at in self.map_slots:
+            cols, den = _power(maps[symbol][0], power)[:2]
+            cur[at] = cols
+            read.append(den)
+        for sort, at in self.dim_slots:
+            cur[at] = dims[sort]
+        for name in self.var_nodes:
+            read.append(leaf_dens.get(name, 1))
+        if read != self.den_key:
+            self._denominators(read)
+        for at, terms in self.sum_terms:
+            cur[at] = terms
+        return cur, self.dens
+
+    def _denominators(self, read):
+        """Keep the node denominators, and the sums' terms scaled to them,
+        for `read`: the denominators bind read, in its order."""
+        nodes = self.nodes
+        den_of = dict(zip([key for key, _ in self.op_slots + self.map_slots]
+                          + [("var", name) for name in self.var_nodes], read))
         dens = [1] * len(nodes)
-        kernels = [None] * len(nodes)
+        sums = []
         for nid in self.order:
             key = nodes[nid]
             kind = key[0]
             if kind == "var":
-                dens[nid] = leaf_dens.get(key[1], 1)
+                dens[nid] = den_of[key]
             elif kind == "tw":
-                _, symbol, power, child = key
-                cols, den = _power(interp.maps[symbol][0], power)[:2]
-                dens[nid] = dens[child] * den
-                kernels[nid] = _twist_kernel(child, cols, dims[sorts[nid]])
+                dens[nid] = dens[key[3]] * den_of[key[:3]]
             elif kind == "op":
-                _, symbol, left, right = key
-                tensor = interp.ops[symbol][0]
-                dens[nid] = dens[left] * dens[right] * tensor._d
-                kernels[nid] = _op_kernel(left, right, _tensor(tensor)[0], dims[sorts[nid]])
-            elif not key[1]:
-                kernels[nid] = _zero_kernel
-            else:
+                dens[nid] = dens[key[2]] * dens[key[3]] * den_of[key[:2]]
+            elif key[1]:
                 den = 1
                 for w, c in key[1]:
                     den = lcm(den, w.denominator * dens[c])
-                terms = [(w.numerator * (den // (w.denominator * dens[c])), c) for w, c in key[1]]
                 dens[nid] = den
-                kernels[nid] = _sum_kernel(terms, dims[sorts[nid]])
-        return kernels, dens
+                terms = [(w.numerator * (den // (w.denominator * dens[c])), c) for w, c in key[1]]
+                sums.append((self.sum_slots[nid], terms))
+        self.den_key, self.dens, self.sum_terms = read, dens, sums
 
     def bind_support(self, p, interp: Interpretation, cur: list, tables: dict,
                      standins: dict):
@@ -1400,7 +1483,7 @@ def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
 
 
 def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=False):
-    """(plan, kernels, denominators, memo) for the clauses over interp.
+    """(plan, value list, denominators, memo) for the clauses over interp.
 
     The plan comes from the first clause's cache, keyed by the remaining
     clauses and `polar`, then by shape; it is built when no cached plan's
@@ -1437,11 +1520,10 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
     return (plan, *plan.bind(interp, leaf_dens), slot)
 
 
-def _run(order, kernels, cur) -> None:
-    """Evaluate every kernel in topological order (variables already set)."""
-    for nid in order:
-        kernel = kernels[nid]
-        if kernel is not None:
+def _run(levels, cur) -> None:
+    """Evaluate every kernel, level by level (variables already set)."""
+    for level in levels:
+        for nid, kernel, _, _ in level:
             cur[nid] = kernel(cur)
 
 
@@ -1475,12 +1557,10 @@ def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
             raise ShapeError(f"variable {name!r} bound to a vector of dim {env[name].dim}")
     schema = IdentitySchema("evaluate", expr, ZERO,
                             variables=[(name, s, 1) for name, s in sorts.items()])
-    plan, kernels, dens, _ = _bind((schema,), interp, False,
-                                   {n: v._d for n, v in env.items()})
-    cur = [None] * len(plan.nodes)
+    plan, cur, dens, _ = _bind((schema,), interp, False, {n: v._d for n, v in env.items()})
     for name, nid in plan.var_nodes.items():
         cur[nid] = _sparse(env[name]._n)
-    _run(plan.order, kernels, cur)
+    _run(plan.levels, cur)
     return _vector(cur, dens, plan.roots[0], interp.sorts.get(plan.out_sorts[0], 0))
 
 
@@ -1508,7 +1588,7 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     from the memo (see the module docstring).
     """
     try:
-        plan, kernels, dens, memo = _bind(clauses, interp, True, {}, memo=True)
+        plan, cur, dens, memo = _bind(clauses, interp, True, {}, memo=True)
     except (SemanticError, KeyError) as exc:
         raise SemanticError(f"{clauses[0].name}: {exc}") from exc
     if plan is None:  # a verdict kept for these very objects
@@ -1517,14 +1597,11 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                            tuples_checked=checked, tuples_evaluated=evaluated,
                            prefixes_visited=prefixes)
     variables, lower = plan.clause_set.variables, plan.clause_set.lower
-    tails, recipes = plan.clause_set.tails, plan.recipes
+    tails, recipes, levels, sides = plan.clause_set.tails, plan.recipes, plan.levels, plan.sides
     dims = [interp.sorts[sort] for _, sort, _ in variables]
-    basis = [[[(i, 1)] for i in range(d)] for d in dims]
-    var_at = [plan.var_nodes.get(name) for name, _, _ in variables]
-    steps = [[(nid, kernels[nid], key, None if key is None else {}) for nid, key in level]
-             for level in plan.levels]
-    sides = list(zip(plan.roots[::2], plan.roots[1::2]))
-    cur = [None] * len(plan.nodes)
+    by_dim = {d: [[(i, 1)] for i in range(d)] for d in set(dims)}
+    basis, var_at = [by_dim[d] for d in dims], plan.var_at
+    memos = [{} for _ in range(plan.tables)]  # per tabled node, its values by free slots
     bound = [None] * len(variables)  # each slot's mask function, bound when first needed
     standins, tables = {}, {}
     idx = [0] * len(variables)
@@ -1534,11 +1611,11 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     met_empty = False  # whether a last-slot mask came out empty yet
 
     def run(level):
-        for nid, kernel, key, table in steps[level + 1]:
-            if table is None:
+        for nid, kernel, key, t in levels[level + 1]:
+            if key is None:
                 cur[nid] = kernel(cur)
             else:
-                k = key(idx)
+                table, k = memos[t], key(idx)
                 v = table.get(k)
                 if v is None:
                     v = table[k] = kernel(cur)
@@ -1694,18 +1771,17 @@ def check_schema_random(
     dens = tuple(denominators) if denominators else _RANDOM_DENOMINATORS
     check_id = f"schema-random:{schema.name}"
     common = lcm(*dens)
-    plan, kernels, node_dens, _ = _bind((schema,), interp, False,
-                                     {name: common for name, _, _ in schema.variables})
+    plan, cur, node_dens, _ = _bind((schema,), interp, False,
+                                    {name: common for name, _, _ in schema.variables})
     lhs, rhs = plan.roots
     rng = random.Random(seed)
-    cur = [None] * len(plan.nodes)
     slots = [(plan.var_nodes.get(name), interp.sorts[sort]) for name, sort, _ in schema.variables]
     for k in range(samples):
         for nid, d in slots:
             coords = [(rng.choice(nums), rng.choice(dens)) for _ in range(d)]
             if nid is not None:
                 cur[nid] = _sparse(n * (common // m) for n, m in coords)
-        _run(plan.order, kernels, cur)
+        _run(plan.levels, cur)
         if not _equal(cur, node_dens, lhs, rhs):
             return CheckReport(
                 "fail", check_id, detail=f"sample {k} (seed {seed})", tuples_checked=k + 1

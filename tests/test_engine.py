@@ -1372,3 +1372,145 @@ def test_evaluate_and_random_checks_never_read_the_memo(cold_binds):
     assert len(cold_binds) == 6
     evaluate(op("mul", var("x"), var("y")), {"x": Vector([1, 0]), "y": Vector([0, 1])}, interp)
     assert len(cold_binds) == 7
+
+
+# ---------------------------------------------------------------------------
+# kernels and compiled data: the zero paths against a dense reference
+
+
+def _dense_to_sparse(dense):
+    return [(k, x) for k, x in enumerate(dense) if x]
+
+
+def _sparse_ints(rng, dim, nonzero):
+    """A sparse integer vector with `nonzero` entries, in index order."""
+    return [(k, rng.choice((-2, -1, 1, 2, 3))) for k in sorted(rng.sample(range(dim), nonzero))]
+
+
+def _paths(parts, got):
+    """Which kernel path a result came from: by the number of contributions,
+    and for two or more whether they cancelled to zero."""
+    return min(parts, 2), parts >= 2 and not got
+
+
+def test_kernels_match_a_dense_reference_on_sparse_data():
+    import random
+
+    from homalg.engine import _columns, _op_kernel, _sum_kernel, _tensor, _twist_kernel
+
+    rng = random.Random(23)
+    seen = {"op": set(), "tw": set(), "sum": set()}
+    for _ in range(600):
+        ld, rd, od = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        planes = [[[rng.choice((0, 0, -1, 1, 2)) if rng.random() < 0.6 else 0 for _ in range(od)]
+                   if rng.random() < 0.6 else [0] * od for _ in range(rd)]
+                  if rng.random() < 0.7 else [[0] * od for _ in range(rd)] for _ in range(ld)]
+        if ld > 1 and rng.random() < 0.4:  # plane 1 cancels plane 0
+            planes[1] = [[-x for x in row] for row in planes[0]]
+        tensor = StructureTensor(planes)
+        a = _sparse_ints(rng, ld, rng.randint(0, ld))
+        b = _sparse_ints(rng, rd, rng.randint(0, rd))
+        if ld > 1 and rng.random() < 0.3:
+            a = [(0, 2), (1, 2)]
+        dense = [0] * od
+        parts = 0
+        for i, x in a:
+            for j, y in b:
+                parts += any(tensor._n[i][j])
+                for k in range(od):
+                    dense[k] += x * y * tensor._n[i][j][k]
+        got = _op_kernel(0, 1, 2, 3)([a, b, _tensor(tensor)[0], od])
+        assert got == _dense_to_sparse(dense), (planes, a, b)
+        seen["op"].add(_paths(parts, got))
+
+        # a map from dimension od to rd, with zero columns
+        lin = LinearMap([[rng.choice((0, 0, -1, 1, 2)) if rng.random() < 0.5 else 0
+                          for _ in range(od)] for _ in range(rd)])
+        v = _sparse_ints(rng, od, rng.randint(0, od))
+        if od > 1 and rng.random() < 0.3:  # column 1 cancels column 0
+            lin = LinearMap([[r[0], -r[0], *r[2:]] for r in lin._n])
+            v = [(0, 3), (1, 3)]
+        dense = [sum(x * lin._n[i][j] for j, x in v) for i in range(rd)]
+        parts = sum(any(r[j] for r in lin._n) for j, _ in v)
+        got = _twist_kernel(0, 1, 2)([v, _columns(lin)[0], rd])
+        assert got == _dense_to_sparse(dense), (lin._n, v)
+        seen["tw"].add(_paths(parts, got))
+
+        children = [_sparse_ints(rng, od, rng.randint(0, od)) for _ in range(3)]
+        terms = [(rng.choice((-2, -1, 1, 3)), c) for c in range(rng.randint(0, 3))]
+        if rng.random() < 0.25:
+            children[1] = [(k, -x) for k, x in children[0]]
+            terms = [(2, 0), (2, 1)]
+        dense = [0] * od
+        for f, c in terms:
+            for k, x in children[c]:
+                dense[k] += f * x
+        got = _sum_kernel(3, 4)([*children, terms, od])
+        assert got == _dense_to_sparse(dense), (children, terms)
+        seen["sum"].add(_paths(sum(1 for _, c in terms if children[c]), got))
+    # no contribution, one, several, and several that cancel, for each kernel
+    for kind, paths in seen.items():
+        assert paths == {(0, False), (1, False), (2, False), (2, True)}, (kind, paths)
+
+
+def test_compiled_rows_and_columns_match_the_dense_data(seed_catalog):
+    from homalg.engine import _columns, _tensor
+
+    tensors, maps = {}, {}
+    for entry in seed_catalog.values():
+        value = entry.value
+        if entry.kind == "operator":
+            maps[id(value.map)] = value.map
+            continue
+        interp = value.interpretation()
+        tensors.update((id(t), t) for t, _ in interp.ops.values())
+        maps.update((id(m), m) for m, _ in interp.maps.values())
+    assert len(tensors) > 20 and len(maps) > 40
+    for t in tensors.values():
+        rows, row_masks, col_masks = _tensor(t)[:3]
+        dense = [[_dense_to_sparse(t._n[i][j]) for j in range(t.right_dim)]
+                 for i in range(t.left_dim)]
+        assert rows == dense
+        assert row_masks == [sum(1 << j for j in range(t.right_dim) if any(t._n[i][j]))
+                             for i in range(t.left_dim)]
+        assert col_masks == [sum(1 << i for i in range(t.left_dim) if any(t._n[i][j]))
+                             for j in range(t.right_dim)]
+    for m in maps.values():
+        cols, mask = _columns(m)
+        assert cols == [_dense_to_sparse([m._n[i][j] for i in range(m.dst_dim)])
+                        for j in range(m.src_dim)]
+        assert mask == sum(1 << j for j, col in enumerate(cols) if col)
+    # a map into dimension 0 has no rows to zip, yet one empty column per source index
+    assert _columns(LinearMap.zero(3, 0)) == ([[], [], []], 0)
+    assert _columns(LinearMap.zero(0, 2)) == ([], 0)
+
+
+def test_one_plan_rebound_over_changing_denominators_matches_cold_compiles(cold_binds):
+    x, y = var("x"), var("y")
+    lhs = op("mul", tw("alpha", x), y) + Fraction(1, 2) * op("mul", x, tw("alpha", y))
+    # it holds when alpha is a scalar, and fails for the shear
+    schema = IdentitySchema("mixed", lhs, Fraction(3, 2) * op("mul", tw("alpha", x), y))
+    base = [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]
+    statuses = set()
+    for n, d in enumerate((1, 2, 3, 1, 3, 2, 2, 1)):
+        tensor = StructureTensor([[[Fraction(c, d) for c in row] for row in plane]
+                                  for plane in base])
+        twist = [[1, 1], [0, 2]] if n % 2 else [[5, 0], [0, 5]]
+        alpha = LinearMap([[Fraction(c, 4 - d) for c in row] for row in twist])
+        assert (tensor._d, alpha._d) == (d, 4 - d)
+        interp = interp_for(tensor, alpha)
+        report = check_clauses([schema], interp, "mixed")
+        _same(report, check_clauses([_fresh(schema)], interp, "mixed"))
+        statuses.add(report.status)
+        for leaf in (1, 2, 3):
+            _same(check_schema_random(schema, interp, 6, d, denominators=(leaf,)),
+                  check_schema_random(_fresh(schema), interp, 6, d, denominators=(leaf,)))
+            u, v = Vector([Fraction(1, leaf), 2]), Vector([-1, Fraction(3, leaf)])
+            want = (tensor.apply(alpha.apply(u), v) + tensor.apply(u, alpha.apply(v)).scale(
+                Fraction(1, 2)))
+            assert evaluate(lhs, {"x": u, "y": v}, interp) == want
+    # one plan for the exhaustive checks and one for the random ones, each
+    # bound once per check over every denominator in turn
+    exhaustive, drawn = _plans(schema)
+    assert [sum(p is plan for p in cold_binds) for plan in (exhaustive, drawn)] == [8, 24]
+    assert statuses == {"pass", "fail"}
