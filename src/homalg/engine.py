@@ -10,10 +10,8 @@ occurrence of a repeated variable gets its own copy, summed over the
 bijections from occurrences to copies.  That is the polynomial the
 inclusion-exclusion sum over subsets of copies gives, but each copy enters
 as a bare basis vector rather than in sums such as x__1 + x__3, so the
-kernels take their one-entry paths and the support masks below skip: the
-polarized Hom-Jordan clause has 83 tree nodes instead of 189, and the cold
-passing checks of it on the catalog's five hemisemi products evaluate 50
-tuples instead of 488.
+kernels take their one-entry paths and the clauses meet the support-mask
+contract below.
 
 Evaluation is compiled once and bound per call.  `check_clauses` compiles
 the sides of several schemas over one variable list into one hash-consed
@@ -45,31 +43,32 @@ per dimension per call; tensors and maps keep their sparse form once
 compiled (an all-zero row or column is told by one C-level test, not
 converted), and a map keeps each power's columns and identity flag, so
 guards are read, not rebuilt.
-The last slot is enumerated only where a side can be nonzero.  The plan
-holds a support recipe for the nodes that read the last variable; bound to
-the support masks kept with the data (a tensor's row and column masks and
-its per-output masks, a map power's nonzero columns and rows), it gives per
-prefix a bitmask of the last slot's indices at which some side may be
-nonzero.  A product op(c, n) of a prefix value c and a node n that reads
-the last slot is nonzero only where one of n's output coordinates that c
-multiplies into something nonzero is, so the nodes under such a product
-carry one mask per output coordinate.  Only the supported indices are
-evaluated; at every other one both sides of every clause are zero, so no
-witness is lost and the first one is the one naive enumeration finds.
-The slot before the last (from slot 1 on) has a recipe of the same kind,
-with the last slot as a wildcard: a node that reads only the last slot
+The last slot is enumerated only where a side can be nonzero, for a plan in
+the support-mask contract: every side reads all slots or none, no product
+reads a slot in both factors, and the terms of every sum read the same
+slots.  Polarized clauses are multilinear with homogeneous sums, so every
+clause set the package ships meets it; any other plan has no recipe and is
+enumerated in full.  The plan holds a support recipe for the nodes that read
+the last variable; bound to the support masks kept with the data (a tensor's
+row and column masks and its per-output masks, a map power's nonzero columns
+and rows), it gives per prefix a bitmask of the last slot's indices at which
+some side may be nonzero.  A product op(c, n) of a prefix value c and a node
+n that reads the last slot is nonzero only where one of n's output
+coordinates that c multiplies into something nonzero is, so the nodes under
+such a product carry one mask per output coordinate.  Only the supported
+indices are evaluated; at every other one both sides of every clause are
+zero, so no witness is lost and the first one is the one naive enumeration
+finds.  The slot before the last (from slot 1 on) has a recipe of the same
+kind, with the last slot as a wildcard: a node that reads only the last slot
 stands in for its value by the output coordinates it can reach for some
 basis vector there, so the mask has bit t set when some completion of the
 prefix with index t can make a side nonzero.  An index outside it is not
-visited at all; the tuples below it are counted in closed form, the
-number of completions sorted within copy blocks, so `tuples_checked`
-stays the naive count, on a failure up to the witness.  A side that reads
-a later slot but not this one (no clause set the package ships has one)
-leaves the slot without a recipe: it is enumerated in full there, and its
-last slot is still masked.  A check uses this mask from the first prefix
-after some last-slot mask came out empty, so a check that decides before
-that never binds the recipe; the prefix counts showed that a recipe at
-slot 0 (it runs once per check) or further up does not pay for its
+visited at all; the tuples below it are counted in closed form, the number
+of completions sorted within copy blocks, so `tuples_checked` stays the
+naive count, on a failure up to the witness.  A check uses this mask from
+the first prefix after some last-slot mask came out empty, so a check that
+decides before that never binds the recipe; the prefix counts showed that a
+recipe at slot 0 (it runs once per check) or further up does not pay for its
 binding.
 A recipe is a list of steps in one vocabulary, the kinds `_mask_fn` runs,
 each with the key of the table it reads (see `_tables`).  The steps of the
@@ -950,7 +949,7 @@ class _Shape:
 
 
 # one slot's support recipe (see _Plan._support_recipe)
-_Recipe = namedtuple("_Recipe", "fixed steps keep fixed_roots mask_roots prefix_roots data")
+_Recipe = namedtuple("_Recipe", "fixed steps fixed_roots mask_roots data")
 
 
 class _Plan:
@@ -972,11 +971,11 @@ class _Plan:
     made per check, keyed by the projection of the tuple onto them.
     `recipes[p]` tells which indices of slot p can make a side nonzero, for
     the last slot and, past slot 0, the one before it (see _support_recipe);
-    it is None at the other slots, and where some side reads a later slot
-    but not slot p.  `twists` and `zeros` are the guards it was built under.
-    `den_key`, `dens` and `sum_terms` keep the denominators of the last bind
-    (see bind).  `sides` pairs the roots per clause, and `var_at` gives each
-    slot's variable node (None for a variable no side reads).
+    it is None at the other slots, and at every slot of a plan outside the
+    support-mask contract.  `twists` and `zeros` are the guards it was built
+    under.  `den_key`, `dens` and `sum_terms` keep the denominators of the
+    last bind (see bind).  `sides` pairs the roots per clause, and `var_at`
+    gives each slot's variable node (None for a variable no side reads).
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
@@ -1062,24 +1061,37 @@ class _Plan:
         self.den_key = None  # the denominators of the last bind (see bind)
         self.sides = list(zip(self.roots[::2], self.roots[1::2]))
         self.var_at = [self.var_nodes.get(name) for name in var_sorts]
-        # masks at the last slot and, past slot 0, the one before it (see check_clauses)
+        # the support-mask contract (see _support_recipe); outside it no slot has a recipe
+        every, live = (1 << len(var_sorts)) - 1, [nodes[nid] for nid in self.order]
+        contract = (all(free[r] in (0, every) for r in self.roots)
+                    and not any(free[k[2]] & free[k[3]] for k in live if k[0] == "op")
+                    and all(len({free[c] for _, c in k[1]}) < 2 for k in live if k[0] == "sum"))
+        # masks at the last slot and, past slot 0, the one before it (see check_clauses);
+        # bytecode run without them (tools/opcount.py --seed 0, class a, b):
+        # no mask at all: catalog-sweep x4.46, x3.90; loop-certifiers +4.6%, ±0
+        # none before the last: catalog-sweep +40.2%, +17.8%; loop-certifiers ±0.0%, ±0
         last = len(var_sorts) - 1
         keys = {}  # one key object per table, shared by the steps that read it
-        self.recipes = [self._support_recipe(free, p, keys) if p == last or p == last - 1 > 0
-                        else None for p in range(last + 1)]
+        self.recipes = [self._support_recipe(free, p, keys)
+                        if contract and (p == last or p == last - 1 > 0) else None
+                        for p in range(last + 1)]
 
     def _support_recipe(self, free, p, keys):
-        """How slot p's support follows from the prefix, as a _Recipe; None
-        when some root reads a later slot but not slot p.
+        """How slot p's support follows from the prefix, as a _Recipe, for a
+        plan in the support-mask contract (see __init__): every root reads
+        all slots or none, no product reads a slot in both factors, and the
+        terms of every sum read the same slots.  Polarized clauses are
+        multilinear with homogeneous sums, so every clause set the package
+        ships is in it.
 
         Slots after p are wildcards.  A node that reads slot p gets a mask:
         bit t is set when the node may be nonzero, for some completion, with
         slot p at index t; -1 stands for every index.  A node read by an
         op(c, n) also gets a vector of masks, one per output coordinate j:
         bit t of entry j is set when coordinate j may be nonzero at t.  Here
-        y is slot p's variable, c a node that does not read it and n, n1, n2
-        nodes that do; for y itself the mask is -1 and entry j of the vector
-        is 1 << j.  A c that reads only earlier slots has its value at hand.
+        y is slot p's variable, c a node that does not read it and n a node
+        that does; for y itself the mask is -1 and entry j of the vector is
+        1 << j.  A c that reads only earlier slots has its value at hand.
         A c that reads a later slot (a later node) is abstracted to the
         output coordinates it can reach for some completion; it stands in
         for its value as (k, 1) over those coordinates k, written to the
@@ -1099,8 +1111,7 @@ class _Plan:
           "gather" c, n:    "pick" with J folded;
           "map":            tw(y), T the power's nonzero columns;
           "same" n:         tw(n), mask(n);
-          "and" n1, n2:     op(n1, n2), mask(n1) & mask(n2);
-          "sum" ns, cs:     the union of the ns, every index if a c is nonzero.
+          "sum" ns:         the union of the terms' masks.
         Vectors:
           "vunion" c, n:    op(c, n) or op(n, c): entry k is the union over i
                             in c's support of T[i][k] (T op's P or Q), spread
@@ -1109,9 +1120,7 @@ class _Plan:
           "vspread" -, n:   tw(n): entry k is the union of vec(n)[j] over the
                             bits j of T[k], the power's row sets;
           "vconst":         tw(y), T the row sets; y itself, T its unit vector;
-          "vand" n1, n2:    op(n1, n2), mask(n1) & mask(n2) in every entry;
-          "vsum" ns, cs:    entrywise union of the ns; every index at the
-                            coordinates where a c is nonzero.
+          "vsum" ns:        entrywise union of the terms' vectors.
         Reaches, each also written as its node's stand-in:
           "wvar":           a later slot's variable, T its stand-in: every
                             coordinate;
@@ -1121,31 +1130,25 @@ class _Plan:
                             with T[i][k] (P or Q) meeting w's reach for some i
                             in c's support;
           "wfold" c, w:     "wop" folded into a "wunion" over, per i, those k;
-          "wsum" -, cs:     the union of the cs' supports.
+          "wsum" -, ws:     the union of the terms' supports.
         So vectors are built only under an op(c, n), and a c that is one
         basis vector e_i over op(c, y) takes P[i] as it is.  Clauses are
         multilinear, so every rule only over-approximates: an index outside
         the mask has both sides of every clause zero on every completion.
-        A root that reads a later slot but not slot p would put every index
-        or none in the mask, by its reach; no clause set the package ships
-        has one, so such a slot gets no recipe and is enumerated in full.
 
-        The roots split into those that read y (`mask_roots`) and those that
-        read no slot from p on (`prefix_roots`: nonzero, they put every index
-        in the mask).  `fixed` are the steps of the fixed nodes, which run
-        once per check, and `steps` the others, which run per prefix.  `keep`
-        are the fixed later nodes whose stand-ins a per-prefix step reads
-        (a sum: any other step folds them), and `fixed_roots` the mask roots
-        among the fixed nodes, which may put every index in the mask for the
-        whole check (see bind_support).  `data` lists the table keys.
+        The roots that read a slot (`mask_roots`) put the union of their
+        masks in the mask; the others are the zero node.  `fixed` are the
+        steps of the fixed nodes, which run once per check, and `steps` the
+        others, which run per prefix; the contract leaves no per-prefix step
+        that reads a fixed stand-in unfolded.  `fixed_roots` are the mask
+        roots among the fixed nodes, which may put every index in the mask
+        for the whole check (see bind_support).  `data` lists the table keys.
         """
         bit, later = 1 << p, -2 << p
         early = bit - 1
         nodes, sorts = self.nodes, self.sorts
-        roots = list(dict.fromkeys(self.roots))
-        if any(free[r] & later and not free[r] & bit for r in roots):
-            return None
-        mask_roots = [r for r in roots if free[r] & bit]
+        mask_roots = [r for r in dict.fromkeys(self.roots) if free[r]]
+        # all per prefix: catalog-sweep +22.8%, +17.0%; loop-certifiers +1.0% (see __init__)
         fixed = {nid for nid in self.order if free[nid] & (bit | later) and not free[nid] & early}
         masks, vectors, reach = set(mask_roots), set(), set()
         steps = []
@@ -1157,11 +1160,6 @@ class _Plan:
             """n, or None when n is y."""
             return None if nodes[n][0] == "var" else n
 
-        def partner(c):
-            """Note a node that does not read y; one that reads a later slot needs its reach."""
-            if free[c] & later:
-                reach.add(c)
-
         for nid in reversed(self.order):
             key = nodes[nid]
             kind = key[0]
@@ -1172,22 +1170,16 @@ class _Plan:
                     emit(nid, "wunion", key[3], None, ("colsupp", *key[1:3]))
                     reach.add(key[3])
                 elif kind == "op":
+                    # the one later slot, the last, is read by one factor: w
                     _, symbol, left, right = key
-                    # w is a later factor, one that does not read an earlier slot if any
-                    if free[right] & later and not (free[left] & later and free[right] & early
-                                                    and not free[left] & early):
-                        c, w, table = left, right, "P"
-                    else:
-                        c, w, table = right, left, "Q"
+                    c, w, table = (left, right, "P") if free[right] & later else (right, left, "Q")
                     emit(nid, "wfold" if w in fixed and nid not in fixed else "wop", c, w,
                          (table, symbol))
-                    partner(left)
-                    partner(right)
+                    reach.add(w)
                 else:
                     terms = tuple(c for _, c in key[1])
                     emit(nid, "wsum", None, terms)
-                    for c in terms:
-                        partner(c)
+                    reach.update(terms)
                 continue
             if kind == "var" or (nid not in masks and nid not in vectors):
                 continue
@@ -1206,45 +1198,34 @@ class _Plan:
                     vectors.add(n)
             elif kind == "op":
                 _, symbol, left, right = key
-                if free[left] & bit and free[right] & bit:
-                    if nid in masks:
-                        emit(nid, "and", left, right)
-                    if nid in vectors:
-                        emit(nid, "vand", left, right, ("dim", sorts[nid]))
-                    masks.update((left, right))
-                    continue
                 rows, c, n = (True, left, right) if free[right] & bit else (False, right, left)
                 n = inner(n)
                 fold = c in fixed and nid not in fixed
-                partner(c)
+                if free[c] & later:
+                    reach.add(c)
                 if nid in masks:
                     emit(nid, "union" if n is None else "gather" if fold else "pick", c, n,
                          ("rows" if rows else "cols", symbol))
+                # by mask(n): catalog-sweep x2.85, x1.96; loop-certifiers +3.1% (see __init__)
                 if nid in vectors:
                     emit(nid, "vfold" if fold else "vunion", c, n, ("P" if rows else "Q", symbol))
                 vectors.add(n)
             else:
-                ns = tuple(c for _, c in key[1] if free[c] & bit)
-                cs = tuple(c for _, c in key[1] if not free[c] & bit)
-                for c in cs:
-                    partner(c)
+                terms = tuple(c for _, c in key[1])
                 if nid in masks:
-                    emit(nid, "sum", ns, cs)
-                    masks.update(ns)
+                    emit(nid, "sum", terms, None)
+                    masks.update(terms)
                 if nid in vectors:
-                    emit(nid, "vsum", ns, cs, ("dim", sorts[nid]))
-                    vectors.update(ns)
+                    emit(nid, "vsum", terms, None, ("dim", sorts[nid]))
+                    vectors.update(terms)
         # only a sum reads the vector of y itself
         for n in vectors:
             if n is not None and nodes[n][0] == "var":
                 emit(n, "vconst", None, None, ("unit", sorts[n]))
         steps.reverse()
-        varying = tuple(s for s in steps if s[0] not in fixed)
-        keep = tuple(dict.fromkeys(c for _, kind, _, cs, _ in varying
-                                   if kind in ("sum", "vsum", "wsum") for c in cs if c in fixed))
-        return _Recipe(tuple(s for s in steps if s[0] in fixed), varying, keep,
+        return _Recipe(tuple(s for s in steps if s[0] in fixed),
+                       tuple(s for s in steps if s[0] not in fixed),
                        tuple(r for r in mask_roots if r in fixed), tuple(mask_roots),
-                       tuple(r for r in roots if not free[r] & bit),
                        tuple({s[4]: None for s in steps if s[4]}))
 
     def holds(self, interp: Interpretation) -> bool:
@@ -1322,22 +1303,21 @@ class _Plan:
         fixed operand read it: "gather" gets J as its table, "vfold" becomes
         "vspread" over the union of its P (or Q) rows, and "wfold" becomes
         "wunion" with, per index of c, the coordinates that meet w's reach.
-        A "wvar" step per `keep` node puts back, per prefix, the stand-in
-        the fixed steps left in `cur`.  When a fixed root's mask already
-        covers every index, slot p's mask is -1 for the whole check.
-        `standins` keeps one stand-in list per reach, for the check.
+        When a fixed root's mask already covers every index, slot p's mask
+        is -1 for the whole check.  `standins` keeps one stand-in list per
+        reach, for the check.
         """
-        once, varying, keep, fixed_roots, mask_roots, prefix_roots, data = self.recipes[p]
+        once, varying, fixed_roots, mask_roots, data = self.recipes[p]
         _tables(data, tables, interp)
         masks = [-1] * len(self.nodes)  # a variable's own mask stays -1
         vecs = [None] * len(self.nodes)
-        _mask_fn((), [(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in once],
+        _mask_fn([(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in once],
                  masks, vecs, (), cur, standins)()
         if fixed_roots:
             every = (1 << interp.sorts[self.clause_set.variables[p][1]]) - 1
             if any(masks[r] & every == every for r in fixed_roots):
                 return lambda: -1
-        steps = [(c, "wvar", None, None, cur[c]) for c in keep]
+        steps = []
         for nid, kind, a, b, key in varying:
             data = tables.get(key)
             if kind == "gather":  # J, from the fixed c
@@ -1356,7 +1336,7 @@ class _Plan:
                 kind, b, data = "wunion", None, [
                     sum(1 << j for j, m in enumerate(row) if m & bits) for row in data]
             steps.append((nid, kind, a, b, data))
-        return _mask_fn(prefix_roots, steps, masks, vecs, mask_roots, cur, standins)
+        return _mask_fn(steps, masks, vecs, mask_roots, cur, standins)
 
 
 def _tables(keys, tables: dict, interp: Interpretation) -> None:
@@ -1388,17 +1368,14 @@ def _tables(keys, tables: dict, interp: Interpretation) -> None:
         tables[key] = got
 
 
-def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
-    """The mask of one slot for the current prefix, as a function: -1 if a
-    prefix root is nonzero, else the union of the roots' masks once the
-    bound recipe steps (see _Plan.bind_support) have run.  The steps are
-    those of _Plan._support_recipe, the fold kinds already rewritten; "map"
-    and "vconst" come only in the pass that runs once per check."""
+def _mask_fn(steps, masks, vecs, roots, cur, standins):
+    """The mask of one slot for the current prefix, as a function: the union
+    of the roots' masks once the bound recipe steps (see
+    _Plan.bind_support) have run.  The steps are those of
+    _Plan._support_recipe, the fold kinds already rewritten; "map" and
+    "vconst" come only in the pass that runs once per check."""
 
     def mask():
-        for r in prefix_roots:
-            if cur[r]:
-                return -1
         for nid, kind, a, b, data in steps:
             if kind == "vunion":
                 c = cur[a]
@@ -1426,28 +1403,17 @@ def _mask_fn(prefix_roots, steps, masks, vecs, roots, cur, standins):
                 out = 0
                 for c in a:
                     out |= masks[c]
-                for c in b:
-                    if cur[c]:
-                        out = -1
-                        break
                 masks[nid] = out
             elif kind == "same":
                 masks[nid] = masks[a]
             elif kind == "vspread":
                 vecs[nid] = _spread(vecs[b], data)
-            elif kind == "and":
-                masks[nid] = masks[a] & masks[b]
             elif kind == "vsum":
                 vec = [0] * data
                 for c in a:
                     for k, m in enumerate(vecs[c]):
                         vec[k] |= m
-                for c in b:
-                    for k, _ in cur[c]:
-                        vec[k] = -1
                 vecs[nid] = vec
-            elif kind == "vand":
-                vecs[nid] = [masks[a] & masks[b]] * data
             elif kind == "wvar":
                 cur[nid] = data
             elif kind == "wunion" or kind == "wop" or kind == "wsum":  # a later node's reach
@@ -1631,12 +1597,11 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
 
     def support(p):
         """Mask of slot p's indices at which some side may be nonzero for some
-        completion, before slot p's recipe is bound: -1 if a root that reads
-        no slot from p on is nonzero, else the recipe (see
-        _Plan._support_recipe) bound into `bound[p]` and run for this prefix."""
-        for r in recipes[p].prefix_roots:
-            if cur[r]:
-                return -1
+        completion, before slot p's recipe is bound: -1 (every index) when
+        the plan has none there, else the recipe (see _Plan._support_recipe)
+        bound into `bound[p]` and run for this prefix."""
+        if recipes[p] is None:
+            return -1
         bound[p] = plan.bind_support(p, interp, cur, tables, standins)
         return bound[p]()
 

@@ -770,7 +770,7 @@ def _nested_schemas(sign):
 
 def test_pruned_enumeration_matches_naive_under_nested_products():
     # the per-coordinate rules on signed data, and a square whose polarization
-    # multiplies two nodes that both read the last slot
+    # sums both orders of the copies y__1, y__2 as the two factors of mul2
     import random
 
     x, y = var("x"), var("y")
@@ -1000,8 +1000,9 @@ def test_no_shipped_clause_has_a_side_that_skips_a_variable():
 def test_a_side_that_skips_the_slot_before_the_last_leaves_it_unmasked():
     # e1 e_j = e1 and every other product zero: x z = (x y) z holds.  Under
     # x = e2 a last-slot mask comes out empty, and under x = e3 both sides
-    # vanish for every y.  x z skips y, so y has no recipe and every y is
-    # visited: 3 + 9 prefixes, where a mask on y would have skipped x = e3's.
+    # vanish for every y.  x z skips y, so the plan is outside the mask
+    # contract: no slot has a recipe and every y is visited, 3 + 9
+    # prefixes, where a mask on y would have skipped x = e3's.
     x, y, z = var("x"), var("y"), var("z")
     schema = IdentitySchema("later-side", op("mul", x, z), op("mul", op("mul", x, y), z),
                             variables=_XYZ)
@@ -1011,8 +1012,90 @@ def test_a_side_that_skips_the_slot_before_the_last_leaves_it_unmasked():
     assert report.ok and report.prefixes_visited == _full_prefixes((schema,), interp_for(t)) == 12
     (clause_set,) = schema.plans.values()
     plans = [plan for entry in clause_set.by_shape.values() for plan in entry.plans]
-    assert plans and all(plan.recipes[1] is None and plan.recipes[2] is not None
-                         for plan in plans)
+    assert plans and all(recipe is None for plan in plans for recipe in plan.recipes)
+
+
+def test_a_last_slot_without_a_recipe_is_enumerated_in_full():
+    # z is declared but neither side reads it, so the plan is outside the
+    # mask contract and its last slot has no recipe: a pass evaluates every
+    # tuple it decides, and a failure stops at the naive witness
+    x, y = var("x"), var("y")
+    schema = IdentitySchema("unread-last", op("mul", x, y), op("mul", y, x), variables=_XYZ)
+    one_sided = StructureTensor.square_from_rule(2, {(0, 1): [1, 0]})
+    passing, failing = (check_schema(schema, interp_for(t)) for t in (KX2, one_sided))
+    for report, t in ((passing, KX2), (failing, one_sided)):
+        assert _observed(report) == _naive_check((schema,), interp_for(t))
+    assert passing.ok and passing.tuples_evaluated == passing.tuples_checked == 8
+    assert failing.witness.indices == (0, 1, 0) and failing.tuples_checked == 3
+    (clause_set,) = schema.plans.values()
+    plans = [plan for entry in clause_set.by_shape.values() for plan in entry.plans]
+    assert plans and all(plan.recipes[-1] is None for plan in plans)
+
+
+def test_every_polarized_plan_of_the_shipped_clauses_has_its_masks(seed_catalog):
+    # the mask contract is no stricter than the package needs.  Certify the
+    # catalog, every operator under each of its kinds and the gated
+    # constructions, and every algebra met for multiplicativity and in each
+    # variety its products fit; then every polarized plan kept on a shipped
+    # clause set has a recipe at its last slot and, from three slots on, at
+    # the slot before it
+    from homalg.constructions import (FUNCTORS, INDUCED, bimodule_map_dialgebra,
+                                      crossed_module_check, differential_dialgebra, functor,
+                                      hemisemi, induce)
+    from homalg.forge import unital_nilpotent_3dim
+    from homalg.operators import (OperatorCandidate, _algebra_clauses, certify_operator,
+                                  hemisemi_id_for, operator_kinds_for)
+    from homalg.reps import AssocAction, AssocBimodule, CertificationError, certify_rep, regular
+    from homalg.varieties import REQUIRED_PRODUCTS, VarietyTag, certify, certify_multiplicative
+
+    algebras = [e.value for e in seed_catalog.values() if e.kind == "algebra"]
+
+    def gated(build, *args):
+        try:
+            algebras.append(build(*args))
+        except CertificationError:  # a refused build has run its gate
+            pass
+
+    for e in seed_catalog.values():
+        value = e.value
+        if e.kind == "rep":
+            assert certify_rep(value).ok
+            gated(hemisemi, value, hemisemi_id_for(value))
+        elif e.kind == "operator":
+            for kind in operator_kinds_for(value.rep):
+                certify_operator(value, kind)
+            if isinstance(value.rep, AssocAction):
+                certify_operator(value, "o-operator", weight=1)
+            for cid, row in INDUCED.items():
+                if row.takes == e.check_kind and all(
+                        hasattr(value.rep, tensor) for tensor, _ in row.products.values()):
+                    gated(induce, value, cid)
+    for a in list(algebras):
+        for cid, row in FUNCTORS.items():
+            if row.takes is a.variety:
+                gated(functor, a, cid)
+    kx2 = seed_catalog["kx2"].value
+    gated(differential_dialgebra, unital_nilpotent_3dim(), "d")
+    gated(bimodule_map_dialgebra, regular(kx2, AssocBimodule), LinearMap.identity(2))
+    assert crossed_module_check(kx2, regular(kx2, AssocAction), LinearMap.identity(2)).ok
+    for a in algebras:
+        certify_multiplicative(a)
+        for tag in VarietyTag:
+            if set(REQUIRED_PRODUCTS[tag]) <= set(a.products):
+                certify(a, tag)
+        for kind in _algebra_clauses():
+            certify_operator(OperatorCandidate(a, LinearMap.identity(a.dim)), kind)
+
+    walked = set()
+    for clauses in _shipped_clause_sets():
+        clause_set = clauses[0].plans.get((tuple(clauses[1:]), True))
+        for entry in clause_set.by_shape.values() if clause_set else ():
+            for plan in entry.plans:
+                recipes = plan.recipes
+                assert recipes[-1] is not None, clauses[0].name
+                assert len(recipes) < 3 or recipes[-2] is not None, clauses[0].name
+                walked.add(clauses)
+    assert walked == set(_shipped_clause_sets())
 
 
 def test_slot_masks_match_naive_on_polarized_jordan():
@@ -1137,7 +1220,10 @@ def test_tuples_evaluated_are_the_tuples_with_a_nonzero_side():
                 schemas.append(IdentitySchema(s.name, rewrite(s.lhs, ops=rename),
                                               rewrite(s.rhs, ops=rename), s.variables))
     assert len(schemas) >= 10
-    schemas += _nested_schemas(1)
+    # prefix-term-inner declares x once but reads it twice, inside a sum
+    # whose terms read different slots: it is outside the mask contract,
+    # enumerated in full, and checked against naive enumeration above
+    schemas += [s for s in _nested_schemas(1) if s.name != "prefix-term-inner"]
     rng = random.Random(12)
     seen = set()
     for schema in schemas:

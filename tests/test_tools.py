@@ -5,11 +5,15 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _opcount():
-    spec = importlib.util.spec_from_file_location("opcount", TOOLS / "opcount.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _opcount():
+    return _tool("opcount")
 
 
 def test_opcount_counts_the_instructions_of_every_frame_called():
@@ -32,3 +36,29 @@ def test_opcount_counts_the_instructions_of_every_frame_called():
     assert counted(lambda: loop(10)) == (285, small)
     assert counted(lambda: loop(20))[1] > small
     assert sys.gettrace() is before
+
+
+def test_loc_counts_code_lines_without_docstrings_comments_or_blanks():
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+
+class Box:
+    """Class docstring."""
+
+    # a comment line
+    size = 2
+
+
+def area(box):
+    """Function docstring,
+
+    over three lines."""
+    text = """a string that is
+    not a docstring"""
+    return box.size * len(text)
+'''
+    # import, class, size, def, text (two lines) and return
+    assert _tool("loc").code_lines(source) == 7
