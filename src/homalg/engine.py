@@ -55,10 +55,15 @@ and rows), it gives per prefix a bitmask of the last slot's indices at which
 some side may be nonzero.  A product op(c, n) of a prefix value c and a node
 n that reads the last slot is nonzero only where one of n's output
 coordinates that c multiplies into something nonzero is, so the nodes under
-such a product carry one mask per output coordinate.  Only the supported
-indices are evaluated; at every other one both sides of every clause are
-zero, so no witness is lost and the first one is the one naive enumeration
-finds.  The slot before the last (from slot 1 on) has a recipe of the same
+such a product carry one mask per output coordinate.  A mask sees through
+the twists above its node: a map M sends w to zero unless w is nonzero at a
+coordinate where M has a nonzero column, so a node under a chain of twist
+powers gets a mask per chain, and a product under one is read only through
+the output coordinates the chain's composite does not kill; the Nijenhuis
+map x + u -> K(u), zero on all of A, skips the tuples it sends to zero.
+Only the supported indices are evaluated; at every other one both sides of
+every clause are zero, so no witness is lost and the first one is the one
+naive enumeration finds.  The slot before the last (from slot 1 on) has a recipe of the same
 kind, with the last slot as a wildcard: a node that reads only the last slot
 stands in for its value by the output coordinates it can reach for some
 basis vector there, so the mask has bit t set when some completion of the
@@ -82,7 +87,8 @@ those skipped as zero on both sides included, so it equals the count of a
 naive enumeration; `tuples_evaluated` counts those whose sides were
 evaluated and `prefixes_visited` the proper prefixes on which level
 kernels ran.  `evaluate` and `check_schema_random` go through the same
-plans and kernels.
+kind of plans and kernels; they never enumerate, so their plans carry no
+support recipe.
 
 Exhaustive verdicts are memoized where the plans are kept: each shape of a
 clause tuple keeps the verdict of every check run over it, keyed by the
@@ -949,7 +955,7 @@ class _Shape:
 
 
 # one slot's support recipe (see _Plan._support_recipe)
-_Recipe = namedtuple("_Recipe", "fixed steps fixed_roots mask_roots data")
+_Recipe = namedtuple("_Recipe", "fixed steps fixed_roots mask_roots data width")
 
 
 class _Plan:
@@ -972,9 +978,10 @@ class _Plan:
     `recipes[p]` tells which indices of slot p can make a side nonzero, for
     the last slot and, past slot 0, the one before it (see _support_recipe);
     it is None at the other slots, and at every slot of a plan outside the
-    support-mask contract.  `twists` and `zeros` are the guards it was built
-    under.  `den_key`, `dens` and `sum_terms` keep the denominators of the
-    last bind (see bind).  `sides` pairs the roots per clause, and `var_at`
+    support-mask contract or built for `evaluate` and `check_schema_random`
+    (polar False), which never enumerate.  `twists` and `zeros` are the
+    guards it was built under.  `den_key`, `dens` and `sum_terms` keep the
+    denominators of the last bind (see bind).  `sides` pairs the roots per clause, and `var_at`
     gives each slot's variable node (None for a variable no side reads).
     """
 
@@ -983,7 +990,7 @@ class _Plan:
                  "map_slots", "dim_slots", "sum_slots", "den_key", "dens", "sum_terms", "sides",
                  "var_at")
 
-    def __init__(self, clause_set: _ClauseSet, interp: Interpretation):
+    def __init__(self, clause_set: _ClauseSet, interp: Interpretation, polar: bool):
         self.clause_set = clause_set
         self.out_sorts = []
         for schema in clause_set.clauses:
@@ -1061,11 +1068,13 @@ class _Plan:
         self.den_key = None  # the denominators of the last bind (see bind)
         self.sides = list(zip(self.roots[::2], self.roots[1::2]))
         self.var_at = [self.var_nodes.get(name) for name in var_sorts]
-        # the support-mask contract (see _support_recipe); outside it no slot has a recipe
+        # the support-mask contract (see _support_recipe); outside it no slot has a recipe,
+        # nor in a plan that never enumerates (polar False: evaluate, check_schema_random)
         every, live = (1 << len(var_sorts)) - 1, [nodes[nid] for nid in self.order]
-        contract = (all(free[r] in (0, every) for r in self.roots)
-                    and not any(free[k[2]] & free[k[3]] for k in live if k[0] == "op")
-                    and all(len({free[c] for _, c in k[1]}) < 2 for k in live if k[0] == "sum"))
+        contract = polar and (
+            all(free[r] in (0, every) for r in self.roots)
+            and not any(free[k[2]] & free[k[3]] for k in live if k[0] == "op")
+            and all(len({free[c] for _, c in k[1]}) < 2 for k in live if k[0] == "sum"))
         # masks at the last slot and, past slot 0, the one before it (see check_clauses);
         # bytecode run without them (tools/opcount.py --seed 0, class a, b):
         # no mask at all: catalog-sweep x4.46, x3.90; loop-certifiers +4.6%, ±0
@@ -1084,9 +1093,16 @@ class _Plan:
         multilinear with homogeneous sums, so every clause set the package
         ships is in it.
 
-        Slots after p are wildcards.  A node that reads slot p gets a mask:
-        bit t is set when the node may be nonzero, for some completion, with
-        slot p at index t; -1 stands for every index.  A node read by an
+        Slots after p are wildcards.  A node that reads slot p gets a mask
+        per chain C of twist powers it is asked for under, written outermost
+        first, each in its own slot (the node's id for the empty chain, else
+        one after the nodes): bit t is set when M(node) may be nonzero, for
+        some completion, with slot p at index t, M the composite of C (the
+        identity for no chain); -1 stands for every index.  M(w) != 0 only
+        where w is nonzero at some coordinate k whose column of M is, k in
+        cover(C) (see _cover), so a twist asks for its child under its chain
+        and its own power, and a chain reads the op of the node under it
+        only through the output coordinates in its cover.  A node read by an
         op(c, n) also gets a vector of masks, one per output coordinate j:
         bit t of entry j is set when coordinate j may be nonzero at t.  Here
         y is slot p's variable, c a node that does not read it and n a node
@@ -1103,15 +1119,18 @@ class _Plan:
         step (node, kind, a, b, the key of the table T it reads, see
         _tables), in the kinds _mask_fn runs.  A per-prefix step whose c (or
         w) is fixed folds it: bind_support reads it once per check.
-        Masks:
+        Masks, under a chain C:
           "union" c:        op(c, y) or op(y, c): the union of T[i] over c's
-                            support, T op's row (or column) masks;
+                            support, T op's row (or column) masks read
+                            through C: entry i the union of P[i][k] (or
+                            Q[i][k]) over k in cover(C);
           "pick" c, n:      op(c, n) or op(n, c): J is that union, the mask
                             the union of vec(n)[j] over j in J;
           "gather" c, n:    "pick" with J folded;
-          "map":            tw(y), T the power's nonzero columns;
-          "same" n:         tw(n), mask(n);
-          "sum" ns:         the union of the terms' masks.
+          "map":            y under a non-empty C (as tw(y) or a sum's
+                            term), T cover(C); under none it stays -1;
+          "sum" ns:         the union of the terms' masks under C.
+        A twist has no mask step: tw(S, q, n) under C is n under C + (S, q).
         Vectors:
           "vunion" c, n:    op(c, n) or op(n, c): entry k is the union over i
                             in c's support of T[i][k] (T op's P or Q), spread
@@ -1136,8 +1155,9 @@ class _Plan:
         multilinear, so every rule only over-approximates: an index outside
         the mask has both sides of every clause zero on every completion.
 
-        The roots that read a slot (`mask_roots`) put the union of their
-        masks in the mask; the others are the zero node.  `fixed` are the
+        The roots that read a slot (`mask_roots`, their mask slots under no
+        chain) put the union of their masks in the mask; the others are the
+        zero node.  `width` is the number of mask slots.  `fixed` are the
         steps of the fixed nodes, which run once per check, and `steps` the
         others, which run per prefix; the contract leaves no per-prefix step
         that reads a fixed stand-in unfolded.  `fixed_roots` are the mask
@@ -1147,22 +1167,38 @@ class _Plan:
         bit, later = 1 << p, -2 << p
         early = bit - 1
         nodes, sorts = self.nodes, self.sorts
-        mask_roots = [r for r in dict.fromkeys(self.roots) if free[r]]
         # all per prefix: catalog-sweep +22.8%, +17.0%; loop-certifiers +1.0% (see __init__)
         fixed = {nid for nid in self.order if free[nid] & (bit | later) and not free[nid] & early}
-        masks, vectors, reach = set(mask_roots), set(), set()
+        masks, extra, vectors, reach = {}, {}, set(), set()
         steps = []
 
-        def emit(nid, kind, a, b, key=None):
-            steps.append((nid, kind, a, b, None if key is None else keys.setdefault(key, key)))
+        def slot(nid, chain):
+            return extra.setdefault((nid, chain), len(nodes) + len(extra)) if chain else nid
+
+        # no chains, a twist's mask its child's: loop-certifiers +22.2%, ±0; catalog-sweep
+        # ±0.0%, ±0.0%; cli-files +1.2%, ±0.0% (see __init__)
+        def want(nid, chain=()):
+            """The slot of nid's mask under chain, now asked for: a twist
+            passes its power on to its child's chain."""
+            while nodes[nid][0] == "tw":
+                chain, nid = chain + (nodes[nid][1:3],), nodes[nid][3]
+            masks.setdefault(nid, {})[chain] = None
+            return slot(nid, chain)
+
+        def emit(nid, kind, a, b, key=None, out=None):
+            steps.append((nid in fixed, (nid if out is None else out, kind, a, b,
+                                         None if key is None else keys.setdefault(key, key))))
 
         def inner(n):
             """n, or None when n is y."""
             return None if nodes[n][0] == "var" else n
 
+        roots = [r for r in dict.fromkeys(self.roots) if free[r]]
+        mask_roots = [want(r) for r in roots]
         for nid in reversed(self.order):
             key = nodes[nid]
             kind = key[0]
+            chains = masks.get(nid, ())
             if nid in reach:
                 if kind == "var":
                     emit(nid, "wvar", None, None, ("all", sorts[nid]))
@@ -1181,21 +1217,19 @@ class _Plan:
                     emit(nid, "wsum", None, terms)
                     reach.update(terms)
                 continue
-            if kind == "var" or (nid not in masks and nid not in vectors):
+            if kind == "var":  # y under a chain: the composite's nonzero columns
+                for chain in chains:
+                    if chain:
+                        emit(nid, "map", None, None, ("mask", chain), out=slot(nid, chain))
                 continue
-            if kind == "tw":
+            if not chains and nid not in vectors:
+                continue
+            if kind == "tw":  # only its vector: its masks are its child's (see want)
                 _, symbol, power, child = key
                 n = inner(child)
-                if nid in masks:
-                    if n is None:
-                        emit(nid, "map", None, None, ("mask", symbol, power))
-                    else:
-                        emit(nid, "same", child, None)
-                        masks.add(child)
-                if nid in vectors:
-                    emit(nid, "vconst" if n is None else "vspread", None, n,
-                         ("rowsets", symbol, power, sorts[nid]))
-                    vectors.add(n)
+                emit(nid, "vconst" if n is None else "vspread", None, n,
+                     ("rowsets", symbol, power, sorts[nid]))
+                vectors.add(n)
             elif kind == "op":
                 _, symbol, left, right = key
                 rows, c, n = (True, left, right) if free[right] & bit else (False, right, left)
@@ -1203,18 +1237,18 @@ class _Plan:
                 fold = c in fixed and nid not in fixed
                 if free[c] & later:
                     reach.add(c)
-                if nid in masks:
+                for chain in chains:
                     emit(nid, "union" if n is None else "gather" if fold else "pick", c, n,
-                         ("rows" if rows else "cols", symbol))
+                         ("rows" if rows else "cols", symbol, chain), out=slot(nid, chain))
                 # by mask(n): catalog-sweep x2.85, x1.96; loop-certifiers +3.1% (see __init__)
                 if nid in vectors:
                     emit(nid, "vfold" if fold else "vunion", c, n, ("P" if rows else "Q", symbol))
                 vectors.add(n)
             else:
                 terms = tuple(c for _, c in key[1])
-                if nid in masks:
-                    emit(nid, "sum", terms, None)
-                    masks.update(terms)
+                for chain in chains:
+                    emit(nid, "sum", tuple(want(c, chain) for c in terms), None,
+                         out=slot(nid, chain))
                 if nid in vectors:
                     emit(nid, "vsum", terms, None, ("dim", sorts[nid]))
                     vectors.update(terms)
@@ -1223,10 +1257,10 @@ class _Plan:
             if n is not None and nodes[n][0] == "var":
                 emit(n, "vconst", None, None, ("unit", sorts[n]))
         steps.reverse()
-        return _Recipe(tuple(s for s in steps if s[0] in fixed),
-                       tuple(s for s in steps if s[0] not in fixed),
-                       tuple(r for r in mask_roots if r in fixed), tuple(mask_roots),
-                       tuple({s[4]: None for s in steps if s[4]}))
+        return _Recipe(tuple(s for f, s in steps if f), tuple(s for f, s in steps if not f),
+                       tuple(m for r, m in zip(roots, mask_roots) if r in fixed),
+                       tuple(mask_roots), tuple({s[4]: None for _, s in steps if s[4]}),
+                       len(nodes) + len(extra))
 
     def holds(self, interp: Interpretation) -> bool:
         """Whether every guard holds for this interpretation's data."""
@@ -1307,9 +1341,9 @@ class _Plan:
         is -1 for the whole check.  `standins` keeps one stand-in list per
         reach, for the check.
         """
-        once, varying, fixed_roots, mask_roots, data = self.recipes[p]
+        once, varying, fixed_roots, mask_roots, data, width = self.recipes[p]
         _tables(data, tables, interp)
-        masks = [-1] * len(self.nodes)  # a variable's own mask stays -1
+        masks = [-1] * width  # a variable's own mask stays -1
         vecs = [None] * len(self.nodes)
         _mask_fn([(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in once],
                  masks, vecs, (), cur, standins)()
@@ -1350,11 +1384,16 @@ def _tables(keys, tables: dict, interp: Interpretation) -> None:
             continue
         kind = key[0]
         if kind == "rows" or kind == "cols":
-            got = _tensor(ops[key[1]][0])[1 if kind == "rows" else 2]
+            tensor = ops[key[1]][0]
+            got = _tensor(tensor)[1 if kind == "rows" else 2]
+            if key[2]:  # read through a chain, unless it cuts no output coordinate
+                cover, every = _cover(maps, key[2]), (1 << tensor.out_dim) - 1
+                if cover & every != every:
+                    got = [_gather(vec, cover) for vec in _outputs(tensor, kind == "cols")]
         elif kind == "P" or kind == "Q":
             got = _outputs(ops[key[1]][0], kind == "Q")
         elif kind == "mask":
-            got = _power(maps[key[1]][0], key[2])[2]
+            got = _cover(maps, key[1])
         elif kind == "rowsets":
             got = _row_sets(_power(maps[key[1]][0], key[2])[0], dims[key[3]])
         elif kind == "colsupp":
@@ -1366,6 +1405,17 @@ def _tables(keys, tables: dict, interp: Interpretation) -> None:
         else:  # "unit"
             got = [1 << j for j in range(dims[key[1]])]
         tables[key] = got
+
+
+def _cover(maps, chain) -> int:
+    """The coordinates at which the composite of chain's twist powers
+    (outermost first) may have a nonzero column, -1 for no chain: from the
+    outside in, the columns that meet the cover of the maps above them."""
+    cover = -1
+    for symbol, power in chain:
+        cover = sum(1 << j for j, col in enumerate(_power(maps[symbol][0], power)[0])
+                    if any(cover >> k & 1 for k, _ in col))
+    return cover
 
 
 def _mask_fn(steps, masks, vecs, roots, cur, standins):
@@ -1404,8 +1454,6 @@ def _mask_fn(steps, masks, vecs, roots, cur, standins):
                 for c in a:
                     out |= masks[c]
                 masks[nid] = out
-            elif kind == "same":
-                masks[nid] = masks[a]
             elif kind == "vspread":
                 vecs[nid] = _spread(vecs[b], data)
             elif kind == "vsum":
@@ -1477,7 +1525,7 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
                 return None, None, None, verdict
         plan = next((p for p in entry.plans if p.holds(interp)), None)
     if plan is None:
-        plan = _Plan(clause_set, interp)
+        plan = _Plan(clause_set, interp, polar)
         if entry is None:
             entry = clause_set.by_shape[shape] = _Shape(shape)
         entry.plans.append(plan)

@@ -528,6 +528,55 @@ def test_random_and_evaluate_agree_with_a_cold_compile():
         assert evaluate(expr, {"x": x, "y": y}, interp) == tensor.apply(alpha.apply(x), y)
 
 
+def _naive_random(schema, interp, samples, seed):
+    """(status, tuples_checked, detail) of check_schema_random's default draws,
+    evaluated by plain exact arithmetic."""
+    import random
+
+    rng = random.Random(seed)
+    for k in range(samples):
+        env = {name: Vector([Fraction(rng.choice(range(-3, 4)), rng.choice((1, 2, 3)))
+                             for _ in range(interp.sorts[sort])])
+               for name, sort, _ in schema.variables}
+        lhs, rhs = (_naive_value(e, env, interp) for e in (schema.lhs, schema.rhs))
+        if (lhs is not None and not lhs.is_zero()) or (rhs is not None and not rhs.is_zero()):
+            if lhs is None or rhs is None or lhs != rhs:
+                return "fail", k + 1, f"sample {k} (seed {seed})"
+    return "pass", samples, ""
+
+
+def test_unpolarized_plans_carry_no_recipes(seed_catalog):
+    # evaluate and check_schema_random never enumerate, so the plans they
+    # keep (polar False) get no support recipe; their results are those of
+    # plain exact arithmetic, on the catalog's algebras and on copies with
+    # one structure constant bumped
+    from homalg.varieties import schemas_for
+
+    walked, statuses = set(), set()
+    for e in seed_catalog.values():
+        if e.kind != "algebra":
+            continue
+        interp = e.value.interpretation()
+        (sym, (tensor, signature)), *_ = sorted(interp.ops.items())
+        bumped = Interpretation(interp.sorts, interp.ops | {sym: (_bumped(tensor, 0, 0, 0),
+                                                                  signature)}, interp.maps)
+        for schema in schemas_for(e.value.variety):
+            for data in (interp, bumped):
+                report = check_schema_random(schema, data, 3, 7)
+                want = _naive_random(schema, data, 3, 7)
+                assert (report.status, report.tuples_checked, report.detail) == want
+                statuses.add(want[0])
+                env = {name: Vector([Fraction(k - 1, 2) for k in range(data.sorts[sort])])
+                       for name, sort, _ in schema.variables}
+                assert evaluate(schema.lhs, env, data) == _naive_value(schema.lhs, env, data)
+            for (_, polar), clause_set in schema.plans.items():
+                for entry in clause_set.by_shape.values() if not polar else ():
+                    for plan in entry.plans:
+                        assert all(recipe is None for recipe in plan.recipes), schema.name
+                        walked.add(plan)
+    assert statuses == {"pass", "fail"} and len(walked) > 30
+
+
 def test_schema_builders_return_the_same_objects():
     from homalg.constructions import _bimodule_map_schemas, _differential_schemas
     from homalg.reps import _rep_schemas
@@ -713,6 +762,43 @@ def test_pruned_enumeration_matches_naive_on_operator_clauses():
     _assert_pruning_matches_naive(cases)
 
 
+def test_pruned_enumeration_matches_naive_on_nijenhuis_graph_maps(seed_catalog):
+    # the paper's Nijenhuis data: T(x + u) = K(u) on the hemisemi-direct
+    # product, zero on all of A, for sampled candidates K over a bimodule,
+    # an action, a Lie action and a Jordan action.  Every algebra-operator
+    # table, and a clause that nests the twist symbols alpha and T, so that
+    # masks read products through composites such as alpha.T and T.alpha.T
+    from homalg.forge import GridSpec, sample_operator_candidates
+    from homalg.operators import _algebra_clauses, nijenhuis_of
+
+    u, v = var("u"), var("v")
+    tu, tv = tw("T", u), tw("T", v)
+    nested = IdentitySchema(
+        "nested", tw("alpha", op("mu", tu, v) + tw("T", op("mu", u, tw("alpha", tv)))),
+        tw("T", tw("alpha", op("mu", tu, tv) - tw("T", op("mu", u, v)))))
+    tables = list(_algebra_clauses().values()) + [(nested,)]
+    statuses, work = set(), [0, 0]
+    for k, rid in enumerate(("kx2t_reg", "kx2_act", "sol2_adj", "j2_adj")):
+        rep = seed_catalog[rid].value
+        grid = GridSpec((-1, 0, 1, 2), (1,), k, 4)
+        for cand in sample_operator_candidates(rep, grid, check=False):
+            nij = nijenhuis_of(cand)
+            a = nij.rep
+            maps = {"T": (nij.map, ("A", "A")), "alpha": (a.alpha, ("A", "A"))}
+            for product in a.products.values():
+                interp = Interpretation({"A": a.dim}, {"mu": (product, ("A", "A", "A"))}, maps)
+                for clauses in tables:
+                    want = _naive_check(clauses, interp)
+                    report = check_clauses(clauses, interp, "nijenhuis-data")
+                    assert _observed(report) == want, (rid, clauses, want)
+                    assert report.tuples_evaluated <= report.tuples_checked
+                    statuses.add(want[0])
+                    work[0] += report.tuples_checked
+                    work[1] += report.tuples_evaluated
+    # 905 tuples evaluated when a twist's mask was its child's, blind to T's zero columns
+    assert statuses == {"pass", "fail"} and work == [2114, 175]
+
+
 def test_pruned_enumeration_matches_naive_on_cancelling_and_prefix_sides():
     # weighted sums whose terms cancel (mul2 is mul's data, or a bumped copy),
     # sums with a term that does not read the last slot, sides that do not
@@ -765,6 +851,12 @@ def _nested_schemas(sign):
                        variables=[("x", "A", 1), ("y", "A", 1), ("z", "A", 1)]),
         IdentitySchema("twisted-sum-inner", op("mul2", tw("alpha", x), tw("alpha", yz)),
                        tw("alpha", op("mul", x, yz))),
+        # twists over sums: chains of two twist powers above a product and above z
+        IdentitySchema("twist-over-sum",
+                       tw("alpha", op("mul", x, yz) + sign * tw("alpha", op("mul2", x, yz))),
+                       op("mul2", tw("alpha", x, 2), tw("alpha", yz))),
+        IdentitySchema("twist-over-last", tw("alpha", z + sign * tw("alpha", z)),
+                       tw("alpha", z, 2)),
     ]
 
 
@@ -1190,17 +1282,26 @@ def _nonzero_tuples(clauses, interp, decided):
 
 
 def _nonnegative_interp(rng, n):
-    """Sparse tensors with entries 1, 2, 1/2, and a twist with no zero column,
-    so that no sum of products can cancel and no twist can kill a value."""
+    """Sparse tensors with entries 1, 2, 1/2, and a non-negative twist: the
+    identity, one with no zero column, a nilpotent one (strictly upper
+    triangular) or a rank-deficient one (some zero columns), so that no sum
+    of products can cancel and a twist kills exactly the values it is zero on."""
     def tensor():
         density = rng.choice((0.15, 0.3, 0.6))
         return StructureTensor([[[rng.choice((1, 2, Fraction(1, 2))) if rng.random() < density
                                   else 0 for _ in range(n)] for _ in range(n)] for _ in range(n)])
 
-    rows = [[rng.choice((1, 2)) if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        rows[rng.randrange(n)][j] = 1
-    alpha = rng.choice((LinearMap.identity(n), LinearMap(rows)))
+    kind = rng.choice(("identity", "full", "nilpotent", "deficient"))
+    rows = [[rng.choice((1, 2)) if rng.random() < 0.4 and (kind != "nilpotent" or j > i) else 0
+             for j in range(n)] for i in range(n)]
+    if kind == "full":
+        for j in range(n):
+            rows[rng.randrange(n)][j] = 1
+    elif kind == "deficient":
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            for row in rows:
+                row[j] = 0
+    alpha = LinearMap.identity(n) if kind == "identity" else LinearMap(rows)
     return Interpretation({"A": n}, {"mul": (tensor(), ("A", "A", "A")),
                                      "mul2": (tensor(), ("A", "A", "A"))},
                           {"alpha": (alpha, ("A", "A"))})
@@ -1227,7 +1328,9 @@ def test_tuples_evaluated_are_the_tuples_with_a_nonzero_side():
     rng = random.Random(12)
     seen = set()
     for schema in schemas:
-        # each side against itself passes, so every tuple is decided
+        # the twists have zero columns too (see _nonnegative_interp): a mask
+        # sees through the twists above its node.  Each side against itself
+        # passes, so every tuple is decided
         sides = tuple(IdentitySchema(f"{schema.name}:{k}", e, e, schema.variables)
                       for k, e in enumerate((schema.lhs, schema.rhs)))
         for _ in range(6):

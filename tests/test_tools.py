@@ -62,3 +62,82 @@ def area(box):
 '''
     # import, class, size, def, text (two lines) and return
     assert _tool("loc").code_lines(source) == 7
+
+
+def _kx2():
+    """A fresh k[x]/(x^2) with the identity twist: new objects, so no check
+    of it is answered from the verdict memo."""
+    from homalg.exact import LinearMap, StructureTensor
+    from homalg.varieties import AlgebraInstance
+
+    t = StructureTensor.square_from_rule(2, {(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [0, 1]})
+    return AlgebraInstance("kx2", 2, {"mul": t}, {"alpha": LinearMap.identity(2)})
+
+
+def _battery(a):
+    """A variety certification (engine.check_clauses, through check_schema)
+    and an operator certification (operators' own binding of it), of the
+    objects of a only."""
+    from homalg.operators import OperatorCandidate, certify_operator
+    from homalg.varieties import VarietyTag, certify
+
+    return [certify(a, VarietyTag.HOM_ASSOCIATIVE),
+            certify_operator(OperatorCandidate(a, a.alpha), "nijenhuis")]
+
+
+def test_engine_work_counts_every_check_and_memo_answer_but_not_itself():
+    import homalg.engine as engine
+    import homalg.operators as operators
+
+    tool = _opcount()
+    real = engine.check_clauses
+    a = _kx2()
+    _battery(a)  # cold: from now on every check of a is a memo answer, the same work each time
+    bare = tool.counted(lambda: _battery(a))[1]
+    with tool.engine_work() as work:
+        assert operators.check_clauses is not real
+        reports, wrapped = tool.counted(lambda: _battery(a))
+        calls = work["check_clauses"]
+        fresh = _battery(_kx2())  # new objects: checked cold, no memo answer
+    assert engine.check_clauses is operators.check_clauses is real
+    assert wrapped == bare
+    assert calls >= 2 and work["check_clauses"] == 2 * calls and work["memo_answers"] == calls
+    for key in ("tuples_checked", "tuples_evaluated", "prefixes_visited"):
+        assert [getattr(r, key) for r in fresh] == [getattr(r, key) for r in reports]
+        assert work[key] == 2 * sum(getattr(r, key) for r in reports)
+
+
+def test_count_pass_reports_instructions_and_engine_work_per_class():
+    tool = _opcount()
+
+    class Workload:
+        """Two operations of class a, one of class b, one raising in class b."""
+
+        def prepare(self):
+            self.algebras = {}
+
+        def timed(self, fn):
+            return fn(), 0.0, 0.0
+
+        def run_pass(self):
+            records = []
+            for cls, key in (("a", "first"), ("b", "second"), ("a", "third")):
+                a = self.algebras.setdefault(key, _kx2())
+                _, t0, ms = self.timed(lambda: _battery(a))
+                records.append({"cls": cls, "key": key, "t0": t0, "ms": ms})
+            try:
+                self.timed(lambda: 1 // 0)
+            except ZeroDivisionError:
+                records.append({"cls": "b", "key": "raises", "ms": 0.0, "error": "1 // 0"})
+            return records
+
+    out = tool.count_pass(Workload())
+    assert out == tool.count_pass(Workload())
+    assert out["operations"] == {"a": 2, "b": 2} and out["errors"] == 1
+    assert out["ops"]["a"] > out["ops"]["b"] > 0
+    work = out["work"]
+    # the counted pass is the second over the same objects: memo answers only
+    calls = work["b"]["check_clauses"]
+    assert calls >= 2 and work["a"]["check_clauses"] == 2 * calls
+    assert work["a"]["memo_answers"] == 2 * calls and work["b"]["memo_answers"] == calls
+    assert work["a"]["tuples_checked"] == 2 * work["b"]["tuples_checked"] > 0

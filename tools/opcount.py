@@ -9,8 +9,14 @@ so that plans, compiled data and caches are as warm as in a timed run.  It
 then runs one more pass with every Python bytecode instruction executed
 inside a timed operation counted (sys.settrace with opcode events), and
 prints one JSON line: the instructions per operation class ("a", "b"), the
-operations per class, and how many operations raised (exit status 1 if
-any did).
+operations per class, how many operations raised (exit status 1 if any
+did), and per class the engine's work in that pass (`work`): the
+`check_clauses` calls, how many of them the verdict memo answered, and the
+summed `tuples_checked`, `tuples_evaluated` and `prefixes_visited` of
+their reports.  The work counters wrap every module binding of
+`check_clauses`; the wrappers' own instructions are not counted, so the
+instruction counts are those of an unwrapped pass, and a change can show
+both that it did less work and that it ran less code.
 
 Wall-clock metrics on a shared machine spread by several percent; these
 counts repeat exactly for one checkout, workload and seed, so a speed claim
@@ -26,8 +32,11 @@ set iteration order, and with it the count, does not change between runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import importlib
 import json
 import os
+import pkgutil
 import sys
 import tempfile
 from pathlib import Path
@@ -42,8 +51,16 @@ class _Clock:
         pass
 
 
+# code objects whose frames `counted` leaves out (the calls they make are counted)
+UNCOUNTED = set()
+
+WORK = ("check_clauses", "memo_answers", "tuples_checked", "tuples_evaluated",
+        "prefixes_visited")
+
+
 def counted(fn):
-    """(result, instructions executed by fn and everything it calls)."""
+    """(result, instructions executed by fn and everything it calls, but
+    not in the frames of UNCOUNTED code)."""
     count = 0
 
     def opcodes(frame, event, arg):
@@ -53,6 +70,8 @@ def counted(fn):
         return opcodes
 
     def calls(frame, event, arg):
+        if frame.f_code in UNCOUNTED:
+            return None
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
         return opcodes(frame, event, arg)
@@ -66,31 +85,75 @@ def counted(fn):
     return out, count
 
 
-def count_pass(workload, seed):
-    """{"ops": {cls: instructions}, "operations": {cls: n}, "errors": n}, with
-    perfbench/ on the import path."""
-    from common import import_homalg
-    from workloads import WORKLOADS
+@contextlib.contextmanager
+def engine_work():
+    """While active, every `check_clauses` call, through any module's binding
+    of it, adds to the yielded dict of WORK counters; a memo answer is a
+    `_Shape.recall` that returns a verdict.  The wrappers are UNCOUNTED."""
+    import homalg
 
-    hl = import_homalg()
-    with tempfile.TemporaryDirectory() as tmp:
-        kwargs = {"in_process": True} if workload == "cli-files" else {}
-        wl = WORKLOADS[workload](hl, seed, Path(tmp), _Clock(), **kwargs)
-        wl.prepare()
-        wl.run_pass()
+    for info in pkgutil.iter_modules(homalg.__path__):
+        if info.name != "__main__":  # running that module runs the CLI
+            importlib.import_module(f"homalg.{info.name}")
+    engine = sys.modules["homalg.engine"]
+    check, recall = engine.check_clauses, engine._Shape.recall
+    work = dict.fromkeys(WORK, 0)
 
-        def timed(fn):
-            out, n = counted(fn)
-            return out, 0.0, n  # the count stands in for the milliseconds
+    def check_clauses(*args, **kwargs):
+        report = check(*args, **kwargs)
+        work["check_clauses"] += 1
+        work["tuples_checked"] += report.tuples_checked
+        work["tuples_evaluated"] += report.tuples_evaluated
+        work["prefixes_visited"] += report.prefixes_visited
+        return report
 
+    def recalled(self, bound):
+        got = recall(self, bound)
+        work["memo_answers"] += got is not None
+        return got
+
+    bindings = [m for name, m in sys.modules.items()
+                if name.startswith("homalg.") and getattr(m, "check_clauses", None) is check]
+    UNCOUNTED.update((check_clauses.__code__, recalled.__code__))
+    for module in bindings:
+        module.check_clauses = check_clauses
+    engine._Shape.recall = recalled
+    try:
+        yield work
+    finally:
+        for module in bindings:
+            module.check_clauses = check
+        engine._Shape.recall = recall
+
+
+def count_pass(wl):
+    """Prepare a workload object, run one warm pass, then count one more:
+    {"ops": {cls: instructions}, "operations": {cls: n}, "errors": n,
+    "work": {cls: {counter: n}}}."""
+    wl.prepare()
+    wl.run_pass()
+    deltas = []
+
+    def timed(fn):
+        before = dict(work)
+        out, n = counted(fn)
+        deltas.append({k: work[k] - before[k] for k in WORK})
+        # the count stands in for the milliseconds and the call's number for its start
+        return out, len(deltas) - 1, n
+
+    with engine_work() as work:
         wl.timed = timed
         records = wl.run_pass()
-    ops, operations = {}, {}
+    ops, operations, done = {}, {}, {}
     for r in records:
-        ops[r["cls"]] = ops.get(r["cls"], 0) + int(r["ms"])
-        operations[r["cls"]] = operations.get(r["cls"], 0) + 1
+        cls = r["cls"]
+        ops[cls] = ops.get(cls, 0) + int(r["ms"])
+        operations[cls] = operations.get(cls, 0) + 1
+        got = done.setdefault(cls, dict.fromkeys(WORK, 0))
+        for k, n in deltas[r["t0"]].items() if "t0" in r else ():
+            got[k] += n
     return {"ops": dict(sorted(ops.items())), "operations": dict(sorted(operations.items())),
-            "errors": sum("error" in r for r in records)}
+            "errors": sum("error" in r for r in records), "work": dict(sorted(done.items()))}
 
 
 def main(argv=None):
@@ -106,7 +169,13 @@ def main(argv=None):
         os.environ["PYTHONHASHSEED"] = "0"
         os.execv(sys.executable, [sys.executable, str(Path(__file__).resolve()),
                                   *(sys.argv[1:] if argv is None else argv)])
-    result = count_pass(args.workload, args.seed)
+    from common import import_homalg
+
+    hl = import_homalg()
+    with tempfile.TemporaryDirectory() as tmp:
+        kwargs = {"in_process": True} if args.workload == "cli-files" else {}
+        result = count_pass(WORKLOADS[args.workload](hl, args.seed, Path(tmp), _Clock(),
+                                                     **kwargs))
     print(json.dumps({"workload": args.workload, "seed": args.seed, **result}, sort_keys=True))
     return 1 if result["errors"] else 0
 
