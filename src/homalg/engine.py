@@ -27,8 +27,12 @@ records the identity flag of every twist power and the zero flag of every
 op it read.  A plan builds one integer kernel per node, once; a kernel
 reads its structure constants' numerators and its output dimension from
 slots of the value list after the nodes.  Each call binds the plan per
-symbol, not per node: it fills those slots with the compiled rows of each
-op, the columns of each twist power and the dimension of each sort, and
+symbol, not per node, after one pass over the symbols the clauses read
+(`_ClauseSet.read`) has given the shape, the objects bound to them (for
+the memo key and the guards) and the check of their dimensions; symbols
+the clauses do not read are not validated.  It fills the slots with the
+compiled rows of each op, the columns of each twist power and the
+dimension of each sort, and
 takes the node denominators (and the sums' terms scaled to them) that the
 plan keeps for the last denominators it was bound with, rebuilding them
 only when the data's or the variables' denominators differ.  The sides
@@ -38,11 +42,18 @@ only with two or more does it sum into a dense list.  Tuples are enumerated
 lexicographically and a node is re-evaluated only when a slot it depends on
 changes, looking up a table keyed by the tuple's projection onto its free
 slots that is filled on demand, so a failing check still stops at its first
-witness.  Tables live for one call, and the basis vectors are built once
-per dimension per call; tensors and maps keep their sparse form once
-compiled (an all-zero row or column is told by one C-level test, not
-converted), and a map keeps each power's columns and identity flag, so
-guards are read, not rebuilt.
+witness.  Those tables live for one call.  What a check decides from
+one object is kept on that object, and dies with it:
+  - a tensor keeps its sparse rows (an all-zero row or column is told by
+    one C-level test, not converted), its row and column masks, its
+    per-output masks, and its row and column masks read through a chain of
+    twists, one table per cover met (see `_tensor`);
+  - a map keeps, per power, its sparse columns, nonzero-column mask and
+    identity flag, and its row sets and column supports (see `_power`);
+  - per dimension, the basis values, the stand-in of every coordinate and
+    the unit masks are built once (`_dim`).
+So guards are read, not rebuilt, and a check over a fresh map over data
+already seen pays only for that map's own data.
 The last slot is enumerated only where a side can be nonzero, for a plan in
 the support-mask contract: every side reads all slots or none, no product
 reads a slot in both factors, and the terms of every sum read the same
@@ -75,10 +86,12 @@ the first prefix after some last-slot mask came out empty, so a check that
 decides before that never binds the recipe; the prefix counts showed that a
 recipe at slot 0 (it runs once per check) or further up does not pay for its
 binding.
-A recipe is a list of steps in one vocabulary, the kinds `_mask_fn` runs,
-each with the key of the table it reads (see `_tables`).  The steps of the
-nodes that read no earlier slot run once per check, when the recipe is
-bound; a per-prefix step that reads such a node folds it in then.
+A recipe is a list of steps in one vocabulary, the kinds `_masks` runs,
+each with the slot of the table it reads in a list that a check fetches
+once (see `_tables`), so binding a recipe rebuilds no step.  The steps of
+the nodes that read no earlier slot run once per check, when the recipe is
+bound; a per-prefix step that reads such a node reads a table of its own,
+with that node folded in then.
 Polarization records each variable's copies as a copy block; the identity
 is symmetric there, so only tuples sorted within each block are visited,
 and the first violating tuple is still the one naive enumeration finds.
@@ -93,16 +106,18 @@ support recipe.
 Exhaustive verdicts are memoized where the plans are kept: each shape of a
 clause tuple keeps the verdict of every check run over it, keyed by the
 identity of the tensor or map bound to each symbol read and by the
-dimensions of the sorts those objects leave free.  A check that binds the
+dimensions of the interpretation's sorts.  A check that binds the
 same objects again gets a fresh report whose status, witness,
 `tuples_checked`, `tuples_evaluated` and `prefixes_visited` are those of
 the first check.  Tensors and maps are immutable (`_compiled` is only a
 cache), so an object's identity stands for its content.  A fresh object always misses,
 even with equal content: the memo serves constructions whose gates
 re-certify the same inputs, not repeated data.  It holds weak references
-only: entries whose objects are gone are swept once the memo has doubled,
-and the memo goes with its schema.  `evaluate` and `check_schema_random`
-never read it.
+only: an entry whose objects are gone by the next check is dropped there
+and then, so a run of checks over fresh data keeps one entry and never
+sweeps; the other dead entries are swept once the memo has doubled, and
+the memo goes with its schema.  `evaluate` and `check_schema_random` never
+read it.
 """
 
 from __future__ import annotations
@@ -110,6 +125,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache, partial
 from math import comb, lcm
 from operator import itemgetter
 from typing import Optional
@@ -571,18 +587,24 @@ def _support(vectors) -> int:
 
 
 def _tensor(tensor):
-    """[sparse rows [i][j], row masks, column masks, P, Q] of a tensor, kept on it.
+    """[sparse rows [i][j], row masks, column masks, P, Q, chained] of a
+    tensor, kept on it.
 
     Bit j of row mask i, and bit i of column mask j, is set when e_i e_j is
     nonzero.  P and Q are the per-output masks of `_outputs`, None until a
-    check first needs them.
+    check first needs them.  `chained` keeps, by kind ("rows" or "cols")
+    and cover, the row or column masks read through a chain of twists whose
+    composite may be nonzero only at the output coordinates in the cover
+    (see `_cover`; -1 for no chain): entry i the union of P[i][k] (or
+    Q[i][k]) over k in the cover, or the plain masks when the cover cuts no
+    output coordinate.
     """
     got = tensor._compiled
     if got is None:
         rows = [[_sparse(r) if any(r) else [] for r in plane] for plane in tensor._n]
         got = tensor._compiled = [rows, [_support(plane) for plane in rows],
                                   [_support(plane[j] for plane in rows)
-                                   for j in range(tensor.right_dim)], None, None]
+                                   for j in range(tensor.right_dim)], None, None, {}]
     return got
 
 
@@ -609,20 +631,24 @@ def _outputs(tensor, right: bool):
     return table
 
 
+# one tuple per distinct list of dimensions, shared by the memo entries that keep it
+_interned = cache(lambda *dims: dims)
+
+
+@cache
+def _dim(d):
+    """(basis values, the stand-in of every coordinate, unit masks) of
+    dimension d, built once: [(i, 1)] per index i, (k, 1) for every k, and
+    1 << j per j."""
+    every = [(k, 1) for k in range(d)]
+    return [[e] for e in every], every, [1 << j for j in range(d)]
+
+
 def _columns(lin):
     """(sparse columns, nonzero-column mask) of a map."""
     cols = [_sparse(col) if any(col) else []
             for col in (zip(*lin._n) if lin.dst_dim else [()] * lin.src_dim)]
     return cols, _support(cols)
-
-
-def _row_sets(cols, dim):
-    """Bit b of entry k is set when coordinate k of column b is nonzero."""
-    out = [0] * dim
-    for b, col in enumerate(cols):
-        for k, _ in col:
-            out[k] |= 1 << b
-    return out
 
 
 def _gather(vec, bits) -> int:
@@ -662,29 +688,37 @@ def _power(lin, power):
     """(sparse columns, denominator, nonzero-column mask, identity flag) of
     lin^power, built once and kept on the map; power 1 reads the map's own
     columns and mask.  The flag reads the content: any map whose numerators
-    are its denominator on the diagonal and zero elsewhere has it."""
-    powers = lin._powers
-    if powers is None:
-        powers = lin._powers = {}
-    got = powers.get(power)
-    if got is None:
-        if power == 1:  # a map across sorts only ever appears at power 1
-            if lin._compiled is None:
-                lin._compiled = _columns(lin)
-            (cols, mask), den = lin._compiled, lin._d
-        else:
-            lin = lin.power(power)
-            (cols, mask), den = _columns(lin), lin._d
-        identity = (lin.src_dim == lin.dst_dim
-                    and all(col == [(j, den)] for j, col in enumerate(cols)))
-        got = powers[power] = (cols, den, mask, identity)
+    are its denominator on the diagonal and zero elsewhere has it.  The
+    power's row sets and column supports (see `_map_table`) are kept beside
+    it, under (kind, power)."""
+    if lin._powers is None:
+        lin._powers = {}
+    elif power in lin._powers:
+        return lin._powers[power]
+    if power == 1:  # a map across sorts only ever appears at power 1
+        if lin._compiled is None:
+            lin._compiled = _columns(lin)
+        (cols, mask), m = lin._compiled, lin
+    else:
+        m = lin.power(power)
+        cols, mask = _columns(m)
+    identity = (m.src_dim == m.dst_dim and mask == (1 << m.src_dim) - 1
+                and all(col == [(j, m._d)] for j, col in enumerate(cols)))
+    got = lin._powers[power] = (cols, m._d, mask, identity)
     return got
 
 
-def _is_identity(interp, symbol, power) -> bool:
-    """Whether symbol^power is the identity map of one sort."""
-    lin, (src, dst) = interp.maps[symbol]
-    return src == dst and _power(lin, power)[3]
+def _map_table(lin, kind, power):
+    """The row sets ("rowsets": bit b of entry k set when coordinate k of
+    column b is nonzero) or the column supports ("colsupp": bit k of entry
+    b) of lin^power, built once and kept with its powers."""
+    cols, rows = _power(lin, power)[0], kind == "rowsets"
+    if (kind, power) not in lin._powers:
+        got = lin._powers[kind, power] = [0] * (lin.dst_dim if rows else len(cols))
+        for b, col in enumerate(cols):
+            for k, _ in col:
+                got[k if rows else b] |= 1 << (b if rows else k)
+    return lin._powers[kind, power]
 
 
 def twist_gap(kn, alpha: LinearMap, beta: LinearMap):
@@ -700,10 +734,6 @@ def twist_gap(kn, alpha: LinearMap, beta: LinearMap):
     if _power(alpha, 1)[3] and _power(beta, 1)[3]:
         return None
     return square_gap(kn, beta._n, alpha._n, kn, alpha._d, beta._d)
-
-
-def _is_zero(interp, symbol) -> bool:
-    return not any(_tensor(interp.ops[symbol][0])[1])
 
 
 class _Dag:
@@ -760,15 +790,15 @@ class _Dag:
         if power == 0 or child == self.zero:
             return child
         identity = self.twists.get((symbol, power))
-        if identity is None:
-            identity = _is_identity(self.interp, symbol, power)
-            self.twists[(symbol, power)] = identity
+        if identity is None:  # symbol^power is the identity map of one sort
+            lin, (src, dst) = self.interp.maps[symbol]
+            identity = self.twists[symbol, power] = src == dst and _power(lin, power)[3]
         return child if identity else self._intern(("tw", symbol, power, child))
 
     def _op(self, symbol, left, right) -> int:
         zero = self.zeros.get(symbol)
         if zero is None:
-            zero = self.zeros[symbol] = _is_zero(self.interp, symbol)
+            zero = self.zeros[symbol] = not any(_tensor(self.interp.ops[symbol][0])[1])
         if zero or left == self.zero or right == self.zero:
             return self.zero
         return self._intern(("op", symbol, left, right))
@@ -891,46 +921,53 @@ class _ClauseSet:
         self.ops, self.maps = tuple(ops), tuple(maps)
         self.by_shape = {}
 
-    def shape(self, interp: Interpretation):
-        """The sort names and the signature of every symbol read (None if unbound)."""
-        ops, maps = interp.ops, interp.maps
-        return (tuple(sorted(interp.sorts)),
-                tuple([ops[s][1] if s in ops else None for s in self.ops]),
-                tuple([maps[s][1] if s in maps else None for s in self.maps]))
+    def read(self, interp: Interpretation):
+        """(shape, objects) of an interpretation, in one pass over the symbols
+        the clauses read: the shape is the sort names and the signature of
+        every symbol read, the objects are the tensors, then the maps, bound
+        to them in `ops` and `maps` order.  None when a symbol read is
+        unbound or its data's dimensions disagree with its sorts'.  Symbols
+        the clauses do not read are not looked at."""
+        sorts, ops, maps = interp.sorts, interp.ops, interp.maps
+        objects, op_sigs, map_sigs = [], [], []
+        try:
+            for s in self.ops:
+                tensor, (ls, rs, os_) = ops[s]
+                if (tensor.left_dim, tensor.right_dim, tensor.out_dim) != (
+                        sorts[ls], sorts[rs], sorts[os_]):
+                    return None
+                objects.append(tensor)
+                op_sigs.append(ops[s][1])
+            for s in self.maps:
+                lin, (ss, ds) = maps[s]
+                if (lin.src_dim, lin.dst_dim) != (sorts[ss], sorts[ds]):
+                    return None
+                objects.append(lin)
+                map_sigs.append(maps[s][1])
+        except (KeyError, ValueError):
+            return None
+        return (tuple(sorted(sorts)), tuple(op_sigs), tuple(map_sigs)), objects
 
 
 class _Shape:
     """The plans of one clause set for one interpretation shape, and the
     verdicts of the exhaustive checks already run over it.
 
-    `free` lists the sorts that no symbol read names.  `verdicts` maps a
-    memo key (see `bound`) to (witness or None, tuples_checked,
-    tuples_evaluated, prefixes_visited, the free sorts' dimensions, then a
-    weak reference per object).  A verdict is recalled only for the same dimensions and while
+    `verdicts` maps a memo key (see `_bind`) to (witness or None,
+    tuples_checked, tuples_evaluated, prefixes_visited, the sorts'
+    dimensions, then a weak reference per object read).  A verdict is
+    recalled only for the same dimensions and while
     each reference still gives the object bound now, so neither a hash
     collision nor an id reused after its object is gone can return another
-    check's verdict.  Entries hold no data; the ones whose objects are gone
-    are dropped once the memo has doubled since the last sweep.
+    check's verdict.  Entries hold no data.  An entry whose objects are gone
+    by the next check (a check over fresh data) is dropped then, in place;
+    the others are swept once the memo has doubled since the last sweep.
     """
 
-    __slots__ = ("plans", "free", "verdicts", "sweep_at")
+    __slots__ = ("plans", "verdicts", "sweep_at", "last")
 
-    def __init__(self, shape):
-        named = {sort for signature in shape[1] + shape[2] for sort in signature}
-        self.plans, self.verdicts, self.sweep_at = [], {}, 1
-        self.free = tuple(sort for sort in shape[0] if sort not in named)
-
-    def bound(self, clause_set: _ClauseSet, interp: Interpretation):
-        """(memo key, dimensions, objects) of an interpretation of this shape.
-
-        The objects are the tensors and maps bound to the symbols read; they
-        fix the dimensions of the sorts their signatures name, so only the
-        free sorts' dimensions are given.  The key hashes both.
-        """
-        sorts, ops, maps = interp.sorts, interp.ops, interp.maps
-        dims = tuple([sorts[s] for s in self.free])
-        objects = [ops[s][0] for s in clause_set.ops] + [maps[s][0] for s in clause_set.maps]
-        return hash((dims, *map(id, objects))), dims, objects
+    def __init__(self):
+        self.plans, self.verdicts, self.sweep_at, self.last = [], {}, 1, None
 
     def recall(self, bound):
         """The verdict kept for these dimensions and objects, or None."""
@@ -942,10 +979,15 @@ class _Shape:
 
     def remember(self, bound, report) -> None:
         key, dims, objects = bound
+        for r in self.verdicts.get(self.last, ())[5:]:
+            if r() is None:  # the last check's data is gone already: drop its entry alone
+                del self.verdicts[self.last]
+                break
         if len(self.verdicts) >= self.sweep_at:
             self.sweep()
         self.verdicts[key] = (report.witness, report.tuples_checked, report.tuples_evaluated,
                               report.prefixes_visited, dims, *map(ref, objects))
+        self.last = key
 
     def sweep(self) -> None:
         """Drop the entries whose objects are gone."""
@@ -955,7 +997,7 @@ class _Shape:
 
 
 # one slot's support recipe (see _Plan._support_recipe)
-_Recipe = namedtuple("_Recipe", "fixed steps fixed_roots mask_roots data width")
+_Recipe = namedtuple("_Recipe", "fixed steps folds fixed_roots mask_roots data width")
 
 
 class _Plan:
@@ -970,25 +1012,31 @@ class _Plan:
     (`width` entries in all): one per op symbol (`op_slots`, its compiled
     rows), twist power (`map_slots`, its columns), sort (`dim_slots`, its
     dimension) and sum (`sum_slots`, its scaled terms), which bind fills per
-    check.  `levels` holds, per slot p (and first for no slot), the (node,
-    kernel, table key, table) steps to run once slots 0..p are set, children
-    first: a node is evaluated at the level of its last free slot, and one
-    whose free slots are not all of 0..level gets a table, one of `tables`
-    made per check, keyed by the projection of the tuple onto them.
+    check; an op or twist slot names its symbol's place among the objects
+    of `_ClauseSet.read`.  `levels` holds, per slot p (and first for no
+    slot), the (node, kernel, table key, table) steps to run once slots
+    0..p are set, children first: a node is evaluated at the level of its
+    last free slot, and one whose free slots are not all of 0..level gets a
+    table, one of `tables` made per check, keyed by the projection of the
+    tuple onto them.
     `recipes[p]` tells which indices of slot p can make a side nonzero, for
     the last slot and, past slot 0, the one before it (see _support_recipe);
     it is None at the other slots, and at every slot of a plan outside the
     support-mask contract or built for `evaluate` and `check_schema_random`
     (polar False), which never enumerate.  `twists` and `zeros` are the
-    guards it was built under.  `den_key`, `dens` and `sum_terms` keep the
-    denominators of the last bind (see bind).  `sides` pairs the roots per clause, and `var_at`
-    gives each slot's variable node (None for a variable no side reads).
+    guards it was built under, each as (object place, power, flag) and
+    (object place, flag); a map across sorts needs none.  `den_key`, `dens`
+    and `sum_terms` keep the denominators of the last bind (see bind).
+    `sides` pairs the roots per clause, and `var_at` gives each slot's
+    variable node (None for a variable no side reads).
+    `table_keys` gives the key of each slot of a check's table list, which
+    the recipes' steps read (see _support_recipe).
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
                  "out_sorts", "levels", "recipes", "tables", "width", "op_slots",
                  "map_slots", "dim_slots", "sum_slots", "den_key", "dens", "sum_terms", "sides",
-                 "var_at")
+                 "var_at", "table_keys")
 
     def __init__(self, clause_set: _ClauseSet, interp: Interpretation, polar: bool):
         self.clause_set = clause_set
@@ -1004,11 +1052,16 @@ class _Plan:
             if sort not in interp.sorts:
                 raise SemanticError(f"sort {sort!r} has no dimension binding")
             var_sorts[name] = sort
-        interp.validate()
+        if clause_set.read(interp) is None:  # a symbol read has the wrong dimensions
+            interp.validate()
         dag = _Dag(interp)
         self.roots = [dag.add(e) for s in clause_set.clauses for e in (s.lhs, s.rhs)]
         self.nodes = nodes = dag.nodes
-        self.twists, self.zeros = tuple(dag.twists.items()), tuple(dag.zeros.items())
+        place = {symbol: k for k, symbol in enumerate(clause_set.ops + clause_set.maps)}
+        self.twists = tuple((place[symbol], power, flag)  # a map across sorts is no identity
+                            for (symbol, power), flag in dag.twists.items()
+                            if interp.maps[symbol][1][0] == interp.maps[symbol][1][1])
+        self.zeros = tuple((place[symbol], flag) for symbol, flag in dag.zeros.items())
         live = [False] * len(nodes)
         for r in self.roots:
             live[r] = True
@@ -1061,8 +1114,9 @@ class _Plan:
                 tables += 1
         self.tables = tables
         self.width = len(nodes) + len(data)
-        self.op_slots = [(key, at) for key, at in data.items() if key[0] == "op"]
-        self.map_slots = [(key, at) for key, at in data.items() if key[0] == "tw"]
+        self.op_slots = [(key, place[key[1]], at) for key, at in data.items() if key[0] == "op"]
+        self.map_slots = [(key, place[key[1]], key[2], at) for key, at in data.items()
+                          if key[0] == "tw"]
         self.dim_slots = [(key[1], at) for key, at in data.items() if key[0] == "dim"]
         self.sum_slots = {key[1]: at for key, at in data.items() if key[0] == "sum"}
         self.den_key = None  # the denominators of the last bind (see bind)
@@ -1080,10 +1134,11 @@ class _Plan:
         # no mask at all: catalog-sweep x4.46, x3.90; loop-certifiers +4.6%, ±0
         # none before the last: catalog-sweep +40.2%, +17.8%; loop-certifiers ±0.0%, ±0
         last = len(var_sorts) - 1
-        keys = {}  # one key object per table, shared by the steps that read it
+        keys = {}  # the slot of each table in a check's table list (see _support_recipe)
         self.recipes = [self._support_recipe(free, p, keys)
                         if contract and (p == last or p == last - 1 > 0) else None
                         for p in range(last + 1)]
+        self.table_keys = tuple(keys)
 
     def _support_recipe(self, free, p, keys):
         """How slot p's support follows from the prefix, as a _Recipe, for a
@@ -1116,9 +1171,13 @@ class _Plan:
         slot is fixed: it does not depend on the prefix.
 
         Children first, each mask, vector or reach some root needs gets one
-        step (node, kind, a, b, the key of the table T it reads, see
-        _tables), in the kinds _mask_fn runs.  A per-prefix step whose c (or
-        w) is fixed folds it: bind_support reads it once per check.
+        step (node, kind, a, b, the slot of the table T it reads), in the
+        kinds _masks runs; `keys` gives each table key its slot in a check's
+        table list, shared by the plan's recipes (see _tables), and a step
+        that reads no table gets the slot of None, which stays None.  A
+        per-prefix step whose c (or w) is fixed reads a slot of its own, a
+        fold (slot, kind, c or w, the slot of T) that bind_support fills
+        once per check with the fixed operand folded in.
         Masks, under a chain C:
           "union" c:        op(c, y) or op(y, c): the union of T[i] over c's
                             support, T op's row (or column) masks read
@@ -1162,7 +1221,8 @@ class _Plan:
         others, which run per prefix; the contract leaves no per-prefix step
         that reads a fixed stand-in unfolded.  `fixed_roots` are the mask
         roots among the fixed nodes, which may put every index in the mask
-        for the whole check (see bind_support).  `data` lists the table keys.
+        for the whole check (see bind_support).  `data` lists the slots of
+        the tables to fetch.
         """
         bit, later = 1 << p, -2 << p
         early = bit - 1
@@ -1170,7 +1230,7 @@ class _Plan:
         # all per prefix: catalog-sweep +22.8%, +17.0%; loop-certifiers +1.0% (see __init__)
         fixed = {nid for nid in self.order if free[nid] & (bit | later) and not free[nid] & early}
         masks, extra, vectors, reach = {}, {}, set(), set()
-        steps = []
+        steps, folds, fetch = [], [], {}
 
         def slot(nid, chain):
             return extra.setdefault((nid, chain), len(nodes) + len(extra)) if chain else nid
@@ -1186,8 +1246,14 @@ class _Plan:
             return slot(nid, chain)
 
         def emit(nid, kind, a, b, key=None, out=None):
-            steps.append((nid in fixed, (nid if out is None else out, kind, a, b,
-                                         None if key is None else keys.setdefault(key, key))))
+            t = keys.setdefault(key, len(keys))  # key None: a slot no check fills
+            if key is not None:
+                fetch[t] = None
+            if kind in ("gather", "vfold", "wfold"):  # reads a fixed operand: a fold's slot
+                folds.append((keys.setdefault(("fold", p, len(folds)), len(keys)), kind,
+                              b if kind == "wfold" else a, t))
+                t = folds[-1][0]
+            steps.append((nid in fixed, (nid if out is None else out, kind, a, b, t)))
 
         def inner(n):
             """n, or None when n is y."""
@@ -1258,18 +1324,22 @@ class _Plan:
                 emit(n, "vconst", None, None, ("unit", sorts[n]))
         steps.reverse()
         return _Recipe(tuple(s for f, s in steps if f), tuple(s for f, s in steps if not f),
-                       tuple(m for r, m in zip(roots, mask_roots) if r in fixed),
-                       tuple(mask_roots), tuple({s[4]: None for _, s in steps if s[4]}),
-                       len(nodes) + len(extra))
+                       tuple(folds), tuple(m for r, m in zip(roots, mask_roots) if r in fixed),
+                       tuple(mask_roots), tuple(fetch), len(nodes) + len(extra))
 
-    def holds(self, interp: Interpretation) -> bool:
-        """Whether every guard holds for this interpretation's data."""
-        return (all(_is_identity(interp, symbol, power) == flag
-                    for (symbol, power), flag in self.twists)
-                and all(_is_zero(interp, symbol) == flag for symbol, flag in self.zeros))
+    def holds(self, objects: list) -> bool:
+        """Whether every guard holds for the objects of `_ClauseSet.read`."""
+        for k, power, flag in self.twists:
+            if _power(objects[k], power)[3] != flag:
+                return False
+        for k, flag in self.zeros:
+            if any(_tensor(objects[k])[1]) == flag:
+                return False
+        return True
 
-    def bind(self, interp: Interpretation, leaf_dens: dict):
-        """(value list, denominators) over the interpretation's data.
+    def bind(self, objects: list, dims: dict, leaf_dens: dict):
+        """(value list, denominators) over the objects of `_ClauseSet.read`
+        and the sorts' dimensions.
 
         The kernels are the plan's; each reads its data from a slot after
         the nodes in the value list, which this fills per symbol: an op's
@@ -1280,14 +1350,13 @@ class _Plan:
         denominators bound and rebuilt only when those change.
         """
         cur = [None] * self.width
-        ops, maps, dims = interp.ops, interp.maps, interp.sorts
         read = []
-        for (_, symbol), at in self.op_slots:
-            tensor = ops[symbol][0]
+        for _, k, at in self.op_slots:
+            tensor = objects[k]
             cur[at] = _tensor(tensor)[0]
             read.append(tensor._d)
-        for (_, symbol, power), at in self.map_slots:
-            cols, den = _power(maps[symbol][0], power)[:2]
+        for _, k, power, at in self.map_slots:
+            cols, den = _power(objects[k], power)[:2]
             cur[at] = cols
             read.append(den)
         for sort, at in self.dim_slots:
@@ -1304,7 +1373,7 @@ class _Plan:
         """Keep the node denominators, and the sums' terms scaled to them,
         for `read`: the denominators bind read, in its order."""
         nodes = self.nodes
-        den_of = dict(zip([key for key, _ in self.op_slots + self.map_slots]
+        den_of = dict(zip([slot[0] for slot in self.op_slots + self.map_slots]
                           + [("var", name) for name in self.var_nodes], read))
         dens = [1] * len(nodes)
         sums = []
@@ -1326,174 +1395,167 @@ class _Plan:
                 sums.append((self.sum_slots[nid], terms))
         self.den_key, self.dens, self.sum_terms = read, dens, sums
 
-    def bind_support(self, p, interp: Interpretation, cur: list, tables: dict,
+    def bind_support(self, p, interp: Interpretation, cur: list, tables: list,
                      standins: dict):
         """Slot p's support recipe over the interpretation's data, as a
-        function of the current prefix (see _mask_fn).
+        function of the current prefix: `_masks` over the recipe's steps.
 
-        The tables the recipe reads are fetched into `tables`, once per
+        The recipe's steps read their tables by slot from `tables`, the
+        check's list of them (see `table_keys`), which this fetches once per
         check.  The fixed steps run here, once, into fresh mask and vector
-        lists and stand-ins in `cur`.  Then the per-prefix steps that fold a
-        fixed operand read it: "gather" gets J as its table, "vfold" becomes
-        "vspread" over the union of its P (or Q) rows, and "wfold" becomes
-        "wunion" with, per index of c, the coordinates that meet w's reach.
-        When a fixed root's mask already covers every index, slot p's mask
-        is -1 for the whole check.  `standins` keeps one stand-in list per
-        reach, for the check.
+        lists and stand-ins in `cur`.  Then each fold puts in its own slot
+        the table its per-prefix step reads, the fixed operand folded in:
+        "gather" gets J, "vfold" the union of its P (or Q) rows over c's
+        support, a vector to spread through n's, and "wfold", per index of
+        c, the coordinates that meet w's reach.  When a fixed root's mask
+        already covers every index, slot p's mask is -1 for the whole check.
+        `standins` keeps one stand-in list per reach, for the check.
         """
-        once, varying, fixed_roots, mask_roots, data, width = self.recipes[p]
-        _tables(data, tables, interp)
+        once, steps, folds, fixed_roots, mask_roots, data, width = self.recipes[p]
+        _tables(data, tables, self.table_keys, interp)
         masks = [-1] * width  # a variable's own mask stays -1
         vecs = [None] * len(self.nodes)
-        _mask_fn([(nid, kind, a, b, tables.get(key)) for nid, kind, a, b, key in once],
-                 masks, vecs, (), cur, standins)()
+        _masks(once, tables, masks, vecs, (), cur, standins)
         if fixed_roots:
             every = (1 << interp.sorts[self.clause_set.variables[p][1]]) - 1
             if any(masks[r] & every == every for r in fixed_roots):
                 return lambda: -1
-        steps = []
-        for nid, kind, a, b, key in varying:
-            data = tables.get(key)
+        for t, kind, a, src in folds:
+            data = tables[src]
             if kind == "gather":  # J, from the fixed c
                 bits = 0
                 for i, _ in cur[a]:
                     bits |= data[i]
-                a, data = None, bits
-            elif kind == "vfold":  # the vector before it is spread through n's
-                vec = [0] * len(data[0])
+                tables[t] = bits
+            elif kind == "vfold":
+                tables[t] = vec = [0] * len(data[0])
                 for i, _ in cur[a]:
                     for j, m in enumerate(data[i]):
                         vec[j] |= m
-                kind, a, data = "vspread", None, vec
-            elif kind == "wfold":  # per index of c, the coordinates that meet w's reach
-                bits = masks[b]
-                kind, b, data = "wunion", None, [
-                    sum(1 << j for j, m in enumerate(row) if m & bits) for row in data]
-            steps.append((nid, kind, a, b, data))
-        return _mask_fn(steps, masks, vecs, mask_roots, cur, standins)
+            else:  # "wfold": a is w
+                bits = masks[a]
+                tables[t] = [sum(1 << j for j, m in enumerate(row) if m & bits) for row in data]
+        return partial(_masks, steps, tables, masks, vecs, mask_roots, cur, standins)
 
 
-def _tables(keys, tables: dict, interp: Interpretation) -> None:
-    """Fetch into `tables` the data recipe steps read, by key, unless fetched
-    already: a tensor's row or column masks or its P or Q, a map power's
-    nonzero-column mask, row sets or column supports, a sort's dimension,
-    the stand-in of its every coordinate or its unit vector of masks."""
+def _tables(slots, tables: list, keys, interp: Interpretation) -> None:
+    """Fetch into `tables` the data recipe steps read, at each of the slots
+    unless fetched already, by the slot's key: a tensor's row or column
+    masks or its P or Q, a map power's nonzero-column mask, row sets or
+    column supports, a sort's dimension, the stand-in of its every
+    coordinate or its unit vector of masks."""
     ops, maps, dims = interp.ops, interp.maps, interp.sorts
-    for key in keys:
-        if key in tables:
+    for t in slots:
+        if tables[t] is not None:
             continue
+        key = keys[t]
         kind = key[0]
-        if kind == "rows" or kind == "cols":
+        if kind == "rows" or kind == "cols":  # kept on the tensor per cover (see _tensor)
             tensor = ops[key[1]][0]
-            got = _tensor(tensor)[1 if kind == "rows" else 2]
-            if key[2]:  # read through a chain, unless it cuts no output coordinate
-                cover, every = _cover(maps, key[2]), (1 << tensor.out_dim) - 1
-                if cover & every != every:
-                    got = [_gather(vec, cover) for vec in _outputs(tensor, kind == "cols")]
+            compiled, cover = _tensor(tensor), _cover(maps, key[2]) if key[2] else -1
+            got = compiled[5].get((kind, cover))
+            if got is None:
+                every = (1 << tensor.out_dim) - 1
+                got = compiled[5][kind, cover] = (
+                    compiled[1 if kind == "rows" else 2] if cover & every == every
+                    else [_gather(vec, cover) for vec in _outputs(tensor, kind == "cols")])
         elif kind == "P" or kind == "Q":
             got = _outputs(ops[key[1]][0], kind == "Q")
         elif kind == "mask":
             got = _cover(maps, key[1])
-        elif kind == "rowsets":
-            got = _row_sets(_power(maps[key[1]][0], key[2])[0], dims[key[3]])
-        elif kind == "colsupp":
-            got = [sum(1 << i for i, _ in col) for col in _power(maps[key[1]][0], key[2])[0]]
+        elif kind == "rowsets" or kind == "colsupp":
+            got = _map_table(maps[key[1]][0], kind, key[2])
         elif kind == "dim":
             got = dims[key[1]]
-        elif kind == "all":
-            got = _standin((1 << dims[key[1]]) - 1)
-        else:  # "unit"
-            got = [1 << j for j in range(dims[key[1]])]
-        tables[key] = got
+        else:  # "all" or "unit"
+            got = _dim(dims[key[1]])[1 if kind == "all" else 2]
+        tables[t] = got
 
 
 def _cover(maps, chain) -> int:
     """The coordinates at which the composite of chain's twist powers
-    (outermost first) may have a nonzero column, -1 for no chain: from the
-    outside in, the columns that meet the cover of the maps above them."""
-    cover = -1
-    for symbol, power in chain:
-        cover = sum(1 << j for j, col in enumerate(_power(maps[symbol][0], power)[0])
-                    if any(cover >> k & 1 for k, _ in col))
+    (outermost first, at least one) may have a nonzero column: the first
+    power's nonzero columns, then, from the outside in, the columns that
+    meet the cover of the maps above them, read from the row sets."""
+    symbol, power = chain[0]
+    cover = _power(maps[symbol][0], power)[2]
+    for symbol, power in chain[1:]:
+        cover = _gather(_map_table(maps[symbol][0], "rowsets", power), cover)
     return cover
 
 
-def _mask_fn(steps, masks, vecs, roots, cur, standins):
-    """The mask of one slot for the current prefix, as a function: the union
-    of the roots' masks once the bound recipe steps (see
-    _Plan.bind_support) have run.  The steps are those of
-    _Plan._support_recipe, the fold kinds already rewritten; "map" and
-    "vconst" come only in the pass that runs once per check."""
-
-    def mask():
-        for nid, kind, a, b, data in steps:
-            if kind == "vunion":
-                c = cur[a]
-                if len(c) == 1:
-                    vec = data[c[0][0]]
-                else:
-                    vec = [0] * len(data[0])
-                    for i, _ in c:
-                        for k, m in enumerate(data[i]):
-                            vec[k] |= m
-                vecs[nid] = vec if b is None else _spread(vecs[b], vec)
-            elif kind == "pick":
-                bits = 0
-                for i, _ in cur[a]:
-                    bits |= data[i]
-                masks[nid] = _gather(vecs[b], bits)
-            elif kind == "gather":
-                masks[nid] = _gather(vecs[b], data)
-            elif kind == "union":
-                out = 0
+def _masks(steps, tables, masks, vecs, roots, cur, standins):
+    """The mask of one slot for the current prefix: the union of the roots'
+    masks once the recipe steps (see _Plan._support_recipe) have run, each
+    over the table in its slot of `tables` (see _Plan.bind_support); "map"
+    and "vconst" come only in the pass that runs once per check."""
+    for nid, kind, a, b, t in steps:
+        data = tables[t]
+        if kind == "vunion":
+            c = cur[a]
+            if len(c) == 1:
+                vec = data[c[0][0]]
+            else:
+                vec = [0] * len(data[0])
+                for i, _ in c:
+                    for k, m in enumerate(data[i]):
+                        vec[k] |= m
+            vecs[nid] = vec if b is None else _spread(vecs[b], vec)
+        elif kind == "pick":
+            bits = 0
+            for i, _ in cur[a]:
+                bits |= data[i]
+            masks[nid] = _gather(vecs[b], bits)
+        elif kind == "gather":
+            masks[nid] = _gather(vecs[b], data)
+        elif kind == "union":
+            out = 0
+            for i, _ in cur[a]:
+                out |= data[i]
+            masks[nid] = out
+        elif kind == "sum":
+            out = 0
+            for c in a:
+                out |= masks[c]
+            masks[nid] = out
+        elif kind == "vspread" or kind == "vfold":
+            vecs[nid] = _spread(vecs[b], data)
+        elif kind == "vsum":
+            vec = [0] * data
+            for c in a:
+                for k, m in enumerate(vecs[c]):
+                    vec[k] |= m
+            vecs[nid] = vec
+        elif kind == "wvar":
+            cur[nid] = data
+        elif kind in ("wunion", "wfold", "wop", "wsum"):  # a later node's reach
+            out = 0
+            if kind == "wunion" or kind == "wfold":
                 for i, _ in cur[a]:
                     out |= data[i]
-                masks[nid] = out
-            elif kind == "sum":
-                out = 0
-                for c in a:
-                    out |= masks[c]
-                masks[nid] = out
-            elif kind == "vspread":
-                vecs[nid] = _spread(vecs[b], data)
-            elif kind == "vsum":
-                vec = [0] * data
-                for c in a:
-                    for k, m in enumerate(vecs[c]):
-                        vec[k] |= m
-                vecs[nid] = vec
-            elif kind == "wvar":
-                cur[nid] = data
-            elif kind == "wunion" or kind == "wop" or kind == "wsum":  # a later node's reach
-                out = 0
-                if kind == "wunion":
-                    for i, _ in cur[a]:
-                        out |= data[i]
-                elif kind == "wop":
-                    bits = masks[b]
-                    for i, _ in cur[a]:
-                        for k, m in enumerate(data[i]):
-                            if m & bits:
-                                out |= 1 << k
-                else:
-                    for c in b:
-                        for k, _ in cur[c]:
+            elif kind == "wop":
+                bits = masks[b]
+                for i, _ in cur[a]:
+                    for k, m in enumerate(data[i]):
+                        if m & bits:
                             out |= 1 << k
-                masks[nid] = out
-                got = standins.get(out)
-                if got is None:
-                    got = standins[out] = _standin(out)
-                cur[nid] = got
-            elif kind == "map":  # this and "vconst" run once per check
-                masks[nid] = data
-            else:  # "vconst"
-                vecs[nid] = data
-        out = 0
-        for r in roots:
-            out |= masks[r]
-        return out
-
-    return mask
+            else:
+                for c in b:
+                    for k, _ in cur[c]:
+                        out |= 1 << k
+            masks[nid] = out
+            got = standins.get(out)
+            if got is None:
+                got = standins[out] = _standin(out)
+            cur[nid] = got
+        elif kind == "map":  # this and "vconst" run once per check
+            masks[nid] = data
+        else:  # "vconst"
+            vecs[nid] = data
+    out = 0
+    for r in roots:
+        out |= masks[r]
+    return out
 
 
 def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=False):
@@ -1501,37 +1563,42 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
 
     The plan comes from the first clause's cache, keyed by the remaining
     clauses and `polar`, then by shape; it is built when no cached plan's
-    guards hold.  Sorts are checked and the data validated before any guard
-    reads the data, as a fresh build does.  With `memo` (exhaustive checks
-    only), the shape's verdicts are looked up once the data is validated.
-    The last item is then the verdict kept for the same objects and
-    dimensions, with everything else None, or else (_Shape, bound) for
-    `_Shape.remember`.
+    guards hold.  One pass over the symbols the clauses read
+    (`_ClauseSet.read`) gives the shape, the objects bound to them and the
+    check of their dimensions, so the data is validated before any guard
+    reads it, as a fresh build does; only the symbols read are validated.
+    An interpretation that fails that pass goes to a fresh build, which
+    raises the error it meets first.  With `memo` (exhaustive checks only),
+    the shape's verdicts are looked up by those objects, and the last item
+    is the verdict kept for the same objects and dimensions, with
+    everything else None, when there is one.  Otherwise it is (_Shape,
+    bound) for `_Shape.remember`: bound is (memo key, the sorts' dimensions
+    in the order of their names, objects), the key hashing the dimensions
+    and the objects' identities.
     """
     head = clauses[0]
     key = (tuple(clauses[1:]), polar)
     clause_set = head.plans.get(key)
     if clause_set is None:
         clause_set = head.plans[key] = _ClauseSet(clauses, polar)
-    shape = clause_set.shape(interp)
+    # no shape when a symbol read is unbound or has the wrong dimensions: the build raises
+    shape, objects = clause_set.read(interp) or (None, ())
+    dims = _interned(*map(interp.sorts.get, shape[0])) if shape else ()
+    bound = hash((dims, *map(id, objects))), dims, objects
     entry = clause_set.by_shape.get(shape)
-    plan = slot = None
+    plan = None
     if entry is not None:
-        interp.validate()
         if memo:
-            slot = (entry, entry.bound(clause_set, interp))
-            verdict = entry.recall(slot[1])
+            verdict = entry.recall(bound)
             if verdict is not None:
                 return None, None, None, verdict
-        plan = next((p for p in entry.plans if p.holds(interp)), None)
+        plan = next((p for p in entry.plans if p.holds(objects)), None)
     if plan is None:
         plan = _Plan(clause_set, interp, polar)
         if entry is None:
-            entry = clause_set.by_shape[shape] = _Shape(shape)
+            entry = clause_set.by_shape[shape] = _Shape()
         entry.plans.append(plan)
-    if memo and slot is None:
-        slot = (entry, entry.bound(clause_set, interp))
-    return (plan, *plan.bind(interp, leaf_dens), slot)
+    return plan, *plan.bind(objects, interp.sorts, leaf_dens), (entry, bound)
 
 
 def _run(levels, cur) -> None:
@@ -1612,12 +1679,13 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                            prefixes_visited=prefixes)
     variables, lower = plan.clause_set.variables, plan.clause_set.lower
     tails, recipes, levels, sides = plan.clause_set.tails, plan.recipes, plan.levels, plan.sides
-    dims = [interp.sorts[sort] for _, sort, _ in variables]
-    by_dim = {d: [[(i, 1)] for i in range(d)] for d in set(dims)}
-    basis, var_at = [by_dim[d] for d in dims], plan.var_at
+    dims, basis, var_at = [], [], plan.var_at
+    for _, sort, _ in variables:
+        dims.append(interp.sorts[sort])
+        basis.append(_dim(dims[-1])[0])
     memos = [{} for _ in range(plan.tables)]  # per tabled node, its values by free slots
     bound = [None] * len(variables)  # each slot's mask function, bound when first needed
-    standins, tables = {}, {}
+    standins, tables = {}, [None] * len(plan.table_keys)
     idx = [0] * len(variables)
     last = len(variables) - 1
     count = evaluated = prefixes = 0

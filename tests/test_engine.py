@@ -6,6 +6,7 @@ from homalg.engine import (
     IdentitySchema,
     Interpretation,
     SemanticError,
+    Sum,
     ZERO,
     check_all,
     check_clauses,
@@ -74,6 +75,33 @@ def test_unbound_symbol_is_semantic_error():
     schema = IdentitySchema("nope", op("missing", var("x"), var("y")), ZERO)
     with pytest.raises(SemanticError):
         check_schema(schema, interp_for(KX2))
+
+
+def test_a_check_validates_the_symbols_it_reads():
+    # the dimensions of every op and map the clauses read are checked, cold
+    # or against a kept plan; a symbol they do not read is not looked at
+    from homalg.exact import ShapeError
+
+    schema = _fresh(associativity_schema())
+    wrong = StructureTensor.zero(3)
+    ok = interp_for(KX2)
+    unread = Interpretation(ok.sorts, ok.ops | {"spare": (wrong, ("A", "A", "A"))},
+                            ok.maps | {"gamma": (LinearMap.identity(3), ("A", "A"))})
+    for _ in range(2):  # cold, then over the kept plan
+        assert check_schema(schema, unread).ok
+        with pytest.raises(ShapeError):
+            check_schema(schema, Interpretation(ok.sorts, {"mul": (wrong, ("A", "A", "A"))},
+                                                ok.maps))
+        with pytest.raises(ShapeError):
+            check_schema(schema, Interpretation(ok.sorts, ok.ops,
+                                                {"alpha": (LinearMap.identity(3), ("A", "A"))}))
+    # an unbound symbol and a sort fault are named before the dimensions, as
+    # in a fresh build
+    with pytest.raises(SemanticError, match="unbound map symbol"):
+        check_schema(schema, Interpretation(ok.sorts, {"mul": (wrong, ("A", "A", "A"))}, {}))
+    with pytest.raises(SemanticError, match="left slot expects"):
+        check_schema(schema, Interpretation({"A": 2, "B": 3}, {"mul": (wrong, ("B", "A", "A"))},
+                                            ok.maps))
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +407,18 @@ def test_sparse_data_is_computed_once_per_object():
     assert t._compiled is None and alpha._compiled is None
     check_schema(schema, interp)
     tensor_data, map_data = t._compiled, alpha._compiled
-    (rows, row_masks, col_masks, p, q), (cols, col_support) = tensor_data, map_data
+    (rows, row_masks, col_masks, p, q, chained), (cols, col_support) = tensor_data, map_data
     assert rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
     # e1 e1 and e1 e2 are nonzero, e2 e_j is zero; both columns of alpha are nonzero
     assert (row_masks, col_masks, col_support) == ([0b11, 0], [0b01, 0b01], 0b11)
     # this schema reads no op(c, n) with n past the last slot: no per-output masks
     assert p is None and q is None
+    # the product is read through alpha, whose cover (both columns) cuts no
+    # output coordinate: the plain row masks, kept by kind and cover
+    assert chained == {("rows", 0b11): row_masks} and chained["rows", 0b11] is row_masks
     check_schema(schema, interp)
     assert t._compiled is tensor_data and alpha._compiled is map_data
+    assert tensor_data[5] is chained and chained == {("rows", 0b11): row_masks}
     kept = list(tensor_data)
 
     # x (y z) and (x y) z need P (x (y z)) and Q ((y z) x)-style masks once
@@ -405,7 +437,7 @@ def test_sparse_data_is_computed_once_per_object():
         check_schema(nested, interp)
         check_schema(_fresh(nested), interp)
         assert t._compiled is tensor_data
-        assert tensor_data[3] is p and tensor_data[4] is q
+        assert tensor_data[3] is p and tensor_data[4] is q and tensor_data[5] is chained
 
 
 def test_twist_powers_are_built_once_per_map(monkeypatch, cold_binds):
@@ -430,6 +462,71 @@ def test_twist_powers_are_built_once_per_map(monkeypatch, cold_binds):
     assert first.ok and second.ok
     assert check_schema(schema, interp_for(KX2, LinearMap([[0, 1], [2, 0]]))).status == "fail"
     assert calls == [2]
+
+
+def test_a_fresh_operator_over_the_same_representation_rebuilds_no_table(monkeypatch,
+                                                                         seed_catalog):
+    # the tensors of a representation and of its ambient keep their row and
+    # column masks read through K (or the Nijenhuis map T) per cover, and the
+    # per-dimension constants are built once per dimension: a fresh K with
+    # the nonzero columns of the last one rebuilds none of them
+    import homalg.engine as engine
+    from homalg.constructions import ConstructionId, hemisemi
+    from homalg.operators import OperatorCandidate, certify_operator, nijenhuis_of
+
+    rep = seed_catalog["kx2_reg"].value
+    ambient = hemisemi(rep, ConstructionId.HEMISEMI_DIASS, check=False)
+
+    def battery():
+        cand = OperatorCandidate(rep, LinearMap([[1, 0], [2, 0]]))  # its second column is zero
+        return [certify_operator(cand, "rel-avg"),
+                certify_operator(nijenhuis_of(cand, ambient=ambient), "nijenhuis")]
+
+    first = battery()
+    tensors = [t for t, _ in rep.interpretation().ops.values()] + list(ambient.products.values())
+    tensors = [t for t in tensors if t._compiled is not None]  # those the checks read
+    kept = [(t._compiled, list(t._compiled), dict(t._compiled[5])) for t in tensors]
+    # K's zero column cuts the masks of l and r, and T those of the ambient's products
+    assert sum(cover not in (-1, 0b11, 0b1111) for *_, chained in kept
+               for _, cover in chained) >= 4
+    built, real = [], engine._outputs
+    monkeypatch.setattr(engine, "_outputs", lambda *args: built.append(args) or real(*args))
+    misses = engine._dim.cache_info().misses
+    again = battery()
+    assert built == [] and engine._dim.cache_info().misses == misses
+    for t, (compiled, entries, chained) in zip(tensors, kept):
+        assert t._compiled is compiled and all(a is b for a, b in zip(compiled, entries))
+        assert compiled[5] == chained and all(compiled[5][k] is v for k, v in chained.items())
+    assert [_fields(r) for r in again] == [_fields(r) for r in first]
+
+
+def test_one_tensor_under_maps_of_two_covers_gives_each_its_naive_verdict(seed_catalog):
+    # the Nijenhuis maps of candidates whose K have different nonzero columns,
+    # checked back to back over the same ambient products: each check reads
+    # the masks kept for its own cover
+    import homalg.engine as engine
+    from homalg.constructions import ConstructionId, hemisemi
+    from homalg.operators import OperatorCandidate, _algebra_clauses, nijenhuis_of
+
+    rep = seed_catalog["kx2_reg"].value
+    ambient = hemisemi(rep, ConstructionId.HEMISEMI_DIASS, check=False)
+    tables = list(_algebra_clauses().values())
+    covers, statuses = set(), set()
+    for _ in range(2):
+        for rows in ([[1, 0], [1, 0]], [[0, 1], [0, 1]], [[2, 0], [0, 0]], [[0, 0], [0, 1]]):
+            nij = nijenhuis_of(OperatorCandidate(rep, LinearMap(rows)), ambient=ambient)
+            covers.add(engine._power(nij.map, 1)[2])
+            maps = {"T": (nij.map, ("A", "A")), "alpha": (ambient.alpha, ("A", "A"))}
+            for product in ambient.products.values():
+                interp = Interpretation({"A": 4}, {"mu": (product, ("A", "A", "A"))}, maps)
+                for clauses in tables:
+                    want = _naive_check(clauses, interp)
+                    assert _observed(check_clauses(clauses, interp, "covers")) == want, rows
+                    statuses.add(want[0])
+    # T is x + u -> K(u): its nonzero columns are those of K, shifted past A
+    assert covers == {0b0100, 0b1000} and statuses == {"pass", "fail"}
+    for product in ambient.products.values():
+        assert covers <= {cover for _, cover in product._compiled[5]}
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +596,22 @@ def test_guards_separate_identity_powers_and_zero_products():
     _same(report, check_schema(_fresh(vanishes), interp_for(KX2)))
     assert check_schema(vanishes, interp_for(StructureTensor.zero(2))).ok
     assert len(_plans(vanishes)) == 2
+
+
+def test_a_map_across_sorts_never_splits_a_plan(seed_catalog):
+    # K : V -> A is never the identity map of a sort, whatever its matrix: a
+    # candidate whose K has the identity matrix binds the plan of any other
+    from homalg.operators import _rep_clauses
+
+    rep = seed_catalog["kx2_reg"].value
+    clauses = tuple(_fresh(c) for c in _rep_clauses()["bimodule", "rel-avg"])
+    interp = rep.interpretation()
+    for rows in ([[1, 0], [0, 1]], [[1, 0], [2, 0]], [[1, 0], [0, 1]]):
+        maps = interp.maps | {"K": (LinearMap(rows), ("V", "A"))}
+        report = check_clauses(clauses, Interpretation(interp.sorts, interp.ops, maps), "k")
+        _same(report, check_clauses(tuple(_fresh(c) for c in clauses),
+                                    Interpretation(interp.sorts, interp.ops, maps), "k"))
+    assert len(_plans(clauses[0])) == 1
 
 
 def test_a_schema_built_per_call_takes_its_plans_with_it():
@@ -882,6 +995,115 @@ def test_pruned_enumeration_matches_naive_under_nested_products():
             ops = interp.ops | {"mul2": (mul2, ("A", "A", "A"))}
             cases.append(((schema,), Interpretation(interp.sorts, ops, interp.maps)))
     _assert_pruning_matches_naive(cases)
+
+
+# ---------------------------------------------------------------------------
+# random clause sets against naive enumeration
+
+# op symbol -> (left sort, right sort, output sort): an op for every pair of sorts
+_RANDOM_OPS = {"mul": ("A", "A", "A"), "l": ("A", "V", "V"), "r": ("V", "A", "V"),
+               "vmul": ("V", "V", "V")}
+_RANDOM_WEIGHTS = (1, -1, 2, Fraction(1, 2))
+
+
+def _random_tree(rng, leaves, seen):
+    """(expression, sort) of a random product tree over the leaves, in their
+    order, each a (name, sort) read once; twists of one or two maps, powers
+    1 or 2 and K : V -> A land on random subtrees."""
+    if len(leaves) == 1:
+        (name, sort), = leaves
+        expr = var(name, sort)
+    else:
+        k = rng.randint(1, len(leaves) - 1)
+        (left, ls), (right, rs) = _random_tree(rng, leaves[:k], seen), _random_tree(
+            rng, leaves[k:], seen)
+        symbol = next(s for s, sig in _RANDOM_OPS.items() if sig[:2] == (ls, rs))
+        expr, sort = op(symbol, left, right), _RANDOM_OPS[symbol][2]
+    for _ in range(rng.choice((0, 0, 1, 2))):  # no twist, one, or a chain of two
+        if sort == "V" and rng.random() < 0.5:
+            expr, sort = tw("K", expr), "A"
+            seen.add("K")
+        else:
+            power = rng.randint(1, 2)
+            expr = tw("alpha" if sort == "A" else "beta", expr, power)
+            seen.add(power)
+    return expr, sort
+
+
+def _random_side(rng, leaves, seen):
+    """Zero, or a sum of one or two weighted trees of sort A, each over all
+    the leaves in a random order (a V-sorted tree goes through K)."""
+    if rng.random() < 0.15:
+        return ZERO
+    terms = []
+    for _ in range(rng.choice((1, 1, 2))):
+        expr, sort = _random_tree(rng, rng.sample(leaves, len(leaves)), seen)
+        if sort == "V":
+            expr = tw("K", expr)
+            seen.add("K")
+        terms.append((rng.choice(_RANDOM_WEIGHTS), expr))
+    return terms[0][1] if len(terms) == 1 and terms[0][0] == 1 else Sum(terms)
+
+
+def _random_case(rng, pool):
+    """(clauses, interpretation, facts): one to three clauses over one list of
+    one to four variables of sorts A and V, at most one of them read twice,
+    and sparse data whose tuple count stays small.  The tensors of earlier
+    cases in `pool` are read again, under fresh maps, half of the time."""
+    from math import prod
+
+    names = [f"x{k}" for k in range(rng.randint(1, 4))]
+    sorts = {name: rng.choice("AAV") for name in names}
+    twice = rng.choice(names) if rng.random() < 0.4 else None
+    variables = [(name, sorts[name], 2 if name == twice else 1) for name in names]
+    leaves = [(name, sorts[name]) for name, _, mult in variables for _ in range(mult)]
+    seen = set()
+    clauses = tuple(IdentitySchema(f"c{k}", _random_side(rng, leaves, seen),
+                                   _random_side(rng, leaves, seen), variables=variables)
+                    for k in range(rng.randint(1, 3)))
+    while True:  # at most 81 tuples before copy blocks are sorted
+        dims = {"A": rng.randint(1, 3), "V": rng.randint(1, 3)}
+        if prod(dims[sort] for _, sort in leaves) <= 81:
+            break
+    n, m = dims["A"], dims["V"]
+    ops = pool.get((n, m)) if rng.random() < 0.5 else None
+    if ops is None:
+        ops = pool[n, m] = {s: (_sparse_tensor(rng, dims[a], dims[b], dims[c]), (a, b, c))
+                            for s, (a, b, c) in _RANDOM_OPS.items()}
+    maps = {"alpha": (_sparse_map(rng, n, n), ("A", "A")),
+            "beta": (_sparse_map(rng, m, m), ("V", "V")),
+            "K": (_sparse_map(rng, m, n), ("V", "A"))}
+    facts = {"polarized": twice is not None, "clauses": len(clauses), "K": "K" in seen,
+             "power 2": 2 in seen, "zero side": any(ZERO in (c.lhs, c.rhs) for c in clauses)}
+    return clauses, Interpretation(dims, ops, maps), facts
+
+
+def test_random_clause_sets_match_naive_and_the_memo_repeats_them(cold_binds):
+    # seeded and bounded: the status, the witness with both sides and
+    # tuples_checked of naive enumeration, tensors read again under other
+    # maps; then the same objects again, which the memo answers field for
+    # field without binding a plan
+    import random
+
+    rng = random.Random(27)
+    statuses, seen, pool = set(), {}, {}
+    for _ in range(200):
+        clauses, interp, facts = _random_case(rng, pool)
+        want = _naive_check(clauses, interp)
+        report = check_clauses(clauses, interp, "random")
+        assert _observed(report) == want, (clauses, want)
+        assert report.tuples_evaluated <= report.tuples_checked
+        cold_binds.clear()
+        again = check_clauses(clauses, interp, "random")
+        assert not cold_binds, "the second check was not answered from the memo"
+        assert _fields(again) == _fields(report)
+        statuses.add(want[0])
+        for fact, value in facts.items():
+            seen.setdefault(fact, set()).add(value)
+    assert statuses == {"pass", "fail"}
+    # every kind of case the generator makes came up
+    assert all(values == {True, False} for fact, values in seen.items() if fact != "clauses")
+    assert seen["clauses"] == {1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -1547,6 +1769,25 @@ def test_the_memo_stays_bounded_over_fresh_objects():
         largest = max(largest, len(_verdicts(schema)))
     # at most twice the live entries, plus the one that triggers a sweep
     assert largest <= 2 * 8 + 1, largest
+
+
+def test_checks_over_fresh_data_keep_one_entry_and_never_sweep(monkeypatch):
+    # each check's objects are gone before the next one, as a fresh operator
+    # map is after its candidate: its entry is dropped in place, so the memo
+    # holds one entry and is never swept; live entries still are
+    import homalg.engine as engine
+
+    sweeps, real = [], engine._Shape.sweep
+    monkeypatch.setattr(engine._Shape, "sweep", lambda self: sweeps.append(self) or real(self))
+    schema = _fresh(associativity_schema())
+    for n in range(50):
+        check_schema(schema, interp_for(_bumped(KX2, n % 2, 1, 0, n + 1)))
+        assert len(_verdicts(schema)) == 1
+    assert sweeps == []
+    kept = [interp_for(_bumped(KX2, 0, 1, 0, n + 1)) for n in range(4)]
+    for interp in kept:
+        check_schema(schema, interp)
+    assert len(sweeps) == 2 and len(_verdicts(schema)) == 4
 
 
 def test_evaluate_and_random_checks_never_read_the_memo(cold_binds):

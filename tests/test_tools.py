@@ -141,3 +141,39 @@ def test_count_pass_reports_instructions_and_engine_work_per_class():
     assert calls >= 2 and work["a"]["check_clauses"] == 2 * calls
     assert work["a"]["memo_answers"] == 2 * calls and work["b"]["memo_answers"] == calls
     assert work["a"]["tuples_checked"] == 2 * work["b"]["tuples_checked"] > 0
+
+
+def test_count_pass_lists_the_code_objects_that_ran_the_most():
+    import re
+
+    tool = _opcount()
+
+    class Workload:
+        """One battery of fresh objects per class, so every pass checks cold."""
+
+        def prepare(self):
+            pass
+
+        def timed(self, fn):
+            return fn(), 0.0, 0.0
+
+        def run_pass(self):
+            records = []
+            for cls in ("a", "b"):
+                a = _kx2()
+                _, t0, ms = self.timed(lambda: _battery(a))
+                records.append({"cls": cls, "key": cls, "t0": t0, "ms": ms})
+            return records
+
+    out = tool.count_pass(Workload(), functions=5)
+    assert out == tool.count_pass(Workload(), functions=5)  # the counts repeat exactly
+    assert out["ops"] == tool.count_pass(Workload())["ops"] and set(out["functions"]) == {"a", "b"}
+    for cls, top in out["functions"].items():
+        counts = [n for _, n in top]
+        assert len(top) == 5 and counts == sorted(counts, reverse=True) and counts[-1] > 0
+        assert sum(counts) <= out["ops"][cls]
+        assert all(re.fullmatch(r"\S+\.py:\d+ \S+", label) for label, _ in top)
+        assert any(label.startswith("src/homalg/engine.py:") for label, _ in top)
+    # every code object listed: the counts add up to the class total
+    every = tool.count_pass(Workload(), functions=10 ** 6)
+    assert {cls: sum(n for _, n in top) for cls, top in every["functions"].items()} == out["ops"]

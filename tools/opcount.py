@@ -18,6 +18,11 @@ their reports.  The work counters wrap every module binding of
 instruction counts are those of an unwrapped pass, and a change can show
 both that it did less work and that it ran less code.
 
+With `--functions N` the line also holds, per class, the N code objects
+that ran the most instructions in the counted pass (`functions`: pairs of
+"file:line name" and count, most first, ties by name), so a change shows
+which functions it took work out of.
+
 Wall-clock metrics on a shared machine spread by several percent; these
 counts repeat exactly for one checkout, workload and seed, so a speed claim
 can be checked against a second measure that no other process disturbs.
@@ -58,15 +63,19 @@ WORK = ("check_clauses", "memo_answers", "tuples_checked", "tuples_evaluated",
         "prefixes_visited")
 
 
-def counted(fn):
+def counted(fn, by_code=None):
     """(result, instructions executed by fn and everything it calls, but
-    not in the frames of UNCOUNTED code)."""
+    not in the frames of UNCOUNTED code).  Given a dict `by_code`, each
+    code object's instructions are also added to it."""
     count = 0
 
     def opcodes(frame, event, arg):
         nonlocal count
         if event == "opcode":
             count += 1
+            if by_code is not None:
+                code = frame.f_code
+                by_code[code] = by_code.get(code, 0) + 1
         return opcodes
 
     def calls(frame, event, arg):
@@ -126,17 +135,28 @@ def engine_work():
         engine._Shape.recall = recall
 
 
-def count_pass(wl):
+def _label(code) -> str:
+    """"file:line name" of a code object, the file relative to the checkout."""
+    path = Path(code.co_filename)
+    with contextlib.suppress(ValueError):
+        path = path.resolve().relative_to(ROOT)
+    return f"{path.as_posix()}:{code.co_firstlineno} {code.co_qualname}"
+
+
+def count_pass(wl, functions=0):
     """Prepare a workload object, run one warm pass, then count one more:
     {"ops": {cls: instructions}, "operations": {cls: n}, "errors": n,
-    "work": {cls: {counter: n}}}."""
+    "work": {cls: {counter: n}}}, and with `functions` also "functions":
+    {cls: [[label, instructions], ...]}, the top `functions` code objects
+    (see _label; code objects with one label are added up)."""
     wl.prepare()
     wl.run_pass()
-    deltas = []
+    deltas, codes = [], []
 
     def timed(fn):
         before = dict(work)
-        out, n = counted(fn)
+        codes.append({} if functions else None)
+        out, n = counted(fn, codes[-1])
         deltas.append({k: work[k] - before[k] for k in WORK})
         # the count stands in for the milliseconds and the call's number for its start
         return out, len(deltas) - 1, n
@@ -144,7 +164,7 @@ def count_pass(wl):
     with engine_work() as work:
         wl.timed = timed
         records = wl.run_pass()
-    ops, operations, done = {}, {}, {}
+    ops, operations, done, by_label = {}, {}, {}, {}
     for r in records:
         cls = r["cls"]
         ops[cls] = ops.get(cls, 0) + int(r["ms"])
@@ -152,8 +172,16 @@ def count_pass(wl):
         got = done.setdefault(cls, dict.fromkeys(WORK, 0))
         for k, n in deltas[r["t0"]].items() if "t0" in r else ():
             got[k] += n
-    return {"ops": dict(sorted(ops.items())), "operations": dict(sorted(operations.items())),
-            "errors": sum("error" in r for r in records), "work": dict(sorted(done.items()))}
+        labels = by_label.setdefault(cls, {})
+        for code, n in codes[r["t0"]].items() if functions and "t0" in r else ():
+            labels[_label(code)] = labels.get(_label(code), 0) + n
+    out = {"ops": dict(sorted(ops.items())), "operations": dict(sorted(operations.items())),
+           "errors": sum("error" in r for r in records), "work": dict(sorted(done.items()))}
+    if functions:
+        out["functions"] = {cls: [[label, n] for label, n in sorted(
+            labels.items(), key=lambda item: (-item[1], item[0]))[:functions]]
+            for cls, labels in sorted(by_label.items())}
+    return out
 
 
 def main(argv=None):
@@ -164,7 +192,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--functions", type=int, default=0, metavar="N",
+                        help="also list, per class, the N code objects that ran the most")
     args = parser.parse_args(argv)
+    if args.functions < 0:
+        parser.error("--functions must be at least 0")
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.environ["PYTHONHASHSEED"] = "0"
         os.execv(sys.executable, [sys.executable, str(Path(__file__).resolve()),
@@ -175,7 +207,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         kwargs = {"in_process": True} if args.workload == "cli-files" else {}
         result = count_pass(WORKLOADS[args.workload](hl, args.seed, Path(tmp), _Clock(),
-                                                     **kwargs))
+                                                     **kwargs), args.functions)
     print(json.dumps({"workload": args.workload, "seed": args.seed, **result}, sort_keys=True))
     return 1 if result["errors"] else 0
 
