@@ -30,7 +30,6 @@ from .engine import (
     SemanticError,
     Witness,
     _power,
-    _tensor,
     check_all,
     op,
     tw,
@@ -224,10 +223,10 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
     images L g_j for every j at once, one flat list, from the nonzero
     entries of G and of L's planes: the twist's columns, or the planes t[p]
     weighted by the entries g_i[p], each plane's entries taken once per
-    check.  Both are read in the sparse form the engine compiles once and
-    keeps on the map or tensor (`engine._power`, `engine._tensor`), so no
-    zero entry is visited, and a twist that carries the identity flag skips
-    its block: it maps every generator to itself.  The images are then
+    check.  K and the twist are read as the sparse columns the engine keeps
+    on each map (`engine._power`) and the products as the sparse rows they
+    store, so no zero entry is visited, and a twist that carries the
+    identity flag skips its block: it maps every generator to itself.  The images are then
     tested j by j, and the first one that leaves the graph gives the
     witness: its A-part and K of its V-part, as `Vector`s over the
     denominators of `twist.apply(g_j)` or `t.apply(g_i, g_j)` and of
@@ -242,14 +241,17 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
     n, m = rep.base.dim, rep.v_dim
     size = n + m
     check_id = f"graph:{what.value}"
-    kn, kd = K._n, K._d
+    kd = K._d
     # the nonzero entries of G: (p, G[p][i]) of column i, and those of row q
     # keyed by the flat offset j * size of their column; (r, K[r][s]) of
     # column s of K
-    cols = [[(p, row[i]) for p, row in enumerate(kn) if row[i]] + [(n + i, kd)] for i in range(m)]
-    grows = [[(j * size, x) for j, x in enumerate(row) if x] for row in kn]
+    kcols = _power(K, 1)[0]
+    cols = [col + [(n + i, kd)] for i, col in enumerate(kcols)]
+    grows = [[] for _ in range(n)]
+    for j, col in enumerate(kcols):
+        for q, x in col:
+            grows[q].append((j * size, x))
     grows += [[(s * size, kd)] for s in range(m)]
-    kcols = [[(r, row[s]) for r, row in enumerate(kn) if row[s]] for s in range(m)]
 
     def terms(plane):
         """(row q of G, r, c) for the nonzero entries c = plane[q][r], the
@@ -294,12 +296,11 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
     syms = sorted(ambient.products)
     for s, sym in enumerate(syms):
         t = ambient.products[sym]
-        sparse = _tensor(t)[0]
         planes = {}
         for i, col in enumerate(cols):
             for p, _ in col:
                 if p not in planes:
-                    planes[p] = terms(sparse[p])
+                    planes[p] = terms(t._rows[p])
             w, j = leaves([(x, planes[p]) for p, x in col])
             if j is not None:
                 count = s * m * m + i * m + j + 1

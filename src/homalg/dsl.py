@@ -433,16 +433,15 @@ def _parse_operator(stream, pos, lookup):
 # serialization
 
 
-def _fmt_terms(nums, den, prefix):
-    """The terms of a row of integer numerators over den, or "0"."""
+def _fmt_terms(entries, den, prefix):
+    """The terms of a sparse row of (0-based index, nonzero integer numerator)
+    over den, or "0"."""
     parts = []
-    for idx, n in enumerate(nums, start=1):
-        if not n:
-            continue
+    for idx, n in entries:
         if n == den:
-            parts.append(f"{prefix}{idx}")
+            parts.append(f"{prefix}{idx + 1}")
         else:
-            parts.append(f"{n if den == 1 else Fraction(n, den)} * {prefix}{idx}")
+            parts.append(f"{n if den == 1 else Fraction(n, den)} * {prefix}{idx + 1}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -452,11 +451,12 @@ def _emit(lines, form, sym, value):
     head = f"  {form.keyword} {sym}: " if sym else "  "
     lhs = " * ".join(f"{s}{{{p}}}" for s, p in zip(form.sorts, form.flip(range(2))))
     if len(form.sorts) == 1:
-        rows = (((j + 1,), [r[j] for r in value._n]) for j in range(value.src_dim))
+        rows = (((j + 1,), [(i, r[j]) for i, r in enumerate(value._n) if r[j]])
+                for j in range(value.src_dim))
     else:
         rows = (((i + 1, j + 1), row)
-                for i, plane in enumerate(value._n) for j, row in enumerate(plane))
-    for key, nums in [row for row in rows if any(row[1])] or [((1, 1), ())]:
+                for i, plane in enumerate(value._rows) for j, row in enumerate(plane))
+    for key, nums in [row for row in rows if row[1]] or [((1, 1), ())]:
         lines.append(f"{head}{lhs.format(*key)} = {_fmt_terms(nums, value._d, form.out)}")
 
 

@@ -31,11 +31,12 @@ symbol, not per node, after one pass over the symbols the clauses read
 (`_ClauseSet.read`) has given the shape, the objects bound to them (for
 the memo key and the guards) and the check of their dimensions; symbols
 the clauses do not read are not validated.  It fills the slots with the
-compiled rows of each op, the columns of each twist power and the
-dimension of each sort, and
-takes the node denominators (and the sums' terms scaled to them) that the
-plan keeps for the last denominators it was bound with, rebuilding them
-only when the data's or the variables' denominators differ.  The sides
+sparse rows each op's tensor stores (see `exact.StructureTensor`; the
+engine converts none), the columns of each twist power and the dimension
+of each sort, and takes the node denominators (and the sums' terms scaled
+to them) that the plan keeps for the last denominators it was bound with,
+rebuilding them only when the data's or the variables' denominators
+differ.  The sides
 compare as l * Dr == r * Dl.  A kernel skips zero work: with no nonzero
 contribution it returns [], with one the scaled row, column or term, and
 only with two or more does it sum into a dense list.  Tuples are enumerated
@@ -44,10 +45,9 @@ changes, looking up a table keyed by the tuple's projection onto its free
 slots that is filled on demand, so a failing check still stops at its first
 witness.  Those tables live for one call.  What a check decides from
 one object is kept on that object, and dies with it:
-  - a tensor keeps its sparse rows (an all-zero row or column is told by
-    one C-level test, not converted), its row and column masks, its
-    per-output masks, and its row and column masks read through a chain of
-    twists, one table per cover met (see `_tensor`);
+  - a tensor keeps its row and column masks, its per-output masks, and
+    its row and column masks read through a chain of twists, one table per
+    cover met (see `_tensor`);
   - a map keeps, per power, its sparse columns, nonzero-column mask and
     identity flag, and its row sets and column supports (see `_power`);
   - per dimension, the basis values, the stand-in of every coordinate and
@@ -109,12 +109,12 @@ identity of the tensor or map bound to each symbol read and by the
 dimensions of the interpretation's sorts.  A check that binds the
 same objects again gets a fresh report whose status, witness,
 `tuples_checked`, `tuples_evaluated` and `prefixes_visited` are those of
-the first check.  Tensors and maps are immutable (`_compiled` is only a
-cache), so an object's identity stands for its content.  A fresh object always misses,
-even with equal content: the memo serves constructions whose gates
-re-certify the same inputs, not repeated data.  It holds weak references
-only: an entry whose objects are gone by the next check is dropped there
-and then, so a run of checks over fresh data keeps one entry and never
+the first check.  Tensors and maps are immutable (`_masks` and `_powers`
+are caches), so an object's identity stands for its content.  A fresh
+object always misses, even with equal content: the memo serves
+constructions whose gates re-certify the same inputs, not repeated data.
+It holds weak references only: an entry whose objects are gone by the next
+check is dropped there and then, so a run of checks over fresh data keeps one entry and never
 sweeps; the other dead entries are swept once the memo has doubled, and
 the memo goes with its schema.  `evaluate` and `check_schema_random` never
 read it.
@@ -587,24 +587,23 @@ def _support(vectors) -> int:
 
 
 def _tensor(tensor):
-    """[sparse rows [i][j], row masks, column masks, P, Q, chained] of a
-    tensor, kept on it.
+    """[row masks, column masks, P, Q, chained] of a tensor, kept on it.
 
     Bit j of row mask i, and bit i of column mask j, is set when e_i e_j is
-    nonzero.  P and Q are the per-output masks of `_outputs`, None until a
-    check first needs them.  `chained` keeps, by kind ("rows" or "cols")
-    and cover, the row or column masks read through a chain of twists whose
-    composite may be nonzero only at the output coordinates in the cover
-    (see `_cover`; -1 for no chain): entry i the union of P[i][k] (or
-    Q[i][k]) over k in the cover, or the plain masks when the cover cuts no
-    output coordinate.
+    nonzero, i.e. when the tensor's sparse row (i, j) is not [].  P and Q are
+    the per-output masks of `_outputs`, None until a check first needs them.
+    `chained` keeps, by kind ("rows" or "cols") and cover, the row or column
+    masks read through a chain of twists whose composite may be nonzero only
+    at the output coordinates in the cover (see `_cover`; -1 for no chain):
+    entry i the union of P[i][k] (or Q[i][k]) over k in the cover, or the
+    plain masks when the cover cuts no output coordinate.
     """
-    got = tensor._compiled
+    got = tensor._masks
     if got is None:
-        rows = [[_sparse(r) if any(r) else [] for r in plane] for plane in tensor._n]
-        got = tensor._compiled = [rows, [_support(plane) for plane in rows],
-                                  [_support(plane[j] for plane in rows)
-                                   for j in range(tensor.right_dim)], None, None, {}]
+        rows = tensor._rows
+        got = tensor._masks = [[_support(plane) for plane in rows],
+                               [_support(plane[j] for plane in rows)
+                                for j in range(tensor.right_dim)], None, None, {}]
     return got
 
 
@@ -616,9 +615,9 @@ def _outputs(tensor, right: bool):
     shared zero row.
     """
     got = _tensor(tensor)
-    table = got[3 + right]
+    table = got[2 + right]
     if table is None:
-        rows, zero = got[0], [0] * tensor.out_dim
+        rows, zero = tensor._rows, [0] * tensor.out_dim
         table = [zero] * (tensor.right_dim if right else tensor.left_dim)
         for i, plane in enumerate(rows):
             for j, row in enumerate(plane):
@@ -627,7 +626,7 @@ def _outputs(tensor, right: bool):
                     if table[a] is zero:
                         table[a] = [0] * tensor.out_dim
                     table[a][k] |= 1 << b
-        got[3 + right] = table
+        got[2 + right] = table
     return table
 
 
@@ -642,13 +641,6 @@ def _dim(d):
     1 << j per j."""
     every = [(k, 1) for k in range(d)]
     return [[e] for e in every], every, [1 << j for j in range(d)]
-
-
-def _columns(lin):
-    """(sparse columns, nonzero-column mask) of a map."""
-    cols = [_sparse(col) if any(col) else []
-            for col in (zip(*lin._n) if lin.dst_dim else [()] * lin.src_dim)]
-    return cols, _support(cols)
 
 
 def _gather(vec, bits) -> int:
@@ -686,22 +678,19 @@ def _spread(vec, table):
 
 def _power(lin, power):
     """(sparse columns, denominator, nonzero-column mask, identity flag) of
-    lin^power, built once and kept on the map; power 1 reads the map's own
-    columns and mask.  The flag reads the content: any map whose numerators
-    are its denominator on the diagonal and zero elsewhere has it.  The
+    lin^power, built once and kept on the map.  The flag reads the content:
+    any map whose numerators are its denominator on the diagonal and zero
+    elsewhere has it.  The
     power's row sets and column supports (see `_map_table`) are kept beside
     it, under (kind, power)."""
     if lin._powers is None:
         lin._powers = {}
     elif power in lin._powers:
         return lin._powers[power]
-    if power == 1:  # a map across sorts only ever appears at power 1
-        if lin._compiled is None:
-            lin._compiled = _columns(lin)
-        (cols, mask), m = lin._compiled, lin
-    else:
-        m = lin.power(power)
-        cols, mask = _columns(m)
+    m = lin if power == 1 else lin.power(power)  # a map across sorts is only read at power 1
+    cols = [[(k, x) for k, x in enumerate(col) if x] if any(col) else []
+            for col in (zip(*m._n) if m.dst_dim else [()] * m.src_dim)]
+    mask = _support(cols)
     identity = (m.src_dim == m.dst_dim and mask == (1 << m.src_dim) - 1
                 and all(col == [(j, m._d)] for j, col in enumerate(cols)))
     got = lin._powers[power] = (cols, m._d, mask, identity)
@@ -798,7 +787,7 @@ class _Dag:
     def _op(self, symbol, left, right) -> int:
         zero = self.zeros.get(symbol)
         if zero is None:
-            zero = self.zeros[symbol] = not any(_tensor(self.interp.ops[symbol][0])[1])
+            zero = self.zeros[symbol] = not any(_tensor(self.interp.ops[symbol][0])[0])
         if zero or left == self.zero or right == self.zero:
             return self.zero
         return self._intern(("op", symbol, left, right))
@@ -1009,9 +998,9 @@ class _Plan:
     (None when both sides are zero).  Every live node but a variable has one
     kernel, built with the plan.  A kernel reads its children's values from
     the value list by node id and its data from slots after the nodes
-    (`width` entries in all): one per op symbol (`op_slots`, its compiled
-    rows), twist power (`map_slots`, its columns), sort (`dim_slots`, its
-    dimension) and sum (`sum_slots`, its scaled terms), which bind fills per
+    (`width` entries in all): one per op symbol (`op_slots`, its tensor's
+    sparse rows), twist power (`map_slots`, its columns), sort (`dim_slots`,
+    its dimension) and sum (`sum_slots`, its scaled terms), which bind fills per
     check; an op or twist slot names its symbol's place among the objects
     of `_ClauseSet.read`.  `levels` holds, per slot p (and first for no
     slot), the (node, kernel, table key, table) steps to run once slots
@@ -1333,7 +1322,7 @@ class _Plan:
             if _power(objects[k], power)[3] != flag:
                 return False
         for k, flag in self.zeros:
-            if any(_tensor(objects[k])[1]) == flag:
+            if any(_tensor(objects[k])[0]) == flag:
                 return False
         return True
 
@@ -1343,7 +1332,7 @@ class _Plan:
 
         The kernels are the plan's; each reads its data from a slot after
         the nodes in the value list, which this fills per symbol: an op's
-        compiled rows, a twist power's columns, a sort's dimension and a
+        sparse rows, a twist power's columns, a sort's dimension and a
         sum's terms.  A variable's denominator is leaf_dens.get(name, 1) and
         a node's follows from its children's and its data's; the vector of
         them, and the sums' terms scaled by them, are kept for the last
@@ -1353,7 +1342,7 @@ class _Plan:
         read = []
         for _, k, at in self.op_slots:
             tensor = objects[k]
-            cur[at] = _tensor(tensor)[0]
+            cur[at] = tensor._rows
             read.append(tensor._d)
         for _, k, power, at in self.map_slots:
             cols, den = _power(objects[k], power)[:2]
@@ -1452,12 +1441,12 @@ def _tables(slots, tables: list, keys, interp: Interpretation) -> None:
         kind = key[0]
         if kind == "rows" or kind == "cols":  # kept on the tensor per cover (see _tensor)
             tensor = ops[key[1]][0]
-            compiled, cover = _tensor(tensor), _cover(maps, key[2]) if key[2] else -1
-            got = compiled[5].get((kind, cover))
+            masks, cover = _tensor(tensor), _cover(maps, key[2]) if key[2] else -1
+            got = masks[4].get((kind, cover))
             if got is None:
                 every = (1 << tensor.out_dim) - 1
-                got = compiled[5][kind, cover] = (
-                    compiled[1 if kind == "rows" else 2] if cover & every == every
+                got = masks[4][kind, cover] = (
+                    masks[0 if kind == "rows" else 1] if cover & every == every
                     else [_gather(vec, cover) for vec in _outputs(tensor, kind == "cols")])
         elif kind == "P" or kind == "Q":
             got = _outputs(ops[key[1]][0], kind == "Q")

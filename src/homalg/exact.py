@@ -2,11 +2,17 @@
 
 Everything is exact: coefficients are arbitrary-precision rationals and all
 operations are pure functions on immutable values.  Internally a vector (or
-matrix, or tensor) keeps integer numerators over one shared positive
-denominator, so the hot contraction loops run on plain ints; the public
-surface speaks `fractions.Fraction`.  Maps and tensors keep the identity
-engine's sparse form of themselves in `_compiled` once it is built (a map
-keeps that of its powers in `_powers`), and take weak references, which the
+matrix) keeps integer numerators over one shared positive denominator, so
+the hot contraction loops run on plain ints; the public surface speaks
+`fractions.Fraction`.  A structure tensor keeps only its nonzero structure
+constants: per argument pair (i, j) the sparse row of (k, numerator) pairs
+over the shared denominator, k strictly ascending.  These rows are the one
+stored form: the identity engine's kernels read them as they are, every
+method builds or reads them directly, and the dense `coeffs` view is built
+on demand, so a tensor's size follows its nonzero constants and its
+argument pairs, not the cube of its dimension.  A map keeps the engine's
+sparse columns of its powers in `_powers` once they are built, and a tensor
+the engine's masks in `_masks`; both take weak references, which the
 engine's verdict memo keys on.  Constructions assemble tensors on the
 numerators too: `StructureTensor.place` puts blocks side by side and
 `StructureTensor.pull` precomposes the left argument with a map, both in
@@ -15,7 +21,7 @@ on numerator rows, cross-scaled by the denominators, and names the first
 column at which the two sides differ, without building a LinearMap or a
 Fraction.  Operator admissibility, the operator sampler's draws and the
 morphism twist check reach it through `engine.twist_gap`, which first reads
-the identity flag the engine keeps with each map's compiled columns: when
+the identity flag the engine keeps with each map's sparse columns: when
 both twists are identities the square holds for every map and is never
 multiplied out.
 """
@@ -28,9 +34,6 @@ from math import gcd, lcm
 
 class ShapeError(ValueError):
     """Dimension mismatch between operands."""
-
-
-_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -144,7 +147,7 @@ class Vector:
 class LinearMap:
     """Immutable linear map, stored as a dst_dim x src_dim exact matrix."""
 
-    __slots__ = ("src_dim", "dst_dim", "_n", "_d", "_compiled", "_powers", "__weakref__")
+    __slots__ = ("src_dim", "dst_dim", "_n", "_d", "_powers", "__weakref__")
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
@@ -160,7 +163,7 @@ class LinearMap:
         self.dst_dim = dst
         self._n = tuple(tuple(nums[i * src:(i + 1) * src]) for i in range(dst))
         self._d = den
-        self._compiled = self._powers = None
+        self._powers = None
 
     @classmethod
     def _make(cls, rows, den, src, dst):
@@ -169,7 +172,7 @@ class LinearMap:
         m.dst_dim = dst
         m._n = tuple(tuple(r) for r in rows)
         m._d = den
-        m._compiled = m._powers = None
+        m._powers = None
         return m
 
     @classmethod
@@ -285,74 +288,103 @@ class LinearMap:
         return f"LinearMap({self.dst_dim}x{self.src_dim})"
 
 
+def _entries(row):
+    """(k, x) for the nonzero entries x of a coefficient row, k ascending.  An
+    int is its own numerator over 1: the zeros of a sparse row, most of its
+    entries, are never wrapped in a Fraction."""
+    out = []
+    for k, x in enumerate(row):
+        if x.__class__ is not int:
+            x = _frac(x)
+        if x:
+            out.append((k, x))
+    return out
+
+
+def _common(rows):
+    """(numerator rows, denominator) of sparse rows of Fractions and ints,
+    over their least common denominator, which leaves them in lowest terms."""
+    den = lcm(1, *(x.denominator for plane in rows for row in plane for _, x in row))
+    return [[[(k, x.numerator * (den // x.denominator)) for k, x in row] for row in plane]
+            for plane in rows], den
+
+
+def _scaled(row, s):
+    return [(k, s * x) for k, x in row] if s else []
+
+
+def _row_sum(pairs):
+    """The sparse row of the sum of (k, numerator) contributions: k strictly
+    ascending and no zero kept."""
+    acc = {}
+    for k, x in pairs:
+        acc[k] = acc.get(k, 0) + x
+    return [(k, x) for k, x in sorted(acc.items()) if x]
+
+
 class StructureTensor:
-    """A bilinear operation stored as coefficients c[i][j][k].
+    """A bilinear operation given by coefficients c[i][j][k].
 
     e_i * e_j = sum_k c[i][j][k] e_k.  Slots may live in different spaces:
     the tensor carries (left_dim, right_dim, out_dim), with the square case
     left = right = out being the usual structure-constant tensor of a product.
+
+    Only the nonzero coefficients are stored.  Row `_rows[i][j]` is the list
+    of pairs (k, numerator) of e_i * e_j over the shared positive
+    denominator `_d`, with k strictly ascending and no zero numerator, so a
+    zero row is [].  The engine's kernels read these rows as they are and
+    compare values with ==, so every method keeps exactly this form; `coeffs`
+    and `coeff` build the dense view on demand.
     """
 
-    __slots__ = ("left_dim", "right_dim", "out_dim", "_n", "_d", "_compiled", "__weakref__")
+    __slots__ = ("left_dim", "right_dim", "out_dim", "_rows", "_d", "_masks", "__weakref__")
 
     def __init__(self, coeffs):
         ld = len(coeffs)
         rd = len(coeffs[0]) if ld else 0
         od = len(coeffs[0][0]) if rd else 0
-        fracs = []
-        for plane in coeffs:
-            if len(plane) != rd:
-                raise ShapeError("ragged tensor")
-            for row in plane:
-                if len(row) != od:
-                    raise ShapeError("ragged tensor")
-                # an int is its own numerator over 1: the zeros of a sparse
-                # tensor, most of its entries, are never wrapped
-                fracs.extend(x if x.__class__ is int else _frac(x) for x in row)
-        nums, den = _merge(fracs)
-        nums, den = _reduce(nums, den)
-        it = iter(nums)
+        if any(len(plane) != rd or any(len(row) != od for row in plane) for plane in coeffs):
+            raise ShapeError("ragged tensor")
         self.left_dim, self.right_dim, self.out_dim = ld, rd, od
-        self._n = tuple(
-            tuple(tuple(next(it) for _ in range(od)) for _ in range(rd)) for _ in range(ld)
-        )
-        self._d = den
-        self._compiled = None
+        self._rows, self._d = _common([[_entries(row) for row in plane] for plane in coeffs])
+        self._masks = None
 
     @classmethod
-    def _make(cls, coeffs, den, ld, rd, od):
+    def _make(cls, rows, den, ld, rd, od):
         t = object.__new__(cls)
         t.left_dim, t.right_dim, t.out_dim = ld, rd, od
-        t._n = tuple(tuple(tuple(row) for row in plane) for plane in coeffs)
-        t._d = den
-        t._compiled = None
+        t._rows, t._d, t._masks = rows, den, None
         return t
 
     @classmethod
-    def _lowest(cls, coeffs, den, ld, rd, od):
-        """_make over numerators brought to lowest terms, the _n and _d that
-        StructureTensor(coeffs) keeps for the same values."""
-        g = gcd(den, *(x for plane in coeffs for row in plane for x in row if x))
+    def _lowest(cls, rows, den, ld, rd, od):
+        """_make over numerator rows brought to lowest terms, the _rows and _d
+        that StructureTensor(coeffs) keeps for the same values."""
+        g = gcd(den, *(x for plane in rows for row in plane for _, x in row))
         if g > 1:
-            coeffs = [[[x // g for x in row] for row in plane] for plane in coeffs]
+            rows = [[[(k, x // g) for k, x in row] for row in plane] for plane in rows]
             den //= g
-        return cls._make(coeffs, den, ld, rd, od)
+        return cls._make(rows, den, ld, rd, od)
 
     @classmethod
     def zero(cls, left_dim: int, right_dim: int | None = None, out_dim: int | None = None):
         rd = left_dim if right_dim is None else right_dim
         od = left_dim if out_dim is None else out_dim
-        plane = [[0] * od for _ in range(rd)]
-        return cls._make([[list(r) for r in plane] for _ in range(left_dim)], 1, left_dim, rd, od)
+        return cls._make([[[] for _ in range(rd)] for _ in range(left_dim)], 1, left_dim, rd, od)
 
     @classmethod
     def from_rule(cls, left_dim, right_dim, out_dim, rule):
-        """Build from a dict {(i, j): coefficient list or Vector}."""
-        coeffs = [[[0] * out_dim for _ in range(right_dim)] for _ in range(left_dim)]
+        """Build from a dict {(i, j): coefficient list or Vector}; absent rows
+        are zero."""
+        rows = [[[] for _ in range(right_dim)] for _ in range(left_dim)]
         for (i, j), val in rule.items():
             row = val.coords if isinstance(val, Vector) else val
-            coeffs[i][j] = list(row)
-        return cls(coeffs)
+            if len(row) != out_dim:
+                raise ShapeError("ragged tensor")
+            if not (0 <= i < left_dim and 0 <= j < right_dim):
+                raise ShapeError(f"rule row ({i}, {j}) out of range")
+            rows[i][j] = _entries(row)
+        return cls._make(*_common(rows), left_dim, right_dim, out_dim)
 
     @classmethod
     def square_from_rule(cls, dim, rule):
@@ -372,19 +404,19 @@ class StructureTensor:
         ld, rd, od = dims
         pieces = [p for p in pieces if p[0] is not None]
         den = lcm(1, *(t._d for t, _, _ in pieces))
-        coeffs = [[[0] * od for _ in range(rd)] for _ in range(ld)]
+        rows = [[[] for _ in range(rd)] for _ in range(ld)]
         for t, (i0, j0, k0), swapped in pieces:
             li, ri = (t.right_dim, t.left_dim) if swapped else (t.left_dim, t.right_dim)
             if min(i0, j0, k0) < 0 or i0 + li > ld or j0 + ri > rd or k0 + t.out_dim > od:
                 raise ShapeError("piece does not fit the placed tensor")
             s = den // t._d
-            for i, plane in enumerate(t._n):
+            for i, plane in enumerate(t._rows):
                 for j, row in enumerate(plane):
-                    out = coeffs[i0 + j][j0 + i] if swapped else coeffs[i0 + i][j0 + j]
-                    for k, x in enumerate(row):
-                        if x:
-                            out[k0 + k] += s * x
-        return cls._lowest(coeffs, den, ld, rd, od)
+                    if row:
+                        a, b = (i0 + j, j0 + i) if swapped else (i0 + i, j0 + j)
+                        row = [(k0 + k, s * x) for k, x in row]
+                        rows[a][b] = _row_sum(rows[a][b] + row) if rows[a][b] else row
+        return cls._lowest(rows, den, ld, rd, od)
 
     @property
     def dim(self) -> int:
@@ -394,17 +426,22 @@ class StructureTensor:
 
     @property
     def coeffs(self):
-        d = self._d
-        return tuple(
-            tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in plane)
-            for plane in self._n
-        )
+        return tuple(tuple(self.row(i, j).coords for j in range(self.right_dim))
+                     for i in range(self.left_dim))
+
+    def _row(self, i, j):
+        if 0 <= i < self.left_dim and 0 <= j < self.right_dim:
+            return self._rows[i][j]
+        raise ShapeError(f"row ({i}, {j}) out of range for argument dims"
+                         f" ({self.left_dim}, {self.right_dim})")
 
     def coeff(self, i, j, k) -> Fraction:
-        return Fraction(self._n[i][j][k], self._d)
+        if not 0 <= k < self.out_dim:
+            raise ShapeError(f"output index {k} out of range for dim {self.out_dim}")
+        return next((Fraction(x, self._d) for at, x in self._row(i, j) if at == k), Fraction(0))
 
     def is_zero(self) -> bool:
-        return all(not x for plane in self._n for row in plane for x in row)
+        return not any(row for plane in self._rows for row in plane)
 
     def apply(self, x: Vector, y: Vector) -> Vector:
         if x.dim != self.left_dim or y.dim != self.right_dim:
@@ -416,44 +453,43 @@ class StructureTensor:
         for i, xi in enumerate(x._n):
             if not xi:
                 continue
-            plane = self._n[i]
+            plane = self._rows[i]
             for j, yj in enumerate(y._n):
                 if not yj:
                     continue
                 s = xi * yj
-                for k, c in enumerate(plane[j]):
-                    if c:
-                        out[k] += s * c
+                for k, c in plane[j]:
+                    out[k] += s * c
         return Vector._make(out, x._d * y._d * self._d)
 
     def row(self, i: int, j: int) -> Vector:
-        return Vector._make(list(self._n[i][j]), self._d)
+        out = [0] * self.out_dim
+        for k, x in self._row(i, j):
+            out[k] = x
+        return Vector._make(out, self._d)
 
     def opposite(self) -> "StructureTensor":
         """Swap the two arguments: c'[i][j][k] = c[j][i][k]."""
         if self.left_dim != self.right_dim:
             raise ShapeError("opposite needs equal argument dims")
-        coeffs = [
-            [self._n[j][i] for j in range(self.right_dim)] for i in range(self.left_dim)
-        ]
-        return StructureTensor._make(coeffs, self._d, self.left_dim, self.right_dim, self.out_dim)
+        rows = [[plane[i] for plane in self._rows] for i in range(self.right_dim)]
+        return StructureTensor._make(rows, self._d, self.left_dim, self.right_dim, self.out_dim)
 
     def __add__(self, other: "StructureTensor") -> "StructureTensor":
         if (self.left_dim, self.right_dim, self.out_dim) != (
-            other.left_dim,
-            other.right_dim,
-            other.out_dim,
-        ):
+                other.left_dim, other.right_dim, other.out_dim):
             raise ShapeError("tensor shapes differ")
-        coeffs = [
-            [
-                [x * other._d + y * self._d for x, y in zip(r1, r2)]
-                for r1, r2 in zip(p1, p2)
-            ]
-            for p1, p2 in zip(self._n, other._n)
-        ]
+        a, b = other._d, self._d
+
+        def add(r1, r2):
+            if r1 and r2:
+                return _row_sum(_scaled(r1, a) + _scaled(r2, b))
+            return _scaled(r1, a) if r1 else _scaled(r2, b)
+
+        rows = [[add(r1, r2) for r1, r2 in zip(p1, p2)]
+                for p1, p2 in zip(self._rows, other._rows)]
         return StructureTensor._make(
-            coeffs, self._d * other._d, self.left_dim, self.right_dim, self.out_dim
+            rows, self._d * other._d, self.left_dim, self.right_dim, self.out_dim
         )
 
     def __sub__(self, other: "StructureTensor") -> "StructureTensor":
@@ -462,70 +498,59 @@ class StructureTensor:
     def scale(self, s) -> "StructureTensor":
         if s.__class__ is not int:  # an int is its own numerator over 1, as in __init__
             s = _frac(s)
-        coeffs = [
-            [[s.numerator * x for x in row] for row in plane] for plane in self._n
-        ]
+        rows = [[_scaled(row, s.numerator) for row in plane] for plane in self._rows]
         return StructureTensor._make(
-            coeffs, self._d * s.denominator, self.left_dim, self.right_dim, self.out_dim
+            rows, self._d * s.denominator, self.left_dim, self.right_dim, self.out_dim
         )
 
     def push(self, phi: LinearMap) -> "StructureTensor":
         """Compose the output with phi: (x, y) -> phi(x * y)."""
         if phi.src_dim != self.out_dim:
             raise ShapeError("map domain differs from tensor output")
-        od = phi.dst_dim
         # the nonzero entries (k, phi[k][m]) of column m of phi
         cols = [[(k, row[m]) for k, row in enumerate(phi._n) if row[m]]
                 for m in range(self.out_dim)]
-
-        def image(row):
-            out = [0] * od
-            for m, x in enumerate(row):
-                if x:
-                    for k, y in cols[m]:
-                        out[k] += y * x
-            return out
-
-        coeffs = [[image(row) for row in plane] for plane in self._n]
-        return StructureTensor._make(coeffs, self._d * phi._d, self.left_dim, self.right_dim, od)
+        rows = [[_row_sum((k, y * x) for m, x in row for k, y in cols[m]) if row else []
+                 for row in plane] for plane in self._rows]
+        return StructureTensor._make(rows, self._d * phi._d, self.left_dim, self.right_dim,
+                                     phi.dst_dim)
 
     def pull(self, K: LinearMap) -> "StructureTensor":
         """Precompose the left argument with K: (x, y) -> K(x) * y, in lowest
         terms; the mirror of push.  a.pull(K).opposite() is (x, y) -> K(y) * x."""
         if K.dst_dim != self.left_dim:
             raise ShapeError("map codomain differs from the tensor's left dim")
-        rd, od = self.right_dim, self.out_dim
-        coeffs = []
+        rd = self.right_dim
+        rows = []
         for i in range(K.src_dim):
-            plane = [[0] * od for _ in range(rd)]
-            for krow, aplane in zip(K._n, self._n):
-                c = krow[i]
-                if c:
-                    for out, row in zip(plane, aplane):
-                        for k, x in enumerate(row):
-                            if x:
-                                out[k] += c * x
-            coeffs.append(plane)
-        return StructureTensor._lowest(coeffs, K._d * self._d, K.src_dim, rd, od)
+            # plane i sums the planes p of self weighted by K[p][i]
+            col = [(self._rows[p], krow[i]) for p, krow in enumerate(K._n) if krow[i]]
+            rows.append([_row_sum((k, c * x) for plane, c in col for k, x in plane[j])
+                         for j in range(rd)])
+        return StructureTensor._lowest(rows, K._d * self._d, K.src_dim, rd, self.out_dim)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructureTensor):
             return NotImplemented
         if (self.left_dim, self.right_dim, self.out_dim) != (
-            other.left_dim,
-            other.right_dim,
-            other.out_dim,
-        ):
+                other.left_dim, other.right_dim, other.out_dim):
             return False
+        a, b = other._d, self._d
+        if a == b:
+            return self._rows == other._rows
+        # both rows hold the nonzero entries only, in one order
         return all(
-            x * other._d == y * self._d
-            for p1, p2 in zip(self._n, other._n)
+            len(r1) == len(r2) and all(k == m and x * a == y * b
+                                       for (k, x), (m, y) in zip(r1, r2))
+            for p1, p2 in zip(self._rows, other._rows)
             for r1, r2 in zip(p1, p2)
-            for x, y in zip(r1, r2)
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        d = self._d
+        return hash((self.left_dim, self.right_dim, self.out_dim,
+                     tuple((i, j, k, Fraction(x, d)) for i, plane in enumerate(self._rows)
+                           for j, row in enumerate(plane) for k, x in row)))
 
     def __repr__(self):
         return f"StructureTensor({self.left_dim},{self.right_dim},{self.out_dim})"

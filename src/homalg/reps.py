@@ -391,15 +391,14 @@ def tensor_square_bimodule(a: AlgebraInstance) -> AssocBimodule:
     n = a.dim
     m = n * n
     mul = a.product("mul")
-    l = [[[0] * m for _ in range(m)] for _ in range(n)]
-    r = [[[0] * m for _ in range(m)] for _ in range(n)]
-    for i, plane in enumerate(mul._n):
+    l = [[[] for _ in range(m)] for _ in range(n)]
+    r = [[[] for _ in range(m)] for _ in range(n)]
+    for i, plane in enumerate(mul._rows):
         for j, row in enumerate(plane):
-            for t, c in enumerate(row):
-                if c:  # e_i e_j = ... + c e_t
-                    for k in range(n):
-                        l[i][j * n + k][t * n + k] = c  # l(e_i)(e_j (x) e_k)
-                        r[j][k * n + i][k * n + t] = c  # r(e_j)(e_k (x) e_i)
+            if row:  # e_i e_j = sum of c e_t over (t, c) in row, t ascending
+                for k in range(n):
+                    l[i][j * n + k] = [(t * n + k, c) for t, c in row]  # l(e_i)(e_j (x) e_k)
+                    r[j][k * n + i] = [(k * n + t, c) for t, c in row]  # r(e_j)(e_k (x) e_i)
     rep = AssocBimodule(a, m, StructureTensor._lowest(l, mul._d, n, m, m),
                         StructureTensor._lowest(r, mul._d, n, m, m), a.alpha.tensor(a.alpha))
     _gate(certify_rep(rep), f"tensor_square_bimodule({a.name}) output")

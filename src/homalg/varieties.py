@@ -35,7 +35,6 @@ from .engine import (
     Interpretation,
     SemanticError,
     Witness,
-    _tensor,
     check_all,
     op,
     tw,
@@ -424,11 +423,14 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
     f(e_i e_j) = f(e_i) f(e_j) are built for every j at once on integer
     numerators, one flat list each: f(e_i e_j) over f._d * ts._d from the
     nonzero columns of f, and f(e_i) f(e_j) over f._d**2 * td._d from the
-    nonzero entries of td and of f.  Both tensors are read as the sparse
-    rows the engine compiles once and keeps on them (`engine._tensor`), so
-    no zero structure constant is visited.  The two lists are compared once,
-    cross-scaled; only a mismatch locates its first j and builds the witness
-    sides as `Vector`s over those same denominators.  A map that fails
+    nonzero entries of td and of f.  The tensors are read as the sparse
+    rows they store, so no zero structure constant is visited.  f's columns
+    and rows are built here, not taken from `engine._power`: the maps of the
+    endomorphism search are fresh leaves that no engine check reads, and
+    keeping the engine's form on each of them measured slower.  The two
+    lists are compared once, cross-scaled; only a mismatch locates its
+    first j and builds the witness sides as `Vector`s over those same
+    denominators.  A map that fails
     stops after the block of its first failing i, and the counters are
     those of a pair-by-pair loop that stops at the first witness.
     """
@@ -464,9 +466,9 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
         ts, td = src.products[sym], dst.products[sym]
         # the nonzero entries t = td[p][q][k] with row q of f nonzero, by p
         terms = [[(rows[q], k, t) for q, row in enumerate(plane) if row and rows[q]
-                  for k, t in row] for plane in _tensor(td)[0]]
+                  for k, t in row] for plane in td._rows]
         sl, sr = fd * td._d, ts._d  # lhs / (fd ts._d) == rhs / (fd^2 td._d)
-        for i, plane in enumerate(_tensor(ts)[0]):
+        for i, plane in enumerate(ts._rows):
             lhs = [0] * (n * m)  # f(e_i e_j)[k] at j * m + k
             at = 0
             for row in plane:
@@ -533,15 +535,19 @@ def endomorphism_clauses(a: AlgebraInstance):
                 terms[m * n + j, one] -= al[k][m]
             add(terms)
     for sym in sorted(a.products):
-        t = a.products[sym]._n
+        rows = a.products[sym]._rows
+        by_k = [[] for _ in range(n)]  # the nonzero t[p][q][k] as (p, q, t), by k
+        for p, plane in enumerate(rows):
+            for q, row in enumerate(plane):
+                for k, x in row:
+                    by_k[k].append((p, q, x))
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     terms = defaultdict(int)
-                    for m in range(n):
-                        terms[k * n + m, one] += t[i][j][m]
-                    for p in range(n):
-                        for q in range(n):
-                            terms[tuple(sorted((p * n + i, q * n + j)))] -= t[p][q][k]
+                    for m, x in rows[i][j]:
+                        terms[k * n + m, one] += x
+                    for p, q, x in by_k[k]:
+                        terms[tuple(sorted((p * n + i, q * n + j)))] -= x
                     add(terms)
     return out

@@ -455,3 +455,25 @@ def test_non_ascii_digits_are_syntax_errors(text):
     with pytest.raises(DslSyntaxError) as err:
         parse(text)
     assert err.value.line == 2
+
+
+def test_memory_follows_the_file_not_the_cube_of_its_dimension():
+    # one product entry at dim 20 and at dim 40: the tensor stores exactly
+    # that entry, and the traced peak of parse grows less than x5 when the
+    # dimension doubles (its argument pairs grow x4, a dense cube x8)
+    import tracemalloc
+
+    peaks = []
+    for dim in (20, 40):
+        text = (f"algebra big dim {dim} variety hom-associative\n"
+                "  op mul: e1 * e1 = e1\n  map alpha: e1 = e1\nend\n")
+        tracemalloc.start()
+        try:
+            a = parse(text).get("big").value
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = a.product("mul")._rows
+        assert [(i, j, e) for i, plane in enumerate(rows) for j, row in enumerate(plane)
+                for e in row] == [(0, 0, (0, 1))]
+    assert peaks[1] < 5 * peaks[0], peaks

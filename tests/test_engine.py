@@ -404,11 +404,11 @@ def test_sparse_data_is_computed_once_per_object():
     alpha = LinearMap([[1, 0], [0, 2]])
     interp = interp_for(t, alpha)
     schema = IdentitySchema("twisted", tw("alpha", op("mul", var("x"), var("y"))), ZERO)
-    assert t._compiled is None and alpha._compiled is None
+    assert t._masks is None and alpha._powers is None
     check_schema(schema, interp)
-    tensor_data, map_data = t._compiled, alpha._compiled
-    (rows, row_masks, col_masks, p, q, chained), (cols, col_support) = tensor_data, map_data
-    assert rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
+    tensor_data, map_data = t._masks, alpha._powers[1]
+    (row_masks, col_masks, p, q, chained), (cols, _, col_support, _) = tensor_data, map_data
+    assert t._rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
     # e1 e1 and e1 e2 are nonzero, e2 e_j is zero; both columns of alpha are nonzero
     assert (row_masks, col_masks, col_support) == ([0b11, 0], [0b01, 0b01], 0b11)
     # this schema reads no op(c, n) with n past the last slot: no per-output masks
@@ -417,8 +417,8 @@ def test_sparse_data_is_computed_once_per_object():
     # output coordinate: the plain row masks, kept by kind and cover
     assert chained == {("rows", 0b11): row_masks} and chained["rows", 0b11] is row_masks
     check_schema(schema, interp)
-    assert t._compiled is tensor_data and alpha._compiled is map_data
-    assert tensor_data[5] is chained and chained == {("rows", 0b11): row_masks}
+    assert t._masks is tensor_data and alpha._powers[1] is map_data
+    assert tensor_data[4] is chained and chained == {("rows", 0b11): row_masks}
     kept = list(tensor_data)
 
     # x (y z) and (x y) z need P (x (y z)) and Q ((y z) x)-style masks once
@@ -428,16 +428,16 @@ def test_sparse_data_is_computed_once_per_object():
                                                                       ("y", "A", 1),
                                                                       ("z", "A", 1)])
     check_schema(nested, interp)
-    p, q = tensor_data[3], tensor_data[4]
+    p, q = tensor_data[2], tensor_data[3]
     # coordinate k of e_i e_j: e1 e1 = e1, e1 e2 = e2
     assert p == [[0b01, 0b10], [0, 0]] and q == [[0b01, 0], [0, 0b01]]
-    assert t._compiled is tensor_data and tensor_data[:3] == kept[:3]
-    assert all(a is b for a, b in zip(tensor_data[:3], kept[:3]))
+    assert t._masks is tensor_data and tensor_data[:2] == kept[:2]
+    assert all(a is b for a, b in zip(tensor_data[:2], kept[:2]))
     for _ in range(2):
         check_schema(nested, interp)
         check_schema(_fresh(nested), interp)
-        assert t._compiled is tensor_data
-        assert tensor_data[3] is p and tensor_data[4] is q and tensor_data[5] is chained
+        assert t._masks is tensor_data
+        assert tensor_data[2] is p and tensor_data[3] is q and tensor_data[4] is chained
 
 
 def test_twist_powers_are_built_once_per_map(monkeypatch, cold_binds):
@@ -484,8 +484,8 @@ def test_a_fresh_operator_over_the_same_representation_rebuilds_no_table(monkeyp
 
     first = battery()
     tensors = [t for t, _ in rep.interpretation().ops.values()] + list(ambient.products.values())
-    tensors = [t for t in tensors if t._compiled is not None]  # those the checks read
-    kept = [(t._compiled, list(t._compiled), dict(t._compiled[5])) for t in tensors]
+    tensors = [t for t in tensors if t._masks is not None]  # those the checks read
+    kept = [(t._masks, list(t._masks), dict(t._masks[4])) for t in tensors]
     # K's zero column cuts the masks of l and r, and T those of the ambient's products
     assert sum(cover not in (-1, 0b11, 0b1111) for *_, chained in kept
                for _, cover in chained) >= 4
@@ -494,9 +494,9 @@ def test_a_fresh_operator_over_the_same_representation_rebuilds_no_table(monkeyp
     misses = engine._dim.cache_info().misses
     again = battery()
     assert built == [] and engine._dim.cache_info().misses == misses
-    for t, (compiled, entries, chained) in zip(tensors, kept):
-        assert t._compiled is compiled and all(a is b for a, b in zip(compiled, entries))
-        assert compiled[5] == chained and all(compiled[5][k] is v for k, v in chained.items())
+    for t, (masks, entries, chained) in zip(tensors, kept):
+        assert t._masks is masks and all(a is b for a, b in zip(masks, entries))
+        assert masks[4] == chained and all(masks[4][k] is v for k, v in chained.items())
     assert [_fields(r) for r in again] == [_fields(r) for r in first]
 
 
@@ -526,7 +526,7 @@ def test_one_tensor_under_maps_of_two_covers_gives_each_its_naive_verdict(seed_c
     # T is x + u -> K(u): its nonzero columns are those of K, shifted past A
     assert covers == {0b0100, 0b1000} and statuses == {"pass", "fail"}
     for product in ambient.products.values():
-        assert covers <= {cover for _, cover in product._compiled[5]}
+        assert covers <= {cover for _, cover in product._masks[4]}
 
 
 # ---------------------------------------------------------------------------
@@ -1082,10 +1082,11 @@ def test_random_clause_sets_match_naive_and_the_memo_repeats_them(cold_binds):
     # seeded and bounded: the status, the witness with both sides and
     # tuples_checked of naive enumeration, tensors read again under other
     # maps; then the same objects again, which the memo answers field for
-    # field without binding a plan
+    # field without binding a plan; and `evaluate` of every side at one
+    # basis tuple, drawn from a generator of its own, gives the naive value
     import random
 
-    rng = random.Random(27)
+    rng, pick = random.Random(27), random.Random(28)
     statuses, seen, pool = set(), {}, {}
     for _ in range(200):
         clauses, interp, facts = _random_case(rng, pool)
@@ -1093,6 +1094,11 @@ def test_random_clause_sets_match_naive_and_the_memo_repeats_them(cold_binds):
         report = check_clauses(clauses, interp, "random")
         assert _observed(report) == want, (clauses, want)
         assert report.tuples_evaluated <= report.tuples_checked
+        env = {name: Vector.basis(interp.sorts[s], pick.randrange(interp.sorts[s]))
+               for name, s, _ in clauses[0].variables}
+        for side in [side for c in clauses for side in (c.lhs, c.rhs)]:
+            naive, got = _naive_value(side, env, interp), evaluate(side, env, interp)
+            assert got.is_zero() if naive is None else got == naive, (side, env)
         cold_binds.clear()
         again = check_clauses(clauses, interp, "random")
         assert not cold_binds, "the second check was not answered from the memo"
@@ -1826,7 +1832,7 @@ def _paths(parts, got):
 def test_kernels_match_a_dense_reference_on_sparse_data():
     import random
 
-    from homalg.engine import _columns, _op_kernel, _sum_kernel, _tensor, _twist_kernel
+    from homalg.engine import _op_kernel, _power, _sum_kernel, _twist_kernel
 
     rng = random.Random(23)
     seen = {"op": set(), "tw": set(), "sum": set()}
@@ -1846,10 +1852,10 @@ def test_kernels_match_a_dense_reference_on_sparse_data():
         parts = 0
         for i, x in a:
             for j, y in b:
-                parts += any(tensor._n[i][j])
+                parts += any(planes[i][j])
                 for k in range(od):
-                    dense[k] += x * y * tensor._n[i][j][k]
-        got = _op_kernel(0, 1, 2, 3)([a, b, _tensor(tensor)[0], od])
+                    dense[k] += x * y * planes[i][j][k]
+        got = _op_kernel(0, 1, 2, 3)([a, b, tensor._rows, od])
         assert got == _dense_to_sparse(dense), (planes, a, b)
         seen["op"].add(_paths(parts, got))
 
@@ -1862,7 +1868,7 @@ def test_kernels_match_a_dense_reference_on_sparse_data():
             v = [(0, 3), (1, 3)]
         dense = [sum(x * lin._n[i][j] for j, x in v) for i in range(rd)]
         parts = sum(any(r[j] for r in lin._n) for j, _ in v)
-        got = _twist_kernel(0, 1, 2)([v, _columns(lin)[0], rd])
+        got = _twist_kernel(0, 1, 2)([v, _power(lin, 1)[0], rd])
         assert got == _dense_to_sparse(dense), (lin._n, v)
         seen["tw"].add(_paths(parts, got))
 
@@ -1883,8 +1889,22 @@ def test_kernels_match_a_dense_reference_on_sparse_data():
         assert paths == {(0, False), (1, False), (2, False), (2, True)}, (kind, paths)
 
 
-def test_compiled_rows_and_columns_match_the_dense_data(seed_catalog):
-    from homalg.engine import _columns, _tensor
+def test_every_tensor_stores_only_its_sparse_rows(seed_catalog, monkeypatch):
+    # the rows the kernels read are the tensor's one stored form: per
+    # argument pair a list of (k, nonzero int numerator), k strictly
+    # ascending, [] for a zero row; checked over the catalog, every output
+    # of the benchmark's catalog sweep, each output bumped by 1/2 at its
+    # sweep position, and each product with its first nonzero constant
+    # cancelled
+    from pathlib import Path
+
+    import homalg
+    from homalg.engine import _power, _tensor
+    from homalg.forge import perturb_product
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from golden import load
+    from workloads import sweep_jobs
 
     tensors, maps = {}, {}
     for entry in seed_catalog.values():
@@ -1895,24 +1915,46 @@ def test_compiled_rows_and_columns_match_the_dense_data(seed_catalog):
         interp = value.interpretation()
         tensors.update((id(t), t) for t, _ in interp.ops.values())
         maps.update((id(m), m) for m, _ in interp.maps.values())
-    assert len(tensors) > 20 and len(maps) > 40
+    positions, cancelled = load("perturb_positions"), []
+    for jid, build in sweep_jobs(homalg):
+        out = build()
+        sym, where = positions[jid]
+        bent = [perturb_product(out, sym, tuple(where), Fraction(1, 2)).product(sym)]
+        for sym, t in out.products.items():
+            first = [(i, j, row[0]) for i, plane in enumerate(t._rows)
+                     for j, row in enumerate(plane) if row][:1]
+            for i, j, (k, x) in first:
+                bent.append(perturb_product(out, sym, (i, j, k), Fraction(-x, t._d)).product(sym))
+                cancelled.append(len(bent[-1]._rows[i][j]) == len(t._rows[i][j]) - 1)
+        tensors.update((id(t), t) for t in [*out.products.values(), *bent])
+    assert len(tensors) > 550 and len(maps) > 40 and len(cancelled) > 150 and all(cancelled)
     for t in tensors.values():
-        rows, row_masks, col_masks = _tensor(t)[:3]
-        dense = [[_dense_to_sparse(t._n[i][j]) for j in range(t.right_dim)]
-                 for i in range(t.left_dim)]
-        assert rows == dense
-        assert row_masks == [sum(1 << j for j in range(t.right_dim) if any(t._n[i][j]))
-                             for i in range(t.left_dim)]
-        assert col_masks == [sum(1 << i for i in range(t.left_dim) if any(t._n[i][j]))
+        rows = t._rows
+        assert type(rows) is list and len(rows) == t.left_dim
+        for plane in rows:
+            assert type(plane) is list and len(plane) == t.right_dim
+            for row in plane:
+                assert type(row) is list and all(type(e) is tuple for e in row)
+                ks = [k for k, _ in row]
+                assert ks == sorted(set(ks)) and all(0 <= k < t.out_dim for k in ks)
+                assert all(type(x) is int and x for _, x in row)
+        coeffs = t.coeffs
+        assert [[_dense_to_sparse([x * t._d for x in row]) for row in plane]
+                for plane in coeffs] == rows
+        back = StructureTensor(coeffs)
+        assert back == t and hash(back) == hash(t) and back.coeffs == coeffs
+        row_masks, col_masks = _tensor(t)[:2]
+        assert row_masks == [sum(1 << j for j, row in enumerate(plane) if row) for plane in rows]
+        assert col_masks == [sum(1 << i for i, plane in enumerate(rows) if plane[j])
                              for j in range(t.right_dim)]
     for m in maps.values():
-        cols, mask = _columns(m)
+        cols, _, mask, _ = _power(m, 1)
         assert cols == [_dense_to_sparse([m._n[i][j] for i in range(m.dst_dim)])
                         for j in range(m.src_dim)]
         assert mask == sum(1 << j for j, col in enumerate(cols) if col)
     # a map into dimension 0 has no rows to zip, yet one empty column per source index
-    assert _columns(LinearMap.zero(3, 0)) == ([[], [], []], 0)
-    assert _columns(LinearMap.zero(0, 2)) == ([], 0)
+    assert _power(LinearMap.zero(3, 0), 1)[::2] == ([[], [], []], 0)
+    assert _power(LinearMap.zero(0, 2), 1)[::2] == ([], 0)
 
 
 def test_one_plan_rebound_over_changing_denominators_matches_cold_compiles(cold_binds):

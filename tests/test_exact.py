@@ -61,6 +61,20 @@ def test_apply_bilinear_shape_error():
     t = StructureTensor.zero(2)
     with pytest.raises(ShapeError):
         t.apply(Vector.zero(3), Vector.zero(2))
+    # an index out of range, a negative one included, is a ShapeError, as
+    # for Vector.basis: never a read (or, in a rule, a write) of the last
+    # plane, nor a zero
+    t = StructureTensor.from_rule(2, 3, 4, {(1, 2): [0, 0, 0, 5]})
+    for i, j, k in [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2, 0, 0), (0, 3, 0), (0, 0, 4),
+                    (1, 2, 4), (1, 2, -1), (-1, 2, 3), (1, -1, 3)]:
+        with pytest.raises(ShapeError):
+            t.coeff(i, j, k)
+        if 0 <= k < 4:
+            with pytest.raises(ShapeError):
+                t.row(i, j)
+            with pytest.raises(ShapeError):
+                StructureTensor.from_rule(2, 3, 4, {(i, j): [1, 0, 0, 0]})
+    assert (t.coeff(1, 2, 3), t.coeff(1, 2, 0)) == (5, 0) and t.row(1, 2) == Vector([0, 0, 0, 5])
 
 
 def test_compose_identity_unit():
@@ -175,7 +189,7 @@ def test_sparse_tensor_construction_matches_dense_fractions():
             sparse_dense = [[rule.get((i, j), [0] * od) for j in range(rd)] for i in range(ld)]
             want = StructureTensor(wrapped)
             for got in (StructureTensor(sparse_dense), StructureTensor.from_rule(ld, rd, od, rule)):
-                assert (got._n, got._d) == (want._n, want._d)
+                assert (got._rows, got._d) == (want._rows, want._d)
                 assert got == want and hash(got) == hash(want)
                 assert got.coeffs == want.coeffs
                 assert all(type(c) is Fraction for plane in got.coeffs for row in plane
@@ -197,7 +211,7 @@ def _sparse_tensor(rng, ld, rd, od):
 
 def _in_lowest_terms(t):
     want = StructureTensor(t.coeffs)
-    return (t._n, t._d) == (want._n, want._d)
+    return (t._rows, t._d) == (want._rows, want._d)
 
 
 def _naive_pull(t, K):
@@ -260,9 +274,11 @@ def test_push_matches_the_fraction_sum():
                             for r in range(k)) for j in range(rd)) for i in range(ld))
             # numerators over t._d * phi._d, not brought to lowest terms
             assert got._d == t._d * phi._d
-            assert got._n == tuple(
-                tuple(tuple(sum(phi._n[r][m] * t._n[i][j][m] for m in range(od))
-                            for r in range(k)) for j in range(rd)) for i in range(ld))
+            tn = [[[x * t._d for x in row] for row in plane] for plane in t.coeffs]
+            assert got._rows == [
+                [[(r, s) for r in range(k)
+                  if (s := sum(phi._n[r][m] * tn[i][j][m] for m in range(od)))]
+                 for j in range(rd)] for i in range(ld)]
             assert (got.left_dim, got.right_dim, got.out_dim) == (ld, rd, k)
     with pytest.raises(ShapeError):
         _sparse_tensor(rng, 2, 2, 3).push(LinearMap.zero(2, 2))
@@ -311,7 +327,7 @@ def test_scale_by_an_int_makes_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", new)
     scaled = t.scale(-2)
     assert calls == []
-    assert (scaled._n, scaled._d) == ((((-2, -12),),), 2)
+    assert (scaled._rows, scaled._d) == ([[[(0, -2), (1, -12)]]], 2)
     assert t.scale(Fraction(2, 3)) == StructureTensor([[[Fraction(1, 3), 2]]])
 
 
