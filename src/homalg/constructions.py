@@ -223,10 +223,10 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
     images L g_j for every j at once, one flat list, from the nonzero
     entries of G and of L's planes: the twist's columns, or the planes t[p]
     weighted by the entries g_i[p], each plane's entries taken once per
-    check.  K and the twist are read as the sparse columns the engine keeps
-    on each map (`engine._power`) and the products as the sparse rows they
-    store, so no zero entry is visited, and a twist that carries the
-    identity flag skips its block: it maps every generator to itself.  The images are then
+    check.  K and the twist are read as the sparse columns they store and
+    the products as the sparse rows they store, so no zero entry is
+    visited, and a twist that carries the identity flag of `engine._power`
+    skips its block: it maps every generator to itself.  The images are then
     tested j by j, and the first one that leaves the graph gives the
     witness: its A-part and K of its V-part, as `Vector`s over the
     denominators of `twist.apply(g_j)` or `t.apply(g_i, g_j)` and of
@@ -245,13 +245,9 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
     # the nonzero entries of G: (p, G[p][i]) of column i, and those of row q
     # keyed by the flat offset j * size of their column; (r, K[r][s]) of
     # column s of K
-    kcols = _power(K, 1)[0]
+    kcols = K._cols
     cols = [col + [(n + i, kd)] for i, col in enumerate(kcols)]
-    grows = [[] for _ in range(n)]
-    for j, col in enumerate(kcols):
-        for q, x in col:
-            grows[q].append((j * size, x))
-    grows += [[(s * size, kd)] for s in range(m)]
+    grows = K._transposed(size) + [[(s * size, kd)] for s in range(m)]
 
     def terms(plane):
         """(row q of G, r, c) for the nonzero entries c = plane[q][r], the
@@ -284,9 +280,8 @@ def graph_closure(candidate, what: ConstructionId, ambient: AlgebraInstance | No
         return Vector._make(w[:n], den), K.apply(Vector._make(w[n:], den))
 
     twist = ambient.alpha
-    tcols, _, _, identity = _power(twist, 1)
-    if not identity:  # an identity maps each generator to itself
-        w, j = leaves([(1, terms(tcols))])
+    if not _power(twist, 1)[3]:  # an identity maps each generator to itself
+        w, j = leaves([(1, terms(twist._cols))])
         if j is not None:
             return CheckReport(
                 "fail", check_id,

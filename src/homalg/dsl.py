@@ -451,8 +451,7 @@ def _emit(lines, form, sym, value):
     head = f"  {form.keyword} {sym}: " if sym else "  "
     lhs = " * ".join(f"{s}{{{p}}}" for s, p in zip(form.sorts, form.flip(range(2))))
     if len(form.sorts) == 1:
-        rows = (((j + 1,), [(i, r[j]) for i, r in enumerate(value._n) if r[j]])
-                for j in range(value.src_dim))
+        rows = (((j + 1,), col) for j, col in enumerate(value._cols))
     else:
         rows = (((i + 1, j + 1), row)
                 for i, plane in enumerate(value._rows) for j, row in enumerate(plane))

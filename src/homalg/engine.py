@@ -31,9 +31,9 @@ symbol, not per node, after one pass over the symbols the clauses read
 (`_ClauseSet.read`) has given the shape, the objects bound to them (for
 the memo key and the guards) and the check of their dimensions; symbols
 the clauses do not read are not validated.  It fills the slots with the
-sparse rows each op's tensor stores (see `exact.StructureTensor`; the
-engine converts none), the columns of each twist power and the dimension
-of each sort, and takes the node denominators (and the sums' terms scaled
+sparse rows each op's tensor stores and the sparse columns of each twist
+power (see `exact`; the engine converts neither, and a power above 1 is
+the columns of its composite), and the dimension of each sort, and takes the node denominators (and the sums' terms scaled
 to them) that the plan keeps for the last denominators it was bound with,
 rebuilding them only when the data's or the variables' denominators
 differ.  The sides
@@ -48,8 +48,10 @@ one object is kept on that object, and dies with it:
   - a tensor keeps its row and column masks, its per-output masks, and
     its row and column masks read through a chain of twists, one table per
     cover met (see `_tensor`);
-  - a map keeps, per power, its sparse columns, nonzero-column mask and
-    identity flag, and its row sets and column supports (see `_power`);
+  - a map keeps, per power, its nonzero-column mask and identity flag
+    beside its sparse columns (at power 1 the columns it stores, see
+    `exact.LinearMap`; a higher power's are its composite's), and its row
+    sets and column supports (see `_power`);
   - per dimension, the basis values, the stand-in of every coordinate and
     the unit masks are built once (`_dim`).
 So guards are read, not rebuilt, and a check over a fresh map over data
@@ -678,18 +680,17 @@ def _spread(vec, table):
 
 def _power(lin, power):
     """(sparse columns, denominator, nonzero-column mask, identity flag) of
-    lin^power, built once and kept on the map.  The flag reads the content:
-    any map whose numerators are its denominator on the diagonal and zero
-    elsewhere has it.  The
-    power's row sets and column supports (see `_map_table`) are kept beside
-    it, under (kind, power)."""
+    lin^power, built once and kept on the map; the columns are the map's
+    own `_cols` (at power 1, lin's).  The flag reads the content: any map
+    whose numerators are its denominator on the diagonal and zero elsewhere
+    has it.  The power's row sets and column supports (see `_map_table`) are
+    kept beside it, under (kind, power)."""
     if lin._powers is None:
         lin._powers = {}
     elif power in lin._powers:
         return lin._powers[power]
     m = lin if power == 1 else lin.power(power)  # a map across sorts is only read at power 1
-    cols = [[(k, x) for k, x in enumerate(col) if x] if any(col) else []
-            for col in (zip(*m._n) if m.dst_dim else [()] * m.src_dim)]
+    cols = m._cols
     mask = _support(cols)
     identity = (m.src_dim == m.dst_dim and mask == (1 << m.src_dim) - 1
                 and all(col == [(j, m._d)] for j, col in enumerate(cols)))
@@ -710,10 +711,10 @@ def _map_table(lin, kind, power):
     return lin._powers[kind, power]
 
 
-def twist_gap(kn, alpha: LinearMap, beta: LinearMap):
+def twist_gap(kc, alpha: LinearMap, beta: LinearMap):
     """The first column j at which K.beta and alpha.K differ, or None.
 
-    K: V -> A is given by its numerator rows kn (its denominator cancels),
+    K: V -> A is given by its numerator columns kc (its denominator cancels),
     beta twists V and alpha twists A.  When both twists carry the identity
     flag of `_power` the square holds for every K and nothing is
     multiplied; otherwise `square_gap` decides it, cross-scaled by alpha._d
@@ -722,7 +723,7 @@ def twist_gap(kn, alpha: LinearMap, beta: LinearMap):
     """
     if _power(alpha, 1)[3] and _power(beta, 1)[3]:
         return None
-    return square_gap(kn, beta._n, alpha._n, kn, alpha._d, beta._d)
+    return square_gap(kc, beta._cols, alpha._cols, kc, alpha._d, beta._d)
 
 
 class _Dag:

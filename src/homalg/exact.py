@@ -1,29 +1,32 @@
 """Exact rational scalars, vectors, linear maps and structure-constant tensors.
 
 Everything is exact: coefficients are arbitrary-precision rationals and all
-operations are pure functions on immutable values.  Internally a vector (or
-matrix) keeps integer numerators over one shared positive denominator, so
-the hot contraction loops run on plain ints; the public surface speaks
-`fractions.Fraction`.  A structure tensor keeps only its nonzero structure
-constants: per argument pair (i, j) the sparse row of (k, numerator) pairs
-over the shared denominator, k strictly ascending.  These rows are the one
-stored form: the identity engine's kernels read them as they are, every
-method builds or reads them directly, and the dense `coeffs` view is built
-on demand, so a tensor's size follows its nonzero constants and its
-argument pairs, not the cube of its dimension.  A map keeps the engine's
-sparse columns of its powers in `_powers` once they are built, and a tensor
-the engine's masks in `_masks`; both take weak references, which the
-engine's verdict memo keys on.  Constructions assemble tensors on the
-numerators too: `StructureTensor.place` puts blocks side by side and
+operations are pure functions on immutable values.  Internally a value keeps
+integer numerators over one shared positive denominator, so the hot
+contraction loops run on plain ints; the public surface speaks
+`fractions.Fraction`.  A vector is dense.  A linear map and a structure
+tensor keep only their nonzero entries: a map, per source basis vector j,
+the sparse column of (k, numerator) pairs of its image; a tensor, per
+argument pair (i, j), the sparse row of (k, numerator) pairs of e_i * e_j;
+k strictly ascending in both.  These columns and rows are the one stored
+form: the identity engine's kernels read them as they are, every method
+builds or reads them directly, and the dense views (`matrix`, `coeffs`) are
+built on demand, so a value's size follows its nonzero entries, not a power
+of its dimension.  All zero rows and columns are one shared empty list.  A
+map keeps the engine's data of its powers in `_powers` once they are built
+(its first power's columns are `_cols` itself), and a tensor the engine's
+masks in `_masks`; both take weak references, which the engine's verdict
+memo keys on.  Constructions assemble tensors on the numerators too:
+`StructureTensor.place` puts blocks side by side and
 `StructureTensor.pull` precomposes the left argument with a map, both in
 lowest terms.  The commuting-square kernel `square_gap` decides f.g == h.k
-on numerator rows, cross-scaled by the denominators, and names the first
-column at which the two sides differ, without building a LinearMap or a
-Fraction.  Operator admissibility, the operator sampler's draws and the
-morphism twist check reach it through `engine.twist_gap`, which first reads
-the identity flag the engine keeps with each map's sparse columns: when
-both twists are identities the square holds for every map and is never
-multiplied out.
+on numerator columns, cross-scaled by the denominators, one column at a
+time, and names the first column at which the two sides differ, without
+building a LinearMap or a Fraction.  Operator admissibility, the operator
+sampler's draws and the morphism twist check reach it through
+`engine.twist_gap`, which first reads the identity flag the engine keeps
+with each map's columns: when both twists are identities the square holds
+for every map and is never multiplied out.
 """
 
 from __future__ import annotations
@@ -38,26 +41,6 @@ class ShapeError(ValueError):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _merge(fracs):
-    """Return (numerators, common positive denominator) for a list of Fractions
-    (ints count as Fractions over 1)."""
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return [f.numerator * (den // f.denominator) for f in fracs], den
-
-
-def _reduce(nums, den):
-    g = den
-    for n in nums:
-        g = gcd(g, n)
-        if g == 1:
-            return nums, den
-    if g > 1:
-        return [n // g for n in nums], den // g
-    return nums, den
 
 
 def scalar_arith(a, b, op: str) -> Fraction:
@@ -81,8 +64,8 @@ class Vector:
 
     def __init__(self, coords):
         fracs = [_frac(c) for c in coords]
-        nums, den = _merge(fracs)
-        nums, den = _reduce(nums, den)
+        den = lcm(1, *(f.denominator for f in fracs))  # leaves them in lowest terms
+        nums = [f.numerator * (den // f.denominator) for f in fracs]
         self.dim = len(nums)
         self._n = tuple(nums)
         self._d = den
@@ -144,148 +127,10 @@ class Vector:
         return f"Vector({[str(c) for c in self.coords]})"
 
 
-class LinearMap:
-    """Immutable linear map, stored as a dst_dim x src_dim exact matrix."""
-
-    __slots__ = ("src_dim", "dst_dim", "_n", "_d", "_powers", "__weakref__")
-
-    def __init__(self, rows):
-        rows = [list(r) for r in rows]
-        dst = len(rows)
-        src = len(rows[0]) if rows else 0
-        if any(len(r) != src for r in rows):
-            raise ShapeError("ragged matrix")
-        # ints are their own numerators over 1, as in StructureTensor
-        fracs = [x if x.__class__ is int else _frac(x) for r in rows for x in r]
-        nums, den = _merge(fracs)
-        nums, den = _reduce(nums, den)
-        self.src_dim = src
-        self.dst_dim = dst
-        self._n = tuple(tuple(nums[i * src:(i + 1) * src]) for i in range(dst))
-        self._d = den
-        self._powers = None
-
-    @classmethod
-    def _make(cls, rows, den, src, dst):
-        m = object.__new__(cls)
-        m.src_dim = src
-        m.dst_dim = dst
-        m._n = tuple(tuple(r) for r in rows)
-        m._d = den
-        m._powers = None
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls._make([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1, n, n)
-
-    @classmethod
-    def zero(cls, src: int, dst: int | None = None) -> "LinearMap":
-        dst = src if dst is None else dst
-        return cls._make([[0] * src for _ in range(dst)], 1, src, dst)
-
-    @classmethod
-    def diagonal(cls, values) -> "LinearMap":
-        vals = list(values)
-        n = len(vals)
-        return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns, dst_dim: int) -> "LinearMap":
-        """Build from images of the source basis vectors (as coefficient lists)."""
-        cols = [list(c) for c in columns]
-        if any(len(c) != dst_dim for c in cols):
-            raise ShapeError("column length differs from dst_dim")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(dst_dim)])
-
-    @property
-    def matrix(self):
-        return tuple(tuple(Fraction(x, self._d) for x in row) for row in self._n)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self._n[i][j], self._d)
-
-    def column(self, j: int) -> Vector:
-        return Vector._make([row[j] for row in self._n], self._d)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self._n for x in row)
-
-    def apply(self, v: Vector) -> Vector:
-        if v.dim != self.src_dim:
-            raise ShapeError(f"map expects dim {self.src_dim}, got {v.dim}")
-        out = [0] * self.dst_dim
-        for j, xj in enumerate(v._n):
-            if not xj:
-                continue
-            for i in range(self.dst_dim):
-                c = self._n[i][j]
-                if c:
-                    out[i] += c * xj
-        return Vector._make(out, self._d * v._d)
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other (matrix product self * other).
-
-        Row i of the product sums the rows of other weighted by the nonzero
-        entries of row i of self; zero entries of either factor cost nothing.
-        """
-        if self.src_dim != other.dst_dim:
-            raise ShapeError("inner dimensions disagree")
-        rows = _product(self._n, other._n, other.src_dim)
-        return LinearMap._make(rows, self._d * other._d, other.src_dim, self.dst_dim)
-
-    def power(self, k: int) -> "LinearMap":
-        if self.src_dim != self.dst_dim:
-            raise ShapeError("powers need a square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        acc = LinearMap.identity(self.src_dim)
-        for _ in range(k):
-            acc = acc.compose(self)
-        return acc
-
-    def direct_sum(self, other: "LinearMap") -> "LinearMap":
-        src, dst = self.src_dim + other.src_dim, self.dst_dim + other.dst_dim
-        rows = [[0] * src for _ in range(dst)]
-        for i in range(self.dst_dim):
-            for j in range(self.src_dim):
-                rows[i][j] = self._n[i][j] * other._d
-        for i in range(other.dst_dim):
-            for j in range(other.src_dim):
-                rows[self.dst_dim + i][self.src_dim + j] = other._n[i][j] * self._d
-        return LinearMap._make(rows, self._d * other._d, src, dst)
-
-    def tensor(self, other: "LinearMap") -> "LinearMap":
-        """Kronecker product; row-major pairing (i, j) -> i*n + j."""
-        src = self.src_dim * other.src_dim
-        dst = self.dst_dim * other.dst_dim
-        rows = [[0] * src for _ in range(dst)]
-        for i in range(self.dst_dim):
-            for k in range(other.dst_dim):
-                for j in range(self.src_dim):
-                    for m in range(other.src_dim):
-                        rows[i * other.dst_dim + k][j * other.src_dim + m] = (
-                            self._n[i][j] * other._n[k][m]
-                        )
-        return LinearMap._make(rows, self._d * other._d, src, dst)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        if (self.src_dim, self.dst_dim) != (other.src_dim, other.dst_dim):
-            return False
-        return all(
-            x * other._d == y * self._d
-            for r1, r2 in zip(self._n, other._n)
-            for x, y in zip(r1, r2)
-        )
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __repr__(self):
-        return f"LinearMap({self.dst_dim}x{self.src_dim})"
+# The one zero row of every tensor and zero column of every map.  No stored
+# row or column is ever mutated in place (each method builds new lists, and
+# the engine's kernels return stored rows as values), so all of them share it.
+_EMPTY = []
 
 
 def _entries(row):
@@ -298,19 +143,21 @@ def _entries(row):
             x = _frac(x)
         if x:
             out.append((k, x))
-    return out
+    return out or _EMPTY
 
 
 def _common(rows):
     """(numerator rows, denominator) of sparse rows of Fractions and ints,
-    over their least common denominator, which leaves them in lowest terms."""
+    over their least common denominator, which leaves them in lowest terms;
+    empty rows pass through as they are."""
     den = lcm(1, *(x.denominator for plane in rows for row in plane for _, x in row))
-    return [[[(k, x.numerator * (den // x.denominator)) for k, x in row] for row in plane]
-            for plane in rows], den
+    return [[[(k, x.numerator * (den // x.denominator)) for k, x in row] if row else row
+             for row in plane] for plane in rows], den
 
 
-def _scaled(row, s):
-    return [(k, s * x) for k, x in row] if s else []
+def _scaled(row, s, at=0):
+    """The sparse row s * row with every index moved up by at."""
+    return [(at + k, s * x) for k, x in row] if s and row else _EMPTY
 
 
 def _row_sum(pairs):
@@ -319,7 +166,174 @@ def _row_sum(pairs):
     acc = {}
     for k, x in pairs:
         acc[k] = acc.get(k, 0) + x
-    return [(k, x) for k, x in sorted(acc.items()) if x]
+    return [(k, x) for k, x in sorted(acc.items()) if x] or _EMPTY
+
+
+def _same(r1, r2, s1, s2) -> bool:
+    """Whether s1 * r1 and s2 * r2 are one sparse row (s1, s2 nonzero)."""
+    if s1 == s2:
+        return r1 == r2
+    return len(r1) == len(r2) and all(k == m and x * s1 == y * s2
+                                      for (k, x), (m, y) in zip(r1, r2))
+
+
+def _image(cols, col):
+    """The sparse column sum of x * cols[m] over the entries (m, x) of col:
+    the image of col under the map whose numerator columns are cols."""
+    if len(col) == 1:
+        (m, x), = col
+        return _scaled(cols[m], x)
+    return _row_sum((k, x * y) for m, x in col for k, y in cols[m]) if col else _EMPTY
+
+
+class LinearMap:
+    """Immutable linear map from src_dim to dst_dim coordinates.
+
+    Only the nonzero entries are stored.  Column `_cols[j]`, the image of
+    basis vector j, is the list of pairs (k, numerator) over the shared
+    positive denominator `_d`, with k strictly ascending and no zero
+    numerator, so a zero column is [].  The engine's twist kernels read
+    these columns as they are, so every method keeps exactly this form;
+    `matrix`, `entry` and `column` build the dense view on demand.
+    """
+
+    __slots__ = ("src_dim", "dst_dim", "_cols", "_d", "_powers", "__weakref__")
+
+    def __init__(self, rows):
+        rows = [list(r) for r in rows]
+        src = len(rows[0]) if rows else 0
+        if any(len(r) != src for r in rows):
+            raise ShapeError("ragged matrix")
+        self.src_dim, self.dst_dim, self._powers = src, len(rows), None
+        (self._cols,), self._d = _common([[_entries(col) for col in zip(*rows)]])
+
+    @classmethod
+    def _make(cls, cols, den, src, dst):
+        m = object.__new__(cls)
+        m.src_dim, m.dst_dim = src, dst
+        m._cols, m._d, m._powers = cols, den, None
+        return m
+
+    @classmethod
+    def identity(cls, n: int) -> "LinearMap":
+        return cls._make([[(j, 1)] for j in range(n)], 1, n, n)
+
+    @classmethod
+    def zero(cls, src: int, dst: int | None = None) -> "LinearMap":
+        return cls._make([_EMPTY] * src, 1, src, src if dst is None else dst)
+
+    @classmethod
+    def diagonal(cls, values) -> "LinearMap":
+        vals = [x if x.__class__ is int else _frac(x) for x in values]
+        (cols,), den = _common([[[(j, x)] if x else _EMPTY for j, x in enumerate(vals)]])
+        return cls._make(cols, den, len(vals), len(vals))
+
+    @classmethod
+    def from_columns(cls, columns, dst_dim: int) -> "LinearMap":
+        """Build from images of the source basis vectors (as coefficient lists)."""
+        cols = [list(c) for c in columns]
+        if any(len(c) != dst_dim for c in cols):
+            raise ShapeError("column length differs from dst_dim")
+        (cols,), den = _common([[_entries(c) for c in cols]])
+        return cls._make(cols, den, len(cols), dst_dim)
+
+    @property
+    def matrix(self):
+        rows = [[Fraction(0)] * self.src_dim for _ in range(self.dst_dim)]
+        for j, col in enumerate(self._cols):
+            for k, x in col:
+                rows[k][j] = Fraction(x, self._d)
+        return tuple(map(tuple, rows))
+
+    def _col(self, j):
+        if 0 <= j < self.src_dim:
+            return self._cols[j]
+        raise ShapeError(f"column {j} out of range for src dim {self.src_dim}")
+
+    def entry(self, i: int, j: int) -> Fraction:
+        if not 0 <= i < self.dst_dim:
+            raise ShapeError(f"row {i} out of range for dst dim {self.dst_dim}")
+        return next((Fraction(x, self._d) for k, x in self._col(j) if k == i), Fraction(0))
+
+    def column(self, j: int) -> Vector:
+        out = [0] * self.dst_dim
+        for k, x in self._col(j):
+            out[k] = x
+        return Vector._make(out, self._d)
+
+    def _transposed(self, step=1):
+        """Per row k, the nonzero entries (step * j, numerator) of row k, j
+        ascending."""
+        rows = [[] for _ in range(self.dst_dim)]
+        for j, col in enumerate(self._cols):
+            for k, x in col:
+                rows[k].append((j * step, x))
+        return rows
+
+    def is_zero(self) -> bool:
+        return not any(self._cols)
+
+    def apply(self, v: Vector) -> Vector:
+        if v.dim != self.src_dim:
+            raise ShapeError(f"map expects dim {self.src_dim}, got {v.dim}")
+        out = [0] * self.dst_dim
+        for xj, col in zip(v._n, self._cols):
+            if xj:
+                for k, c in col:
+                    out[k] += c * xj
+        return Vector._make(out, self._d * v._d)
+
+    def compose(self, other: "LinearMap") -> "LinearMap":
+        """self after other (matrix product self * other): column j is the
+        image under self of column j of other, so zero entries of either
+        factor cost nothing."""
+        if self.src_dim != other.dst_dim:
+            raise ShapeError("inner dimensions disagree")
+        cols = [_image(self._cols, col) for col in other._cols]
+        return LinearMap._make(cols, self._d * other._d, other.src_dim, self.dst_dim)
+
+    def power(self, k: int) -> "LinearMap":
+        if self.src_dim != self.dst_dim:
+            raise ShapeError("powers need a square matrix")
+        if k < 0:
+            raise ValueError("negative power")
+        acc = LinearMap.identity(self.src_dim)
+        for _ in range(k):
+            acc = acc.compose(self)
+        return acc
+
+    def direct_sum(self, other: "LinearMap") -> "LinearMap":
+        cols = ([_scaled(col, other._d) for col in self._cols]
+                + [_scaled(col, self._d, self.dst_dim) for col in other._cols])
+        return LinearMap._make(cols, self._d * other._d, self.src_dim + other.src_dim,
+                               self.dst_dim + other.dst_dim)
+
+    def tensor(self, other: "LinearMap") -> "LinearMap":
+        """Kronecker product; row-major pairing (i, j) -> i*n + j."""
+        n = other.dst_dim
+        cols = [[(i * n + k, x * y) for i, x in c1 for k, y in c2] if c1 and c2 else _EMPTY
+                for c1 in self._cols for c2 in other._cols]
+        return LinearMap._make(cols, self._d * other._d, self.src_dim * other.src_dim,
+                               self.dst_dim * n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        if (self.src_dim, self.dst_dim) != (other.src_dim, other.dst_dim):
+            return False
+        a, b = other._d, self._d
+        if a == b:
+            return self._cols == other._cols
+        return all(_same(c1, c2, a, b) for c1, c2 in zip(self._cols, other._cols))
+
+    def __hash__(self):
+        d = self._d
+        return hash((self.src_dim, self.dst_dim,
+                     tuple((j, k, Fraction(x, d)) for j, col in enumerate(self._cols)
+                           for k, x in col)))
+
+    def __repr__(self):
+        return f"LinearMap({self.dst_dim}x{self.src_dim})"
 
 
 class StructureTensor:
@@ -362,7 +376,8 @@ class StructureTensor:
         that StructureTensor(coeffs) keeps for the same values."""
         g = gcd(den, *(x for plane in rows for row in plane for _, x in row))
         if g > 1:
-            rows = [[[(k, x // g) for k, x in row] for row in plane] for plane in rows]
+            rows = [[[(k, x // g) for k, x in row] if row else row for row in plane]
+                    for plane in rows]
             den //= g
         return cls._make(rows, den, ld, rd, od)
 
@@ -370,13 +385,13 @@ class StructureTensor:
     def zero(cls, left_dim: int, right_dim: int | None = None, out_dim: int | None = None):
         rd = left_dim if right_dim is None else right_dim
         od = left_dim if out_dim is None else out_dim
-        return cls._make([[[] for _ in range(rd)] for _ in range(left_dim)], 1, left_dim, rd, od)
+        return cls._make([[_EMPTY] * rd for _ in range(left_dim)], 1, left_dim, rd, od)
 
     @classmethod
     def from_rule(cls, left_dim, right_dim, out_dim, rule):
         """Build from a dict {(i, j): coefficient list or Vector}; absent rows
         are zero."""
-        rows = [[[] for _ in range(right_dim)] for _ in range(left_dim)]
+        rows = [[_EMPTY] * right_dim for _ in range(left_dim)]
         for (i, j), val in rule.items():
             row = val.coords if isinstance(val, Vector) else val
             if len(row) != out_dim:
@@ -404,7 +419,7 @@ class StructureTensor:
         ld, rd, od = dims
         pieces = [p for p in pieces if p[0] is not None]
         den = lcm(1, *(t._d for t, _, _ in pieces))
-        rows = [[[] for _ in range(rd)] for _ in range(ld)]
+        rows = [[_EMPTY] * rd for _ in range(ld)]
         for t, (i0, j0, k0), swapped in pieces:
             li, ri = (t.right_dim, t.left_dim) if swapped else (t.left_dim, t.right_dim)
             if min(i0, j0, k0) < 0 or i0 + li > ld or j0 + ri > rd or k0 + t.out_dim > od:
@@ -414,7 +429,7 @@ class StructureTensor:
                 for j, row in enumerate(plane):
                     if row:
                         a, b = (i0 + j, j0 + i) if swapped else (i0 + i, j0 + j)
-                        row = [(k0 + k, s * x) for k, x in row]
+                        row = _scaled(row, s, k0)
                         rows[a][b] = _row_sum(rows[a][b] + row) if rows[a][b] else row
         return cls._lowest(rows, den, ld, rd, od)
 
@@ -507,11 +522,7 @@ class StructureTensor:
         """Compose the output with phi: (x, y) -> phi(x * y)."""
         if phi.src_dim != self.out_dim:
             raise ShapeError("map domain differs from tensor output")
-        # the nonzero entries (k, phi[k][m]) of column m of phi
-        cols = [[(k, row[m]) for k, row in enumerate(phi._n) if row[m]]
-                for m in range(self.out_dim)]
-        rows = [[_row_sum((k, y * x) for m, x in row for k, y in cols[m]) if row else []
-                 for row in plane] for plane in self._rows]
+        rows = [[_image(phi._cols, row) for row in plane] for plane in self._rows]
         return StructureTensor._make(rows, self._d * phi._d, self.left_dim, self.right_dim,
                                      phi.dst_dim)
 
@@ -522,10 +533,10 @@ class StructureTensor:
             raise ShapeError("map codomain differs from the tensor's left dim")
         rd = self.right_dim
         rows = []
-        for i in range(K.src_dim):
-            # plane i sums the planes p of self weighted by K[p][i]
-            col = [(self._rows[p], krow[i]) for p, krow in enumerate(K._n) if krow[i]]
-            rows.append([_row_sum((k, c * x) for plane, c in col for k, x in plane[j])
+        for col in K._cols:
+            # plane i sums the planes p of self weighted by K[p][i], column i of K
+            planes = [(self._rows[p], c) for p, c in col]
+            rows.append([_row_sum((k, c * x) for plane, c in planes for k, x in plane[j])
                          for j in range(rd)])
         return StructureTensor._lowest(rows, K._d * self._d, K.src_dim, rd, self.out_dim)
 
@@ -539,12 +550,8 @@ class StructureTensor:
         if a == b:
             return self._rows == other._rows
         # both rows hold the nonzero entries only, in one order
-        return all(
-            len(r1) == len(r2) and all(k == m and x * a == y * b
-                                       for (k, x), (m, y) in zip(r1, r2))
-            for p1, p2 in zip(self._rows, other._rows)
-            for r1, r2 in zip(p1, p2)
-        )
+        return all(_same(r1, r2, a, b) for p1, p2 in zip(self._rows, other._rows)
+                   for r1, r2 in zip(p1, p2))
 
     def __hash__(self):
         d = self._d
@@ -556,44 +563,25 @@ class StructureTensor:
         return f"StructureTensor({self.left_dim},{self.right_dim},{self.out_dim})"
 
 
-def _product(fn, gn, width, s=1):
-    """The numerator rows of s * fn gn, a matrix product of numerator rows with
-    `width` columns: row i sums the rows of gn weighted by the nonzero
-    entries of row i of fn, so zero entries of either factor cost nothing."""
-    rows = []
-    for frow in fn:
-        out = [0] * width
-        for a, grow in zip(frow, gn):
-            if a:
-                a *= s
-                for j, b in enumerate(grow):
-                    if b:
-                        out[j] += a * b
-        rows.append(out)
-    return rows
+def square_gap(fc, gc, hc, kc, sl, sr):
+    """The first column j at which sl * f.g and sr * h.k differ, or None.
 
+    The arguments are the numerator columns (`_cols`) of conforming maps,
+    and the two products must have the same shape.  With the denominators as
+    cross-scales this decides the commuting square f.g == h.k of LinearMaps
+    exactly:
 
-def square_gap(fn, gn, hn, kn, sl, sr):
-    """The first column j at which sl * fn gn and sr * hn kn differ, or None.
-
-    The arguments are numerator rows (tuples or lists of ints) of conforming
-    shapes, and the two products must have the same shape.  With the
-    denominators as cross-scales this decides the commuting square
-    f.g == h.k of LinearMaps exactly:
-
-        square_gap(f._n, g._n, h._n, k._n, h._d * k._d, f._d * g._d)
+        square_gap(f._cols, g._cols, h._cols, k._cols, h._d * k._d, f._d * g._d)
 
     is None iff f.compose(g) == h.compose(k), and otherwise the first column
     at which f.compose(g).column(j) != h.compose(k).column(j).  Common factors
-    of the two scales may be cancelled first.  No LinearMap and no Fraction is
-    built.
+    of the two scales may be cancelled first.  The products are built one
+    column at a time, up to the first column that differs; no LinearMap and
+    no Fraction is built.
     """
-    width = len(gn[0]) if gn else len(kn[0]) if kn else 0
-    a, b = _product(fn, gn, width, sl), _product(hn, kn, width, sr)
-    if a != b:
-        for j, (ca, cb) in enumerate(zip(zip(*a), zip(*b))):
-            if ca != cb:
-                return j
+    for j, (g, k) in enumerate(zip(gc, kc)):
+        if not _same(_image(fc, g), _image(hc, k), sl, sr):
+            return j
     return None
 
 

@@ -15,11 +15,11 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .constructions import differential_dialgebra
 from .engine import CheckReport, Interpretation, SemanticError, twist_gap
-from .exact import LinearMap, StructureTensor, Vector, _reduce
+from .exact import LinearMap, StructureTensor, Vector
 from .operators import OperatorCandidate, certify_operator
 from .records import FrozenRecord, Record
 from .reps import (
@@ -555,13 +555,15 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
     lexicographic order, so small grids are covered exhaustively; otherwise
     seeded draws are filtered for admissibility with a hard resample cap.
 
-    Entries are drawn as integer numerators over the grid's common
-    denominator, one per grid value in the same order, so the seeded draws
-    are those of `rng.choice` over the values.  Admissibility K.beta =
-    alpha.K is decided on those integers by `engine.twist_gap` (K's
-    denominator cancels): every draw is accepted without a product when both
-    twists are identities, and `square_gap` decides otherwise.  Only an
-    accepted map is built, in lowest terms as `LinearMap(rows)` keeps it.
+    Entries are drawn in row-major order as integer numerators over the
+    grid's common denominator, one per grid value in the same order, so the
+    seeded draws are those of `rng.choice` over the values.  Each draw is
+    read as the sparse columns of K, and admissibility K.beta = alpha.K is
+    decided on them by `engine.twist_gap` (K's denominator cancels): every
+    draw is accepted without a product when both twists are identities, and
+    `square_gap` decides otherwise, up to the first column that differs.
+    Only an accepted map is built, from those columns, in lowest terms as
+    `LinearMap(rows)` keeps it.
     """
     if check:
         report = certify_rep(rep)
@@ -575,17 +577,18 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
     alpha, beta = rep.base.alpha, rep.beta
     entries = n * m
 
-    def accept(rows):
-        if twist_gap(rows, alpha, beta) is None:
-            flat, d = _reduce([x for row in rows for x in row], den)
-            out.append(OperatorCandidate(
-                rep, LinearMap._make([flat[i * m:(i + 1) * m] for i in range(n)], d, m, n)))
+    def accept(flat):
+        cols = [[(i, x) for i, x in enumerate(flat[j::m]) if x] for j in range(m)]
+        if twist_gap(cols, alpha, beta) is None:
+            g = gcd(den, *flat)
+            out.append(OperatorCandidate(rep, LinearMap._make(
+                [[(i, x // g) for i, x in col] for col in cols], den // g, m, n)))
 
     out = []
     total = len(nums) ** entries if nums else 0
     if total <= grid.count:
         for combo in itertools.product(nums, repeat=entries):
-            accept([combo[i * m:(i + 1) * m] for i in range(n)])
+            accept(combo)
         return out
     rng = random.Random(grid.seed)
     attempts = 0
@@ -596,7 +599,7 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
             raise GenerationError(
                 f"could not find {grid.count} admissible candidates in {cap} draws"
             )
-        accept([[rng.choice(nums) for _ in range(m)] for _ in range(n)])
+        accept([rng.choice(nums) for _ in range(entries)])
     return out
 
 
@@ -672,8 +675,9 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     visit(0)
     found = []
     for entries in sorted(leaves):
-        flat, d = _reduce(entries, den)  # the _n and _d that LinearMap(rows) keeps
-        phi = LinearMap._make([flat[r * n:(r + 1) * n] for r in range(n)], d, n, n)
+        g = gcd(den, *entries)  # in lowest terms, as LinearMap(rows) keeps it
+        phi = LinearMap._make([[(r, x // g) for r, x in enumerate(entries[c::n]) if x]
+                               for c in range(n)], den // g, n, n)
         if is_morphism(phi, a, a).ok:
             found.append(phi)
     return found

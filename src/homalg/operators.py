@@ -80,13 +80,13 @@ def admissible(k: LinearMap, alpha: LinearMap, beta: LinearMap) -> bool:
 
     Decided by `engine.twist_gap` once the shapes agree: true at once when
     both twists are identities (the flag is kept on each map), and otherwise
-    `square_gap` on the integer numerators, K.beta over K._d * beta._d
-    against alpha.K over alpha._d * K._d, so K's denominator cancels and the
-    cross-scales are alpha._d and beta._d.
+    `square_gap` on the sparse numerator columns the maps store, K.beta over
+    K._d * beta._d against alpha.K over alpha._d * K._d, so K's denominator
+    cancels and the cross-scales are alpha._d and beta._d.
     """
     if k.src_dim != beta.dst_dim or alpha.src_dim != k.dst_dim:
         raise ShapeError("inner dimensions disagree")
-    return twist_gap(k._n, alpha, beta) is None
+    return twist_gap(k._cols, alpha, beta) is None
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +229,14 @@ def hemisemi_id_for(rep) -> ConstructionId:
 
 
 def _graph_map(cand: OperatorCandidate, c) -> LinearMap:
-    """x + u -> K(u) + c.u on A + V, in lowest terms as LinearMap(rows) keeps it."""
+    """x + u -> K(u) + c.u on A + V, in lowest terms as LinearMap(rows) keeps it:
+    zero on the n columns of A, and column n + j is K(u_j) + c.u_j."""
     n, m, K = cand.rep.base.dim, cand.rep.v_dim, cand.map
-    g = gcd(K._d, *(x for row in K._n for x in row))
+    g = gcd(K._d, *(x for col in K._cols for _, x in col))
     d = K._d // g
-    rows = [[0] * n + [x // g for x in row] for row in K._n]
-    rows += [[0] * n + [c * d if k == j else 0 for k in range(m)] for j in range(m)]
-    return LinearMap._make(rows, d, n + m, n + m)
+    cols = [[(k, x // g) for k, x in col] + ([(n + j, c * d)] if c else [])
+            for j, col in enumerate(K._cols)]
+    return LinearMap._make([[] for _ in range(n)] + cols, d, n + m, n + m)
 
 
 def nijenhuis_of(c: OperatorCandidate, what: ConstructionId | None = None,

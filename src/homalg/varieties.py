@@ -415,24 +415,23 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
 
     The twist check f.alpha == alpha'.f is `engine.twist_gap`: it holds at
     once when both twists are identities (the flag is kept on each map), and
-    is otherwise decided on the integer numerators with `square_gap`,
+    is otherwise decided on the integer numerator columns with `square_gap`,
     cross-scaled by the twists' denominators (f's cancels); only a mismatch
     composes the maps, to build the witness sides at the first differing
     column j over f._d * alpha._d and alpha'._d * f._d.  Then, per product
     symbol in sorted order and per left index i, both sides of
     f(e_i e_j) = f(e_i) f(e_j) are built for every j at once on integer
     numerators, one flat list each: f(e_i e_j) over f._d * ts._d from the
-    nonzero columns of f, and f(e_i) f(e_j) over f._d**2 * td._d from the
+    sparse columns f stores, and f(e_i) f(e_j) over f._d**2 * td._d from the
     nonzero entries of td and of f.  The tensors are read as the sparse
-    rows they store, so no zero structure constant is visited.  f's columns
-    and rows are built here, not taken from `engine._power`: the maps of the
-    endomorphism search are fresh leaves that no engine check reads, and
-    keeping the engine's form on each of them measured slower.  The two
-    lists are compared once, cross-scaled; only a mismatch locates its
+    rows they store, so no zero entry is visited.  f is read directly and
+    never through `engine._power`, which would keep the engine's data on
+    each fresh leaf of the endomorphism search; that measured slower.  The
+    two lists are compared once, cross-scaled; only a mismatch locates its
     first j and builds the witness sides as `Vector`s over those same
-    denominators.  A map that fails
-    stops after the block of its first failing i, and the counters are
-    those of a pair-by-pair loop that stops at the first witness.
+    denominators.  A map that fails stops after the block of its first
+    failing i, and the counters are those of a pair-by-pair loop that stops
+    at the first witness.
     """
     if f.src_dim != src.dim or f.dst_dim != dst.dim:
         raise ShapeError("morphism candidate has wrong dimensions")
@@ -442,7 +441,7 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
         )
     check_id = "morphism"
     sa, da = src.alpha, dst.alpha
-    j = twist_gap(f._n, da, sa)
+    j = twist_gap(f._cols, da, sa)
     if j is not None:  # column j of each side: f(alpha e_j), alpha'(f e_j)
         return CheckReport(
             "fail",
@@ -456,11 +455,8 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
             ),
             detail="f . alpha != alpha' . f",
         )
-    n, m, fd = src.dim, dst.dim, f._d
-    # the nonzero entries (k, f[k][c]) of column c of f, and those of row q
-    # of f keyed by the flat offset j * m of their column
-    cols = [[(k, row[c]) for k, row in enumerate(f._n) if row[c]] for c in range(n)]
-    rows = [[(j * m, x) for j, x in enumerate(row) if x] for row in f._n]
+    n, m, fd, cols = src.dim, dst.dim, f._d, f._cols
+    rows = f._transposed(m)  # row q of f keyed by the flat offset j * m of its column
     syms = sorted(src.products)
     for s, sym in enumerate(syms):
         ts, td = src.products[sym], dst.products[sym]
@@ -526,13 +522,14 @@ def endomorphism_clauses(a: AlgebraInstance):
         if clause:
             out.append(clause)
 
-    al = a.alpha._n
+    acols, arows = a.alpha._cols, a.alpha._transposed()
     for j in range(n):
         for k in range(n):
             terms = defaultdict(int)
-            for m in range(n):
-                terms[k * n + m, one] += al[m][j]
-                terms[m * n + j, one] -= al[k][m]
+            for m, x in acols[j]:
+                terms[k * n + m, one] += x
+            for m, x in arows[k]:
+                terms[m * n + j, one] -= x
             add(terms)
     for sym in sorted(a.products):
         rows = a.products[sym]._rows

@@ -477,3 +477,26 @@ def test_memory_follows_the_file_not_the_cube_of_its_dimension():
         assert [(i, j, e) for i, plane in enumerate(rows) for j, row in enumerate(plane)
                 for e in row] == [(0, 0, (0, 1))]
     assert peaks[1] < 5 * peaks[0], peaks
+
+
+def test_zero_rows_and_columns_are_one_shared_list():
+    # at dim 40 the tensor has 1,600 argument pairs and the map 40 columns,
+    # all but one zero: they share one empty list, so what parse keeps for
+    # the file is under half of what one list per pair would cost
+    import sys
+    import tracemalloc
+
+    text = ("algebra big dim 40 variety hom-associative\n"
+            "  op mul: e1 * e1 = e1\n  map alpha: e1 = e1\nend\n")
+    parse(text)  # warm the caches parsing fills
+    tracemalloc.start()
+    try:
+        src = parse(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 40 * 40 * sys.getsizeof([]) / 2, kept
+    a = src.get("big").value
+    empty = [row for plane in a.product("mul")._rows for row in plane if not row]
+    empty += [col for col in a.alpha._cols if not col]
+    assert len(empty) == 40 * 40 - 1 + 39 and all(e is empty[0] for e in empty)

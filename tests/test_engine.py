@@ -202,24 +202,24 @@ def test_the_identity_flag_reads_the_maps_content():
     identities = [LinearMap.identity(3), LinearMap([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
                   LinearMap([[Fraction(2, 2), 0, 0], [0, 1, 0], [0, 0, Fraction(3, 3)]]),
                   LinearMap.diagonal([1, 1, 1]),
-                  LinearMap._make([[4, 0, 0], [0, 4, 0], [0, 0, 4]], 4, 3, 3),
+                  LinearMap._make([[(0, 4)], [(1, 4)], [(2, 4)]], 4, 3, 3),
                   LinearMap.identity(2).power(3), LinearMap.identity(1)]
     others = [LinearMap.diagonal([1, 1, 2]), LinearMap.zero(3), LinearMap.zero(2, 3),
               LinearMap([[0, 1], [1, 0]]), LinearMap([[1, 1], [0, 1]]),
               LinearMap([[1, 0], [0, 1], [0, 0]]), LinearMap([[1, 0, 0], [0, 1, 0]]),
-              LinearMap._make([[4, 0], [0, 2]], 4, 2, 2), LinearMap.diagonal([-1, -1])]
+              LinearMap._make([[(0, 4)], [(1, 2)]], 4, 2, 2), LinearMap.diagonal([-1, -1])]
     for lin in identities + others:
         twin = LinearMap(lin.matrix)  # equal content, another object
         assert _power(lin, 1)[3] is _power(twin, 1)[3] is (lin == LinearMap.identity(lin.src_dim))
     assert all(_power(lin, 1)[3] for lin in identities)
     # twist_gap decides K.beta == alpha.K for every mix of identity twists
     K = LinearMap([[1, 2], [0, 3]])
-    twists = [LinearMap.identity(2), LinearMap._make([[5, 0], [0, 5]], 5, 2, 2),
+    twists = [LinearMap.identity(2), LinearMap._make([[(0, 5)], [(1, 5)]], 5, 2, 2),
               LinearMap([[0, 1], [1, 0]]), LinearMap.diagonal([1, 2]), LinearMap([[1, 1], [0, 1]])]
     verdicts = set()
     for alpha in twists:
         for beta in twists:
-            gap = twist_gap(K._n, alpha, beta)
+            gap = twist_gap(K._cols, alpha, beta)
             assert (gap is None) == (K.compose(beta) == alpha.compose(K)), (alpha, beta)
             verdicts.add(gap is None)
     assert verdicts == {True, False}
@@ -1082,23 +1082,21 @@ def test_random_clause_sets_match_naive_and_the_memo_repeats_them(cold_binds):
     # seeded and bounded: the status, the witness with both sides and
     # tuples_checked of naive enumeration, tensors read again under other
     # maps; then the same objects again, which the memo answers field for
-    # field without binding a plan; and `evaluate` of every side at one
-    # basis tuple, drawn from a generator of its own, gives the naive value
+    # field without binding a plan; `evaluate` of every side at one basis
+    # tuple, drawn from a generator of its own, gives the naive value; and
+    # `check_schema_random` of every clause gives the naive verdict on its
+    # draws (see _assert_evaluate_and_random_match_naive)
     import random
 
     rng, pick = random.Random(27), random.Random(28)
     statuses, seen, pool = set(), {}, {}
-    for _ in range(200):
+    for case in range(200):
         clauses, interp, facts = _random_case(rng, pool)
         want = _naive_check(clauses, interp)
         report = check_clauses(clauses, interp, "random")
         assert _observed(report) == want, (clauses, want)
         assert report.tuples_evaluated <= report.tuples_checked
-        env = {name: Vector.basis(interp.sorts[s], pick.randrange(interp.sorts[s]))
-               for name, s, _ in clauses[0].variables}
-        for side in [side for c in clauses for side in (c.lhs, c.rhs)]:
-            naive, got = _naive_value(side, env, interp), evaluate(side, env, interp)
-            assert got.is_zero() if naive is None else got == naive, (side, env)
+        _assert_evaluate_and_random_match_naive(clauses, interp, want, pick, case)
         cold_binds.clear()
         again = check_clauses(clauses, interp, "random")
         assert not cold_binds, "the second check was not answered from the memo"
@@ -1110,6 +1108,65 @@ def test_random_clause_sets_match_naive_and_the_memo_repeats_them(cold_binds):
     # every kind of case the generator makes came up
     assert all(values == {True, False} for fact, values in seen.items() if fact != "clauses")
     assert seen["clauses"] == {1, 2, 3}
+
+
+def _assert_evaluate_and_random_match_naive(clauses, interp, want, pick, seed,
+                                            homogeneous=True):
+    """`evaluate` of every side at one basis tuple drawn from pick, and
+    `check_schema_random` of every clause on its seeded draws, give the
+    values of plain exact arithmetic; a set of homogeneous clauses that
+    passes naive enumeration passes every random check."""
+    env = {name: Vector.basis(interp.sorts[s], pick.randrange(interp.sorts[s]))
+           for name, s, _ in clauses[0].variables}
+    for side in [side for c in clauses for side in (c.lhs, c.rhs)]:
+        naive, got = _naive_value(side, env, interp), evaluate(side, env, interp)
+        assert got.is_zero() if naive is None else got == naive, (side, env)
+    for c in clauses:
+        report = check_schema_random(c, interp, 2, seed)
+        naive = _naive_random(c, interp, 2, seed)
+        assert (report.status, report.tuples_checked, report.detail) == naive, c
+        assert not homogeneous or want[0] == "fail" or naive[0] == "pass", c
+
+
+def test_random_clause_sets_outside_the_mask_contract_match_naive():
+    # the cases of _random_case with one more variable declared through
+    # variables= that no side reads, at a random place, and, where no
+    # variable is read twice, half of the time a first side that sums trees
+    # over different variables: every root reads some slots but not all, or
+    # a sum's terms read different slots, so the plans are outside the mask
+    # contract and enumerated in full.  Status, witness and tuples_checked
+    # are naive enumeration's, and so are `evaluate` and the random checks
+    import random
+
+    rng, pick = random.Random(29), random.Random(30)
+    statuses, recipes, pool, mixed = set(), set(), {}, 0
+    for case in range(150):
+        clauses, interp, _ = _random_case(rng, pool)
+        variables = list(clauses[0].variables)
+        variables.insert(rng.randint(0, len(variables)), ("xu", rng.choice("AV"), 1))
+        sides = [(c.lhs, c.rhs) for c in clauses]
+        names = [(name, sort) for name, sort, _ in variables if name != "xu"]
+        homogeneous = not (len(names) > 1 and all(mult == 1 for _, _, mult in variables)
+                           and rng.random() < 0.5)
+        if not homogeneous:
+            mixed += 1
+            seen = set()
+            terms = [(w, tree if sort == "A" else tw("K", tree)) for w, (tree, sort) in (
+                (rng.choice(_RANDOM_WEIGHTS), _random_tree(rng, leaves, seen))
+                for leaves in (names, rng.sample(names, rng.randint(1, len(names) - 1))))]
+            sides[0] = (Sum(terms), sides[0][1])
+        clauses = tuple(IdentitySchema(f"u{k}", lhs, rhs, variables=variables)
+                        for k, (lhs, rhs) in enumerate(sides))
+        want = _naive_check(clauses, interp)
+        report = check_clauses(clauses, interp, "unmasked")
+        assert _observed(report) == want, (clauses, want)
+        assert report.tuples_evaluated <= report.tuples_checked
+        _assert_evaluate_and_random_match_naive(clauses, interp, want, pick, case, homogeneous)
+        statuses.add(want[0])
+        for (_, polar), clause_set in clauses[0].plans.items():
+            for entry in clause_set.by_shape.values() if polar else ():
+                recipes.update(all(r is None for r in plan.recipes) for plan in entry.plans)
+    assert statuses == {"pass", "fail"} and True in recipes and mixed > 5
 
 
 # ---------------------------------------------------------------------------
@@ -1864,12 +1921,13 @@ def test_kernels_match_a_dense_reference_on_sparse_data():
                           for _ in range(od)] for _ in range(rd)])
         v = _sparse_ints(rng, od, rng.randint(0, od))
         if od > 1 and rng.random() < 0.3:  # column 1 cancels column 0
-            lin = LinearMap([[r[0], -r[0], *r[2:]] for r in lin._n])
+            lin = LinearMap([[r[0], -r[0], *r[2:]] for r in lin.matrix])
             v = [(0, 3), (1, 3)]
-        dense = [sum(x * lin._n[i][j] for j, x in v) for i in range(rd)]
-        parts = sum(any(r[j] for r in lin._n) for j, _ in v)
+        mat = lin.matrix  # over lin._d == 1
+        dense = [sum(x * mat[i][j] for j, x in v) for i in range(rd)]
+        parts = sum(any(r[j] for r in mat) for j, _ in v)
         got = _twist_kernel(0, 1, 2)([v, _power(lin, 1)[0], rd])
-        assert got == _dense_to_sparse(dense), (lin._n, v)
+        assert lin._d == 1 and got == _dense_to_sparse(dense), (mat, v)
         seen["tw"].add(_paths(parts, got))
 
         children = [_sparse_ints(rng, od, rng.randint(0, od)) for _ in range(3)]
@@ -1949,7 +2007,12 @@ def test_every_tensor_stores_only_its_sparse_rows(seed_catalog, monkeypatch):
                              for j in range(t.right_dim)]
     for m in maps.values():
         cols, _, mask, _ = _power(m, 1)
-        assert cols == [_dense_to_sparse([m._n[i][j] for i in range(m.dst_dim)])
+        assert cols is m._cols and type(cols) is list and len(cols) == m.src_dim
+        for col in cols:
+            ks = [k for k, _ in col]
+            assert type(col) is list and ks == sorted(set(ks)) and all(0 <= k < m.dst_dim for k in ks)
+            assert all(type(x) is int and x for _, x in col)
+        assert cols == [_dense_to_sparse([m.matrix[i][j] * m._d for i in range(m.dst_dim)])
                         for j in range(m.src_dim)]
         assert mask == sum(1 << j for j, col in enumerate(cols) if col)
     # a map into dimension 0 has no rows to zip, yet one empty column per source index

@@ -77,6 +77,33 @@ def test_apply_bilinear_shape_error():
     assert (t.coeff(1, 2, 3), t.coeff(1, 2, 0)) == (5, 0) and t.row(1, 2) == Vector([0, 0, 0, 5])
 
 
+def test_map_indices_out_of_range_are_shape_errors():
+    # a negative index never reads the last row or column, and one past the
+    # end is a ShapeError, not an IndexError or a zero
+    f = LinearMap([[1, 0], [Fraction(1, 2), 3]])
+    for i, j in [(-1, 0), (0, -1), (2, 0), (0, 2), (-1, -1), (-3, 1)]:
+        with pytest.raises(ShapeError):
+            f.entry(i, j)
+    for j in (-1, -2, 2):
+        with pytest.raises(ShapeError):
+            f.column(j)
+    assert [[f.entry(i, j) for j in range(2)] for i in range(2)] == [list(r) for r in f.matrix]
+    assert f.column(0) == Vector([1, Fraction(1, 2)]) and f.column(1) == Vector([0, 3])
+    with pytest.raises(ShapeError):
+        LinearMap.zero(2, 0).entry(0, 0)
+
+
+def test_from_columns_keeps_both_dimensions():
+    # no columns or columns of length 0 still give the stated shape
+    for cols, dst, src in [([[], []], 0, 2), ([], 3, 0), ([], 0, 0), ([[0, 0]], 2, 1)]:
+        f = LinearMap.from_columns(cols, dst)
+        assert (f.dst_dim, f.src_dim) == (dst, src)
+        assert f == LinearMap.zero(src, dst) and hash(f) == hash(LinearMap.zero(src, dst))
+    assert LinearMap.from_columns([[], []], 0) != LinearMap.zero(0)
+    with pytest.raises(ShapeError):
+        LinearMap.from_columns([[1], []], 1)
+
+
 def test_compose_identity_unit():
     f = LinearMap([[1, 2], [3, 4]])
     assert compose(LinearMap.identity(2), f) == f
@@ -275,9 +302,10 @@ def test_push_matches_the_fraction_sum():
             # numerators over t._d * phi._d, not brought to lowest terms
             assert got._d == t._d * phi._d
             tn = [[[x * t._d for x in row] for row in plane] for plane in t.coeffs]
+            pn = [[x * phi._d for x in row] for row in p]
             assert got._rows == [
                 [[(r, s) for r in range(k)
-                  if (s := sum(phi._n[r][m] * tn[i][j][m] for m in range(od)))]
+                  if (s := sum(pn[r][m] * tn[i][j][m] for m in range(od)))]
                  for j in range(rd)] for i in range(ld)]
             assert (got.left_dim, got.right_dim, got.out_dim) == (ld, rd, k)
     with pytest.raises(ShapeError):
@@ -338,14 +366,14 @@ def composed_gap(f, g, h, k):
 
 
 def kernel_gap(f, g, h, k):
-    gap = square_gap(f._n, g._n, h._n, k._n, h._d * k._d, f._d * g._d)
+    gap = square_gap(f._cols, g._cols, h._cols, k._cols, h._d * k._d, f._d * g._d)
     assert (gap is None) == (compose(f, g) == compose(h, k))
     return gap
 
 
 def _unreduced(f, s):
     """f with its numerators and denominator multiplied by s: equal, not reduced."""
-    return LinearMap._make([[x * s for x in row] for row in f._n], f._d * s,
+    return LinearMap._make([[(i, x * s) for i, x in col] for col in f._cols], f._d * s,
                            f.src_dim, f.dst_dim)
 
 
@@ -395,9 +423,10 @@ def test_square_gap_matches_composed_columns():
         assert kernel_gap(f0, g0, h, k) == composed_gap(f0, g0, h, k)
         assert kernel_gap(h, k, f0, g0) == composed_gap(h, k, f0, g0)
     assert kernel_gap(f0, g0, LinearMap.identity(2), LinearMap([[0, 0, 1], [0, 0, 0]])) == 2
-    # the kernel reads numerator rows as lists or tuples alike
+    # the kernel compares columns by value, not by the objects the maps store
     f, g = rand_map(2, 3), rand_map(3, 2)
-    assert square_gap([list(r) for r in f._n], g._n, f._n, [list(r) for r in g._n], 1, 1) is None
+    assert square_gap([list(c) for c in f._cols], g._cols, f._cols, [list(c) for c in g._cols],
+                      1, 1) is None
 
 
 small_ints = st.integers(-2, 2)
@@ -420,9 +449,108 @@ def numerator_squares(draw):
         dens[2:] = dens[:2]
     else:
         h, k = mat(b, d), mat(d, a)
-    return [LinearMap._make(x, den, len(x[0]), len(x)) for x, den in zip((f, g, h, k), dens)]
+    return [LinearMap._make([[(i, r[j]) for i, r in enumerate(x) if r[j]] for j in range(len(x[0]))],
+                            den, len(x[0]), len(x)) for x, den in zip((f, g, h, k), dens)]
 
 
 @given(numerator_squares())
 def test_square_gap_property(maps):
     assert kernel_gap(*maps) == composed_gap(*maps)
+
+
+# ---------------------------------------------------------------------------
+# LinearMap against dense Fraction matrix arithmetic
+
+_MAP_VALUES = [0] * 5 + [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+
+
+@st.composite
+def sparse_maps(draw, dst, src):
+    """A dst x src map of mostly zero entries with denominators, sometimes
+    stored over a reducible denominator (see _unreduced)."""
+    f = LinearMap.from_columns([[draw(st.sampled_from(_MAP_VALUES)) for _ in range(dst)]
+                                for _ in range(src)], dst)
+    return _unreduced(f, draw(st.sampled_from((1, 1, 2, 3))))
+
+
+def _dense(f):
+    """f's matrix as lists of Fractions, dst_dim rows of src_dim entries."""
+    return [[f.entry(i, j) for j in range(f.src_dim)] for i in range(f.dst_dim)]
+
+
+def _mul(a, b, inner, width):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(width)]
+            for row in a]
+
+
+def _assert_columns(f):
+    """f stores one sparse column per source index: a list of (k, int
+    numerator) pairs, k strictly ascending in range, no zero numerator."""
+    assert type(f._cols) is list and len(f._cols) == f.src_dim and f._d > 0
+    for col in f._cols:
+        ks = [k for k, _ in col]
+        assert type(col) is list and ks == sorted(set(ks)) and all(0 <= k < f.dst_dim for k in ks)
+        assert all(type(x) is int and x for _, x in col)
+
+
+@given(st.data())
+def test_linear_map_matches_dense_fraction_arithmetic(data):
+    a, b, c, d = (data.draw(st.integers(0, 3)) for _ in range(4))
+    f, g = data.draw(sparse_maps(a, b)), data.draw(sparse_maps(b, c))
+    f2, g2 = data.draw(sparse_maps(a, d)), data.draw(sparse_maps(d, c))
+    h = data.draw(sparse_maps(b, b))
+    F, G, H, F2, G2 = map(_dense, (f, g, h, f2, g2))
+    for m in (f, g, h):
+        _assert_columns(m)
+        assert m.is_zero() == all(x == 0 for row in _dense(m) for x in row)
+        assert m.matrix == tuple(map(tuple, _dense(m)))
+    # apply
+    v = Vector(data.draw(st.lists(rationals, min_size=b, max_size=b)))
+    assert f.apply(v).coords == tuple(sum((x * y for x, y in zip(row, v.coords)), Fraction(0))
+                                      for row in F)
+    # compose, power, direct_sum and tensor (Kronecker, row-major pairs)
+    products = {f.compose(g): _mul(F, G, b, c)}
+    want = [[Fraction(int(i == j)) for j in range(b)] for i in range(b)]
+    for k in range(4):
+        products[h.power(k)] = want
+        want = _mul(want, H, b, b)
+    products[f.direct_sum(g)] = ([row + [Fraction(0)] * c for row in F]
+                                 + [[Fraction(0)] * b + row for row in G])
+    products[f.tensor(g)] = [[F[i][j] * G[p][q] for j in range(b) for q in range(c)]
+                             for i in range(a) for p in range(b)]
+    for m, dense in products.items():
+        _assert_columns(m)
+        assert _dense(m) == dense
+        assert m.is_zero() == all(x == 0 for row in dense for x in row)
+    # == and hash: equal content is equal whatever its denominator
+    twin = LinearMap.from_columns([[F[i][j] for i in range(a)] for j in range(b)], a)
+    assert twin == f and hash(twin) == hash(f)
+    other = data.draw(sparse_maps(a, b))
+    assert (other == f) == (_dense(other) == F)
+    assert other != f or hash(other) == hash(f)
+    # push and pull of a tensor against the dense sums
+    ld, rd = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    rule = {(i, j): [data.draw(st.sampled_from(_MAP_VALUES)) for _ in range(b)]
+            for i in range(ld) for j in range(rd)}
+    t = StructureTensor.from_rule(ld, rd, b, rule)
+    T = [[[t.coeff(i, j, k) for k in range(b)] for j in range(rd)] for i in range(ld)]
+    pushed = t.push(f)
+    assert (pushed.left_dim, pushed.right_dim, pushed.out_dim) == (ld, rd, a)
+    assert [[[pushed.coeff(i, j, r) for r in range(a)] for j in range(rd)] for i in range(ld)] == [
+        [[sum((F[r][m] * T[i][j][m] for m in range(b)), Fraction(0)) for r in range(a)]
+         for j in range(rd)] for i in range(ld)]
+    s = StructureTensor.from_rule(b, rd, ld, {(p, j): [data.draw(st.sampled_from(_MAP_VALUES))
+                                                      for _ in range(ld)]
+                                              for p in range(b) for j in range(rd)})
+    S = [[[s.coeff(p, j, k) for k in range(ld)] for j in range(rd)] for p in range(b)]
+    pulled = s.pull(g)  # (x, y) -> g(x) * y
+    assert (pulled.left_dim, pulled.right_dim, pulled.out_dim) == (c, rd, ld)
+    assert [[[pulled.coeff(i, j, k) for k in range(ld)] for j in range(rd)] for i in range(c)] == [
+        [[sum((G[p][i] * S[p][j][k] for p in range(b)), Fraction(0)) for k in range(ld)]
+         for j in range(rd)] for i in range(c)]
+    # square_gap: the first column at which f.g and f2.g2 differ, and none
+    # against the same square over other denominators
+    fg, fg2 = _mul(F, G, b, c), _mul(F2, G2, d, c)
+    first = next((j for j in range(c) if [r[j] for r in fg] != [r[j] for r in fg2]), None)
+    assert square_gap(f._cols, g._cols, f2._cols, g2._cols, f2._d * g2._d, f._d * g._d) == first
+    assert square_gap(f._cols, g._cols, twin._cols, g._cols, twin._d * g._d, f._d * g._d) is None

@@ -106,10 +106,12 @@ def flat_endomorphisms(a, grid, mode="full"):
 
 
 def assert_lowest_terms(found):
-    """Each map keeps the numerators and denominator that LinearMap(rows) keeps."""
+    """Each map keeps the numerators and denominator that LinearMap(rows) keeps,
+    and no engine data: `is_morphism` reads a search leaf's columns directly."""
     for f in found:
         want = LinearMap(f.matrix)
-        assert (f._n, f._d) == (want._n, want._d), f.matrix
+        assert (f._cols, f._d) == (want._cols, want._d), f.matrix
+        assert f._powers is None
 
 
 def test_find_endomorphisms_matches_flat_scan(seed_catalog):
@@ -281,13 +283,13 @@ def reference_sample_operator_candidates(rep, grid):
 
 
 def sampled_maps(rep, grid):
-    """The (_n, _d, src, dst) of every map each sampler returns, in order, or
+    """The (_cols, _d, src, dst) of every map each sampler returns, in order, or
     "cap" if its draws ran out; the two must agree."""
     out = []
     for sample in (lambda: [c.map for c in sample_operator_candidates(rep, grid, check=False)],
                    lambda: reference_sample_operator_candidates(rep, grid)):
         try:
-            out.append([(f._n, f._d, f.src_dim, f.dst_dim) for f in sample()])
+            out.append([(f._cols, f._d, f.src_dim, f.dst_dim) for f in sample()])
         except GenerationError:
             out.append("cap")
     got, want = out

@@ -225,7 +225,7 @@ def test_graph_map_matches_the_fraction_construction(seed_catalog, kx2):
     rep = regular(kx2, AssocBimodule)
     cands = [e.value for e in seed_catalog.values() if e.kind == "operator"]
     # an operator stored over a denominator with a common factor (2/4, 6/4)
-    cands.append(OperatorCandidate(rep, LinearMap._make([[2, 0], [6, 0]], 4, 2, 2)))
+    cands.append(OperatorCandidate(rep, LinearMap._make([[(0, 2), (1, 6)], []], 4, 2, 2)))
     cands.append(OperatorCandidate(rep, LinearMap.zero(2)))
     for cand in cands:
         n, m = cand.rep.base.dim, cand.rep.v_dim
@@ -233,8 +233,8 @@ def test_graph_map_matches_the_fraction_construction(seed_catalog, kx2):
             rows = [[0] * n + list(row) for row in cand.map.matrix]
             rows += [[0] * n + [c if k == j else 0 for k in range(m)] for j in range(m)]
             want, got = LinearMap(rows), _graph_map(cand, c)
-            assert (got._n, got._d, got.src_dim, got.dst_dim) == (
-                want._n, want._d, want.src_dim, want.dst_dim)
+            assert (got._cols, got._d, got.src_dim, got.dst_dim) == (
+                want._cols, want._d, want.src_dim, want.dst_dim)
 
 
 def test_admissible_matches_composed_maps():
@@ -250,8 +250,7 @@ def test_admissible_matches_composed_maps():
 
     def identities(n):
         """The identity of dim n, fresh and over a denominator of 3."""
-        return [LinearMap.identity(n), LinearMap._make(
-            [[3 if i == j else 0 for j in range(n)] for i in range(n)], 3, n, n)]
+        return [LinearMap.identity(n), LinearMap._make([[(j, 3)] for j in range(n)], 3, n, n)]
 
     outcomes = set()
     for n, m in ((1, 1), (2, 2), (2, 3), (3, 2), (2, 4)):
@@ -259,7 +258,8 @@ def test_admissible_matches_composed_maps():
             K = rand_map(n, m)
             s = rng.choice((Fraction(1, 2), Fraction(-2, 3), 3))
             alpha, eye = LinearMap.diagonal([s] * n), LinearMap.diagonal([s] * m)
-            beta = LinearMap._make([[3 * x for x in row] for row in eye._n], 3 * eye._d, m, m)
+            beta = LinearMap._make([[(i, 3 * x) for i, x in col] for col in eye._cols],
+                                   3 * eye._d, m, m)
             twists = [(alpha, beta), (rand_map(n, n), beta), (alpha, rand_map(m, m))]
             # every identity / non-identity combination of the two twists
             twists += [(a, b) for a in identities(n) for b in identities(m)]

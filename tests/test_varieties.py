@@ -307,7 +307,7 @@ def scalar_twist(a, s, scale=1):
     """a with the twist s * id, its numerators and denominator multiplied by
     scale: the same map over a larger denominator."""
     eye = LinearMap.diagonal([s] * a.dim)
-    alpha = LinearMap._make([[x * scale for x in row] for row in eye._n], eye._d * scale,
+    alpha = LinearMap._make([[(i, x * scale) for i, x in col] for col in eye._cols], eye._d * scale,
                             a.dim, a.dim)
     return AlgebraInstance(f"{a.name}-scaled", a.dim, a.products, {"alpha": alpha})
 
