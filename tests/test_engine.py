@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from homalg.engine import (
+    CheckReport,
     IdentitySchema,
     Interpretation,
     SemanticError,
@@ -102,6 +103,170 @@ def test_a_check_validates_the_symbols_it_reads():
     with pytest.raises(SemanticError, match="left slot expects"):
         check_schema(schema, Interpretation({"A": 2, "B": 3}, {"mul": (wrong, ("B", "A", "A"))},
                                             ok.maps))
+
+
+def _front_end_cases():
+    """(label, call) per ill-formed input: a schema build, a check or an
+    evaluation, each over the interpretation `front` below or a variant."""
+    x, y, u, xb, yb = var("x"), var("y"), var("u", "V"), var("x", "B"), var("y", "B")
+    front = Interpretation(
+        {"A": 2, "B": 3, "V": 3},
+        {"mul": (KX2, ("A", "A", "A")), "l": (StructureTensor.zero(2, 3, 3), ("A", "V", "V"))},
+        {"alpha": (LinearMap.identity(2), ("A", "A")),
+         "f": (LinearMap([[1, 0], [0, 1], [1, 1]]), ("A", "B")),
+         "beta": (LinearMap.identity(3), ("V", "V"))})
+
+    def variant(ops=None, maps=None):
+        return Interpretation(front.sorts, front.ops | (ops or {}), front.maps | (maps or {}))
+
+    zero_mul = variant(ops={"mul": (StructureTensor.zero(2), ("A", "A", "A"))})
+    wide_mul = variant(ops={"mul": (StructureTensor.zero(3), ("A", "A", "A"))})
+    wide_alpha = variant(maps={"alpha": (LinearMap([[1, 0, 0], [0, 1, 0]]), ("A", "A"))})
+    with_w, xu = [("x", "A", 1), ("w", "C", 1)], [("x", "A", 1), ("u", "V", 1)]
+
+    def schema(lhs, rhs, variables=None):
+        return lambda: IdentitySchema("s", lhs, rhs, variables=variables)
+
+    def check(lhs, rhs, interp=front, variables=None):
+        return lambda: check_schema(IdentitySchema("s", lhs, rhs, variables=variables), interp)
+
+    env = {"x": Vector([1, 2]), "y": Vector([Fraction(1, 2), 3]), "u": Vector([1, 0, 2])}
+
+    def value(expr, names="xyu"):
+        return lambda: evaluate(expr, {n: env[n] for n in names}, front)
+
+    return [
+        # IdentitySchema: a sort clash before an inhomogeneous sum, both before
+        # "not homogeneous in variable"
+        ("schema: sort clash", schema(op("mul", x, xb), x)),
+        ("schema: clash on the rhs after an inhomogeneous lhs",
+         schema(op("mul", x, y) + x, yb)),
+        ("schema: inhomogeneous sum", schema(op("mul", x, y) + x, ZERO)),
+        ("schema: inhomogeneous sum before an uneven variable",
+         schema(op("mul", x, y) + y, op("mul", x, x))),
+        ("schema: uneven variable", schema(op("mul", x, x), x)),
+        ("schema: explicit variables raise none of the three",
+         lambda: IdentitySchema("s", op("mul", x, xb) + x, ZERO,
+                                variables=[("x", "A", 1)]).variables),
+        # check_schema: sorts, in the order a tree is read, before dimensions
+        ("check: explicit variables meet the sort clash as a slot fault",
+         check(op("mul", x, xb) + x, ZERO, variables=[("x", "A", 1)])),
+        ("check: unbound map", check(tw("nomap", x), x)),
+        ("check: a twist reads its child first", check(tw("nomap", op("noop", x, y)),
+                                                        op("mul", x, y))),
+        ("check: cross-sort iteration", check(tw("f", x, 2), tw("f", x, 2))),
+        ("check: iteration before the source sort", check(tw("f", u, 2), tw("f", u, 2))),
+        ("check: source sort", check(tw("f", u), tw("f", u))),
+        ("check: unbound op", check(op("noop", x, y), op("mul", x, y))),
+        ("check: an op's binding before its factors",
+         check(op("noop", tw("nomap", x), y), op("mul", x, y))),
+        ("check: both factors before either slot", check(op("mul", u, tw("nomap", x)),
+                                                         op("mul", x, u))),
+        ("check: left slot before right slot", check(op("mul", u, u), op("mul", u, u))),
+        ("check: right slot", check(op("mul", x, u), op("mul", x, u))),
+        ("check: sum mixes sorts", check(tw("f", x) + x, tw("f", x))),
+        ("check: sides have different sorts", check(tw("f", x), x)),
+        ("check: a zero term's sort counts in a sum",
+         check(op("l", x, u) + tw("f", x), ZERO, variables=xu)),
+        ("check: a zero side's sort counts", check(op("l", x, u), tw("f", x), variables=xu)),
+        ("check: a sort fault before a sort with no dimension",
+         check(tw("f", x), x, variables=with_w)),
+        ("check: sort with no dimension", check(x, x, variables=with_w)),
+        ("check: a sort fault before the dimensions", check(op("mul", x, u), op("mul", x, u),
+                                                            wide_mul)),
+        ("check: tensor dimensions", check(op("mul", x, y), op("mul", y, x), wide_mul)),
+        ("check: a non-square twist iterated", check(tw("alpha", x, 2), x, wide_alpha)),
+        ("check: a non-square twist nested", check(tw("alpha", tw("alpha", x)), x, wide_alpha)),
+        ("check: a sort fault after a non-square twist nested",
+         check(tw("alpha", tw("alpha", x)), tw("f", x), wide_alpha)),
+        ("check: an unbound map under a product over a zero tensor",
+         check(op("mul", tw("nomap", x), y), op("mul", x, y), zero_mul)),
+        ("check: a zero side keeps its sort", check(op("l", x, u), tw("beta", u))),
+        # evaluate: sort clashes, no homogeneity
+        ("evaluate: sort clash", value(op("mul", x, xb))),
+        ("evaluate: an inhomogeneous sum", value(op("mul", x, y) + x)),
+        ("evaluate: sum mixes sorts", value(tw("f", x) + x)),
+        ("evaluate: right slot", value(op("mul", x, u))),
+        ("evaluate: unbound variable", value(op("mul", x, y), names="xu")),
+        ("evaluate: a zero value keeps its sort", value(op("l", x, u))),
+        ("evaluate: the zero sum", value(ZERO)),
+    ]
+
+
+def _front_end_outcome(call):
+    """What a call raised, as (type, message), or what it gave."""
+    try:
+        got = call()
+    except Exception as exc:  # the table records whatever is raised
+        return type(exc).__name__, str(exc)
+    if isinstance(got, Vector):
+        return "value", tuple(map(str, got.coords))
+    if isinstance(got, CheckReport):
+        w = got.witness
+        return (got.status, w.indices, tuple(map(str, w.lhs_value.coords)),
+                tuple(map(str, w.rhs_value.coords)))
+    return "ok", got
+
+
+_FRONT_END = {
+    "schema: sort clash": ("SemanticError", "variable x used with two sorts"),
+    "schema: clash on the rhs after an inhomogeneous lhs":
+        ("SemanticError", "variable y used with two sorts"),
+    "schema: inhomogeneous sum":
+        ("SemanticError", "sum terms are not homogeneous in the same variables"),
+    "schema: inhomogeneous sum before an uneven variable":
+        ("SemanticError", "sum terms are not homogeneous in the same variables"),
+    "schema: uneven variable": ("SemanticError", "schema 's' is not homogeneous in variable 'x'"),
+    "schema: explicit variables raise none of the three": ("ok", (("x", "A", 1),)),
+    "check: explicit variables meet the sort clash as a slot fault":
+        ("SemanticError", "s: op 'mul' right slot expects 'A', got 'B'"),
+    "check: unbound map": ("SemanticError", "s: unbound map symbol 'nomap'"),
+    "check: a twist reads its child first": ("SemanticError", "s: unbound op symbol 'noop'"),
+    "check: cross-sort iteration": ("SemanticError", "s: cannot iterate map 'f' across sorts"),
+    "check: iteration before the source sort":
+        ("SemanticError", "s: cannot iterate map 'f' across sorts"),
+    "check: source sort": ("SemanticError", "s: map 'f' applied to sort 'V'"),
+    "check: unbound op": ("SemanticError", "s: unbound op symbol 'noop'"),
+    "check: an op's binding before its factors": ("SemanticError", "s: unbound op symbol 'noop'"),
+    "check: both factors before either slot": ("SemanticError", "s: unbound map symbol 'nomap'"),
+    "check: left slot before right slot":
+        ("SemanticError", "s: op 'mul' left slot expects 'A', got 'V'"),
+    "check: right slot": ("SemanticError", "s: op 'mul' right slot expects 'A', got 'V'"),
+    "check: sum mixes sorts": ("SemanticError", "s: sum mixes sorts"),
+    "check: sides have different sorts": ("SemanticError", "s: sides have different sorts"),
+    "check: a zero term's sort counts in a sum": ("SemanticError", "s: sum mixes sorts"),
+    "check: a zero side's sort counts": ("SemanticError", "s: sides have different sorts"),
+    "check: a sort fault before a sort with no dimension":
+        ("SemanticError", "s: sides have different sorts"),
+    "check: sort with no dimension": ("SemanticError", "s: sort 'C' has no dimension binding"),
+    "check: a sort fault before the dimensions":
+        ("SemanticError", "s: op 'mul' right slot expects 'A', got 'V'"),
+    "check: tensor dimensions":
+        ("ShapeError", "op 'mul': tensor dims (3, 3, 3) != sort dims (2, 2, 2)"),
+    "check: a non-square twist iterated":
+        ("ShapeError", "map 'alpha': matrix dims disagree with sorts"),
+    "check: a non-square twist nested":
+        ("ShapeError", "map 'alpha': matrix dims disagree with sorts"),
+    "check: a sort fault after a non-square twist nested":
+        ("SemanticError", "s: sides have different sorts"),
+    "check: an unbound map under a product over a zero tensor":
+        ("SemanticError", "s: unbound map symbol 'nomap'"),
+    "check: a zero side keeps its sort": ("fail", (0, 0), ("0", "0", "0"), ("1", "0", "0")),
+    "evaluate: sort clash": ("SemanticError", "variable x used with two sorts"),
+    "evaluate: an inhomogeneous sum": ("value", ("3/2", "6")),
+    "evaluate: sum mixes sorts": ("SemanticError", "sum mixes sorts"),
+    "evaluate: right slot": ("SemanticError", "op 'mul' right slot expects 'A', got 'V'"),
+    "evaluate: unbound variable": ("SemanticError", "unbound variable 'y'"),
+    "evaluate: a zero value keeps its sort": ("value", ("0", "0", "0")),
+    "evaluate: the zero sum": ("value", ()),
+}
+
+
+def test_the_front_end_raises_what_it_raised():
+    # each ill-formed input meets the same error, in the same order, however
+    # the walks over its trees are arranged
+    got = {label: _front_end_outcome(call) for label, call in _front_end_cases()}
+    assert got == _FRONT_END
 
 
 # ---------------------------------------------------------------------------
