@@ -13,6 +13,13 @@ as a bare basis vector rather than in sums such as x__1 + x__3, so the
 kernels take their one-entry paths and the clauses meet the support-mask
 contract below.
 
+The front end reads each tree in one walk per phase.  Without data, one
+walk (`_scan`) gives each variable's sort and occurrence count and the op
+and map symbols read: a schema's variables, a clause set's symbols and the
+sorts `evaluate` binds all come from it.  Against an interpretation, the
+DAG checks sorts as it interns each subterm, children first, and gives the
+plan the sort of every node and side (see `_Dag.add`).
+
 Evaluation is compiled once and bound per call.  `check_clauses` compiles
 the sides of several schemas over one variable list into one hash-consed
 DAG, so equal subterms (such as those shared by the polarized terms of
@@ -33,11 +40,11 @@ the memo key and the guards) and the check of their dimensions; symbols
 the clauses do not read are not validated.  It fills the slots with the
 sparse rows each op's tensor stores and the sparse columns of each twist
 power (see `exact`; the engine converts neither, and a power above 1 is
-the columns of its composite), and the dimension of each sort, and takes the node denominators (and the sums' terms scaled
-to them) that the plan keeps for the last denominators it was bound with,
-rebuilding them only when the data's or the variables' denominators
-differ.  The sides
-compare as l * Dr == r * Dl.  A kernel skips zero work: with no nonzero
+the columns of its composite), and the dimension of each sort, and takes
+the node denominators (and the sums' terms scaled to them) that the plan
+keeps for the last denominators it was bound with, rebuilding them only
+when the data's or the variables' denominators differ.  The sides compare
+as l * Dr == r * Dl.  A kernel skips zero work: with no nonzero
 contribution it returns [], with one the scaled row, column or term, and
 only with two or more does it sum into a dense list.  Tuples are enumerated
 lexicographically and a node is re-evaluated only when a slot it depends on
@@ -253,44 +260,38 @@ def rewrite(expr: Expr, vars=None, maps=None, ops=None) -> Expr:
     return copy(expr)
 
 
-def _occurrences(expr: Expr) -> dict:
-    """Occurrence counts per variable; Sum branches must agree (homogeneity)."""
-    if isinstance(expr, Var):
-        return {expr.name: 1}
-    if isinstance(expr, TwistApp):
-        return _occurrences(expr.child)
-    if isinstance(expr, OpApp):
-        left = _occurrences(expr.left)
-        right = _occurrences(expr.right)
-        for k, n in right.items():
-            left[k] = left.get(k, 0) + n
-        return left
-    if isinstance(expr, Sum):
-        counts = [_occurrences(e) for _, e in expr.terms]
-        if not counts:
-            return {}
-        first = counts[0]
-        for c in counts[1:]:
-            if c != first:
-                raise SemanticError("sum terms are not homogeneous in the same variables")
-        return dict(first)
-    raise TypeError(expr)
+def _scan(exprs):
+    """The walk over expression trees that reads no data, one pass over each:
+    (sorts, counts, clashes, ops, maps).  `sorts` gives each variable's sort
+    and `ops` and `maps` the op and map symbols read, each in order of first
+    appearance; `counts` holds per tree the occurrences of each variable, or
+    None when the terms of some sum differ in them; `clashes` lists the
+    variables met with a second sort, in the order met."""
+    sorts, ops, maps, clashes = {}, {}, {}, []
 
+    def walk(e):
+        if isinstance(e, Var):
+            if sorts.setdefault(e.name, e.sort) != e.sort:
+                clashes.append(e.name)
+            return {e.name: 1}
+        if isinstance(e, TwistApp):
+            maps[e.map_symbol] = None
+            return walk(e.child)
+        if isinstance(e, OpApp):
+            ops[e.op_symbol] = None
+            left, right = walk(e.left), walk(e.right)
+            if left is None or right is None:
+                return None
+            for k, n in right.items():
+                left[k] = left.get(k, 0) + n
+            return left
+        if isinstance(e, Sum):
+            counts = [walk(t) for _, t in e.terms] or [{}]
+            return counts[0] if all(c == counts[0] for c in counts) else None
+        raise TypeError(e)
 
-def _collect_sorts(expr: Expr, sorts: dict) -> None:
-    if isinstance(expr, Var):
-        prev = sorts.get(expr.name)
-        if prev is not None and prev != expr.sort:
-            raise SemanticError(f"variable {expr.name} used with two sorts")
-        sorts[expr.name] = expr.sort
-    elif isinstance(expr, TwistApp):
-        _collect_sorts(expr.child, sorts)
-    elif isinstance(expr, OpApp):
-        _collect_sorts(expr.left, sorts)
-        _collect_sorts(expr.right, sorts)
-    elif isinstance(expr, Sum):
-        for _, e in expr.terms:
-            _collect_sorts(e, sorts)
+    counts = [walk(e) for e in exprs]
+    return sorts, counts, clashes, ops, maps
 
 
 class IdentitySchema:
@@ -323,20 +324,20 @@ class IdentitySchema:
         if variables is not None:
             self.variables = tuple(variables)
             return
-        sorts: dict = {}
-        _collect_sorts(lhs, sorts)
-        _collect_sorts(rhs, sorts)
-        locc = _occurrences(lhs)
-        rocc = _occurrences(rhs)
+        sorts, (locc, rocc), clashes, _, _ = _scan((lhs, rhs))
+        if clashes:
+            raise SemanticError(f"variable {clashes[0]} used with two sorts")
+        if locc is None or rocc is None:
+            raise SemanticError("sum terms are not homogeneous in the same variables")
         out = []
-        for vname in sorts:
+        for vname, sort in sorts.items():
             lo, ro = locc.get(vname, 0), rocc.get(vname, 0)
             mult = max(lo, ro)
             if lo not in (0, mult) or ro not in (0, mult):
                 raise SemanticError(
                     f"schema {name!r} is not homogeneous in variable {vname!r}"
                 )
-            out.append((vname, sorts[vname], mult))
+            out.append((vname, sort, mult))
         self.variables = tuple(out)
 
     def is_multilinear(self) -> bool:
@@ -492,43 +493,6 @@ class CheckReport(Record):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-
-def _check_sorts(expr, interp: Interpretation):
-    """Validate well-sortedness; returns the expression's sort (None for 0)."""
-    if isinstance(expr, Var):
-        return expr.sort
-    if isinstance(expr, TwistApp):
-        child = _check_sorts(expr.child, interp)
-        if expr.map_symbol not in interp.maps:
-            raise SemanticError(f"unbound map symbol {expr.map_symbol!r}")
-        src, dst = interp.maps[expr.map_symbol][1]
-        if src != dst and expr.power > 1:
-            raise SemanticError(f"cannot iterate map {expr.map_symbol!r} across sorts")
-        if child is not None and child != src:
-            raise SemanticError(f"map {expr.map_symbol!r} applied to sort {child!r}")
-        return dst
-    if isinstance(expr, OpApp):
-        if expr.op_symbol not in interp.ops:
-            raise SemanticError(f"unbound op symbol {expr.op_symbol!r}")
-        ls, rs, os_ = interp.ops[expr.op_symbol][1]
-        lsort = _check_sorts(expr.left, interp)
-        rsort = _check_sorts(expr.right, interp)
-        if lsort is not None and lsort != ls:
-            raise SemanticError(f"op {expr.op_symbol!r} left slot expects {ls!r}, got {lsort!r}")
-        if rsort is not None and rsort != rs:
-            raise SemanticError(f"op {expr.op_symbol!r} right slot expects {rs!r}, got {rsort!r}")
-        return os_
-    if isinstance(expr, Sum):
-        sorts = {s for s in (_check_sorts(e, interp) for _, e in expr.terms) if s is not None}
-        if len(sorts) > 1:
-            raise SemanticError("sum mixes sorts")
-        return sorts.pop() if sorts else None
-    raise TypeError(expr)
-
-
-# ---------------------------------------------------------------------------
 # compilation
 #
 # A compiled value is sparse: a list of (basis index, integer numerator)
@@ -563,20 +527,6 @@ def _children(key):
     if kind == "sum":
         return tuple(c for _, c in key[1])
     return ()
-
-
-def _symbols(expr, ops: dict, maps: dict) -> None:
-    """Record the op and map symbols an expression reads, in order of appearance."""
-    if isinstance(expr, TwistApp):
-        maps[expr.map_symbol] = None
-        _symbols(expr.child, ops, maps)
-    elif isinstance(expr, OpApp):
-        ops[expr.op_symbol] = None
-        _symbols(expr.left, ops, maps)
-        _symbols(expr.right, ops, maps)
-    elif isinstance(expr, Sum):
-        for _, e in expr.terms:
-            _symbols(e, ops, maps)
 
 
 def _sparse(dense):
@@ -727,53 +677,82 @@ def twist_gap(kc, alpha: LinearMap, beta: LinearMap):
 
 
 class _Dag:
-    """Hash-consed expression DAG, simplified against one interpretation.
+    """Hash-consed expression DAG, sort-checked and simplified against one
+    interpretation.
 
     A node is ("var", name), ("tw", symbol, power, child), ("op", symbol,
     left, right) or ("sum", ((weight, child), ...)); its id is its position
-    in `nodes`, so children precede parents.  Sums are flattened with like
-    terms merged, zero weights dropped and terms in child order; nested
-    twists by one map merge their powers, and a twist whose power is the
-    identity map disappears; a product with a zero factor or a zero tensor
-    is zero.  Equal subterms therefore become one node.  `twists` and `zeros`
-    record every identity and zero flag the simplification read.
+    in `nodes`, so children precede parents, and `sorts` gives its sort (a
+    variable's as first met, None for the zero node).  Sums are flattened
+    with like terms merged, zero weights dropped and terms in child order;
+    nested twists by one map merge their powers, and a twist whose power is
+    the identity map disappears; a product with a zero factor or a zero
+    tensor is zero.  Equal subterms therefore become one node.  `twists` and
+    `zeros` record every identity and zero flag the simplification read.
     """
 
     def __init__(self, interp: Interpretation):
         self.interp = interp
-        self.nodes = []
+        self.nodes, self.sorts = [], []
         self._ids = {}
         self._seen = {}
         self.twists = {}
         self.zeros = {}
-        self.zero = self._intern(("sum", ()))
+        self.zero = self._intern(("sum", ()), None)
 
-    def _intern(self, key) -> int:
+    def _intern(self, key, sort) -> int:
         nid = self._ids.get(key)
         if nid is None:
             nid = self._ids[key] = len(self.nodes)
             self.nodes.append(key)
+            self.sorts.append(sort)
         return nid
 
-    def add(self, expr) -> int:
-        """Node id of an expression; the caller keeps the expression alive."""
-        nid = self._seen.get(id(expr))
-        if nid is not None:
-            return nid
+    def add(self, expr):
+        """(node id, sort) of an expression, its sorts checked as it is
+        interned, children first; the sort is the expression's before
+        simplification, None for a sum of no sort.  The caller keeps the
+        expression alive."""
+        got = self._seen.get(id(expr))
+        if got is not None:
+            return got
         if isinstance(expr, Var):
-            nid = self._intern(("var", expr.name))
+            got = self._intern(("var", expr.name), expr.sort), expr.sort
         elif isinstance(expr, TwistApp):
-            nid = self._twist(expr.map_symbol, expr.power, self.add(expr.child))
+            child, sort = self.add(expr.child)
+            symbol = expr.map_symbol
+            if symbol not in self.interp.maps:
+                raise SemanticError(f"unbound map symbol {symbol!r}")
+            src, dst = self.interp.maps[symbol][1]
+            if src != dst and expr.power > 1:
+                raise SemanticError(f"cannot iterate map {symbol!r} across sorts")
+            if sort is not None and sort != src:
+                raise SemanticError(f"map {symbol!r} applied to sort {sort!r}")
+            got = self._twist(symbol, expr.power, child, dst), dst
         elif isinstance(expr, OpApp):
-            nid = self._op(expr.op_symbol, self.add(expr.left), self.add(expr.right))
+            symbol = expr.op_symbol
+            if symbol not in self.interp.ops:
+                raise SemanticError(f"unbound op symbol {symbol!r}")
+            ls, rs, sort = self.interp.ops[symbol][1]
+            (left, lsort), (right, rsort) = self.add(expr.left), self.add(expr.right)
+            if lsort is not None and lsort != ls:
+                raise SemanticError(f"op {symbol!r} left slot expects {ls!r}, got {lsort!r}")
+            if rsort is not None and rsort != rs:
+                raise SemanticError(f"op {symbol!r} right slot expects {rs!r}, got {rsort!r}")
+            got = self._op(symbol, left, right, sort), sort
         elif isinstance(expr, Sum):
-            nid = self._sum([(w, self.add(e)) for w, e in expr.terms])
+            terms = [(w, *self.add(e)) for w, e in expr.terms]
+            sorts = {s for _, _, s in terms if s is not None}
+            if len(sorts) > 1:
+                raise SemanticError("sum mixes sorts")
+            sort = sorts.pop() if sorts else None
+            got = self._sum([(w, c) for w, c, _ in terms], sort), sort
         else:
             raise TypeError(expr)
-        self._seen[id(expr)] = nid
-        return nid
+        self._seen[id(expr)] = got
+        return got
 
-    def _twist(self, symbol, power, child) -> int:
+    def _twist(self, symbol, power, child, sort) -> int:
         key = self.nodes[child]
         if key[0] == "tw" and key[1] == symbol:
             power, child = power + key[2], key[3]
@@ -782,18 +761,20 @@ class _Dag:
         identity = self.twists.get((symbol, power))
         if identity is None:  # symbol^power is the identity map of one sort
             lin, (src, dst) = self.interp.maps[symbol]
-            identity = self.twists[symbol, power] = src == dst and _power(lin, power)[3]
-        return child if identity else self._intern(("tw", symbol, power, child))
+            # a map whose dimensions disagree with its sorts fails validate after the build
+            identity = self.twists[symbol, power] = (
+                src == dst and lin.src_dim == lin.dst_dim and _power(lin, power)[3])
+        return child if identity else self._intern(("tw", symbol, power, child), sort)
 
-    def _op(self, symbol, left, right) -> int:
+    def _op(self, symbol, left, right, sort) -> int:
         zero = self.zeros.get(symbol)
         if zero is None:
             zero = self.zeros[symbol] = not any(_tensor(self.interp.ops[symbol][0])[0])
         if zero or left == self.zero or right == self.zero:
             return self.zero
-        return self._intern(("op", symbol, left, right))
+        return self._intern(("op", symbol, left, right), sort)
 
-    def _sum(self, terms) -> int:
+    def _sum(self, terms, sort) -> int:
         acc = {}
         for w, child in terms:
             key = self.nodes[child]
@@ -802,7 +783,7 @@ class _Dag:
         flat = tuple((w, c) for c, w in sorted(acc.items()) if w)
         if len(flat) == 1 and flat[0][0] == 1:
             return flat[0][1]
-        return self._intern(("sum", flat))
+        return self._intern(("sum", flat), sort)
 
 
 def _combine(parts, dim):
@@ -904,10 +885,7 @@ class _ClauseSet:
                 runs[lower[p]] += runs[p]
         self.tails = [tuple((q, runs[q], lower[q]) for q in range(p + 1, len(lower))
                             if lower[q] <= p) for p in range(len(lower))]
-        ops, maps = {}, {}
-        for c in self.clauses:
-            _symbols(c.lhs, ops, maps)
-            _symbols(c.rhs, ops, maps)
+        _, _, _, ops, maps = _scan([e for c in self.clauses for e in (c.lhs, c.rhs)])
         self.ops, self.maps = tuple(ops), tuple(maps)
         self.by_shape = {}
 
@@ -987,23 +965,25 @@ class _Shape:
 
 
 # one slot's support recipe (see _Plan._support_recipe)
-_Recipe = namedtuple("_Recipe", "fixed steps folds fixed_roots mask_roots data width")
+_Recipe = namedtuple("_Recipe", "fixed steps folds mask_roots data width")
 
 
 class _Plan:
     """One clause tuple compiled for one interpretation shape, without its data.
 
     `nodes` are the DAG's keys and `order` the live ones, children first;
-    `sorts` gives each node's sort, so the plan serves every dimension.
-    Roots are lhs, rhs of each clause in turn, and `out_sorts` their sorts
-    (None when both sides are zero).  Every live node but a variable has one
-    kernel, built with the plan.  A kernel reads its children's values from
-    the value list by node id and its data from slots after the nodes
-    (`width` entries in all): one per op symbol (`op_slots`, its tensor's
-    sparse rows), twist power (`map_slots`, its columns), sort (`dim_slots`,
-    its dimension) and sum (`sum_slots`, its scaled terms), which bind fills per
-    check; an op or twist slot names its symbol's place among the objects
-    of `_ClauseSet.read`.  `levels` holds, per slot p (and first for no
+    `sorts` gives each node's sort (the DAG's, a variable's as declared), so
+    the plan serves every dimension.  Roots are lhs, rhs of each clause in
+    turn, and `out_sorts` their sorts as `_Dag.add` gives them, so a side
+    simplified to zero keeps its own (None when neither side has one).
+    Every live node but a variable has one kernel, built with the plan.  A
+    kernel reads its children's values from the value list by node id and
+    its data from slots after the nodes (`width` entries in all): one per op
+    symbol (`op_slots`, its tensor's sparse rows), twist power (`map_slots`,
+    its columns), sort (`dim_slots`, its dimension) and sum (`sum_slots`,
+    its scaled terms), which bind fills per check; an op or twist slot
+    names its symbol's place among the objects of `_ClauseSet.read`.
+    `levels` holds, per slot p (and first for no
     slot), the (node, kernel, table key, table) steps to run once slots
     0..p are set, children first: a node is evaluated at the level of its
     last free slot, and one whose free slots are not all of 0..level gets a
@@ -1030,12 +1010,13 @@ class _Plan:
 
     def __init__(self, clause_set: _ClauseSet, interp: Interpretation, polar: bool):
         self.clause_set = clause_set
-        self.out_sorts = []
+        dag = _Dag(interp)
+        self.roots, self.out_sorts = [], []
         for schema in clause_set.clauses:
-            lsort = _check_sorts(schema.lhs, interp)
-            rsort = _check_sorts(schema.rhs, interp)
+            (lhs, lsort), (rhs, rsort) = dag.add(schema.lhs), dag.add(schema.rhs)
             if lsort is not None and rsort is not None and lsort != rsort:
                 raise SemanticError("sides have different sorts")
+            self.roots += lhs, rhs
             self.out_sorts.append(lsort if lsort is not None else rsort)
         var_sorts = {}
         for name, sort, _ in clause_set.variables:
@@ -1044,8 +1025,6 @@ class _Plan:
             var_sorts[name] = sort
         if clause_set.read(interp) is None:  # a symbol read has the wrong dimensions
             interp.validate()
-        dag = _Dag(interp)
-        self.roots = [dag.add(e) for s in clause_set.clauses for e in (s.lhs, s.rhs)]
         self.nodes = nodes = dag.nodes
         place = {symbol: k for k, symbol in enumerate(clause_set.ops + clause_set.maps)}
         self.twists = tuple((place[symbol], power, flag)  # a map across sorts is no identity
@@ -1060,7 +1039,7 @@ class _Plan:
                 for c in _children(nodes[nid]):
                     live[c] = True
         self.order = [nid for nid in range(len(nodes)) if live[nid]]
-        self.sorts = sorts = [None] * len(nodes)
+        self.sorts = sorts = dag.sorts
         self.var_nodes = {}
         slot_of = {name: p for p, name in enumerate(var_sorts)}
         free = [0] * len(nodes)
@@ -1082,13 +1061,10 @@ class _Plan:
                 free[nid] = 1 << slot_of[key[1]]
                 continue
             if kind == "tw":
-                sorts[nid] = interp.maps[key[1]][1][1]
                 kernel = _twist_kernel(key[3], slot(key[:3]), slot(("dim", sorts[nid])))
             elif kind == "op":
-                sorts[nid] = interp.ops[key[1]][1][2]
                 kernel = _op_kernel(key[2], key[3], slot(key[:2]), slot(("dim", sorts[nid])))
             elif key[1]:
-                sorts[nid] = sorts[key[1][0][1]]
                 kernel = _sum_kernel(slot(("sum", nid)), slot(("dim", sorts[nid])))
             else:
                 kernel = _zero_kernel
@@ -1209,10 +1185,8 @@ class _Plan:
         zero node.  `width` is the number of mask slots.  `fixed` are the
         steps of the fixed nodes, which run once per check, and `steps` the
         others, which run per prefix; the contract leaves no per-prefix step
-        that reads a fixed stand-in unfolded.  `fixed_roots` are the mask
-        roots among the fixed nodes, which may put every index in the mask
-        for the whole check (see bind_support).  `data` lists the slots of
-        the tables to fetch.
+        that reads a fixed stand-in unfolded.  `data` lists the slots of the
+        tables to fetch.
         """
         bit, later = 1 << p, -2 << p
         early = bit - 1
@@ -1314,8 +1288,7 @@ class _Plan:
                 emit(n, "vconst", None, None, ("unit", sorts[n]))
         steps.reverse()
         return _Recipe(tuple(s for f, s in steps if f), tuple(s for f, s in steps if not f),
-                       tuple(folds), tuple(m for r, m in zip(roots, mask_roots) if r in fixed),
-                       tuple(mask_roots), tuple(fetch), len(nodes) + len(extra))
+                       tuple(folds), tuple(mask_roots), tuple(fetch), len(nodes) + len(extra))
 
     def holds(self, objects: list) -> bool:
         """Whether every guard holds for the objects of `_ClauseSet.read`."""
@@ -1397,19 +1370,17 @@ class _Plan:
         the table its per-prefix step reads, the fixed operand folded in:
         "gather" gets J, "vfold" the union of its P (or Q) rows over c's
         support, a vector to spread through n's, and "wfold", per index of
-        c, the coordinates that meet w's reach.  When a fixed root's mask
-        already covers every index, slot p's mask is -1 for the whole check.
-        `standins` keeps one stand-in list per reach, for the check.
+        c, the coordinates that meet w's reach.  A root that reads no
+        earlier slot is fixed, and the mask contract lets a root read all
+        slots or none, so a fixed root comes only at slot 0 of a
+        one-variable plan, where this runs once per check and every step is
+        fixed.  `standins` keeps one stand-in list per reach, for the check.
         """
-        once, steps, folds, fixed_roots, mask_roots, data, width = self.recipes[p]
+        once, steps, folds, mask_roots, data, width = self.recipes[p]
         _tables(data, tables, self.table_keys, interp)
         masks = [-1] * width  # a variable's own mask stays -1
         vecs = [None] * len(self.nodes)
         _masks(once, tables, masks, vecs, (), cur, standins)
-        if fixed_roots:
-            every = (1 << interp.sorts[self.clause_set.variables[p][1]]) - 1
-            if any(masks[r] & every == every for r in fixed_roots):
-                return lambda: -1
         for t, kind, a, src in folds:
             data = tables[src]
             if kind == "gather":  # J, from the fixed c
@@ -1617,8 +1588,9 @@ def _equal(cur, dens, left, right) -> bool:
 
 def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
     """Evaluate an expression with variables bound to concrete Vectors."""
-    sorts: dict = {}
-    _collect_sorts(expr, sorts)
+    sorts, _, clashes, _, _ = _scan((expr,))
+    if clashes:
+        raise SemanticError(f"variable {clashes[0]} used with two sorts")
     for name, s in sorts.items():
         if name not in env:
             raise SemanticError(f"unbound variable {name!r}")

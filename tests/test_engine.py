@@ -1526,7 +1526,7 @@ def test_no_shipped_clause_has_a_side_that_skips_a_variable():
     # a side that reads a later slot but not the slot before the last costs
     # that slot its support recipe (see the later-side schema below); every
     # shipped side reads every variable or none
-    from homalg.engine import _collect_sorts
+    from homalg.engine import _scan
 
     sets = _shipped_clause_sets()
     assert len(sets) == 122
@@ -1534,8 +1534,7 @@ def test_no_shipped_clause_has_a_side_that_skips_a_variable():
         for clause in map(polarize, clauses):
             names = {name for name, _, _ in clause.variables}
             for side in (clause.lhs, clause.rhs):
-                read = {}
-                _collect_sorts(side, read)
+                read = _scan((side,))[0]
                 assert not read or read.keys() == names, (clause.name, side)
 
 

@@ -21,7 +21,7 @@ from homalg.engine import (
     TwistApp,
     Var,
     ZERO,
-    _symbols,
+    _scan,
     check_clauses,
     evaluate,
     op,
@@ -85,9 +85,7 @@ def _rat(rng):
 
 def random_interpretation(schema, dim, rng):
     """Random rational data for every op and map the schema reads, on one sort A."""
-    ops, maps = {}, {}
-    _symbols(schema.lhs, ops, maps)
-    _symbols(schema.rhs, ops, maps)
+    _, _, _, ops, maps = _scan((schema.lhs, schema.rhs))
     return Interpretation(
         sorts={"A": dim},
         ops={s: (StructureTensor([[[_rat(rng) for _ in range(dim)] for _ in range(dim)]
