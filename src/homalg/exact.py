@@ -215,6 +215,17 @@ class LinearMap:
         return m
 
     @classmethod
+    def _lowest(cls, cols, den, src, dst):
+        """_make over numerator columns brought to lowest terms, the _cols and
+        _d that LinearMap(rows) keeps for the same values; a zero column is
+        the shared empty one."""
+        g = gcd(den, *(x for col in cols for _, x in col)) if den > 1 else 1
+        if g > 1:
+            cols = [[(k, x // g) for k, x in col] for col in cols]
+            den //= g
+        return cls._make([col or _EMPTY for col in cols], den, src, dst)
+
+    @classmethod
     def identity(cls, n: int) -> "LinearMap":
         return cls._make([[(j, 1)] for j in range(n)], 1, n, n)
 

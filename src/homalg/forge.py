@@ -15,7 +15,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .constructions import differential_dialgebra
 from .engine import CheckReport, Interpretation, SemanticError, twist_gap
@@ -34,7 +34,7 @@ from .reps import (
     symmetrized,
     tensor_square_bimodule,
 )
-from .varieties import AlgebraInstance, VarietyTag, certify
+from .varieties import AlgebraInstance, VarietyTag, certify, endomorphism_clauses, is_morphism
 
 
 class GenerationError(RuntimeError):
@@ -580,9 +580,7 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
     def accept(flat):
         cols = [[(i, x) for i, x in enumerate(flat[j::m]) if x] for j in range(m)]
         if twist_gap(cols, alpha, beta) is None:
-            g = gcd(den, *flat)
-            out.append(OperatorCandidate(rep, LinearMap._make(
-                [[(i, x // g) for i, x in col] for col in cols], den // g, m, n)))
+            out.append(OperatorCandidate(rep, LinearMap._lowest(cols, den, m, n)))
 
     out = []
     total = len(nums) ** entries if nums else 0
@@ -619,8 +617,6 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     fail an exact clause.  Every surviving map is certified again by
     `is_morphism`, the check of record, before it is returned.
     """
-    from .varieties import endomorphism_clauses, is_morphism
-
     vals = grid.values()
     n = a.dim
     size = n * n
@@ -675,9 +671,8 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     visit(0)
     found = []
     for entries in sorted(leaves):
-        g = gcd(den, *entries)  # in lowest terms, as LinearMap(rows) keeps it
-        phi = LinearMap._make([[(r, x // g) for r, x in enumerate(entries[c::n]) if x]
-                               for c in range(n)], den // g, n, n)
+        phi = LinearMap._lowest([[(r, x) for r, x in enumerate(entries[c::n]) if x]
+                                 for c in range(n)], den, n, n)
         if is_morphism(phi, a, a).ok:
             found.append(phi)
     return found

@@ -13,7 +13,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from math import gcd
 
 from .constructions import HEMISEMI, ConstructionId, hemisemi
 from .engine import (
@@ -232,11 +231,8 @@ def _graph_map(cand: OperatorCandidate, c) -> LinearMap:
     """x + u -> K(u) + c.u on A + V, in lowest terms as LinearMap(rows) keeps it:
     zero on the n columns of A, and column n + j is K(u_j) + c.u_j."""
     n, m, K = cand.rep.base.dim, cand.rep.v_dim, cand.map
-    g = gcd(K._d, *(x for col in K._cols for _, x in col))
-    d = K._d // g
-    cols = [[(k, x // g) for k, x in col] + ([(n + j, c * d)] if c else [])
-            for j, col in enumerate(K._cols)]
-    return LinearMap._make([[] for _ in range(n)] + cols, d, n + m, n + m)
+    cols = [col + [(n + j, c * K._d)] if c else col for j, col in enumerate(K._cols)]
+    return LinearMap._lowest([[]] * n + cols, K._d, n + m, n + m)
 
 
 def nijenhuis_of(c: OperatorCandidate, what: ConstructionId | None = None,

@@ -34,7 +34,7 @@ from .engine import (
     tw,
     var,
 )
-from .exact import LinearMap, ShapeError, StructureTensor
+from .exact import _EMPTY, LinearMap, ShapeError, StructureTensor
 from .records import Record
 from .varieties import (
     REQUIRED_PRODUCTS,
@@ -391,8 +391,8 @@ def tensor_square_bimodule(a: AlgebraInstance) -> AssocBimodule:
     n = a.dim
     m = n * n
     mul = a.product("mul")
-    l = [[[] for _ in range(m)] for _ in range(n)]
-    r = [[[] for _ in range(m)] for _ in range(n)]
+    l = [[_EMPTY] * m for _ in range(n)]
+    r = [[_EMPTY] * m for _ in range(n)]
     for i, plane in enumerate(mul._rows):
         for j, row in enumerate(plane):
             if row:  # e_i e_j = sum of c e_t over (t, c) in row, t ascending

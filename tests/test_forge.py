@@ -26,8 +26,9 @@ from homalg.forge import (
     zero_algebra,
 )
 from homalg.operators import certify_operator, hemisemi_id_for, nijenhuis_of, operator_kinds_for
+from homalg.records import Record
 from homalg.reps import AssocBimodule, regular, tensor_square_bimodule
-import homalg.varieties
+import homalg.forge
 from homalg.varieties import (
     VarietyTag,
     associativity_schema,
@@ -150,13 +151,13 @@ def test_find_endomorphisms_certifies_only_what_it_returns(seed_catalog, monkeyp
     # every clause is checked before a map reaches a leaf, so is_morphism
     # never sees a map that the search could have pruned
     calls = []
-    certify_map = homalg.varieties.is_morphism
+    certify_map = homalg.forge.is_morphism
 
     def counted(f, src, dst):
         calls.append(f)
         return certify_map(f, src, dst)
 
-    monkeypatch.setattr(homalg.varieties, "is_morphism", counted)
+    monkeypatch.setattr(homalg.forge, "is_morphism", counted)
     found = find_endomorphisms(seed_catalog[name].value, GridSpec((-1, 0, 1)))
     assert found and len(calls) == len(found)
 
@@ -315,6 +316,34 @@ def test_sampler_matches_the_fraction_path_on_every_catalog_rep(seed_catalog):
             assert len(grid.values()) ** entries > grid.count
             branches.add("cap" if sampled_maps(rep, grid) == "cap" else "drawn")
     assert branches == {"exhaustive", "drawn", "cap"}
+
+
+def _stored_lists(value):
+    """Every row of every tensor and every column of every map a value holds,
+    through record fields, dicts, lists and tuples."""
+    if isinstance(value, exact.StructureTensor):
+        yield from (row for plane in value._rows for row in plane)
+    elif isinstance(value, LinearMap):
+        yield from value._cols
+    elif isinstance(value, Record):
+        for field in value._fields:
+            yield from _stored_lists(getattr(value, field))
+    elif isinstance(value, (dict, list, tuple)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _stored_lists(item)
+
+
+def test_every_zero_row_and_column_is_the_shared_empty_list(seed_catalog):
+    # the catalog (its tensor squares included), a sampler draw, a search
+    # result and a Nijenhuis graph map keep each zero row or column as the
+    # one empty list of `exact`
+    rep = seed_catalog["kx2_reg"].value
+    cands = sample_operator_candidates(rep, GridSpec((-1, 0, 1, 2), seed=3, count=30),
+                                       check=False)
+    found = find_endomorphisms(seed_catalog["kx3"].value, GridSpec(numerators=(0, 1)))
+    values = [e.value for e in seed_catalog.values()] + [cands, found, nijenhuis_of(cands[0])]
+    empty = [v for v in _stored_lists(values) if not v]
+    assert empty and all(v is exact._EMPTY for v in empty)
 
 
 def test_a_zero_grid_denominator_is_a_generation_error(seed_catalog):
