@@ -137,75 +137,75 @@ def associativity_schema(mul: str = "mul", name: str = "associativity") -> Ident
     )
 
 
-def _lie_schemas(br: str = "bracket", prefix: str = ""):
+def _lie_schemas():
     antisym = IdentitySchema(
-        prefix + "antisymmetry", op(br, _x, _y), -op(br, _y, _x)
+        "antisymmetry", op("bracket", _x, _y), -op("bracket", _y, _x)
     )
     jacobi = IdentitySchema(
-        prefix + "jacobi",
-        op(br, _a(_x), op(br, _y, _z))
-        + op(br, _a(_y), op(br, _z, _x))
-        + op(br, _a(_z), op(br, _x, _y)),
+        "jacobi",
+        op("bracket", _a(_x), op("bracket", _y, _z))
+        + op("bracket", _a(_y), op("bracket", _z, _x))
+        + op("bracket", _a(_z), op("bracket", _x, _y)),
         ZERO,
     )
     return [antisym, jacobi]
 
 
-def _leibniz_schema(br: str = "brace", name: str = "leibniz") -> IdentitySchema:
+def _leibniz_schema() -> IdentitySchema:
     return IdentitySchema(
-        name,
-        op(br, _a(_x), op(br, _y, _z)),
-        op(br, op(br, _x, _y), _a(_z)) + op(br, _a(_y), op(br, _x, _z)),
+        "leibniz",
+        op("brace", _a(_x), op("brace", _y, _z)),
+        op("brace", op("brace", _x, _y), _a(_z)) + op("brace", _a(_y), op("brace", _x, _z)),
     )
 
 
-def _jordan_schemas(circ: str = "circ", prefix: str = ""):
-    comm = IdentitySchema(prefix + "commutativity", op(circ, _x, _y), op(circ, _y, _x))
-    sq = op(circ, _x, _x)
+def _jordan_schemas():
+    comm = IdentitySchema("commutativity", op("circ", _x, _y), op("circ", _y, _x))
+    sq = op("circ", _x, _x)
     jordan = IdentitySchema(
-        prefix + "jordan",
-        op(circ, _a(sq), op(circ, _a(_y), _a(_x))),
-        op(circ, op(circ, sq, _a(_y)), _a(_x, 2)),
+        "jordan",
+        op("circ", _a(sq), op("circ", _a(_y), _a(_x))),
+        op("circ", op("circ", sq, _a(_y)), _a(_x, 2)),
     )
     return [comm, jordan]
 
 
-def _bar_schemas(left: str = "left", right: str = "right"):
+def _bar_schemas():
     bar_left = IdentitySchema(
         "bar-left",
-        op(right, op(left, _x, _y), _a(_z)),
-        op(right, op(right, _x, _y), _a(_z)),
+        op("right", op("left", _x, _y), _a(_z)),
+        op("right", op("right", _x, _y), _a(_z)),
     )
     bar_right = IdentitySchema(
         "bar-right",
-        op(left, _a(_x), op(left, _y, _z)),
-        op(left, _a(_x), op(right, _y, _z)),
+        op("left", _a(_x), op("left", _y, _z)),
+        op("left", _a(_x), op("right", _y, _z)),
     )
     return [bar_left, bar_right]
 
 
-def _dialgebra_schemas(left: str = "left", right: str = "right"):
+def _dialgebra_schemas():
     left_assoc = IdentitySchema(
         "left-associativity",
-        op(left, op(left, _x, _y), _a(_z)),
-        op(left, _a(_x), op(left, _y, _z)),
+        op("left", op("left", _x, _y), _a(_z)),
+        op("left", _a(_x), op("left", _y, _z)),
     )
     right_assoc = IdentitySchema(
         "right-associativity",
-        op(right, op(right, _x, _y), _a(_z)),
-        op(right, _a(_x), op(right, _y, _z)),
+        op("right", op("right", _x, _y), _a(_z)),
+        op("right", _a(_x), op("right", _y, _z)),
     )
     inner_assoc = IdentitySchema(
         "inner-associativity",
-        op(left, op(right, _x, _y), _a(_z)),
-        op(right, _a(_x), op(left, _y, _z)),
+        op("left", op("right", _x, _y), _a(_z)),
+        op("right", _a(_x), op("left", _y, _z)),
     )
-    return _bar_schemas(left, right) + [left_assoc, right_assoc, inner_assoc]
+    return _bar_schemas() + [left_assoc, right_assoc, inner_assoc]
 
 
-def _jordan_dialgebra_schemas(b: str = "bullet"):
+def _jordan_dialgebra_schemas():
     def B(u, w):
-        return op(b, u, w)
+        return op("bullet", u, w)
 
     d0 = IdentitySchema(
         "jordan-di-0", B(B(_x1, _x2), _x3), B(B(_x2, _x1), _x3)
@@ -343,9 +343,9 @@ def schemas_for(tag: VarietyTag) -> tuple:
     raise SemanticError(f"unknown variety tag {tag!r}")
 
 
-def classical_jordan_dialgebra_schemas(b: str = "bullet"):
+def classical_jordan_dialgebra_schemas():
     """Untwisted defining identities (short, non-multilinear forms)."""
-    B = lambda u, w: op(b, u, w)
+    B = lambda u, w: op("bullet", u, w)
     sq = B(_x, _x)
     c0 = IdentitySchema("classical-jordan-di-0", B(B(_x, _y), _z), B(B(_y, _x), _z))
     # associator identity (x^2, y, z) = 2 (x, y, x*z)
@@ -357,9 +357,9 @@ def classical_jordan_dialgebra_schemas(b: str = "bullet"):
     return [c0, c1, c2]
 
 
-def classical_jordan_dialgebra_multilinear(b: str = "bullet"):
+def classical_jordan_dialgebra_multilinear():
     """The equivalent multilinear (four-variable) identity list."""
-    B = lambda u, w: op(b, u, w)
+    B = lambda u, w: op("bullet", u, w)
     m1 = IdentitySchema(
         "classical-jordan-di-m1",
         B(B(B(_x4, _x3), _x2), _x1)
