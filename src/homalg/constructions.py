@@ -23,17 +23,13 @@ from functools import cache
 from typing import NamedTuple
 
 from .engine import (
-    ZERO,
     CheckReport,
-    IdentitySchema,
     Interpretation,
     SemanticError,
     Witness,
     _power,
     check_all,
-    op,
-    tw,
-    var,
+    identity,
 )
 from .exact import LinearMap, ShapeError, StructureTensor, Vector
 from .reps import (
@@ -399,10 +395,8 @@ def twist_products(a: AlgebraInstance, phi: LinearMap, name: str) -> AlgebraInst
 # A gate binds the map under test as one more map symbol of the
 # interpretation (across sorts, V -> A, for a bimodule map) and checks its
 # clauses as schemas.  The schema lists are built once, so gate checks reuse
-# their evaluation plans.
-
-_x, _y = var("x"), var("y")
-_u, _v = var("u", "V"), var("v", "V")
+# their evaluation plans.  The clauses are rows in the identity notation
+# (`engine.identity`); x, y are in A and u, v in V.
 
 
 def _bind_map(interp, sym: str, lin: LinearMap, sorts) -> Interpretation:
@@ -412,11 +406,11 @@ def _bind_map(interp, sym: str, lin: LinearMap, sorts) -> Interpretation:
 @cache
 def _bimodule_map_schemas(f: str) -> tuple:
     """f : V -> A intertwines the twists and is A-equivariant on both sides."""
-    return (
-        IdentitySchema("intertwine", tw(f, tw("beta", _u)), tw("alpha", tw(f, _u))),
-        IdentitySchema("left-equivariance", tw(f, op("l", _x, _u)), op("mul", _x, tw(f, _u))),
-        IdentitySchema("right-equivariance", tw(f, op("r", _x, _u)), op("mul", tw(f, _u), _x)),
-    )
+    return tuple(identity(name, text.format(f=f), v="u") for name, text in (
+        ("intertwine", "{f}(beta(u)) = alpha({f}(u))"),
+        ("left-equivariance", "{f}(l(x, u)) = mul(x, {f}(u))"),
+        ("right-equivariance", "{f}(r(x, u)) = mul({f}(u), x)"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +419,11 @@ def _bimodule_map_schemas(f: str) -> tuple:
 
 @cache
 def _differential_schemas() -> tuple:
-    d = lambda e, k=1: tw("d", e, k)
-    return (
-        IdentitySchema("square-zero", d(_x, 2), ZERO),
-        IdentitySchema("twist-commute", d(tw("alpha", _x)), tw("alpha", d(_x))),
-        IdentitySchema(
-            "derivation", d(op("mul", _x, _y)), op("mul", d(_x), _y) + op("mul", _x, d(_y))
-        ),
-    )
+    return tuple(identity(name, text) for name, text in (
+        ("square-zero", "d^2(x) = 0"),
+        ("twist-commute", "d(alpha(x)) = alpha(d(x))"),
+        ("derivation", "d(mul(x, y)) = mul(d(x), y) + mul(x, d(y))"),
+    ))
 
 
 def differential_dialgebra(a: AlgebraInstance, d_name: str, check: bool = True) -> AlgebraInstance:
@@ -488,16 +479,14 @@ def bimodule_map_dialgebra(rep: AssocBimodule, f: LinearMap, check: bool = True)
 
 @cache
 def _crossed_module_schemas() -> tuple:
-    D = lambda e: tw("d", e)
     intertwine, *equivariance = _bimodule_map_schemas("d")
-    peiffer = op("vmul", _u, _v)
     return (
         intertwine,
-        IdentitySchema("morphism", D(peiffer), op("mul", D(_u), D(_v))),
-        IdentitySchema("peiffer-left", op("l", D(_u), _v), peiffer),
+        identity("morphism", "d(vmul(u, v)) = mul(d(u), d(v))", v="u v"),
+        identity("peiffer-left", "l(d(u), v) = vmul(u, v)", v="u v"),
         # enumerate (u, v) as the other clauses do, not in order of appearance
-        IdentitySchema("peiffer-right", op("r", D(_v), _u), peiffer,
-                       variables=(("u", "V", 1), ("v", "V", 1))),
+        identity("peiffer-right", "r(d(v), u) = vmul(u, v)", v="u v",
+                 variables=(("u", "V", 1), ("v", "V", 1))),
         *equivariance,
     )
 

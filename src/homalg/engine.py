@@ -1,8 +1,10 @@
 """Identity schemas, their exhaustive basis-tuple checker, and polarization.
 
 A schema is an expression-tree equation over op symbols, twist powers and
-sorted variables.  Checking a multilinear schema against a concrete
-interpretation means evaluating both sides on every tuple of basis vectors.
+sorted variables; every shipped one is written as a line of text that
+`identity` reads into that tree.  Checking a multilinear schema against a
+concrete interpretation means evaluating both sides on every tuple of basis
+vectors.
 Schemas that repeat a variable are first reduced to multilinear ones by
 polarization, which is an equivalence in characteristic zero for identities
 homogeneous in each variable.  It is the full linearization: each
@@ -132,6 +134,7 @@ read it.
 from __future__ import annotations
 
 import random
+import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, partial
@@ -235,6 +238,95 @@ def tw(map_symbol: str, child: Expr, power: int = 1) -> Expr:
     if power == 0:
         return child
     return TwistApp(map_symbol, child, power)
+
+
+# a rational, a name as the DSL writes one (so "x-y" is one name), one character
+_TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_\-]*|\S")
+
+
+def identity(name: str, text: str, v: str = "", **schema_kwargs) -> IdentitySchema:
+    """The schema `name` written as `lhs = rhs` in the identity notation:
+
+        side   := term (("+" | "-") term)*
+        term   := ["-"] [RATIONAL ["*"]] factor
+        factor := "(" side ")" | "0" | SYMBOL ["^" K] "(" side ["," side] ")" | VARIABLE
+
+    A call with two arguments is an op, with one a map applied K >= 1 times
+    (once when no power is written), and "0" is ZERO.  Variables are of sort
+    A, those named in `v` (space-separated) of sort V.  A side of one term
+    with no sign and no weight is that term's tree, any other a Sum, as the
+    Expr operators build it: "mul(x, alpha(y)) = -2 * mul(y, x)" reads as
+    op("mul", x, tw("alpha", y)) = -2 * op("mul", y, x).  schema_kwargs go to
+    IdentitySchema.
+    """
+    toks, at, leaves, vs = _TOKEN.findall(text) + ["", ""], 0, {}, v.split()
+
+    def fail(what):
+        raise SemanticError(f"identity {name!r}: {what}")
+
+    def expect(tok):
+        nonlocal at
+        if toks[at] != tok:
+            fail(f"expected {tok!r}, got {toks[at] or 'the end'!r}")
+        at += 1
+
+    def side():
+        nonlocal at
+        terms, bare = [], True
+        while True:
+            w = 1
+            if toks[at] == "-":
+                w, at, bare = -1, at + 1, False
+            t, nxt = toks[at], toks[at + 1]
+            if t[:1].isdigit() and (nxt == "*" or nxt == "(" or nxt[:1].isidentifier()):
+                w, at, bare = w * Fraction(t), at + 1 + (nxt == "*"), False
+            terms.append((w, factor()))
+            if toks[at] != "+" and toks[at] != "-":
+                return terms[0][1] if bare and len(terms) == 1 else Sum(terms)
+            bare = False
+            at += toks[at] == "+"
+
+    def factor():
+        nonlocal at
+        sym = toks[at]
+        at += 1
+        if sym == "(":
+            e = side()
+            expect(")")
+            return e
+        if sym == "0":
+            return ZERO
+        if not sym[:1].isidentifier():
+            fail(f"expected a term, got {sym or 'the end'!r}")
+        power = 1
+        if toks[at] == "^":
+            k = toks[at + 1]
+            power, at = int(k) if k.isdigit() else 0, at + 2
+            if power < 1:
+                fail(f"map {sym!r} needs a power K >= 1, got {k!r}")
+        elif toks[at] != "(":
+            got = leaves.get(sym)
+            if got is None:
+                got = leaves[sym] = Var(sym, "V" if sym in vs else "A")
+            return got
+        expect("(")
+        args = [side()]
+        while toks[at] == ",":
+            at += 1
+            args.append(side())
+        expect(")")
+        if len(args) == 1:
+            return TwistApp(sym, args[0], power)
+        if len(args) > 2:
+            fail(f"{sym!r} is called with {len(args)} arguments")
+        return OpApp(sym, *args)
+
+    lhs = side()
+    expect("=")
+    rhs = side()
+    if toks[at]:
+        fail(f"unexpected {toks[at]!r} after the rhs")
+    return IdentitySchema(name, lhs, rhs, **schema_kwargs)
 
 
 def rewrite(expr: Expr, vars=None, maps=None, ops=None) -> Expr:
@@ -972,8 +1064,8 @@ class _Plan:
     """One clause tuple compiled for one interpretation shape, without its data.
 
     `nodes` are the DAG's keys and `order` the live ones, children first;
-    `sorts` gives each node's sort (the DAG's, a variable's as declared), so
-    the plan serves every dimension.  Roots are lhs, rhs of each clause in
+    `sorts` gives each node's sort (the DAG's; a live variable's must be the
+    one its clauses declare), so the plan serves every dimension.  Roots are lhs, rhs of each clause in
     turn, and `out_sorts` their sorts as `_Dag.add` gives them, so a side
     simplified to zero keeps its own (None when neither side has one).
     Every live node but a variable has one kernel, built with the plan.  A
@@ -1054,9 +1146,12 @@ class _Plan:
             key = nodes[nid]
             kind = key[0]
             if kind == "var":
-                if key[1] not in var_sorts:
+                declared = var_sorts.get(key[1])
+                if declared is None:
                     raise SemanticError(f"unbound variable {key[1]!r}")
-                sorts[nid] = var_sorts[key[1]]
+                if declared != sorts[nid]:
+                    raise SemanticError(f"variable {key[1]!r} declared with sort {declared!r},"
+                                        f" used with sort {sorts[nid]!r}")
                 self.var_nodes[key[1]] = nid
                 free[nid] = 1 << slot_of[key[1]]
                 continue

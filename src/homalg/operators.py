@@ -17,16 +17,12 @@ from functools import cache
 from .constructions import HEMISEMI, ConstructionId, hemisemi
 from .engine import (
     CheckReport,
-    IdentitySchema,
     Interpretation,
     SemanticError,
-    Sum,
     Witness,
     check_clauses,
-    op,
-    tw,
+    identity,
     twist_gap,
-    var,
 )
 from .exact import LinearMap, ShapeError
 from .records import Record
@@ -93,61 +89,62 @@ def admissible(k: LinearMap, alpha: LinearMap, beta: LinearMap) -> bool:
 #
 # Over a representation the operator is the cross-sort map symbol K: V -> A;
 # over an algebra it is T: A -> A and the product under test is bound to mu.
-# A table lists the clauses of one kind in the order they are compared on
-# each basis tuple.  The tables are built on first use and then return the
-# same schema objects, so checks reuse their evaluation plans.
-
-_u, _v = var("u", "V"), var("v", "V")
-_Ku, _Kv = tw("K", _u), tw("K", _v)
-
-
-def _rel_avg(name, prod, inner):
-    """prod(K u, K v) = K(inner)."""
-    return IdentitySchema(name, op(prod, _Ku, _Kv), tw("K", inner))
+# A table lists the clauses of one kind, each a line of the identity notation
+# (`engine.identity`), in the order they are compared on each basis tuple.
+# The tables are built on first use and then return the same schema objects,
+# so checks reuse their evaluation plans.
 
 
 @cache
 def _rep_clauses():
-    """Clause tables keyed by (representation kind, operator kind)."""
-    left = _rel_avg("left", "mul", op("l", _Ku, _v))
-    right = _rel_avg("right", "mul", op("r", _Kv, _u))
-    table = {}
-    for rep_kind in ("bimodule", "action"):
-        table[rep_kind, "rel-avg-left"] = (left,)
-        table[rep_kind, "rel-avg-right"] = (right,)
-        table[rep_kind, "rel-avg"] = (left, right)
-    table["action", "homomorphic-rel-avg"] = (
-        left, right, _rel_avg("homomorphic", "mul", op("vmul", _u, _v)))
-    for family, prod, act, vprod in (("lie", "bracket", "rho", "vbracket"),
-                                     ("jordan", "circ", "pi", "vstar")):
-        one = _rel_avg(family, prod, op(act, _Ku, _v))
-        table[f"{family}-module", "rel-avg"] = table[f"{family}-action", "rel-avg"] = (one,)
-        table[f"{family}-action", "homomorphic-rel-avg"] = (
-            one, _rel_avg("homomorphic", prod, op(vprod, _u, _v)))
-    return table
+    """Clause tables keyed by (representation kind, operator kind); u, v in V."""
+    left, right, hom, lie, lie_hom, jordan, jordan_hom = (
+        identity(name, text, v="u v") for name, text in (
+            ("left", "mul(K(u), K(v)) = K(l(K(u), v))"),
+            ("right", "mul(K(u), K(v)) = K(r(K(v), u))"),
+            ("homomorphic", "mul(K(u), K(v)) = K(vmul(u, v))"),
+            ("lie", "bracket(K(u), K(v)) = K(rho(K(u), v))"),
+            ("homomorphic", "bracket(K(u), K(v)) = K(vbracket(u, v))"),
+            ("jordan", "circ(K(u), K(v)) = K(pi(K(u), v))"),
+            ("homomorphic", "circ(K(u), K(v)) = K(vstar(u, v))"),
+        ))
+    return {
+        ("bimodule", "rel-avg-left"): (left,),
+        ("bimodule", "rel-avg-right"): (right,),
+        ("bimodule", "rel-avg"): (left, right),
+        ("action", "rel-avg-left"): (left,),
+        ("action", "rel-avg-right"): (right,),
+        ("action", "rel-avg"): (left, right),
+        ("action", "homomorphic-rel-avg"): (left, right, hom),
+        ("lie-module", "rel-avg"): (lie,),
+        ("lie-action", "rel-avg"): (lie,),
+        ("lie-action", "homomorphic-rel-avg"): (lie, lie_hom),
+        ("jordan-module", "rel-avg"): (jordan,),
+        ("jordan-action", "rel-avg"): (jordan,),
+        ("jordan-action", "homomorphic-rel-avg"): (jordan, jordan_hom),
+    }
 
 
 @cache
 def _o_operator_clauses(weight: Fraction):
     """mul(K u, K v) = K(l(K u, v) + r(K v, u) + weight vmul(u, v)), one table per weight."""
-    inner = Sum(((1, op("l", _Ku, _v)), (1, op("r", _Kv, _u)), (weight, op("vmul", _u, _v))))
-    return (_rel_avg("o-operator", "mul", inner),)
+    return (identity("o-operator", "mul(K(u), K(v))"
+                     f" = K(l(K(u), v) + r(K(v), u) + {weight} * vmul(u, v))", v="u v"),)
 
 
 @cache
 def _algebra_clauses():
-    """Clause tables keyed by operator kind."""
-    u, v = var("u"), var("v")
-    tu, tv = tw("T", u), tw("T", v)
-    both = op("mu", tu, tv)
-    left = IdentitySchema("averaging-left", tw("T", op("mu", tu, v)), both)
-    right = IdentitySchema("averaging-right", tw("T", op("mu", u, tv)), both)
-    inner = op("mu", tu, v) + op("mu", u, tv) - tw("T", op("mu", u, v))
+    """Clause tables keyed by operator kind; u, v in A."""
+    left, right, nijenhuis = (identity(name, text) for name, text in (
+        ("averaging-left", "T(mu(T(u), v)) = mu(T(u), T(v))"),
+        ("averaging-right", "T(mu(u, T(v))) = mu(T(u), T(v))"),
+        ("nijenhuis", "mu(T(u), T(v)) = T(mu(T(u), v) + mu(u, T(v)) - T(mu(u, v)))"),
+    ))
     return {
         "averaging": (left, right),
         "averaging-left": (left,),
         "averaging-right": (right,),
-        "nijenhuis": (IdentitySchema("nijenhuis", both, tw("T", inner)),),
+        "nijenhuis": (nijenhuis,),
     }
 
 

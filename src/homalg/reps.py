@@ -29,9 +29,8 @@ from .engine import (
     Interpretation,
     SemanticError,
     check_all,
-    op,
+    identity,
     rewrite,
-    tw,
     var,
 )
 from .exact import _EMPTY, LinearMap, ShapeError, StructureTensor
@@ -181,17 +180,6 @@ REP_KINDS = tuple(cls.kind for cls in REP_CLASSES)
 # ---------------------------------------------------------------------------
 # axiom schemas
 
-_x, _y, _z = var("x"), var("y"), var("z")
-_u, _v, _w = var("u", "V"), var("v", "V"), var("w", "V")
-
-
-def _a(e, k=1):
-    return tw("alpha", e, k)
-
-
-def _b(e, k=1):
-    return tw("beta", e, k)
-
 
 def _variety_on_v(cls):
     """The axioms of cls's variety moved to sort V, twist beta and product cls.vprod."""
@@ -205,128 +193,66 @@ def _variety_on_v(cls):
     return out
 
 
-def _bimodule_axioms():
-    L = lambda a, m: op("l", a, m)
-    R = lambda a, m: op("r", a, m)
-    mul = lambda a, c: op("mul", a, c)
-    return [
-        IdentitySchema("beta-left-intertwine", _b(L(_x, _u)), L(_a(_x), _b(_u))),
-        IdentitySchema("beta-right-intertwine", _b(R(_x, _u)), R(_a(_x), _b(_u))),
-        IdentitySchema("left-composition", L(mul(_x, _y), _b(_u)), L(_a(_x), L(_y, _u))),
-        IdentitySchema("right-composition", R(mul(_x, _y), _b(_u)), R(_a(_y), R(_x, _u))),
-        IdentitySchema("left-right-commute", L(_a(_x), R(_y, _u)), R(_a(_y), L(_x, _u))),
-    ]
-
-
-def _action_axioms():
-    L = lambda a, m: op("l", a, m)
-    R = lambda a, m: op("r", a, m)
-    VM = lambda m, m2: op("vmul", m, m2)
-    return [
-        IdentitySchema("action-left-product", L(_a(_x), VM(_u, _v)), VM(L(_x, _u), _b(_v))),
-        IdentitySchema("action-right-product", R(_a(_x), VM(_u, _v)), VM(_b(_u), R(_x, _v))),
-        IdentitySchema("action-inner-product", VM(_b(_u), L(_x, _v)), VM(R(_x, _u), _b(_v))),
-    ]
-
-
-def _lie_module_axioms():
-    P = lambda a, m: op("rho", a, m)
-    br = lambda a, c: op("bracket", a, c)
-    return [
-        IdentitySchema("module-intertwine", P(_a(_x), _b(_u)), _b(P(_x, _u))),
-        IdentitySchema(
-            "module-bracket",
-            P(br(_x, _y), _b(_u)),
-            P(_a(_x), P(_y, _u)) - P(_a(_y), P(_x, _u)),
-        ),
-    ]
-
-
-def _lie_action_axioms():
-    P = lambda a, m: op("rho", a, m)
-    VB = lambda m, m2: op("vbracket", m, m2)
-    return [
-        IdentitySchema(
-            "action-bracket",
-            P(_a(_x), VB(_u, _v)),
-            VB(P(_x, _u), _b(_v)) + VB(_b(_u), P(_x, _v)),
-        )
-    ]
-
-
-def _jordan_module_axioms():
-    P = lambda a, m: op("pi", a, m)
-    C = lambda a, c: op("circ", a, c)
-    s0 = IdentitySchema("module-intertwine", _b(P(_x, _u)), P(_a(_x), _b(_u)))
-    s1 = IdentitySchema(
-        "module-linear-1",
-        P(_a(_x, 2), P(C(_y, _z), _b(_u)))
-        + P(_a(_y, 2), P(C(_z, _x), _b(_u)))
-        + P(_a(_z, 2), P(C(_x, _y), _b(_u))),
-        P(C(_a(_x), _a(_y)), P(_a(_z), _b(_u)))
-        + P(C(_a(_y), _a(_z)), P(_a(_x), _b(_u)))
-        + P(C(_a(_z), _a(_x)), P(_a(_y), _b(_u))),
-    )
-    s2 = IdentitySchema(
-        "module-linear-2",
-        P(C(C(_x, _y), _a(_z)), _b(_u, 2))
-        + P(_a(_x, 2), P(_a(_z), P(_y, _u)))
-        + P(_a(_y, 2), P(_a(_z), P(_x, _u))),
-        P(C(_a(_x), _a(_y)), P(_a(_z), _b(_u)))
-        + P(C(_a(_y), _a(_z)), P(_a(_x), _b(_u)))
-        + P(C(_a(_x), _a(_z)), P(_a(_y), _b(_u))),
-    )
-    return [s0, s1, s2]
-
-
-def _jordan_action_axioms():
-    P = lambda a, m: op("pi", a, m)
-    C = lambda a, c: op("circ", a, c)
-    S = lambda m, m2: op("vstar", m, m2)
-    cubic = IdentitySchema(
-        "action-cubic",
-        S(P(_a(_x), _b(_v)), S(_b(_v), _b(_v))),
-        S(P(_a(_x), S(_v, _v)), _b(_v, 2)),
-    )
-    lin1 = IdentitySchema(
-        "action-linear-1",
-        S(S(P(_x, _u), _b(_w)), _b(_v, 2))
-        + S(S(P(_x, _v), _b(_w)), _b(_u, 2))
-        + P(_a(_x, 2), S(S(_u, _v), _b(_w))),
-        S(P(_a(_x), S(_u, _v)), _b(_w, 2))
-        + S(P(_a(_x), S(_u, _w)), _b(_v, 2))
-        + S(P(_a(_x), S(_v, _w)), _b(_u, 2)),
-    )
-    rhs23 = (
-        S(P(C(_x, _y), _b(_v)), _b(_u, 2))
-        + P(_a(_x, 2), S(P(_y, _u), _b(_v)))
-        + P(_a(_y, 2), S(P(_x, _u), _b(_v)))
-    )
-    lin2 = IdentitySchema(
-        "action-linear-2",
-        S(P(_a(_y), P(_x, _u)), _b(_v, 2))
-        + S(P(_a(_y), P(_x, _v)), _b(_u, 2))
-        + P(_a(_x, 2), P(_a(_y), S(_u, _v))),
-        rhs23,
-    )
-    lin3 = IdentitySchema(
-        "action-linear-3",
-        S(P(_a(_y), _u), P(_a(_x), _v))
-        + S(P(_a(_x), _u), P(_a(_y), _v))
-        + P(C(_a(_x), _a(_y)), S(_b(_u), _b(_v))),
-        rhs23,
-    )
-    return [cubic, lin1, lin2, lin3]
-
-
-# the axioms each kind adds to those it inherits (see _rep_schemas)
+# the axioms each kind adds to those it inherits (see _rep_schemas), as
+# (name, text) rows in the identity notation (`engine.identity`), u, v, w in V
+_JORDAN_ACTION_RHS = ("vstar(pi(circ(x, y), beta(v)), beta^2(u))"
+                      " + pi(alpha^2(x), vstar(pi(y, u), beta(v)))"
+                      " + pi(alpha^2(y), vstar(pi(x, u), beta(v)))")
 _OWN_AXIOMS = {
-    "bimodule": _bimodule_axioms,
-    "action": _action_axioms,
-    "lie-module": _lie_module_axioms,
-    "lie-action": _lie_action_axioms,
-    "jordan-module": _jordan_module_axioms,
-    "jordan-action": _jordan_action_axioms,
+    "bimodule": (
+        ("beta-left-intertwine", "beta(l(x, u)) = l(alpha(x), beta(u))"),
+        ("beta-right-intertwine", "beta(r(x, u)) = r(alpha(x), beta(u))"),
+        ("left-composition", "l(mul(x, y), beta(u)) = l(alpha(x), l(y, u))"),
+        ("right-composition", "r(mul(x, y), beta(u)) = r(alpha(y), r(x, u))"),
+        ("left-right-commute", "l(alpha(x), r(y, u)) = r(alpha(y), l(x, u))"),
+    ),
+    "action": (
+        ("action-left-product", "l(alpha(x), vmul(u, v)) = vmul(l(x, u), beta(v))"),
+        ("action-right-product", "r(alpha(x), vmul(u, v)) = vmul(beta(u), r(x, v))"),
+        ("action-inner-product", "vmul(beta(u), l(x, v)) = vmul(r(x, u), beta(v))"),
+    ),
+    "lie-module": (
+        ("module-intertwine", "rho(alpha(x), beta(u)) = beta(rho(x, u))"),
+        ("module-bracket", "rho(bracket(x, y), beta(u))"
+                           " = rho(alpha(x), rho(y, u)) - rho(alpha(y), rho(x, u))"),
+    ),
+    "lie-action": (
+        ("action-bracket", "rho(alpha(x), vbracket(u, v))"
+                           " = vbracket(rho(x, u), beta(v)) + vbracket(beta(u), rho(x, v))"),
+    ),
+    "jordan-module": (
+        ("module-intertwine", "beta(pi(x, u)) = pi(alpha(x), beta(u))"),
+        ("module-linear-1", "pi(alpha^2(x), pi(circ(y, z), beta(u)))"
+                            " + pi(alpha^2(y), pi(circ(z, x), beta(u)))"
+                            " + pi(alpha^2(z), pi(circ(x, y), beta(u)))"
+                            " = pi(circ(alpha(x), alpha(y)), pi(alpha(z), beta(u)))"
+                            " + pi(circ(alpha(y), alpha(z)), pi(alpha(x), beta(u)))"
+                            " + pi(circ(alpha(z), alpha(x)), pi(alpha(y), beta(u)))"),
+        ("module-linear-2", "pi(circ(circ(x, y), alpha(z)), beta^2(u))"
+                            " + pi(alpha^2(x), pi(alpha(z), pi(y, u)))"
+                            " + pi(alpha^2(y), pi(alpha(z), pi(x, u)))"
+                            " = pi(circ(alpha(x), alpha(y)), pi(alpha(z), beta(u)))"
+                            " + pi(circ(alpha(y), alpha(z)), pi(alpha(x), beta(u)))"
+                            " + pi(circ(alpha(x), alpha(z)), pi(alpha(y), beta(u)))"),
+    ),
+    "jordan-action": (
+        ("action-cubic", "vstar(pi(alpha(x), beta(v)), vstar(beta(v), beta(v)))"
+                         " = vstar(pi(alpha(x), vstar(v, v)), beta^2(v))"),
+        ("action-linear-1", "vstar(vstar(pi(x, u), beta(w)), beta^2(v))"
+                            " + vstar(vstar(pi(x, v), beta(w)), beta^2(u))"
+                            " + pi(alpha^2(x), vstar(vstar(u, v), beta(w)))"
+                            " = vstar(pi(alpha(x), vstar(u, v)), beta^2(w))"
+                            " + vstar(pi(alpha(x), vstar(u, w)), beta^2(v))"
+                            " + vstar(pi(alpha(x), vstar(v, w)), beta^2(u))"),
+        ("action-linear-2", "vstar(pi(alpha(y), pi(x, u)), beta^2(v))"
+                            " + vstar(pi(alpha(y), pi(x, v)), beta^2(u))"
+                            " + pi(alpha^2(x), pi(alpha(y), vstar(u, v)))"
+                            " = " + _JORDAN_ACTION_RHS),
+        ("action-linear-3", "vstar(pi(alpha(y), u), pi(alpha(x), v))"
+                            " + vstar(pi(alpha(x), u), pi(alpha(y), v))"
+                            " + pi(circ(alpha(x), alpha(y)), vstar(beta(u), beta(v)))"
+                            " = " + _JORDAN_ACTION_RHS),
+    ),
 }
 
 
@@ -339,7 +265,7 @@ def _rep_schemas(kind: str) -> tuple:
     objects), then its own, then its variety's axioms moved to V.
     """
     cls = next(c for c in REP_CLASSES if c.kind == kind)
-    own = tuple(_OWN_AXIOMS[kind]())
+    own = tuple(identity(name, text, v="u v w") for name, text in _OWN_AXIOMS[kind])
     if cls.vprod is None:
         return own
     return _rep_schemas(cls.__base__.kind) + own + tuple(_variety_on_v(cls))

@@ -36,11 +36,8 @@ from .engine import (
     SemanticError,
     Witness,
     check_all,
-    op,
-    tw,
+    identity,
     twist_gap,
-    var,
-    ZERO,
 )
 from .exact import LinearMap, ShapeError, StructureTensor, Vector
 from .records import Record
@@ -121,195 +118,108 @@ class AlgebraInstance(Record):
 # ---------------------------------------------------------------------------
 # schema catalog
 
-_x, _y, _z = var("x"), var("y"), var("z")
-_x1, _x2, _x3, _x4 = var("x1"), var("x2"), var("x3"), var("x4")
+# Each variety's identities are (name, text) rows in the identity notation
+# (`engine.identity`), read on first use.
+
+_ASSOCIATIVE = (("associativity", "mul(mul(x, y), alpha(z)) = mul(alpha(x), mul(y, z))"),)
+_LIE = (
+    ("antisymmetry", "bracket(x, y) = -bracket(y, x)"),
+    ("jacobi", "bracket(alpha(x), bracket(y, z)) + bracket(alpha(y), bracket(z, x))"
+               " + bracket(alpha(z), bracket(x, y)) = 0"),
+)
+_LEIBNIZ = (("leibniz", "brace(alpha(x), brace(y, z))"
+                        " = brace(brace(x, y), alpha(z)) + brace(alpha(y), brace(x, z))"),)
+_JORDAN = (
+    ("commutativity", "circ(x, y) = circ(y, x)"),
+    ("jordan", "circ(alpha(circ(x, x)), circ(alpha(y), alpha(x)))"
+               " = circ(circ(circ(x, x), alpha(y)), alpha^2(x))"),
+)
+_BAR = (
+    ("bar-left", "right(left(x, y), alpha(z)) = right(right(x, y), alpha(z))"),
+    ("bar-right", "left(alpha(x), left(y, z)) = left(alpha(x), right(y, z))"),
+)
+_DIALGEBRA = _BAR + (
+    ("left-associativity", "left(left(x, y), alpha(z)) = left(alpha(x), left(y, z))"),
+    ("right-associativity", "right(right(x, y), alpha(z)) = right(alpha(x), right(y, z))"),
+    ("inner-associativity", "left(right(x, y), alpha(z)) = right(alpha(x), left(y, z))"),
+)
+_JORDAN_DIALGEBRA = (
+    ("jordan-di-0", "bullet(bullet(x1, x2), x3) = bullet(bullet(x2, x1), x3)"),
+    ("jordan-di-1", "bullet(bullet(bullet(x4, x3), alpha(x2)), alpha^2(x1))"
+                    " + bullet(alpha^2(x4), bullet(alpha(x2), bullet(x3, x1)))"
+                    " + bullet(alpha^2(x3), bullet(alpha(x2), bullet(x4, x1)))"
+                    " = bullet(alpha(bullet(x4, x3)), bullet(alpha(x2), alpha(x1)))"
+                    " + bullet(bullet(alpha(x4), alpha(x2)), alpha(bullet(x3, x1)))"
+                    " + bullet(bullet(alpha(x3), alpha(x2)), alpha(bullet(x4, x1)))"),
+    ("jordan-di-2", "bullet(alpha^2(x1), bullet(bullet(x4, x3), x2))"
+                    " + bullet(alpha^2(x4), bullet(bullet(x3, x1), x2))"
+                    " + bullet(alpha^2(x3), bullet(bullet(x4, x1), x2))"
+                    " = bullet(alpha(bullet(x4, x3)), bullet(alpha(x1), x2))"
+                    " + bullet(alpha(bullet(x1, x3)), bullet(alpha(x4), x2))"
+                    " + bullet(alpha(bullet(x4, x1)), bullet(alpha(x3), x2))"),
+)
+_TRIALGEBRA = _DIALGEBRA + (
+    ("middle-associativity", "middle(middle(x, y), alpha(z)) = middle(alpha(x), middle(y, z))"),
+    ("middle-compat-1", "left(left(x, y), alpha(z)) = left(alpha(x), middle(y, z))"),
+    ("middle-compat-2", "left(middle(x, y), alpha(z)) = middle(alpha(x), left(y, z))"),
+    ("middle-compat-3", "middle(left(x, y), alpha(z)) = middle(alpha(x), right(y, z))"),
+    ("middle-compat-4", "middle(right(x, y), alpha(z)) = right(alpha(x), middle(y, z))"),
+    ("middle-compat-5", "right(middle(x, y), alpha(z)) = right(alpha(x), right(y, z))"),
+)
+_LEIBNIZ_TRIALGEBRA = _LIE + _LEIBNIZ + (
+    ("tri-leibniz-derivation", "brace(alpha(x), bracket(y, z))"
+                               " = bracket(brace(x, y), alpha(z)) + bracket(alpha(y), brace(x, z))"),
+    ("tri-leibniz-collapse", "brace(bracket(x, y), alpha(z)) = brace(brace(x, y), alpha(z))"),
+)
+_JORDAN_TRI_RHS = ("circ(bullet(bullet(x4, x3), alpha(x2)), alpha^2(x1))"
+                   " + bullet(alpha^2(x4), circ(bullet(x3, x1), alpha(x2)))"
+                   " + bullet(alpha^2(x3), circ(bullet(x4, x1), alpha(x2)))")
+_JORDAN_TRIALGEBRA = _JORDAN + _JORDAN_DIALGEBRA + (
+    ("jordan-tri-0", "circ(circ(alpha(x1), alpha(x1)), bullet(alpha(x2), alpha(x1)))"
+                     " = circ(bullet(alpha(x2), circ(x1, x1)), alpha^2(x1))"),
+    ("jordan-tri-1", "circ(circ(bullet(x4, x1), alpha(x3)), alpha^2(x2))"
+                     " + circ(circ(bullet(x4, x2), alpha(x3)), alpha^2(x1))"
+                     " + bullet(alpha^2(x4), circ(circ(x1, x2), alpha(x3)))"
+                     " = circ(bullet(alpha(x4), circ(x1, x2)), alpha^2(x3))"
+                     " + circ(bullet(alpha(x4), circ(x1, x3)), alpha^2(x2))"
+                     " + circ(bullet(alpha(x4), circ(x2, x3)), alpha^2(x1))"),
+    ("jordan-tri-2", "circ(bullet(alpha(x3), bullet(x4, x1)), alpha^2(x2))"
+                     " + circ(bullet(alpha(x3), bullet(x4, x2)), alpha^2(x1))"
+                     " + bullet(alpha^2(x4), bullet(alpha(x3), circ(x1, x2)))"
+                     " = " + _JORDAN_TRI_RHS),
+    ("jordan-tri-3", "circ(bullet(alpha(x3), alpha(x1)), bullet(alpha(x4), alpha(x2)))"
+                     " + circ(bullet(alpha(x4), alpha(x1)), bullet(alpha(x3), alpha(x2)))"
+                     " + bullet(bullet(alpha(x4), alpha(x3)), circ(alpha(x1), alpha(x2)))"
+                     " = " + _JORDAN_TRI_RHS),
+)
+_TRIDENDRIFORM = (
+    ("dot-associativity", "dot(dot(x, y), alpha(z)) = dot(alpha(x), dot(y, z))"),
+    ("tridendriform-1", "prec(prec(x, y), alpha(z))"
+                        " = prec(alpha(x), prec(y, z) + succ(y, z) + dot(y, z))"),
+    ("tridendriform-2", "prec(succ(x, y), alpha(z)) = succ(alpha(x), prec(y, z))"),
+    ("tridendriform-3", "succ(alpha(x), succ(y, z))"
+                        " = succ(prec(x, y) + succ(x, y) + dot(x, y), alpha(z))"),
+    ("tridendriform-4", "dot(prec(x, y), alpha(z)) = dot(alpha(x), succ(y, z))"),
+    ("tridendriform-5", "dot(succ(x, y), alpha(z)) = succ(alpha(x), dot(y, z))"),
+    ("tridendriform-6", "prec(dot(x, y), alpha(z)) = dot(alpha(x), prec(y, z))"),
+)
+_SCHEMAS = {
+    VarietyTag.HOM_ASSOCIATIVE: _ASSOCIATIVE,
+    VarietyTag.HOM_LIE: _LIE,
+    VarietyTag.HOM_LEIBNIZ: _LEIBNIZ,
+    VarietyTag.HOM_JORDAN: _JORDAN,
+    VarietyTag.HOM_ZERO_DIALGEBRA: _BAR,
+    VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA: _DIALGEBRA,
+    VarietyTag.HOM_JORDAN_DIALGEBRA: _JORDAN_DIALGEBRA,
+    VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA: _TRIALGEBRA,
+    VarietyTag.HOM_LEIBNIZ_TRIALGEBRA: _LEIBNIZ_TRIALGEBRA,
+    VarietyTag.HOM_JORDAN_TRIALGEBRA: _JORDAN_TRIALGEBRA,
+    VarietyTag.HOM_TRIDENDRIFORM: _TRIDENDRIFORM,
+}
 
 
-def _a(e, k=1):
-    return tw("alpha", e, k)
-
-
-def associativity_schema(mul: str = "mul", name: str = "associativity") -> IdentitySchema:
-    return IdentitySchema(
-        name,
-        op(mul, op(mul, _x, _y), _a(_z)),
-        op(mul, _a(_x), op(mul, _y, _z)),
-    )
-
-
-def _lie_schemas():
-    antisym = IdentitySchema(
-        "antisymmetry", op("bracket", _x, _y), -op("bracket", _y, _x)
-    )
-    jacobi = IdentitySchema(
-        "jacobi",
-        op("bracket", _a(_x), op("bracket", _y, _z))
-        + op("bracket", _a(_y), op("bracket", _z, _x))
-        + op("bracket", _a(_z), op("bracket", _x, _y)),
-        ZERO,
-    )
-    return [antisym, jacobi]
-
-
-def _leibniz_schema() -> IdentitySchema:
-    return IdentitySchema(
-        "leibniz",
-        op("brace", _a(_x), op("brace", _y, _z)),
-        op("brace", op("brace", _x, _y), _a(_z)) + op("brace", _a(_y), op("brace", _x, _z)),
-    )
-
-
-def _jordan_schemas():
-    comm = IdentitySchema("commutativity", op("circ", _x, _y), op("circ", _y, _x))
-    sq = op("circ", _x, _x)
-    jordan = IdentitySchema(
-        "jordan",
-        op("circ", _a(sq), op("circ", _a(_y), _a(_x))),
-        op("circ", op("circ", sq, _a(_y)), _a(_x, 2)),
-    )
-    return [comm, jordan]
-
-
-def _bar_schemas():
-    bar_left = IdentitySchema(
-        "bar-left",
-        op("right", op("left", _x, _y), _a(_z)),
-        op("right", op("right", _x, _y), _a(_z)),
-    )
-    bar_right = IdentitySchema(
-        "bar-right",
-        op("left", _a(_x), op("left", _y, _z)),
-        op("left", _a(_x), op("right", _y, _z)),
-    )
-    return [bar_left, bar_right]
-
-
-def _dialgebra_schemas():
-    left_assoc = IdentitySchema(
-        "left-associativity",
-        op("left", op("left", _x, _y), _a(_z)),
-        op("left", _a(_x), op("left", _y, _z)),
-    )
-    right_assoc = IdentitySchema(
-        "right-associativity",
-        op("right", op("right", _x, _y), _a(_z)),
-        op("right", _a(_x), op("right", _y, _z)),
-    )
-    inner_assoc = IdentitySchema(
-        "inner-associativity",
-        op("left", op("right", _x, _y), _a(_z)),
-        op("right", _a(_x), op("left", _y, _z)),
-    )
-    return _bar_schemas() + [left_assoc, right_assoc, inner_assoc]
-
-
-def _jordan_dialgebra_schemas():
-    def B(u, w):
-        return op("bullet", u, w)
-
-    d0 = IdentitySchema(
-        "jordan-di-0", B(B(_x1, _x2), _x3), B(B(_x2, _x1), _x3)
-    )
-    d1 = IdentitySchema(
-        "jordan-di-1",
-        B(B(B(_x4, _x3), _a(_x2)), _a(_x1, 2))
-        + B(_a(_x4, 2), B(_a(_x2), B(_x3, _x1)))
-        + B(_a(_x3, 2), B(_a(_x2), B(_x4, _x1))),
-        B(_a(B(_x4, _x3)), B(_a(_x2), _a(_x1)))
-        + B(B(_a(_x4), _a(_x2)), _a(B(_x3, _x1)))
-        + B(B(_a(_x3), _a(_x2)), _a(B(_x4, _x1))),
-    )
-    d2 = IdentitySchema(
-        "jordan-di-2",
-        B(_a(_x1, 2), B(B(_x4, _x3), _x2))
-        + B(_a(_x4, 2), B(B(_x3, _x1), _x2))
-        + B(_a(_x3, 2), B(B(_x4, _x1), _x2)),
-        B(_a(B(_x4, _x3)), B(_a(_x1), _x2))
-        + B(_a(B(_x1, _x3)), B(_a(_x4), _x2))
-        + B(_a(B(_x4, _x1)), B(_a(_x3), _x2)),
-    )
-    return [d0, d1, d2]
-
-
-def _trialgebra_schemas():
-    L = lambda u, w: op("left", u, w)
-    R = lambda u, w: op("right", u, w)
-    M = lambda u, w: op("middle", u, w)
-    mid_assoc = associativity_schema("middle", "middle-associativity")
-    c1 = IdentitySchema("middle-compat-1", L(L(_x, _y), _a(_z)), L(_a(_x), M(_y, _z)))
-    c2 = IdentitySchema("middle-compat-2", L(M(_x, _y), _a(_z)), M(_a(_x), L(_y, _z)))
-    c3 = IdentitySchema("middle-compat-3", M(L(_x, _y), _a(_z)), M(_a(_x), R(_y, _z)))
-    c4 = IdentitySchema("middle-compat-4", M(R(_x, _y), _a(_z)), R(_a(_x), M(_y, _z)))
-    c5 = IdentitySchema("middle-compat-5", R(M(_x, _y), _a(_z)), R(_a(_x), R(_y, _z)))
-    return _dialgebra_schemas() + [mid_assoc, c1, c2, c3, c4, c5]
-
-
-def _leibniz_trialgebra_schemas():
-    BR = lambda u, w: op("bracket", u, w)
-    BC = lambda u, w: op("brace", u, w)
-    t1 = IdentitySchema(
-        "tri-leibniz-derivation",
-        BC(_a(_x), BR(_y, _z)),
-        BR(BC(_x, _y), _a(_z)) + BR(_a(_y), BC(_x, _z)),
-    )
-    t2 = IdentitySchema(
-        "tri-leibniz-collapse",
-        BC(BR(_x, _y), _a(_z)),
-        BC(BC(_x, _y), _a(_z)),
-    )
-    return _lie_schemas() + [_leibniz_schema()] + [t1, t2]
-
-
-def _jordan_trialgebra_schemas():
-    C = lambda u, w: op("circ", u, w)
-    B = lambda u, w: op("bullet", u, w)
-    t0 = IdentitySchema(
-        "jordan-tri-0",
-        C(C(_a(_x1), _a(_x1)), B(_a(_x2), _a(_x1))),
-        C(B(_a(_x2), C(_x1, _x1)), _a(_x1, 2)),
-    )
-    t1 = IdentitySchema(
-        "jordan-tri-1",
-        C(C(B(_x4, _x1), _a(_x3)), _a(_x2, 2))
-        + C(C(B(_x4, _x2), _a(_x3)), _a(_x1, 2))
-        + B(_a(_x4, 2), C(C(_x1, _x2), _a(_x3))),
-        C(B(_a(_x4), C(_x1, _x2)), _a(_x3, 2))
-        + C(B(_a(_x4), C(_x1, _x3)), _a(_x2, 2))
-        + C(B(_a(_x4), C(_x2, _x3)), _a(_x1, 2)),
-    )
-    t2 = IdentitySchema(
-        "jordan-tri-2",
-        C(B(_a(_x3), B(_x4, _x1)), _a(_x2, 2))
-        + C(B(_a(_x3), B(_x4, _x2)), _a(_x1, 2))
-        + B(_a(_x4, 2), B(_a(_x3), C(_x1, _x2))),
-        C(B(B(_x4, _x3), _a(_x2)), _a(_x1, 2))
-        + B(_a(_x4, 2), C(B(_x3, _x1), _a(_x2)))
-        + B(_a(_x3, 2), C(B(_x4, _x1), _a(_x2))),
-    )
-    t3 = IdentitySchema(
-        "jordan-tri-3",
-        C(B(_a(_x3), _a(_x1)), B(_a(_x4), _a(_x2)))
-        + C(B(_a(_x4), _a(_x1)), B(_a(_x3), _a(_x2)))
-        + B(B(_a(_x4), _a(_x3)), C(_a(_x1), _a(_x2))),
-        C(B(B(_x4, _x3), _a(_x2)), _a(_x1, 2))
-        + B(_a(_x4, 2), C(B(_x3, _x1), _a(_x2)))
-        + B(_a(_x3, 2), C(B(_x4, _x1), _a(_x2))),
-    )
-    return _jordan_schemas() + _jordan_dialgebra_schemas() + [t0, t1, t2, t3]
-
-
-def _tridendriform_schemas():
-    P = lambda u, w: op("prec", u, w)
-    S = lambda u, w: op("succ", u, w)
-    D = lambda u, w: op("dot", u, w)
-    all3 = lambda u, w: P(u, w) + S(u, w) + D(u, w)
-    t1 = IdentitySchema("tridendriform-1", P(P(_x, _y), _a(_z)), P(_a(_x), all3(_y, _z)))
-    t2 = IdentitySchema("tridendriform-2", P(S(_x, _y), _a(_z)), S(_a(_x), P(_y, _z)))
-    t3 = IdentitySchema("tridendriform-3", S(_a(_x), S(_y, _z)), S(all3(_x, _y), _a(_z)))
-    t4 = IdentitySchema("tridendriform-4", D(P(_x, _y), _a(_z)), D(_a(_x), S(_y, _z)))
-    t5 = IdentitySchema("tridendriform-5", D(S(_x, _y), _a(_z)), S(_a(_x), D(_y, _z)))
-    t6 = IdentitySchema("tridendriform-6", P(D(_x, _y), _a(_z)), D(_a(_x), P(_y, _z)))
-    return [associativity_schema("dot", "dot-associativity"), t1, t2, t3, t4, t5, t6]
+def associativity_schema() -> IdentitySchema:
+    return identity(*_ASSOCIATIVE[0])
 
 
 @cache
@@ -318,70 +228,43 @@ def schemas_for(tag: VarietyTag) -> tuple:
 
     Every call returns the same schema objects, so checks reuse their plans.
     """
-    if tag is VarietyTag.HOM_ASSOCIATIVE:
-        return (associativity_schema(),)
-    if tag is VarietyTag.HOM_LIE:
-        return tuple(_lie_schemas())
-    if tag is VarietyTag.HOM_LEIBNIZ:
-        return (_leibniz_schema(),)
-    if tag is VarietyTag.HOM_JORDAN:
-        return tuple(_jordan_schemas())
-    if tag is VarietyTag.HOM_ZERO_DIALGEBRA:
-        return tuple(_bar_schemas())
-    if tag is VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA:
-        return tuple(_dialgebra_schemas())
-    if tag is VarietyTag.HOM_JORDAN_DIALGEBRA:
-        return tuple(_jordan_dialgebra_schemas())
-    if tag is VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA:
-        return tuple(_trialgebra_schemas())
-    if tag is VarietyTag.HOM_LEIBNIZ_TRIALGEBRA:
-        return tuple(_leibniz_trialgebra_schemas())
-    if tag is VarietyTag.HOM_JORDAN_TRIALGEBRA:
-        return tuple(_jordan_trialgebra_schemas())
-    if tag is VarietyTag.HOM_TRIDENDRIFORM:
-        return tuple(_tridendriform_schemas())
-    raise SemanticError(f"unknown variety tag {tag!r}")
+    rows = _SCHEMAS.get(tag)
+    if rows is None:
+        raise SemanticError(f"unknown variety tag {tag!r}")
+    return tuple(identity(name, text) for name, text in rows)
 
 
 def classical_jordan_dialgebra_schemas():
     """Untwisted defining identities (short, non-multilinear forms)."""
-    B = lambda u, w: op("bullet", u, w)
-    sq = B(_x, _x)
-    c0 = IdentitySchema("classical-jordan-di-0", B(B(_x, _y), _z), B(B(_y, _x), _z))
-    # associator identity (x^2, y, z) = 2 (x, y, x*z)
-    assoc = lambda u, v, w: B(B(u, v), w) - B(u, B(v, w))
-    c1 = IdentitySchema(
-        "classical-jordan-di-1", assoc(sq, _y, _z), 2 * assoc(_x, _y, B(_x, _z))
-    )
-    c2 = IdentitySchema("classical-jordan-di-2", B(_x, B(sq, _y)), B(sq, B(_x, _y)))
-    return [c0, c1, c2]
+    return [identity(name, text) for name, text in (
+        ("classical-jordan-di-0", "bullet(bullet(x, y), z) = bullet(bullet(y, x), z)"),
+        # associator identity (x^2, y, z) = 2 (x, y, x*z)
+        ("classical-jordan-di-1", "bullet(bullet(bullet(x, x), y), z)"
+                                  " - bullet(bullet(x, x), bullet(y, z))"
+                                  " = 2 * (bullet(bullet(x, y), bullet(x, z))"
+                                  " - bullet(x, bullet(y, bullet(x, z))))"),
+        ("classical-jordan-di-2",
+         "bullet(x, bullet(bullet(x, x), y)) = bullet(bullet(x, x), bullet(x, y))"),
+    )]
 
 
 def classical_jordan_dialgebra_multilinear():
     """The equivalent multilinear (four-variable) identity list."""
-    B = lambda u, w: op("bullet", u, w)
-    m1 = IdentitySchema(
-        "classical-jordan-di-m1",
-        B(B(B(_x4, _x3), _x2), _x1)
-        + B(_x4, B(_x2, B(_x3, _x1)))
-        + B(_x3, B(_x2, B(_x4, _x1))),
-        B(B(_x4, _x3), B(_x2, _x1))
-        + B(B(_x4, _x2), B(_x3, _x1))
-        + B(B(_x3, _x2), B(_x4, _x1)),
-    )
-    m2 = IdentitySchema(
-        "classical-jordan-di-m2",
-        B(_x1, B(B(_x4, _x3), _x2))
-        + B(_x4, B(B(_x3, _x1), _x2))
-        + B(_x3, B(B(_x4, _x1), _x2)),
-        B(B(_x4, _x3), B(_x1, _x2))
-        + B(B(_x1, _x3), B(_x4, _x2))
-        + B(B(_x4, _x1), B(_x3, _x2)),
-    )
-    d0 = IdentitySchema(
-        "classical-jordan-di-m0", B(B(_x1, _x2), _x3), B(B(_x2, _x1), _x3)
-    )
-    return [d0, m1, m2]
+    return [identity(name, text) for name, text in (
+        ("classical-jordan-di-m0", "bullet(bullet(x1, x2), x3) = bullet(bullet(x2, x1), x3)"),
+        ("classical-jordan-di-m1", "bullet(bullet(bullet(x4, x3), x2), x1)"
+                                   " + bullet(x4, bullet(x2, bullet(x3, x1)))"
+                                   " + bullet(x3, bullet(x2, bullet(x4, x1)))"
+                                   " = bullet(bullet(x4, x3), bullet(x2, x1))"
+                                   " + bullet(bullet(x4, x2), bullet(x3, x1))"
+                                   " + bullet(bullet(x3, x2), bullet(x4, x1))"),
+        ("classical-jordan-di-m2", "bullet(x1, bullet(bullet(x4, x3), x2))"
+                                   " + bullet(x4, bullet(bullet(x3, x1), x2))"
+                                   " + bullet(x3, bullet(bullet(x4, x1), x2))"
+                                   " = bullet(bullet(x4, x3), bullet(x1, x2))"
+                                   " + bullet(bullet(x1, x3), bullet(x4, x2))"
+                                   " + bullet(bullet(x4, x1), bullet(x3, x2))"),
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +284,7 @@ def certify(a: AlgebraInstance, tag: VarietyTag) -> CheckReport:
 @cache
 def multiplicative_schema(sym: str) -> IdentitySchema:
     """alpha(x . y) = alpha(x) . alpha(y) for one product symbol, built once per symbol."""
-    return IdentitySchema(f"multiplicative:{sym}", _a(op(sym, _x, _y)), op(sym, _a(_x), _a(_y)))
+    return identity(f"multiplicative:{sym}", f"alpha({sym}(x, y)) = {sym}(alpha(x), alpha(y))")
 
 
 def certify_multiplicative(a: AlgebraInstance) -> CheckReport:

@@ -14,6 +14,7 @@ from homalg.engine import (
     check_schema,
     check_schema_random,
     evaluate,
+    identity,
     op,
     polarize,
     rewrite,
@@ -182,6 +183,10 @@ def _front_end_cases():
         ("check: an unbound map under a product over a zero tensor",
          check(op("mul", tw("nomap", x), y), op("mul", x, y), zero_mul)),
         ("check: a zero side keeps its sort", check(op("l", x, u), tw("beta", u))),
+        ("check: a variable declared with another sort",
+         check(op("mul", x, y), op("mul", y, x), variables=[("x", "B", 1), ("y", "A", 1)])),
+        ("check: a later variable declared with another sort",
+         check(op("mul", x, y), op("mul", y, x), variables=[("x", "A", 1), ("y", "B", 1)])),
         # evaluate: sort clashes, no homogeneity
         ("evaluate: sort clash", value(op("mul", x, xb))),
         ("evaluate: an inhomogeneous sum", value(op("mul", x, y) + x)),
@@ -252,6 +257,10 @@ _FRONT_END = {
     "check: an unbound map under a product over a zero tensor":
         ("SemanticError", "s: unbound map symbol 'nomap'"),
     "check: a zero side keeps its sort": ("fail", (0, 0), ("0", "0", "0"), ("1", "0", "0")),
+    "check: a variable declared with another sort":
+        ("SemanticError", "s: variable 'x' declared with sort 'B', used with sort 'A'"),
+    "check: a later variable declared with another sort":
+        ("SemanticError", "s: variable 'y' declared with sort 'B', used with sort 'A'"),
     "evaluate: sort clash": ("SemanticError", "variable x used with two sorts"),
     "evaluate: an inhomogeneous sum": ("value", ("3/2", "6")),
     "evaluate: sum mixes sorts": ("SemanticError", "sum mixes sorts"),
@@ -267,6 +276,55 @@ def test_the_front_end_raises_what_it_raised():
     # the walks over its trees are arranged
     got = {label: _front_end_outcome(call) for label, call in _front_end_cases()}
     assert got == _FRONT_END
+
+
+# ---------------------------------------------------------------------------
+# the identity notation
+
+
+def test_the_identity_notation_builds_what_the_expr_operators_build():
+    from test_schema_golden import tree
+
+    x, y, u, v = var("x"), var("y"), var("u", "V"), var("v", "V")
+    cases = {
+        "mul(x, alpha^2(y))": op("mul", x, tw("alpha", y, 2)),  # one bare term: no Sum
+        "-mul(y, x)": -op("mul", y, x),
+        "1 * x": 1 * x,
+        "2 * mul(x, y) - 1/2 mul(y, x)": 2 * op("mul", x, y) - Fraction(1, 2) * op("mul", y, x),
+        "l(x, u) + -7/3 * l(y, u)": op("l", x, u) + Fraction(-7, 3) * op("l", y, u),
+        "0 * vmul(u, v) + beta(vmul(u, v))": 0 * op("vmul", u, v) + tw("beta", op("vmul", u, v)),
+        "x - (y - mul(x, y))": x - (y - op("mul", x, y)),
+        "2 * (x - y)": 2 * (x - y),
+        "K(l(K(u), v) + r(K(v), u))": tw("K", op("l", tw("K", u), v) + op("r", tw("K", v), u)),
+        "0": ZERO,
+        "x-y": var("x-y"),  # a name as the DSL writes one
+    }
+    for text, want in cases.items():
+        schema = identity("t", f"{text} = 0", v="u v", variables=())
+        assert tree(schema.lhs) == tree(want) and schema.rhs is ZERO, text
+    schema = identity("t", "d(vmul(u, v)) = mul(d(u), d(v))", v="u v")
+    assert schema.variables == (("u", "V", 1), ("v", "V", 1))
+
+
+def test_the_identity_reader_names_the_identity_in_every_error():
+    cases = {
+        "mul(x, y = mul(y, x)": "expected ')', got '='",
+        "mul(x, y)) = mul(y, x)": "expected '=', got ')'",
+        "mul(x, y) = mul(y, x": "expected ')', got 'the end'",
+        "mul(x, y)": "expected '=', got 'the end'",
+        "x = y = x": "unexpected '=' after the rhs",
+        "mul(x, y) = mul(y, x) x": "unexpected 'x' after the rhs",
+        "mul(x, y, x) = x": "'mul' is called with 3 arguments",
+        " = mul(y, x)": "expected a term, got '='",
+        "mul(x, y) = ": "expected a term, got 'the end'",
+        "mul(x, ) = x": "expected a term, got ')'",
+        "alpha^0(x) = x": "map 'alpha' needs a power K >= 1, got '0'",
+        "alpha^(x) = x": "map 'alpha' needs a power K >= 1, got '('",
+    }
+    for text, message in cases.items():
+        with pytest.raises(SemanticError) as caught:
+            identity("bad", text)
+        assert str(caught.value) == f"identity 'bad': {message}", text
 
 
 # ---------------------------------------------------------------------------
