@@ -249,9 +249,9 @@ def identity(name: str, text: str, v: str = "", **schema_kwargs) -> IdentitySche
 
         side   := term (("+" | "-") term)*
         term   := ["-"] [RATIONAL ["*"]] factor
-        factor := "(" side ")" | "0" | SYMBOL ["^" K] "(" side ["," side] ")" | VARIABLE
+        factor := "(" side ")" | "0" | SYMBOL ["^" k] "(" side ["," side] ")" | VARIABLE
 
-    A call with two arguments is an op, with one a map applied K >= 1 times
+    A call with two arguments is an op, with one a map applied k >= 1 times
     (once when no power is written), and "0" is ZERO.  Variables are of sort
     A, those named in `v` (space-separated) of sort V.  A side of one term
     with no sign and no weight is that term's tree, any other a Sum, as the
@@ -303,7 +303,7 @@ def identity(name: str, text: str, v: str = "", **schema_kwargs) -> IdentitySche
             k = toks[at + 1]
             power, at = int(k) if k.isdigit() else 0, at + 2
             if power < 1:
-                fail(f"map {sym!r} needs a power K >= 1, got {k!r}")
+                fail(f"map {sym!r} needs a power k >= 1, got {k!r}")
         elif toks[at] != "(":
             got = leaves.get(sym)
             if got is None:
@@ -1065,9 +1065,10 @@ class _Plan:
 
     `nodes` are the DAG's keys and `order` the live ones, children first;
     `sorts` gives each node's sort (the DAG's; a live variable's must be the
-    one its clauses declare), so the plan serves every dimension.  Roots are lhs, rhs of each clause in
-    turn, and `out_sorts` their sorts as `_Dag.add` gives them, so a side
-    simplified to zero keeps its own (None when neither side has one).
+    one its clauses declare), so the plan serves every dimension.  Roots are
+    lhs, rhs of each clause in turn, and `out_sorts` their sorts as
+    `_Dag.add` gives them, so a side simplified to zero keeps its own (None
+    when neither side has one).
     Every live node but a variable has one kernel, built with the plan.  A
     kernel reads its children's values from the value list by node id and
     its data from slots after the nodes (`width` entries in all): one per op

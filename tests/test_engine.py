@@ -318,8 +318,8 @@ def test_the_identity_reader_names_the_identity_in_every_error():
         " = mul(y, x)": "expected a term, got '='",
         "mul(x, y) = ": "expected a term, got 'the end'",
         "mul(x, ) = x": "expected a term, got ')'",
-        "alpha^0(x) = x": "map 'alpha' needs a power K >= 1, got '0'",
-        "alpha^(x) = x": "map 'alpha' needs a power K >= 1, got '('",
+        "alpha^0(x) = x": "map 'alpha' needs a power k >= 1, got '0'",
+        "alpha^(x) = x": "map 'alpha' needs a power k >= 1, got '('",
     }
     for text, message in cases.items():
         with pytest.raises(SemanticError) as caught:
