@@ -124,10 +124,9 @@ the first check.  Tensors and maps are immutable (`_masks` and `_powers`
 are caches), so an object's identity stands for its content.  A fresh
 object always misses, even with equal content: the memo serves
 constructions whose gates re-certify the same inputs, not repeated data.
-It holds weak references only: an entry whose objects are gone by the next
-check is dropped there and then, so a run of checks over fresh data keeps one entry and never
-sweeps; the other dead entries are swept once the memo has doubled, and
-the memo goes with its schema.  `evaluate` and `check_schema_random` never
+It holds weak references only: an entry is dropped when the first of its
+objects dies, so the memo keeps live entries alone, and it goes with its
+schema.  `evaluate` and `check_schema_random` never
 read it.
 """
 
@@ -631,7 +630,7 @@ def _support(vectors) -> int:
 
 
 def _tensor(tensor):
-    """[row masks, column masks, P, Q, chained] of a tensor, kept on it.
+    """[row masks, column masks, P, Q, chained, pairs] of a tensor, kept on it.
 
     Bit j of row mask i, and bit i of column mask j, is set when e_i e_j is
     nonzero, i.e. when the tensor's sparse row (i, j) is not [].  P and Q are
@@ -640,15 +639,26 @@ def _tensor(tensor):
     masks read through a chain of twists whose composite may be nonzero only
     at the output coordinates in the cover (see `_cover`; -1 for no chain):
     entry i the union of P[i][k] (or Q[i][k]) over k in the cover, or the
-    plain masks when the cover cuts no output coordinate.
+    plain masks when the cover cuts no output coordinate.  `pairs` is the
+    index of `nonzero_pairs`, None until it is first asked for.
     """
     got = tensor._masks
     if got is None:
         rows = tensor._rows
         got = tensor._masks = [[_support(plane) for plane in rows],
                                [_support(plane[j] for plane in rows)
-                                for j in range(tensor.right_dim)], None, None, {}]
+                                for j in range(tensor.right_dim)], None, None, {}, None]
     return got
+
+
+def nonzero_pairs(tensor):
+    """Per left index i, the (j, sparse row) of every nonzero e_i e_j, j
+    ascending: the tensor's rows without its zero ones, built once and kept
+    with `_tensor`'s data.  `varieties.is_morphism` reads a tensor through it."""
+    got = _tensor(tensor)
+    if got[5] is None:
+        got[5] = [[(j, row) for j, row in enumerate(plane) if row] for plane in tensor._rows]
+    return got[5]
 
 
 def _outputs(tensor, right: bool):
@@ -1017,17 +1027,18 @@ class _Shape:
     tuples_checked, tuples_evaluated, prefixes_visited, the sorts'
     dimensions, then a weak reference per object read).  A verdict is
     recalled only for the same dimensions and while
-    each reference still gives the object bound now, so neither a hash
-    collision nor an id reused after its object is gone can return another
-    check's verdict.  Entries hold no data.  An entry whose objects are gone
-    by the next check (a check over fresh data) is dropped then, in place;
-    the others are swept once the memo has doubled since the last sweep.
+    each reference still gives the object bound now, so a hash collision
+    cannot return another check's verdict.  Entries hold no data.  An entry
+    is dropped when the first of its objects dies (`_forget`, the callback
+    of its references), so the memo holds only live entries: the key of a
+    fresh object never meets a dead entry left at the id it reuses, and what
+    a check costs does not depend on the checks that ran before it.
     """
 
-    __slots__ = ("plans", "verdicts", "sweep_at", "last")
+    __slots__ = ("plans", "verdicts", "__weakref__")
 
     def __init__(self):
-        self.plans, self.verdicts, self.sweep_at, self.last = [], {}, 1, None
+        self.plans, self.verdicts = [], {}
 
     def recall(self, bound):
         """The verdict kept for these dimensions and objects, or None."""
@@ -1039,21 +1050,18 @@ class _Shape:
 
     def remember(self, bound, report) -> None:
         key, dims, objects = bound
-        for r in self.verdicts.get(self.last, ())[5:]:
-            if r() is None:  # the last check's data is gone already: drop its entry alone
-                del self.verdicts[self.last]
-                break
-        if len(self.verdicts) >= self.sweep_at:
-            self.sweep()
+        forget = partial(_forget, ref(self), key)  # weakly: the memo must not keep itself
         self.verdicts[key] = (report.witness, report.tuples_checked, report.tuples_evaluated,
-                              report.prefixes_visited, dims, *map(ref, objects))
-        self.last = key
+                              report.prefixes_visited, dims, *(ref(o, forget) for o in objects))
 
-    def sweep(self) -> None:
-        """Drop the entries whose objects are gone."""
-        self.verdicts = {k: v for k, v in self.verdicts.items()
-                         if all(r() is not None for r in v[5:])}
-        self.sweep_at = 2 * len(self.verdicts) + 1
+
+def _forget(shape, key, gone) -> None:
+    """Drop entry `key` of the _Shape that `shape` refers to, if `gone`, a
+    reference whose object just died, is still one of its references."""
+    shape = shape()
+    got = shape and shape.verdicts.get(key)
+    if got and any(r is gone for r in got[5:]):
+        del shape.verdicts[key]
 
 
 # one slot's support recipe (see _Plan._support_recipe)

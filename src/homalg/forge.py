@@ -15,11 +15,11 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .constructions import differential_dialgebra
 from .engine import CheckReport, Interpretation, SemanticError, twist_gap
-from .exact import LinearMap, StructureTensor, Vector
+from .exact import _EMPTY, LinearMap, StructureTensor, Vector
 from .operators import OperatorCandidate, certify_operator
 from .records import FrozenRecord, Record
 from .reps import (
@@ -507,20 +507,6 @@ def catalog_source_files():
     return files
 
 
-def write_catalog(directory):
-    """Write the catalog DSL files into a directory; returns the paths."""
-    import pathlib
-
-    out = []
-    root = pathlib.Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    for fname, text in catalog_source_files().items():
-        path = root / fname
-        path.write_text(text, encoding="utf-8")
-        out.append(path)
-    return out
-
-
 def data_dir():
     import pathlib
 
@@ -614,8 +600,13 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     completes the most coordinate clauses (`endomorphism_clauses`), lowest
     row-major index on ties.  A partial map is rejected as soon as a clause
     whose entries are all set is nonzero, so pruning only drops maps that
-    fail an exact clause.  Every surviving map is certified again by
-    `is_morphism`, the check of record, before it is returned.
+    fail an exact clause.  Every surviving map is built in lowest terms, as
+    `LinearMap(rows)` keeps it, over one shared sparse numerator column per
+    distinct column, so the maps of a search hold at most one list per
+    column value, and is certified again by `is_morphism`, the check of
+    record, before it is returned.  The recursive search is released when it
+    returns, so its leaves and clause tables are freed at once, not left as
+    cyclic garbage for the collector.
     """
     vals = grid.values()
     n = a.dim
@@ -669,10 +660,20 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
                 visit(d + 1)
 
     visit(0)
-    found = []
+    visit = None  # it calls itself: free the search's tables now, not at a gc pass
+    found, columns = [], {}  # one sparse list per distinct column, shared by the maps
     for entries in sorted(leaves):
-        phi = LinearMap._lowest([[(r, x) for r, x in enumerate(entries[c::n]) if x]
-                                 for c in range(n)], den, n, n)
+        g = gcd(den, *entries)  # lowest terms, as LinearMap(rows) keeps them
+        if g > 1:
+            entries = tuple(x // g for x in entries)
+        cols = []
+        for c in range(n):
+            key = entries[c::n]
+            col = columns.get(key)
+            if col is None:
+                col = columns[key] = [(r, x) for r, x in enumerate(key) if x] or _EMPTY
+            cols.append(col)
+        phi = LinearMap._make(cols, den // g, n, n)
         if is_morphism(phi, a, a).ok:
             found.append(phi)
     return found

@@ -37,6 +37,7 @@ from .engine import (
     Witness,
     check_all,
     identity,
+    nonzero_pairs,
     twist_gap,
 )
 from .exact import LinearMap, ShapeError, StructureTensor, Vector
@@ -306,10 +307,12 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
     f(e_i e_j) = f(e_i) f(e_j) are built for every j at once on integer
     numerators, one flat list each: f(e_i e_j) over f._d * ts._d from the
     sparse columns f stores, and f(e_i) f(e_j) over f._d**2 * td._d from the
-    nonzero entries of td and of f.  The tensors are read as the sparse
-    rows they store, so no zero entry is visited.  f is read directly and
-    never through `engine._power`, which would keep the engine's data on
-    each fresh leaf of the endomorphism search; that measured slower.  The
+    nonzero entries of td and of f.  Each tensor is read through
+    `engine.nonzero_pairs`, its nonzero rows (i, j) listed per i, built once
+    and kept on the tensor, so no zero row or entry is visited and nothing
+    about the tensor is rebuilt per call.  f is read directly and never
+    through `engine._power`, which would keep the engine's data on each
+    fresh leaf of the endomorphism search; that measured slower.  The
     two lists are compared once, cross-scaled; only a mismatch locates its
     first j and builds the witness sides as `Vector`s over those same
     denominators.  A map that fails stops after the block of its first
@@ -343,24 +346,24 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
     syms = sorted(src.products)
     for s, sym in enumerate(syms):
         ts, td = src.products[sym], dst.products[sym]
-        # the nonzero entries t = td[p][q][k] with row q of f nonzero, by p
-        terms = [[(rows[q], k, t) for q, row in enumerate(plane) if row and rows[q]
-                  for k, t in row] for plane in td._rows]
+        by_i, by_p = nonzero_pairs(ts), nonzero_pairs(td)
         sl, sr = fd * td._d, ts._d  # lhs / (fd ts._d) == rhs / (fd^2 td._d)
-        for i, plane in enumerate(ts._rows):
+        for i in range(n):
             lhs = [0] * (n * m)  # f(e_i e_j)[k] at j * m + k
-            at = 0
-            for row in plane:
+            for j, row in by_i[i]:
+                at = j * m
                 for c, x in row:
                     for k, y in cols[c]:
                         lhs[at + k] += x * y
-                at += m
             rhs = [0] * (n * m)  # (f(e_i) f(e_j))[k], same layout
             for p, x in cols[i]:
-                for rq, k, t in terms[p]:
-                    xt = x * t
-                    for aj, y in rq:
-                        rhs[aj + k] += xt * y
+                for q, row in by_p[p]:
+                    rq = rows[q]
+                    if rq:
+                        for k, t in row:
+                            xt = x * t
+                            for aj, y in rq:
+                                rhs[aj + k] += xt * y
             a, b = (lhs, rhs) if sl == sr else ([x * sl for x in lhs], [y * sr for y in rhs])
             if a != b:
                 j = next(e for e, (x, y) in enumerate(zip(a, b)) if x != y) // m

@@ -630,12 +630,14 @@ def test_sparse_data_is_computed_once_per_object():
     assert t._masks is None and alpha._powers is None
     check_schema(schema, interp)
     tensor_data, map_data = t._masks, alpha._powers[1]
-    (row_masks, col_masks, p, q, chained), (cols, _, col_support, _) = tensor_data, map_data
+    row_masks, col_masks, p, q, chained, pairs = tensor_data
+    cols, _, col_support, _ = map_data
     assert t._rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
     # e1 e1 and e1 e2 are nonzero, e2 e_j is zero; both columns of alpha are nonzero
     assert (row_masks, col_masks, col_support) == ([0b11, 0], [0b01, 0b01], 0b11)
-    # this schema reads no op(c, n) with n past the last slot: no per-output masks
-    assert p is None and q is None
+    # this schema reads no op(c, n) with n past the last slot: no per-output masks;
+    # and no check reads the nonzero pairs that is_morphism reads
+    assert p is None and q is None and pairs is None
     # the product is read through alpha, whose cover (both columns) cuts no
     # output coordinate: the plain row masks, kept by kind and cover
     assert chained == {("rows", 0b11): row_masks} and chained["rows", 0b11] is row_masks
@@ -2003,9 +2005,7 @@ def test_memo_entries_die_with_their_data_and_their_schema():
     del bent, interp
     gc.collect()
     assert gone() is None
-    (entry,) = [e for cs in schema.plans.values() for e in cs.by_shape.values()]
-    entry.sweep()
-    # only the entry of the data still alive is left
+    # only the entry of the data still alive is left: the other went with its data
     (left,) = _verdicts(schema)
     assert all(r() is o for r, o in zip(left[5:], (kept.ops["mul"][0], kept.maps["alpha"][0])))
 
@@ -2056,23 +2056,23 @@ def test_the_memo_stays_bounded_over_fresh_objects():
     assert largest <= 2 * 8 + 1, largest
 
 
-def test_checks_over_fresh_data_keep_one_entry_and_never_sweep(monkeypatch):
+def test_checks_over_fresh_data_leave_no_entry_behind():
     # each check's objects are gone before the next one, as a fresh operator
-    # map is after its candidate: its entry is dropped in place, so the memo
-    # holds one entry and is never swept; live entries still are
-    import homalg.engine as engine
-
-    sweeps, real = [], engine._Shape.sweep
-    monkeypatch.setattr(engine._Shape, "sweep", lambda self: sweeps.append(self) or real(self))
+    # map is after its candidate: its entry goes with them, so the memo holds
+    # no dead entry between checks; the entries of live data all stay
     schema = _fresh(associativity_schema())
     for n in range(50):
-        check_schema(schema, interp_for(_bumped(KX2, n % 2, 1, 0, n + 1)))
+        interp = interp_for(_bumped(KX2, n % 2, 1, 0, n + 1))
+        check_schema(schema, interp)
         assert len(_verdicts(schema)) == 1
-    assert sweeps == []
+        del interp
+        assert _verdicts(schema) == []
     kept = [interp_for(_bumped(KX2, 0, 1, 0, n + 1)) for n in range(4)]
     for interp in kept:
         check_schema(schema, interp)
-    assert len(sweeps) == 2 and len(_verdicts(schema)) == 4
+    assert len(_verdicts(schema)) == 4
+    del kept[:2]
+    assert len(_verdicts(schema)) == 2
 
 
 def test_evaluate_and_random_checks_never_read_the_memo(cold_binds):

@@ -162,6 +162,32 @@ def test_find_endomorphisms_certifies_only_what_it_returns(seed_catalog, monkeyp
     assert found and len(calls) == len(found)
 
 
+@pytest.mark.parametrize("name", ["kx3", "kx3t2", "heis3"])
+def test_find_endomorphisms_leaves_no_cyclic_garbage(seed_catalog, name):
+    # the search's recursive closure is released when it returns, so its
+    # leaves and clause tables go at once, not at the next gc pass
+    import gc
+
+    a, grid = seed_catalog[name].value, GridSpec((-1, 0, 1))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        found = find_endomorphisms(a, grid)
+        assert found and gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_find_endomorphisms_shares_one_list_per_distinct_column(seed_catalog):
+    # 657 maps, but a grid of {-1, 0, 1} has 27 distinct columns of dimension 3
+    found = find_endomorphisms(seed_catalog["heis3"].value, GridSpec((-1, 0, 1)))
+    assert len(found) == 657
+    assert len({id(col) for f in found for col in f._cols}) <= 27
+    assert_lowest_terms(found)
+
+
 def count_square_gaps(monkeypatch):
     """The calls of `exact.square_gap` made from now on, through every module
     of the certifiers that binds it."""

@@ -143,31 +143,33 @@ def test_count_pass_reports_instructions_and_engine_work_per_class():
     assert work["a"]["tuples_checked"] == 2 * work["b"]["tuples_checked"] > 0
 
 
+class FreshBatteries:
+    """A workload of one battery of fresh objects per class, so every pass
+    checks cold."""
+
+    def prepare(self):
+        pass
+
+    def timed(self, fn):
+        return fn(), 0.0, 0.0
+
+    def run_pass(self):
+        records = []
+        for cls in ("a", "b"):
+            a = _kx2()
+            _, t0, ms = self.timed(lambda: _battery(a))
+            records.append({"cls": cls, "key": cls, "t0": t0, "ms": ms})
+        return records
+
+
 def test_count_pass_lists_the_code_objects_that_ran_the_most():
     import re
 
     tool = _opcount()
-
-    class Workload:
-        """One battery of fresh objects per class, so every pass checks cold."""
-
-        def prepare(self):
-            pass
-
-        def timed(self, fn):
-            return fn(), 0.0, 0.0
-
-        def run_pass(self):
-            records = []
-            for cls in ("a", "b"):
-                a = _kx2()
-                _, t0, ms = self.timed(lambda: _battery(a))
-                records.append({"cls": cls, "key": cls, "t0": t0, "ms": ms})
-            return records
-
-    out = tool.count_pass(Workload(), functions=5)
-    assert out == tool.count_pass(Workload(), functions=5)  # the counts repeat exactly
-    assert out["ops"] == tool.count_pass(Workload())["ops"] and set(out["functions"]) == {"a", "b"}
+    out = tool.count_pass(FreshBatteries(), functions=5)
+    assert out == tool.count_pass(FreshBatteries(), functions=5)  # the counts repeat exactly
+    assert out["ops"] == tool.count_pass(FreshBatteries())["ops"]
+    assert set(out["functions"]) == {"a", "b"}
     for cls, top in out["functions"].items():
         counts = [n for _, n in top]
         assert len(top) == 5 and counts == sorted(counts, reverse=True) and counts[-1] > 0
@@ -175,5 +177,33 @@ def test_count_pass_lists_the_code_objects_that_ran_the_most():
         assert all(re.fullmatch(r"\S+\.py:\d+ \S+", label) for label, _ in top)
         assert any(label.startswith("src/homalg/engine.py:") for label, _ in top)
     # every code object listed: the counts add up to the class total
-    every = tool.count_pass(Workload(), functions=10 ** 6)
+    every = tool.count_pass(FreshBatteries(), functions=10 ** 6)
     assert {cls: sum(n for _, n in top) for cls, top in every["functions"].items()} == out["ops"]
+
+
+def test_count_pass_counts_the_same_whatever_checks_ran_before_it():
+    # seeded histories of batteries kept alive, checked and dropped, dropped
+    # at once, and counted: a fresh object that takes the id of a dropped one
+    # must not meet a verdict memo entry left for it
+    import random
+
+    tool = _opcount()
+    want = tool.count_pass(FreshBatteries())["ops"]
+    rng = random.Random(0)
+    got = []
+    for _ in range(24):
+        alive = []
+        for _ in range(rng.randint(3, 10)):
+            step = rng.choice("kdxc")
+            if step == "k":
+                alive.append(_kx2())
+                _battery(alive[-1])
+            elif step == "d":
+                _battery(_kx2())
+            elif step == "x":
+                alive.clear()
+            else:
+                tool.count_pass(FreshBatteries())
+        del alive
+        got.append(tool.count_pass(FreshBatteries())["ops"])
+    assert got == [want] * len(got)

@@ -6,7 +6,9 @@ import pytest
 from homalg.engine import CheckReport, SemanticError, Witness, check_schema
 from homalg.exact import LinearMap, StructureTensor, Vector
 from homalg.forge import (
+    GridSpec,
     diagonal_dialgebra,
+    find_endomorphisms,
     kx2_phitwist,
     truncated_polynomial_algebra,
     two_dim_trialgebra,
@@ -281,6 +283,15 @@ def test_is_morphism_matches_the_vector_loop(seed_catalog):
                     f = random_map(rng, src.dim, dst.dim, den)
                     mixed += [(f, src, dst), (intertwining_part(f, src, dst), src, dst)]
     cases += mixed
+    # a sparse tensor: heis3's endomorphisms over {-1, 0, 1}, each as found
+    # and with one entry bumped, every entry in turn
+    heis3 = seed_catalog["heis3"].value
+    endos = find_endomorphisms(heis3, GridSpec((-1, 0, 1)))
+    assert len(endos) == 657
+    for e, f in enumerate(endos):
+        rows = [list(row) for row in f.matrix]
+        rows[e % 9 // 3][e % 3] += 1
+        cases += [(f, heis3, heis3), (LinearMap(rows), heis3, heis3)]
     statuses, one_identity = set(), set()
     for f, src, dst in cases:
         got, want = is_morphism(f, src, dst), reference_is_morphism(f, src, dst)
