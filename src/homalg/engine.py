@@ -1035,10 +1035,11 @@ class _Shape:
     a check costs does not depend on the checks that ran before it.
     """
 
-    __slots__ = ("plans", "verdicts", "__weakref__")
+    __slots__ = ("plans", "verdicts", "forget", "__weakref__")
 
     def __init__(self):
         self.plans, self.verdicts = [], {}
+        self.forget = partial(_forget, ref(self))  # weakly: the memo must not keep itself
 
     def recall(self, bound):
         """The verdict kept for these dimensions and objects, or None."""
@@ -1050,18 +1051,26 @@ class _Shape:
 
     def remember(self, bound, report) -> None:
         key, dims, objects = bound
-        forget = partial(_forget, ref(self), key)  # weakly: the memo must not keep itself
+        refs = [_Ref(o, self.forget) for o in objects]
+        for r in refs:
+            r.key = key
         self.verdicts[key] = (report.witness, report.tuples_checked, report.tuples_evaluated,
-                              report.prefixes_visited, dims, *(ref(o, forget) for o in objects))
+                              report.prefixes_visited, dims, *refs)
 
 
-def _forget(shape, key, gone) -> None:
-    """Drop entry `key` of the _Shape that `shape` refers to, if `gone`, a
-    reference whose object just died, is still one of its references."""
+class _Ref(ref):
+    """A memo entry's weak reference to one object it read, with the entry's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(shape, gone) -> None:
+    """Drop the entry of `gone`, a _Ref whose object just died, from the
+    _Shape that `shape` refers to, if the entry there is still its own."""
     shape = shape()
-    got = shape and shape.verdicts.get(key)
+    got = shape and shape.verdicts.get(gone.key)
     if got and any(r is gone for r in got[5:]):
-        del shape.verdicts[key]
+        del shape.verdicts[gone.key]
 
 
 # one slot's support recipe (see _Plan._support_recipe)
