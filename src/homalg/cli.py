@@ -21,19 +21,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .constructions import (
-    FUNCTORS,
-    HEMISEMI,
-    INDUCED,
-    ConstructionId,
-    bimodule_map_dialgebra,
-    crossed_module_check,
-    differential_dialgebra,
-    functor,
-    hemisemi,
-    induce,
-    yau_twist,
-)
 from .dsl import (
     Declaration,
     DslSemanticError,
@@ -276,6 +263,8 @@ def cmd_check(args, source: SourceFile) -> int:
             rep = d.value.rep
             if not isinstance(rep, AssocAction):
                 raise SemanticError("crossed-module check needs an associative action")
+            from .constructions import crossed_module_check
+
             report, ms = _timed(
                 lambda: crossed_module_check(rep.base, rep, d.value.map)
             )
@@ -336,6 +325,19 @@ def cmd_construct(args, source: SourceFile) -> int:
 
     def given(flag):
         return source.get(need(flag)).value
+
+    from .constructions import (
+        FUNCTORS,
+        HEMISEMI,
+        INDUCED,
+        ConstructionId,
+        bimodule_map_dialgebra,
+        differential_dialgebra,
+        functor,
+        hemisemi,
+        induce,
+        yau_twist,
+    )
 
     try:
         cid = args.id

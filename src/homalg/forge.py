@@ -587,43 +587,17 @@ def sample_operator_candidates(rep, grid: GridSpec, check: bool = True):
     return out
 
 
-def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
-    """All grid maps f with `is_morphism(f, a, a)` passing, in row-major order.
+def search_plan(clauses, size, fixed):
+    """(order, checks) of a depth-first search over `size` unknowns that
+    must zero every clause, the entries `fixed` assigned first.
 
-    The result is sorted by the row-major tuple of matrix entries, which is
-    the order of a flat `itertools.product` scan over the grid.  Mode "full"
-    ranges every entry over the grid (refused above 500 000 maps); mode
-    "diagonal" fixes the off-diagonal entries at 0.
-
-    The search assigns the entries depth first over integer numerators: the
-    fixed off-diagonal entries first, then at each step the entry that
-    completes the most coordinate clauses (`endomorphism_clauses`), lowest
-    row-major index on ties.  A partial map is rejected as soon as a clause
-    whose entries are all set is nonzero, so pruning only drops maps that
-    fail an exact clause.  Every surviving map is built in lowest terms, as
-    `LinearMap(rows)` keeps it, over one shared sparse numerator column per
-    distinct column, so the maps of a search hold at most one list per
-    column value, and is certified again by `is_morphism`, the check of
-    record, before it is returned.  The recursive search is released when it
-    returns, so its leaves and clause tables are freed at once, not left as
-    cyclic garbage for the collector.
+    Clauses are those of `endomorphism_clauses`: tuples of terms (coeff, u,
+    v), the unknown `size` standing for the constant 1.  After the fixed
+    entries, `order` takes at each step the entry that completes the most
+    clauses, lowest index on ties.  checks[d] holds each clause that depth d
+    completes, split around the entry e = order[d] into (terms free of e,
+    (coeff, other unknown) of e's linear part, coeff of e^2).
     """
-    vals = grid.values()
-    n = a.dim
-    size = n * n
-    if mode == "full":
-        if len(vals) ** size > 500_000:
-            raise GenerationError("full grid too large; use mode='diagonal'")
-        fixed = ()
-    elif mode == "diagonal":
-        fixed = [e for e in range(size) if e // n != e % n]
-    else:
-        raise SemanticError(f"unknown search mode {mode!r}")
-    den = lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (den // v.denominator) for v in vals]
-    domains = [[0] if e in fixed else nums for e in range(size)]
-
-    clauses = endomorphism_clauses(a)
     reads = [{u for _, u, _ in c} | {v for _, _, v in c if v < size} for c in clauses]
     order = list(fixed)
     placed = set(order)
@@ -633,9 +607,6 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
         order.append(e)
         placed.add(e)
     depth = {e: d for d, e in enumerate(order)}
-    # per depth: each clause it completes, split around the entry e assigned
-    # there into (terms free of e, (coeff, other unknown) of e's linear part,
-    # coeff of e^2)
     checks = [[] for _ in range(size)]
     for c, r in zip(clauses, reads):
         d = max(depth[u] for u in r)
@@ -643,7 +614,63 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
         rest = tuple(t for t in c if e not in t[1:])
         lin = tuple((k, v if u == e else u) for k, u, v in c if (u == e) != (v == e))
         checks[d].append((rest, lin, sum(k for k, u, v in c if u == v == e)))
+    return order, checks
 
+
+def _endomorphism_plan(a: AlgebraInstance, mode: str):
+    """(order, checks, fixed entry count) of a's search in `mode`, kept on a
+    while the tensors and twist it was built from are, by identity, a's."""
+    products, alpha = a.products, a.maps["alpha"]
+    kept = a._search_plans.get(mode)
+    if (kept is not None and kept[1] is alpha and len(kept[0]) == len(products)
+            and all(products.get(sym) is t for sym, t in kept[0])):
+        return kept[2]
+    n = a.dim
+    fixed = [e for e in range(n * n) if e // n != e % n] if mode == "diagonal" else []
+    plan = (*search_plan(endomorphism_clauses(a), n * n, fixed), len(fixed))
+    a._search_plans[mode] = (tuple(sorted(products.items())), alpha, plan)
+    return plan
+
+
+def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
+    """All grid maps f with `is_morphism(f, a, a)` passing, in row-major order.
+
+    The result is sorted by the row-major tuple of matrix entries, which is
+    the order of a flat `itertools.product` scan over the grid.  Mode "full"
+    ranges every entry over the grid (refused above 500 000 maps); mode
+    "diagonal" fixes the off-diagonal entries at 0.
+
+    The search assigns the entries depth first over integer numerators in
+    the order of `search_plan`: the fixed off-diagonal entries first, then
+    at each step the entry that completes the most coordinate clauses
+    (`endomorphism_clauses`).  At each depth the domain is filtered clause
+    by clause, dropping every value that leaves a clause whose entries are
+    all set nonzero, and the branch ends as soon as none is left, so pruning
+    only drops maps that fail an exact clause.  The plan (clauses, order and
+    per-depth checks) depends on a's tensors and twist but not on the grid:
+    it is kept in a's `_search_plans` slot, one per mode, with the sorted
+    (symbol, tensor) pairs and the "alpha" it was built from, and rebuilt
+    when any of them is no longer, by identity, what a holds; a call binds
+    only the grid (numerators over their common denominator, the domains).  Every surviving map is built in lowest terms, as
+    `LinearMap(rows)` keeps it, over one shared sparse numerator column per
+    distinct column, so the maps of a search hold at most one list per
+    column value, and is certified again by `is_morphism`, the check of
+    record, before it is returned.  The recursive search is released when it
+    returns, so its leaves are freed at once, not left as cyclic garbage for
+    the collector.
+    """
+    vals = grid.values()
+    n = a.dim
+    size = n * n
+    if mode == "full":
+        if len(vals) ** size > 500_000:
+            raise GenerationError("full grid too large; use mode='diagonal'")
+    elif mode != "diagonal":
+        raise SemanticError(f"unknown search mode {mode!r}")
+    order, checks, nfixed = _endomorphism_plan(a, mode)
+    den = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]
+    domains = [[0]] * nfixed + [nums] * (size - nfixed)  # per depth
     x = [0] * size + [den]  # numerators; the last slot is the constant 1
     leaves = []
 
@@ -651,16 +678,31 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
         if d == size:
             leaves.append(tuple(x[:size]))
             return
-        polys = [(sum(k * x[u] * x[v] for k, u, v in rest), sum(k * x[u] for k, u in lin), sq)
-                 for rest, lin, sq in checks[d]]
+        keep = domains[d]
+        for rest, lin, sq in checks[d]:
+            c0 = 0
+            for k, u, v in rest:
+                c0 += k * x[u] * x[v]
+            c1 = 0
+            for k, u in lin:
+                c1 += k * x[u]
+            if sq:
+                keep = [val for val in keep if not c0 + val * (c1 + val * sq)]
+                if not keep:
+                    return
+            elif c1:  # linear in e: its one root, if that is a value left
+                if c0 % c1 or (root := -c0 // c1) not in keep:
+                    return
+                keep = (root,)
+            elif c0:
+                return
         e = order[d]
-        for val in domains[e]:
-            if all(not (c0 + val * (c1 + val * c2)) for c0, c1, c2 in polys):
-                x[e] = val
-                visit(d + 1)
+        for val in keep:
+            x[e] = val
+            visit(d + 1)
 
     visit(0)
-    visit = None  # it calls itself: free the search's tables now, not at a gc pass
+    visit = None  # it calls itself: free the search's leaves now, not at a gc pass
     found, columns = [], {}  # one sparse list per distinct column, shared by the maps
     for entries in sorted(leaves):
         g = gcd(den, *entries)  # lowest terms, as LinearMap(rows) keeps them

@@ -14,7 +14,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
-from .constructions import HEMISEMI, ConstructionId, hemisemi
 from .engine import (
     CheckReport,
     Interpretation,
@@ -218,6 +217,8 @@ def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) ->
 
 
 def hemisemi_id_for(rep) -> ConstructionId:
+    from .constructions import HEMISEMI
+
     for cid, row in reversed(HEMISEMI.items()):  # actions before their modules
         if isinstance(rep, row.takes):
             return cid
@@ -238,6 +239,8 @@ def nijenhuis_of(c: OperatorCandidate, what: ConstructionId | None = None,
     if what is None:
         what = hemisemi_id_for(c.rep)
     if ambient is None:
+        from .constructions import hemisemi
+
         ambient = hemisemi(c.rep, what, check=False)
     return OperatorCandidate(ambient, _graph_map(c, 0))
 
@@ -258,6 +261,8 @@ def lift_to_averaging(c: OperatorCandidate) -> LiftedAveraging:
     gate = certify_operator(c, "rel-avg")
     if not gate.ok:
         raise CertificationError("lift_to_averaging: candidate is not relative averaging", gate)
+    from .constructions import ConstructionId, hemisemi
+
     ambient = hemisemi(rep, ConstructionId.HEMISEMI_DIASS, check=False)
     lifted = _graph_map(c, 1)
 

@@ -627,17 +627,26 @@ _LOADED_AT_EXIT = (
 )
 
 
-@pytest.mark.parametrize("code", [
-    "import homalg.cli",
-    # a whole report, run as `python -m homalg` runs it
-    f"import runpy\nsys.argv = ['homalg', 'report', {str(DATA / 'kx2.halg')!r}]\n"
-    "runpy.run_module('homalg', run_name='__main__')",
-], ids=["import", "report"])
-def test_startup_loads_no_dataclasses_inspect_or_forge(code):
-    proc = child("-c", _LOADED_AT_EXIT + code)
+def _as_main(*argv):
+    """Child code that runs `homalg ARGV` as `python -m homalg` runs it."""
+    return (f"import runpy\nsys.argv = {['homalg', *argv]!r}\n"
+            "runpy.run_module('homalg', run_name='__main__')")
+
+
+@pytest.mark.parametrize("code, constructs", [
+    ("import homalg.cli", False),
+    (_as_main("report", str(DATA / "kx2.halg")), False),
+    (_as_main("construct", str(DATA / "kx2.halg"), "--id", "minus", "--target", "kx2",
+              "--out", "out.halg"), True),
+], ids=["import", "report", "construct"])
+def test_startup_loads_no_dataclasses_inspect_or_forge(code, constructs, tmp_path):
+    # only `construct` (and `check --crossed-module`) load the constructions
+    proc = child("-c", _LOADED_AT_EXIT + code, cwd=tmp_path)
     loaded = set(json.loads(proc.stderr))
     assert {"homalg.cli", "homalg.engine"} <= loaded
     assert not {"dataclasses", "inspect", "homalg.forge"} & loaded
+    assert ("homalg.constructions" in loaded) is constructs
+    assert (tmp_path / "out.halg").exists() is constructs
 
 
 def test_bare_import_loads_no_submodule():

@@ -207,3 +207,35 @@ def test_count_pass_counts_the_same_whatever_checks_ran_before_it():
         del alive
         got.append(tool.count_pass(FreshBatteries())["ops"])
     assert got == [want] * len(got)
+
+
+class KeyedBatteries:
+    """Fresh batteries under two keys of class a, one of them run twice, and
+    one key of class b."""
+
+    def prepare(self):
+        pass
+
+    def timed(self, fn):
+        return fn(), 0.0, 0.0
+
+    def run_pass(self):
+        records = []
+        for cls, key in (("a", "first"), ("b", "first"), ("a", "second"), ("a", "first")):
+            a = _kx2()
+            _, t0, ms = self.timed(lambda: _battery(a))
+            records.append({"cls": cls, "key": key, "t0": t0, "ms": ms})
+        return records
+
+
+def test_count_pass_lists_the_instructions_of_each_operation_key():
+    tool = _opcount()
+    out = tool.count_pass(KeyedBatteries(), items=True)
+    assert out == tool.count_pass(KeyedBatteries(), items=True)  # the counts repeat exactly
+    assert out["ops"] == tool.count_pass(KeyedBatteries())["ops"]
+    items = out["items"]
+    assert {cls: set(keys) for cls, keys in items.items()} == {"a": {"first", "second"},
+                                                               "b": {"first"}}
+    # the per-key counts add up to each class total; a key run twice adds both runs
+    assert {cls: sum(keys.values()) for cls, keys in items.items()} == out["ops"]
+    assert items["a"]["first"] == 2 * items["b"]["first"] > 0

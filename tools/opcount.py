@@ -23,6 +23,11 @@ that ran the most instructions in the counted pass (`functions`: pairs of
 "file:line name" and count, most first, ties by name), so a change shows
 which functions it took work out of.
 
+With `--items` the line also holds, per class, the instructions of each
+operation key (`items`: {key: count}, an operation that ran more than once
+in the pass added up), which add up to the class total, so a claim that
+rests on one item (a p50 or a tail) can be checked as an exact count.
+
 Wall-clock metrics on a shared machine spread by several percent; these
 counts repeat exactly for one checkout, workload and seed, so a speed claim
 can be checked against a second measure that no other process disturbs.
@@ -143,12 +148,13 @@ def _label(code) -> str:
     return f"{path.as_posix()}:{code.co_firstlineno} {code.co_qualname}"
 
 
-def count_pass(wl, functions=0):
+def count_pass(wl, functions=0, items=False):
     """Prepare a workload object, run one warm pass, then count one more:
     {"ops": {cls: instructions}, "operations": {cls: n}, "errors": n,
     "work": {cls: {counter: n}}}, and with `functions` also "functions":
     {cls: [[label, instructions], ...]}, the top `functions` code objects
-    (see _label; code objects with one label are added up)."""
+    (see _label; code objects with one label are added up), and with
+    `items` also "items": {cls: {key: instructions}}."""
     wl.prepare()
     wl.run_pass()
     deltas, codes = [], []
@@ -164,10 +170,12 @@ def count_pass(wl, functions=0):
     with engine_work() as work:
         wl.timed = timed
         records = wl.run_pass()
-    ops, operations, done, by_label = {}, {}, {}, {}
+    ops, operations, done, by_label, by_key = {}, {}, {}, {}, {}
     for r in records:
         cls = r["cls"]
         ops[cls] = ops.get(cls, 0) + int(r["ms"])
+        keys = by_key.setdefault(cls, {})
+        keys[r["key"]] = keys.get(r["key"], 0) + int(r["ms"])
         operations[cls] = operations.get(cls, 0) + 1
         got = done.setdefault(cls, dict.fromkeys(WORK, 0))
         for k, n in deltas[r["t0"]].items() if "t0" in r else ():
@@ -181,6 +189,8 @@ def count_pass(wl, functions=0):
         out["functions"] = {cls: [[label, n] for label, n in sorted(
             labels.items(), key=lambda item: (-item[1], item[0]))[:functions]]
             for cls, labels in sorted(by_label.items())}
+    if items:
+        out["items"] = {cls: dict(sorted(keys.items())) for cls, keys in sorted(by_key.items())}
     return out
 
 
@@ -194,6 +204,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--functions", type=int, default=0, metavar="N",
                         help="also list, per class, the N code objects that ran the most")
+    parser.add_argument("--items", action="store_true",
+                        help="also list, per class, the instructions of each operation key")
     args = parser.parse_args(argv)
     if args.functions < 0:
         parser.error("--functions must be at least 0")
@@ -207,7 +219,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         kwargs = {"in_process": True} if args.workload == "cli-files" else {}
         result = count_pass(WORKLOADS[args.workload](hl, args.seed, Path(tmp), _Clock(),
-                                                     **kwargs), args.functions)
+                                                     **kwargs), args.functions, args.items)
     print(json.dumps({"workload": args.workload, "seed": args.seed, **result}, sort_keys=True))
     return 1 if result["errors"] else 0
 
