@@ -617,21 +617,6 @@ def search_plan(clauses, size, fixed):
     return order, checks
 
 
-def _endomorphism_plan(a: AlgebraInstance, mode: str):
-    """(order, checks, fixed entry count) of a's search in `mode`, kept on a
-    while the tensors and twist it was built from are, by identity, a's."""
-    products, alpha = a.products, a.maps["alpha"]
-    kept = a._search_plans.get(mode)
-    if (kept is not None and kept[1] is alpha and len(kept[0]) == len(products)
-            and all(products.get(sym) is t for sym, t in kept[0])):
-        return kept[2]
-    n = a.dim
-    fixed = [e for e in range(n * n) if e // n != e % n] if mode == "diagonal" else []
-    plan = (*search_plan(endomorphism_clauses(a), n * n, fixed), len(fixed))
-    a._search_plans[mode] = (tuple(sorted(products.items())), alpha, plan)
-    return plan
-
-
 def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     """All grid maps f with `is_morphism(f, a, a)` passing, in row-major order.
 
@@ -646,18 +631,16 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     (`endomorphism_clauses`).  At each depth the domain is filtered clause
     by clause, dropping every value that leaves a clause whose entries are
     all set nonzero, and the branch ends as soon as none is left, so pruning
-    only drops maps that fail an exact clause.  The plan (clauses, order and
-    per-depth checks) depends on a's tensors and twist but not on the grid:
-    it is kept in a's `_search_plans` slot, one per mode, with the sorted
-    (symbol, tensor) pairs and the "alpha" it was built from, and rebuilt
-    when any of them is no longer, by identity, what a holds; a call binds
-    only the grid (numerators over their common denominator, the domains).  Every surviving map is built in lowest terms, as
-    `LinearMap(rows)` keeps it, over one shared sparse numerator column per
-    distinct column, so the maps of a search hold at most one list per
-    column value, and is certified again by `is_morphism`, the check of
-    record, before it is returned.  The recursive search is released when it
-    returns, so its leaves are freed at once, not left as cyclic garbage for
-    the collector.
+    only drops maps that fail an exact clause.  The plan (order and
+    per-depth checks) is read from a's clauses alone; the grid only gives
+    the numerators, over their common denominator, of each depth's domain.
+    Every surviving map is built in lowest terms, as `LinearMap(rows)` keeps
+    it, over one shared sparse numerator column per distinct column, so the
+    maps of a search hold at most one list per column value, and is
+    certified again by `is_morphism`, the check of record, before it is
+    returned.  The recursive search is released when it returns, so its
+    leaves and clause tables are freed at once, not left as cyclic garbage
+    for the collector.
     """
     vals = grid.values()
     n = a.dim
@@ -665,12 +648,15 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
     if mode == "full":
         if len(vals) ** size > 500_000:
             raise GenerationError("full grid too large; use mode='diagonal'")
-    elif mode != "diagonal":
+        fixed = ()
+    elif mode == "diagonal":
+        fixed = [e for e in range(size) if e // n != e % n]
+    else:
         raise SemanticError(f"unknown search mode {mode!r}")
-    order, checks, nfixed = _endomorphism_plan(a, mode)
+    order, checks = search_plan(endomorphism_clauses(a), size, fixed)
     den = lcm(*(v.denominator for v in vals))
     nums = [v.numerator * (den // v.denominator) for v in vals]
-    domains = [[0]] * nfixed + [nums] * (size - nfixed)  # per depth
+    domains = [[0]] * len(fixed) + [nums] * (size - len(fixed))  # per depth
     x = [0] * size + [den]  # numerators; the last slot is the constant 1
     leaves = []
 
@@ -702,7 +688,7 @@ def find_endomorphisms(a: AlgebraInstance, grid: GridSpec, mode: str = "full"):
             visit(d + 1)
 
     visit(0)
-    visit = None  # it calls itself: free the search's leaves now, not at a gc pass
+    visit = None  # it calls itself: free the search's tables now, not at a gc pass
     found, columns = [], {}  # one sparse list per distinct column, shared by the maps
     for entries in sorted(leaves):
         g = gcd(den, *entries)  # lowest terms, as LinearMap(rows) keeps them

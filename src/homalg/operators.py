@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
+from typing import TYPE_CHECKING
 
 from .engine import (
     CheckReport,
@@ -27,6 +28,9 @@ from .exact import LinearMap, ShapeError
 from .records import Record
 from .reps import AssocAction, AssocBimodule, CertificationError
 from .varieties import AlgebraInstance
+
+if TYPE_CHECKING:  # `constructions` is imported only where an ambient is built
+    from .constructions import ConstructionId
 
 OPERATOR_KINDS = (
     "averaging",
@@ -216,11 +220,17 @@ def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) ->
 # derived operators
 
 
-def hemisemi_id_for(rep) -> ConstructionId:
+@cache
+def _hemisemi_takes():
+    """(class, id) of each hemisemi product, actions before their modules."""
     from .constructions import HEMISEMI
 
-    for cid, row in reversed(HEMISEMI.items()):  # actions before their modules
-        if isinstance(rep, row.takes):
+    return tuple((row.takes, cid) for cid, row in reversed(HEMISEMI.items()))
+
+
+def hemisemi_id_for(rep) -> ConstructionId:
+    for takes, cid in _hemisemi_takes():
+        if isinstance(rep, takes):
             return cid
     raise SemanticError(f"no hemisemi product for {rep!r}")
 

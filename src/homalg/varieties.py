@@ -78,13 +78,9 @@ class AlgebraInstance(Record):
 
     products and maps are treated as immutable after construction; every
     tensor and the mandatory twist map "alpha" share the carrier dimension.
-
-    _search_plans, not a field, keeps `forge.find_endomorphisms`' search
-    plan per mode, each with the tensors and twist it was built from.
     """
 
-    _fields = ("name", "dim", "products", "maps", "variety")
-    __slots__ = (*_fields, "_search_plans")
+    __slots__ = _fields = ("name", "dim", "products", "maps", "variety")
 
     def __init__(self, name: str, dim: int, products: dict, maps: dict,
                  variety: Optional[VarietyTag] = None):
@@ -93,7 +89,6 @@ class AlgebraInstance(Record):
         self.products = products
         self.maps = maps
         self.variety = variety
-        self._search_plans = {}
         if "alpha" not in self.maps:
             raise SemanticError(f"algebra {self.name!r} has no twist map 'alpha'")
         for sym, t in self.products.items():

@@ -8,12 +8,15 @@ from the checkout's src/ and the benchmark's workloads from perfbench/
 so that plans, compiled data and caches are as warm as in a timed run.  It
 then runs one more pass with every Python bytecode instruction executed
 inside a timed operation counted (sys.settrace with opcode events), and
-prints one JSON line: the instructions per operation class ("a", "b"), the
-operations per class, how many operations raised (exit status 1 if any
-did), and per class the engine's work in that pass (`work`): the
-`check_clauses` calls, how many of them the verdict memo answered, and the
-summed `tuples_checked`, `tuples_evaluated` and `prefixes_visited` of
-their reports.  The work counters wrap every module binding of
+prints one JSON line: the instructions per operation class ("a", "b"), per
+class the instructions of each operation key (`items`: {key: count}, an
+operation that ran more than once in the pass added up), the operations per
+class, how many operations raised (exit status 1 if any did), and per class
+the engine's work in that pass (`work`): the `check_clauses` calls, how
+many of them the verdict memo answered, and the summed `tuples_checked`,
+`tuples_evaluated` and `prefixes_visited` of their reports.  The keys of a
+class add up to its total, so a claim that rests on one item (a p50 or a
+tail) can be checked as an exact count.  The work counters wrap every module binding of
 `check_clauses`; the wrappers' own instructions are not counted, so the
 instruction counts are those of an unwrapped pass, and a change can show
 both that it did less work and that it ran less code.
@@ -22,11 +25,6 @@ With `--functions N` the line also holds, per class, the N code objects
 that ran the most instructions in the counted pass (`functions`: pairs of
 "file:line name" and count, most first, ties by name), so a change shows
 which functions it took work out of.
-
-With `--items` the line also holds, per class, the instructions of each
-operation key (`items`: {key: count}, an operation that ran more than once
-in the pass added up), which add up to the class total, so a claim that
-rests on one item (a p50 or a tail) can be checked as an exact count.
 
 Wall-clock metrics on a shared machine spread by several percent; these
 counts repeat exactly for one checkout, workload and seed, so a speed claim
@@ -148,13 +146,13 @@ def _label(code) -> str:
     return f"{path.as_posix()}:{code.co_firstlineno} {code.co_qualname}"
 
 
-def count_pass(wl, functions=0, items=False):
+def count_pass(wl, functions=0):
     """Prepare a workload object, run one warm pass, then count one more:
-    {"ops": {cls: instructions}, "operations": {cls: n}, "errors": n,
-    "work": {cls: {counter: n}}}, and with `functions` also "functions":
-    {cls: [[label, instructions], ...]}, the top `functions` code objects
-    (see _label; code objects with one label are added up), and with
-    `items` also "items": {cls: {key: instructions}}."""
+    {"ops": {cls: instructions}, "items": {cls: {key: instructions}},
+    "operations": {cls: n}, "errors": n, "work": {cls: {counter: n}}}, and
+    with `functions` also "functions": {cls: [[label, instructions], ...]},
+    the top `functions` code objects (see _label; code objects with one
+    label are added up)."""
     wl.prepare()
     wl.run_pass()
     deltas, codes = [], []
@@ -183,14 +181,14 @@ def count_pass(wl, functions=0, items=False):
         labels = by_label.setdefault(cls, {})
         for code, n in codes[r["t0"]].items() if functions and "t0" in r else ():
             labels[_label(code)] = labels.get(_label(code), 0) + n
-    out = {"ops": dict(sorted(ops.items())), "operations": dict(sorted(operations.items())),
+    out = {"ops": dict(sorted(ops.items())),
+           "items": {cls: dict(sorted(keys.items())) for cls, keys in sorted(by_key.items())},
+           "operations": dict(sorted(operations.items())),
            "errors": sum("error" in r for r in records), "work": dict(sorted(done.items()))}
     if functions:
         out["functions"] = {cls: [[label, n] for label, n in sorted(
             labels.items(), key=lambda item: (-item[1], item[0]))[:functions]]
             for cls, labels in sorted(by_label.items())}
-    if items:
-        out["items"] = {cls: dict(sorted(keys.items())) for cls, keys in sorted(by_key.items())}
     return out
 
 
@@ -204,8 +202,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--functions", type=int, default=0, metavar="N",
                         help="also list, per class, the N code objects that ran the most")
-    parser.add_argument("--items", action="store_true",
-                        help="also list, per class, the instructions of each operation key")
     args = parser.parse_args(argv)
     if args.functions < 0:
         parser.error("--functions must be at least 0")
@@ -219,7 +215,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as tmp:
         kwargs = {"in_process": True} if args.workload == "cli-files" else {}
         result = count_pass(WORKLOADS[args.workload](hl, args.seed, Path(tmp), _Clock(),
-                                                     **kwargs), args.functions, args.items)
+                                                     **kwargs), args.functions)
     print(json.dumps({"workload": args.workload, "seed": args.seed, **result}, sort_keys=True))
     return 1 if result["errors"] else 0
 
