@@ -188,16 +188,17 @@ def _range_check(idx, dim, line, prefix):
 
 
 def _parse_terms(text, line, sort, dim):
-    """Parse 'TERM + TERM + ...' (or '0') into a dense coefficient list.
+    """Parse 'TERM + TERM + ...' (or '0') into a sparse row: the (0-based
+    index, coefficient) pairs of its nonzero coefficients, index ascending.
 
-    Integer numerators are accumulated over one denominator, so a row with
-    integer coefficients is a list of ints; otherwise its nonzero entries
-    are Fractions.
+    Integer numerators are accumulated per index over one denominator, so a
+    row with integer coefficients holds ints; otherwise its coefficients are
+    Fractions.  The work follows the terms written, not the dimension.
     """
-    nums, den = [0] * dim, 1
+    nums, den = {}, 1
     text = text.strip()
     if text == "0":
-        return nums
+        return []
     if not text:
         raise DslSyntaxError(line, "empty right-hand side")
     for chunk in text.split("+"):
@@ -218,9 +219,9 @@ def _parse_terms(text, line, sort, dim):
         _range_check(idx, dim, line, prefix)
         if den % d:
             scale = d // gcd(den, d)
-            nums, den = [x * scale for x in nums], den * scale
-        nums[idx - 1] += num * (den // d)
-    return nums if den == 1 else [Fraction(x, den) if x else 0 for x in nums]
+            nums, den = {k: x * scale for k, x in nums.items()}, den * scale
+        nums[idx - 1] = nums.get(idx - 1, 0) + num * (den // d)
+    return [(k, x if den == 1 else Fraction(x, den)) for k, x in sorted(nums.items()) if x]
 
 
 def _read_lhs(form, lhs, line, dims):
@@ -240,14 +241,13 @@ def _read_lhs(form, lhs, line, dims):
 
 
 def _assemble(form, rows, dims):
-    """The map (one LHS sort) or tensor a form's rows fill; absent rows are zero."""
+    """The map (one LHS sort) or tensor a form's sparse rows fill; absent rows
+    are zero, and only the rows given are read."""
     out = dims[form.out]
     if len(form.sorts) == 1:
-        return LinearMap.from_columns(
-            [rows.get((i,), [0] * out) for i in range(dims[form.sorts])], out
-        )
+        return LinearMap.from_sparse(dims[form.sorts], out, {i: row for (i,), row in rows.items()})
     left, right = form.flip(form.sorts)
-    return StructureTensor.from_rule(dims[left], dims[right], out, rows)
+    return StructureTensor.from_sparse(dims[left], dims[right], out, rows)
 
 
 def _lines(text):

@@ -56,7 +56,7 @@ witness.  Those tables live for one call.  What a check decides from
 one object is kept on that object, and dies with it:
   - a tensor keeps its row and column masks, its per-output masks, and
     its row and column masks read through a chain of twists, one table per
-    cover met (see `_tensor`);
+    cover met, each built on the first request for it (see `_tensor`);
   - a map keeps, per power, its nonzero-column mask and identity flag
     beside its sparse columns (at power 1 the columns it stores, see
     `exact.LinearMap`; a higher power's are its composite's), and its row
@@ -142,7 +142,7 @@ from operator import itemgetter
 from typing import Optional
 from weakref import ref
 
-from .exact import LinearMap, ShapeError, Vector, square_gap
+from .exact import LinearMap, ShapeError, Vector, _zero_plane, square_gap
 from .records import FrozenRecord, Record
 
 
@@ -629,58 +629,87 @@ def _support(vectors) -> int:
     return sum(1 << k for k, v in enumerate(vectors) if v)
 
 
-def _tensor(tensor):
-    """[row masks, column masks, P, Q, chained, pairs] of a tensor, kept on it.
-
-    Bit j of row mask i, and bit i of column mask j, is set when e_i e_j is
-    nonzero, i.e. when the tensor's sparse row (i, j) is not [].  P and Q are
-    the per-output masks of `_outputs`, None until a check first needs them.
-    `chained` keeps, by kind ("rows" or "cols") and cover, the row or column
-    masks read through a chain of twists whose composite may be nonzero only
-    at the output coordinates in the cover (see `_cover`; -1 for no chain):
-    entry i the union of P[i][k] (or Q[i][k]) over k in the cover, or the
-    plain masks when the cover cuts no output coordinate.  `pairs` is the
-    index of `nonzero_pairs`, None until it is first asked for.
+def _tensor(tensor, kind):
+    """One table of a tensor, built on first request and kept on it (in the
+    dict `StructureTensor._masks`, by kind):
+      "rows", "cols":  bit j of row mask i, and bit i of column mask j, is set
+                       when e_i e_j is nonzero, i.e. when the tensor's sparse
+                       row (i, j) is not []; both are built on the first
+                       request for any table, as the plan guards read them;
+      "P", "Q":        bit j of P[i][k], and bit i of Q[j][k], is set when
+                       coordinate k of e_i e_j is nonzero; the entries of a
+                       zero row or column mask are one shared zero row.  Both
+                       are built in one pass on the first request for either;
+      (kind, cover):   the row ("rows") or column ("cols") masks read through
+                       a chain of twists whose composite may be nonzero only
+                       at the output coordinates in the cover (see `_cover`;
+                       -1 for no chain): entry i the union of P[i][k] (or
+                       Q[i][k]) over k in the cover, or the plain masks when
+                       the cover cuts no output coordinate;
+      "pairs":         per left index i, the (j, sparse row) of every nonzero
+                       e_i e_j, j ascending: what `varieties.is_morphism`
+                       reads.
+    The masks are built in one walk over the nonzero planes (a zero plane is
+    the shared one of `exact._zero_plane`, skipped by identity), and every
+    other table from the set bits of the row masks, so a table costs one
+    step per plane plus the tensor's nonzero rows, and no table is built
+    that no check reads.
     """
     got = tensor._masks
     if got is None:
-        rows = tensor._rows
-        got = tensor._masks = [[_support(plane) for plane in rows],
-                               [_support(plane[j] for plane in rows)
-                                for j in range(tensor.right_dim)], None, None, {}, None]
-    return got
-
-
-def nonzero_pairs(tensor):
-    """Per left index i, the (j, sparse row) of every nonzero e_i e_j, j
-    ascending: the tensor's rows without its zero ones, built once and kept
-    with `_tensor`'s data.  `varieties.is_morphism` reads a tensor through it."""
-    got = _tensor(tensor)
-    if got[5] is None:
-        got[5] = [[(j, row) for j, row in enumerate(plane) if row] for plane in tensor._rows]
-    return got[5]
-
-
-def _outputs(tensor, right: bool):
-    """P (right False) or Q (right True) of a tensor, built once and kept on it.
-
-    Bit j of P[i][k], and bit i of Q[j][k], is set when coordinate k of
-    e_i e_j is nonzero.  The rows for a zero row or column mask are one
-    shared zero row.
-    """
-    got = _tensor(tensor)
-    table = got[2 + right]
-    if table is None:
-        rows, zero = tensor._rows, [0] * tensor.out_dim
-        table = [zero] * (tensor.right_dim if right else tensor.left_dim)
-        for i, plane in enumerate(rows):
-            for j, row in enumerate(plane):
-                a, b = (j, i) if right else (i, j)
-                for k, _ in row:
-                    if table[a] is zero:
-                        table[a] = [0] * tensor.out_dim
-                    table[a][k] |= 1 << b
-        got[2 + right] = table
+        zero, rows, cols = _zero_plane(tensor.right_dim), [], [0] * tensor.right_dim
+        for i, plane in enumerate(tensor._rows):
+            bits = 0
+            if plane is not zero:
+                bit = 1 << i
+                for j, row in enumerate(plane):
+                    if row:
+                        bits |= 1 << j
+                        cols[j] |= bit
+            rows.append(bits)
+        got = tensor._masks = {"rows": rows, "cols": cols}
+    table = got.get(kind)
+    if table is not None:
+        return table
+    if kind == "P" or kind == "Q":
+        od = tensor.out_dim
+        none = [0] * od
+        p, q = [none] * tensor.left_dim, [none] * tensor.right_dim
+        for i, (plane, bits) in enumerate(zip(tensor._rows, got["rows"])):
+            if bits:
+                bit, pi = 1 << i, [0] * od
+                p[i] = pi
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    j = low.bit_length() - 1
+                    qj = q[j]
+                    if qj is none:
+                        qj = q[j] = [0] * od
+                    for k, _ in plane[j]:
+                        pi[k] |= low
+                        qj[k] |= bit
+        got["P"], got["Q"] = p, q
+        return got[kind]
+    if kind == "pairs":
+        table = []
+        for plane, bits in zip(tensor._rows, got["rows"]):
+            pairs = []
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                j = low.bit_length() - 1
+                pairs.append((j, plane[j]))
+            table.append(pairs)
+    else:
+        plain, cover = kind
+        every = (1 << tensor.out_dim) - 1
+        if cover & every == every:
+            table = got[plain]
+        else:
+            table = [_gather(vec, cover) if bits else 0 for vec, bits in
+                     zip(_tensor(tensor, "P" if plain == "rows" else "Q"), got[plain])]
+    got[kind] = table
     return table
 
 
@@ -871,7 +900,7 @@ class _Dag:
     def _op(self, symbol, left, right, sort) -> int:
         zero = self.zeros.get(symbol)
         if zero is None:
-            zero = self.zeros[symbol] = not any(_tensor(self.interp.ops[symbol][0])[0])
+            zero = self.zeros[symbol] = not any(_tensor(self.interp.ops[symbol][0], "rows"))
         if zero or left == self.zero or right == self.zero:
             return self.zero
         return self._intern(("op", symbol, left, right), sort)
@@ -1409,7 +1438,7 @@ class _Plan:
             if _power(objects[k], power)[3] != flag:
                 return False
         for k, flag in self.zeros:
-            if any(_tensor(objects[k])[0]) == flag:
+            if any(_tensor(objects[k], "rows")) == flag:
                 return False
         return True
 
@@ -1525,16 +1554,9 @@ def _tables(slots, tables: list, keys, interp: Interpretation) -> None:
         key = keys[t]
         kind = key[0]
         if kind == "rows" or kind == "cols":  # kept on the tensor per cover (see _tensor)
-            tensor = ops[key[1]][0]
-            masks, cover = _tensor(tensor), _cover(maps, key[2]) if key[2] else -1
-            got = masks[4].get((kind, cover))
-            if got is None:
-                every = (1 << tensor.out_dim) - 1
-                got = masks[4][kind, cover] = (
-                    masks[0 if kind == "rows" else 1] if cover & every == every
-                    else [_gather(vec, cover) for vec in _outputs(tensor, kind == "cols")])
+            got = _tensor(ops[key[1]][0], (kind, _cover(maps, key[2]) if key[2] else -1))
         elif kind == "P" or kind == "Q":
-            got = _outputs(ops[key[1]][0], kind == "Q")
+            got = _tensor(ops[key[1]][0], kind)
         elif kind == "mask":
             got = _cover(maps, key[1])
         elif kind == "rowsets" or kind == "colsupp":
@@ -1637,7 +1659,10 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
 
     The plan comes from the first clause's cache, keyed by the remaining
     clauses and `polar`, then by shape; it is built when no cached plan's
-    guards hold.  One pass over the symbols the clauses read
+    guards hold.  A shape's plans are tried most recently bound first (at
+    most one holds: any two differ in a guard both read), so a run of checks
+    over data of one shape finds its plan first, whatever plans earlier
+    checks built, and what a repeated pass costs does not depend on them.  One pass over the symbols the clauses read
     (`_ClauseSet.read`) gives the shape, the objects bound to them and the
     check of their dimensions, so the data is validated before any guard
     reads it, as a fresh build does; only the symbols read are validated.
@@ -1666,12 +1691,18 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
             verdict = entry.recall(bound)
             if verdict is not None:
                 return None, None, None, verdict
-        plan = next((p for p in entry.plans if p.holds(objects)), None)
+        plans = entry.plans
+        plan = plans[0]
+        if not plan.holds(objects):
+            plan = next((p for p in plans[1:] if p.holds(objects)), None)
+            if plan is not None:
+                plans.remove(plan)
+                plans.insert(0, plan)
     if plan is None:
         plan = _Plan(clause_set, interp, polar)
         if entry is None:
             entry = clause_set.by_shape[shape] = _Shape()
-        entry.plans.append(plan)
+        entry.plans.insert(0, plan)
     return plan, *plan.bind(objects, interp.sorts, leaf_dens), (entry, bound)
 
 
@@ -1850,10 +1881,14 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         vnode, vals = var_at[p], basis[p]
         end = dims[p]
         masked = met_empty and recipes[p] is not None
-        if masked:
+        if masked:  # the set bits of the mask in [lo, end), ascending
             mask = bound[p]
-            bits = (mask() if mask else support(p)) >> lo
-            indices = [i for i in range(lo, end) if bits >> (i - lo) & 1]
+            bits = ((mask() if mask else support(p)) & ((1 << end) - 1)) >> lo << lo
+            indices = []
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                indices.append(low.bit_length() - 1)
         else:
             indices = range(lo, end)
         start = count

@@ -12,11 +12,18 @@ k strictly ascending in both.  These columns and rows are the one stored
 form: the identity engine's kernels read them as they are, every method
 builds or reads them directly, and the dense views (`matrix`, `coeffs`) are
 built on demand, so a value's size follows its nonzero entries, not a power
-of its dimension.  All zero rows and columns are one shared empty list.  A
+of its dimension.  All zero rows and columns are one shared empty list, and
+every tensor built here stores its all-zero planes (the rows e_i * e_j of
+one i) as one shared plane per width (`_zero_plane`), so a tensor with few
+nonzero constants keeps one reference per plane plus one per argument pair
+of its nonzero planes, and code that walks a tensor skips a zero plane by
+identity.  `StructureTensor.from_sparse` and `LinearMap.from_sparse` build
+from the nonzero entries alone, so the parser's work follows the file.  A
 map keeps the engine's data of its powers in `_powers` once they are built
 (its first power's columns are `_cols` itself), and a tensor the engine's
-masks in `_masks`; both take weak references, which the engine's verdict
-memo keys on.  Constructions assemble tensors on the numerators too:
+tables, each built on first request, in the dict `_masks`; both take weak
+references, which the engine's verdict memo keys on.  Constructions
+assemble tensors on the numerators too:
 `StructureTensor.place` puts blocks side by side and
 `StructureTensor.pull` precomposes the left argument with a map, both in
 lowest terms.  The commuting-square kernel `square_gap` decides f.g == h.k
@@ -32,6 +39,7 @@ for every map and is never multiplied out.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
 
@@ -131,6 +139,35 @@ class Vector:
 # row or column is ever mutated in place (each method builds new lists, and
 # the engine's kernels return stored rows as values), so all of them share it.
 _EMPTY = []
+
+
+@cache
+def _zero_plane(width):
+    """The one all-zero plane of `width` argument pairs, `width` references
+    to the shared empty row.  No stored plane is mutated either, so every
+    tensor of that right dimension shares it."""
+    return [_EMPTY] * width
+
+
+def _shared(rows, width):
+    """The planes of rows, each all-zero one replaced by the shared zero plane."""
+    zero = _zero_plane(width)
+    return [plane if plane is zero or any(plane) else zero for plane in rows]
+
+
+def _sparse_entries(row, dim):
+    """(k, x) for the nonzero x of a sparse row of (k, int or Fraction), k
+    strictly ascending in range(dim), else ShapeError."""
+    out, last = [], -1
+    for k, x in row:
+        if not last < k < dim:
+            raise ShapeError(f"sparse entry {k} out of order or out of range for dim {dim}")
+        last = k
+        if x.__class__ is not int:
+            x = _frac(x)
+        if x:
+            out.append((k, x))
+    return out
 
 
 def _entries(row):
@@ -245,8 +282,26 @@ class LinearMap:
         cols = [list(c) for c in columns]
         if any(len(c) != dst_dim for c in cols):
             raise ShapeError("column length differs from dst_dim")
-        (cols,), den = _common([[_entries(c) for c in cols]])
-        return cls._make(cols, den, len(cols), dst_dim)
+        return cls.from_sparse(len(cols), dst_dim, {j: _entries(c) for j, c in enumerate(cols)})
+
+    @classmethod
+    def from_sparse(cls, src_dim: int, dst_dim: int, columns) -> "LinearMap":
+        """Build from {j: sparse image of basis vector j}, each a list of
+        (k, coefficient) pairs, k strictly ascending, coefficients ints or
+        Fractions; zero coefficients and absent columns are zero.  Only the
+        given entries are read, so the work follows them, not src * dst."""
+        entries = {}
+        for j, col in columns.items():
+            if not 0 <= j < src_dim:
+                raise ShapeError(f"column {j} out of range for src dim {src_dim}")
+            col = _sparse_entries(col, dst_dim)
+            if col:
+                entries[j] = col
+        (nums,), den = _common([list(entries.values())])
+        cols = [_EMPTY] * src_dim
+        for j, col in zip(entries, nums):
+            cols[j] = col
+        return cls._make(cols, den, src_dim, dst_dim)
 
     @property
     def matrix(self):
@@ -359,7 +414,10 @@ class StructureTensor:
     denominator `_d`, with k strictly ascending and no zero numerator, so a
     zero row is [].  The engine's kernels read these rows as they are and
     compare values with ==, so every method keeps exactly this form; `coeffs`
-    and `coeff` build the dense view on demand.
+    and `coeff` build the dense view on demand.  Every all-zero plane
+    `_rows[i]` that a method here builds is the shared `_zero_plane` of the
+    right dimension, so the engine and the methods that walk the planes skip
+    it by identity.
     """
 
     __slots__ = ("left_dim", "right_dim", "out_dim", "_rows", "_d", "_masks", "__weakref__")
@@ -371,8 +429,8 @@ class StructureTensor:
         if any(len(plane) != rd or any(len(row) != od for row in plane) for plane in coeffs):
             raise ShapeError("ragged tensor")
         self.left_dim, self.right_dim, self.out_dim = ld, rd, od
-        self._rows, self._d = _common([[_entries(row) for row in plane] for plane in coeffs])
-        self._masks = None
+        rows, self._d = _common([[_entries(row) for row in plane] for plane in coeffs])
+        self._rows, self._masks = _shared(rows, rd), None
 
     @classmethod
     def _make(cls, rows, den, ld, rd, od):
@@ -384,10 +442,13 @@ class StructureTensor:
     @classmethod
     def _lowest(cls, rows, den, ld, rd, od):
         """_make over numerator rows brought to lowest terms, the _rows and _d
-        that StructureTensor(coeffs) keeps for the same values."""
-        g = gcd(den, *(x for plane in rows for row in plane for _, x in row))
+        that StructureTensor(coeffs) keeps for the same values, with every
+        all-zero plane the shared one."""
+        zero, rows = _zero_plane(rd), _shared(rows, rd)
+        g = gcd(den, *(x for plane in rows if plane is not zero for row in plane for _, x in row))
         if g > 1:
-            rows = [[[(k, x // g) for k, x in row] if row else row for row in plane]
+            rows = [plane if plane is zero else
+                    [[(k, x // g) for k, x in row] if row else row for row in plane]
                     for plane in rows]
             den //= g
         return cls._make(rows, den, ld, rd, od)
@@ -396,21 +457,42 @@ class StructureTensor:
     def zero(cls, left_dim: int, right_dim: int | None = None, out_dim: int | None = None):
         rd = left_dim if right_dim is None else right_dim
         od = left_dim if out_dim is None else out_dim
-        return cls._make([[_EMPTY] * rd for _ in range(left_dim)], 1, left_dim, rd, od)
+        return cls._make([_zero_plane(rd)] * left_dim, 1, left_dim, rd, od)
 
     @classmethod
     def from_rule(cls, left_dim, right_dim, out_dim, rule):
         """Build from a dict {(i, j): coefficient list or Vector}; absent rows
         are zero."""
-        rows = [[_EMPTY] * right_dim for _ in range(left_dim)]
-        for (i, j), val in rule.items():
+        rows = {}
+        for key, val in rule.items():
             row = val.coords if isinstance(val, Vector) else val
             if len(row) != out_dim:
                 raise ShapeError("ragged tensor")
+            rows[key] = _entries(row)
+        return cls.from_sparse(left_dim, right_dim, out_dim, rows)
+
+    @classmethod
+    def from_sparse(cls, left_dim, right_dim, out_dim, rows):
+        """Build from a dict {(i, j): sparse row of e_i * e_j}, each a list of
+        (k, coefficient) pairs, k strictly ascending, coefficients ints or
+        Fractions; zero coefficients and absent rows are zero.  Only the
+        given entries are read and only the planes they fall in are built, so
+        the work follows them, not a power of the dimensions."""
+        entries = {}
+        for (i, j), row in rows.items():
             if not (0 <= i < left_dim and 0 <= j < right_dim):
                 raise ShapeError(f"rule row ({i}, {j}) out of range")
-            rows[i][j] = _entries(row)
-        return cls._make(*_common(rows), left_dim, right_dim, out_dim)
+            row = _sparse_entries(row, out_dim)
+            if row:
+                entries[i, j] = row
+        (nums,), den = _common([list(entries.values())])
+        zero = _zero_plane(right_dim)
+        planes = [zero] * left_dim
+        for (i, j), row in zip(entries, nums):
+            if planes[i] is zero:
+                planes[i] = list(zero)
+            planes[i][j] = row
+        return cls._make(planes, den, left_dim, right_dim, out_dim)
 
     @classmethod
     def square_from_rule(cls, dim, rule):
@@ -430,16 +512,21 @@ class StructureTensor:
         ld, rd, od = dims
         pieces = [p for p in pieces if p[0] is not None]
         den = lcm(1, *(t._d for t, _, _ in pieces))
-        rows = [[_EMPTY] * rd for _ in range(ld)]
+        zero = _zero_plane(rd)
+        rows = [zero] * ld
         for t, (i0, j0, k0), swapped in pieces:
             li, ri = (t.right_dim, t.left_dim) if swapped else (t.left_dim, t.right_dim)
             if min(i0, j0, k0) < 0 or i0 + li > ld or j0 + ri > rd or k0 + t.out_dim > od:
                 raise ShapeError("piece does not fit the placed tensor")
-            s = den // t._d
+            s, skip = den // t._d, _zero_plane(t.right_dim)
             for i, plane in enumerate(t._rows):
+                if plane is skip:
+                    continue
                 for j, row in enumerate(plane):
                     if row:
                         a, b = (i0 + j, j0 + i) if swapped else (i0 + i, j0 + j)
+                        if rows[a] is zero:
+                            rows[a] = list(zero)
                         row = _scaled(row, s, k0)
                         rows[a][b] = _row_sum(rows[a][b] + row) if rows[a][b] else row
         return cls._lowest(rows, den, ld, rd, od)
@@ -467,7 +554,8 @@ class StructureTensor:
         return next((Fraction(x, self._d) for at, x in self._row(i, j) if at == k), Fraction(0))
 
     def is_zero(self) -> bool:
-        return not any(row for plane in self._rows for row in plane)
+        zero = _zero_plane(self.right_dim)
+        return all(plane is zero or not any(plane) for plane in self._rows)
 
     def apply(self, x: Vector, y: Vector) -> Vector:
         if x.dim != self.left_dim or y.dim != self.right_dim:
@@ -499,7 +587,8 @@ class StructureTensor:
         if self.left_dim != self.right_dim:
             raise ShapeError("opposite needs equal argument dims")
         rows = [[plane[i] for plane in self._rows] for i in range(self.right_dim)]
-        return StructureTensor._make(rows, self._d, self.left_dim, self.right_dim, self.out_dim)
+        return StructureTensor._make(_shared(rows, self.left_dim), self._d, self.left_dim,
+                                     self.right_dim, self.out_dim)
 
     def __add__(self, other: "StructureTensor") -> "StructureTensor":
         if (self.left_dim, self.right_dim, self.out_dim) != (
@@ -512,10 +601,12 @@ class StructureTensor:
                 return _row_sum(_scaled(r1, a) + _scaled(r2, b))
             return _scaled(r1, a) if r1 else _scaled(r2, b)
 
-        rows = [[add(r1, r2) for r1, r2 in zip(p1, p2)]
+        zero = _zero_plane(self.right_dim)
+        rows = [zero if p1 is zero and p2 is zero else [add(r1, r2) for r1, r2 in zip(p1, p2)]
                 for p1, p2 in zip(self._rows, other._rows)]
         return StructureTensor._make(
-            rows, self._d * other._d, self.left_dim, self.right_dim, self.out_dim
+            _shared(rows, self.right_dim), self._d * other._d, self.left_dim, self.right_dim,
+            self.out_dim
         )
 
     def __sub__(self, other: "StructureTensor") -> "StructureTensor":
@@ -524,18 +615,23 @@ class StructureTensor:
     def scale(self, s) -> "StructureTensor":
         if s.__class__ is not int:  # an int is its own numerator over 1, as in __init__
             s = _frac(s)
-        rows = [[_scaled(row, s.numerator) for row in plane] for plane in self._rows]
+        zero = _zero_plane(self.right_dim)
+        rows = [plane if plane is zero else [_scaled(row, s.numerator) for row in plane]
+                for plane in self._rows]
         return StructureTensor._make(
-            rows, self._d * s.denominator, self.left_dim, self.right_dim, self.out_dim
+            _shared(rows, self.right_dim), self._d * s.denominator, self.left_dim,
+            self.right_dim, self.out_dim
         )
 
     def push(self, phi: LinearMap) -> "StructureTensor":
         """Compose the output with phi: (x, y) -> phi(x * y)."""
         if phi.src_dim != self.out_dim:
             raise ShapeError("map domain differs from tensor output")
-        rows = [[_image(phi._cols, row) for row in plane] for plane in self._rows]
-        return StructureTensor._make(rows, self._d * phi._d, self.left_dim, self.right_dim,
-                                     phi.dst_dim)
+        zero = _zero_plane(self.right_dim)
+        rows = [plane if plane is zero else [_image(phi._cols, row) for row in plane]
+                for plane in self._rows]
+        return StructureTensor._make(_shared(rows, self.right_dim), self._d * phi._d,
+                                     self.left_dim, self.right_dim, phi.dst_dim)
 
     def pull(self, K: LinearMap) -> "StructureTensor":
         """Precompose the left argument with K: (x, y) -> K(x) * y, in lowest
@@ -543,12 +639,13 @@ class StructureTensor:
         if K.dst_dim != self.left_dim:
             raise ShapeError("map codomain differs from the tensor's left dim")
         rd = self.right_dim
+        zero = _zero_plane(rd)
         rows = []
         for col in K._cols:
             # plane i sums the planes p of self weighted by K[p][i], column i of K
-            planes = [(self._rows[p], c) for p, c in col]
+            planes = [(self._rows[p], c) for p, c in col if self._rows[p] is not zero]
             rows.append([_row_sum((k, c * x) for plane, c in planes for k, x in plane[j])
-                         for j in range(rd)])
+                         for j in range(rd)] if planes else zero)
         return StructureTensor._lowest(rows, K._d * self._d, K.src_dim, rd, self.out_dim)
 
     def __eq__(self, other) -> bool:

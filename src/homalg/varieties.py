@@ -35,9 +35,9 @@ from .engine import (
     Interpretation,
     SemanticError,
     Witness,
+    _tensor,
     check_all,
     identity,
-    nonzero_pairs,
     twist_gap,
 )
 from .exact import LinearMap, ShapeError, StructureTensor, Vector
@@ -308,8 +308,8 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
     numerators, one flat list each: f(e_i e_j) over f._d * ts._d from the
     sparse columns f stores, and f(e_i) f(e_j) over f._d**2 * td._d from the
     nonzero entries of td and of f.  Each tensor is read through
-    `engine.nonzero_pairs`, its nonzero rows (i, j) listed per i, built once
-    and kept on the tensor, so no zero row or entry is visited and nothing
+    `engine._tensor(t, "pairs")`, its nonzero rows (i, j) listed per i, built
+    once and kept on the tensor, so no zero row or entry is visited and nothing
     about the tensor is rebuilt per call.  f is read directly and never
     through `engine._power`, which would keep the engine's data on each
     fresh leaf of the endomorphism search; that measured slower.  The
@@ -346,7 +346,7 @@ def is_morphism(f: LinearMap, src: AlgebraInstance, dst: AlgebraInstance) -> Che
     syms = sorted(src.products)
     for s, sym in enumerate(syms):
         ts, td = src.products[sym], dst.products[sym]
-        by_i, by_p = nonzero_pairs(ts), nonzero_pairs(td)
+        by_i, by_p = _tensor(ts, "pairs"), _tensor(td, "pairs")
         sl, sr = fd * td._d, ts._d  # lhs / (fd ts._d) == rhs / (fd^2 td._d)
         for i in range(n):
             lhs = [0] * (n * m)  # f(e_i e_j)[k] at j * m + k

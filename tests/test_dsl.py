@@ -500,3 +500,19 @@ def test_zero_rows_and_columns_are_one_shared_list():
     empty = [row for plane in a.product("mul")._rows for row in plane if not row]
     empty += [col for col in a.alpha._cols if not col]
     assert len(empty) == 40 * 40 - 1 + 39 and all(e is empty[0] for e in empty)
+
+
+def test_terms_are_summed_per_index_and_cancelled_terms_drop():
+    # repeated indices add up, over one denominator when fractions meet, and
+    # a sum that cancels is a zero row; the values are the dense builders'
+    text = ("algebra a dim 3\n"
+            "  op mul: e1 * e2 = e3 + 1/2 * e1 + e3 + -1/3 * e1\n"
+            "  op mul: e2 * e2 = e2 + -1 * e2\n"
+            "  op mul: e3 * e1 = 0\n"
+            "  map alpha: e2 = 2/4 * e3 + e1\n"
+            "end\n")
+    a = parse(text).get("a").value
+    third = Fraction(1, 6)
+    assert a.product("mul") == StructureTensor.from_rule(3, 3, 3, {(0, 1): [third, 0, 2]})
+    assert a.alpha == LinearMap.from_columns([[0, 0, 0], [1, 0, Fraction(1, 2)], [0, 0, 0]], 3)
+    assert a.product("mul")._rows[1] is a.product("mul")._rows[2]  # zero planes, shared

@@ -630,21 +630,21 @@ def test_sparse_data_is_computed_once_per_object():
     assert t._masks is None and alpha._powers is None
     check_schema(schema, interp)
     tensor_data, map_data = t._masks, alpha._powers[1]
-    row_masks, col_masks, p, q, chained, pairs = tensor_data
+    row_masks, col_masks = tensor_data["rows"], tensor_data["cols"]
     cols, _, col_support, _ = map_data
     assert t._rows[0][1] == [(1, 1)] and cols[1] == [(1, 2)]
     # e1 e1 and e1 e2 are nonzero, e2 e_j is zero; both columns of alpha are nonzero
     assert (row_masks, col_masks, col_support) == ([0b11, 0], [0b01, 0b01], 0b11)
     # this schema reads no op(c, n) with n past the last slot: no per-output masks;
-    # and no check reads the nonzero pairs that is_morphism reads
-    assert p is None and q is None and pairs is None
-    # the product is read through alpha, whose cover (both columns) cuts no
-    # output coordinate: the plain row masks, kept by kind and cover
-    assert chained == {("rows", 0b11): row_masks} and chained["rows", 0b11] is row_masks
+    # and no check reads the nonzero pairs that is_morphism reads.  The product
+    # is read through alpha, whose cover (both columns) cuts no output
+    # coordinate: the plain row masks, kept by kind and cover
+    assert tensor_data.keys() == {"rows", "cols", ("rows", 0b11)}
+    assert tensor_data["rows", 0b11] is row_masks
     check_schema(schema, interp)
     assert t._masks is tensor_data and alpha._powers[1] is map_data
-    assert tensor_data[4] is chained and chained == {("rows", 0b11): row_masks}
-    kept = list(tensor_data)
+    assert tensor_data.keys() == {"rows", "cols", ("rows", 0b11)}
+    kept = dict(tensor_data)
 
     # x (y z) and (x y) z need P (x (y z)) and Q ((y z) x)-style masks once
     x, y, z = var("x"), var("y"), var("z")
@@ -653,16 +653,16 @@ def test_sparse_data_is_computed_once_per_object():
                                                                       ("y", "A", 1),
                                                                       ("z", "A", 1)])
     check_schema(nested, interp)
-    p, q = tensor_data[2], tensor_data[3]
+    p, q = tensor_data["P"], tensor_data["Q"]
     # coordinate k of e_i e_j: e1 e1 = e1, e1 e2 = e2
     assert p == [[0b01, 0b10], [0, 0]] and q == [[0b01, 0], [0, 0b01]]
-    assert t._masks is tensor_data and tensor_data[:2] == kept[:2]
-    assert all(a is b for a, b in zip(tensor_data[:2], kept[:2]))
+    assert t._masks is tensor_data and all(tensor_data[k] is v for k, v in kept.items())
     for _ in range(2):
         check_schema(nested, interp)
         check_schema(_fresh(nested), interp)
         assert t._masks is tensor_data
-        assert tensor_data[2] is p and tensor_data[3] is q and tensor_data[4] is chained
+        assert tensor_data["P"] is p and tensor_data["Q"] is q
+        assert all(tensor_data[k] is v for k, v in kept.items())
 
 
 def test_twist_powers_are_built_once_per_map(monkeypatch, cold_binds):
@@ -710,18 +710,24 @@ def test_a_fresh_operator_over_the_same_representation_rebuilds_no_table(monkeyp
     first = battery()
     tensors = [t for t, _ in rep.interpretation().ops.values()] + list(ambient.products.values())
     tensors = [t for t in tensors if t._masks is not None]  # those the checks read
-    kept = [(t._masks, list(t._masks), dict(t._masks[4])) for t in tensors]
+    kept = [(t._masks, dict(t._masks)) for t in tensors]
     # K's zero column cuts the masks of l and r, and T those of the ambient's products
-    assert sum(cover not in (-1, 0b11, 0b1111) for *_, chained in kept
-               for _, cover in chained) >= 4
-    built, real = [], engine._outputs
-    monkeypatch.setattr(engine, "_outputs", lambda *args: built.append(args) or real(*args))
+    assert sum(type(key) is tuple and key[1] not in (-1, 0b11, 0b1111)
+               for _, tables in kept for key in tables) >= 4
+    built, real = [], engine._tensor
+
+    def tensor(t, kind):
+        if t._masks is None or kind not in t._masks:
+            built.append(kind)
+        return real(t, kind)
+
+    monkeypatch.setattr(engine, "_tensor", tensor)
     misses = engine._dim.cache_info().misses
     again = battery()
     assert built == [] and engine._dim.cache_info().misses == misses
-    for t, (masks, entries, chained) in zip(tensors, kept):
-        assert t._masks is masks and all(a is b for a, b in zip(masks, entries))
-        assert masks[4] == chained and all(masks[4][k] is v for k, v in chained.items())
+    for t, (masks, tables) in zip(tensors, kept):
+        assert t._masks is masks and masks == tables
+        assert all(masks[k] is v for k, v in tables.items())
     assert [_fields(r) for r in again] == [_fields(r) for r in first]
 
 
@@ -751,7 +757,7 @@ def test_one_tensor_under_maps_of_two_covers_gives_each_its_naive_verdict(seed_c
     # T is x + u -> K(u): its nonzero columns are those of K, shifted past A
     assert covers == {0b0100, 0b1000} and statuses == {"pass", "fail"}
     for product in ambient.products.values():
-        assert covers <= {cover for _, cover in product._masks[4]}
+        assert covers <= {key[1] for key in product._masks if type(key) is tuple}
 
 
 # ---------------------------------------------------------------------------
@@ -2169,6 +2175,74 @@ def test_kernels_match_a_dense_reference_on_sparse_data():
         assert paths == {(0, False), (1, False), (2, False), (2, True)}, (kind, paths)
 
 
+def _naive_tables(t, covers):
+    """Every table `engine._tensor` keeps, from the dense coefficients: the
+    row and column masks, P, Q, the chained masks under each cover and the
+    nonzero pairs."""
+    c = t.coeffs
+    ld, rd, od = t.left_dim, t.right_dim, t.out_dim
+    p = [[sum(1 << j for j in range(rd) if c[i][j][k]) for k in range(od)] for i in range(ld)]
+    q = [[sum(1 << i for i in range(ld) if c[i][j][k]) for k in range(od)] for j in range(rd)]
+    out = {"rows": [sum(1 << j for j in range(rd) if any(c[i][j])) for i in range(ld)],
+           "cols": [sum(1 << i for i in range(ld) if any(c[i][j])) for j in range(rd)],
+           "P": p, "Q": q,
+           "pairs": [[(j, t._rows[i][j]) for j in range(rd) if any(c[i][j])]
+                     for i in range(ld)]}
+    for cover in covers:
+        ks = [k for k in range(od) if cover >> k & 1]
+        out["rows", cover] = [sum(1 << j for j in range(rd) if any(c[i][j][k] for k in ks))
+                              for i in range(ld)]
+        out["cols", cover] = [sum(1 << i for i in range(ld) if any(c[i][j][k] for k in ks))
+                              for j in range(rd)]
+    return out
+
+
+def test_tensor_tables_match_a_naive_reference_whatever_is_asked_first():
+    # seeded random sparse tensors of non-square shapes with zero planes, the
+    # zero tensor and single entries, built by every builder (so zero planes
+    # come shared, and also as planes of their own); each first request order
+    # builds the tables a naive reading of the dense coefficients gives, and
+    # a table asked for again is the one kept
+    import random
+
+    from homalg.engine import _tensor
+
+    rng = random.Random(34)
+    seen = set()
+    for n in range(120):
+        ld, rd, od = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 5)
+        kind = n % 4
+        if kind == 0:
+            t = _sparse_tensor(rng, ld, rd, od)
+        elif kind == 1:
+            t = StructureTensor.zero(ld, rd, od)
+        elif kind == 2:  # a single entry
+            k, x = rng.randrange(od), rng.choice(_ENTRIES)
+            t = StructureTensor.from_sparse(ld, rd, od, {(rng.randrange(ld), rng.randrange(rd)):
+                                                         [(k, x)]})
+        else:  # planes of their own, zero ones included, as a tensor built elsewhere has
+            t = _sparse_tensor(rng, ld, rd, od)
+            t = StructureTensor._make([list(plane) for plane in t._rows], t._d, ld, rd, od)
+        covers = sorted({-1, 0, (1 << od) - 1, rng.getrandbits(od), rng.getrandbits(od)})
+        want = _naive_tables(t, covers)
+        seen.add((kind, any(want["rows"]), 0 in want["rows"]))
+        # masks only, P first, Q first, the pairs first, a chained table first
+        for first in ("rows", "P", "Q", "pairs", ("cols", covers[-1])):
+            fresh = StructureTensor._make(t._rows, t._d, ld, rd, od)
+            _tensor(fresh, first)
+            if first in ("rows", "pairs"):  # no per-output table is built unasked
+                assert fresh._masks.keys() == {"rows", "cols", first}
+            elif first in ("P", "Q"):  # both in one pass
+                assert fresh._masks.keys() == {"rows", "cols", "P", "Q"}
+            keys = [first] + [key for key in want if key != first]
+            got = {key: _tensor(fresh, key) for key in keys}
+            assert got == want, (n, first)
+            assert all(_tensor(fresh, key) is got[key] for key in keys)
+            assert fresh._masks.keys() == want.keys()
+    # random tensors with zero planes and without, all-zero ones, and single entries
+    assert {(0, True, True), (0, True, False), (1, False, True), (2, True, True)} <= seen
+
+
 def test_every_tensor_stores_only_its_sparse_rows(seed_catalog, monkeypatch):
     # the rows the kernels read are the tensor's one stored form: per
     # argument pair a list of (k, nonzero int numerator), k strictly
@@ -2223,7 +2297,7 @@ def test_every_tensor_stores_only_its_sparse_rows(seed_catalog, monkeypatch):
                 for plane in coeffs] == rows
         back = StructureTensor(coeffs)
         assert back == t and hash(back) == hash(t) and back.coeffs == coeffs
-        row_masks, col_masks = _tensor(t)[:2]
+        row_masks, col_masks = _tensor(t, "rows"), _tensor(t, "cols")
         assert row_masks == [sum(1 << j for j, row in enumerate(plane) if row) for plane in rows]
         assert col_masks == [sum(1 << i for i, plane in enumerate(rows) if plane[j])
                              for j in range(t.right_dim)]

@@ -554,3 +554,73 @@ def test_linear_map_matches_dense_fraction_arithmetic(data):
     first = next((j for j in range(c) if [r[j] for r in fg] != [r[j] for r in fg2]), None)
     assert square_gap(f._cols, g._cols, f2._cols, g2._cols, f2._d * g2._d, f._d * g._d) == first
     assert square_gap(f._cols, g._cols, twin._cols, g._cols, twin._d * g._d, f._d * g._d) is None
+
+
+# ---------------------------------------------------------------------------
+# shared zero planes and the sparse builders
+
+
+def _planes_tensor(rng, ld, rd, od):
+    """A random tensor whose planes are each zero with probability 1/2."""
+    values = [0] * 4 + [1, -2, Fraction(1, 2), Fraction(-3, 4)]
+    return StructureTensor([[[rng.choice(values) if live else 0 for _ in range(od)]
+                             for _ in range(rd)] for live in (rng.random() < 0.5
+                                                             for _ in range(ld))])
+
+
+def test_every_builder_stores_its_zero_planes_as_the_one_shared_plane():
+    # whatever builds a tensor, an all-zero plane e_i * (-) is the shared
+    # plane of its width; the values are those of the dense builders
+    from homalg.exact import _zero_plane
+
+    rng = random.Random(34)
+    for _ in range(40):
+        ld, rd, od = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        t, s = _planes_tensor(rng, ld, rd, od), _planes_tensor(rng, ld, rd, od)
+        phi = LinearMap([[rng.choice((0, 0, 1, -1)) for _ in range(od)] for _ in range(2)])
+        K = LinearMap([[rng.choice((0, 0, 1, Fraction(1, 2))) for _ in range(3)]
+                       for _ in range(ld)])
+        rule = {(i, j): t.row(i, j) for i in range(ld) for j in range(rd)}
+        sparse = {key: [(k, x) for k, x in enumerate(row.coords) if x]
+                  for key, row in rule.items()}
+        built = {"coeffs": StructureTensor(t.coeffs),
+                 "from_rule": StructureTensor.from_rule(ld, rd, od, rule),
+                 "from_sparse": StructureTensor.from_sparse(ld, rd, od, sparse),
+                 "zero": StructureTensor.zero(ld, rd, od), "scale": t.scale(Fraction(-2, 3)),
+                 "scale0": t.scale(0), "add": t + s, "sub": t - t, "push": t.push(phi),
+                 "pull": t.pull(K),
+                 "place": StructureTensor.place((ld + 1, rd + 2, od), [(t, (1, 2, 0), False)])}
+        if ld == rd:
+            built["opposite"] = t.opposite()
+        for name, u in built.items():
+            zero = _zero_plane(u.right_dim)
+            assert all(plane is zero for plane in u._rows if not any(plane)), name
+            assert all(len(plane) == u.right_dim for plane in u._rows), name
+        for name in ("coeffs", "from_rule", "from_sparse"):
+            assert built[name] == t and (built[name]._rows, built[name]._d) == (t._rows, t._d)
+        assert built["sub"].is_zero() and built["scale0"].is_zero() and built["zero"].is_zero()
+        assert built["add"] == StructureTensor([[[x + y for x, y in zip(r1, r2)]
+                                                 for r1, r2 in zip(p1, p2)]
+                                                for p1, p2 in zip(t.coeffs, s.coeffs)])
+
+
+def test_sparse_builders_read_only_the_entries_given():
+    # one entry at dimension 3000: no list of the dimension's square is made,
+    # and the values are those of the dense builders
+    n = 3000
+    t = StructureTensor.from_sparse(n, n, n, {(1, 2): [(0, Fraction(1, 2)), (5, 3)]})
+    f = LinearMap.from_sparse(n, n, {7: [(4, 2)]})
+    assert t.coeff(1, 2, 0) == Fraction(1, 2) and t.coeff(1, 2, 5) == 3 and t._d == 2
+    assert sum(plane is not t._rows[0] for plane in t._rows) == 1 and not t.is_zero()
+    assert f.entry(4, 7) == 2 and f._cols.count([]) == n - 1
+    small = StructureTensor.from_sparse(2, 3, 2, {(1, 0): [(1, Fraction(2, 3))], (0, 2): []})
+    assert small == StructureTensor.from_rule(2, 3, 2, {(1, 0): [0, Fraction(2, 3)]})
+    assert LinearMap.from_sparse(3, 2, {1: [(0, 0), (1, -1)]}) == LinearMap.from_columns(
+        [[0, 0], [0, -1], [0, 0]], 2)
+    for rows in ({(2, 0): [(0, 1)]}, {(0, 3): [(0, 1)]}, {(0, 0): [(2, 1)]},
+                 {(0, 0): [(1, 1), (0, 1)]}, {(0, 0): [(-1, 1)]}, {(0, 0): [(1, 1), (1, 2)]}):
+        with pytest.raises(ShapeError):
+            StructureTensor.from_sparse(2, 3, 2, rows)
+    for cols in ({3: [(0, 1)]}, {0: [(2, 1)]}, {0: [(1, 1), (0, 1)]}):
+        with pytest.raises(ShapeError):
+            LinearMap.from_sparse(3, 2, cols)

@@ -238,3 +238,76 @@ def test_count_pass_lists_the_instructions_of_each_operation_key():
     # the per-key counts add up to each class total; a key run twice adds both runs
     assert {cls: sum(keys.values()) for cls, keys in items.items()} == out["ops"]
     assert items["a"]["first"] == 2 * items["b"]["first"] > 0
+
+
+def test_counted_holds_off_the_collector_whatever_was_allocated_before():
+    # a collection inside fn, and the callbacks it runs, would depend on the
+    # allocations made before fn: the count does not, no collection starts
+    # inside fn, and the collector is back on afterwards
+    import gc
+
+    counted = _opcount().counted
+    phases, inside = [], []
+
+    def callback(phase, info):
+        phases.append(phase)
+
+    def churn():
+        start = len(phases)
+        kept = [[] for _ in range(3000)]  # enough tracked lists to trip a collection
+        inside.append(len(phases) - start)
+        return kept
+
+    assert gc.get_threshold()[0] < 3000
+    bare = counted(churn)[1]
+    gc.callbacks.append(callback)
+    try:
+        for head in (0, 350, 699):
+            ahead = [[] for _ in range(head)]  # the collector's count before fn
+            assert counted(churn)[1] == bare
+            del ahead
+    finally:
+        gc.callbacks.remove(callback)
+    assert inside == [0] * 4 and gc.isenabled()
+
+
+_PLAN_ORDER = """\
+import sys
+sys.path[:0] = [{src!r}, {tests!r}]
+import test_tools
+from homalg.exact import LinearMap, StructureTensor
+from homalg.varieties import AlgebraInstance
+
+if sys.argv[1] == "twisted":  # plans under other guards, built first
+    t = StructureTensor.square_from_rule(2, {{(0, 0): [1, 0], (0, 1): [0, 1], (1, 0): [0, 1]}})
+    test_tools._battery(AlgebraInstance("d", 2, {{"mul": t}},
+                                        {{"alpha": LinearMap.diagonal([1, 2])}}))
+print(test_tools._opcount().count_pass(test_tools.FreshBatteries())["ops"])
+"""
+
+
+def test_count_pass_counts_the_same_after_plans_built_under_other_guards():
+    # checks of a twist diag(1, 2) build their own plans for the battery's
+    # clause sets before any plan for kx2's identity twist exists; a count
+    # of kx2 batteries in that process equals one in a fresh process
+    import os
+    import subprocess
+
+    root = Path(__file__).resolve().parent.parent
+    code = _PLAN_ORDER.format(src=str(root / "src"), tests=str(root / "tests"))
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    counts = [subprocess.run([sys.executable, "-c", code, history], capture_output=True,
+                             text=True, env=env, check=True).stdout
+              for history in ("fresh", "twisted")]
+    assert counts[0] == counts[1] and counts[0].startswith("{'a': ")
+
+
+def test_one_entry_file_parses_and_builds_its_tables_linearly_in_its_dimension():
+    # the 4-line file with one product and one map entry at N = 400 and 800:
+    # what dsl.parse keeps, its peak, and the bytecode of the first table
+    # build each grow at most 2.5x when N doubles (each grew about 4x when a
+    # tensor kept N^2 row references and its tables read all N^2 pairs)
+    scaling = _tool("scaling")
+    small, large = (scaling.measure(n, report=False) for n in (400, 800))
+    for key in ("parse_kept_bytes", "parse_peak_bytes", "table_ops"):
+        assert 0 < large[key] <= 2.5 * small[key], (key, small[key], large[key])

@@ -35,12 +35,17 @@ cli-files workload runs its commands through homalg.cli.main in this
 process, as the traced benchmark run does.  String hashing is fixed
 (PYTHONHASHSEED=0, the script re-executes itself once to set it) so that
 set iteration order, and with it the count, does not change between runs.
+The garbage collector is held off while an operation is counted: whether a
+collection falls inside it depends on what was allocated before it, and
+what a collection runs (`gc.callbacks`, the weak-reference callbacks of
+the garbage it frees) is not the operation's work.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import json
 import os
@@ -68,8 +73,9 @@ WORK = ("check_clauses", "memo_answers", "tuples_checked", "tuples_evaluated",
 
 def counted(fn, by_code=None):
     """(result, instructions executed by fn and everything it calls, but
-    not in the frames of UNCOUNTED code).  Given a dict `by_code`, each
-    code object's instructions are also added to it."""
+    not in the frames of UNCOUNTED code), with the garbage collector held
+    off while fn runs.  Given a dict `by_code`, each code object's
+    instructions are also added to it."""
     count = 0
 
     def opcodes(frame, event, arg):
@@ -88,12 +94,15 @@ def counted(fn, by_code=None):
         frame.f_trace_lines = False
         return opcodes(frame, event, arg)
 
-    previous = sys.gettrace()
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()  # a collection's timing depends on the allocations before fn
     sys.settrace(calls)
     try:
         out = fn()
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return out, count
 
 
