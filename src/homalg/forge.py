@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -597,23 +596,55 @@ def search_plan(clauses, size, fixed):
     clauses, lowest index on ties.  checks[d] holds each clause that depth d
     completes, split around the entry e = order[d] into (terms free of e,
     (coeff, other unknown) of e's linear part, coeff of e^2).
+
+    One pass over the clause terms records, per entry, the clauses that read
+    it and, per clause, how many of its entries are unset and their sum (the
+    last unset entry, once only one is left).  Placing an entry updates the
+    clauses that read it and the count of clauses each entry would complete,
+    so each next entry is one scan of those counts.
     """
-    reads = [{u for _, u, _ in c} | {v for _, _, v in c if v < size} for c in clauses]
+    readers = [[] for _ in range(size)]  # per unknown, the clauses that read it
+    left, last = [], []  # per clause, its unset entries: their count and their sum
+    for ci, c in enumerate(clauses):
+        reads = set()
+        for _, u, v in c:
+            reads.add(u)
+            reads.add(v)
+        reads.discard(size)
+        for e in reads:
+            readers[e].append(ci)
+        left.append(len(reads))
+        last.append(sum(reads))
+    completes = [0] * size  # per unset entry, the clauses it alone leaves open
+    for count, e in zip(left, last):
+        if count == 1:
+            completes[e] += 1
     order = list(fixed)
-    placed = set(order)
-    while len(order) < size:
-        completes = Counter(min(r - placed) for r in reads if len(r - placed) == 1)
-        e = max((e for e in range(size) if e not in placed), key=lambda e: (completes[e], -e))
-        order.append(e)
-        placed.add(e)
-    depth = {e: d for d, e in enumerate(order)}
     checks = [[] for _ in range(size)]
-    for c, r in zip(clauses, reads):
-        d = max(depth[u] for u in r)
+    for d in range(size):
+        if d == len(order):
+            order.append(completes.index(max(completes)))
         e = order[d]
-        rest = tuple(t for t in c if e not in t[1:])
-        lin = tuple((k, v if u == e else u) for k, u, v in c if (u == e) != (v == e))
-        checks[d].append((rest, lin, sum(k for k, u, v in c if u == v == e)))
+        completes[e] = -1
+        for ci in readers[e]:
+            count = left[ci] = left[ci] - 1
+            s = last[ci] = last[ci] - e
+            if count == 1:
+                completes[s] += 1
+            elif not count:
+                rest, lin, sq = [], [], 0
+                for t in clauses[ci]:
+                    k, u, v = t
+                    if u == e:
+                        if v == e:
+                            sq += k
+                        else:
+                            lin.append((k, v))
+                    elif v == e:
+                        lin.append((k, u))
+                    else:
+                        rest.append(t)
+                checks[d].append((tuple(rest), tuple(lin), sq))
     return order, checks
 
 

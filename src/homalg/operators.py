@@ -190,18 +190,16 @@ def certify_operator(c: OperatorCandidate, kind: str, weight=None) -> CheckRepor
             if kind == "homomorphic-rel-avg":
                 raise SemanticError("homomorphic-rel-avg needs an action")
             raise SemanticError(f"unsupported representation kind {rep.kind!r}")
-    interp = rep.interpretation()
-    maps = interp.maps | {"K": (c.map, ("V", "A"))}
-    return check_clauses(clauses, Interpretation(interp.sorts, interp.ops, maps), check_id)
+    return check_clauses(clauses, rep.interpretation(K=(c.map, ("V", "A"))), check_id)
 
 
 def _certify_algebra_operator(c: OperatorCandidate, kind: str, check_id: str) -> CheckReport:
     """One pass per product symbol, in sorted order; clause names get ":<symbol>"."""
     a, clauses = c.rep, _algebra_clauses()[kind]
-    maps = {"T": (c.map, ("A", "A"))}
+    sorts, maps = {"A": a.dim}, {"T": (c.map, ("A", "A"))}
     total = evaluated = prefixes = 0
     for sym in sorted(a.products):
-        interp = Interpretation({"A": a.dim}, {"mu": (a.products[sym], ("A", "A", "A"))}, maps)
+        interp = Interpretation(sorts, {"mu": (a.products[sym], ("A", "A", "A"))}, maps)
         report = check_clauses(clauses, interp, check_id)
         total += report.tuples_checked
         evaluated += report.tuples_evaluated

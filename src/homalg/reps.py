@@ -114,21 +114,20 @@ class _Rep(Record):
     def action_ops(self):
         return {sym: getattr(self, sym) for sym in self.acts}
 
-    def v_ops(self):
-        return {self.vprod: getattr(self, self.vprod)} if self.vprod else {}
-
-    def interpretation(self) -> Interpretation:
-        base = self.base.interpretation()
-        sorts = dict(base.sorts)
-        sorts["V"] = self.v_dim
-        ops = dict(base.ops)
-        for sym, t in self.action_ops().items():
-            ops[sym] = (t, ("A", "V", "V"))
-        for sym, t in self.v_ops().items():
-            ops[sym] = (t, ("V", "V", "V"))
-        maps = dict(base.maps)
-        maps["beta"] = (self.beta, ("V", "V"))
-        return Interpretation(sorts=sorts, ops=ops, maps=maps)
+    def interpretation(self, **maps) -> Interpretation:
+        """The base's interpretation with V, the actions, the product on V and
+        beta added, then `maps` ((LinearMap, (src_sort, dst_sort)) by symbol);
+        each of its three dicts is built once."""
+        a, sig = self.base, ("A", "A", "A")
+        ops = {sym: (t, sig) for sym, t in a.products.items()}
+        for sym in self.acts:
+            ops[sym] = (getattr(self, sym), ("A", "V", "V"))
+        if self.vprod:
+            ops[self.vprod] = (getattr(self, self.vprod), ("V", "V", "V"))
+        bound = {sym: (m, ("A", "A")) for sym, m in a.maps.items()}
+        bound["beta"] = (self.beta, ("V", "V"))
+        bound.update(maps)
+        return Interpretation(sorts={"A": a.dim, "V": self.v_dim}, ops=ops, maps=bound)
 
 
 class AssocBimodule(_Rep):

@@ -24,7 +24,6 @@ tridendriform       prec, succ, dot
 
 from __future__ import annotations
 
-from collections import defaultdict
 from enum import Enum
 from functools import cache
 from typing import Optional
@@ -398,39 +397,54 @@ def endomorphism_clauses(a: AlgebraInstance):
     f.alpha = alpha.f, then one per (symbol, i, j, coordinate k) of
     f(e_i e_j) = f(e_i) f(e_j), each scaled by the integer denominator of
     its twist or tensor.  Clauses whose terms cancel are left out.
+
+    One pass over the nonzero coefficients: a (j, k) or (i, j, k) with no
+    terms is skipped, one whose terms cannot meet is written out directly,
+    and the rest are summed in a plain dict keyed by u * (dim * dim + 1) + v.
     """
     n = a.dim
     one = n * n
+    w = one + 1
     out = []
-
-    def add(terms):
-        clause = tuple((c, u, v) for (u, v), c in sorted(terms.items()) if c)
-        if clause:
-            out.append(clause)
-
-    acols, arows = a.alpha._cols, a.alpha._transposed()
-    for j in range(n):
-        for k in range(n):
-            terms = defaultdict(int)
-            for m, x in acols[j]:
-                terms[k * n + m, one] += x
-            for m, x in arows[k]:
-                terms[m * n + j, one] -= x
-            add(terms)
+    acols, arows = a.alpha._cols, a.alpha._transposed(n)  # arows[k]: (m * n, x)
+    for j, col in enumerate(acols):
+        for k, row in enumerate(arows):
+            if not row:
+                if col:
+                    out.append(tuple((x, k * n + m, one) for m, x in col))
+                continue
+            terms = {k * n + m: x for m, x in col}
+            for mn, x in row:
+                u = mn + j
+                terms[u] = terms.get(u, 0) - x
+            clause = tuple((c, u, one) for u, c in sorted(terms.items()) if c)
+            if clause:
+                out.append(clause)
     for sym in sorted(a.products):
         rows = a.products[sym]._rows
-        by_k = [[] for _ in range(n)]  # the nonzero t[p][q][k] as (p, q, t), by k
+        by_k = [[] for _ in range(n)]  # the nonzero t[p][q][k] as (p * n, q * n, t), by k
         for p, plane in enumerate(rows):
             for q, row in enumerate(plane):
                 for k, x in row:
-                    by_k[k].append((p, q, x))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    terms = defaultdict(int)
-                    for m, x in rows[i][j]:
-                        terms[k * n + m, one] += x
-                    for p, q, x in by_k[k]:
-                        terms[tuple(sorted((p * n + i, q * n + j)))] -= x
-                    add(terms)
+                    by_k[k].append((p * n, q * n, x))
+        for i, plane in enumerate(rows):
+            for j, row in enumerate(plane):
+                for k, pq in enumerate(by_k):
+                    if not pq:
+                        if row:
+                            out.append(tuple((x, k * n + m, one) for m, x in row))
+                        continue
+                    terms = {(k * n + m) * w + one: x for m, x in row}
+                    for pn, qn, x in pq:
+                        u, v = pn + i, qn + j
+                        key = u * w + v if u <= v else v * w + u
+                        terms[key] = terms.get(key, 0) - x
+                    clause = []
+                    for key in sorted(terms):
+                        c = terms[key]
+                        if c:
+                            u, v = divmod(key, w)
+                            clause.append((c, u, v))
+                    if clause:
+                        out.append(tuple(clause))
     return out

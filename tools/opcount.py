@@ -30,7 +30,11 @@ Wall-clock metrics on a shared machine spread by several percent; these
 counts repeat exactly for one checkout, workload and seed, so a speed claim
 can be checked against a second measure that no other process disturbs.
 Work done in C (builtins, int and Fraction arithmetic) is not counted, so
-read the counts as the interpreted work a change adds or removes.  The
+read the counts as the interpreted work a change adds or removes.
+Instruction counts also miss allocation done in C (new sets, dicts and
+`Counter`s, and the function and frame objects of comprehensions), so a
+"more bytecode" verdict needs a wall-time check before it closes a FOUND
+line of CHANGES.md.  The
 cli-files workload runs its commands through homalg.cli.main in this
 process, as the traced benchmark run does.  String hashing is fixed
 (PYTHONHASHSEED=0, the script re-executes itself once to set it) so that
