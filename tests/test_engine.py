@@ -1588,6 +1588,94 @@ def _shipped_clause_sets():
             + list(_algebra_clauses().values()) + [_o_operator_clauses(Fraction(1))])
 
 
+# the product symbols of the variety and algebra-operator tables
+_PRODUCT_SYMBOLS = ("mul", "bracket", "brace", "circ", "left", "right", "middle", "bullet",
+                    "prec", "succ", "dot", "mu")
+
+
+def _bumped_op(interp, rng):
+    """interp with one structure constant of one op, drawn from rng, raised
+    by 1, the bump forge.perturb_product makes in a product."""
+    sym = rng.choice(sorted(interp.ops))
+    t, sig = interp.ops[sym]
+    where = rng.randrange(t.left_dim), rng.randrange(t.right_dim), rng.randrange(t.out_dim)
+    return Interpretation(interp.sorts, interp.ops | {sym: (_bumped(t, *where), sig)},
+                          interp.maps)
+
+
+def _catalog_interpretations(seed_catalog, rng):
+    """Catalog data for every shipped clause set.  Per catalog algebra, and
+    per seeded `perturb_product` bump of it: every product symbol of the
+    variety and operator tables bound to the product of that name, else to
+    one of its products in turn, with alpha, d (its own, else a drawn one)
+    and T.  Per catalog rep, and per seeded bump of one of its ops: its
+    interpretation with K, f and d bound to one V -> A map, a catalog
+    operator's on that rep where there is one, else a drawn one."""
+    from homalg.forge import perturb_product
+
+    operator_maps = {}
+    for e in seed_catalog.values():
+        if e.kind == "operator":
+            operator_maps.setdefault(id(e.value.rep), e.value.map)
+    out = []
+    for e in seed_catalog.values():
+        value = e.value
+        if e.kind == "algebra":
+            n, syms = value.dim, sorted(value.products)
+            sym = rng.choice(syms)
+            where = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            for a in (value, perturb_product(value, sym, where, 1)):
+                ops = {s: (a.products.get(s) or a.product(syms[k % len(syms)]), ("A",) * 3)
+                       for k, s in enumerate(_PRODUCT_SYMBOLS)}
+                d = a.maps.get("d") or _sparse_map(rng, n, n)
+                out.append(Interpretation({"A": n}, ops, {
+                    "alpha": (a.alpha, ("A", "A")), "d": (d, ("A", "A")),
+                    "T": (_sparse_map(rng, n, n), ("A", "A"))}))
+        elif e.kind == "rep":
+            k = operator_maps.get(id(value)) or _sparse_map(rng, value.v_dim, value.base.dim)
+            interp = value.interpretation(**dict.fromkeys("Kfd", (k, ("V", "A"))))
+            out += [interp, _bumped_op(interp, rng)]
+    return out
+
+
+def test_every_shipped_clause_set_matches_naive_enumeration_on_catalog_data(seed_catalog):
+    # the safety net of any change to check_clauses: every clause set the
+    # package checks (_shipped_clause_sets, and the o-operator table at
+    # more weights), on every catalog interpretation that binds the symbols
+    # it reads with their sorts, gives naive enumeration's status, witness
+    # with both sides and tuples_checked.  To bound the naive side's time,
+    # 3-slot sets read dimensions up to 6 and 4-slot sets up to 2
+    import random
+
+    from homalg.engine import _scan
+    from homalg.operators import _o_operator_clauses
+
+    rng = random.Random(36)
+    pool = _catalog_interpretations(seed_catalog, rng)
+    sets = _shipped_clause_sets() + [_o_operator_clauses(Fraction(w))
+                                     for w in (-1, 2, Fraction(1, 2))]
+    checked, statuses = {}, set()
+    for clauses in sets:
+        _, _, _, ops, maps = _scan([e for c in clauses for e in (c.lhs, c.rhs)])
+        slots = len(polarize(clauses[0]).variables)
+        for interp in pool:
+            if (not ops.keys() <= interp.ops.keys() or not maps.keys() <= interp.maps.keys()
+                    or max(interp.sorts.values()) > (2 if slots > 3 else 6 if slots > 2 else 9)):
+                continue
+            try:
+                report = check_clauses(clauses, interp, "oracle")
+            except SemanticError:  # a symbol read is bound across other sorts
+                continue
+            want = _naive_check(clauses, interp)
+            assert _observed(report) == want, (clauses[0].name, want)
+            checked.setdefault(clauses, set()).add(want[0])
+            statuses.add(want[0])
+    assert all(checked.get(clauses) for clauses in sets), [
+        clauses[0].name for clauses in sets if not checked.get(clauses)]
+    assert statuses == {"pass", "fail"}
+    assert sum(len(got) == 2 for got in checked.values()) > len(sets) // 2
+
+
 def test_no_shipped_clause_has_a_side_that_skips_a_variable():
     # a side that reads a later slot but not the slot before the last costs
     # that slot its support recipe (see the later-side schema below); every
