@@ -60,59 +60,48 @@ one object is kept on that object, and dies with it:
   - a map keeps, per power, its nonzero-column mask and identity flag
     beside its sparse columns (at power 1 the columns it stores, see
     `exact.LinearMap`; a higher power's are its composite's), and its row
-    sets and column supports (see `_power`);
-  - per dimension, the basis values, the stand-in of every coordinate and
-    the unit masks are built once (`_dim`).
+    sets (see `_power`);
+  - per dimension, the basis values and unit masks are built once (`_dim`).
 So guards are read, not rebuilt, and a check over a fresh map over data
 already seen pays only for that map's own data.
-The last slot is enumerated only where a side can be nonzero, for a plan in
-the support-mask contract: every side reads all slots or none, no product
-reads a slot in both factors, and the terms of every sum read the same
-slots.  Polarized clauses are multilinear with homogeneous sums, so every
-clause set the package ships meets it; any other plan has no recipe and is
-enumerated in full.  The plan holds a support recipe for the nodes that read
-the last variable; bound to the support masks kept with the data (a tensor's
-row and column masks and its per-output masks, a map power's nonzero columns
-and rows), it gives per prefix a bitmask of the last slot's indices at which
-some side may be nonzero.  A product op(c, n) of a prefix value c and a node
-n that reads the last slot is nonzero only where one of n's output
-coordinates that c multiplies into something nonzero is, so the nodes under
-such a product carry one mask per output coordinate.  A mask sees through
-the twists above its node: a map M sends w to zero unless w is nonzero at a
-coordinate where M has a nonzero column, so a node under a chain of twist
-powers gets a mask per chain, and a product under one is read only through
-the output coordinates the chain's composite does not kill; the Nijenhuis
-map x + u -> K(u), zero on all of A, skips the tuples it sends to zero.
-Only the supported indices are evaluated; at every other one both sides of
-every clause are zero, so no witness is lost and the first one is the one
-naive enumeration finds.  The slot before the last (from slot 1 on) has a recipe of the same
-kind, with the last slot as a wildcard: a node that reads only the last slot
-stands in for its value by the output coordinates it can reach for some
-basis vector there, so the mask has bit t set when some completion of the
-prefix with index t can make a side nonzero.  An index outside it is not
-visited at all; the tuples below it are counted in closed form, the number
-of completions sorted within copy blocks, so `tuples_checked` stays the
-naive count, on a failure up to the witness.  A check uses this mask from
-the first prefix after some last-slot mask came out empty, so a check that
-decides before that never binds the recipe; the prefix counts showed that a
-recipe at slot 0 (it runs once per check) or further up does not pay for its
-binding.
-A recipe is a list of steps in one vocabulary, the kinds `_masks` runs,
-each with the slot of the table it reads in a list that a check fetches
-once (see `_tables`), so binding a recipe rebuilds no step.  The steps of
-the nodes that read no earlier slot run once per check, when the recipe is
-bound; a per-prefix step that reads such a node reads a table of its own,
-with that node folded in then.
+A plan in the support-mask contract (every side reads all slots or none,
+no product reads a slot in both factors, the terms of every sum read the
+same slots) skips zero work; polarized clauses are multilinear with
+homogeneous sums, so every clause set the package ships meets it, and any
+other plan is enumerated in full.  With three or more slots it contracts:
+slot 0 is enumerated and, per index there, each node that reads a later
+slot gets a table from a key (the sum of index * stride over the later
+slots it reads) to its nonzero value.  A product joins its factors' tables
+on their disjoint slots, a twist maps each value and a sum adds its terms'
+tables; a product or twist over a bare later variable is driven by the
+tensor's row or column masks, or the power's nonzero columns, so the work
+follows the nonzeros (a one-entry file of dimension N costs N steps, not
+N^2).  The sides agree exactly when their tables are equal, and the least
+key at which they differ that is sorted within copy blocks is the witness
+naive enumeration finds; a failing check stops at the end of its slot-0
+index.  For such a plan `tuples_checked` is the naive count in closed form
+(to the witness), `tuples_evaluated` the tuples with a nonzero side, and
+`prefixes_visited` the indices of slot 0 visited.
+With one or two slots it keeps the masked scan: the plan holds a support
+recipe for the nodes that read the last variable (see _support_recipe);
+bound to the support masks kept with the data, it gives per prefix a
+bitmask of the last slot's indices at which some side may be nonzero.  A
+mask sees through the twists above its node, so the Nijenhuis map
+x + u -> K(u), zero on all of A, skips the tuples it sends to zero, which
+the contraction would join: with every plan contracted, loop-certifiers'
+checks (all of two slots) ran x1.2-1.5 slower, the Nijenhuis checks over
+the hemisemi ambient most.  Only the supported indices are evaluated; at
+every other one both sides of every clause are zero.
 Polarization records each variable's copies as a copy block; the identity
-is symmetric there, so only tuples sorted within each block are visited,
+is symmetric there, so only tuples sorted within each block are decided,
 and the first violating tuple is still the one naive enumeration finds.
 `tuples_checked` counts the tuples decided (sorted within copy blocks),
 those skipped as zero on both sides included, so it equals the count of a
-naive enumeration; `tuples_evaluated` counts those whose sides were
-evaluated and `prefixes_visited` the proper prefixes on which level
-kernels ran.  `evaluate` and `check_schema_random` go through the same
-kind of plans and kernels; they never enumerate, so their plans carry no
-support recipe.
+naive enumeration; for a plan that does not contract, `tuples_evaluated`
+counts those whose sides were evaluated and `prefixes_visited` the proper
+prefixes on which level kernels ran.  `evaluate` and `check_schema_random`
+go through the same kind of plans and kernels; they never enumerate, so
+their plans neither mask nor contract.
 
 Exhaustive verdicts are memoized where the plans are kept: each shape of a
 clause tuple keeps the verdict of every check run over it, keyed by the
@@ -719,11 +708,9 @@ _interned = cache(lambda *dims: dims)
 
 @cache
 def _dim(d):
-    """(basis values, the stand-in of every coordinate, unit masks) of
-    dimension d, built once: [(i, 1)] per index i, (k, 1) for every k, and
-    1 << j per j."""
-    every = [(k, 1) for k in range(d)]
-    return [[e] for e in every], every, [1 << j for j in range(d)]
+    """(basis values, unit masks) of dimension d, built once: [(i, 1)] per
+    index i and 1 << j per j."""
+    return [[(i, 1)] for i in range(d)], [1 << j for j in range(d)]
 
 
 def _gather(vec, bits) -> int:
@@ -733,16 +720,6 @@ def _gather(vec, bits) -> int:
         low = bits & -bits
         bits ^= low
         out |= vec[low.bit_length() - 1]
-    return out
-
-
-def _standin(bits):
-    """(k, 1) for each set bit k: a sparse value whose support is bits."""
-    out = []
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        out.append((low.bit_length() - 1, 1))
     return out
 
 
@@ -764,8 +741,7 @@ def _power(lin, power):
     lin^power, built once and kept on the map; the columns are the map's
     own `_cols` (at power 1, lin's).  The flag reads the content: any map
     whose numerators are its denominator on the diagonal and zero elsewhere
-    has it.  The power's row sets and column supports (see `_map_table`) are
-    kept beside it, under (kind, power)."""
+    has it.  The power's row sets (see `_rowsets`) are kept beside it."""
     if lin._powers is None:
         lin._powers = {}
     elif power in lin._powers:
@@ -779,17 +755,16 @@ def _power(lin, power):
     return got
 
 
-def _map_table(lin, kind, power):
-    """The row sets ("rowsets": bit b of entry k set when coordinate k of
-    column b is nonzero) or the column supports ("colsupp": bit k of entry
-    b) of lin^power, built once and kept with its powers."""
-    cols, rows = _power(lin, power)[0], kind == "rowsets"
-    if (kind, power) not in lin._powers:
-        got = lin._powers[kind, power] = [0] * (lin.dst_dim if rows else len(cols))
+def _rowsets(lin, power):
+    """The row sets of lin^power (bit b of entry k set when coordinate k of
+    column b is nonzero), built once and kept with its powers."""
+    cols = _power(lin, power)[0]
+    if ("rowsets", power) not in lin._powers:
+        got = lin._powers["rowsets", power] = [0] * lin.dst_dim
         for b, col in enumerate(cols):
             for k, _ in col:
-                got[k if rows else b] |= 1 << (b if rows else k)
-    return lin._powers[kind, power]
+                got[k] |= 1 << b
+    return lin._powers["rowsets", power]
 
 
 def twist_gap(kc, alpha: LinearMap, beta: LinearMap):
@@ -978,6 +953,157 @@ def _zero_kernel(cur):
     return []
 
 
+# Contraction kernels (see check_clauses).  A table maps a key, the sum of
+# index * stride over the slots after slot 0 that its node reads, to the
+# node's nonzero sparse value there; a value of the level kernels (a node
+# that reads slot 0 at most) is read as the table {0: value}.
+
+
+def _nonzero(out, key, parts, dim):
+    """Put the sum of parts, if nonzero, in out at key (see _combine)."""
+    v = _combine(parts, dim)
+    if v:
+        out[key] = v
+
+
+def _join_kernel(a, b, data, dim, wrap_a, wrap_b):
+    """op(a, b): every key of a's table meets every key of b's."""
+    def run(cur):
+        ta, tb, rows = cur[a], cur[b], cur[data]
+        if wrap_a:
+            ta = {0: ta} if ta else {}
+        if wrap_b:
+            tb = {0: tb} if tb else {}
+        out = {}
+        for ka, va in ta.items():
+            one = len(va) == 1
+            if one:
+                (i, x), = va
+                plane = rows[i]
+            for kb, vb in tb.items():
+                if one and len(vb) == 1:
+                    (j, y), = vb
+                    row = plane[j]
+                    if row:
+                        s = x * y
+                        out[ka + kb] = row if s == 1 else [(k, s * c) for k, c in row]
+                    continue
+                parts = []
+                for i, x in va:
+                    plane = rows[i]
+                    for j, y in vb:
+                        if plane[j]:
+                            parts.append((x * y, plane[j]))
+                if parts:
+                    _nonzero(out, ka + kb, parts, cur[dim])
+        return out
+    return run
+
+
+def _var_join_kernel(c, data, masks, stride, dim, left, wrap):
+    """op(c, y) (left) or op(y, c), y a bare variable: each index i in the
+    support of a value of c meets the indices j of y that the tensor's row
+    (or column) mask i holds, so only nonzero products are formed."""
+    def run(cur):
+        tc, rows, bits_of, s = cur[c], cur[data], cur[masks], cur[stride]
+        if wrap:
+            tc = {0: tc} if tc else {}
+        out = {}
+        for k, v in tc.items():
+            if len(v) == 1:
+                (i, x), = v
+                bits = bits_of[i]
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    j = low.bit_length() - 1
+                    row = rows[i][j] if left else rows[j][i]
+                    out[k + j * s] = row if x == 1 else [(t, x * e) for t, e in row]
+                continue
+            acc = {}
+            for i, x in v:
+                bits = bits_of[i]
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    j = low.bit_length() - 1
+                    part = x, rows[i][j] if left else rows[j][i]
+                    got = acc.get(j)
+                    if got is None:
+                        acc[j] = [part]
+                    else:
+                        got.append(part)
+            for j, parts in acc.items():
+                _nonzero(out, k + j * s, parts, cur[dim])
+        return out
+    return run
+
+
+def _pair_kernel(data, masks, left, right):
+    """op(y, z) of two bare variables: the tensor's nonzero rows."""
+    def run(cur):
+        rows, s, t, out = cur[data], cur[left], cur[right], {}
+        for i, bits in enumerate(cur[masks]):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                j = low.bit_length() - 1
+                out[i * s + j * t] = rows[i][j]
+        return out
+    return run
+
+
+def _map_kernel(child, data, dim):
+    """tw(child): each value of the child's table mapped."""
+    def run(cur):
+        cols, out = cur[data], {}
+        for k, v in cur[child].items():
+            parts = [(a, cols[j]) for j, a in v if cols[j]]
+            if parts:
+                _nonzero(out, k, parts, cur[dim])
+        return out
+    return run
+
+
+def _map_var_kernel(data, mask, stride):
+    """tw(y), y a bare variable: the power's nonzero columns."""
+    def run(cur):
+        cols, bits, s, out = cur[data], cur[mask], cur[stride], {}
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            j = low.bit_length() - 1
+            out[j * s] = cols[j]
+        return out
+    return run
+
+
+def _add_kernel(data, dim):
+    """A sum: its terms' tables, scaled, added key by key."""
+    def run(cur):
+        acc = {}
+        for f, c in cur[data]:
+            for k, v in cur[c].items():
+                got = acc.get(k)
+                if got is None:
+                    acc[k] = [(f, v)]
+                else:
+                    got.append((f, v))
+        out = {}
+        for k, parts in acc.items():
+            _nonzero(out, k, parts, cur[dim])
+        return out
+    return run
+
+
+def _unit_kernel(stride, dim):
+    """A bare variable read whole, by a sum: its basis values."""
+    def run(cur):
+        s = cur[stride]
+        return {j * s: v for j, v in enumerate(_dim(cur[dim])[0])}
+    return run
+
+
 class _ClauseSet:
     """One clause tuple as checked, with its plans; kept on its first schema.
 
@@ -1102,8 +1228,8 @@ def _forget(shape, gone) -> None:
         del shape.verdicts[gone.key]
 
 
-# one slot's support recipe (see _Plan._support_recipe)
-_Recipe = namedtuple("_Recipe", "fixed steps folds mask_roots data width")
+# the last slot's support recipe (see _Plan._support_recipe)
+_Recipe = namedtuple("_Recipe", "fixed steps mask_roots keys width")
 
 
 class _Plan:
@@ -1128,24 +1254,24 @@ class _Plan:
     last free slot, and one whose free slots are not all of 0..level gets a
     table, one of `tables` made per check, keyed by the projection of the
     tuple onto them.
-    `recipes[p]` tells which indices of slot p can make a side nonzero, for
-    the last slot and, past slot 0, the one before it (see _support_recipe);
-    it is None at the other slots, and at every slot of a plan outside the
-    support-mask contract or built for `evaluate` and `check_schema_random`
+    A plan in the support-mask contract either contracts or masks.  With
+    three or more slots, `joins` holds its contraction steps (see _joins);
+    with one or two, `recipes[-1]` tells which indices of the last slot can
+    make a side nonzero (see _support_recipe).  `recipes` holds None at
+    every other slot, and `joins` is None for a plan that masks, one outside
+    the contract, or one built for `evaluate` and `check_schema_random`
     (polar False), which never enumerate.  `twists` and `zeros` are the
     guards it was built under, each as (object place, power, flag) and
     (object place, flag); a map across sorts needs none.  `den_key`, `dens`
     and `sum_terms` keep the denominators of the last bind (see bind).
     `sides` pairs the roots per clause, and `var_at` gives each slot's
     variable node (None for a variable no side reads).
-    `table_keys` gives the key of each slot of a check's table list, which
-    the recipes' steps read (see _support_recipe).
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
-                 "out_sorts", "levels", "recipes", "tables", "width", "op_slots",
+                 "out_sorts", "levels", "recipes", "joins", "tables", "width", "op_slots",
                  "map_slots", "dim_slots", "sum_slots", "den_key", "dens", "sum_terms", "sides",
-                 "var_at", "table_keys")
+                 "var_at")
 
     def __init__(self, clause_set: _ClauseSet, interp: Interpretation, polar: bool):
         self.clause_set = clause_set
@@ -1221,6 +1347,22 @@ class _Plan:
                     *[p for p in range(level + 1) if mask >> p & 1]), tables))
                 tables += 1
         self.tables = tables
+        self.sides = list(zip(self.roots[::2], self.roots[1::2]))
+        self.var_at = [self.var_nodes.get(name) for name in var_sorts]
+        # the support-mask contract (see _support_recipe); outside it a plan neither masks nor
+        # contracts, nor does one that never enumerates (polar False: evaluate, check_schema_random)
+        every, live = (1 << len(var_sorts)) - 1, [nodes[nid] for nid in self.order]
+        contract = polar and (
+            all(free[r] in (0, every) for r in self.roots)
+            and not any(free[k[2]] & free[k[3]] for k in live if k[0] == "op")
+            and all(len({free[c] for _, c in k[1]}) < 2 for k in live if k[0] == "sum"))
+        # without the last slot's mask loop-certifiers ran +4.6% bytecode (tools/opcount.py)
+        last = len(var_sorts) - 1
+        self.recipes, self.joins = [None] * (last + 1), None
+        if contract and last > 1:
+            self.joins = self._joins(free, slot, place)
+        elif contract:
+            self.recipes[last] = self._support_recipe(free)
         self.width = len(nodes) + len(data)
         self.op_slots = [(key, place[key[1]], at) for key, at in data.items() if key[0] == "op"]
         self.map_slots = [(key, place[key[1]], key[2], at) for key, at in data.items()
@@ -1228,64 +1370,32 @@ class _Plan:
         self.dim_slots = [(key[1], at) for key, at in data.items() if key[0] == "dim"]
         self.sum_slots = {key[1]: at for key, at in data.items() if key[0] == "sum"}
         self.den_key = None  # the denominators of the last bind (see bind)
-        self.sides = list(zip(self.roots[::2], self.roots[1::2]))
-        self.var_at = [self.var_nodes.get(name) for name in var_sorts]
-        # the support-mask contract (see _support_recipe); outside it no slot has a recipe,
-        # nor in a plan that never enumerates (polar False: evaluate, check_schema_random)
-        every, live = (1 << len(var_sorts)) - 1, [nodes[nid] for nid in self.order]
-        contract = polar and (
-            all(free[r] in (0, every) for r in self.roots)
-            and not any(free[k[2]] & free[k[3]] for k in live if k[0] == "op")
-            and all(len({free[c] for _, c in k[1]}) < 2 for k in live if k[0] == "sum"))
-        # masks at the last slot and, past slot 0, the one before it (see check_clauses);
-        # bytecode run without them (tools/opcount.py --seed 0, class a, b):
-        # no mask at all: catalog-sweep x4.46, x3.90; loop-certifiers +4.6%, ±0
-        # none before the last: catalog-sweep +40.2%, +17.8%; loop-certifiers ±0.0%, ±0
-        last = len(var_sorts) - 1
-        keys = {}  # the slot of each table in a check's table list (see _support_recipe)
-        self.recipes = [self._support_recipe(free, p, keys)
-                        if contract and (p == last or p == last - 1 > 0) else None
-                        for p in range(last + 1)]
-        self.table_keys = tuple(keys)
 
-    def _support_recipe(self, free, p, keys):
-        """How slot p's support follows from the prefix, as a _Recipe, for a
-        plan in the support-mask contract (see __init__): every root reads
-        all slots or none, no product reads a slot in both factors, and the
-        terms of every sum read the same slots.  Polarized clauses are
-        multilinear with homogeneous sums, so every clause set the package
-        ships is in it.
+    def _support_recipe(self, free):
+        """How the last slot's support follows from the prefix, as a _Recipe,
+        for a plan of one or two slots in the support-mask contract.
 
-        Slots after p are wildcards.  A node that reads slot p gets a mask
-        per chain C of twist powers it is asked for under, written outermost
-        first, each in its own slot (the node's id for the empty chain, else
-        one after the nodes): bit t is set when M(node) may be nonzero, for
-        some completion, with slot p at index t, M the composite of C (the
-        identity for no chain); -1 stands for every index.  M(w) != 0 only
-        where w is nonzero at some coordinate k whose column of M is, k in
-        cover(C) (see _cover), so a twist asks for its child under its chain
-        and its own power, and a chain reads the op of the node under it
-        only through the output coordinates in its cover.  A node read by an
-        op(c, n) also gets a vector of masks, one per output coordinate j:
-        bit t of entry j is set when coordinate j may be nonzero at t.  Here
-        y is slot p's variable, c a node that does not read it and n a node
-        that does; for y itself the mask is -1 and entry j of the vector is
-        1 << j.  A c that reads only earlier slots has its value at hand.
-        A c that reads a later slot (a later node) is abstracted to the
-        output coordinates it can reach for some completion; it stands in
-        for its value as (k, 1) over those coordinates k, written to the
-        value list (whose entries for such nodes are stale until their level
-        runs), and its reach goes to its mask.  A node that reads no earlier
-        slot is fixed: it does not depend on the prefix.
+        A node that reads the last slot gets a mask per chain C of twist
+        powers it is asked for under, written outermost first, each in its
+        own slot (the node's id for the empty chain, else one after the
+        nodes): bit t is set when M(node) may be nonzero with the last slot
+        at index t, M the composite of C (the identity for no chain); -1
+        stands for every index.  M(w) != 0 only where w is nonzero at some
+        coordinate k whose column of M is, k in cover(C) (see _cover), so a
+        twist asks for its child under its chain and its own power, and a
+        chain reads the op of the node under it only through the output
+        coordinates in its cover.  A node read by an op(c, n) also gets a
+        vector of masks, one per output coordinate j: bit t of entry j is
+        set when coordinate j may be nonzero at t.  Here y is the last
+        variable, c a node that does not read it (its value is at hand) and
+        n a node that does; for y itself the mask is -1 and entry j of the
+        vector is 1 << j.  A node that reads no earlier slot is fixed: it
+        does not depend on the prefix.
 
-        Children first, each mask, vector or reach some root needs gets one
-        step (node, kind, a, b, the slot of the table T it reads), in the
-        kinds _masks runs; `keys` gives each table key its slot in a check's
-        table list, shared by the plan's recipes (see _tables), and a step
-        that reads no table gets the slot of None, which stays None.  A
-        per-prefix step whose c (or w) is fixed reads a slot of its own, a
-        fold (slot, kind, c or w, the slot of T) that bind_support fills
-        once per check with the fixed operand folded in.
+        Children first, each mask or vector some root needs gets one step
+        (node, kind, a, b, the slot of the table T it reads), in the kinds
+        _masks runs; `keys` gives the key of each table slot, None for the
+        slot of the steps that read no table.
         Masks, under a chain C:
           "union" c:        op(c, y) or op(y, c): the union of T[i] over c's
                             support, T op's row (or column) masks read
@@ -1293,56 +1403,35 @@ class _Plan:
                             Q[i][k]) over k in cover(C);
           "pick" c, n:      op(c, n) or op(n, c): J is that union, the mask
                             the union of vec(n)[j] over j in J;
-          "gather" c, n:    "pick" with J folded;
           "map":            y under a non-empty C (as tw(y) or a sum's
                             term), T cover(C); under none it stays -1;
           "sum" ns:         the union of the terms' masks under C.
         A twist has no mask step: tw(S, q, n) under C is n under C + (S, q).
         Vectors:
-          "vunion" c, n:    op(c, n) or op(n, c): entry k is the union over i
-                            in c's support of T[i][k] (T op's P or Q), spread
-                            through vec(n) unless n is y (b None);
-          "vfold" c, n:     "vunion" folded into a "vspread" of that union;
           "vspread" -, n:   tw(n): entry k is the union of vec(n)[j] over the
                             bits j of T[k], the power's row sets;
           "vconst":         tw(y), T the row sets; y itself, T its unit vector;
           "vsum" ns:        entrywise union of the terms' vectors.
-        Reaches, each also written as its node's stand-in:
-          "wvar":           a later slot's variable, T its stand-in: every
-                            coordinate;
-          "wunion" c:       tw(c), the union of T[i], the power's column
-                            supports, over c's support;
-          "wop" c, w:       op(c, w) or op(w, c), w later: the coordinates k
-                            with T[i][k] (P or Q) meeting w's reach for some i
-                            in c's support;
-          "wfold" c, w:     "wop" folded into a "wunion" over, per i, those k;
-          "wsum" -, ws:     the union of the terms' supports.
-        So vectors are built only under an op(c, n), and a c that is one
-        basis vector e_i over op(c, y) takes P[i] as it is.  Clauses are
+        So vectors are built only under an op(c, n), and never for a product:
+        an op(c, op(c2, n)) would read slot 0 in both factors.  Clauses are
         multilinear, so every rule only over-approximates: an index outside
-        the mask has both sides of every clause zero on every completion.
+        the mask has both sides of every clause zero.
 
-        The roots that read a slot (`mask_roots`, their mask slots under no
+        The roots that read the slot (`mask_roots`, their mask slots under no
         chain) put the union of their masks in the mask; the others are the
         zero node.  `width` is the number of mask slots.  `fixed` are the
         steps of the fixed nodes, which run once per check, and `steps` the
-        others, which run per prefix; the contract leaves no per-prefix step
-        that reads a fixed stand-in unfolded.  `data` lists the slots of the
-        tables to fetch.
+        others, which run per prefix.
         """
-        bit, later = 1 << p, -2 << p
-        early = bit - 1
+        bit = 1 << (len(self.var_at) - 1)
         nodes, sorts = self.nodes, self.sorts
-        # all per prefix: catalog-sweep +22.8%, +17.0%; loop-certifiers +1.0% (see __init__)
-        fixed = {nid for nid in self.order if free[nid] & (bit | later) and not free[nid] & early}
-        masks, extra, vectors, reach = {}, {}, set(), set()
-        steps, folds, fetch = [], [], {}
+        fixed = {nid for nid in self.order if free[nid] == bit}
+        masks, extra, vectors, steps, keys = {}, {}, set(), [], {None: 0}
 
         def slot(nid, chain):
             return extra.setdefault((nid, chain), len(nodes) + len(extra)) if chain else nid
 
-        # no chains, a twist's mask its child's: loop-certifiers +22.2%, ±0; catalog-sweep
-        # ±0.0%, ±0.0%; cli-files +1.2%, ±0.0% (see __init__)
+        # no chains, a twist's mask its child's: loop-certifiers +22.2% (see __init__)
         def want(nid, chain=()):
             """The slot of nid's mask under chain, now asked for: a twist
             passes its power on to its child's chain."""
@@ -1352,14 +1441,8 @@ class _Plan:
             return slot(nid, chain)
 
         def emit(nid, kind, a, b, key=None, out=None):
-            t = keys.setdefault(key, len(keys))  # key None: a slot no check fills
-            if key is not None:
-                fetch[t] = None
-            if kind in ("gather", "vfold", "wfold"):  # reads a fixed operand: a fold's slot
-                folds.append((keys.setdefault(("fold", p, len(folds)), len(keys)), kind,
-                              b if kind == "wfold" else a, t))
-                t = folds[-1][0]
-            steps.append((nid in fixed, (nid if out is None else out, kind, a, b, t)))
+            steps.append((nid in fixed, (nid if out is None else out, kind, a, b,
+                                         keys.setdefault(key, len(keys)))))
 
         def inner(n):
             """n, or None when n is y."""
@@ -1371,24 +1454,6 @@ class _Plan:
             key = nodes[nid]
             kind = key[0]
             chains = masks.get(nid, ())
-            if nid in reach:
-                if kind == "var":
-                    emit(nid, "wvar", None, None, ("all", sorts[nid]))
-                elif kind == "tw":
-                    emit(nid, "wunion", key[3], None, ("colsupp", *key[1:3]))
-                    reach.add(key[3])
-                elif kind == "op":
-                    # the one later slot, the last, is read by one factor: w
-                    _, symbol, left, right = key
-                    c, w, table = (left, right, "P") if free[right] & later else (right, left, "Q")
-                    emit(nid, "wfold" if w in fixed and nid not in fixed else "wop", c, w,
-                         (table, symbol))
-                    reach.add(w)
-                else:
-                    terms = tuple(c for _, c in key[1])
-                    emit(nid, "wsum", None, terms)
-                    reach.update(terms)
-                continue
             if kind == "var":  # y under a chain: the composite's nonzero columns
                 for chain in chains:
                     if chain:
@@ -1406,15 +1471,9 @@ class _Plan:
                 _, symbol, left, right = key
                 rows, c, n = (True, left, right) if free[right] & bit else (False, right, left)
                 n = inner(n)
-                fold = c in fixed and nid not in fixed
-                if free[c] & later:
-                    reach.add(c)
                 for chain in chains:
-                    emit(nid, "union" if n is None else "gather" if fold else "pick", c, n,
+                    emit(nid, "union" if n is None else "pick", c, n,
                          ("rows" if rows else "cols", symbol, chain), out=slot(nid, chain))
-                # by mask(n): catalog-sweep x2.85, x1.96; loop-certifiers +3.1% (see __init__)
-                if nid in vectors:
-                    emit(nid, "vfold" if fold else "vunion", c, n, ("P" if rows else "Q", symbol))
                 vectors.add(n)
             else:
                 terms = tuple(c for _, c in key[1])
@@ -1430,7 +1489,61 @@ class _Plan:
                 emit(n, "vconst", None, None, ("unit", sorts[n]))
         steps.reverse()
         return _Recipe(tuple(s for f, s in steps if f), tuple(s for f, s in steps if not f),
-                       tuple(folds), tuple(mask_roots), tuple(fetch), len(nodes) + len(extra))
+                       tuple(mask_roots), tuple(keys), len(nodes) + len(extra))
+
+    def _joins(self, free, slot, place):
+        """The contraction of a plan of three or more slots in the
+        support-mask contract: (once, each, fills).  Each node that reads a
+        slot after slot 0 gets a step that makes its table from its
+        children's, in `once` if it does not read slot 0 (run once per
+        check), else in `each` (run per index of slot 0).  A bare variable
+        after slot 0 gets a table only where a sum reads it whole; a
+        product or twist over it reads the tensor's row or column masks
+        or the power's nonzero columns, and its slot's key stride: the data
+        slots `fills` gives by (kind, object place, power) or ("stride",
+        slot), which the check fills.
+        """
+        nodes, steps, fills = self.nodes, ([], []), {}
+        whole = {c for nid in self.order if nodes[nid][0] == "sum" for _, c in nodes[nid][1]}
+
+        def fill(key):
+            at = fills[key] = slot(key)
+            return at
+
+        def bare(n):
+            return nodes[n][0] == "var" and free[n] > 1
+
+        def stride(n):
+            return fill(("stride", free[n].bit_length() - 1))
+
+        for nid in self.order:
+            if free[nid] < 2:  # reads slot 0 at most: the level kernels' value
+                continue
+            key = nodes[nid]
+            kind, dim = key[0], slot(("dim", self.sorts[nid]))
+            if kind == "var":
+                if nid not in whole:
+                    continue
+                step = _unit_kernel(stride(nid), dim)
+            elif kind == "tw":
+                c, data = key[3], slot(key[:3])
+                step = (_map_var_kernel(data, fill(("mask", place[key[1]], key[2])), stride(c))
+                        if bare(c) else _map_kernel(c, data, dim))
+            elif kind == "op":
+                _, symbol, a, b = key
+                data = slot(key[:2])
+                if bare(a) and bare(b):
+                    step = _pair_kernel(data, fill(("rows", place[symbol])), stride(a), stride(b))
+                elif bare(a) or bare(b):
+                    c, y, masks = (a, b, "rows") if bare(b) else (b, a, "cols")
+                    step = _var_join_kernel(c, data, fill((masks, place[symbol])), stride(y), dim,
+                                            masks == "rows", free[c] < 2)
+                else:
+                    step = _join_kernel(a, b, data, dim, free[a] < 2, free[b] < 2)
+            else:
+                step = _add_kernel(slot(("sum", nid)), dim)
+            steps[free[nid] & 1].append((nid, step))
+        return tuple(steps[0]), tuple(steps[1]), tuple(fills.items())
 
     def holds(self, objects: list) -> bool:
         """Whether every guard holds for the objects of `_ClauseSet.read`."""
@@ -1500,72 +1613,42 @@ class _Plan:
                 sums.append((self.sum_slots[nid], terms))
         self.den_key, self.dens, self.sum_terms = read, dens, sums
 
-    def bind_support(self, p, interp: Interpretation, cur: list, tables: list,
-                     standins: dict):
-        """Slot p's support recipe over the interpretation's data, as a
-        function of the current prefix: `_masks` over the recipe's steps.
-
-        The recipe's steps read their tables by slot from `tables`, the
-        check's list of them (see `table_keys`), which this fetches once per
-        check.  The fixed steps run here, once, into fresh mask and vector
-        lists and stand-ins in `cur`.  Then each fold puts in its own slot
-        the table its per-prefix step reads, the fixed operand folded in:
-        "gather" gets J, "vfold" the union of its P (or Q) rows over c's
-        support, a vector to spread through n's, and "wfold", per index of
-        c, the coordinates that meet w's reach.  A root that reads no
-        earlier slot is fixed, and the mask contract lets a root read all
-        slots or none, so a fixed root comes only at slot 0 of a
-        one-variable plan, where this runs once per check and every step is
-        fixed.  `standins` keeps one stand-in list per reach, for the check.
+    def bind_support(self, interp: Interpretation, cur: list):
+        """The last slot's support recipe over the interpretation's data, as
+        a function of the current prefix: `_masks` over the recipe's steps,
+        which read their tables by slot from a list fetched here, once per
+        check (see `_tables`).  The fixed steps run here, once, into fresh
+        mask and vector lists.  A root that reads no earlier slot is fixed,
+        and the mask contract lets a root read all slots or none, so a fixed
+        root comes only in a one-variable plan, where every step is fixed.
         """
-        once, steps, folds, mask_roots, data, width = self.recipes[p]
-        _tables(data, tables, self.table_keys, interp)
+        once, steps, mask_roots, keys, width = self.recipes[-1]
+        tables = _tables(keys, interp)
         masks = [-1] * width  # a variable's own mask stays -1
         vecs = [None] * len(self.nodes)
-        _masks(once, tables, masks, vecs, (), cur, standins)
-        for t, kind, a, src in folds:
-            data = tables[src]
-            if kind == "gather":  # J, from the fixed c
-                bits = 0
-                for i, _ in cur[a]:
-                    bits |= data[i]
-                tables[t] = bits
-            elif kind == "vfold":
-                tables[t] = vec = [0] * len(data[0])
-                for i, _ in cur[a]:
-                    for j, m in enumerate(data[i]):
-                        vec[j] |= m
-            else:  # "wfold": a is w
-                bits = masks[a]
-                tables[t] = [sum(1 << j for j, m in enumerate(row) if m & bits) for row in data]
-        return partial(_masks, steps, tables, masks, vecs, mask_roots, cur, standins)
+        _masks(once, tables, masks, vecs, (), cur)
+        return partial(_masks, steps, tables, masks, vecs, mask_roots, cur)
 
 
-def _tables(slots, tables: list, keys, interp: Interpretation) -> None:
-    """Fetch into `tables` the data recipe steps read, at each of the slots
-    unless fetched already, by the slot's key: a tensor's row or column
-    masks or its P or Q, a map power's nonzero-column mask, row sets or
-    column supports, a sort's dimension, the stand-in of its every
-    coordinate or its unit vector of masks."""
-    ops, maps, dims = interp.ops, interp.maps, interp.sorts
-    for t in slots:
-        if tables[t] is not None:
-            continue
-        key = keys[t]
-        kind = key[0]
+def _tables(keys, interp: Interpretation) -> list:
+    """The data recipe steps read, by the key of each slot: a tensor's row
+    or column masks, a map power's nonzero-column mask or row sets, a sort's
+    dimension or its unit vector of masks; None for None."""
+    ops, maps, dims, out = interp.ops, interp.maps, interp.sorts, []
+    for key in keys:
+        kind = key and key[0]
         if kind == "rows" or kind == "cols":  # kept on the tensor per cover (see _tensor)
             got = _tensor(ops[key[1]][0], (kind, _cover(maps, key[2]) if key[2] else -1))
-        elif kind == "P" or kind == "Q":
-            got = _tensor(ops[key[1]][0], kind)
         elif kind == "mask":
             got = _cover(maps, key[1])
-        elif kind == "rowsets" or kind == "colsupp":
-            got = _map_table(maps[key[1]][0], kind, key[2])
-        elif kind == "dim":
-            got = dims[key[1]]
-        else:  # "all" or "unit"
-            got = _dim(dims[key[1]])[1 if kind == "all" else 2]
-        tables[t] = got
+        elif kind == "rowsets":
+            got = _rowsets(maps[key[1]][0], key[2])
+        elif kind == "unit":
+            got = _dim(dims[key[1]])[1]
+        else:  # "dim", or None
+            got = kind and dims[key[1]]
+        out.append(got)
+    return out
 
 
 def _cover(maps, chain) -> int:
@@ -1576,34 +1659,22 @@ def _cover(maps, chain) -> int:
     symbol, power = chain[0]
     cover = _power(maps[symbol][0], power)[2]
     for symbol, power in chain[1:]:
-        cover = _gather(_map_table(maps[symbol][0], "rowsets", power), cover)
+        cover = _gather(_rowsets(maps[symbol][0], power), cover)
     return cover
 
 
-def _masks(steps, tables, masks, vecs, roots, cur, standins):
-    """The mask of one slot for the current prefix: the union of the roots'
-    masks once the recipe steps (see _Plan._support_recipe) have run, each
-    over the table in its slot of `tables` (see _Plan.bind_support); "map"
-    and "vconst" come only in the pass that runs once per check."""
+def _masks(steps, tables, masks, vecs, roots, cur):
+    """The mask of the last slot for the current prefix: the union of the
+    roots' masks once the recipe steps (see _Plan._support_recipe) have
+    run, each over the table in its slot of `tables` (see _Plan.bind_support);
+    "map" and "vconst" come only in the pass that runs once per check."""
     for nid, kind, a, b, t in steps:
         data = tables[t]
-        if kind == "vunion":
-            c = cur[a]
-            if len(c) == 1:
-                vec = data[c[0][0]]
-            else:
-                vec = [0] * len(data[0])
-                for i, _ in c:
-                    for k, m in enumerate(data[i]):
-                        vec[k] |= m
-            vecs[nid] = vec if b is None else _spread(vecs[b], vec)
-        elif kind == "pick":
+        if kind == "pick":
             bits = 0
             for i, _ in cur[a]:
                 bits |= data[i]
             masks[nid] = _gather(vecs[b], bits)
-        elif kind == "gather":
-            masks[nid] = _gather(vecs[b], data)
         elif kind == "union":
             out = 0
             for i, _ in cur[a]:
@@ -1614,7 +1685,7 @@ def _masks(steps, tables, masks, vecs, roots, cur, standins):
             for c in a:
                 out |= masks[c]
             masks[nid] = out
-        elif kind == "vspread" or kind == "vfold":
+        elif kind == "vspread":
             vecs[nid] = _spread(vecs[b], data)
         elif kind == "vsum":
             vec = [0] * data
@@ -1622,28 +1693,6 @@ def _masks(steps, tables, masks, vecs, roots, cur, standins):
                 for k, m in enumerate(vecs[c]):
                     vec[k] |= m
             vecs[nid] = vec
-        elif kind == "wvar":
-            cur[nid] = data
-        elif kind in ("wunion", "wfold", "wop", "wsum"):  # a later node's reach
-            out = 0
-            if kind == "wunion" or kind == "wfold":
-                for i, _ in cur[a]:
-                    out |= data[i]
-            elif kind == "wop":
-                bits = masks[b]
-                for i, _ in cur[a]:
-                    for k, m in enumerate(data[i]):
-                        if m & bits:
-                            out |= 1 << k
-            else:
-                for c in b:
-                    for k, _ in cur[c]:
-                        out |= 1 << k
-            masks[nid] = out
-            got = standins.get(out)
-            if got is None:
-                got = standins[out] = _standin(out)
-            cur[nid] = got
         elif kind == "map":  # this and "vconst" run once per check
             masks[nid] = data
         else:  # "vconst"
@@ -1756,23 +1805,23 @@ def check_schema(schema: IdentitySchema, interp: Interpretation) -> CheckReport:
     return check_clauses((schema,), interp, f"schema:{schema.name}")
 
 
+def _differ(left, right, dl, dr) -> set:
+    """The keys at which two tables, over denominators dl and dr, differ."""
+    return {k for k in left.keys() | right.keys()
+            if not _equal((left.get(k, []), right.get(k, [])), (dl, dr), 0, 1)}
+
+
 def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport:
     """Exhaustively check schemas that share one variable list.
 
     Non-multilinear schemas are polarized first; afterwards all clauses must
-    have the same variables and copy blocks.  Basis tuples are enumerated
-    lexicographically in variable declaration order, and on each tuple the
-    clauses are compared in order: the witness is the first violating tuple
-    and, on it, the first violated clause.  Within a copy block only sorted
-    tuples are visited: the identity is symmetric in the block, so the first
-    violating tuple is sorted there and the witness is the one full
-    enumeration finds.  At the last slot, and at the one before it where it
-    has a recipe, only the indices in the support mask of some side are
-    visited; every tuple below any other index has both sides zero.  tuples_checked counts the tuples decided, skipped
-    ones included, tuples_evaluated those whose sides were evaluated, and
-    prefixes_visited the proper prefixes on which level kernels ran.  A check
-    of the same tensor and map objects at the same dimensions is answered
-    from the memo (see the module docstring).
+    have the same variables and copy blocks.  The witness is the first
+    violating basis tuple, in lexicographic order of the variables as
+    declared and sorted within each copy block, and on it the first violated
+    clause: the one naive enumeration finds.  A plan contracts, masks its
+    last slot or enumerates in full, and counts its work accordingly (see
+    the module docstring).  A check of the same tensor and map objects at
+    the same dimensions is answered from the memo.
     """
     try:
         plan, cur, dens, memo = _bind(clauses, interp, True, {}, memo=True)
@@ -1784,19 +1833,16 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                            tuples_checked=checked, tuples_evaluated=evaluated,
                            prefixes_visited=prefixes)
     variables, lower = plan.clause_set.variables, plan.clause_set.lower
-    tails, recipes, levels, sides = plan.clause_set.tails, plan.recipes, plan.levels, plan.sides
+    tails, levels, sides = plan.clause_set.tails, plan.levels, plan.sides
     dims, basis, var_at = [], [], plan.var_at
     for _, sort, _ in variables:
         dims.append(interp.sorts[sort])
         basis.append(_dim(dims[-1])[0])
     memos = [{} for _ in range(plan.tables)]  # per tabled node, its values by free slots
-    bound = [None] * len(variables)  # each slot's mask function, bound when first needed
-    standins, tables = {}, [None] * len(plan.table_keys)
     idx = [0] * len(variables)
     last = len(variables) - 1
     count = evaluated = prefixes = 0
-    hit = -1
-    met_empty = False  # whether a last-slot mask came out empty yet
+    hit, mask = -1, None  # the last slot's mask function, bound when first needed
 
     def run(level):
         for nid, kernel, key, t in levels[level + 1]:
@@ -1817,16 +1863,6 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                 return True
         return False
 
-    def support(p):
-        """Mask of slot p's indices at which some side may be nonzero for some
-        completion, before slot p's recipe is bound: -1 (every index) when
-        the plan has none there, else the recipe (see _Plan._support_recipe)
-        bound into `bound[p]` and run for this prefix."""
-        if recipes[p] is None:
-            return -1
-        bound[p] = plan.bind_support(p, interp, cur, tables, standins)
-        return bound[p]()
-
     def below(p, a, b):
         """The tuples below slot p with its index in [a, b), sorted within
         copy blocks: a product of binomials, the run that continues p's
@@ -1844,12 +1880,11 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
 
     def scan(lo):
         """Visit the last slot's supported indices from lo; True at a witness."""
-        nonlocal count, evaluated, met_empty
+        nonlocal count, evaluated, mask
         vnode, vals = var_at[last], basis[last]
-        mask = bound[last]
-        bits = ((mask() if mask else support(last)) & ((1 << dims[last]) - 1)) >> lo << lo
-        if not bits:
-            met_empty = True
+        if mask is None and plan.recipes[last] is not None:
+            mask = plan.bind_support(interp, cur)
+        bits = ((mask() if mask else -1) & ((1 << dims[last]) - 1)) >> lo << lo
         evaluated += bits.bit_count()
         while bits:
             low = bits & -bits
@@ -1867,55 +1902,88 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         return False
 
     def visit(p):
-        """Enumerate slot p onwards; True once a violating tuple is found.
-
-        A slot with a recipe is masked once some last-slot mask has come
-        out empty: an index outside the mask has both sides zero on every
-        completion and is not visited, and its subtree is counted in closed
-        form (see below).  Until then nothing suggests that an index can be
-        skipped, so a check that decides early never binds the recipe."""
-        nonlocal count, prefixes
+        """Enumerate slot p onwards; True once a violating tuple is found."""
+        nonlocal prefixes
         lo = idx[lower[p]] if lower[p] >= 0 else 0
         if p == last:
             return scan(lo)
         vnode, vals = var_at[p], basis[p]
-        end = dims[p]
-        masked = met_empty and recipes[p] is not None
-        if masked:  # the set bits of the mask in [lo, end), ascending
-            mask = bound[p]
-            bits = ((mask() if mask else support(p)) & ((1 << end) - 1)) >> lo << lo
-            indices = []
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                indices.append(low.bit_length() - 1)
-        else:
-            indices = range(lo, end)
-        start = count
-        for i in indices:
+        for i in range(lo, dims[p]):
             idx[p] = i
             if vnode is not None:
                 cur[vnode] = vals[i]
             run(p)
             if visit(p + 1):
-                if masked:  # the prefixes up to i, and the subtrees skipped before i
-                    prefixes += indices.index(i) + 1
-                    count += below(p, lo, i) - sum(below(p, j, j + 1) for j in indices if j < i)
-                else:
-                    prefixes += i - lo + 1
+                prefixes += i - lo + 1
                 return True
-        prefixes += len(indices)
-        if masked:  # every subtree, visited or skipped
-            count = start + below(p, lo, end)
+        prefixes += max(dims[p] - lo, 0)
         return False
 
+    def ordered(key):
+        """Put key's indices in idx from slot 1 on; whether they are sorted
+        within copy blocks."""
+        for q in range(last, 0, -1):
+            key, idx[q] = divmod(key, dims[q])
+        return all(idx[q] >= idx[p] for q, p in pairs)
+
+    def contract():
+        """Enumerate slot 0 and contract the rest; True at a witness."""
+        nonlocal count, evaluated, prefixes, hit
+        once, each, fills = plan.joins
+        objects, stride = memo[1][2], [1] * len(dims)
+        for q in range(last, 1, -1):
+            stride[q - 1] = stride[q] * dims[q]
+        for (kind, k, *power), at in fills:
+            cur[at] = (stride[k] if kind == "stride" else _power(objects[k], *power)[2]
+                       if kind == "mask" else _tensor(objects[k], kind))
+        for nid, step in once:
+            cur[nid] = step(cur)
+        vnode, vals = var_at[0], basis[0]
+        alike = [(lhs, rhs, dens[lhs] == dens[rhs]) for lhs, rhs in sides]
+        for i in range(dims[0]):
+            idx[0] = i
+            if vnode is not None:
+                cur[vnode] = vals[i]
+            run(0)
+            for nid, step in each:
+                cur[nid] = step(cur)
+            prefixes += 1
+            for lhs, rhs, same in alike:
+                left, right = cur[lhs] or {}, cur[rhs] or {}
+                if left != right if same else _differ(left, right, dens[lhs], dens[rhs]):
+                    break
+            else:  # every side agrees: the left sides hold every nonzero key
+                keys = left if len(sides) == 1 else set().union(*(cur[lhs] or () for lhs, _ in sides))
+                evaluated += sum(map(ordered, keys)) if pairs else len(keys)
+                continue
+            bad = [_differ(cur[lhs] or {}, cur[rhs] or {}, dens[lhs], dens[rhs])
+                   for lhs, rhs in sides]
+            keys = set().union(*(cur[r] or () for r in plan.roots))
+            key = next((key for key in sorted(set().union(*bad)) if ordered(key)), None)
+            if key is None:  # the sides differ only at tuples not sorted within copy blocks
+                evaluated += sum(map(ordered, keys)) if pairs else len(keys)
+                continue
+            evaluated += sum(ordered(k) for k in keys if k <= key)
+            ordered(key)
+            count = below(0, 0, i) + 1 + sum(below(p, idx[lower[p]] if lower[p] >= 0 else 0,
+                                                   idx[p]) for p in range(1, last + 1))
+            hit = next(k for k, got in enumerate(bad) if key in got)
+            lhs, rhs = sides[hit]
+            cur[lhs], cur[rhs] = (cur[lhs] or {}).get(key, []), (cur[rhs] or {}).get(key, [])
+            return True
+        count = below(0, 0, dims[0])
+        return False
+
+    pairs = [(q, p) for q, p in enumerate(lower) if p >= 0]
     run(-1)
-    if variables:
+    if plan.joins is not None:
+        failed = contract()
+    elif variables:
         failed = visit(0)
-        visit = None  # it calls itself: free this call's tables now, not at a gc pass
     else:
         count = evaluated = 1
         failed = violated()
+    visit = None  # it calls itself: free this call's tables now, not at a gc pass
     if not failed:
         report = CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=evaluated,
                              prefixes_visited=prefixes)
