@@ -64,6 +64,16 @@ def area(box):
     assert _tool("loc").code_lines(source) == 7
 
 
+def test_loc_prints_source_bytes_beside_code_lines(tmp_path, capsys):
+    # docstrings and comments count in the bytes, not in the code lines
+    (tmp_path / "a.py").write_text('"""Doc."""\n# note\nx = 1\n', encoding="utf-8")
+    (tmp_path / "b.py").write_text("y = 2\nz = 3\n", encoding="utf-8")
+    assert _tool("loc").main([str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["1", "24", str(tmp_path / "a.py")], ["2", "12", str(tmp_path / "b.py")],
+                    ["3", "36", "total"]]
+
+
 def _kx2():
     """A fresh k[x]/(x^2) with the identity twist: new objects, so no check
     of it is answered from the verdict memo."""
@@ -305,9 +315,11 @@ def test_count_pass_counts_the_same_after_plans_built_under_other_guards():
 def test_one_entry_file_parses_and_builds_its_tables_linearly_in_its_dimension():
     # the 4-line file with one product and one map entry at N = 400 and 800:
     # what dsl.parse keeps, its peak, and the bytecode of the first table
-    # build each grow at most 2.5x when N doubles (each grew about 4x when a
-    # tensor kept N^2 row references and its tables read all N^2 pairs)
+    # build and of a Hom-associativity check each grow at most 2.5x when N
+    # doubles (each grew about 4x when a tensor kept N^2 row references and
+    # its tables read all N^2 pairs, and the check about 3.7x while it built
+    # per-prefix mask vectors of N entries)
     scaling = _tool("scaling")
     small, large = (scaling.measure(n, report=False) for n in (400, 800))
-    for key in ("parse_kept_bytes", "parse_peak_bytes", "table_ops"):
+    for key in ("parse_kept_bytes", "parse_peak_bytes", "table_ops", "check_ops"):
         assert 0 < large[key] <= 2.5 * small[key], (key, small[key], large[key])

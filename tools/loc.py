@@ -1,5 +1,5 @@
 """Code lines per Python file and in total, not counting docstrings,
-comments or blank lines.
+comments or blank lines, each beside the file's source bytes.
 
     python3 tools/loc.py [PATH ...]
 
@@ -8,6 +8,9 @@ counts src/homalg/ of the checkout it sits in.  A line is a code line when a
 token other than a comment or a docstring starts, ends or spans it, so a
 multi-line string that is not a docstring counts every line it spans.  A
 docstring is the string statement that opens a module, class or function.
+Source bytes count everything: a process that compiles a module from
+source (no bytecode cache, as under PYTHONDONTWRITEBYTECODE=1) peaks in
+memory with the size of its largest module, docstrings included.
 """
 
 from __future__ import annotations
@@ -55,12 +58,13 @@ def main(argv=None):
     files = []
     for path in args.paths:
         files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
-    total = 0
+    total = size = 0
     for path in files:
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path}")
-    print(f"{total:6d}  total")
+        source = path.read_bytes()
+        n = code_lines(source.decode("utf-8"))
+        total, size = total + n, size + len(source)
+        print(f"{n:6d}  {len(source):8d}  {path}")
+    print(f"{total:6d}  {size:8d}  total")
     return 0
 
 

@@ -18,9 +18,12 @@ and prints one JSON line:
     the same text, so that module caches are warm;
   - `table_ms` and `table_ops`: the first table build on a freshly parsed
     tensor, `engine._tensor(t, "P")`, which builds the row and column masks
-    and then P and Q, every table a support recipe reads of an op with no
-    twist above it: its time (the median of 5 fresh tensors) and the Python
-    bytecode it runs (`tools/opcount.counted`, which repeats exactly);
+    and then P and Q, the per-output masks a chain of twists reads: its time
+    (the median of 5 fresh tensors) and the Python bytecode it runs
+    (`tools/opcount.counted`, which repeats exactly);
+  - `check_ops`: the bytecode of `certify(a, HOM_ASSOCIATIVE)` on a freshly
+    parsed algebra, after one unmeasured check of another parse, so that
+    the plan is compiled and the data is not;
   - `report_s` and `report_rss_mb`: the wall time and peak RSS of one
     `homalg report` on the file, as a fresh child process reaped with wait4
     by a bare launcher process (see `_LAUNCHER`), so its own rusage is read.
@@ -49,6 +52,7 @@ if str(ROOT / "src") not in sys.path:
 
 from homalg import dsl  # noqa: E402
 from homalg.engine import _tensor  # noqa: E402
+from homalg.varieties import VarietyTag, certify  # noqa: E402
 
 
 def one_entry_file(n: int) -> str:
@@ -56,8 +60,12 @@ def one_entry_file(n: int) -> str:
     return f"algebra big dim {n}\n  op mul: e1 * e1 = e1\n  map alpha: e1 = e1\nend\n"
 
 
+def _algebra_of(text):
+    return dsl.parse(text).get("big").value
+
+
 def _tensor_of(text):
-    return dsl.parse(text).get("big").value.product("mul")
+    return _algebra_of(text).product("mul")
 
 
 def parse_memory(text):
@@ -79,13 +87,26 @@ def parse_memory(text):
     return kept - before, peak - before
 
 
-def table_ops(text) -> int:
-    """Bytecode instructions of the first table build on a fresh tensor."""
+def _counted(fn) -> int:
+    """Bytecode instructions of fn(), by `tools/opcount.counted`."""
     spec = importlib.util.spec_from_file_location("opcount", ROOT / "tools" / "opcount.py")
     opcount = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(opcount)
+    return opcount.counted(fn)[1]
+
+
+def table_ops(text) -> int:
+    """Bytecode instructions of the first table build on a fresh tensor."""
     tensor = _tensor_of(text)
-    return opcount.counted(lambda: _tensor(tensor, "P"))[1]
+    return _counted(lambda: _tensor(tensor, "P"))
+
+
+def check_ops(text) -> int:
+    """Bytecode instructions of a Hom-associativity check of a fresh
+    algebra, its plan compiled by a check of another parse."""
+    certify(_algebra_of(text), VarietyTag.HOM_ASSOCIATIVE)
+    algebra = _algebra_of(text)
+    return _counted(lambda: certify(algebra, VarietyTag.HOM_ASSOCIATIVE))
 
 
 def _median_ms(fn, repeats=5):
@@ -133,7 +154,7 @@ def measure(n: int, report: bool = True) -> dict:
     out = {"dim": n, "parse_ms": round(_median_ms(lambda: dsl.parse(text)), 3),
            "parse_kept_bytes": kept, "parse_peak_bytes": peak,
            "table_ms": round(_median_ms(lambda: _tensor(next(fresh), "P")), 3),
-           "table_ops": table_ops(text)}
+           "table_ops": table_ops(text), "check_ops": check_ops(text)}
     if report:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"dim{n}.halg"
