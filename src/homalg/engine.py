@@ -1953,7 +1953,8 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                 if left != right if same else _differ(left, right, dens[lhs], dens[rhs]):
                     break
             else:  # every side agrees: the left sides hold every nonzero key
-                keys = left if len(sides) == 1 else set().union(*(cur[lhs] or () for lhs, _ in sides))
+                keys = left if len(sides) == 1 else set().union(
+                    *(cur[lhs] or () for lhs, _ in sides))
                 evaluated += sum(map(ordered, keys)) if pairs else len(keys)
                 continue
             bad = [_differ(cur[lhs] or {}, cur[rhs] or {}, dens[lhs], dens[rhs])

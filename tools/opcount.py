@@ -14,7 +14,16 @@ operation that ran more than once in the pass added up), the operations per
 class, how many operations raised (exit status 1 if any did), and per class
 the engine's work in that pass (`work`): the `check_clauses` calls, how
 many of them the verdict memo answered, and the summed `tuples_checked`,
-`tuples_evaluated` and `prefixes_visited` of their reports.  The keys of a
+`tuples_evaluated` and `prefixes_visited` of their reports.  Per check:
+`tuples_checked` is the naive count of basis tuples decided, sorted within
+copy blocks and up to the witness on a failure; for a plan of three or
+more slots, which contracts every slot after the first,
+`tuples_evaluated` is the tuples with a nonzero side and
+`prefixes_visited` the indices of the first slot visited; for a plan of
+one or two slots, which scans the last slot through its support mask
+(contracting those ran them x1.2-1.5 slower), they are the tuples whose
+sides were evaluated and the proper prefixes on which level kernels ran
+(see `homalg.engine`).  The keys of a
 class add up to its total, so a claim that rests on one item (a p50 or a
 tail) can be checked as an exact count.  The work counters wrap every module binding of
 `check_clauses`; the wrappers' own instructions are not counted, so the
