@@ -1256,20 +1256,21 @@ class _Plan:
     tuple onto them.
     A plan in the support-mask contract either contracts or masks.  With
     three or more slots, `joins` holds its contraction steps (see _joins);
-    with one or two, `recipes[-1]` tells which indices of the last slot can
-    make a side nonzero (see _support_recipe).  `recipes` holds None at
-    every other slot, and `joins` is None for a plan that masks, one outside
-    the contract, or one built for `evaluate` and `check_schema_random`
-    (polar False), which never enumerate.  `twists` and `zeros` are the
-    guards it was built under, each as (object place, power, flag) and
-    (object place, flag); a map across sorts needs none.  `den_key`, `dens`
-    and `sum_terms` keep the denominators of the last bind (see bind).
+    with one or two, `recipe` tells which indices of the last slot can make
+    a side nonzero (see _support_recipe).  `recipe` is None for a plan that
+    contracts, and `joins` for one that masks; both are None for a plan
+    outside the contract, or one built for `evaluate` and
+    `check_schema_random` (polar False), which never enumerate.  `twists`
+    and `zeros` are the guards it was built under, each as (object place,
+    power, flag) and (object place, flag); a map across sorts needs none.
+    `den_key`, `dens` and `sum_terms` keep the denominators of the last
+    bind (see bind).
     `sides` pairs the roots per clause, and `var_at` gives each slot's
     variable node (None for a variable no side reads).
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
-                 "out_sorts", "levels", "recipes", "joins", "tables", "width", "op_slots",
+                 "out_sorts", "levels", "recipe", "joins", "tables", "width", "op_slots",
                  "map_slots", "dim_slots", "sum_slots", "den_key", "dens", "sum_terms", "sides",
                  "var_at")
 
@@ -1358,11 +1359,11 @@ class _Plan:
             and all(len({free[c] for _, c in k[1]}) < 2 for k in live if k[0] == "sum"))
         # without the last slot's mask loop-certifiers ran +4.6% bytecode (tools/opcount.py)
         last = len(var_sorts) - 1
-        self.recipes, self.joins = [None] * (last + 1), None
+        self.recipe = self.joins = None
         if contract and last > 1:
             self.joins = self._joins(free, slot, place)
-        elif contract:
-            self.recipes[last] = self._support_recipe(free)
+        elif contract and last >= 0:  # a plan of no slots decides its one empty tuple
+            self.recipe = self._support_recipe(free)
         self.width = len(nodes) + len(data)
         self.op_slots = [(key, place[key[1]], at) for key, at in data.items() if key[0] == "op"]
         self.map_slots = [(key, place[key[1]], key[2], at) for key, at in data.items()
@@ -1622,7 +1623,7 @@ class _Plan:
         and the mask contract lets a root read all slots or none, so a fixed
         root comes only in a one-variable plan, where every step is fixed.
         """
-        once, steps, mask_roots, keys, width = self.recipes[-1]
+        once, steps, mask_roots, keys, width = self.recipe
         tables = _tables(keys, interp)
         masks = [-1] * width  # a variable's own mask stays -1
         vecs = [None] * len(self.nodes)
@@ -1711,10 +1712,11 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
     guards hold.  A shape's plans are tried most recently bound first (at
     most one holds: any two differ in a guard both read), so a run of checks
     over data of one shape finds its plan first, whatever plans earlier
-    checks built, and what a repeated pass costs does not depend on them.  One pass over the symbols the clauses read
-    (`_ClauseSet.read`) gives the shape, the objects bound to them and the
-    check of their dimensions, so the data is validated before any guard
-    reads it, as a fresh build does; only the symbols read are validated.
+    checks built, and what a repeated pass costs does not depend on them.
+    One pass over the symbols the clauses read (`_ClauseSet.read`) gives
+    the shape, the objects bound to them and the check of their dimensions,
+    so the data is validated before any guard reads it, as a fresh build
+    does; only the symbols read are validated.
     An interpretation that fails that pass goes to a fresh build, which
     raises the error it meets first.  With `memo` (exhaustive checks only),
     the shape's verdicts are looked up by those objects, and the last item
@@ -1882,7 +1884,7 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         """Visit the last slot's supported indices from lo; True at a witness."""
         nonlocal count, evaluated, mask
         vnode, vals = var_at[last], basis[last]
-        if mask is None and plan.recipes[last] is not None:
+        if mask is None and plan.recipe is not None:
             mask = plan.bind_support(interp, cur)
         bits = ((mask() if mask else -1) & ((1 << dims[last]) - 1)) >> lo << lo
         evaluated += bits.bit_count()

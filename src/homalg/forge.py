@@ -1,6 +1,8 @@
 """Curated catalog of certified seed data, deterministic candidate generation,
-endomorphism search over small coefficient grids, and an independent
-brute-force oracle used to cross-check the identity engine.
+endomorphism search over small coefficient grids, and the independent
+brute-force oracle: naive enumeration of any clause tuple by plain exact
+arithmetic over the expression trees, the reference the identity engine's
+verdicts, witnesses and tuple counts are checked against.
 
 Valid Hom-algebras are never produced by sampling raw structure constants;
 everything in the catalog is either a classical seed or the image of a
@@ -17,7 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .constructions import differential_dialgebra
-from .engine import CheckReport, Interpretation, SemanticError, twist_gap
+from .engine import (CheckReport, Interpretation, OpApp, SemanticError, TwistApp, Var, Witness,
+                     polarize, twist_gap)
 from .exact import _EMPTY, LinearMap, StructureTensor, Vector
 from .operators import OperatorCandidate, certify_operator
 from .records import FrozenRecord, Record
@@ -33,7 +36,8 @@ from .reps import (
     symmetrized,
     tensor_square_bimodule,
 )
-from .varieties import AlgebraInstance, VarietyTag, certify, endomorphism_clauses, is_morphism
+from .varieties import (AlgebraInstance, VarietyTag, certify, endomorphism_clauses, is_morphism,
+                        schemas_for)
 
 
 class GenerationError(RuntimeError):
@@ -788,110 +792,108 @@ def random_interpretations(count: int, seed: int, max_dim: int = 4, symbol: str 
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle (independent of the expression engine)
+# brute-force oracle (independent of the engine's plans, kernels and memo)
+
+# the identity sets brute_oracle knows by name: each is a variety's shipped schemas
+_ORACLE_TAGS = {"hom-associativity": VarietyTag.HOM_ASSOCIATIVE, "hom-jacobi": VarietyTag.HOM_LIE,
+                "hom-leibniz": VarietyTag.HOM_LEIBNIZ,
+                "dialgebra": VarietyTag.HOM_ASSOCIATIVE_DIALGEBRA,
+                "trialgebra": VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA}
 
 
-def brute_oracle(schema_name: str, interp: Interpretation) -> CheckReport:
-    """Nested-loop verdicts for a hand-picked identity set.
+def _bound(table, kind, symbol):
+    """The data an interpretation binds to a symbol, or a SemanticError naming it."""
+    if symbol not in table:
+        raise SemanticError(f"brute oracle: interpretation lacks {kind} {symbol!r}")
+    return table[symbol]
 
-    Implemented directly on tensors and matrices, with no expression trees,
-    so it can cross-check the engine.
+
+def naive_value(expr, env, interp):
+    """An expression's value by plain exact arithmetic, env giving each
+    variable's vector; None for a zero of no sort."""
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, TwistApp):
+        child = naive_value(expr.child, env, interp)
+        lin = _bound(interp.maps, "map", expr.map_symbol)[0]  # a map across sorts has power 1
+        if child is None:
+            return None
+        return (lin if expr.power == 1 else lin.power(expr.power)).apply(child)
+    if isinstance(expr, OpApp):
+        left, right = naive_value(expr.left, env, interp), naive_value(expr.right, env, interp)
+        tensor = _bound(interp.ops, "op", expr.op_symbol)[0]
+        return None if left is None or right is None else tensor.apply(left, right)
+    acc = None  # a Sum
+    for w, term in expr.terms:
+        value = naive_value(term, env, interp)
+        if value is not None:
+            acc = value.scale(w) if acc is None else acc + value.scale(w)
+    return acc
+
+
+def _walk(clauses, interp, check_id) -> CheckReport:
+    """Every basis tuple of polarized clauses that share one variable list,
+    in lexicographic order and sorted within copy blocks; on each, every
+    clause in turn.  The first violated clause is the witness."""
+    variables, blocks = clauses[0].variables, clauses[0].copy_blocks
+    if any((c.variables, c.copy_blocks) != (variables, blocks) for c in clauses):
+        raise SemanticError("brute oracle: clauses do not share one variable list")
+    slot = {name: p for p, (name, _, _) in enumerate(variables)}
+    pairs = [(slot[a], slot[b]) for block in blocks for a, b in zip(block, block[1:])]
+    dims = [_bound(interp.sorts, "sort", sort) for _, sort, _ in variables]
+    unset = dict.fromkeys(slot)  # every variable None: each symbol is looked up, nothing computed
+    for side in (side for c in clauses for side in (c.lhs, c.rhs)):
+        naive_value(side, unset, interp)
+    basis = [[Vector.basis(d, i) for i in range(d)] for d in dims]
+    count = 0
+    for combo in itertools.product(*map(range, dims)):
+        if any(combo[a] > combo[b] for a, b in pairs):
+            continue
+        count += 1
+        env = {name: vecs[i] for (name, _, _), vecs, i in zip(variables, basis, combo)}
+        for c in clauses:
+            lhs, rhs = naive_value(c.lhs, env, interp), naive_value(c.rhs, env, interp)
+            if lhs is not None or rhs is not None:
+                lhs = Vector.zero(rhs.dim) if lhs is None else lhs
+                rhs = Vector.zero(lhs.dim) if rhs is None else rhs
+                if lhs != rhs:
+                    names = tuple((name, sort) for name, sort, _ in variables)
+                    return CheckReport("fail", check_id, witness=Witness(
+                        c.name, names, combo, lhs, rhs), tuples_checked=count)
+    return CheckReport("pass", check_id, tuples_checked=count)
+
+
+def brute_oracle(clauses, interp) -> CheckReport:
+    """Naive enumeration of a clause tuple, the independent reference for
+    the engine's `check_clauses`.
+
+    `clauses` are schemas that share one variable list once polarized, or
+    the name of a shipped identity set: "hom-associativity", "hom-jacobi",
+    "hom-leibniz", "dialgebra" or "trialgebra", each its variety's
+    `schemas_for`, whose schemas of one variable list are decided as one
+    tuple, in order.  Each side is evaluated by `exact`'s own arithmetic on
+    every basis tuple sorted within copy blocks (see `_walk`); the report
+    gives the status, the witness (the first violating tuple and clause,
+    with both sides) and `tuples_checked`, summed up to the first failure.
+    It shares with the engine only the trees and `polarize`: no DAG, plan,
+    kernel, mask or memo.  A symbol or sort the interpretation lacks is a
+    SemanticError naming it.
     """
-    check_id = f"brute:{schema_name}"
-    alpha = interp.maps["alpha"][0]
-    dim = interp.sorts["A"]
-    basis = [Vector.basis(dim, i) for i in range(dim)]
-
-    def get(sym):
-        if sym not in interp.ops:
-            raise SemanticError(f"brute oracle: interpretation lacks op {sym!r}")
-        return interp.ops[sym][0]
-
-    def fail(identity, idx, lhs, rhs):
-        from .engine import Witness
-
-        return CheckReport(
-            "fail", check_id,
-            witness=Witness(identity, tuple(("x", "A") for _ in idx), idx, lhs, rhs),
-        )
-
-    if schema_name == "hom-associativity":
-        mul = get("mul")
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                xy = mul.apply(x, y)
-                ax = alpha.apply(x)
-                for k, z in enumerate(basis):
-                    lhs = mul.apply(xy, alpha.apply(z))
-                    rhs = mul.apply(ax, mul.apply(y, z))
-                    if lhs != rhs:
-                        return fail("hom-associativity", (i, j, k), lhs, rhs)
-        return CheckReport("pass", check_id)
-
-    if schema_name == "hom-jacobi":
-        br = get("bracket")
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                if br.apply(x, y) != br.apply(y, x).scale(-1):
-                    return fail("antisymmetry", (i, j), br.apply(x, y), br.apply(y, x))
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                for k, z in enumerate(basis):
-                    total = (
-                        br.apply(alpha.apply(x), br.apply(y, z))
-                        + br.apply(alpha.apply(y), br.apply(z, x))
-                        + br.apply(alpha.apply(z), br.apply(x, y))
-                    )
-                    if not total.is_zero():
-                        return fail("hom-jacobi", (i, j, k), total, Vector.zero(dim))
-        return CheckReport("pass", check_id)
-
-    if schema_name == "hom-leibniz":
-        bc = get("brace")
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                for k, z in enumerate(basis):
-                    lhs = bc.apply(alpha.apply(x), bc.apply(y, z))
-                    rhs = bc.apply(bc.apply(x, y), alpha.apply(z)) + bc.apply(
-                        alpha.apply(y), bc.apply(x, z)
-                    )
-                    if lhs != rhs:
-                        return fail("hom-leibniz", (i, j, k), lhs, rhs)
-        return CheckReport("pass", check_id)
-
-    if schema_name in ("dialgebra", "trialgebra"):
-        left, right = get("left"), get("right")
-        prods = {"left": left, "right": right}
-        if schema_name == "trialgebra":
-            prods["middle"] = get("middle")
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                xl, xr = left.apply(x, y), right.apply(x, y)
-                ax = alpha.apply(x)
-                for k, z in enumerate(basis):
-                    az = alpha.apply(z)
-                    yl, yr = left.apply(y, z), right.apply(y, z)
-                    checks = [
-                        ("bar-left", right.apply(xl, az), right.apply(xr, az)),
-                        ("bar-right", left.apply(ax, yl), left.apply(ax, yr)),
-                        ("left-associativity", left.apply(xl, az), left.apply(ax, yl)),
-                        ("right-associativity", right.apply(xr, az), right.apply(ax, yr)),
-                        ("inner-associativity", left.apply(xr, az), right.apply(ax, yl)),
-                    ]
-                    if schema_name == "trialgebra":
-                        mid = prods["middle"]
-                        xm, ym = mid.apply(x, y), mid.apply(y, z)
-                        checks += [
-                            ("middle-associativity", mid.apply(xm, az), mid.apply(ax, ym)),
-                            ("middle-compat-1", left.apply(xl, az), left.apply(ax, ym)),
-                            ("middle-compat-2", left.apply(xm, az), mid.apply(ax, yl)),
-                            ("middle-compat-3", mid.apply(xl, az), mid.apply(ax, yr)),
-                            ("middle-compat-4", mid.apply(xr, az), right.apply(ax, ym)),
-                            ("middle-compat-5", right.apply(xm, az), right.apply(ax, yr)),
-                        ]
-                    for identity, lhs, rhs in checks:
-                        if lhs != rhs:
-                            return fail(identity, (i, j, k), lhs, rhs)
-        return CheckReport("pass", check_id)
-
-    raise SemanticError(f"brute oracle does not know {schema_name!r}")
+    if isinstance(clauses, str):
+        tag = _ORACLE_TAGS.get(clauses)
+        if tag is None:
+            raise SemanticError(f"brute oracle does not know {clauses!r}")
+        check_id, groups = f"brute:{clauses}", {}
+        for schema in map(polarize, schemas_for(tag)):
+            groups.setdefault((schema.variables, schema.copy_blocks), []).append(schema)
+        groups = groups.values()
+    else:
+        groups = [[polarize(c) for c in clauses]]
+        check_id = f"brute:{groups[0][0].name}"
+    checked = 0
+    for group in groups:
+        report = _walk(group, interp, check_id)
+        checked = report.tuples_checked = checked + report.tuples_checked
+        if not report.ok:
+            break
+    return report

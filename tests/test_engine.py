@@ -22,6 +22,7 @@ from homalg.engine import (
     var,
 )
 from homalg.exact import LinearMap, StructureTensor, Vector
+from homalg.forge import brute_oracle, naive_value
 from homalg.varieties import associativity_schema
 
 
@@ -747,7 +748,7 @@ def test_one_tensor_under_maps_of_two_covers_gives_each_its_naive_verdict(seed_c
             for product in ambient.products.values():
                 interp = Interpretation({"A": 4}, {"mu": (product, ("A", "A", "A"))}, maps)
                 for clauses in tables:
-                    want = _naive_check(clauses, interp)
+                    want = _observed(brute_oracle(clauses, interp))
                     assert _observed(check_clauses(clauses, interp, "covers")) == want, rows
                     statuses.add(want[0])
     # T is x + u -> K(u): its nonzero columns are those of K, shifted past A
@@ -878,7 +879,7 @@ def _naive_random(schema, interp, samples, seed):
         env = {name: Vector([Fraction(rng.choice(range(-3, 4)), rng.choice((1, 2, 3)))
                              for _ in range(interp.sorts[sort])])
                for name, sort, _ in schema.variables}
-        lhs, rhs = (_naive_value(e, env, interp) for e in (schema.lhs, schema.rhs))
+        lhs, rhs = (naive_value(e, env, interp) for e in (schema.lhs, schema.rhs))
         if (lhs is not None and not lhs.is_zero()) or (rhs is not None and not rhs.is_zero()):
             if lhs is None or rhs is None or lhs != rhs:
                 return "fail", k + 1, f"sample {k} (seed {seed})"
@@ -908,11 +909,11 @@ def test_unpolarized_plans_carry_no_recipes(seed_catalog):
                 statuses.add(want[0])
                 env = {name: Vector([Fraction(k - 1, 2) for k in range(data.sorts[sort])])
                        for name, sort, _ in schema.variables}
-                assert evaluate(schema.lhs, env, data) == _naive_value(schema.lhs, env, data)
+                assert evaluate(schema.lhs, env, data) == naive_value(schema.lhs, env, data)
             for (_, polar), clause_set in schema.plans.items():
                 for entry in clause_set.by_shape.values() if not polar else ():
                     for plan in entry.plans:
-                        assert all(recipe is None for recipe in plan.recipes), schema.name
+                        assert plan.recipe is None, schema.name
                         assert plan.joins is None, schema.name
                         walked.add(plan)
     assert statuses == {"pass", "fail"} and len(walked) > 30
@@ -930,60 +931,7 @@ def test_schema_builders_return_the_same_objects():
 
 
 # ---------------------------------------------------------------------------
-# support masks: the pruned last slot against a naive enumeration
-
-
-def _naive_value(expr, env, interp):
-    """An expression's value by plain exact arithmetic; None for a zero of no sort."""
-    from homalg.engine import OpApp, Sum, TwistApp, Var
-
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, TwistApp):
-        child = _naive_value(expr.child, env, interp)
-        if child is None:
-            return None
-        lin = interp.maps[expr.map_symbol][0]  # a map across sorts has power 1
-        return (lin if expr.power == 1 else lin.power(expr.power)).apply(child)
-    if isinstance(expr, OpApp):
-        left, right = _naive_value(expr.left, env, interp), _naive_value(expr.right, env, interp)
-        if left is None or right is None:
-            return None
-        return interp.ops[expr.op_symbol][0].apply(left, right)
-    assert isinstance(expr, Sum)
-    acc = None
-    for w, term in expr.terms:
-        value = _naive_value(term, env, interp)
-        if value is not None:
-            value = value.scale(w)
-            acc = value if acc is None else acc + value
-    return acc
-
-
-def _naive_check(clauses, interp):
-    """(status, clause, indices, lhs, rhs, tuples) over every tuple, sorted in copy blocks."""
-    import itertools
-
-    clauses = [polarize(c) for c in clauses]
-    variables = clauses[0].variables
-    slot = {name: p for p, (name, _, _) in enumerate(variables)}
-    blocks = [[slot[name] for name in block] for block in clauses[0].copy_blocks]
-    dims = [interp.sorts[sort] for _, sort, _ in variables]
-    count = 0
-    for combo in itertools.product(*map(range, dims)):
-        if any(combo[a] > combo[b] for block in blocks for a, b in zip(block, block[1:])):
-            continue
-        count += 1
-        env = {name: Vector.basis(d, i) for (name, _, _), d, i in zip(variables, dims, combo)}
-        for c in clauses:
-            lhs, rhs = _naive_value(c.lhs, env, interp), _naive_value(c.rhs, env, interp)
-            if lhs is None and rhs is None:
-                continue
-            lhs = Vector.zero(rhs.dim) if lhs is None else lhs
-            rhs = Vector.zero(lhs.dim) if rhs is None else rhs
-            if lhs.coords != rhs.coords:
-                return "fail", c.name, combo, lhs.coords, rhs.coords, count
-    return "pass", None, None, None, None, count
+# pruned and contracted checks against naive enumeration (forge.brute_oracle)
 
 
 def _observed(report):
@@ -1023,7 +971,7 @@ def _sparse_map(rng, src, dst):
 def _assert_pruning_matches_naive(cases):
     statuses = set()
     for clauses, interp in cases:
-        want = _naive_check(clauses, interp)
+        want = _observed(brute_oracle(clauses, interp))
         assert _observed(check_clauses(clauses, interp, "diff")) == want, (clauses, want)
         statuses.add(want[0])
     assert statuses == {"pass", "fail"}
@@ -1129,7 +1077,7 @@ def test_pruned_enumeration_matches_naive_on_nijenhuis_graph_maps(seed_catalog):
             for product in a.products.values():
                 interp = Interpretation({"A": a.dim}, {"mu": (product, ("A", "A", "A"))}, maps)
                 for clauses in tables:
-                    want = _naive_check(clauses, interp)
+                    want = _observed(brute_oracle(clauses, interp))
                     report = check_clauses(clauses, interp, "nijenhuis-data")
                     assert _observed(report) == want, (rid, clauses, want)
                     assert report.tuples_evaluated <= report.tuples_checked
@@ -1320,7 +1268,7 @@ def test_random_clause_sets_match_naive_and_the_memo_repeats_them(cold_binds):
     statuses, seen, pool = set(), {}, {}
     for case in range(200):
         clauses, interp, facts = _random_case(rng, pool)
-        want = _naive_check(clauses, interp)
+        want = _observed(brute_oracle(clauses, interp))
         report = check_clauses(clauses, interp, "random")
         assert _observed(report) == want, (clauses, want)
         assert report.tuples_evaluated <= report.tuples_checked
@@ -1347,7 +1295,7 @@ def _assert_evaluate_and_random_match_naive(clauses, interp, want, pick, seed,
     env = {name: Vector.basis(interp.sorts[s], pick.randrange(interp.sorts[s]))
            for name, s, _ in clauses[0].variables}
     for side in [side for c in clauses for side in (c.lhs, c.rhs)]:
-        naive, got = _naive_value(side, env, interp), evaluate(side, env, interp)
+        naive, got = naive_value(side, env, interp), evaluate(side, env, interp)
         assert got.is_zero() if naive is None else got == naive, (side, env)
     for c in clauses:
         report = check_schema_random(c, interp, 2, seed)
@@ -1385,7 +1333,7 @@ def test_random_clause_sets_outside_the_mask_contract_match_naive():
             sides[0] = (Sum(terms), sides[0][1])
         clauses = tuple(IdentitySchema(f"u{k}", lhs, rhs, variables=variables)
                         for k, (lhs, rhs) in enumerate(sides))
-        want = _naive_check(clauses, interp)
+        want = _observed(brute_oracle(clauses, interp))
         report = check_clauses(clauses, interp, "unmasked")
         assert _observed(report) == want, (clauses, want)
         assert report.tuples_evaluated <= report.tuples_checked
@@ -1393,12 +1341,12 @@ def test_random_clause_sets_outside_the_mask_contract_match_naive():
         statuses.add(want[0])
         for (_, polar), clause_set in clauses[0].plans.items():
             for entry in clause_set.by_shape.values() if polar else ():
-                recipes.update(all(r is None for r in plan.recipes) for plan in entry.plans)
+                recipes.update(plan.recipe is None for plan in entry.plans)
     assert statuses == {"pass", "fail"} and True in recipes and mixed > 5
 
 
 # ---------------------------------------------------------------------------
-# masks at the slot before the last: whole subtrees skipped, counted in closed form
+# contraction below slot 0: whole subtrees skipped, counted in closed form
 
 
 def _full_prefixes(clauses, interp):
@@ -1423,7 +1371,7 @@ def _assert_slot_masks_match_naive(cases):
     some cases must skip prefixes, and both verdicts must occur."""
     statuses, skipped = set(), 0
     for clauses, interp in cases:
-        want = _naive_check(clauses, interp)
+        want = _observed(brute_oracle(clauses, interp))
         report = check_clauses(clauses, interp, "diff")
         assert _observed(report) == want, (clauses, want)
         full = _full_prefixes(clauses, interp)
@@ -1449,7 +1397,7 @@ def test_a_witness_right_after_a_skipped_subtree_is_the_naive_one():
     assert report.witness.indices == (1, 1, 0)
     # the two indices of slot 0; the one tuple with a nonzero side is the witness
     assert (report.tuples_checked, report.tuples_evaluated, report.prefixes_visited) == (7, 1, 2)
-    assert _observed(report) == _naive_check((schema,), interp_for(t))
+    assert _observed(report) == _observed(brute_oracle((schema,), interp_for(t)))
 
 
 def test_a_contracted_check_visits_only_the_indices_of_slot_0():
@@ -1492,7 +1440,7 @@ def test_a_contracted_sum_reads_a_bare_variable_whole():
                 cases.append(((schema,), interp))
     statuses = set()
     for clauses, interp in cases:
-        want = _naive_check(clauses, interp)
+        want = _observed(brute_oracle(clauses, interp))
         report = check_clauses(clauses, interp, "whole")
         assert _observed(report) == want, (clauses[0].name, want)
         statuses.add(want[0])
@@ -1502,8 +1450,8 @@ def test_a_contracted_sum_reads_a_bare_variable_whole():
 
 
 def test_slot_masks_match_naive_across_copy_blocks():
-    # the slot before the last outside any block, sharing one with the last,
-    # ending one that skips a slot, and inside a block that spans both
+    # copy blocks across the contracted slots: none, one below slot 0, one
+    # from slot 0, one that skips a slot and one that spans every slot
     import random
 
     w, x, y, z = var("w"), var("x"), var("y"), var("z")
@@ -1549,7 +1497,7 @@ def test_a_side_that_reads_only_the_last_slot_fills_the_mask():
     interp = interp_for(t, alpha=LinearMap([[1, 0], [0, 0]]))
     report = check_schema(schema, interp)
     assert report.witness.indices == (1, 0, 0) and report.tuples_checked == 4
-    assert _observed(report) == _naive_check((schema,), interp)
+    assert _observed(report) == _observed(brute_oracle((schema,), interp))
 
 
 def test_the_last_variable_stands_in_for_every_coordinate_at_each_prefix():
@@ -1561,14 +1509,14 @@ def test_the_last_variable_stands_in_for_every_coordinate_at_each_prefix():
     schema = IdentitySchema("(xy)z", op("mul", op("mul", x, y), z), op("mul", x, op("mul", y, z)))
     report = check_schema(schema, interp_for(t))
     assert report.witness.indices == (2, 0, 0) and report.tuples_checked == 19
-    assert _observed(report) == _naive_check((schema,), interp_for(t))
+    assert _observed(report) == _observed(brute_oracle((schema,), interp_for(t)))
 
 
 def test_slot_masks_match_naive_where_sides_skip_the_slot():
-    # sides and terms that do not read the slot before the last: one that
-    # reads an earlier slot and the last, one that reads the last slot
-    # only, and products of a prefix value with the last variable; enough
-    # prefixes above that the masks are reused across prefixes
+    # sides and terms that skip a slot: one that reads an earlier slot and
+    # the last, one that reads the last slot only, and products of a prefix
+    # value with the last variable; such plans are outside the mask
+    # contract and enumerate every slot
     import random
 
     w, x, y, z = var("w"), var("x"), var("y"), var("z")
@@ -1695,7 +1643,7 @@ def test_every_shipped_clause_set_matches_naive_enumeration_on_catalog_data(seed
                 report = check_clauses(clauses, interp, "oracle")
             except SemanticError:  # a symbol read is bound across other sorts
                 continue
-            want = _naive_check(clauses, interp)
+            want = _observed(brute_oracle(clauses, interp))
             assert _observed(report) == want, (clauses[0].name, want)
             checked.setdefault(clauses, set()).add(want[0])
             statuses.add(want[0])
@@ -1706,9 +1654,9 @@ def test_every_shipped_clause_set_matches_naive_enumeration_on_catalog_data(seed
 
 
 def test_no_shipped_clause_has_a_side_that_skips_a_variable():
-    # a side that reads a later slot but not the slot before the last costs
-    # that slot its support recipe (see the later-side schema below); every
-    # shipped side reads every variable or none
+    # a side that reads some slots but not all puts its plan outside the
+    # mask contract, so it neither masks nor contracts (see the later-side
+    # schema below); every shipped side reads every variable or none
     from homalg.engine import _scan
 
     sets = _shipped_clause_sets()
@@ -1723,20 +1671,20 @@ def test_no_shipped_clause_has_a_side_that_skips_a_variable():
 
 def test_a_side_that_skips_the_slot_before_the_last_leaves_it_unmasked():
     # e1 e_j = e1 and every other product zero: x z = (x y) z holds.  Under
-    # x = e2 a last-slot mask comes out empty, and under x = e3 both sides
-    # vanish for every y.  x z skips y, so the plan is outside the mask
-    # contract: no slot has a recipe and every y is visited, 3 + 9
-    # prefixes, where a mask on y would have skipped x = e3's.
+    # x = e2 and x = e3 both sides vanish for every y and z.  x z skips y,
+    # so the plan is outside the mask contract: it has no recipe and does
+    # not contract, and every y is visited, 3 + 9 prefixes, where a
+    # contraction below slot 0 would have visited only x's three.
     x, y, z = var("x"), var("y"), var("z")
     schema = IdentitySchema("later-side", op("mul", x, z), op("mul", op("mul", x, y), z),
                             variables=_XYZ)
     t = StructureTensor.square_from_rule(3, {(0, j): [1, 0, 0] for j in range(3)})
     report = check_schema(schema, interp_for(t))
-    assert _observed(report) == _naive_check((schema,), interp_for(t))
+    assert _observed(report) == _observed(brute_oracle((schema,), interp_for(t)))
     assert report.ok and report.prefixes_visited == _full_prefixes((schema,), interp_for(t)) == 12
     (clause_set,) = schema.plans.values()
     plans = [plan for entry in clause_set.by_shape.values() for plan in entry.plans]
-    assert plans and all(recipe is None for plan in plans for recipe in plan.recipes)
+    assert plans and all(plan.recipe is None for plan in plans)
 
 
 def test_a_last_slot_without_a_recipe_is_enumerated_in_full():
@@ -1748,12 +1696,21 @@ def test_a_last_slot_without_a_recipe_is_enumerated_in_full():
     one_sided = StructureTensor.square_from_rule(2, {(0, 1): [1, 0]})
     passing, failing = (check_schema(schema, interp_for(t)) for t in (KX2, one_sided))
     for report, t in ((passing, KX2), (failing, one_sided)):
-        assert _observed(report) == _naive_check((schema,), interp_for(t))
+        assert _observed(report) == _observed(brute_oracle((schema,), interp_for(t)))
     assert passing.ok and passing.tuples_evaluated == passing.tuples_checked == 8
     assert failing.witness.indices == (0, 1, 0) and failing.tuples_checked == 3
     (clause_set,) = schema.plans.values()
     plans = [plan for entry in clause_set.by_shape.values() for plan in entry.plans]
-    assert plans and all(plan.recipes[-1] is None for plan in plans)
+    assert plans and all(plan.recipe is None for plan in plans)
+
+
+def test_a_clause_of_no_variables_decides_its_one_empty_tuple():
+    # no slot, so no recipe: the one empty tuple is decided, as naive
+    # enumeration decides it
+    schema = IdentitySchema("no-variables", ZERO, ZERO, variables=())
+    report = check_clauses((schema,), interp_for(KX2), "none")
+    assert _observed(report) == _observed(brute_oracle((schema,), interp_for(KX2)))
+    assert report.ok and report.tuples_checked == 1
 
 
 def test_every_polarized_plan_of_the_shipped_clauses_masks_or_contracts(seed_catalog):
@@ -1815,11 +1772,10 @@ def test_every_polarized_plan_of_the_shipped_clauses_masks_or_contracts(seed_cat
         clause_set = clauses[0].plans.get((tuple(clauses[1:]), True))
         for entry in clause_set.by_shape.values() if clause_set else ():
             for plan in entry.plans:
-                recipes = plan.recipes
-                if len(recipes) < 3:
-                    assert recipes[-1] is not None and plan.joins is None, clauses[0].name
+                if len(plan.var_at) < 3:  # one entry per slot
+                    assert plan.recipe is not None and plan.joins is None, clauses[0].name
                 else:
-                    assert plan.joins and recipes == [None] * len(recipes), clauses[0].name
+                    assert plan.joins and plan.recipe is None, clauses[0].name
                 walked.add(clauses)
     assert walked == set(_shipped_clause_sets())
 
@@ -1910,7 +1866,7 @@ def _nonzero_tuples(clauses, interp, decided):
     count = 0
     for combo in itertools.islice(itertools.product(*map(range, dims)), decided):
         env = {name: Vector.basis(d, i) for (name, _, _), d, i in zip(variables, dims, combo)}
-        values = [_naive_value(e, env, interp) for c in clauses for e in (c.lhs, c.rhs)]
+        values = [naive_value(e, env, interp) for c in clauses for e in (c.lhs, c.rhs)]
         count += any(v is not None and not v.is_zero() for v in values)
     return count
 

@@ -443,6 +443,68 @@ def test_brute_oracle_unknown_name():
         brute_oracle("hom-nonsense", kx2.interpretation())
 
 
+def test_brute_oracle_names_what_the_interpretation_lacks():
+    # an op, map or sort the data does not bind is a SemanticError naming
+    # it, in the tuple form and the named form, even at dimension 0 where
+    # no tuple is walked
+    from homalg.engine import Interpretation
+
+    kx2 = truncated_polynomial_algebra(2).interpretation()
+    lacking = [
+        ("op 'mul'", Interpretation(kx2.sorts, {}, kx2.maps)),
+        ("map 'alpha'", Interpretation(kx2.sorts, kx2.ops, {})),
+        ("sort 'A'", Interpretation({}, kx2.ops, kx2.maps)),
+        ("op 'mul'", Interpretation({"A": 0}, {}, kx2.maps)),
+    ]
+    for what, interp in lacking:
+        for clauses in ((associativity_schema(),), "hom-associativity"):
+            with pytest.raises(SemanticError, match=f"lacks {what}"):
+                brute_oracle(clauses, interp)
+    with pytest.raises(SemanticError, match="lacks op 'left'"):
+        brute_oracle("dialgebra", kx2)
+
+
+def test_brute_oracle_shares_only_trees_and_reports_with_the_engine():
+    # the oracle and every forge definition it reaches name, of the
+    # engine's own definitions, only the tree classes, polarize, Witness,
+    # CheckReport and SemanticError: no DAG, plan, bind, kernel, table or memo
+    import ast
+    from pathlib import Path
+
+    from homalg import engine
+
+    def body(module):
+        return ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body
+
+    def defined(node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        targets = node.targets if isinstance(node, ast.Assign) else ()
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+
+    engine_names = {name for node in body(engine) for name in defined(node)}
+    forge_defs = {name: node for node in body(homalg.forge) for name in defined(node)}
+    reached, todo, used = set(), ["brute_oracle"], set()
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for n in ast.walk(forge_defs[name]):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):  # a name imported inside a function
+                used.add(n.name)
+        todo += [name for name in used & forge_defs.keys() if name not in reached]
+    assert {"naive_value", "_walk"} <= reached
+    shared = used & engine_names
+    assert shared <= {"Var", "TwistApp", "OpApp", "Sum", "polarize", "Witness", "CheckReport",
+                      "SemanticError"}, shared
+    assert not used & {"engine", "_Dag", "_Plan", "_bind", "check_clauses", "check_schema",
+                       "_tensor", "_power", "_masks", "_joins"}
+    assert not any(name.endswith("_kernel") for name in used)
+
+
 def test_random_cross_check_on_catalog_sample(seed_catalog):
     # polarization soundness: exhaustive and sampled verdicts agree for the
     # non-multilinear tags on representative entries
