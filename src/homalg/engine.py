@@ -1,26 +1,13 @@
-"""Identity schemas, their exhaustive basis-tuple checker, and polarization.
+"""The exhaustive basis-tuple checker of identity schemas.
 
-A schema is an expression-tree equation over op symbols, twist powers and
-sorted variables; every shipped one is written as a line of text that
-`identity` reads into that tree.  Checking a multilinear schema against a
-concrete interpretation means evaluating both sides on every tuple of basis
-vectors.
-Schemas that repeat a variable are first reduced to multilinear ones by
-polarization, which is an equivalence in characteristic zero for identities
-homogeneous in each variable.  It is the full linearization: each
-occurrence of a repeated variable gets its own copy, summed over the
-bijections from occurrences to copies.  That is the polynomial the
-inclusion-exclusion sum over subsets of copies gives, but each copy enters
-as a bare basis vector rather than in sums such as x__1 + x__3, so the
-kernels take their one-entry paths and the clauses meet the support-mask
-contract below.
-
-The front end reads each tree in one walk per phase.  Without data, one
-walk (`_scan`) gives each variable's sort and occurrence count and the op
-and map symbols read: a schema's variables, a clause set's symbols and the
-sorts `evaluate` binds all come from it.  Against an interpretation, the
-DAG checks sorts as it interns each subterm, children first, and gives the
-plan the sort of every node and side (see `_Dag.add`).
+A schema (see `homalg.identities`, whose names this module re-exports) is
+an expression-tree equation over op symbols, twist powers and sorted
+variables.  Checking a multilinear schema against a concrete
+interpretation means evaluating both sides on every tuple of basis
+vectors; a schema that repeats a variable is polarized first.  Against an
+interpretation, the DAG checks sorts as it interns each subterm, children
+first, and gives the plan the sort of every node and side (see
+`_Dag.add`).
 
 Evaluation is compiled once and bound per call.  `check_clauses` compiles
 the sides of several schemas over one variable list into one hash-consed
@@ -81,7 +68,19 @@ key at which they differ that is sorted within copy blocks is the witness
 naive enumeration finds; a failing check stops at the end of its slot-0
 index.  For such a plan `tuples_checked` is the naive count in closed form
 (to the witness), `tuples_evaluated` the tuples with a nonzero side, and
-`prefixes_visited` the indices of slot 0 visited.
+`prefixes_visited` the indices of slot 0 visited.  `check_clauses`
+contracts tuple-major: every clause at each index of slot 0.  `check_all`
+decides each run of consecutive schemas whose polarized forms share one
+variable list of three or more slots (the dialgebra, trialgebra,
+tridendriform and Leibniz-trialgebra axioms, and the 3-slot bimodule and
+action axioms) clause-major on one plan over the run's clauses: clause 0
+over every index of slot 0, then clause 1, up to the first that fails.
+The DAG builds a table such as left(x, y) or alpha(z) that several axioms
+read once per index, and keeps it only until the last clause that reads
+it; a pass that stops at a clause has run no step only later clauses
+read.  Each verdict is what that schema's own check reports, and is kept
+in the schema's memo, from which check_schema then answers (see
+`_decide`).
 With one or two slots it keeps the masked scan: the plan holds a support
 recipe for the nodes that read the last variable (see _support_recipe);
 bound to the support masks kept with the data, it gives per prefix a
@@ -122,9 +121,7 @@ read it.
 from __future__ import annotations
 
 import random
-import re
 from collections import namedtuple
-from fractions import Fraction
 from functools import cache, partial
 from math import comb, lcm
 from operator import itemgetter
@@ -132,368 +129,9 @@ from typing import Optional
 from weakref import ref
 
 from .exact import LinearMap, ShapeError, Vector, _zero_plane, square_gap
+from .identities import (ZERO, Expr, IdentitySchema, OpApp, SemanticError, Sum, TwistApp, Var,
+                         _scan, identity, op, polarize, rewrite, tw, var)
 from .records import FrozenRecord, Record
-
-
-class SemanticError(ValueError):
-    """Unbound symbol, bad sort, or other meaning-level problem."""
-
-
-# ---------------------------------------------------------------------------
-# expressions
-
-
-class Expr:
-    __slots__ = ()
-
-    def __add__(self, other):
-        return Sum(((Fraction(1), self), (Fraction(1), other)))
-
-    def __sub__(self, other):
-        return Sum(((Fraction(1), self), (Fraction(-1), other)))
-
-    def __neg__(self):
-        return Sum(((Fraction(-1), self),))
-
-    def __rmul__(self, scalar):
-        return Sum(((Fraction(scalar), self),))
-
-
-class Var(Expr):
-    __slots__ = ("name", "sort")
-
-    def __init__(self, name: str, sort: str = "A"):
-        self.name = name
-        self.sort = sort
-
-    def __repr__(self):
-        return self.name
-
-
-class TwistApp(Expr):
-    __slots__ = ("map_symbol", "power", "child")
-
-    def __init__(self, map_symbol: str, child: Expr, power: int = 1):
-        self.map_symbol = map_symbol
-        self.power = power
-        self.child = child
-
-    def __repr__(self):
-        return f"{self.map_symbol}^{self.power}({self.child!r})"
-
-
-class OpApp(Expr):
-    __slots__ = ("op_symbol", "left", "right")
-
-    def __init__(self, op_symbol: str, left: Expr, right: Expr):
-        self.op_symbol = op_symbol
-        self.left = left
-        self.right = right
-
-    def __repr__(self):
-        return f"{self.op_symbol}({self.left!r},{self.right!r})"
-
-
-class Sum(Expr):
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        flat = []
-        for w, e in terms:
-            w = Fraction(w)
-            if isinstance(e, Sum):
-                flat.extend((w * w2, e2) for w2, e2 in e.terms)
-            else:
-                flat.append((w, e))
-        self.terms = tuple(flat)
-
-    def __repr__(self):
-        return " + ".join(f"{w}*{e!r}" for w, e in self.terms)
-
-
-ZERO = Sum(())
-
-
-def var(name: str, sort: str = "A") -> Var:
-    return Var(name, sort)
-
-
-def op(op_symbol: str, left: Expr, right: Expr) -> OpApp:
-    return OpApp(op_symbol, left, right)
-
-
-def tw(map_symbol: str, child: Expr, power: int = 1) -> Expr:
-    if power == 0:
-        return child
-    return TwistApp(map_symbol, child, power)
-
-
-# a rational, a name as the DSL writes one (so "x-y" is one name), one character
-_TOKEN = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_][A-Za-z0-9_\-]*|\S")
-
-
-def identity(name: str, text: str, v: str = "", **schema_kwargs) -> IdentitySchema:
-    """The schema `name` written as `lhs = rhs` in the identity notation:
-
-        side   := term (("+" | "-") term)*
-        term   := ["-"] [RATIONAL ["*"]] factor
-        factor := "(" side ")" | "0" | SYMBOL ["^" k] "(" side ["," side] ")" | VARIABLE
-
-    A call with two arguments is an op, with one a map applied k >= 1 times
-    (once when no power is written), and "0" is ZERO.  Variables are of sort
-    A, those named in `v` (space-separated) of sort V.  A side of one term
-    with no sign and no weight is that term's tree, any other a Sum, as the
-    Expr operators build it: "mul(x, alpha(y)) = -2 * mul(y, x)" reads as
-    op("mul", x, tw("alpha", y)) = -2 * op("mul", y, x).  schema_kwargs go to
-    IdentitySchema.
-    """
-    toks, at, leaves, vs = _TOKEN.findall(text) + ["", ""], 0, {}, v.split()
-
-    def fail(what):
-        raise SemanticError(f"identity {name!r}: {what}")
-
-    def expect(tok):
-        nonlocal at
-        if toks[at] != tok:
-            fail(f"expected {tok!r}, got {toks[at] or 'the end'!r}")
-        at += 1
-
-    def side():
-        nonlocal at
-        terms, bare = [], True
-        while True:
-            w = 1
-            if toks[at] == "-":
-                w, at, bare = -1, at + 1, False
-            t, nxt = toks[at], toks[at + 1]
-            if t[:1].isdigit() and (nxt == "*" or nxt == "(" or nxt[:1].isidentifier()):
-                w, at, bare = w * Fraction(t), at + 1 + (nxt == "*"), False
-            terms.append((w, factor()))
-            if toks[at] != "+" and toks[at] != "-":
-                return terms[0][1] if bare and len(terms) == 1 else Sum(terms)
-            bare = False
-            at += toks[at] == "+"
-
-    def factor():
-        nonlocal at
-        sym = toks[at]
-        at += 1
-        if sym == "(":
-            e = side()
-            expect(")")
-            return e
-        if sym == "0":
-            return ZERO
-        if not sym[:1].isidentifier():
-            fail(f"expected a term, got {sym or 'the end'!r}")
-        power = 1
-        if toks[at] == "^":
-            k = toks[at + 1]
-            power, at = int(k) if k.isdigit() else 0, at + 2
-            if power < 1:
-                fail(f"map {sym!r} needs a power k >= 1, got {k!r}")
-        elif toks[at] != "(":
-            got = leaves.get(sym)
-            if got is None:
-                got = leaves[sym] = Var(sym, "V" if sym in vs else "A")
-            return got
-        expect("(")
-        args = [side()]
-        while toks[at] == ",":
-            at += 1
-            args.append(side())
-        expect(")")
-        if len(args) == 1:
-            return TwistApp(sym, args[0], power)
-        if len(args) > 2:
-            fail(f"{sym!r} is called with {len(args)} arguments")
-        return OpApp(sym, *args)
-
-    lhs = side()
-    expect("=")
-    rhs = side()
-    if toks[at]:
-        fail(f"unexpected {toks[at]!r} after the rhs")
-    return IdentitySchema(name, lhs, rhs, **schema_kwargs)
-
-
-def rewrite(expr: Expr, vars=None, maps=None, ops=None) -> Expr:
-    """Copy an expression with variables replaced and symbols renamed.
-
-    vars maps a variable name to the expression put in its place; maps and
-    ops map a map or op symbol to its new name.  Names missing from a mapping
-    are kept, so rewrite(expr) is a plain copy.
-    """
-    vars, maps, ops = vars or {}, maps or {}, ops or {}
-
-    def copy(e):
-        if isinstance(e, Var):
-            return vars.get(e.name, e)
-        if isinstance(e, TwistApp):
-            return TwistApp(maps.get(e.map_symbol, e.map_symbol), copy(e.child), e.power)
-        if isinstance(e, OpApp):
-            return OpApp(ops.get(e.op_symbol, e.op_symbol), copy(e.left), copy(e.right))
-        if isinstance(e, Sum):
-            return Sum(tuple((w, copy(t)) for w, t in e.terms))
-        raise TypeError(e)
-
-    return copy(expr)
-
-
-def _scan(exprs):
-    """The walk over expression trees that reads no data, one pass over each:
-    (sorts, counts, clashes, ops, maps).  `sorts` gives each variable's sort
-    and `ops` and `maps` the op and map symbols read, each in order of first
-    appearance; `counts` holds per tree the occurrences of each variable, or
-    None when the terms of some sum differ in them; `clashes` lists the
-    variables met with a second sort, in the order met."""
-    sorts, ops, maps, clashes = {}, {}, {}, []
-
-    def walk(e):
-        if isinstance(e, Var):
-            if sorts.setdefault(e.name, e.sort) != e.sort:
-                clashes.append(e.name)
-            return {e.name: 1}
-        if isinstance(e, TwistApp):
-            maps[e.map_symbol] = None
-            return walk(e.child)
-        if isinstance(e, OpApp):
-            ops[e.op_symbol] = None
-            left, right = walk(e.left), walk(e.right)
-            if left is None or right is None:
-                return None
-            for k, n in right.items():
-                left[k] = left.get(k, 0) + n
-            return left
-        if isinstance(e, Sum):
-            counts = [walk(t) for _, t in e.terms] or [{}]
-            return counts[0] if all(c == counts[0] for c in counts) else None
-        raise TypeError(e)
-
-    counts = [walk(e) for e in exprs]
-    return sorts, counts, clashes, ops, maps
-
-
-class IdentitySchema:
-    """A named equation lhs = rhs over sorted variables.
-
-    Variables are (name, sort, multiplicity) triples; a multiplicity above one
-    marks the schema as non-multilinear in that variable.  For hand-written
-    schemas the list is derived from the trees; polarize() supplies it
-    explicitly for its multilinear output.
-
-    copy_blocks lists groups of variable names that are interchangeable: the
-    identity is symmetric under any permutation of the variables within one
-    block.  polarize() records each variable's fresh copies as a block; the
-    checker then enumerates only tuples whose block indices are sorted.
-
-    plans holds the evaluation plans of the checks whose first clause is
-    this schema; they hold no data and are freed with the schema.
-    """
-
-    __slots__ = ("name", "lhs", "rhs", "variables", "polarized", "copy_blocks", "plans",
-                 "__weakref__")
-
-    def __init__(self, name, lhs, rhs, variables=None, polarized=False, copy_blocks=()):
-        self.name = name
-        self.lhs = lhs
-        self.rhs = rhs
-        self.polarized = polarized
-        self.copy_blocks = tuple(tuple(block) for block in copy_blocks)
-        self.plans = {}
-        if variables is not None:
-            self.variables = tuple(variables)
-            return
-        sorts, (locc, rocc), clashes, _, _ = _scan((lhs, rhs))
-        if clashes:
-            raise SemanticError(f"variable {clashes[0]} used with two sorts")
-        if locc is None or rocc is None:
-            raise SemanticError("sum terms are not homogeneous in the same variables")
-        out = []
-        for vname, sort in sorts.items():
-            lo, ro = locc.get(vname, 0), rocc.get(vname, 0)
-            mult = max(lo, ro)
-            if lo not in (0, mult) or ro not in (0, mult):
-                raise SemanticError(
-                    f"schema {name!r} is not homogeneous in variable {vname!r}"
-                )
-            out.append((vname, sort, mult))
-        self.variables = tuple(out)
-
-    def is_multilinear(self) -> bool:
-        return all(m <= 1 for _, _, m in self.variables)
-
-    def __repr__(self):
-        return f"IdentitySchema({self.name!r})"
-
-
-def polarize(schema: IdentitySchema) -> IdentitySchema:
-    """Replace every repeated variable by fresh copies: the full linearization.
-
-    A variable x of multiplicity m becomes x__1..x__m, and each side that
-    reads x becomes the sum, over the m! bijections from x's occurrences to
-    the copies, of the side with each occurrence replaced by its copy; a
-    side that does not read x becomes (-1)^(m+1) times itself.  This is the
-    polynomial the inclusion-exclusion sum over nonempty S of {1..m} of
-    (-1)^(m-|S|) P(sum_{i in S} x__i) expands to: a map f from occurrences
-    to copies is weighted by the sum of (-1)^(m-|S|) over S containing its
-    image, which is 1 when f is onto and 0 otherwise.  In characteristic
-    zero the original schema holds identically iff the polarized
-    (multilinear) one holds on all basis tuples.  Both sides are symmetric
-    in x__1..x__m, which the result records as a copy block.  Every copy
-    enters as a bare basis vector, so a check evaluates no sum of copies.
-    """
-    if schema.is_multilinear():
-        return schema
-    lhs, rhs = schema.lhs, schema.rhs
-    new_vars = []
-    blocks = []
-    for name, sort, mult in schema.variables:
-        if mult <= 1:
-            new_vars.append((name, sort, 1))
-            continue
-        fresh = [f"{name}__{i}" for i in range(1, mult + 1)]
-        new_vars.extend((f, sort, 1) for f in fresh)
-        blocks.append(fresh)
-        lhs = _polarize_one(lhs, name, fresh, sort, mult)
-        rhs = _polarize_one(rhs, name, fresh, sort, mult)
-    return IdentitySchema(schema.name, lhs, rhs, variables=new_vars, polarized=True,
-                          copy_blocks=blocks)
-
-
-def _polarize_one(expr, name, fresh, sort, mult):
-    """The full linearization of expr in variable `name` (see polarize).
-
-    One pass maps each subterm to {set of copies used, as a bitmask: its
-    part}: an op pairs parts over disjoint sets, a twist maps its child's
-    parts and a sum merges its terms' parts, weights kept.
-    """
-    copies = {1 << i: Var(f, sort) for i, f in enumerate(fresh)}
-
-    def parts(e):
-        if isinstance(e, Var):
-            return copies if e.name == name else {0: e}
-        if isinstance(e, TwistApp):
-            return {s: TwistApp(e.map_symbol, c, e.power) for s, c in parts(e.child).items()}
-        if isinstance(e, OpApp):
-            out, right = {}, parts(e.right)
-            for sl, left in parts(e.left).items():
-                for sr, r in right.items():
-                    if not sl & sr:
-                        out.setdefault(sl | sr, []).append((1, OpApp(e.op_symbol, left, r)))
-            return {s: t[0][1] if len(t) == 1 else Sum(t) for s, t in out.items()}
-        if isinstance(e, Sum):
-            out = {}
-            for w, t in e.terms:
-                for s, c in parts(t).items():
-                    out.setdefault(s, []).append((w, c))
-            return {s: Sum(t) for s, t in out.items()}
-        raise TypeError(e)
-
-    full = parts(expr).get((1 << mult) - 1)
-    if full is not None:
-        return full
-    return expr if mult % 2 else -expr
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +784,15 @@ class _ClauseSet:
         self.ops, self.maps = tuple(ops), tuple(maps)
         self.by_shape = {}
 
+    def lookup(self, interp: Interpretation):
+        """(shape, bound) of an interpretation (see `read`): bound is (memo
+        key, the sorts' dimensions in the order of their names, objects), the
+        key hashing the dimensions and the objects' identities.  The shape is
+        None when a symbol read is unbound or has the wrong dimensions."""
+        shape, objects = self.read(interp) or (None, ())
+        dims = _interned(*map(interp.sorts.get, shape[0])) if shape else ()
+        return shape, (hash((dims, *map(id, objects))), dims, objects)
+
     def read(self, interp: Interpretation):
         """(shape, objects) of an interpretation, in one pass over the symbols
         the clauses read: the shape is the sort names and the signature of
@@ -1188,12 +835,15 @@ class _Shape:
     of its references), so the memo holds only live entries: the key of a
     fresh object never meets a dead entry left at the id it reuses, and what
     a check costs does not depend on the checks that ran before it.
+    The shape of a run's clause set (see _runs) fixes the shape of each of
+    its schemas; `owns` keeps, per schema, that shape's entry of the
+    schema's own clause set once met (see _decide).
     """
 
-    __slots__ = ("plans", "verdicts", "forget", "__weakref__")
+    __slots__ = ("plans", "verdicts", "forget", "owns", "__weakref__")
 
     def __init__(self):
-        self.plans, self.verdicts = [], {}
+        self.plans, self.verdicts, self.owns = [], {}, None
         self.forget = partial(_forget, ref(self))  # weakly: the memo must not keep itself
 
     def recall(self, bound):
@@ -1204,13 +854,12 @@ class _Shape:
             return got
         return None
 
-    def remember(self, bound, report) -> None:
+    def remember(self, bound, witness, checked, evaluated, prefixes) -> None:
         key, dims, objects = bound
         refs = [_Ref(o, self.forget) for o in objects]
         for r in refs:
             r.key = key
-        self.verdicts[key] = (report.witness, report.tuples_checked, report.tuples_evaluated,
-                              report.prefixes_visited, dims, *refs)
+        self.verdicts[key] = (witness, checked, evaluated, prefixes, dims, *refs)
 
 
 class _Ref(ref):
@@ -1266,13 +915,15 @@ class _Plan:
     `den_key`, `dens` and `sum_terms` keep the denominators of the last
     bind (see bind).
     `sides` pairs the roots per clause, and `var_at` gives each slot's
-    variable node (None for a variable no side reads).
+    variable node (None for a variable no side reads).  `schedules` keeps
+    the clause-major passes of a plan that contracts (see _schedule), by
+    the clauses they decide.
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
                  "out_sorts", "levels", "recipe", "joins", "tables", "width", "op_slots",
                  "map_slots", "dim_slots", "sum_slots", "den_key", "dens", "sum_terms", "sides",
-                 "var_at")
+                 "var_at", "schedules")
 
     def __init__(self, clause_set: _ClauseSet, interp: Interpretation, polar: bool):
         self.clause_set = clause_set
@@ -1360,6 +1011,7 @@ class _Plan:
         # without the last slot's mask loop-certifiers ran +4.6% bytecode (tools/opcount.py)
         last = len(var_sorts) - 1
         self.recipe = self.joins = None
+        self.schedules = {}
         if contract and last > 1:
             self.joins = self._joins(free, slot, place)
         elif contract and last >= 0:  # a plan of no slots decides its one empty tuple
@@ -1494,15 +1146,17 @@ class _Plan:
 
     def _joins(self, free, slot, place):
         """The contraction of a plan of three or more slots in the
-        support-mask contract: (once, each, fills).  Each node that reads a
-        slot after slot 0 gets a step that makes its table from its
-        children's, in `once` if it does not read slot 0 (run once per
-        check), else in `each` (run per index of slot 0).  A bare variable
-        after slot 0 gets a table only where a sum reads it whole; a
-        product or twist over it reads the tensor's row or column masks
-        or the power's nonzero columns, and its slot's key stride: the data
-        slots `fills` gives by (kind, object place, power) or ("stride",
-        slot), which the check fills.
+        support-mask contract: (fills, the one group of a tuple-major pass;
+        see _contract).  Each node that reads a slot after slot 0 gets a
+        step that makes its table from its children's, in the group's
+        `once` if it does not read slot 0 (run once per check), else in its
+        `steps` (run per index of slot 0), after the level kernels of the
+        nodes that read no slot or slot 0 alone.  A bare variable after
+        slot 0 gets a table only where a sum reads it whole; a product or
+        twist over it reads the tensor's row or column masks or the power's
+        nonzero columns, and its slot's key stride: the data slots `fills`
+        gives by (kind, object place, power) or ("stride", slot), which the
+        check fills.
         """
         nodes, steps, fills = self.nodes, ([], []), {}
         whole = {c for nid in self.order if nodes[nid][0] == "sum" for _, c in nodes[nid][1]}
@@ -1544,7 +1198,9 @@ class _Plan:
             else:
                 step = _add_kernel(slot(("sum", nid)), dim)
             steps[free[nid] & 1].append((nid, step))
-        return tuple(steps[0]), tuple(steps[1]), tuple(fills.items())
+        once, each = ([(nid, kernel) for nid, kernel, _, _ in level] + got
+                      for level, got in zip(self.levels, steps))
+        return tuple(fills.items()), (tuple(range(len(self.sides))), once, each, (), (), ())
 
     def holds(self, objects: list) -> bool:
         """Whether every guard holds for the objects of `_ClauseSet.read`."""
@@ -1704,12 +1360,24 @@ def _masks(steps, tables, masks, vecs, roots, cur):
     return out
 
 
-def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=False):
-    """(plan, value list, denominators, memo) for the clauses over interp.
+def _clause_set(clauses, polar: bool) -> _ClauseSet:
+    """The clause set of a clause tuple, kept on its first clause, keyed by
+    the remaining clauses and `polar`."""
+    head = clauses[0]
+    key = (tuple(clauses[1:]), polar)
+    got = head.plans.get(key)
+    if got is None:
+        got = head.plans[key] = _ClauseSet(clauses, polar)
+    return got
 
-    The plan comes from the first clause's cache, keyed by the remaining
-    clauses and `polar`, then by shape; it is built when no cached plan's
-    guards hold.  A shape's plans are tried most recently bound first (at
+
+def _bind(clause_set, interp: Interpretation, polar: bool, leaf_dens: dict, memo=False,
+          looked=None):
+    """(plan, value list, denominators, memo) for a clause set over interp.
+
+    The plan comes from the clause set's plans for the interpretation's
+    shape; it is built when no kept plan's guards hold, and every shape kept
+    holds at least one plan.  A shape's plans are tried most recently bound first (at
     most one holds: any two differ in a guard both read), so a run of checks
     over data of one shape finds its plan first, whatever plans earlier
     checks built, and what a repeated pass costs does not depend on them.
@@ -1722,19 +1390,12 @@ def _bind(clauses, interp: Interpretation, polar: bool, leaf_dens: dict, memo=Fa
     the shape's verdicts are looked up by those objects, and the last item
     is the verdict kept for the same objects and dimensions, with
     everything else None, when there is one.  Otherwise it is (_Shape,
-    bound) for `_Shape.remember`: bound is (memo key, the sorts' dimensions
-    in the order of their names, objects), the key hashing the dimensions
-    and the objects' identities.
+    bound) for `_Shape.remember` (see `_ClauseSet.lookup`, whose result
+    `looked` is when the caller has it already).
     """
-    head = clauses[0]
-    key = (tuple(clauses[1:]), polar)
-    clause_set = head.plans.get(key)
-    if clause_set is None:
-        clause_set = head.plans[key] = _ClauseSet(clauses, polar)
     # no shape when a symbol read is unbound or has the wrong dimensions: the build raises
-    shape, objects = clause_set.read(interp) or (None, ())
-    dims = _interned(*map(interp.sorts.get, shape[0])) if shape else ()
-    bound = hash((dims, *map(id, objects))), dims, objects
+    shape, bound = looked or clause_set.lookup(interp)
+    objects = bound[2]
     entry = clause_set.by_shape.get(shape)
     plan = None
     if entry is not None:
@@ -1795,7 +1456,8 @@ def evaluate(expr: Expr, env: dict, interp: Interpretation) -> Vector:
             raise ShapeError(f"variable {name!r} bound to a vector of dim {env[name].dim}")
     schema = IdentitySchema("evaluate", expr, ZERO,
                             variables=[(name, s, 1) for name, s in sorts.items()])
-    plan, cur, dens, _ = _bind((schema,), interp, False, {n: v._d for n, v in env.items()})
+    plan, cur, dens, _ = _bind(_clause_set((schema,), False), interp, False,
+                               {n: v._d for n, v in env.items()})
     for name, nid in plan.var_nodes.items():
         cur[nid] = _sparse(env[name]._n)
     _run(plan.levels, cur)
@@ -1826,16 +1488,13 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     the same dimensions is answered from the memo.
     """
     try:
-        plan, cur, dens, memo = _bind(clauses, interp, True, {}, memo=True)
+        plan, cur, dens, memo = _bind(_clause_set(clauses, True), interp, True, {}, memo=True)
     except (SemanticError, KeyError) as exc:
         raise SemanticError(f"{clauses[0].name}: {exc}") from exc
     if plan is None:  # a verdict kept for these very objects
-        witness, checked, evaluated, prefixes = memo[:4]
-        return CheckReport("pass" if witness is None else "fail", check_id, witness=witness,
-                           tuples_checked=checked, tuples_evaluated=evaluated,
-                           prefixes_visited=prefixes)
+        return _report(check_id, *memo[:4])
     variables, lower = plan.clause_set.variables, plan.clause_set.lower
-    tails, levels, sides = plan.clause_set.tails, plan.levels, plan.sides
+    levels, sides = plan.levels, plan.sides
     dims, basis, var_at = [], [], plan.var_at
     for _, sort, _ in variables:
         dims.append(interp.sorts[sort])
@@ -1844,7 +1503,7 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
     idx = [0] * len(variables)
     last = len(variables) - 1
     count = evaluated = prefixes = 0
-    hit, mask = -1, None  # the last slot's mask function, bound when first needed
+    hit, mask = None, None  # the last slot's mask function, bound when first needed
 
     def run(level):
         for nid, kernel, key, t in levels[level + 1]:
@@ -1864,21 +1523,6 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                 hit = k
                 return True
         return False
-
-    def below(p, a, b):
-        """The tuples below slot p with its index in [a, b), sorted within
-        copy blocks: a product of binomials, the run that continues p's
-        block summed over [a, b) at once."""
-        n, tail = 1, None
-        for q, length, src in tails[p]:
-            if src == p:
-                tail = dims[q] + length, length + 1
-            else:
-                n *= comb(dims[q] - (idx[src] if src >= 0 else 0) + length - 1, length)
-        if tail is None:
-            return n * (b - a)
-        top, k = tail
-        return n * (comb(top - a, k) - comb(top - b, k))
 
     def scan(lo):
         """Visit the last slot's supported indices from lo; True at a witness."""
@@ -1921,6 +1565,82 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
         prefixes += max(dims[p] - lo, 0)
         return False
 
+    if plan.joins is not None:
+        hit, count, evaluated, prefixes = next(_contract(plan, cur, dens, dims, idx, memo[1][2],
+                                                         (plan.joins[1],)))
+    else:
+        run(-1)
+        if variables:
+            visit(0)
+        else:
+            count = evaluated = 1
+            violated()
+    visit = None  # it calls itself: free this call's tables now, not at a gc pass
+    witness = None if hit is None else _witness(plan, cur, dens, interp, clauses[hit].name,
+                                                hit, idx)
+    entry, key = memo
+    entry.remember(key, witness, count, evaluated, prefixes)
+    return _report(check_id, witness, count, evaluated, prefixes)
+
+
+def _report(check_id, witness, checked, evaluated, prefixes) -> CheckReport:
+    return CheckReport("pass" if witness is None else "fail", check_id, witness=witness,
+                       tuples_checked=checked, tuples_evaluated=evaluated,
+                       prefixes_visited=prefixes)
+
+
+def _witness(plan, cur, dens, interp, name, hit, idx) -> Witness:
+    """The witness of clause `hit`, violated at the indices idx, its sides'
+    values in their root slots of cur."""
+    lhs, rhs = plan.sides[hit]
+    dim = interp.sorts.get(plan.out_sorts[hit], 0)
+    return Witness(identity=name, variables=plan.clause_set.names, indices=tuple(idx),
+                   lhs_value=_vector(cur, dens, lhs, dim), rhs_value=_vector(cur, dens, rhs, dim))
+
+
+def _contract(plan, cur, dens, dims, idx, objects, groups):
+    """Enumerate slot 0 and contract the rest, one group of clauses after
+    another, for a plan whose `joins` are set.
+
+    A group is (clause indices, once, steps, restore, keep, drop): `once`
+    are the (node, step) pairs to run before its first index, `steps` those
+    to run per index of slot 0, children first.  Per index, the tables of
+    `restore` come back from where an earlier group kept them, and after
+    the steps those of `keep` are kept for a later group; `drop` are let go
+    once the group is done.  A tuple-major check is one group of every
+    clause (`joins[1]`), a clause-major pass one group per clause (see
+    _schedule).  Yields per group (hit, tuples_checked, tuples_evaluated,
+    prefixes_visited) as that group alone would count them: hit is None
+    when each of its clauses holds, else the clause violated at the first
+    witness, whose indices are then in idx and whose sides' values are in
+    their root slots of cur; the groups after it are not run.
+    """
+    lower, tails = plan.clause_set.lower, plan.clause_set.tails
+    last = len(dims) - 1
+    pairs = [(q, p) for q, p in enumerate(lower) if p >= 0]
+    stride = [1] * len(dims)
+    for q in range(last, 1, -1):
+        stride[q - 1] = stride[q] * dims[q]
+    for (kind, k, *power), at in plan.joins[0]:
+        cur[at] = (stride[k] if kind == "stride" else _power(objects[k], *power)[2]
+                   if kind == "mask" else _tensor(objects[k], kind))
+    vnode, vals, kept = plan.var_at[0], _dim(dims[0])[0], {}
+
+    def below(p, a, b):
+        """The tuples below slot p with its index in [a, b), sorted within
+        copy blocks: a product of binomials, the run that continues p's
+        block summed over [a, b) at once."""
+        n, tail = 1, None
+        for q, length, src in tails[p]:
+            if src == p:
+                tail = dims[q] + length, length + 1
+            else:
+                n *= comb(dims[q] - (idx[src] if src >= 0 else 0) + length - 1, length)
+        if tail is None:
+            return n * (b - a)
+        top, k = tail
+        return n * (comb(top - a, k) - comb(top - b, k))
+
     def ordered(key):
         """Put key's indices in idx from slot 1 on; whether they are sorted
         within copy blocks."""
@@ -1928,27 +1648,24 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
             key, idx[q] = divmod(key, dims[q])
         return all(idx[q] >= idx[p] for q, p in pairs)
 
-    def contract():
-        """Enumerate slot 0 and contract the rest; True at a witness."""
-        nonlocal count, evaluated, prefixes, hit
-        once, each, fills = plan.joins
-        objects, stride = memo[1][2], [1] * len(dims)
-        for q in range(last, 1, -1):
-            stride[q - 1] = stride[q] * dims[q]
-        for (kind, k, *power), at in fills:
-            cur[at] = (stride[k] if kind == "stride" else _power(objects[k], *power)[2]
-                       if kind == "mask" else _tensor(objects[k], kind))
+    for ks, once, steps, restore, keep, drop in groups:
         for nid, step in once:
             cur[nid] = step(cur)
-        vnode, vals = var_at[0], basis[0]
+        for nid in keep:
+            kept[nid] = [None] * dims[0]
+        sides = [plan.sides[k] for k in ks]
         alike = [(lhs, rhs, dens[lhs] == dens[rhs]) for lhs, rhs in sides]
+        evaluated = prefixes = 0
         for i in range(dims[0]):
             idx[0] = i
             if vnode is not None:
                 cur[vnode] = vals[i]
-            run(0)
-            for nid, step in each:
+            for nid in restore:
+                cur[nid] = kept[nid][i]
+            for nid, step in steps:
                 cur[nid] = step(cur)
+            for nid in keep:
+                kept[nid][i] = cur[nid]
             prefixes += 1
             for lhs, rhs, same in alike:
                 left, right = cur[lhs] or {}, cur[rhs] or {}
@@ -1961,7 +1678,7 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
                 continue
             bad = [_differ(cur[lhs] or {}, cur[rhs] or {}, dens[lhs], dens[rhs])
                    for lhs, rhs in sides]
-            keys = set().union(*(cur[r] or () for r in plan.roots))
+            keys = set().union(*(cur[r] or () for side in sides for r in side))
             key = next((key for key in sorted(set().union(*bad)) if ordered(key)), None)
             if key is None:  # the sides differ only at tuples not sorted within copy blocks
                 evaluated += sum(map(ordered, keys)) if pairs else len(keys)
@@ -1970,40 +1687,45 @@ def check_clauses(clauses, interp: Interpretation, check_id: str) -> CheckReport
             ordered(key)
             count = below(0, 0, i) + 1 + sum(below(p, idx[lower[p]] if lower[p] >= 0 else 0,
                                                    idx[p]) for p in range(1, last + 1))
-            hit = next(k for k, got in enumerate(bad) if key in got)
-            lhs, rhs = sides[hit]
+            hit = ks[next(k for k, got in enumerate(bad) if key in got)]
+            lhs, rhs = plan.sides[hit]
             cur[lhs], cur[rhs] = (cur[lhs] or {}).get(key, []), (cur[rhs] or {}).get(key, [])
-            return True
-        count = below(0, 0, dims[0])
-        return False
+            yield hit, count, evaluated, prefixes
+            return
+        for nid in drop:
+            del kept[nid]
+        yield None, below(0, 0, dims[0]), evaluated, prefixes
 
-    pairs = [(q, p) for q, p in enumerate(lower) if p >= 0]
-    run(-1)
-    if plan.joins is not None:
-        failed = contract()
-    elif variables:
-        failed = visit(0)
-    else:
-        count = evaluated = 1
-        failed = violated()
-    visit = None  # it calls itself: free this call's tables now, not at a gc pass
-    if not failed:
-        report = CheckReport("pass", check_id, tuples_checked=count, tuples_evaluated=evaluated,
-                             prefixes_visited=prefixes)
-    else:
-        lhs, rhs = sides[hit]
-        witness = Witness(
-            identity=clauses[hit].name,
-            variables=plan.clause_set.names,
-            indices=tuple(idx),
-            lhs_value=_vector(cur, dens, lhs, interp.sorts.get(plan.out_sorts[hit], 0)),
-            rhs_value=_vector(cur, dens, rhs, interp.sorts.get(plan.out_sorts[hit], 0)),
-        )
-        report = CheckReport("fail", check_id, witness=witness, tuples_checked=count,
-                             tuples_evaluated=evaluated, prefixes_visited=prefixes)
-    entry, key = memo
-    entry.remember(key, report)
-    return report
+
+def _schedule(plan, todo) -> list:
+    """The groups of a clause-major pass over the clauses `todo` (indices
+    into plan.sides, in order) for _contract: one group per clause, which
+    runs the steps of the nodes it reads that no earlier group ran, restores
+    per index of slot 0 the tables of earlier groups that it reads, keeps
+    those of its own that a later group restores, and drops the ones no
+    later group restores.  So each node's step runs once per index, and a
+    pass that stops at a clause has run no step that only later clauses
+    read."""
+    _, (_, once, each, _, _, _) = plan.joins
+    nodes, per_index, done, groups = plan.nodes, {nid for nid, _ in each}, set(), []
+    for k in todo:
+        reads, stack = set(), list(plan.sides[k])
+        while stack:
+            n = stack.pop()
+            if n not in reads:
+                reads.add(n)
+                stack.extend(_children(nodes[n]))
+        new = reads - done
+        wanted = set(plan.sides[k]).union(*(_children(nodes[n]) for n in new))
+        groups.append(((k,), tuple(s for s in once if s[0] in new),
+                       tuple(s for s in each if s[0] in new), tuple(wanted & done & per_index)))
+        done |= reads
+    later, out = set(), []
+    for ks, first, steps, restore in reversed(groups):
+        out.append((ks, first, steps, restore, tuple(n for n, _ in steps if n in later),
+                    tuple(n for n in restore if n not in later)))
+        later.update(restore)
+    return out[::-1]
 
 
 _RANDOM_NUMERATORS = tuple(range(-3, 4))
@@ -2033,7 +1755,7 @@ def check_schema_random(
     dens = tuple(denominators) if denominators else _RANDOM_DENOMINATORS
     check_id = f"schema-random:{schema.name}"
     common = lcm(*dens)
-    plan, cur, node_dens, _ = _bind((schema,), interp, False,
+    plan, cur, node_dens, _ = _bind(_clause_set((schema,), False), interp, False,
                                     {name: common for name, _, _ in schema.variables})
     lhs, rhs = plan.roots
     rng = random.Random(seed)
@@ -2051,19 +1773,121 @@ def check_schema_random(
     return CheckReport("pass", check_id, tuples_checked=samples)
 
 
+def _runs(schemas) -> tuple:
+    """check_all's split of a schema tuple, kept on its first schema (it
+    reads no data): per run of consecutive schemas whose polarized forms
+    share one variable list and copy blocks, (the index after it, its
+    clause set, and per schema the places among the objects the run reads
+    of those its own clause set reads; see `_ClauseSet.read`).  The clause
+    set is None for a run decided one schema at a time: one of a single
+    schema, of fewer than three slots (its plans scan), or whose clause
+    set cannot be built (each of its checks then raises what it raises)."""
+    got = schemas[0].runs.get(schemas[1:]) if schemas else ()
+    if got is not None:
+        return got
+    keys = [(p.variables, p.copy_blocks) for p in map(polarize, schemas)]
+    out, start = [], 0
+    for stop in range(1, len(schemas) + 1):
+        if stop < len(schemas) and keys[stop] == keys[start]:
+            continue
+        run, clause_set, places = schemas[start:stop], None, ()
+        if len(run) > 1 and len(keys[start][0]) > 2:
+            try:
+                clause_set = _ClauseSet(run, True)
+            except SemanticError:
+                pass
+            else:
+                at = {s: k for k, s in enumerate(clause_set.ops + clause_set.maps)}
+                places = tuple(tuple(at[s] for s in own.ops + own.maps)
+                               for own in (_clause_set((s,), True) for s in run))
+        out.append((stop, clause_set, places))
+        start = stop
+    got = schemas[0].runs[schemas[1:]] = tuple(out)
+    return got
+
+
+def _decide(run, clause_set, places, interp: Interpretation) -> None:
+    """Decide the schemas of one run (see _runs) on one plan over its
+    clauses, clause-major, and keep each verdict in the schema's own memo,
+    where check_schema finds it.
+
+    The run's memo keeps a mark for each set of objects on which all of
+    it passed, so such a run costs one lookup.  Otherwise each schema's
+    verdict is looked up, in order, from the objects the run read (its
+    entry for the run's shape is kept in `owns`).  The pass starts at the
+    first schema with no verdict kept: _contract over _schedule's groups,
+    clause after clause, each over every index of slot 0, up to the first
+    clause that fails, each verdict what check_schema alone reports.  A
+    kept failure ends the pass, as it ends check_all; a kept pass met
+    after the start is decided again and not kept again.  A plan that
+    does not contract, or a clause set whose plan cannot be built, leaves
+    every schema to check_schema.
+    """
+    looked = clause_set.lookup(interp)
+    entry = clause_set.by_shape.get(looked[0])
+    if looked[0] is None or entry is not None and entry.recall(looked[1]) is not None:
+        return
+    try:
+        plan, cur, dens, (entry, bound) = _bind(clause_set, interp, True, {}, looked=looked)
+    except (SemanticError, KeyError):
+        return
+    if plan.joins is None:
+        return
+    if entry.owns is None:  # a schema's shape follows from the run's; each holds a plan
+        entry.owns = [_bind(_clause_set((s,), True), interp, True, {})[3][0] for s in run]
+    _, dims, objects = bound
+    passes = idx = None
+    for k, own in enumerate(entry.owns):
+        mine = [objects[i] for i in places[k]]
+        own_bound = hash((dims, *map(id, mine))), dims, mine
+        got = own.recall(own_bound)
+        if got is not None and (got[0] is not None or passes is None):
+            if got[0] is not None:
+                return
+            continue
+        if passes is None:
+            groups = plan.schedules.get(k)
+            if groups is None:
+                groups = plan.schedules[k] = _schedule(plan, range(k, len(run)))
+            idx = [0] * len(clause_set.variables)
+            passes = _contract(plan, cur, dens, [interp.sorts[sort] for _, sort, _ in
+                                                 clause_set.variables], idx, objects, groups)
+        hit, *work = next(passes)
+        if got is None:
+            own.remember(own_bound, None if hit is None else _witness(
+                plan, cur, dens, interp, run[k].name, hit, idx), *work)
+        if hit is not None:
+            return
+    entry.remember(bound, None, 0, 0, 0)
+
+
 def check_all(schemas, interp: Interpretation, check_id: str) -> CheckReport:
-    """Run several schemas; pass iff all pass, else first failure's witness."""
-    total = evaluated = prefixes = 0
-    for schema in schemas:
-        rep = check_schema(schema, interp)
-        total += rep.tuples_checked
-        evaluated += rep.tuples_evaluated
-        prefixes += rep.prefixes_visited
-        if not rep.ok:
-            return CheckReport(
-                "fail", check_id, witness=rep.witness, tuples_checked=total,
-                tuples_evaluated=evaluated, prefixes_visited=prefixes,
-                detail=f"violated schema {schema.name!r}",
-            )
+    """Run several schemas; pass iff all pass, else first failure's witness.
+
+    Each run of consecutive schemas over one variable list of three or
+    more slots is first decided on one plan (see _decide): clause-major,
+    so tables such as left(x, y) or alpha(z) that several of its axioms
+    read are built once per index of slot 0, and the pass stops at the
+    first failing schema.  Each verdict is kept in its schema's memo, and
+    check_schema is then called per schema as before, answering from it.
+    The report is the one schema-by-schema checks give.
+    """
+    schemas = tuple(schemas)
+    total = evaluated = prefixes = start = 0
+    for stop, clause_set, places in _runs(schemas):
+        if clause_set is not None:
+            _decide(schemas[start:stop], clause_set, places, interp)
+        for schema in schemas[start:stop]:
+            rep = check_schema(schema, interp)
+            total += rep.tuples_checked
+            evaluated += rep.tuples_evaluated
+            prefixes += rep.prefixes_visited
+            if not rep.ok:
+                return CheckReport(
+                    "fail", check_id, witness=rep.witness, tuples_checked=total,
+                    tuples_evaluated=evaluated, prefixes_visited=prefixes,
+                    detail=f"violated schema {schema.name!r}",
+                )
+        start = stop
     return CheckReport("pass", check_id, tuples_checked=total, tuples_evaluated=evaluated,
                        prefixes_visited=prefixes)

@@ -166,3 +166,86 @@ def test_a_run_whose_first_schemas_are_already_in_their_memos(seed_catalog, cold
         _assert_check_all_is_one_by_one(schemas, interp, cold_binds)
         seen += 1
     assert seen > 100
+
+
+def _reach(plan, roots):
+    """The nodes of plan that the given roots read, themselves included."""
+    from homalg.engine import _children
+
+    seen, todo = set(), list(roots)
+    while todo:
+        n = todo.pop()
+        if n not in seen:
+            seen.add(n)
+            todo.extend(_children(plan.nodes[n]))
+    return seen
+
+
+def _counted_steps(monkeypatch):
+    """Wrap the contraction steps of every plan built from now on: the
+    returned list gets a node id each time one of its steps runs."""
+    import homalg.engine as engine
+
+    calls, real = [], engine._Plan._joins
+
+    def counted(nid, step):
+        def run(cur):
+            calls.append(nid)
+            return step(cur)
+        return run
+
+    def joins(self, *args):
+        fills, (clauses, once, each, *rest) = real(self, *args)
+        return fills, (clauses, tuple((n, counted(n, s)) for n, s in once),
+                       tuple((n, counted(n, s)) for n, s in each), *rest)
+
+    monkeypatch.setattr(engine._Plan, "_joins", joins)
+    return calls
+
+
+def _trialgebra_run(seed_catalog):
+    """The 12-dim hemisemi-direct trialgebra of kx3_sum3, fresh copies of
+    the trialgebra axioms (one run of 11 over x, y, z), and their run's
+    clause set."""
+    from homalg.constructions import hemisemi
+    from homalg.engine import _runs
+    from homalg.operators import hemisemi_id_for
+    from homalg.varieties import VarietyTag, schemas_for
+
+    rep = seed_catalog["kx3_sum3"].value
+    a = hemisemi(rep, hemisemi_id_for(rep), check=False)
+    schemas = tuple(_fresh(s) for s in schemas_for(VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA))
+    ((stop, clause_set, _),) = _runs(schemas)
+    assert a.variety is VarietyTag.HOM_ASSOCIATIVE_TRIALGEBRA and stop == 11
+    return a, schemas, clause_set
+
+
+def test_a_passing_run_runs_each_step_once_per_index_of_slot_0(seed_catalog, monkeypatch):
+    from collections import Counter
+
+    calls = _counted_steps(monkeypatch)
+    a, schemas, clause_set = _trialgebra_run(seed_catalog)
+    assert check_all(schemas, a.interpretation(), "all").ok
+    ((plan,),) = [entry.plans for entry in clause_set.by_shape.values()]
+    _, (_, once, each, _, _, _) = plan.joins
+    ran = Counter(calls)
+    assert {n: ran[n] for n, _ in once} == {n: 1 for n, _ in once}
+    assert {n: ran[n] for n, _ in each} == {n: a.dim for n, _ in each}
+    assert sum(ran.values()) == len(once) + a.dim * len(each)
+    # the clauses share tables: one at a time they would read more steps
+    steps = {n for n, _ in once + each}
+    assert sum(len(_reach(plan, side) & steps) for side in plan.sides) > 1.5 * len(steps)
+
+
+def test_a_run_failing_in_its_first_schema_runs_no_step_only_later_ones_read(seed_catalog,
+                                                                             monkeypatch):
+    calls = _counted_steps(monkeypatch)
+    a, schemas, clause_set = _trialgebra_run(seed_catalog)
+    bent = perturb_product(a, "left", (0, 0, 0), 1)
+    report = check_all(schemas, bent.interpretation(), "all")
+    assert report.witness.identity == "bar-left" == schemas[0].name
+    ((plan,),) = [entry.plans for entry in clause_set.by_shape.values()]
+    first = _reach(plan, plan.sides[0])
+    later = set().union(*(_reach(plan, side) for side in plan.sides[1:])) - first
+    assert calls and later and not later & set(calls)
+    assert set(calls) <= first

@@ -65,13 +65,18 @@ def area(box):
 
 
 def test_loc_prints_source_bytes_beside_code_lines(tmp_path, capsys):
-    # docstrings and comments count in the bytes, not in the code lines
+    # docstrings and comments count in the bytes, not in the code lines; a
+    # docstring is one node of the tree (Module, Expr, Constant, then Assign,
+    # Name, Store, Constant), and each assignment four
     (tmp_path / "a.py").write_text('"""Doc."""\n# note\nx = 1\n', encoding="utf-8")
     (tmp_path / "b.py").write_text("y = 2\nz = 3\n", encoding="utf-8")
     assert _tool("loc").main([str(tmp_path)]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows == [["1", "24", str(tmp_path / "a.py")], ["2", "12", str(tmp_path / "b.py")],
-                    ["3", "36", "total"]]
+    assert rows == [["1", "24", "7", str(tmp_path / "a.py")],
+                    ["2", "12", "9", str(tmp_path / "b.py")], ["3", "36", "16", "total"]]
+    # a longer docstring adds bytes, not nodes
+    (tmp_path / "a.py").write_text('"""A longer docstring."""\nx = 1\n', encoding="utf-8")
+    assert _tool("loc").tree_nodes((tmp_path / "a.py").read_text(encoding="utf-8")) == 7
 
 
 def _kx2():

@@ -1,5 +1,6 @@
 """Code lines per Python file and in total, not counting docstrings,
-comments or blank lines, each beside the file's source bytes.
+comments or blank lines, each beside the file's source bytes and its
+syntax-tree node count.
 
     python3 tools/loc.py [PATH ...]
 
@@ -8,9 +9,11 @@ counts src/homalg/ of the checkout it sits in.  A line is a code line when a
 token other than a comment or a docstring starts, ends or spans it, so a
 multi-line string that is not a docstring counts every line it spans.  A
 docstring is the string statement that opens a module, class or function.
-Source bytes count everything: a process that compiles a module from
-source (no bytecode cache, as under PYTHONDONTWRITEBYTECODE=1) peaks in
-memory with the size of its largest module, docstrings included.
+Source bytes count everything, docstrings included.  Nodes are those
+`ast.walk` visits in the module's tree: a process that compiles a module
+from source (no bytecode cache, as under PYTHONDONTWRITEBYTECODE=1) peaks
+in memory with the tree of its largest module, about 0.4 KB a node on
+CPython 3.11, so a long docstring adds bytes but one node.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def tree_nodes(source: str) -> int:
+    """The number of nodes in the syntax tree of one Python source text."""
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("paths", nargs="*", type=Path, default=[ROOT / "src" / "homalg"])
@@ -58,13 +66,14 @@ def main(argv=None):
     files = []
     for path in args.paths:
         files.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
-    total = size = 0
+    total = size = nodes = 0
     for path in files:
         source = path.read_bytes()
-        n = code_lines(source.decode("utf-8"))
-        total, size = total + n, size + len(source)
-        print(f"{n:6d}  {len(source):8d}  {path}")
-    print(f"{total:6d}  {size:8d}  total")
+        text = source.decode("utf-8")
+        n, tree = code_lines(text), tree_nodes(text)
+        total, size, nodes = total + n, size + len(source), nodes + tree
+        print(f"{n:6d}  {len(source):8d}  {tree:7d}  {path}")
+    print(f"{total:6d}  {size:8d}  {nodes:7d}  total")
     return 0
 
 
