@@ -804,18 +804,20 @@ class _ClauseSet:
         objects, op_sigs, map_sigs = [], [], []
         try:
             for s in self.ops:
-                tensor, (ls, rs, os_) = ops[s]
-                if (tensor.left_dim, tensor.right_dim, tensor.out_dim) != (
-                        sorts[ls], sorts[rs], sorts[os_]):
+                tensor, sig = ops[s]
+                ls, rs, os_ = sig
+                if (tensor.left_dim != sorts[ls] or tensor.right_dim != sorts[rs]
+                        or tensor.out_dim != sorts[os_]):
                     return None
                 objects.append(tensor)
-                op_sigs.append(ops[s][1])
+                op_sigs.append(sig)
             for s in self.maps:
-                lin, (ss, ds) = maps[s]
-                if (lin.src_dim, lin.dst_dim) != (sorts[ss], sorts[ds]):
+                lin, sig = maps[s]
+                ss, ds = sig
+                if lin.src_dim != sorts[ss] or lin.dst_dim != sorts[ds]:
                     return None
                 objects.append(lin)
-                map_sigs.append(maps[s][1])
+                map_sigs.append(sig)
         except (KeyError, ValueError):
             return None
         return (tuple(sorted(sorts)), tuple(op_sigs), tuple(map_sigs)), objects
@@ -850,9 +852,12 @@ class _Shape:
         """The verdict kept for these dimensions and objects, or None."""
         key, dims, objects = bound
         got = self.verdicts.get(key)
-        if got is not None and got[4] == dims and all(r() is o for r, o in zip(got[5:], objects)):
-            return got
-        return None
+        if got is None or got[4] != dims:
+            return None
+        for r, o in zip(got[5:], objects):
+            if r() is not o:
+                return None
+        return got
 
     def remember(self, bound, witness, checked, evaluated, prefixes) -> None:
         key, dims, objects = bound
@@ -1841,9 +1846,9 @@ def _decide(run, clause_set, places, interp: Interpretation) -> None:
         mine = [objects[i] for i in places[k]]
         own_bound = hash((dims, *map(id, mine))), dims, mine
         got = own.recall(own_bound)
-        if got is not None and (got[0] is not None or passes is None):
-            if got[0] is not None:
-                return
+        if got is not None and got[0] is not None:
+            return
+        if got is not None and passes is None:
             continue
         if passes is None:
             groups = plan.schedules.get(k)
