@@ -23,7 +23,14 @@ more slots, which contracts every slot after the first,
 one or two slots, which scans the last slot through its support mask
 (contracting those ran them x1.2-1.5 slower), they are the tuples whose
 sides were evaluated and the proper prefixes on which level kernels ran
-(see `homalg.engine`).  The keys of a
+(see `homalg.engine`).  A run of axioms
+that `check_all` decides on one plan (see `engine._decide`) shows in
+`work` as memo answers: each schema's `check_clauses` call still counts,
+and is answered from the verdict the run kept for it, so `check_clauses`
+and the summed `tuples_checked`, `tuples_evaluated` and `prefixes_visited`
+are those of schema-by-schema checks.  `memo_answers` also counts the
+run's own lookups that find a verdict: its mark, when all of it passed
+on these objects before, and each kept verdict it skips.  The keys of a
 class add up to its total, so a claim that rests on one item (a p50 or a
 tail) can be checked as an exact count.  The work counters wrap every module binding of
 `check_clauses`; the wrappers' own instructions are not counted, so the
