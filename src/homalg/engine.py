@@ -922,7 +922,7 @@ class _Plan:
     `sides` pairs the roots per clause, and `var_at` gives each slot's
     variable node (None for a variable no side reads).  `schedules` keeps
     the clause-major passes of a plan that contracts (see _schedule), by
-    the clauses they decide.
+    the clause each starts at; a pass runs to the last clause.
     """
 
     __slots__ = ("clause_set", "twists", "zeros", "nodes", "roots", "order", "sorts", "var_nodes",
