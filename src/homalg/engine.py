@@ -1834,12 +1834,12 @@ def _decide(run, clause_set, places, interp: Interpretation) -> None:
         return
     try:
         plan, cur, dens, (entry, bound) = _bind(clause_set, interp, True, {}, looked=looked)
+        if entry.owns is None:  # a schema's shape follows from the run's; each holds a plan
+            entry.owns = [_bind(_clause_set((s,), True), interp, True, {})[3][0] for s in run]
     except (SemanticError, KeyError):
         return
     if plan.joins is None:
         return
-    if entry.owns is None:  # a schema's shape follows from the run's; each holds a plan
-        entry.owns = [_bind(_clause_set((s,), True), interp, True, {})[3][0] for s in run]
     _, dims, objects = bound
     passes = idx = None
     for k, own in enumerate(entry.owns):
