@@ -153,8 +153,8 @@ def test_a_run_broken_only_in_its_last_schema(cold_binds):
 
 
 def test_a_run_whose_first_schemas_are_already_in_their_memos(seed_catalog, cold_binds):
-    # the first two schemas of each run are checked on their own first, so
-    # check_all finds their verdicts kept and decides the rest
+    # the first two schemas of each tuple are checked on their own first, so
+    # a run that starts there finds their verdicts kept and decides the rest
     from homalg.varieties import schemas_for
 
     bent = _last_compat_broken()
